@@ -23,7 +23,6 @@ import (
 	"pitchfork/internal/pitchfork"
 	"pitchfork/internal/sched"
 	"pitchfork/internal/symx"
-	"pitchfork/internal/taint"
 	"pitchfork/internal/testcases"
 	"pitchfork/spectre"
 )
@@ -389,8 +388,7 @@ func BenchmarkSymbolicScheduleGenerationDedup(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Static pre-analysis: cost of the taint pass itself (the price of a
-// certificate or of the pruning hints), and the hybrid exploration it
-// enables — the corpus sweep with statically-safe forks collapsed.
+// certificate).
 // ---------------------------------------------------------------------
 
 // BenchmarkStaticPass measures the flow-sensitive taint analysis over
@@ -416,45 +414,6 @@ func BenchmarkStaticPass(b *testing.B) {
 			}
 			if rep.Safe() {
 				b.Fatalf("%s statically safe; the corpus is all leaky", cases[j].Name)
-			}
-		}
-	}
-}
-
-// BenchmarkKocherSuiteHybrid is BenchmarkKocherSuite with the static
-// pruning hints wired in — the hybrid mode a -static CLI run uses on
-// programs the pass cannot certify. Findings are bit-identical to the
-// unpruned sweep (asserted by TestStaticSoundnessOnCorpora); the delta
-// between the two benchmarks is what pruning buys.
-func BenchmarkKocherSuiteHybrid(b *testing.B) {
-	cases := testcases.Kocher()
-	machines := make([]*core.Machine, len(cases))
-	hints := make([]*taint.Report, len(cases))
-	for j, c := range cases {
-		m, err := c.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		machines[j] = m
-		if hints[j], err = taintOfMachine(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, c := range cases {
-			rep, err := pitchfork.Analyze(machines[j], pitchfork.Options{
-				Bound:          pitchfork.BoundNoHazards,
-				ForwardHazards: c.NeedsFwdHazards,
-				StopAtFirst:    true,
-				Prune:          hints[j],
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.SecretFree() {
-				b.Fatalf("%s not flagged", c.Name)
 			}
 		}
 	}
@@ -524,7 +483,7 @@ func BenchmarkCTCompile(b *testing.B) {
 
 func BenchmarkSolver(b *testing.B) {
 	x := symx.NewVar("x", mem.Public)
-	s := symx.NewSolver(1)
+	s := symx.NewSolver()
 	cond := symx.PCond(
 		symx.Constraint{E: symx.Apply(isa.OpGt, x, symx.CW(4)), Truthy: true},
 		symx.Constraint{E: symx.Apply(isa.OpLt, x, symx.CW(64)), Truthy: true},
@@ -563,7 +522,7 @@ func BenchmarkSolverColdStart(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := symx.NewSolver(1)
+		s := symx.NewSolver()
 		if _, ok := s.Solve(cond); !ok {
 			b.Fatal("unsolved")
 		}
@@ -575,7 +534,7 @@ func BenchmarkSolverColdStart(b *testing.B) {
 // (each branch adds one constraint to an already-solved parent).
 func BenchmarkSolverIncremental(b *testing.B) {
 	x := symx.NewVar("x", mem.Public)
-	s := symx.NewSolver(1)
+	s := symx.NewSolver()
 	base := solverChain(4)
 	if _, ok := s.Solve(base); !ok {
 		b.Fatal("unsolved base")
@@ -600,7 +559,7 @@ func BenchmarkSolverIncremental(b *testing.B) {
 // BenchmarkSolverCacheHit re-solves one warm query — the repeated
 // Feasible/Concretize pattern on an unchanged path condition.
 func BenchmarkSolverCacheHit(b *testing.B) {
-	s := symx.NewSolver(1)
+	s := symx.NewSolver()
 	cond := solverChain(12)
 	if _, ok := s.Solve(cond); !ok {
 		b.Fatal("unsolved")

@@ -19,10 +19,9 @@
 // -static enables the speculative-taint pre-analysis: a program the
 // static pass proves safe is certified in O(|program|) without running
 // the explorer, and a program it cannot prove safe is explored in
-// hybrid mode, with the static verdicts pruning provably-safe
-// speculation forks (findings are unchanged; only work is saved). With
-// -repair, the pass additionally ranks candidate fence sites by static
-// suspiciousness.
+// hybrid mode: the full exploration, with the static verdict attached
+// to the report. With -repair, the pass additionally ranks candidate
+// fence sites by static suspiciousness.
 //
 // -repair switches from detection to mitigation: the tool synthesizes
 // a minimal patch set (propose at the guarding speculation source,
@@ -59,7 +58,7 @@ func main() {
 	symvars := flag.String("symvars", "x", "comma-separated CTL globals to unbind in -symbolic mode")
 	workers := flag.Int("workers", 1, "exploration worker goroutines (0 = all CPU cores)")
 	dedup := flag.Int("dedup", 0, "bound of the state-dedup table (0 = off)")
-	static := flag.Bool("static", false, "run the static taint pre-analysis: certify safe programs without exploring, prune safe forks otherwise")
+	static := flag.Bool("static", false, "run the static taint pre-analysis: certify safe programs without exploring, attach the verdict otherwise")
 	doRepair := flag.Bool("repair", false, "synthesize a minimal repair and emit the repaired program with its cost table")
 	strategy := flag.String("strategy", "auto", "repair mitigation: auto (cheapest certified), fence, mask, or ret (with -repair)")
 	flag.Parse()
@@ -257,8 +256,8 @@ func reportSolver(rep *spectre.Report) {
 	if s == nil {
 		return
 	}
-	fmt.Printf("solver: %d queries (%d cache hits, %d definite-unsat, %d domain-narrowed, %d parent-extended), %d probe iterations\n",
-		s.Queries, s.CacheHits, s.DefiniteUnsats, s.PropPruned, s.ExtendHits, s.ProbeIters)
+	fmt.Printf("solver: %d queries (%d cache hits, %d definite-unsat, %d domain-narrowed), %d candidates searched\n",
+		s.Queries, s.CacheHits, s.DefiniteUnsats, s.PropPruned, s.ProbeIters)
 }
 
 func reportFindings(rep *spectre.Report) {

@@ -17,8 +17,8 @@
 //
 //	┌────────────────────────┐      ┌────────────────────────────┐
 //	│ internal/taint         │      │  internal/sched (engine)   │
-//	│ static taint pass:     │─────▶│  DT(n) strategy · workers  │
-//	│ certify · PruneHints   │      │  dedup · budgets · merge   │
+//	│ static taint pass:     │      │  DT(n) strategy · workers  │
+//	│ certify · ForkFree     │      │  dedup · budgets · merge   │
 //	└───────────┬────────────┘      └─────────┬───────┬──────────┘
 //	            │                    Machine  │       │  Machine
 //	            │             ┌───────────────┘       └───────────────┐
@@ -64,12 +64,10 @@
 //
 // The static speculative-taint pre-analysis (internal/taint) sits in
 // front of both: a flow-sensitive fixpoint over the speculative CFG
-// that either certifies a program free of secret-labeled observations
-// in O(|program|) (spectre.WithStaticPass — no explorer is built) or
-// hands the engine sound per-point pruning hints (sched.PruneHints)
-// that collapse provably-safe speculation forks without changing the
-// finding set, and hands repair a suspiciousness ranking over
-// candidate fence sites.
+// that certifies a program free of secret-labeled observations in
+// O(|program|) (spectre.WithStaticPass — no explorer is built) and
+// hands repair a suspiciousness ranking over candidate fence sites
+// (taint.Report.ForkFree).
 //
 // The supported API surface is the spectre package (pitchfork/spectre):
 // a ProgramBuilder, an Analyzer with functional options and streaming,

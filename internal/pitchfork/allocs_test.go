@@ -23,7 +23,7 @@ func TestResolveArgsAllocFree(t *testing.T) {
 	init := NewSym(p)
 	init.SetReg(isa.Reg(1), symx.NewVar("a", mem.Public))
 	init.SetReg(isa.Reg(2), symx.NewVar("b", mem.Public))
-	s := newSymMachine(init, 0)
+	s := newSymMachine(init)
 
 	args := []isa.Operand{
 		isa.R(isa.Reg(1)), isa.R(isa.Reg(2)),
@@ -56,7 +56,7 @@ func TestResolveRegAllocFree(t *testing.T) {
 	}
 	init := NewSym(p)
 	init.SetReg(isa.Reg(1), symx.NewVar("a", mem.Public))
-	s := newSymMachine(init, 0)
+	s := newSymMachine(init)
 
 	for _, r := range []isa.Reg{isa.Reg(1), isa.Reg(9)} { // set and unset
 		allocs := testing.AllocsPerRun(200, func() {
@@ -88,7 +88,7 @@ func TestApplyArgsCopiesRetainedScratch(t *testing.T) {
 	init := NewSym(p)
 	init.SetReg(isa.Reg(1), symx.NewVar("a", mem.Public))
 	init.SetReg(isa.Reg(2), symx.NewVar("b", mem.Public))
-	s := newSymMachine(init, 0)
+	s := newSymMachine(init)
 
 	args, ok := s.resolveArgs(s.base, []isa.Operand{isa.R(isa.Reg(1)), isa.R(isa.Reg(2))})
 	if !ok {

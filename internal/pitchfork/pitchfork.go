@@ -54,8 +54,6 @@ type Options struct {
 	// (0 = off); symbolic fingerprints include the path condition. See
 	// sched.Options.DedupEntries for the trade-offs.
 	DedupEntries int
-	// SolverSeed seeds the symbolic solver (symbolic mode only).
-	SolverSeed int64
 	// OnViolation, if non-nil, is invoked synchronously as each
 	// violation is found, before exploration continues. Returning false
 	// stops the analysis early; everything found so far stays in the
@@ -67,11 +65,6 @@ type Options struct {
 	// report and Report.Interrupted set — how context cancellation
 	// reaches the explorers.
 	Interrupt func() bool
-	// Prune, if non-nil, supplies static pre-analysis verdicts (an
-	// internal/taint Report) that let the engine collapse speculation
-	// forks whose whole subtree is provably violation-free. Findings are
-	// identical with and without hints; only States/Paths shrink.
-	Prune sched.PruneHints
 }
 
 // The two bounds of the paper's evaluation procedure (§4.2.1).
@@ -167,7 +160,6 @@ func Analyze(m *core.Machine, opts Options) (Report, error) {
 		DedupEntries:   opts.DedupEntries,
 		KeepSchedules:  true,
 		Interrupt:      opts.Interrupt,
-		Prune:          opts.Prune,
 	}
 	if opts.OnViolation != nil {
 		sopts.OnViolation = func(v sched.Violation) bool {

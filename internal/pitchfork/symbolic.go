@@ -160,8 +160,8 @@ type symMachine struct {
 }
 
 // newSymMachine lowers an initial configuration into the domain.
-func newSymMachine(m *SymMachine, solverSeed int64) *symMachine {
-	solver := symx.NewSolver(solverSeed + 1)
+func newSymMachine(m *SymMachine) *symMachine {
+	solver := symx.NewSolver()
 	s := &symMachine{
 		prog:           m.Prog,
 		regs:           symx.NewRegFile(),
@@ -989,7 +989,6 @@ func AnalyzeSymbolic(m *SymMachine, opts Options) (Report, error) {
 		DedupEntries:   opts.DedupEntries,
 		KeepSchedules:  true,
 		Interrupt:      opts.Interrupt,
-		Prune:          opts.Prune,
 	}
 	if opts.OnViolation != nil {
 		sopts.OnViolation = func(v sched.Violation) bool {
@@ -1000,7 +999,7 @@ func AnalyzeSymbolic(m *SymMachine, opts Options) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("pitchfork: %w", err)
 	}
-	sm := newSymMachine(m, opts.SolverSeed)
+	sm := newSymMachine(m)
 	res := e.ExploreMachine(sm)
 	rep := Report{
 		States: res.States, Paths: res.Paths,

@@ -79,8 +79,9 @@ type Options struct {
 	Strategy string
 }
 
-// Hints is the static pre-analysis contract the site ranking consumes;
-// it mirrors sched.PruneHints so one taint report serves both.
+// Hints is the static pre-analysis contract the site ranking consumes
+// (implemented by internal/taint's Report without either package
+// importing the other).
 type Hints interface {
 	// ForkFree reports that no secret-labeled observation is possible
 	// at pp or at any point forward-reachable from it — a fence at such

@@ -94,11 +94,6 @@ type Options struct {
 	// far remain in the result and Result.Interrupted is set. With
 	// Workers > 1 it must be safe for concurrent calls.
 	Interrupt func() bool
-	// Prune, if non-nil, supplies static pre-analysis verdicts that let
-	// the explorer collapse speculation forks whose entire subtree is
-	// provably violation-free (see PruneHints). The reported violation
-	// set is identical with and without hints; States and Paths shrink.
-	Prune PruneHints
 }
 
 // DefaultMaxStates and DefaultMaxRetired are the exploration budgets
@@ -455,15 +450,6 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 	if m.BufLen() < opts.Bound && fetchable {
 		switch in.Kind {
 		case isa.KBr:
-			// A statically fork-free branch point can't lead to a
-			// violation on either guess (and nothing already buffered can
-			// leak), so one arm stands in for both.
-			if pruneFork(m, opts.Prune, m.PC()) {
-				if apply(opts, st, core.FetchGuess(true), emit) {
-					return false, false, nil
-				}
-				return true, false, nil
-			}
 			// Fork both guesses; both arms delay branch execution. The
 			// fetch either applies in both worlds or stalls in both (the
 			// directive checks are guess-independent), so the clone is
@@ -654,12 +640,6 @@ func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 		}
 	}
 	if len(pending) == 0 {
-		return apply(opts, st, core.Execute(i), emit)
-	}
-	// A statically fork-free load point can't produce a violation under
-	// any forwarding outcome (and nothing buffered can leak), so
-	// executing the load now stands in for the whole forwarding fork.
-	if t, ok := m.View(i); ok && pruneFork(m, opts.Prune, t.PP) {
 		return apply(opts, st, core.Execute(i), emit)
 	}
 	acted := false

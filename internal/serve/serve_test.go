@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"pitchfork/internal/testcases"
 	"pitchfork/spectre"
 )
 
@@ -438,5 +439,41 @@ func TestBadRequests(t *testing.T) {
 		if e.Code != spectre.ErrCodeBadRequest {
 			t.Errorf("%s: error code %q, want %q", name, e.Code, spectre.ErrCodeBadRequest)
 		}
+	}
+}
+
+// TestSolverSeedIgnoredOnWire: clients written against the seeded
+// solver may still send "solverSeed" in the config. The field no
+// longer exists, so it is ignored like any unknown field — a 200, the
+// same cache key, and a byte-identical symbolic report.
+func TestSolverSeedIgnoredOnWire(t *testing.T) {
+	src := testcases.Kocher()[0].Source()
+	body := func(config string) []byte {
+		raw, err := json.Marshal(AnalyzeRequest{
+			Source:          src,
+			SymbolicGlobals: []string{"x"},
+			Config:          json.RawMessage(config),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	post := func(config string) []byte {
+		ts := httptest.NewServer(newTestServer(t, Config{}).Handler())
+		defer ts.Close()
+		resp, raw := postAnalyze(t, ts.URL, body(config))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("config %s: status %d: %s", config, resp.StatusCode, raw)
+		}
+		return raw
+	}
+	plain := post(`{"symbolic":true}`)
+	seeded := post(`{"symbolic":true,"solverSeed":7}`)
+	if p, s := decodeAnalyze(t, plain), decodeAnalyze(t, seeded); p.CacheKey != s.CacheKey {
+		t.Errorf("cache key depends on solverSeed: %s vs %s", p.CacheKey, s.CacheKey)
+	}
+	if !bytes.Equal(plain, seeded) {
+		t.Errorf("solverSeed changed the response:\n plain  %s\n seeded %s", plain, seeded)
 	}
 }

@@ -5,19 +5,18 @@ package symx
 // functions, fixpoint propagation over a conjunction (seeded from the
 // parent condition's fixpoint, so child conditions pay for one new
 // conjunct), an incremental candidate evaluator that re-checks only
-// the conjuncts whose variables changed, and a bounded fingerprint-
-// keyed result cache shared across exploration workers.
+// the conjuncts whose variables changed, the depth-first model search
+// built on it, and a bounded fingerprint-keyed result cache shared
+// across exploration workers.
 //
-// Everything here is deliberately filter-shaped: the domains
-// over-approximate the model set, so they are only ever used to (a)
-// return definite UNSAT when a variable's domain is empty and (b) skip
-// evaluating candidates that provably cannot be models. A candidate
-// the old from-scratch search would have accepted is never skipped,
-// which is what keeps witnesses, concretized addresses, and
-// exploration counters bit-identical to the historical search.
+// The domains over-approximate the model set, so they are only ever
+// used to (a) return definite UNSAT when a variable's domain is empty
+// and (b) choose the candidates the search tries. A witness is a pure
+// function of the query: no seed, no call order, no cache state.
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -479,9 +478,10 @@ func aevalOp(o Op, vidx map[string]int, doms []vdom) vdom {
 // ---------------------------------------------------------------------
 
 // linVar matches e ≡ x + off for a single variable x (covering the
-// bare variable, Apply-normalized additions, and x - const), which is
-// the shape path conditions overwhelmingly take: concretization pins
-// eq(add(x, base), addr) and branches test cmp(x, bound).
+// bare variable and nested additions and subtractions of constants,
+// such as add(sub(x, 5), 4105)), which is the shape path conditions
+// overwhelmingly take: concretization pins eq(add(x, base), addr) and
+// branches test cmp(x, bound).
 func linVar(e Expr) (name string, off mem.Word, ok bool) {
 	switch x := e.(type) {
 	case Var:
@@ -494,20 +494,20 @@ func linVar(e Expr) (name string, off mem.Word, ok bool) {
 					off += v.W
 					continue
 				}
-				if vv, isV := a.(Var); isV && name == "" {
-					name = vv.Name
-					continue
+				n, o, lin := linVar(a)
+				if !lin || name != "" {
+					return "", 0, false
 				}
-				return "", 0, false
+				name, off = n, off+o
 			}
 			if name != "" {
 				return name, off, true
 			}
 		case isa.OpSub:
 			if len(x.Args) == 2 {
-				if vv, isV := x.Args[0].(Var); isV {
-					if c, isC := x.Args[1].Concrete(); isC {
-						return vv.Name, -c.W, true
+				if c, isC := x.Args[1].Concrete(); isC {
+					if n, o, lin := linVar(x.Args[0]); lin {
+						return n, o - c.W, true
 					}
 				}
 			}
@@ -706,6 +706,9 @@ func refineConstraint(c Constraint, vidx map[string]int, doms []vdom) bool {
 }
 
 func refineOp(o Op, truthy bool, vidx map[string]int, doms []vdom) bool {
+	if inner, truth, ok := unwrapTest(o, truthy); ok {
+		return refineConstraint(Constraint{E: inner, Truthy: truth}, vidx, doms)
+	}
 	if o.Code == isa.OpAnd && len(o.Args) == 2 {
 		return refineAndMask(o, truthy, vidx, doms)
 	}
@@ -732,6 +735,22 @@ func refineOp(o Op, truthy bool, vidx map[string]int, doms []vdom) bool {
 		return false
 	}
 	return refineSide(o.Args[1], flipRel(rel), da, vidx, doms)
+}
+
+// unwrapTest rewrites the compiler's branch-condition form ne(t, 0) or
+// eq(t, 0), for a relation or bit test t, to t itself or its negation.
+func unwrapTest(o Op, truthy bool) (Expr, bool, bool) {
+	if (o.Code != isa.OpNe && o.Code != isa.OpEq) || len(o.Args) != 2 {
+		return nil, false, false
+	}
+	if c, isC := o.Args[1].Concrete(); !isC || c.W != 0 {
+		return nil, false, false
+	}
+	t, isOp := o.Args[0].(Op)
+	if !isOp || !(t.Code.IsComparison() || t.Code == isa.OpAnd) {
+		return nil, false, false
+	}
+	return t, truthy == (o.Code == isa.OpNe), true
 }
 
 // propRounds bounds the fixpoint iteration; domains only ever shrink,
@@ -777,60 +796,65 @@ func propagate(cons []Constraint, vidx map[string]int, doms []vdom, fromParent b
 }
 
 // ---------------------------------------------------------------------
-// Incremental candidate evaluation.
+// Incremental candidate evaluation and the model search.
 // ---------------------------------------------------------------------
 
-// varMaskOf hashes an expression's variable footprint into 64 bits
-// (index mod 64). Collisions only cause extra re-evaluations, never
-// missed ones, because evalCtx.set hashes indices the same way.
-func varMaskOf(e Expr, vidx map[string]int) uint64 {
+// footprint hashes an expression's variable footprint into 64 bits
+// (index mod 64) and reports its highest variable index (-1 for none).
+// Mask collisions only cause extra re-evaluations, never missed ones,
+// because evalCtx.set hashes indices the same way.
+func footprint(e Expr, vidx map[string]int) (mask uint64, last int) {
 	switch x := e.(type) {
 	case Var:
 		if i, ok := vidx[x.Name]; ok {
-			return 1 << uint(i&63)
+			return 1 << uint(i&63), i
 		}
-		return 0
 	case Op:
-		var m uint64
+		last = -1
 		for _, a := range x.Args {
-			m |= varMaskOf(a, vidx)
+			m, l := footprint(a, vidx)
+			mask |= m
+			last = max(last, l)
 		}
-		return m
+		return mask, last
 	}
-	return 0
+	return 0, -1
 }
 
 // evalCtx is the incremental evaluator behind one solve: it holds the
 // working assignment and per-conjunct satisfaction flags, and on each
 // variable update re-evaluates only the conjuncts whose variable
-// footprint intersects the change — candidate probing no longer
-// re-walks the whole chain per candidate.
+// footprint intersects the change — a candidate costs the conjuncts it
+// can affect, not a walk of the whole chain.
 type evalCtx struct {
 	vars []string
 	cons []Constraint
 	mask []uint64
-	sat  []bool
-	bad  int // falsified conjuncts under env
-	env  Env
+	// settled[i+1] lists the conjuncts whose highest variable index is
+	// i, decided once variables 0..i are assigned; settled[0] lists the
+	// variable-free ones.
+	settled [][]int
+	sat     []bool
+	env     Env
 }
 
 func newEvalCtx(vars []string, cons []Constraint, vidx map[string]int) *evalCtx {
 	ec := &evalCtx{
-		vars: vars,
-		cons: cons,
-		mask: make([]uint64, len(cons)),
-		sat:  make([]bool, len(cons)),
-		env:  make(Env, len(vars)),
+		vars:    vars,
+		cons:    cons,
+		mask:    make([]uint64, len(cons)),
+		settled: make([][]int, len(vars)+1),
+		sat:     make([]bool, len(cons)),
+		env:     make(Env, len(vars)),
 	}
 	for _, v := range vars {
 		ec.env[v] = 0
 	}
 	for k, c := range cons {
-		ec.mask[k] = varMaskOf(c.E, vidx)
+		var last int
+		ec.mask[k], last = footprint(c.E, vidx)
+		ec.settled[last+1] = append(ec.settled[last+1], k)
 		ec.sat[k] = c.Holds(ec.env)
-		if !ec.sat[k] {
-			ec.bad++
-		}
 	}
 	return ec
 }
@@ -843,30 +867,109 @@ func (ec *evalCtx) set(i int, w mem.Word) {
 	ec.env[name] = w
 	bit := uint64(1) << uint(i&63)
 	for k, m := range ec.mask {
-		if m&bit == 0 {
-			continue
-		}
-		now := ec.cons[k].Holds(ec.env)
-		if now != ec.sat[k] {
-			ec.sat[k] = now
-			if now {
-				ec.bad--
-			} else {
-				ec.bad++
-			}
+		if m&bit != 0 {
+			ec.sat[k] = ec.cons[k].Holds(ec.env)
 		}
 	}
 }
 
-// hopeless reports a variable-free conjunct that is false: no
-// assignment can ever flip it.
-func (ec *evalCtx) hopeless() bool {
-	for k := range ec.cons {
-		if ec.mask[k] == 0 && !ec.sat[k] {
-			return true
+// holds reports whether every conjunct settled at level holds.
+func (ec *evalCtx) holds(level int) bool {
+	for _, k := range ec.settled[level] {
+		if !ec.sat[k] {
+			return false
 		}
 	}
-	return false
+	return true
+}
+
+// searchBudget bounds the candidates one search evaluates; running out
+// of it means "unknown", never UNSAT.
+const searchBudget = 4096
+
+// search is the solver's model search: a depth-first walk that assigns
+// the variables in order, each from its candidates list, and cuts a
+// branch as soon as a conjunct whose variables are all assigned is
+// false. It reports whether env now holds a model, and the number of
+// candidates it evaluated.
+func (ec *evalCtx) search(doms []vdom) (bool, uint64) {
+	if !ec.holds(0) {
+		return false, 0 // a variable-free conjunct is false
+	}
+	var consts []mem.Word
+	for _, c := range ec.cons {
+		consts = constWords(c.E, consts)
+	}
+	cands := make([][]mem.Word, len(ec.vars))
+	for i := range cands {
+		cands[i] = candidates(doms[i], consts)
+	}
+	var evals uint64
+	var walk func(i int) bool
+	walk = func(i int) bool {
+		if i == len(cands) {
+			return true
+		}
+		for _, w := range cands[i] {
+			if evals == searchBudget {
+				return false
+			}
+			evals++
+			ec.set(i, w)
+			if ec.holds(i+1) && walk(i+1) {
+				return true
+			}
+		}
+		return false
+	}
+	return walk(0), evals
+}
+
+// candidates lists the words the search tries for one variable: a
+// propagation-forced singleton alone; otherwise, in order, the
+// domain's bounds and their inner neighbours, zero and the small
+// words, the completions of the known bits (unknown bits all clear,
+// all set, or copied from a bound), the word-arithmetic boundaries
+// (2^k and 2^k-1 up to 2^16, and the sign bit), and each constant of
+// the condition with its neighbours — each once, and only if the
+// domain contains it.
+func candidates(d vdom, consts []mem.Word) []mem.Word {
+	if w, ok := d.singleton(); ok {
+		return []mem.Word{w}
+	}
+	free := ^d.known
+	ws := []mem.Word{d.lo, d.hi, d.lo + 1, d.hi - 1, 0, 1, 2, 3, 4, 5, 6, 7, 8,
+		d.bit, d.bit | free, d.lo&free | d.bit, d.hi&free | d.bit}
+	for k := 4; k <= 16; k++ {
+		ws = append(ws, 1<<k-1, 1<<k)
+	}
+	ws = append(ws, 1<<63)
+	for _, c := range consts {
+		ws = append(ws, c, c+1, c-1)
+	}
+	out := ws[:0]
+	for _, w := range ws {
+		if d.contains(w) && !slices.Contains(out, w) {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// constWords appends the constants of e not yet in dst, in order of
+// appearance.
+func constWords(e Expr, dst []mem.Word) []mem.Word {
+	switch x := e.(type) {
+	case Const:
+		if !slices.Contains(dst, x.V.W) {
+			dst = append(dst, x.V.W)
+		}
+	case Op:
+		for _, a := range x.Args {
+			dst = constWords(a, dst)
+		}
+	}
+	return dst
 }
 
 // ---------------------------------------------------------------------
@@ -892,7 +995,7 @@ const (
 // modelCache memoizes solve results by path-condition fingerprint.
 // Sharded mutexes keep exploration workers out of each other's way;
 // FIFO eviction bounds memory. Solve results are a pure function of
-// (solver seed, query), so concurrent duplicate computation is
+// the query, so concurrent duplicate computation is
 // harmless — both workers publish identical entries.
 type modelCache struct {
 	shards [cacheShards]cacheShard
@@ -953,22 +1056,19 @@ type solverCounters struct {
 	cacheHits      atomic.Uint64
 	definiteUnsats atomic.Uint64
 	propPruned     atomic.Uint64
-	extendHits     atomic.Uint64
 	probeIters     atomic.Uint64
 }
 
 // SolverStats is a snapshot of the constraint engine's counters for
 // one analysis: queries answered, answers served from the
 // fingerprint-keyed cache, queries settled UNSAT by domain
-// propagation alone, queries whose probe space was narrowed by
-// propagation, models obtained by extending the parent condition's
-// model, and total random-probe iterations spent.
+// propagation alone, queries whose candidate space was narrowed by
+// propagation, and the total candidates the model search evaluated.
 type SolverStats struct {
 	Queries        uint64
 	CacheHits      uint64
 	DefiniteUnsats uint64
 	PropPruned     uint64
-	ExtendHits     uint64
 	ProbeIters     uint64
 }
 
@@ -979,7 +1079,6 @@ func (s *Solver) Stats() SolverStats {
 		CacheHits:      s.counters.cacheHits.Load(),
 		DefiniteUnsats: s.counters.definiteUnsats.Load(),
 		PropPruned:     s.counters.propPruned.Load(),
-		ExtendHits:     s.counters.extendHits.Load(),
 		ProbeIters:     s.counters.probeIters.Load(),
 	}
 }

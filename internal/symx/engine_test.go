@@ -45,10 +45,16 @@ func genCond(rng *rand.Rand, vars []Var) PathCondition {
 	return p
 }
 
-// bruteGridModel searches the solver's seed grid exhaustively with
-// plain Holds evaluation — an independent reference for what the
-// historical search could reach deterministically.
-func bruteGridModel(s *Solver, p PathCondition) (Env, bool) {
+// gridWords are the 25 per-variable seed words of the retired
+// randomized search's deterministic grid, kept as a reference for what
+// that search could reach.
+var gridWords = []mem.Word{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 63, 64, 100, 127, 128, 200, 255, 256,
+	1 << 12, 1 << 16, ^mem.Word(0), ^mem.Word(0) - 1, 1 << 63}
+
+// bruteGridModel searches the grid of gridWords exhaustively with plain
+// Holds evaluation — an independent reference for what the retired
+// search could reach deterministically.
+func bruteGridModel(p PathCondition) (Env, bool) {
 	vars := p.Vars()
 	env := make(Env, len(vars))
 	var rec func(i int) bool
@@ -56,7 +62,7 @@ func bruteGridModel(s *Solver, p PathCondition) (Env, bool) {
 		if i == len(vars) {
 			return p.Holds(env)
 		}
-		for _, w := range s.Seeds {
+		for _, w := range gridWords {
 			env[vars[i]] = w
 			if rec(i + 1) {
 				return true
@@ -74,7 +80,7 @@ func bruteGridModel(s *Solver, p PathCondition) (Env, bool) {
 func TestEngineModelsSatisfy(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	vars := []Var{NewVar("x", mem.Public), NewVar("y", mem.Public), NewVar("z", mem.Secret)}
-	s := NewSolver(7)
+	s := NewSolver()
 	for i := 0; i < 400; i++ {
 		p := genCond(rng, vars[:1+rng.Intn(3)])
 		if env, ok := s.Solve(p); ok && !p.Holds(env) {
@@ -85,15 +91,15 @@ func TestEngineModelsSatisfy(t *testing.T) {
 
 // Property: interval/known-bits propagation never excludes a real
 // model — in particular it never declares UNSAT on a condition the
-// seed grid can satisfy, and the engine still finds a model there
-// (the domains are filters, not oracles).
+// grid reference can satisfy — and the search still finds a model
+// there, so it reaches everything the retired grid search did.
 func TestEnginePropagationRetainsModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	vars := []Var{NewVar("x", mem.Public), NewVar("y", mem.Public)}
-	s := NewSolver(7)
+	s := NewSolver()
 	for i := 0; i < 250; i++ {
 		p := genCond(rng, vars[:1+rng.Intn(2)])
-		m, satisfiable := bruteGridModel(s, p)
+		m, satisfiable := bruteGridModel(p)
 		pv := p.Vars()
 		vidx := make(map[string]int, len(pv))
 		for j, v := range pv {
@@ -129,7 +135,7 @@ func TestEngineIncrementalMatchesScratch(t *testing.T) {
 	vars := []Var{NewVar("x", mem.Public), NewVar("y", mem.Public), NewVar("z", mem.Secret)}
 	for i := 0; i < 150; i++ {
 		p := genCond(rng, vars[:1+rng.Intn(3)])
-		warm := NewSolver(5)
+		warm := NewSolver()
 		var chain []PathCondition
 		for n := p.n; n != nil; n = n.parent {
 			chain = append(chain, PathCondition{n: n})
@@ -138,7 +144,7 @@ func TestEngineIncrementalMatchesScratch(t *testing.T) {
 			warm.Solve(chain[j])
 		}
 		wEnv, wOK := warm.Solve(p)
-		cold := NewSolver(5)
+		cold := NewSolver()
 		cEnv, cOK := cold.Solve(p)
 		if wOK != cOK || fmt.Sprint(wEnv) != fmt.Sprint(cEnv) {
 			t.Fatalf("case %d: incremental (%v,%v) != from-scratch (%v,%v) for %v",
@@ -147,7 +153,36 @@ func TestEngineIncrementalMatchesScratch(t *testing.T) {
 	}
 }
 
-// Property: answers are a pure function of (seed, query) — identical
+// FuzzSolve drives the solver with genCond conditions over at most
+// three variables: every model it returns satisfies its condition, a
+// definite UNSAT never meets a condition the grid reference can solve,
+// and a warm solver answers exactly like a fresh one.
+func FuzzSolve(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	vars := []Var{NewVar("x", mem.Public), NewVar("y", mem.Public), NewVar("z", mem.Secret)}
+	warm := NewSolver()
+	f.Fuzz(func(t *testing.T, seed int64, nv uint8) {
+		p := genCond(rand.New(rand.NewSource(seed)), vars[:1+int(nv%3)])
+		fresh := NewSolver()
+		env, ok := fresh.Solve(p)
+		if ok && !p.Holds(env) {
+			t.Fatalf("model %v does not satisfy %v", env, p.conjuncts())
+		}
+		if fresh.query(p).unsat {
+			if m, sat := bruteGridModel(p); sat {
+				t.Fatalf("definite UNSAT but %v satisfies %v", m, p.conjuncts())
+			}
+		}
+		wEnv, wOK := warm.Solve(p)
+		if wOK != ok || fmt.Sprint(wEnv) != fmt.Sprint(env) {
+			t.Fatalf("warm (%v,%v) != fresh (%v,%v) for %v", wEnv, wOK, env, ok, p.conjuncts())
+		}
+	})
+}
+
+// Property: answers are a pure function of the query — identical
 // across repeated calls, interleaved unrelated queries, and solver
 // instances with different cache states.
 func TestEngineDeterministicAcrossCacheStates(t *testing.T) {
@@ -157,7 +192,7 @@ func TestEngineDeterministicAcrossCacheStates(t *testing.T) {
 	for i := range conds {
 		conds[i] = genCond(rng, vars[:1+rng.Intn(2)])
 	}
-	a, b := NewSolver(9), NewSolver(9)
+	a, b := NewSolver(), NewSolver()
 	type res struct {
 		env string
 		ok  bool
@@ -217,12 +252,34 @@ func TestEngineDomainSoundness(t *testing.T) {
 }
 
 // Definite-UNSAT answers must be real proofs on the shapes the
-// exploration emits: contradictory equalities, out-of-range pins, and
-// bit-mask conflicts.
+// exploration emits: contradictory equalities, out-of-range pins,
+// bit-mask conflicts, and the compiler's branch conditions ne(rel, 0)
+// over nested offsets of the attacker index.
 func TestEngineDefiniteUnsat(t *testing.T) {
 	x := NewVar("x", mem.Public)
-	s := NewSolver(1)
+	s := NewSolver()
+	test := func(rel isa.Opcode, a, b Expr) Expr { return Apply(isa.OpNe, Apply(rel, a, b), CW(0)) }
+	xPlus1 := Apply(isa.OpAdd, x, CW(1))
 	cases := []PathCondition{
+		// kocher03: the bounds check taken and not taken.
+		PCond(
+			Constraint{E: test(isa.OpLt, x, CW(4)), Truthy: false},
+			Constraint{E: test(isa.OpLt, x, CW(4)), Truthy: true},
+		),
+		// kocher12: x+1 < 4 against a pinned x+1+4097 past the array.
+		PCond(
+			Constraint{E: test(isa.OpLt, xPlus1, CW(4)), Truthy: true},
+			Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, xPlus1, CW(4097)), CW(4101)), Truthy: true},
+		),
+		PCond(
+			Constraint{E: test(isa.OpLt, xPlus1, CW(4)), Truthy: true},
+			Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, xPlus1, CW(4097)), CW(4108)), Truthy: true},
+		),
+		// specv1_04: x > 0 false and x < 4 false.
+		PCond(
+			Constraint{E: test(isa.OpGt, x, CW(0)), Truthy: false},
+			Constraint{E: test(isa.OpLt, x, CW(4)), Truthy: false},
+		),
 		PCond(
 			Constraint{E: Apply(isa.OpEq, x, CW(7)), Truthy: true},
 			Constraint{E: Apply(isa.OpEq, x, CW(8)), Truthy: true},
@@ -252,21 +309,27 @@ func TestEngineDefiniteUnsat(t *testing.T) {
 	if s.Stats().DefiniteUnsats == 0 {
 		t.Error("definite-UNSAT counter did not move")
 	}
+
+	// v11_04: the nested offset x-5+4105 pinned to 36861 is satisfiable.
+	sat := PCond(Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, Apply(isa.OpSub, x, CW(5)), CW(4105)), CW(36861)), Truthy: true})
+	if env, ok := s.Solve(sat); !ok || env["x"] != 32761 {
+		t.Errorf("v11_04 pin: Solve = %v, %v; want x=32761", env, ok)
+	}
 }
 
 // The pinned-equality fast path: a SolveWith against a reachable
-// target must solve through propagation's singleton domain without
-// touching the probe loop.
+// target must solve through propagation's singleton domain, so the
+// search evaluates exactly that one candidate.
 func TestEnginePinnedEqualitySkipsProbing(t *testing.T) {
 	x := NewVar("x", mem.Public)
-	s := NewSolver(1)
+	s := NewSolver()
 	addr := Apply(isa.OpAdd, CW(0x40), x)
 	env, ok := s.SolveWith(PathCondition{}, addr, 0x49)
 	if !ok || env["x"] != 9 {
 		t.Fatalf("SolveWith = %v, %v; want x=9", env, ok)
 	}
-	if st := s.Stats(); st.ProbeIters != 0 {
-		t.Fatalf("pinned equality burned %d probe iterations; want 0", st.ProbeIters)
+	if st := s.Stats(); st.ProbeIters != 1 {
+		t.Fatalf("pinned equality evaluated %d candidates; want 1", st.ProbeIters)
 	}
 }
 
@@ -308,7 +371,7 @@ func TestMemoryReadUnmappedAllocFree(t *testing.T) {
 // The memo cache serves repeated queries and verified models.
 func TestEngineCacheHits(t *testing.T) {
 	x := NewVar("x", mem.Public)
-	s := NewSolver(3)
+	s := NewSolver()
 	p := PCond(Constraint{E: Apply(isa.OpGt, x, CW(4)), Truthy: true})
 	e1, ok1 := s.Solve(p)
 	e2, ok2 := s.Solve(p)

@@ -11,30 +11,27 @@
 // operations instead of keeping them symbolic"). All three are
 // reproduced here.
 //
-// The solver (engine.go) layers sound reasoning in front of the
-// original bounded heuristic search, exploiting the structure the
-// explorer gives it — path conditions grow by one conjunct per branch
-// along a parent-pointer chain, and the same conditions recur across
-// forks and workers:
+// The solver (engine.go) exploits the structure the explorer gives it
+// — path conditions grow by one conjunct per branch along a
+// parent-pointer chain, and the same conditions recur across forks and
+// workers:
 //
 //   - an interval × known-bits abstract domain with per-opcode
 //     transfer functions propagates constraints to a fixpoint,
 //     deciding pinned variables outright and proving many queries
 //     UNSAT with no search at all (an empty domain is a proof);
-//   - a per-conjunct incremental evaluator re-checks only the
-//     conjuncts whose variables changed between candidate models;
+//   - one deterministic depth-first search walks short per-variable
+//     candidate lists drawn from those domains, re-checking only the
+//     conjuncts whose variables changed and cutting a branch as soon
+//     as a fully assigned conjunct fails;
 //   - results are memoized per fingerprint in a sharded model cache
-//     shared across forks and workers, and child queries extend the
-//     parent's cached model push/pop-style instead of solving from
-//     scratch.
+//     shared across forks and workers.
 //
-// Every layer is filtering-only over a sound over-approximation, so
-// witnesses are bit-identical to the plain search whenever it would
-// have succeeded, and the engine stays a pure function of (seed,
-// query) — parallel runs remain deterministic. What a real SMT backend
-// would still add is completeness on dense multi-variable arithmetic
-// (e.g. nonlinear mixes of wide-range variables), where the probe
-// fallback remains bounded-best-effort; see DESIGN.md.
+// Every answer is a pure function of the query, so parallel runs stay
+// deterministic. What a real SMT backend would still add is
+// completeness on dense multi-variable arithmetic (e.g. nonlinear
+// mixes of wide-range variables), where the search's node budget makes
+// it bounded best-effort.
 package symx
 
 import (
@@ -139,8 +136,8 @@ func (o Op) Label() mem.Label {
 
 // opArgBuf sizes the stack buffer Eval and Concrete use for operand
 // values: opcodes are at most ternary, so evaluation of a node never
-// allocates. (Solver probing evaluates whole constraint trees once per
-// candidate model — this is the symbolic hot path.)
+// allocates. (The solver's search evaluates whole constraint trees once
+// per candidate — this is the symbolic hot path.)
 const opArgBuf = 4
 
 // Concrete implements Expr.

@@ -1,7 +1,6 @@
 package symx
 
 import (
-	"math/rand"
 	"sort"
 
 	"pitchfork/internal/mem"
@@ -136,8 +135,8 @@ func (p PathCondition) Holds(env Env) bool {
 }
 
 // Fingerprint folds the conjunction to 64 bits, structurally and
-// order-sensitively — one hash serving both the solver's per-query
-// seeding and the symbolic exploration domain's configuration
+// order-sensitively — one hash serving both the solver's cache key
+// and the symbolic exploration domain's configuration
 // fingerprints, so the two can never drift apart. The fold is cached
 // per node, making this O(1).
 func (p PathCondition) Fingerprint() uint64 {
@@ -174,58 +173,36 @@ func (p PathCondition) conjuncts() []Constraint {
 	return out
 }
 
-// Solver searches for satisfying assignments of path conditions. The
-// search runs in layers: an interval + known-bits propagation pre-pass
-// over the conjunction (seeded incrementally from the parent
-// condition's fixpoint) that settles definite UNSAT and narrows the
-// candidate space; deterministic candidates (all-zeros, a seed grid
-// for small queries, a coordinate sweep otherwise) filtered through
-// the domains; extension of the parent condition's cached model by the
-// one new conjunct; and finally bounded random probing with an
-// incremental evaluator that re-checks only the conjuncts whose
-// variables changed per candidate. Sound for SAT answers (a returned
-// model always satisfies the constraints) and for propagation UNSAT
-// (empty domains are a proof); a probe-budget miss is "unknown".
+// Solver searches for satisfying assignments of path conditions in two
+// steps: an interval + known-bits propagation pre-pass over the
+// conjunction (seeded incrementally from the parent condition's
+// fixpoint) that settles definite UNSAT and narrows each variable's
+// domain, then one deterministic depth-first search over short
+// per-variable candidate lists drawn from those domains (see search).
+// Sound for SAT answers (a returned model always satisfies the
+// constraints) and for propagation UNSAT (empty domains are a proof);
+// a search that runs out of its node budget is "unknown".
 //
 // Results are memoized in a bounded cache keyed by the path
-// condition's fingerprint, and every layer is a pure function of
-// (solver seed, query): answers are independent of call order and
-// cache state, which is what lets one Solver be shared across the
-// exploration engine's worker goroutines while keeping parallel
-// symbolic runs bit-identical to serial ones. Returned models are
-// shared with the cache — callers must not mutate them.
+// condition's fingerprint, and both steps are pure functions of the
+// query: answers are independent of call order and cache state, which
+// is what lets one Solver be shared across the exploration engine's
+// worker goroutines while keeping parallel symbolic runs bit-identical
+// to serial ones. Returned models are shared with the cache — callers
+// must not mutate them.
 type Solver struct {
-	seed int64
-	// Tries bounds random probes per query.
-	Tries int
-	// Seeds are the per-variable candidate words tried exhaustively
-	// for queries with few variables.
-	Seeds []mem.Word
-
 	cache    *modelCache
 	counters solverCounters
 }
 
-// NewSolver returns a solver with a deterministic seed.
-func NewSolver(seed int64) *Solver {
-	return &Solver{
-		seed:  seed,
-		Tries: 4096,
-		Seeds: []mem.Word{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 31, 32, 63, 64, 100, 127, 128, 200, 255, 256, 1 << 12, 1 << 16, ^mem.Word(0), ^mem.Word(0) - 1, 1 << 63},
-		cache: newModelCache(),
-	}
-}
-
-// rngFor derives the query-local generator for the random-probing
-// phase from the solver seed and a structural fingerprint of the
-// query (a direct tree walk — no string rendering on the hot path).
-func (s *Solver) rngFor(p PathCondition) *rand.Rand {
-	return rand.New(rand.NewSource(s.seed ^ int64(p.Fingerprint())))
+// NewSolver returns a solver with an empty cache.
+func NewSolver() *Solver {
+	return &Solver{cache: newModelCache()}
 }
 
 // Fingerprint folds an expression tree to 64 bits, structurally and
 // label-inclusive: structurally equal expressions hash equal. The
-// solver's query seeding and the symbolic domain's configuration
+// solver's cache keys and the symbolic domain's configuration
 // fingerprints (exploration dedup) both build on it.
 func Fingerprint(e Expr) uint64 {
 	switch x := e.(type) {
@@ -291,7 +268,7 @@ func (s *Solver) query(p PathCondition) *solveEntry {
 	return e
 }
 
-// solveFresh runs the layered search for a condition not in the cache.
+// solveFresh propagates and searches a condition not in the cache.
 func (s *Solver) solveFresh(p PathCondition) *solveEntry {
 	vars := p.Vars()
 	par := p.parent()
@@ -310,8 +287,8 @@ func (s *Solver) solveFresh(p PathCondition) *solveEntry {
 	}
 	cons := p.conjuncts()
 
-	// Layer 1: interval/known-bits propagation, seeded from the
-	// parent's fixpoint (⊤ for fresh variables).
+	// Propagation, seeded from the parent's fixpoint (⊤ for fresh
+	// variables).
 	doms := make([]vdom, len(vars))
 	for i := range doms {
 		doms[i] = fullDom
@@ -338,210 +315,11 @@ func (s *Solver) solveFresh(p PathCondition) *solveEntry {
 		}
 	}
 
-	if len(vars) == 0 {
-		if p.Holds(Env{}) {
-			return &solveEntry{doms: doms, env: Env{}, ok: true}
-		}
-		return &solveEntry{doms: doms}
-	}
-
-	// Layer 2: deterministic candidates through the incremental
-	// evaluator, filtered by the domains. The filter only skips
-	// candidates that provably cannot be models, so the first hit is
-	// the same one the historical from-scratch search found.
 	ec := newEvalCtx(vars, cons, vidx)
-	if ec.hopeless() {
-		return &solveEntry{doms: doms}
-	}
-	if ec.bad == 0 && allZeros(doms) {
+	ok, evals := ec.search(doms)
+	s.counters.probeIters.Add(evals)
+	if ok {
 		return &solveEntry{doms: doms, env: ec.env, ok: true}
-	}
-	if len(vars) <= 2 {
-		if ok := s.grid(ec, doms); ok {
-			return &solveEntry{doms: doms, env: ec.env, ok: true}
-		}
-	} else if ok := s.coordinate(ec, doms); ok {
-		return &solveEntry{doms: doms, env: ec.env, ok: true}
-	}
-
-	// Layer 3: extend the parent's model by the one new conjunct. Only
-	// reachable when the deterministic candidates all failed — which,
-	// when the parent itself fell through to probing, they necessarily
-	// did (the child re-tries a superset of the parent's failed
-	// candidates), so this can only replace a probe-phase answer.
-	if pe != nil && pe.ok {
-		if env, ok := s.extend(p, pe, par, vars, doms, vidx); ok {
-			s.counters.extendHits.Add(1)
-			return &solveEntry{doms: doms, env: env, ok: true}
-		}
-	}
-
-	// Layer 4: random probing with the query-derived generator. The
-	// generator consumes draws exactly like the historical search —
-	// every variable is drawn each iteration, and domain filtering
-	// happens after the draws — so the surviving first model is
-	// bit-identical to what from-scratch probing found.
-	rng := s.rngFor(p)
-	cand := make([]mem.Word, len(vars))
-	iters := uint64(0)
-	defer func() { s.counters.probeIters.Add(iters) }()
-	for t := 0; t < s.Tries; t++ {
-		iters++
-		inDom := true
-		for i := range vars {
-			var w mem.Word
-			switch rng.Intn(3) {
-			case 0:
-				w = s.Seeds[rng.Intn(len(s.Seeds))]
-			case 1:
-				w = mem.Word(rng.Intn(512))
-			default:
-				w = mem.Word(rng.Uint64())
-			}
-			cand[i] = w
-			if !doms[i].contains(w) {
-				inDom = false
-			}
-		}
-		if !inDom {
-			continue
-		}
-		for i, w := range cand {
-			ec.set(i, w)
-		}
-		if ec.bad == 0 {
-			return &solveEntry{doms: doms, env: ec.env, ok: true}
-		}
 	}
 	return &solveEntry{doms: doms}
-}
-
-func allZeros(doms []vdom) bool {
-	for _, d := range doms {
-		if !d.contains(0) {
-			return false
-		}
-	}
-	return true
-}
-
-// candList filters the seed words through a domain, appending a forced
-// singleton (a propagation-solved equality) if the seeds miss it.
-func (s *Solver) candList(d vdom, dst []mem.Word) []mem.Word {
-	for _, w := range s.Seeds {
-		if d.contains(w) {
-			dst = append(dst, w)
-		}
-	}
-	if w, ok := d.singleton(); ok && (len(dst) == 0 || dst[len(dst)-1] != w) {
-		dst = append(dst, w)
-	}
-	return dst
-}
-
-// grid exhaustively tries seed-word combinations for 1–2 variable
-// queries, in the historical enumeration order.
-func (s *Solver) grid(ec *evalCtx, doms []vdom) bool {
-	var b0, b1 [40]mem.Word
-	c0 := s.candList(doms[0], b0[:0])
-	if len(ec.vars) == 1 {
-		for _, w := range c0 {
-			ec.set(0, w)
-			if ec.bad == 0 {
-				return true
-			}
-		}
-		return false
-	}
-	c1 := s.candList(doms[1], b1[:0])
-	for _, w0 := range c0 {
-		ec.set(0, w0)
-		for _, w1 := range c1 {
-			ec.set(1, w1)
-			if ec.bad == 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// coordinate sweeps each variable over the seed words with the others
-// pinned at zero, in the historical order.
-func (s *Solver) coordinate(ec *evalCtx, doms []vdom) bool {
-	nonzero := 0 // variables whose domain excludes 0
-	for _, d := range doms {
-		if !d.contains(0) {
-			nonzero++
-		}
-	}
-	for i := range ec.vars {
-		rest := nonzero
-		if !doms[i].contains(0) {
-			rest--
-		}
-		if rest > 0 {
-			continue // some other variable can't sit at zero
-		}
-		for _, w := range s.Seeds {
-			if !doms[i].contains(w) {
-				continue
-			}
-			ec.set(i, w)
-			if ec.bad == 0 {
-				return true
-			}
-		}
-		ec.set(i, 0)
-	}
-	return false
-}
-
-// extend tries to reuse the parent condition's model: when the new
-// conjunct adds no variables, the parent model either satisfies it or
-// doesn't; when it adds one or two, they are gridded over the seed
-// words against the new conjunct alone (older conjuncts cannot
-// mention them).
-func (s *Solver) extend(p PathCondition, pe *solveEntry, par PathCondition, vars []string, doms []vdom, vidx map[string]int) (Env, bool) {
-	c := p.n.c
-	pvars := par.Vars()
-	if len(vars) == len(pvars) {
-		if c.Holds(pe.env) {
-			return pe.env, true
-		}
-		return nil, false
-	}
-	fresh := missingVars(c.E, pvars, nil)
-	if len(fresh) > 2 {
-		return nil, false
-	}
-	env := make(Env, len(vars))
-	for k, w := range pe.env {
-		env[k] = w
-	}
-	for _, v := range fresh {
-		env[v] = 0
-	}
-	var b0, b1 [40]mem.Word
-	c0 := s.candList(doms[vidx[fresh[0]]], b0[:0])
-	if len(fresh) == 1 {
-		for _, w := range c0 {
-			env[fresh[0]] = w
-			if c.Holds(env) {
-				return env, true
-			}
-		}
-		return nil, false
-	}
-	c1 := s.candList(doms[vidx[fresh[1]]], b1[:0])
-	for _, w0 := range c0 {
-		env[fresh[0]] = w0
-		for _, w1 := range c1 {
-			env[fresh[1]] = w1
-			if c.Holds(env) {
-				return env, true
-			}
-		}
-	}
-	return nil, false
 }

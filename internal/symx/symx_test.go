@@ -161,8 +161,9 @@ func TestConstraintAndPathCondition(t *testing.T) {
 }
 
 // TestPathConditionFingerprintFold pins the chain's cached fingerprint
-// to the historical oldest-first slice fold: solver witnesses are a
-// pure function of (seed, fingerprint), so the fold may never drift.
+// to the historical oldest-first slice fold: the solver cache and the
+// exploration's dedup fingerprints are keyed by it, so the fold may
+// never drift.
 func TestPathConditionFingerprintFold(t *testing.T) {
 	x := NewVar("x", mem.Public)
 	cs := []Constraint{
@@ -209,7 +210,7 @@ func TestPathConditionWithAllocs(t *testing.T) {
 var sink PathCondition
 
 func TestSolverSimple(t *testing.T) {
-	s := NewSolver(1)
+	s := NewSolver()
 	x := NewVar("x", mem.Public)
 	// x > 4 ∧ x < 8
 	pc := PCond(
@@ -226,7 +227,7 @@ func TestSolverSimple(t *testing.T) {
 }
 
 func TestSolverEmptyAndTrivial(t *testing.T) {
-	s := NewSolver(2)
+	s := NewSolver()
 	if env, ok := s.Solve(PathCondition{}); !ok || len(env) != 0 {
 		t.Fatal("empty condition is satisfiable by the empty model")
 	}
@@ -237,7 +238,7 @@ func TestSolverEmptyAndTrivial(t *testing.T) {
 }
 
 func TestSolverTwoVariables(t *testing.T) {
-	s := NewSolver(3)
+	s := NewSolver()
 	x, y := NewVar("x", mem.Public), NewVar("y", mem.Public)
 	// x + y == 255 ∧ x == 255 (forces y == 0)
 	pc := PCond(
@@ -254,7 +255,7 @@ func TestSolverTwoVariables(t *testing.T) {
 }
 
 func TestSolveWithPinsExpression(t *testing.T) {
-	s := NewSolver(4)
+	s := NewSolver()
 	x := NewVar("x", mem.Public)
 	addr := Apply(isa.OpAdd, CW(0x40), x)
 	env, ok := s.SolveWith(PathCondition{}, addr, 0x49)
@@ -267,7 +268,7 @@ func TestSolveWithPinsExpression(t *testing.T) {
 }
 
 func TestFeasible(t *testing.T) {
-	s := NewSolver(5)
+	s := NewSolver()
 	x := NewVar("x", mem.Public)
 	sat := PCond(Constraint{E: Apply(isa.OpEq, x, CW(7)), Truthy: true})
 	unsat := PCond(
@@ -307,7 +308,7 @@ func TestSymbolicMemory(t *testing.T) {
 }
 
 func TestConcretizerPrefersSecretCells(t *testing.T) {
-	s := NewSolver(6)
+	s := NewSolver()
 	c := NewConcretizer(s)
 	m := NewMemory()
 	// Public array at 0x40..0x43, secrets at 0x48..0x4B.
@@ -337,7 +338,7 @@ func TestConcretizerPrefersSecretCells(t *testing.T) {
 }
 
 func TestConcretizeConcreteAddrShortCircuit(t *testing.T) {
-	s := NewSolver(7)
+	s := NewSolver()
 	c := NewConcretizer(s)
 	a, ok := c.Concretize(CW(0x123), PathCondition{}, NewMemory())
 	if !ok || a != 0x123 {
@@ -346,7 +347,7 @@ func TestConcretizeConcreteAddrShortCircuit(t *testing.T) {
 }
 
 func TestConcretizeInfeasiblePath(t *testing.T) {
-	s := NewSolver(8)
+	s := NewSolver()
 	c := NewConcretizer(s)
 	x := NewVar("x", mem.Public)
 	pc := PCond(

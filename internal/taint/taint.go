@@ -27,12 +27,10 @@
 // whose address operands are not a single immediate reads from (or
 // writes to) the unknown-address summary, which soundly aliases all of
 // memory. The result is deliberately conservative — the verdicts feed
-// three consumers that each only need one-sided guarantees: the
+// two consumers that each only need one-sided guarantees: the
 // standalone certificate (spectre.WithStaticPass) certifies Safe
-// programs without building an explorer, the pruning hints let
-// internal/sched skip forking at speculation points whose entire
-// future is safe, and internal/repair ranks candidate fence sites by
-// suspiciousness.
+// programs without building an explorer, and internal/repair ranks
+// candidate fence sites by suspiciousness.
 package taint
 
 import (
@@ -55,8 +53,8 @@ type Config struct {
 }
 
 // Report is the analysis result: per-point speculative reachability,
-// sink labels, and verdicts, plus the forward-reachability closure the
-// pruning hints serve from. Reports are immutable after Analyze and
+// sink labels, and verdicts, plus the forward-reachability closure
+// behind ForkFree. Reports are immutable after Analyze and
 // safe for concurrent readers.
 type Report struct {
 	// Points is the number of instruction points analyzed; Reachable
@@ -100,9 +98,8 @@ func (r *Report) ReachablePoint(pp isa.Addr) bool { return r.reachable[pp] }
 
 // ForkFree reports whether no suspicious point is forward-reachable
 // from pp (pp itself included): the entire execution future unlocked
-// at pp is provably safe. This is the speculation-fork pruning
-// condition internal/sched consumes — a fork whose every arm lies in a
-// fork-free region cannot contribute a finding.
+// at pp is provably safe. Repair site ranking consumes it: a fence at
+// a fork-free point cannot cut off any leak.
 func (r *Report) ForkFree(pp isa.Addr) bool {
 	if r.ComputedFlow {
 		return !r.anySuspicious

@@ -16,14 +16,11 @@
 # allocs/op alongside ns/op, since allocation volume is what the
 # copy-on-write state representation optimizes.
 #
-# The sweep includes the static pre-analysis pair: BenchmarkStaticPass
-# prices the taint pass itself (the whole cost of certifying a safe
-# program), and BenchmarkKocherSuiteHybrid re-runs the Kocher sweep
-# with static pruning hints wired in — compare it against
-# BenchmarkKocherSuite to see what hybrid mode buys. The repair side
-# is covered by BenchmarkRepairPortfolio, whose auto/fence/mask/ret
-# sub-benchmarks price the whole mitigation portfolio against each
-# pinned strategy on the same corpus.
+# The sweep includes BenchmarkStaticPass, which prices the static
+# taint pass itself (the whole cost of certifying a safe program).
+# The repair side is covered by BenchmarkRepairPortfolio, whose
+# auto/fence/mask/ret sub-benchmarks price the whole mitigation
+# portfolio against each pinned strategy on the same corpus.
 set -eu
 
 outdir="${1:-.}"

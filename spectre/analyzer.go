@@ -6,19 +6,8 @@ import (
 	"iter"
 
 	"pitchfork/internal/pitchfork"
-	"pitchfork/internal/sched"
 	"pitchfork/internal/taint"
 )
-
-// pruneHints adapts a taint report to the engine's hint interface; a
-// typed-nil *taint.Report must become an untyped nil so the engine's
-// h == nil check works.
-func pruneHints(rep *taint.Report) sched.PruneHints {
-	if rep == nil {
-		return nil
-	}
-	return rep
-}
 
 // Analyzer checks programs for speculative constant-time violations by
 // exploring the paper's worst-case attacker schedules. An Analyzer is
@@ -189,9 +178,7 @@ func (a *Analyzer) runWith(ctx context.Context, p *Program, bound int, fwd bool,
 		StopAtFirst:    a.cfg.StopAtFirst,
 		Workers:        workers,
 		DedupEntries:   a.cfg.DedupEntries,
-		SolverSeed:     a.cfg.SolverSeed,
 		Interrupt:      func() bool { return ctx.Err() != nil },
-		Prune:          pruneHints(static),
 	}
 	if yield != nil {
 		opts.OnViolation = func(v pitchfork.Violation) bool {

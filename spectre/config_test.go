@@ -12,13 +12,10 @@ import (
 // TestConfigDefaultsExplicit pins the options-surface symmetry the
 // cache key depends on: New with no options, New with options that
 // restate the defaults, and NewFromConfig(DefaultConfig()) must all
-// resolve to the same Config — and hence the same CacheKey. The
-// historical asymmetry was exactly WithSolverSeed: "default" and
-// "explicitly zero" were unrepresentable as one configuration.
+// resolve to the same Config — and hence the same CacheKey.
 func TestConfigDefaultsExplicit(t *testing.T) {
 	plain := mustNew(t)
 	restated := mustNew(t,
-		spectre.WithSolverSeed(0),
 		spectre.WithBound(spectre.DefaultBound),
 		spectre.WithForwardHazards(true),
 		spectre.WithMaxStates(0),
@@ -55,7 +52,6 @@ func TestConfigSnapshotResolved(t *testing.T) {
 		spectre.WithMaxRetired(500),
 		spectre.WithStopAtFirst(true),
 		spectre.WithSymbolic(true),
-		spectre.WithSolverSeed(7),
 		spectre.WithWorkers(3),
 		spectre.WithDedup(64),
 		spectre.WithStaticPass(true),
@@ -68,7 +64,6 @@ func TestConfigSnapshotResolved(t *testing.T) {
 		MaxRetired:     500,
 		StopAtFirst:    true,
 		Symbolic:       true,
-		SolverSeed:     7,
 		Workers:        3,
 		DedupEntries:   64,
 		StaticPass:     true,
@@ -174,7 +169,6 @@ func TestCacheKeySeparates(t *testing.T) {
 		"maxRetired": func(c *spectre.Config) { c.MaxRetired = 10 },
 		"stopFirst":  func(c *spectre.Config) { c.StopAtFirst = true },
 		"symbolic":   func(c *spectre.Config) { c.Symbolic = true },
-		"seed":       func(c *spectre.Config) { c.SolverSeed = 1 },
 		"workers":    func(c *spectre.Config) { c.Workers = 2 },
 		"dedup":      func(c *spectre.Config) { c.DedupEntries = 16 },
 		"static":     func(c *spectre.Config) { c.StaticPass = true },

@@ -11,21 +11,20 @@
 //
 //   - An Analyzer, constructed with functional options (WithBound,
 //     WithForwardHazards, WithMaxStates, WithMaxRetired,
-//     WithStopAtFirst, WithSymbolic, WithSolverSeed, WithWorkers,
-//     WithDedup), that runs the paper's worst-case-schedule
-//     exploration in concrete or symbolic mode. Both modes run on one
-//     domain-parameterized speculation engine, so every option
-//     composes with every mode: WithWorkers spreads one exploration —
-//     concrete or symbolic — over a work-stealing pool (reports stay
-//     deterministic, symbolic witness models included) and sizes the
-//     AnalyzeBatch/RunAll corpus fan-out; WithDedup prunes
-//     re-converged exploration states through a bounded
-//     machine-fingerprint table in either domain. Analysis is
-//     context-aware: cancelling the context makes Run return promptly
-//     with the findings accumulated so far, and Stream delivers each
-//     Finding through a callback as exploration proceeds — the hook
-//     batching, sharding, and serving layers build on. An Analyzer is
-//     immutable and safe to share across goroutines.
+//     WithStopAtFirst, WithSymbolic, WithWorkers, WithDedup), that
+//     runs the paper's worst-case-schedule exploration in concrete or
+//     symbolic mode. Both modes run on one domain-parameterized
+//     speculation engine, so every option composes with every mode:
+//     WithWorkers spreads one exploration — concrete or symbolic —
+//     over a work-stealing pool (reports stay deterministic, symbolic
+//     witness models included) and sizes the AnalyzeBatch/RunAll
+//     corpus fan-out; WithDedup prunes re-converged exploration states
+//     through a bounded machine-fingerprint table in either domain.
+//     Analysis is context-aware: cancelling the context makes Run
+//     return promptly with the findings accumulated so far, and Stream
+//     delivers each Finding through a callback as exploration proceeds
+//     — the hook batching, sharding, and serving layers build on. An
+//     Analyzer is immutable and safe to share across goroutines.
 //
 //   - A stable, JSON-serializable Finding/Report schema: Spectre
 //     variant kind, violating program counter, the guarding

@@ -97,26 +97,15 @@ func WithSymbolic(on bool) Option {
 	}
 }
 
-// WithSolverSeed seeds the symbolic solver's randomized model search,
-// making witness assignments reproducible (symbolic mode only). The
-// default seed is 0 — an explicit WithSolverSeed(0) and no option at
-// all are the same configuration, with the same Config.CacheKey.
-func WithSolverSeed(seed int64) Option {
-	return func(c *Config) error {
-		c.SolverSeed = seed
-		return nil
-	}
-}
-
 // WithWorkers sets the number of exploration goroutines. 1 (the
 // default) runs the classic serial depth-first exploration; n > 1 runs
 // a work-stealing pool over the schedule tree, with findings reported
 // in deterministic schedule order rather than discovery order; 0
 // selects runtime.NumCPU(). The setting applies to concrete and
 // symbolic mode alike — both run on the same domain-parameterized
-// engine, and symbolic solver queries are self-seeding, so parallel
-// symbolic findings (witness models included) reproduce the serial
-// run's exactly. Full parallel explorations are fully deterministic;
+// engine, and each symbolic solver answer depends on its query alone,
+// so parallel symbolic findings (witness models included) reproduce
+// the serial run's exactly. Full parallel explorations are fully deterministic;
 // runs cut short early (WithStopAtFirst, cancellation, a stopping
 // Stream callback, or a MaxStates truncation) depend on how far
 // workers got before the stop propagated, so their state/path counts
@@ -141,12 +130,9 @@ func WithWorkers(n int) Option {
 // static pass proves safe is certified without constructing an
 // explorer — Report.Mode is ModeStatic and Report.Static carries the
 // verdict; O(|program|) instead of O(schedules). A program it cannot
-// prove safe is explored as usual in hybrid mode: the static verdicts
-// become pruning hints that let the engine skip speculation forks
-// whose whole subtree is provably violation-free. Findings are
-// identical with and without the pass (the pre-analysis
-// over-approximates every transient execution); only States and Paths
-// shrink. Off by default.
+// prove safe is explored as usual in hybrid mode, and the report
+// carries the static verdict alongside the findings, which are
+// identical with and without the pass. Off by default.
 func WithStaticPass(on bool) Option {
 	return func(c *Config) error {
 		c.StaticPass = on

@@ -289,16 +289,7 @@ func (a *Analyzer) repairVerifier(ctx context.Context, p *Program, workers int) 
 			MaxRetired:     a.cfg.MaxRetired,
 			Workers:        workers,
 			DedupEntries:   a.cfg.DedupEntries,
-			SolverSeed:     a.cfg.SolverSeed,
 			Interrupt:      func() bool { return ctx.Err() != nil },
-		}
-		if a.cfg.StaticPass {
-			// The hints must match the candidate's address space, so the
-			// (linear) pre-analysis reruns per rewritten program; a
-			// pre-analysis error just forfeits the pruning.
-			if srep, err := staticAnalyze(q); err == nil {
-				opts.Prune = pruneHints(srep)
-			}
 		}
 		var rep pitchfork.Report
 		var err error

@@ -172,7 +172,7 @@ func TestRepairSymbolicMode(t *testing.T) {
 	if !p.SymbolicGlobal("x", "x") {
 		t.Fatal("no global x")
 	}
-	an, err := spectre.New(spectre.WithSymbolic(true), spectre.WithSolverSeed(1))
+	an, err := spectre.New(spectre.WithSymbolic(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ fn main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := spectre.New(spectre.WithSymbolic(true), spectre.WithSolverSeed(1))
+	an, err := spectre.New(spectre.WithSymbolic(true))
 	if err != nil {
 		t.Fatal(err)
 	}

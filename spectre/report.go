@@ -169,17 +169,16 @@ type StaticReport struct {
 // counters in the stable wire schema: constraint queries answered,
 // answers served from the fingerprint-keyed model cache, queries
 // settled UNSAT by interval/known-bits propagation alone, queries
-// whose probe space propagation narrowed, models obtained by
-// extending the parent path condition's model, and total random-probe
-// iterations spent. Present only on symbolic reports. The counters
-// are diagnostics: under parallel runs the cache-hit/fresh-solve
-// split depends on worker interleaving (findings never do).
+// whose candidate space propagation narrowed, and the total candidates
+// the model search evaluated (probeIters). Present only on symbolic
+// reports. The counters are diagnostics: under parallel runs the
+// cache-hit/fresh-solve split depends on worker interleaving (findings
+// never do).
 type SolverStats struct {
 	Queries        uint64 `json:"queries"`
 	CacheHits      uint64 `json:"cacheHits"`
 	DefiniteUnsats uint64 `json:"definiteUnsats"`
 	PropPruned     uint64 `json:"propPruned"`
-	ExtendHits     uint64 `json:"extendHits"`
 	ProbeIters     uint64 `json:"probeIters"`
 }
 
@@ -366,7 +365,6 @@ func reportOf(rep pitchfork.Report, bound int, fwd bool) *Report {
 			CacheHits:      rep.Solver.CacheHits,
 			DefiniteUnsats: rep.Solver.DefiniteUnsats,
 			PropPruned:     rep.Solver.PropPruned,
-			ExtendHits:     rep.Solver.ExtendHits,
 			ProbeIters:     rep.Solver.ProbeIters,
 		}
 	}

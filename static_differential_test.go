@@ -1,21 +1,16 @@
-// Soundness and finding-equivalence oracle for the static
-// speculative-taint pre-analysis (internal/taint), checked against the
-// explorers over the full corpora and the paper's attack gallery:
+// Soundness oracle for the static speculative-taint pre-analysis
+// (internal/taint), checked against the explorers over the full
+// corpora and the paper's attack gallery:
 //
 //  1. Soundness of the verdict: a program the static pass certifies
 //     safe is never flagged by either explorer, and every explorer
 //     finding lands on a program point the static pass already calls
 //     suspicious.
-//  2. Soundness of the pruning hints: exploration with Options.Prune
-//     wired to the static report yields findings bit-identical to an
-//     unpruned run, in both domains.
-//  3. Non-vacuity: hand-built secret-free programs exercise the
-//     certify-without-exploring leg (the corpora are all leaky), and
-//     pruning demonstrably shrinks the tree on them.
+//  2. Non-vacuity: hand-built secret-free programs exercise the
+//     certify-without-exploring leg (the corpora are all leaky).
 package pitchfork_test
 
 import (
-	"reflect"
 	"testing"
 
 	"pitchfork/internal/attacks"
@@ -102,31 +97,6 @@ func checkSoundAgainst(t *testing.T, static *taint.Report, rep pitchfork.Report,
 	}
 }
 
-// checkPruneEquiv runs the given analyze function with and without the
-// pruning hints and asserts bit-identical findings.
-func checkPruneEquiv(t *testing.T, mode string, static *taint.Report,
-	analyze func(prune *taint.Report) (pitchfork.Report, error)) {
-	t.Helper()
-	plain, err := analyze(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := analyze(static)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Truncated || pruned.Truncated {
-		t.Fatalf("%s: exploration truncated (plain=%v pruned=%v); raise the limits", mode, plain.Truncated, pruned.Truncated)
-	}
-	if !reflect.DeepEqual(plain.Violations, pruned.Violations) {
-		t.Errorf("%s: pruned findings differ from unpruned\n plain  (%d): %v\n pruned (%d): %v",
-			mode, len(plain.Violations), plain.Violations, len(pruned.Violations), pruned.Violations)
-	}
-	if pruned.States > plain.States {
-		t.Errorf("%s: pruning grew the tree: %d states pruned vs %d plain", mode, pruned.States, plain.States)
-	}
-}
-
 func TestStaticSoundnessOnCorpora(t *testing.T) {
 	for _, c := range allCorpora() {
 		c := c
@@ -139,17 +109,6 @@ func TestStaticSoundnessOnCorpora(t *testing.T) {
 				t.Fatal(err)
 			}
 			static := staticOfMachine(t, m)
-			checkPruneEquiv(t, "concrete", static, func(prune *taint.Report) (pitchfork.Report, error) {
-				mm, err := c.Build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				o := opts
-				if prune != nil {
-					o.Prune = prune
-				}
-				return pitchfork.Analyze(mm, o)
-			})
 			rep, err := pitchfork.Analyze(m, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -161,17 +120,6 @@ func TestStaticSoundnessOnCorpora(t *testing.T) {
 				t.Fatal(err)
 			}
 			staticSym := staticOfSym(t, sm)
-			checkPruneEquiv(t, "symbolic", staticSym, func(prune *taint.Report) (pitchfork.Report, error) {
-				s2, err := c.BuildSym()
-				if err != nil {
-					t.Fatal(err)
-				}
-				o := opts
-				if prune != nil {
-					o.Prune = prune
-				}
-				return pitchfork.AnalyzeSymbolic(s2, o)
-			})
 			srep, err := pitchfork.AnalyzeSymbolic(sm, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -197,13 +145,6 @@ func TestStaticSoundnessOnGallery(t *testing.T) {
 			if a.WantSecretLeak && static.Safe() {
 				t.Errorf("gallery attack leaks under its own schedule but the static pass certified it safe")
 			}
-			checkPruneEquiv(t, "concrete", static, func(prune *taint.Report) (pitchfork.Report, error) {
-				o := opts
-				if prune != nil {
-					o.Prune = prune
-				}
-				return pitchfork.Analyze(a.New(), o)
-			})
 		})
 	}
 }
@@ -266,23 +207,6 @@ func TestStaticCertifiesSafePrograms(t *testing.T) {
 			}
 			if len(rep.Violations) > 0 {
 				t.Fatalf("certified-safe program flagged by the explorer: %v", rep.Violations)
-			}
-
-			// Pruning on a fully safe program must collapse every fork:
-			// the pruned tree is strictly smaller whenever the plain
-			// tree forked at all, and findings stay empty.
-			popts := opts
-			popts.Prune = static
-			pruned, err := pitchfork.Analyze(mk(), popts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(pruned.Violations) > 0 {
-				t.Fatalf("pruned run found violations on a certified-safe program: %v", pruned.Violations)
-			}
-			if rep.Paths > 1 && pruned.Paths >= rep.Paths {
-				t.Errorf("pruning did not shrink a forking safe program: %d paths pruned vs %d plain",
-					pruned.Paths, rep.Paths)
 			}
 		})
 	}

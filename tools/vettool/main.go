@@ -3,8 +3,8 @@
 //
 //   - nilness: proves nil-pointer dereferences and degenerate nil
 //     comparisons along feasible paths — the engine's Machine/Report
-//     plumbing passes interface values (e.g. typed-nil pruning hints)
-//     where vet alone is blind;
+//     plumbing passes interface values (where a typed nil is the
+//     classic trap) and vet alone is blind;
 //   - unusedwrite: flags stores to struct fields and arrays that are
 //     never read — dead writes into pooled exploration nodes and
 //     scratch buffers would silently undo the copy-on-write sharing
