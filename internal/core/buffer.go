@@ -209,8 +209,8 @@ func (b *Buffer) PopMinN(k int) {
 // highlighted side condition ∀j < i : buf(j) ≠ fence on every execute
 // rule.
 func (b *Buffer) FenceBefore(i int) bool {
-	for j := b.Min(); j < i && j <= b.Max(); j++ {
-		if t, ok := b.Get(j); ok && t.Kind == TFence {
+	for _, t := range b.items[:max(0, min(i-b.base, len(b.items)))] {
+		if t.Kind == TFence {
 			return true
 		}
 	}

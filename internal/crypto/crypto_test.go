@@ -85,6 +85,71 @@ func TestTable2(t *testing.T) {
 	t.Logf("\n%s", Render(rows))
 }
 
+// TestTable2ExplorationCounts pins how each Table 2 build explores,
+// not only its cell: for every build and both phases of the §4.2.1
+// procedure (run unconditionally, so a flagged phase 1 still pins
+// phase 2), the explored states and paths, whether the state budget
+// truncated the run, and the first violation's variant, program point
+// and schedule length. Any change to the schedule strategy that
+// reorders or adds exploration shows up here even when the verdicts
+// stay put.
+func TestTable2ExplorationCounts(t *testing.T) {
+	type phase struct {
+		states, paths int
+		truncated     bool
+		kind          string // "" when the phase is clean
+		pc            uint64
+		schedLen      int
+	}
+	want := map[string][2]phase{
+		"curve25519-donna/c":                {{200000, 620, true, "", 0, 0}, {200000, 4568, true, "", 0, 0}},
+		"curve25519-donna/fact":             {{200000, 620, true, "", 0, 0}, {200000, 4568, true, "", 0, 0}},
+		"libsodium secretbox/c":             {{841, 3, false, "spectre-v1", 36, 547}, {200000, 6381, true, "", 0, 0}},
+		"libsodium secretbox/fact":          {{200000, 607, true, "", 0, 0}, {200000, 5960, true, "", 0, 0}},
+		"OpenSSL ssl3 record validate/c":    {{139, 2, false, "spectre-v1", 30, 66}, {130, 3, false, "spectre-v1", 30, 73}},
+		"OpenSSL ssl3 record validate/fact": {{129, 1, false, "", 0, 0}, {298, 11, false, "spectre-v4", 15, 96}},
+		"OpenSSL MEE-CBC/c":                 {{318, 2, false, "spectre-v1", 27, 232}, {255, 3, false, "spectre-v1", 27, 201}},
+		"OpenSSL MEE-CBC/fact":              {{129, 1, false, "", 0, 0}, {298, 11, false, "spectre-v4", 20, 96}},
+	}
+	phases := [2]pitchfork.Options{
+		{Bound: pitchfork.BoundNoHazards, StopAtFirst: true},
+		{Bound: pitchfork.BoundWithHazards, ForwardHazards: true, StopAtFirst: true},
+	}
+	seen := 0
+	for _, c := range Cases() {
+		for _, mode := range []ct.Mode{ct.ModeC, ct.ModeFaCT} {
+			name := c.Name + "/" + mode.String()
+			w, ok := want[name]
+			if !ok {
+				t.Errorf("unexpected build %q", name)
+				continue
+			}
+			seen++
+			comp, err := c.Build(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, opts := range phases {
+				rep, err := pitchfork.Analyze(core.New(comp.Prog), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := phase{states: rep.States, paths: rep.Paths, truncated: rep.Truncated}
+				if len(rep.Violations) > 0 {
+					v := rep.Violations[0]
+					got.kind, got.pc, got.schedLen = v.Kind.String(), v.PC, len(v.Schedule)
+				}
+				if got != w[k] {
+					t.Errorf("%s phase %d: got %+v, want %+v", name, k+1, got, w[k])
+				}
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("explored %d builds, want %d", seen, len(want))
+	}
+}
+
 // TestFig9SecretboxGadget pins the secretbox C finding to the Fig. 9
 // shape: the violating observation happens while the canary branch is
 // still speculatively unresolved (a v1-family leak), and the leaked

@@ -293,9 +293,11 @@ func (s *symMachine) View(i int) (sched.TransientView, bool) {
 	}, true
 }
 
-func (s *symMachine) FenceBefore(i int) bool {
-	for j := s.base; j < i && j <= s.BufMax(); j++ {
-		if t, _ := s.get(j); t != nil && t.kind == core.TFence {
+// fenceBefore is the execute rules' side condition: whether an
+// unretired fence sits at an index below i.
+func (s *symMachine) fenceBefore(i int) bool {
+	for _, t := range s.buf[:max(0, min(i-s.base, len(s.buf)))] {
+		if t.kind == core.TFence {
 			return true
 		}
 	}
@@ -569,7 +571,7 @@ func (s *symMachine) stepExecute(d core.Directive) ([]sched.Successor, error) {
 	if !ok {
 		return nil, symStall("index %d not in buffer [%d,%d]", d.I, s.BufMin(), s.BufMax())
 	}
-	if s.FenceBefore(d.I) {
+	if s.fenceBefore(d.I) {
 		return nil, symStall("fence pending before index %d", d.I)
 	}
 	switch t.kind {
@@ -725,7 +727,7 @@ func (s *symMachine) stepExecValue(d core.Directive) ([]sched.Successor, error) 
 	if !ok || t.kind != core.TStore {
 		return nil, symStall("execute:value needs a store at %d", d.I)
 	}
-	if s.FenceBefore(d.I) {
+	if s.fenceBefore(d.I) {
 		return nil, symStall("fence pending before index %d", d.I)
 	}
 	if t.valKnown {
@@ -747,7 +749,7 @@ func (s *symMachine) stepExecAddr(d core.Directive) ([]sched.Successor, error) {
 	if !ok || t.kind != core.TStore {
 		return nil, symStall("execute:addr needs a store at %d", d.I)
 	}
-	if s.FenceBefore(d.I) {
+	if s.fenceBefore(d.I) {
 		return nil, symStall("fence pending before index %d", d.I)
 	}
 	if t.addrKnown {

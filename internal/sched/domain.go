@@ -78,9 +78,6 @@ type Machine interface {
 	BufMax() int
 	// View projects the buffer entry at index i.
 	View(i int) (TransientView, bool)
-	// FenceBefore reports whether an unretired fence sits at an index
-	// below i (the execute rules' side condition).
-	FenceBefore(i int) bool
 	// RSBTop reports top(σ), the return-stack prediction, if present.
 	RSBTop() (isa.Addr, bool)
 	// PeekJmpi resolves the architectural target of an indirect jump
@@ -150,8 +147,6 @@ func (c *concreteMachine) View(i int) (TransientView, bool) {
 		FwdSecret: t.Kind == core.TValue && t.FromLoad && t.Dep != core.NoDep && t.Val.IsSecret(),
 	}, true
 }
-
-func (c *concreteMachine) FenceBefore(i int) bool { return c.m.Buf.FenceBefore(i) }
 
 func (c *concreteMachine) RSBTop() (isa.Addr, bool) { return c.m.RSB.Top() }
 

@@ -553,23 +553,25 @@ func forceOne(opts *Options, st *state, i int, t TransientView, emit func(*state
 	return false
 }
 
-// executePhase scans the buffer in ascending order for the first
+// executePhase makes one ascending scan of the buffer for the first
 // eagerly executable instruction, applying the deferral rules for
 // branches (always delayed) and store addresses (delayed under
-// forwarding-hazard mode). Loads fork over forwarding outcomes.
-// Successors are delivered through emit; the return reports whether a
-// step was taken.
+// forwarding-hazard mode). Loads fork over forwarding outcomes. The
+// scan stops at the first fence — the execute rules' side condition
+// ∀j < i : buf(j) ≠ fence bars everything above it — and records the
+// oldest pending branch on the way. Successors are delivered through
+// emit; the return reports whether a step was taken.
 func executePhase(opts *Options, st *state, emit func(*state)) bool {
 	m := st.m
-	for i := m.BufMin(); i <= m.BufMax(); i++ {
+	top, oldest := m.BufMax(), 0
+	for i := m.BufMin(); i <= top; i++ {
 		t, ok := m.View(i)
 		if !ok {
 			continue
 		}
-		if m.FenceBefore(i) {
-			break // nothing beyond a pending fence may execute
-		}
 		switch t.Kind {
+		case core.TFence:
+			top = i // nothing beyond a pending fence may execute
 		case core.TOp:
 			if apply(opts, st, core.Execute(i), emit) {
 				return true
@@ -585,7 +587,10 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 				return true
 			}
 		case core.TBr:
-			continue // branches resolve in the second pass below
+			// Branches resolve in the second pass below.
+			if oldest == 0 {
+				oldest = i
+			}
 		case core.TStore:
 			if !t.ValKnown {
 				if apply(opts, st, core.ExecuteValue(i), emit) {
@@ -598,7 +603,6 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 					return true
 				}
 			}
-			continue
 		case core.TLoad:
 			if loadFork(opts, st, i, emit) {
 				return true
@@ -606,17 +610,13 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 		}
 	}
 	// Second pass: with all non-branch work drained, resolve pending
-	// branches young-to-old — the oldest in-flight branch is delayed
-	// to the last possible moment (maximizing its misprediction
-	// window), while branches nested inside that window resolve
-	// eagerly so their own observations and rollbacks land within it.
-	oldest := oldestPendingBranch(m)
-	for i := m.BufMax(); i > oldest && oldest != 0; i-- {
-		t, ok := m.View(i)
-		if !ok || t.Kind != core.TBr || m.FenceBefore(i) {
-			continue
-		}
-		if apply(opts, st, core.Execute(i), emit) {
+	// branches young-to-old, from the fence (or the buffer top) down —
+	// the oldest in-flight branch is delayed to the last possible
+	// moment (maximizing its misprediction window), while branches
+	// nested inside that window resolve eagerly so their own
+	// observations and rollbacks land within it.
+	for i := top; i > oldest && oldest != 0; i-- {
+		if t, ok := m.View(i); ok && t.Kind == core.TBr && apply(opts, st, core.Execute(i), emit) {
 			return true
 		}
 	}
@@ -830,15 +830,4 @@ func CountSchedules(m *core.Machine, bound int, forwardHazards bool, maxStates i
 	}
 	res := e.Explore(m)
 	return res.Paths, res.States, res.Truncated, nil
-}
-
-// oldestPendingBranch returns the lowest buffer index holding an
-// unresolved conditional branch, or 0 if none.
-func oldestPendingBranch(m Machine) int {
-	for j := m.BufMin(); j <= m.BufMax(); j++ {
-		if t, ok := m.View(j); ok && t.Kind == core.TBr {
-			return j
-		}
-	}
-	return 0
 }

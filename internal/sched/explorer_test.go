@@ -162,14 +162,157 @@ func TestExplorerFindsSpectreV4OnlyWithHazards(t *testing.T) {
 }
 
 func TestExplorerFenceMitigation(t *testing.T) {
-	// Figure 8: the fence closes the v1 window entirely.
+	// Figure 8: the fence closes the v1 window entirely, under the
+	// serial and the work-stealing driver alike.
 	for _, fwd := range []bool{false, true} {
-		res, err := Explore(fencedV1Gadget(), 20, fwd)
-		if err != nil {
-			t.Fatal(err)
+		for _, workers := range []int{1, 2} {
+			e, err := NewExplorer(Options{Bound: 20, ForwardHazards: fwd, Workers: workers, KeepSchedules: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := e.Explore(fencedV1Gadget()); !res.SecretFree() {
+				t.Fatalf("fwd=%t workers=%d: fenced gadget must be clean, got %v", fwd, workers, res.Violations)
+			}
 		}
-		if !res.SecretFree() {
-			t.Fatalf("fwd=%t: fenced gadget must be clean, got %v", fwd, res.Violations)
+	}
+}
+
+// probe wraps a domain machine so tests can watch how the schedule
+// strategy drives it: every View call is counted, and every directive
+// is shown to check before it is applied. Clones and successors stay
+// wrapped and share the hooks. Serial explorations only.
+type probe struct {
+	Machine
+	views *int
+	check func(m Machine, d core.Directive)
+}
+
+func (p *probe) View(i int) (TransientView, bool) {
+	*p.views++
+	return p.Machine.View(i)
+}
+
+func (p *probe) Clone() Machine {
+	return &probe{Machine: p.Machine.Clone(), views: p.views, check: p.check}
+}
+
+func (p *probe) Step(d core.Directive) ([]Successor, error) {
+	if p.check != nil {
+		p.check(p.Machine, d)
+	}
+	succs, err := p.Machine.Step(d)
+	for k := range succs {
+		if succs[k].M == p.Machine {
+			succs[k].M = p
+		} else {
+			succs[k].M = &probe{Machine: succs[k].M, views: p.views, check: p.check}
+		}
+	}
+	return succs, err
+}
+
+// TestExplorerBufferScanLinear guards the per-state cost of the
+// schedule strategy: one decision reads each reorder-buffer entry a
+// bounded number of times, so View calls per explored state stay
+// linear in the bound. A per-index fence check rescanning from the
+// buffer head would cost about Bound²/2 views per state.
+func TestExplorerBufferScanLinear(t *testing.T) {
+	const bound, ops = 250, 300
+	b := isa.NewBuilder(1)
+	b.Br(isa.OpGt, []isa.Operand{isa.ImmW(4), isa.R(ra)}, 2, ops+2)
+	for k := 0; k < ops; k++ {
+		b.Op(rb, isa.OpAdd, isa.R(rb), isa.ImmW(1))
+	}
+	m := core.New(b.MustBuild())
+	m.Regs.Write(ra, mem.Pub(1))
+
+	views, last, worst := 0, 0, 0
+	e, err := NewExplorer(Options{Bound: bound, Interrupt: func() bool {
+		// Polled once per explored state: the views since the last
+		// poll are the previous state's.
+		worst, last = max(worst, views-last), views
+		return false
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := e.ExploreMachine(&probe{Machine: Concrete(m), views: &views})
+	worst = max(worst, views-last)
+	if res.Truncated || !res.SecretFree() {
+		t.Fatalf("straight-line program must explore fully and cleanly: %+v", res)
+	}
+	if res.States < 2*ops {
+		t.Fatalf("explored only %d states", res.States)
+	}
+	if limit := 2*bound + 8; worst > limit {
+		t.Fatalf("a state made %d View calls, want <= %d (%d states, %d views)", worst, limit, res.States, views)
+	}
+}
+
+// fencedNestedGadget is two nested bounds checks (1, 2), a fence, and
+// a third check (4) guarding the Figure 1 double load. The first two
+// checks pass architecturally; the third is out of bounds, so the
+// leak needs the fence retired and branch 4 mispredicted.
+func fencedNestedGadget() *core.Machine {
+	b := isa.NewBuilder(1)
+	b.Br(isa.OpGt, []isa.Operand{isa.ImmW(4), isa.R(ra)}, 2, 7)
+	b.Br(isa.OpGt, []isa.Operand{isa.ImmW(4), isa.R(rb)}, 3, 7)
+	b.Fence()
+	b.Br(isa.OpGt, []isa.Operand{isa.ImmW(4), isa.R(rc)}, 5, 7)
+	b.Load(rb, isa.ImmW(0x40), isa.R(rc))
+	b.Load(rc, isa.ImmW(0x44), isa.R(rb))
+	b.Region(0x40, mem.Pub(1), mem.Pub(2), mem.Pub(3), mem.Pub(4))
+	b.Region(0x44, mem.Pub(5), mem.Pub(6), mem.Pub(7), mem.Pub(8))
+	b.Region(0x48, mem.Sec(0xA0), mem.Sec(0xA1), mem.Sec(0xA2), mem.Sec(0xA3))
+	m := core.New(b.MustBuild())
+	m.Regs.Write(ra, mem.Pub(1))
+	m.Regs.Write(rb, mem.Pub(2))
+	m.Regs.Write(rc, mem.Pub(9))
+	return m
+}
+
+// TestExplorerFenceOrdering checks the strategy around a fence: no
+// directive is ever issued for an entry above a pending fence, and the
+// branches below it still resolve young-to-old. The leaking schedules
+// are pinned in exploration order; on the last, where both checks are
+// guessed right, the nested check at 2 executes before the outer check
+// at 1, which is forced only once it heads the buffer, and the check
+// at 4 stays unresolved until the fence has retired.
+func TestExplorerFenceOrdering(t *testing.T) {
+	want := []string{
+		"fetch: false; execute 1; fetch: false; retire; execute 2; fetch; fetch: true; fetch; fetch; retire; retire; execute 5; execute 6",
+		"fetch: false; execute 1; fetch: true; fetch; fetch: true; fetch; fetch; retire; execute 2; retire; retire; execute 5; execute 6",
+		"fetch: true; fetch: false; execute 2; fetch; fetch: true; fetch; fetch; execute 1; retire; retire; retire; execute 5; execute 6",
+		"fetch: true; fetch: true; fetch; fetch: true; fetch; fetch; execute 2; execute 1; retire; retire; retire; execute 5; execute 6",
+	}
+	for _, bound := range []int{20, 250} {
+		for _, fwd := range []bool{false, true} {
+			views := 0
+			check := func(m Machine, d core.Directive) {
+				switch d.Kind {
+				case core.DExecute, core.DExecValue, core.DExecAddr, core.DExecFwd:
+				default:
+					return // fetch and retire name no buffer index
+				}
+				for j := m.BufMin(); j < d.I; j++ {
+					if v, ok := m.View(j); ok && v.Kind == core.TFence {
+						t.Errorf("bound=%d fwd=%t: %s issued above the pending fence at %d", bound, fwd, d, j)
+					}
+				}
+			}
+			e, err := NewExplorer(Options{Bound: bound, ForwardHazards: fwd, KeepSchedules: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := e.ExploreMachine(&probe{Machine: Concrete(fencedNestedGadget()), views: &views, check: check})
+			if len(res.Violations) != len(want) {
+				t.Fatalf("bound=%d fwd=%t: %d leaking schedules, want %d", bound, fwd, len(res.Violations), len(want))
+			}
+			for k, v := range res.Violations {
+				if got := v.Schedule.String(); got != want[k] {
+					t.Errorf("bound=%d fwd=%t: leaking schedule %d\n got %s\nwant %s", bound, fwd, k, got, want[k])
+				}
+			}
 		}
 	}
 }
