@@ -32,6 +32,11 @@ type Buffer struct {
 	// appended after the last Clone). Edit mutates those in place and
 	// copies older, possibly shared entries.
 	privateFrom int
+	// fence is the index of the lowest buffered fence, 0 for none
+	// (indices start at 1), so FenceBefore is O(1). Append and Set
+	// lower it, TruncateFrom drops it when it is cut off, and only
+	// retiring that fence rescans for the next one.
+	fence int
 	// arena bump-allocates transients in chunks, so the fetch and
 	// execute rules do not pay one heap allocation per instruction.
 	// Cells are never reused; a clone starts a fresh arena (the parent
@@ -121,7 +126,11 @@ func (b *Buffer) Get(i int) (*Transient, bool) {
 func (b *Buffer) Append(t *Transient) int {
 	b.own()
 	b.items = append(b.items, t)
-	return b.base + len(b.items) - 1
+	i := b.base + len(b.items) - 1
+	if t.Kind == TFence && b.fence == 0 {
+		b.fence = i
+	}
+	return i
 }
 
 // AppendT is Append for a transient passed by value: the entry is
@@ -141,6 +150,12 @@ func (b *Buffer) Set(i int, t *Transient) {
 	}
 	b.own()
 	b.items[i-b.base] = t
+	switch {
+	case t.Kind == TFence && (b.fence == 0 || i < b.fence):
+		b.fence = i
+	case t.Kind != TFence && i == b.fence:
+		b.fence = b.lowestFence()
+	}
 }
 
 // SetT is Set for a transient passed by value, placed in the arena
@@ -156,7 +171,7 @@ func (b *Buffer) SetT(i int, t Transient) {
 // first, so the returned transient is exclusively owned by this
 // buffer. Step rules that partially resolve an entry (store
 // value/address, predicted forwards) must mutate through Edit rather
-// than Get.
+// than Get, and must not change the entry's Kind.
 func (b *Buffer) Edit(i int) (*Transient, bool) {
 	if !b.Contains(i) {
 		return nil, false
@@ -174,6 +189,9 @@ func (b *Buffer) Edit(i int) (*Transient, bool) {
 // TruncateFrom implements buf[j : j < i]: it removes every entry at
 // index ≥ i.
 func (b *Buffer) TruncateFrom(i int) {
+	if b.fence >= i {
+		b.fence = 0 // every fence is cut off with the lowest one
+	}
 	if i <= b.base {
 		b.items = b.items[:0]
 		return
@@ -192,6 +210,9 @@ func (b *Buffer) PopMin() (*Transient, bool) {
 	t := b.items[0]
 	b.items = b.items[1:]
 	b.base++
+	if b.fence != 0 && b.fence < b.base {
+		b.fence = b.lowestFence()
+	}
 	return t, true
 }
 
@@ -203,18 +224,25 @@ func (b *Buffer) PopMinN(k int) {
 	}
 	b.items = b.items[k:]
 	b.base += k
+	if b.fence != 0 && b.fence < b.base {
+		b.fence = b.lowestFence()
+	}
 }
 
 // FenceBefore reports whether any index j < i holds a fence — the
 // highlighted side condition ∀j < i : buf(j) ≠ fence on every execute
 // rule.
-func (b *Buffer) FenceBefore(i int) bool {
-	for _, t := range b.items[:max(0, min(i-b.base, len(b.items)))] {
+func (b *Buffer) FenceBefore(i int) bool { return b.fence != 0 && b.fence < i }
+
+// lowestFence scans for the index of the lowest buffered fence, 0 for
+// none.
+func (b *Buffer) lowestFence() int {
+	for k, t := range b.items {
 		if t.Kind == TFence {
-			return true
+			return b.base + k
 		}
 	}
-	return false
+	return 0
 }
 
 // Indices returns the live indices in increasing order.
@@ -232,7 +260,7 @@ func (b *Buffer) Indices() []int {
 func (b *Buffer) Clone() *Buffer {
 	b.shared = true
 	b.privateFrom = b.base + len(b.items)
-	return &Buffer{base: b.base, items: b.items, shared: true, privateFrom: b.privateFrom}
+	return &Buffer{base: b.base, items: b.items, shared: true, privateFrom: b.privateFrom, fence: b.fence}
 }
 
 // String renders the buffer one entry per line, figure-style.

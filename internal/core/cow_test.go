@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"pitchfork/internal/isa"
@@ -68,6 +69,51 @@ func TestBufferEditOwnsAfterPop(t *testing.T) {
 	et.ValKnown = true
 	if ct, _ := c.Get(2); ct.ValKnown {
 		t.Fatal("post-pop Edit aliased the clone")
+	}
+}
+
+// TestBufferFenceBeforeMatchesScan checks the O(1) fence side
+// condition against a linear scan of the live entries over random
+// append, set, truncate, pop and clone sequences: each buffer's
+// lowest-fence index must survive every operation on it and on its
+// clones.
+func TestBufferFenceBeforeMatchesScan(t *testing.T) {
+	kinds := []TKind{TFence, TFence, TValue, TOp, TBr, TStore}
+	scan := func(b *Buffer, i int) bool {
+		for j := b.Min(); j < i && j <= b.Max(); j++ {
+			if e, _ := b.Get(j); e.Kind == TFence {
+				return true
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(1))
+	for run := 0; run < 200; run++ {
+		bufs := []*Buffer{NewBuffer()}
+		for op := 0; op < 60; op++ {
+			b := bufs[rng.Intn(len(bufs))]
+			switch r := rng.Intn(10); {
+			case r < 4:
+				b.AppendT(Transient{Kind: kinds[rng.Intn(len(kinds))]})
+			case r == 4 && b.Len() > 0:
+				b.SetT(b.Min()+rng.Intn(b.Len()), Transient{Kind: kinds[rng.Intn(len(kinds))]})
+			case r == 5:
+				b.TruncateFrom(b.Min() - 1 + rng.Intn(b.Len()+3))
+			case r == 6:
+				b.PopMin()
+			case r == 7 && b.Len() > 0:
+				b.PopMinN(1 + rng.Intn(b.Len()))
+			case r >= 8 && len(bufs) < 6:
+				bufs = append(bufs, b.Clone())
+			}
+			for k, c := range bufs {
+				for i := c.Min() - 2; i <= c.Max()+2; i++ {
+					if got, want := c.FenceBefore(i), scan(c, i); got != want {
+						t.Fatalf("run %d op %d buffer %d: FenceBefore(%d) = %t, scan says %t\n%s", run, op, k, i, got, want, c)
+					}
+				}
+			}
+		}
 	}
 }
 

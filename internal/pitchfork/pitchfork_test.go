@@ -1,6 +1,7 @@
 package pitchfork
 
 import (
+	"math/rand"
 	"testing"
 
 	"pitchfork/internal/core"
@@ -302,5 +303,47 @@ func TestViolationString(t *testing.T) {
 	v := Violation{Obs: core.ReadObs(0x48, mem.Secret), Kind: sched.VariantV1, Model: map[string]uint64{"x": 9}}
 	if v.String() == "" {
 		t.Fatal("empty violation string")
+	}
+}
+
+// TestSymFenceBeforeMatchesScan is the symbolic twin of core's
+// TestBufferFenceBeforeMatchesScan: the lowest-fence index behind
+// fenceBefore must agree with a linear scan over random append, set,
+// truncate, retire and clone sequences.
+func TestSymFenceBeforeMatchesScan(t *testing.T) {
+	kinds := []core.TKind{core.TFence, core.TFence, core.TValue, core.TOp, core.TBr, core.TStore}
+	scan := func(s *symMachine, i int) bool {
+		for j := s.BufMin(); j < i && j <= s.BufMax(); j++ {
+			if e, _ := s.get(j); e.kind == core.TFence {
+				return true
+			}
+		}
+		return false
+	}
+	rng := rand.New(rand.NewSource(1))
+	for run := 0; run < 200; run++ {
+		ms := []*symMachine{newSymMachine(NewSym(isa.NewProgram(1)))}
+		for op := 0; op < 60; op++ {
+			s := ms[rng.Intn(len(ms))]
+			switch r := rng.Intn(10); {
+			case r < 4:
+				s.append(&symTransient{kind: kinds[rng.Intn(len(kinds))]})
+			case r == 4 && s.BufLen() > 0:
+				s.setBuf(s.BufMin()+rng.Intn(s.BufLen()), &symTransient{kind: kinds[rng.Intn(len(kinds))]})
+			case r == 5:
+				s.truncateFrom(s.BufMin() - 1 + rng.Intn(s.BufLen()+3))
+			case r >= 6 && r <= 7 && s.BufLen() > 0:
+				s.popMinN(1 + rng.Intn(s.BufLen()))
+			case r >= 8 && len(ms) < 6:
+				ms = append(ms, s.Clone().(*symMachine))
+			}
+			for k, c := range ms {
+				for i := c.BufMin() - 2; i <= c.BufMax()+2; i++ {
+					if got, want := c.fenceBefore(i), scan(c, i); got != want {
+						t.Fatalf("run %d op %d machine %d: fenceBefore(%d) = %t, scan says %t", run, op, k, i, got, want)
+					}
+				}
+			}
+		}
 	}
 }

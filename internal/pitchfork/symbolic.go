@@ -144,6 +144,10 @@ type symMachine struct {
 	// entries below it are copied by edit before in-place mutation.
 	bufShared      bool
 	bufPrivateFrom int
+	// fence is the index of the lowest buffered fence, 0 for none, as
+	// in core.Buffer: append and setBuf lower it, truncateFrom drops
+	// it when it is cut off, and retiring it rescans.
+	fence int
 
 	solver *symx.Solver
 	concr  *symx.Concretizer
@@ -195,6 +199,7 @@ func (s *symMachine) Clone() sched.Machine {
 		base:           s.base,
 		bufShared:      true,
 		bufPrivateFrom: s.bufPrivateFrom,
+		fence:          s.fence,
 		rsb:            s.rsb.Clone(),
 		pcond:          s.pcond,
 		retired:        s.retired,
@@ -219,10 +224,17 @@ func (s *symMachine) ownBuf() {
 func (s *symMachine) setBuf(i int, t *symTransient) {
 	s.ownBuf()
 	s.buf[i-s.base] = t
+	switch {
+	case t.kind == core.TFence && (s.fence == 0 || i < s.fence):
+		s.fence = i
+	case t.kind != core.TFence && i == s.fence:
+		s.fence = s.lowestFence()
+	}
 }
 
 // edit returns the entry at i for in-place mutation, copying it first
-// if it may still be shared with a clone.
+// if it may still be shared with a clone. Callers must not change the
+// entry's kind.
 func (s *symMachine) edit(i int) *symTransient {
 	s.ownBuf()
 	if i >= s.bufPrivateFrom {
@@ -259,12 +271,19 @@ func (s *symMachine) get(i int) (*symTransient, bool) {
 func (s *symMachine) append(t *symTransient) int {
 	s.ownBuf()
 	s.buf = append(s.buf, t)
-	return s.base + len(s.buf) - 1
+	i := s.base + len(s.buf) - 1
+	if t.kind == core.TFence && s.fence == 0 {
+		s.fence = i
+	}
+	return i
 }
 
 // truncateFrom implements buf[j : j < i] plus the RSB rollback the
 // misspeculation rules pair it with.
 func (s *symMachine) truncateFrom(i int) {
+	if s.fence >= i {
+		s.fence = 0
+	}
 	if i <= s.base {
 		s.buf = s.buf[:0]
 	} else if i <= s.base+len(s.buf) {
@@ -276,6 +295,9 @@ func (s *symMachine) truncateFrom(i int) {
 func (s *symMachine) popMinN(k int) {
 	s.buf = s.buf[k:]
 	s.base += k
+	if s.fence != 0 && s.fence < s.base {
+		s.fence = s.lowestFence()
+	}
 }
 
 func (s *symMachine) View(i int) (sched.TransientView, bool) {
@@ -295,13 +317,17 @@ func (s *symMachine) View(i int) (sched.TransientView, bool) {
 
 // fenceBefore is the execute rules' side condition: whether an
 // unretired fence sits at an index below i.
-func (s *symMachine) fenceBefore(i int) bool {
-	for _, t := range s.buf[:max(0, min(i-s.base, len(s.buf)))] {
+func (s *symMachine) fenceBefore(i int) bool { return s.fence != 0 && s.fence < i }
+
+// lowestFence scans for the index of the lowest buffered fence, 0 for
+// none.
+func (s *symMachine) lowestFence() int {
+	for k, t := range s.buf {
 		if t.kind == core.TFence {
-			return true
+			return s.base + k
 		}
 	}
-	return false
+	return 0
 }
 
 func (s *symMachine) RSBTop() (isa.Addr, bool) { return s.rsb.Top() }

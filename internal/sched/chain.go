@@ -96,6 +96,7 @@ func releaseState(s *state) {
 	s.sched = nil
 	s.trace = nil
 	s.secret = nil
+	s.settled, s.branch = 0, 0
 	clear(s.pendingFwd)
 	statePool.Put(s)
 }

@@ -30,6 +30,13 @@
 // a single directive (a symbolic branch condition splits into its
 // feasible worlds); the engine treats every fork point uniformly.
 //
+// Each exploration path keeps a settled-prefix cursor into its reorder
+// buffer: every entry below it is resolved and not a fence, or a
+// pending branch, so the strategy would pass it over on every
+// decision. The ascending scan for the next eager step starts at the
+// cursor, so a decision costs the entries that can still act, not the
+// whole buffer (see executePhase).
+//
 // The exploration runs on one goroutine by default; Options.Workers
 // switches to a work-stealing pool (see parallel.go), and
 // Options.DedupEntries enables fingerprint-based pruning of
@@ -308,12 +315,30 @@ type state struct {
 	// resolution re-forks correctly but not infinitely). Lazily
 	// allocated: most states never fork on forwarding.
 	pendingFwd map[int]bool
+	// settled is the path's settled-prefix cursor: every buffer index
+	// in [BufMin, settled) holds an entry executePhase's first pass
+	// never acts on (see isSettled), so the pass starts at
+	// max(settled, BufMin). branch is the lowest pending branch in that
+	// prefix, 0 for none — or a stale index (its branch has resolved or
+	// retired), which executePhase detects with one View and recomputes.
+	settled, branch int
+}
+
+// isSettled reports whether executePhase's first pass can never act
+// on the entry: it is resolved and not a fence (values, jumps,
+// resolved stores, call/ret markers), or a pending branch, which only
+// the second pass and forceOne resolve. A directive on a settled entry
+// only ever resolves a branch into a jump, so an entry stays settled
+// for as long as its index stays in the buffer.
+func isSettled(t TransientView) bool {
+	return t.Kind == core.TBr || t.Resolved && t.Kind != core.TFence
 }
 
 func (s *state) clone() *state {
 	c := newState()
 	c.m = s.m.Clone()
 	c.sched, c.trace, c.secret = s.sched, s.trace, s.secret
+	c.settled, c.branch = s.settled, s.branch
 	if len(s.pendingFwd) > 0 {
 		if c.pendingFwd == nil {
 			c.pendingFwd = make(map[int]bool, len(s.pendingFwd))
@@ -561,13 +586,40 @@ func forceOne(opts *Options, st *state, i int, t TransientView, emit func(*state
 // ∀j < i : buf(j) ≠ fence bars everything above it — and records the
 // oldest pending branch on the way. Successors are delivered through
 // emit; the return reports whether a step was taken.
+//
+// The scan starts at the path's settled-prefix cursor, not at the
+// buffer head: every entry in [BufMin, settled) is settled (isSettled)
+// and would be passed over, and the lowest pending branch among them
+// is kept in st.branch. The scan extends the prefix over the settled
+// entries it walks before the first one that can still act, so each
+// entry is walked as settled once per path, not once per decision.
+// The first directive that applies is the one a scan from the head
+// would find.
 func executePhase(opts *Options, st *state, emit func(*state)) bool {
 	m := st.m
-	top, oldest := m.BufMax(), 0
-	for i := m.BufMin(); i <= top; i++ {
+	lo := m.BufMin()
+	start := max(st.settled, lo)
+	if b := st.branch; b != 0 {
+		// A retired branch fails the View; a resolved one is a jump.
+		if t, ok := m.View(b); !ok || t.Kind != core.TBr {
+			st.branch = lowestBranch(m, lo, start)
+		}
+	}
+	if cursorCheck != nil {
+		cursorCheck(m, start, st.branch)
+	}
+	top, oldest := m.BufMax(), st.branch
+	settling := true
+	for i := start; i <= top; i++ {
 		t, ok := m.View(i)
 		if !ok {
 			continue
+		}
+		if settling = settling && isSettled(t); settling {
+			st.settled = i + 1
+			if t.Kind == core.TBr && st.branch == 0 {
+				st.branch = i
+			}
 		}
 		switch t.Kind {
 		case core.TFence:
@@ -623,6 +675,22 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 	return false
 }
 
+// lowestBranch returns the lowest pending branch in [lo, hi), or 0.
+func lowestBranch(m Machine, lo, hi int) int {
+	for i := lo; i < hi; i++ {
+		if t, ok := m.View(i); ok && t.Kind == core.TBr {
+			return i
+		}
+	}
+	return 0
+}
+
+// cursorCheck, when non-nil, is shown every state executePhase scans:
+// the machine, the cursor the scan starts at, and the validated lowest
+// pending branch below it. Tests set it to assert the settled-prefix
+// invariant; with Workers > 1 it is called concurrently.
+var cursorCheck func(m Machine, settled, branch int)
+
 // loadFork decides how the load at index i resolves. Without
 // forwarding hazards, or with no pending store addresses below it, the
 // load simply executes. Otherwise the fork of Def. B.18 applies: one
@@ -633,7 +701,9 @@ func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 	m := st.m
 	var pending []int
 	if opts.ForwardHazards && !st.pendingFwd[i] {
-		for j := m.BufMin(); j < i; j++ {
+		// A pending store address is unresolved, so it sits at or above
+		// the settled-prefix cursor.
+		for j := max(st.settled, m.BufMin()); j < i; j++ {
 			if s, ok := m.View(j); ok && s.Kind == core.TStore && !s.AddrKnown && s.ValKnown {
 				pending = append(pending, j)
 			}
@@ -697,6 +767,7 @@ func apply(opts *Options, st *state, d core.Directive, emit func(*state)) bool {
 	// before any arm is published so later arms never read a map a
 	// thief might already be mutating.
 	baseSched, baseTrace, baseSecret := st.sched, st.trace, st.secret
+	baseSettled, baseBranch := st.settled, st.branch
 	var basePF map[int]bool
 	if len(succs) > 1 && len(st.pendingFwd) > 0 {
 		basePF = make(map[int]bool, len(st.pendingFwd))
@@ -722,6 +793,11 @@ func apply(opts *Options, st *state, d core.Directive, emit func(*state)) bool {
 			ns.sched = baseSched.push(sc.D)
 		}
 		ns.trace, ns.secret = baseTrace, baseSecret
+		// A rollback truncates the buffer: clamp the settled prefix to
+		// what is left. The branch hint stays below it — a rollback
+		// that reaches into the prefix starts at a pending branch, at
+		// or above the lowest one.
+		ns.settled, ns.branch = min(baseSettled, sc.M.BufMax()+1), baseBranch
 		for _, o := range sc.Obs {
 			ns.trace = ns.trace.push(o, pp)
 			if ns.secret == nil && o.Secret() {

@@ -212,40 +212,58 @@ func (p *probe) Step(d core.Directive) ([]Successor, error) {
 }
 
 // TestExplorerBufferScanLinear guards the per-state cost of the
-// schedule strategy: one decision reads each reorder-buffer entry a
-// bounded number of times, so View calls per explored state stay
-// linear in the bound. A per-index fence check rescanning from the
-// buffer head would cost about Bound²/2 views per state.
+// schedule strategy on a branch followed by a long run of independent
+// ops, with and without a fence right after the branch. The first
+// pass starts at the settled-prefix cursor, so a decision reads only
+// the entries that can still act plus a constant: View calls average
+// at most 4 per explored state over the run, and no single state
+// makes more than Bound+8 (the young-to-old branch pass may walk the
+// whole buffer). A scan from the buffer head on every decision costs
+// about the buffer length per state; a per-index fence check
+// rescanning from the head costs about Bound²/2.
 func TestExplorerBufferScanLinear(t *testing.T) {
 	const bound, ops = 250, 300
-	b := isa.NewBuilder(1)
-	b.Br(isa.OpGt, []isa.Operand{isa.ImmW(4), isa.R(ra)}, 2, ops+2)
-	for k := 0; k < ops; k++ {
-		b.Op(rb, isa.OpAdd, isa.R(rb), isa.ImmW(1))
-	}
-	m := core.New(b.MustBuild())
-	m.Regs.Write(ra, mem.Pub(1))
+	for _, fenced := range []bool{false, true} {
+		b := isa.NewBuilder(1)
+		end := isa.Addr(ops + 2)
+		if fenced {
+			end++
+		}
+		b.Br(isa.OpGt, []isa.Operand{isa.ImmW(4), isa.R(ra)}, 2, end)
+		if fenced {
+			b.Fence()
+		}
+		for k := 0; k < ops; k++ {
+			b.Op(rb, isa.OpAdd, isa.R(rb), isa.ImmW(1))
+		}
+		m := core.New(b.MustBuild())
+		m.Regs.Write(ra, mem.Pub(1))
 
-	views, last, worst := 0, 0, 0
-	e, err := NewExplorer(Options{Bound: bound, Interrupt: func() bool {
-		// Polled once per explored state: the views since the last
-		// poll are the previous state's.
-		worst, last = max(worst, views-last), views
-		return false
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.ExploreMachine(&probe{Machine: Concrete(m), views: &views})
-	worst = max(worst, views-last)
-	if res.Truncated || !res.SecretFree() {
-		t.Fatalf("straight-line program must explore fully and cleanly: %+v", res)
-	}
-	if res.States < 2*ops {
-		t.Fatalf("explored only %d states", res.States)
-	}
-	if limit := 2*bound + 8; worst > limit {
-		t.Fatalf("a state made %d View calls, want <= %d (%d states, %d views)", worst, limit, res.States, views)
+		views, last, worst := 0, 0, 0
+		e, err := NewExplorer(Options{Bound: bound, Interrupt: func() bool {
+			// Polled once per explored state: the views since the last
+			// poll are the previous state's.
+			worst, last = max(worst, views-last), views
+			return false
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := e.ExploreMachine(&probe{Machine: Concrete(m), views: &views})
+		worst = max(worst, views-last)
+		if res.Truncated || !res.SecretFree() {
+			t.Fatalf("fenced=%t: straight-line program must explore fully and cleanly: %+v", fenced, res)
+		}
+		if res.States < 2*ops {
+			t.Fatalf("fenced=%t: explored only %d states", fenced, res.States)
+		}
+		t.Logf("fenced=%t: %d states, %d views (%.2f per state), worst state %d", fenced, res.States, views, float64(views)/float64(res.States), worst)
+		if views > 4*res.States {
+			t.Errorf("fenced=%t: %d View calls over %d states, want <= 4 per state", fenced, views, res.States)
+		}
+		if limit := bound + 8; worst > limit {
+			t.Errorf("fenced=%t: a state made %d View calls, want <= %d", fenced, worst, limit)
+		}
 	}
 }
 

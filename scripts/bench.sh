@@ -1,33 +1,32 @@
 #!/usr/bin/env sh
-# bench.sh — run the full repository benchmark sweep and emit a
-# BENCH_<sha>.json artifact in the exact format the CI bench job
-# uploads (go test -json event stream), so local runs, the committed
-# baseline under bench/, and the CI artifact trail are directly
-# comparable with benchstat:
+# bench.sh — run the Table 2 and schedule-generation benchmarks ten
+# times each and emit a BENCH_<sha>.json artifact in the format the CI
+# bench job uploads (go test -json event stream). Ten samples per
+# benchmark are what benchstat needs for a median and a confidence
+# interval; compare two checkouts with:
 #
-#   jq -rj 'select(.Action=="output") | .Output' BENCH_<sha>.json > out.txt
-#   benchstat baseline.txt out.txt
+#   jq -rj 'select(.Action=="output") | .Output' BENCH_<base>.json > base.txt
+#   jq -rj 'select(.Action=="output") | .Output' BENCH_<head>.json > head.txt
+#   benchstat base.txt head.txt
 #
-# Usage: scripts/bench.sh [output-dir] [benchtime]
+# Usage: scripts/bench.sh [output-dir] [count] [pattern]
 #   output-dir  where BENCH_<sha>.json lands (default .)
-#   benchtime   go test -benchtime value (default 1x, the CI setting)
+#   count       go test -count value (default 10)
+#   pattern     go test -bench regexp (default 'Table2|ScheduleGeneration';
+#               '.' runs every benchmark in bench_test.go)
 #
-# -benchmem is always on: the perf trajectory tracks B/op and
-# allocs/op alongside ns/op, since allocation volume is what the
-# copy-on-write state representation optimizes.
-#
-# The sweep includes BenchmarkStaticPass, which prices the static
-# taint pass itself (the whole cost of certifying a safe program).
-# The repair side is covered by BenchmarkRepairPortfolio, whose
-# auto/fence/mask/ret sub-benchmarks price the whole mitigation
-# portfolio against each pinned strategy on the same corpus.
+# -benchmem is always on: B/op and allocs/op are tracked alongside
+# ns/op, since allocation volume is what the copy-on-write state
+# representation optimizes. End-to-end numbers (Table 2, the corpus
+# sweep, the analysis service) come from perfbench/run.sh instead.
 set -eu
 
 outdir="${1:-.}"
-benchtime="${2:-1x}"
+count="${2:-10}"
+pattern="${3:-Table2|ScheduleGeneration}"
 sha="$(git rev-parse HEAD 2>/dev/null || echo nogit)"
 out="${outdir}/BENCH_${sha}.json"
 
 mkdir -p "$outdir"
-go test -bench=. -benchtime="$benchtime" -benchmem -run='^$' -json ./... > "$out"
+go test -bench="$pattern" -count="$count" -benchmem -run='^$' -json . > "$out"
 echo "wrote $out" >&2
