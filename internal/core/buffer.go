@@ -150,17 +150,30 @@ func (b *Buffer) Set(i int, t *Transient) {
 	}
 	b.own()
 	b.items[i-b.base] = t
+	b.setFence(i, t.Kind)
+}
+
+// setFence keeps the lowest-fence index exact after buf(i) became an
+// entry of kind k.
+func (b *Buffer) setFence(i int, k TKind) {
 	switch {
-	case t.Kind == TFence && (b.fence == 0 || i < b.fence):
+	case k == TFence && (b.fence == 0 || i < b.fence):
 		b.fence = i
-	case t.Kind != TFence && i == b.fence:
+	case k != TFence && i == b.fence:
 		b.fence = b.lowestFence()
 	}
 }
 
-// SetT is Set for a transient passed by value, placed in the arena
-// like AppendT.
+// SetT is Set for a transient passed by value. An entry exclusively
+// owned by this buffer (i >= privateFrom, the invariant Edit relies
+// on) is overwritten in place; an older, possibly shared one is
+// replaced by a fresh arena cell like AppendT's.
 func (b *Buffer) SetT(i int, t Transient) {
+	if i >= b.privateFrom && b.Contains(i) {
+		*b.items[i-b.base] = t
+		b.setFence(i, t.Kind)
+		return
+	}
 	nt := b.alloc()
 	*nt = t
 	b.Set(i, nt)

@@ -74,9 +74,12 @@ func TestBufferEditOwnsAfterPop(t *testing.T) {
 
 // TestBufferFenceBeforeMatchesScan checks the O(1) fence side
 // condition against a linear scan of the live entries over random
-// append, set, truncate, pop and clone sequences: each buffer's
+// append, set, edit, truncate, pop and clone sequences: each buffer's
 // lowest-fence index must survive every operation on it and on its
-// clones.
+// clones. Every buffer is also checked against a plain model of its
+// entries after every operation, so neither an in-place SetT on a
+// private entry nor an arena copy of a shared one may ever change what
+// a clone sees. Both SetT paths must be taken.
 func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 	kinds := []TKind{TFence, TFence, TValue, TOp, TBr, TStore}
 	scan := func(b *Buffer, i int) bool {
@@ -87,26 +90,76 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 		}
 		return false
 	}
+	// model is a buffer's expected contents: the entries' kinds and
+	// Target tags (unique per write), with the index of the first.
+	type model struct {
+		base    int
+		entries []Transient
+	}
+	tag := isa.Addr(0)
+	fresh := func(rng *rand.Rand) Transient {
+		tag++
+		return Transient{Kind: kinds[rng.Intn(len(kinds))], Target: tag}
+	}
+	inPlace, copied := 0, 0
 	rng := rand.New(rand.NewSource(1))
 	for run := 0; run < 200; run++ {
 		bufs := []*Buffer{NewBuffer()}
+		models := []*model{{base: 1}}
 		for op := 0; op < 60; op++ {
-			b := bufs[rng.Intn(len(bufs))]
-			switch r := rng.Intn(10); {
+			n := rng.Intn(len(bufs))
+			b, md := bufs[n], models[n]
+			switch r := rng.Intn(12); {
 			case r < 4:
-				b.AppendT(Transient{Kind: kinds[rng.Intn(len(kinds))]})
-			case r == 4 && b.Len() > 0:
-				b.SetT(b.Min()+rng.Intn(b.Len()), Transient{Kind: kinds[rng.Intn(len(kinds))]})
-			case r == 5:
-				b.TruncateFrom(b.Min() - 1 + rng.Intn(b.Len()+3))
-			case r == 6:
+				e := fresh(rng)
+				b.AppendT(e)
+				md.entries = append(md.entries, e)
+			case r <= 5 && b.Len() > 0:
+				// Half the time aim at the private tail, if there is one.
+				i := b.Min() + rng.Intn(b.Len())
+				if r == 5 && b.privateFrom <= b.Max() {
+					lo := max(b.privateFrom, b.Min())
+					i = lo + rng.Intn(b.Max()-lo+1)
+				}
+				if i >= b.privateFrom {
+					inPlace++
+				} else {
+					copied++
+				}
+				e := fresh(rng)
+				b.SetT(i, e)
+				md.entries[i-md.base] = e
+			case r == 6 && b.Len() > 0:
+				i := b.Min() + rng.Intn(b.Len())
+				tag++
+				et, _ := b.Edit(i)
+				et.Target = tag
+				md.entries[i-md.base].Target = tag
+			case r == 7:
+				i := b.Min() - 1 + rng.Intn(b.Len()+3)
+				b.TruncateFrom(i)
+				md.entries = md.entries[:min(max(i-md.base, 0), len(md.entries))]
+			case r == 8 && b.Len() > 0:
 				b.PopMin()
-			case r == 7 && b.Len() > 0:
-				b.PopMinN(1 + rng.Intn(b.Len()))
-			case r >= 8 && len(bufs) < 6:
+				md.entries, md.base = md.entries[1:], md.base+1
+			case r == 9 && b.Len() > 0:
+				k := 1 + rng.Intn(b.Len())
+				b.PopMinN(k)
+				md.entries, md.base = md.entries[k:], md.base+k
+			case r >= 10 && len(bufs) < 6:
 				bufs = append(bufs, b.Clone())
+				models = append(models, &model{base: md.base, entries: append([]Transient(nil), md.entries...)})
 			}
 			for k, c := range bufs {
+				md := models[k]
+				if c.Min() != md.base || c.Len() != len(md.entries) {
+					t.Fatalf("run %d op %d buffer %d: domain [%d,%d], model [%d,%d]", run, op, k, c.Min(), c.Max(), md.base, md.base+len(md.entries)-1)
+				}
+				for j, want := range md.entries {
+					if got, _ := c.Get(md.base + j); got.Kind != want.Kind || got.Target != want.Target {
+						t.Fatalf("run %d op %d buffer %d: entry %d is %v/%d, model says %v/%d", run, op, k, md.base+j, got.Kind, got.Target, want.Kind, want.Target)
+					}
+				}
 				for i := c.Min() - 2; i <= c.Max()+2; i++ {
 					if got, want := c.FenceBefore(i), scan(c, i); got != want {
 						t.Fatalf("run %d op %d buffer %d: FenceBefore(%d) = %t, scan says %t\n%s", run, op, k, i, got, want, c)
@@ -114,6 +167,9 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 				}
 			}
 		}
+	}
+	if inPlace == 0 || copied == 0 {
+		t.Fatalf("SetT on private entries %d times, on shared ones %d times; want both", inPlace, copied)
 	}
 }
 

@@ -25,16 +25,16 @@ const (
 // directive sequence ("schedule") fully determines an execution
 // (Lemma B.1).
 type Directive struct {
-	Kind   DKind
-	Taken  bool     // DFetchGuess: the guessed branch outcome
-	Target isa.Addr // DFetchTarget: the guessed program point
-	I      int      // DExecute*: the reorder-buffer index to execute
-	From   int      // DExecFwd: the store index j to forward from
+	Kind  DKind
+	Taken bool // DFetchGuess: the guessed branch outcome
 	// Arm disambiguates domain-level forks on one execute directive —
 	// a symbolic branch condition resolving into both feasible worlds.
 	// 0 = no fork; ArmTaken / ArmNotTaken name the world. Concrete
 	// executions never set it.
-	Arm uint8
+	Arm    uint8
+	Target isa.Addr // DFetchTarget: the guessed program point
+	I      int      // DExecute*: the reorder-buffer index to execute
+	From   int      // DExecFwd: the store index j to forward from
 }
 
 // Arm values for Directive.Arm.

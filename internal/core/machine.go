@@ -63,6 +63,10 @@ type Machine struct {
 
 	Retired int // N: retired-instruction count (retire directives)
 
+	// code is the snapshot of Prog's instructions the fetch stage
+	// reads, built once by New and shared by every clone.
+	code *isa.Table
+
 	// opScratch backs per-step operand resolution (see
 	// Buffer.ResolveOperandsInto) and obsScratch the per-step
 	// observation lists Step returns; neither is part of the
@@ -119,6 +123,7 @@ func WithStrictMemory() Option {
 func New(prog *isa.Program, opts ...Option) *Machine {
 	m := &Machine{
 		Prog: prog,
+		code: prog.Table(),
 		Regs: mem.NewRegisterFile(),
 		Mem:  prog.InitialMemory(),
 		PC:   prog.Entry,
@@ -131,8 +136,8 @@ func New(prog *isa.Program, opts ...Option) *Machine {
 	return m
 }
 
-// Clone forks the machine; the program is shared (it is immutable
-// during execution).
+// Clone forks the machine; the program and its instruction snapshot
+// are shared (a program is immutable during execution).
 func (m *Machine) Clone() *Machine {
 	return &Machine{
 		Prog:      m.Prog,
@@ -144,8 +149,14 @@ func (m *Machine) Clone() *Machine {
 		Buf:       m.Buf.Clone(),
 		RSB:       m.RSB.Clone(),
 		Retired:   m.Retired,
+		code:      m.code,
 	}
 }
+
+// Instr returns the instruction at the fetch head, or nil at a halt
+// point. It points into the program snapshot the machine shares with
+// its clones and must not be modified.
+func (m *Machine) Instr() *isa.Instr { return m.code.At(m.PC) }
 
 // Halted reports whether execution is complete: nothing in flight and
 // nothing to fetch (the PC is a halt point).
@@ -153,8 +164,7 @@ func (m *Machine) Halted() bool {
 	if !m.Buf.Empty() {
 		return false
 	}
-	_, ok := m.Prog.At(m.PC)
-	return !ok
+	return m.Instr() == nil
 }
 
 // Terminal reports |buf| = 0, the paper's initial/terminal condition
@@ -260,8 +270,8 @@ func (m *Machine) RunRecorded(ds Schedule) ([]StepRecord, error) {
 // ---------------------------------------------------------------------
 
 func (m *Machine) stepFetch(d Directive) ([]Observation, error) {
-	in, ok := m.Prog.At(m.PC)
-	if !ok {
+	in := m.Instr()
+	if in == nil {
 		return nil, stall(d, "nothing to fetch at halt point %d", m.PC)
 	}
 	switch in.Kind {

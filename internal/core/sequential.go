@@ -28,8 +28,8 @@ func RunSequential(m *Machine, maxInstrs int) (Schedule, Trace, error) {
 		return err
 	}
 	for n := 0; n < maxInstrs; n++ {
-		in, ok := m.Prog.At(m.PC)
-		if !ok {
+		in := m.Instr()
+		if in == nil {
 			return sched, trace, nil // halt point
 		}
 		var err error
@@ -97,7 +97,7 @@ func seq(step func(Directive) error, ds ...Directive) error {
 // peekBranch evaluates a branch condition against the committed state;
 // only valid when the reorder buffer is empty, which sequential
 // execution guarantees at fetch time.
-func (m *Machine) peekBranch(in isa.Instr) (bool, error) {
+func (m *Machine) peekBranch(in *isa.Instr) (bool, error) {
 	vals, ok := m.Buf.ResolveOperands(m.Buf.Max()+1, m.Regs, in.Args)
 	if !ok {
 		return false, fmt.Errorf("core: sequential branch at %d has unresolved operands", m.PC)
@@ -110,7 +110,7 @@ func (m *Machine) peekBranch(in isa.Instr) (bool, error) {
 }
 
 // peekJmpi evaluates an indirect-jump target against committed state.
-func (m *Machine) peekJmpi(in isa.Instr) (isa.Addr, error) {
+func (m *Machine) peekJmpi(in *isa.Instr) (isa.Addr, error) {
 	vals, ok := m.Buf.ResolveOperands(m.Buf.Max()+1, m.Regs, in.Args)
 	if !ok {
 		return 0, fmt.Errorf("core: sequential jmpi at %d has unresolved operands", m.PC)

@@ -180,7 +180,7 @@ func opList(args []isa.Operand) string {
 // static program: operands are immutable after assembly and transients
 // never rewrite Args, so no copy is needed (branch and jmpi fetches
 // already share them).
-func transientValue(in isa.Instr) Transient {
+func transientValue(in *isa.Instr) Transient {
 	switch in.Kind {
 	case isa.KOp:
 		return Transient{Kind: TOp, Dst: in.Dst, Op: in.Op, Args: in.Args}

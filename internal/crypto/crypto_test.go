@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"runtime"
 	"testing"
 
 	"pitchfork/internal/core"
@@ -85,6 +86,13 @@ func TestTable2(t *testing.T) {
 	t.Logf("\n%s", Render(rows))
 }
 
+// table2Phases are the two phases of the §4.2.1 procedure, as the
+// exploration pins run them.
+var table2Phases = [2]pitchfork.Options{
+	{Bound: pitchfork.BoundNoHazards, StopAtFirst: true},
+	{Bound: pitchfork.BoundWithHazards, ForwardHazards: true, StopAtFirst: true},
+}
+
 // TestTable2ExplorationCounts pins how each Table 2 build explores,
 // not only its cell: for every build and both phases of the §4.2.1
 // procedure (run unconditionally, so a flagged phase 1 still pins
@@ -111,10 +119,6 @@ func TestTable2ExplorationCounts(t *testing.T) {
 		"OpenSSL MEE-CBC/c":                 {{318, 2, false, "spectre-v1", 27, 232}, {255, 3, false, "spectre-v1", 27, 201}},
 		"OpenSSL MEE-CBC/fact":              {{129, 1, false, "", 0, 0}, {298, 11, false, "spectre-v4", 20, 96}},
 	}
-	phases := [2]pitchfork.Options{
-		{Bound: pitchfork.BoundNoHazards, StopAtFirst: true},
-		{Bound: pitchfork.BoundWithHazards, ForwardHazards: true, StopAtFirst: true},
-	}
 	seen := 0
 	for _, c := range Cases() {
 		for _, mode := range []ct.Mode{ct.ModeC, ct.ModeFaCT} {
@@ -129,7 +133,7 @@ func TestTable2ExplorationCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k, opts := range phases {
+			for k, opts := range table2Phases {
 				rep, err := pitchfork.Analyze(core.New(comp.Prog), opts)
 				if err != nil {
 					t.Fatal(err)
@@ -147,6 +151,43 @@ func TestTable2ExplorationCounts(t *testing.T) {
 	}
 	if seen != len(want) {
 		t.Errorf("explored %d builds, want %d", seen, len(want))
+	}
+}
+
+// TestTable2AllocsPerState bounds the heap allocations of the
+// explorer's per-state step: Donna C through both phases explores the
+// 400 000 states TestTable2ExplorationCounts pins, and may allocate at
+// most 0.75 objects per state on average. The schedule, register file
+// and reorder buffer are built so that a deterministic step allocates
+// nothing in the common case; this catches a step that starts to.
+// The race runtime allocates differently, so the bound is not checked
+// there.
+func TestTable2AllocsPerState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	comp, err := Cases()[0].Build(ct.ModeC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	states := 0
+	runtime.ReadMemStats(&before)
+	for _, opts := range table2Phases {
+		rep, err := pitchfork.Analyze(core.New(comp.Prog), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states += rep.States
+	}
+	runtime.ReadMemStats(&after)
+	if states != 400000 {
+		t.Fatalf("Donna C explored %d states over both phases, want the pinned 400000", states)
+	}
+	perState := float64(after.Mallocs-before.Mallocs) / float64(states)
+	t.Logf("%.3f allocations per explored state", perState)
+	if perState > 0.75 {
+		t.Fatalf("%.3f allocations per explored state, want at most 0.75", perState)
 	}
 }
 

@@ -42,6 +42,47 @@ func (p *Program) At(n Addr) (Instr, bool) {
 	return in, ok
 }
 
+// Table is an immutable snapshot of a program's instructions, sorted
+// by program point, for the machines' per-state fetch lookups: At is a
+// binary search that hands out a pointer into the snapshot, so a fetch
+// neither hashes nor copies the instruction. Any address layout, dense
+// or sparse, uses the same representation. Machines build one table
+// when they are created and share it with every clone, which is sound
+// because a program is not mutated while it executes.
+type Table struct {
+	points []Addr
+	instrs []Instr
+}
+
+// Table snapshots the program's current instructions.
+func (p *Program) Table() *Table {
+	points := p.Points()
+	instrs := make([]Instr, len(points))
+	for k, n := range points {
+		instrs[k] = p.Instrs[n]
+	}
+	return &Table{points: points, instrs: instrs}
+}
+
+// At returns the instruction at n, or nil for a halt point. The
+// instruction is shared with every other user of the table and must
+// not be modified.
+func (t *Table) At(n Addr) *Instr {
+	lo, hi := 0, len(t.points)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.points[mid] < n {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(t.points) && t.points[lo] == n {
+		return &t.instrs[lo]
+	}
+	return nil
+}
+
 // SetData seeds the initial data image at address a.
 func (p *Program) SetData(a Addr, v mem.Value) *Program {
 	p.Data[a] = v

@@ -18,8 +18,8 @@ type layer[K comparable, V any] struct {
 // of frozen ancestor layers. Fork is O(1) — it freezes the private
 // overlay into the shared chain and hands out an empty one — so
 // cloning cost is proportional to the data written since the last
-// fork, not to the map size. It backs the concrete Memory and
-// RegisterFile here and the symbolic containers in internal/symx.
+// fork, not to the map size. It backs the concrete Memory here and
+// the symbolic containers in internal/symx.
 type CowMap[K comparable, V any] struct {
 	parent *layer[K, V]
 	cells  map[K]V // private overlay; lazily allocated

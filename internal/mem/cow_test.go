@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +118,94 @@ func TestRegisterFileCloneIndependenceDeepChains(t *testing.T) {
 	}
 	if !parent.Equal(flat) || parent.HashSum() != flat.HashSum() {
 		t.Fatalf("chained register file must Equal its rebuild with the same HashSum")
+	}
+}
+
+// TestRegisterFileMatchesMapModel drives random Write/Clone/Read
+// sequences over a family of register files, each beside a plain-map
+// reference: low registers, registers above 255, and the conventional
+// RMSK/RSP/RTMP at the top of the range. After every operation every
+// file must agree with its own reference on Read, Registers, LowEquiv,
+// Equal and (once activated, at a random point) the incremental
+// HashSum against a from-scratch sum, so each side of a clone stays
+// isolated from the other's writes.
+func TestRegisterFileMatchesMapModel(t *testing.T) {
+	regs := []Reg{0, 1, 2, 7, 15, 255, 256, 300, 4096, 0x8000, RMSK, RSP, RTMP}
+	read := func(m map[Reg]Value, r Reg) Value {
+		if v, ok := m[r]; ok {
+			return v
+		}
+		return Pub(0)
+	}
+	// agree reports whether eq holds for every register in either model.
+	agree := func(a, b map[Reg]Value, eq func(v, w Value) bool) bool {
+		for _, m := range []map[Reg]Value{a, b} {
+			for r := range m {
+				if !eq(read(a, r), read(b, r)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	lowEq := func(v, w Value) bool { return v.L == w.L && (!v.L.IsPublic() || v.W == w.W) }
+	exactEq := func(v, w Value) bool { return v == w }
+	scratchSum := func(m map[Reg]Value) uint64 {
+		var sum uint64
+		for r, v := range m {
+			sum += cellHash(uint64(r), v)
+		}
+		return sum
+	}
+	rng := rand.New(rand.NewSource(7))
+	for run := 0; run < 100; run++ {
+		files := []*RegisterFile{NewRegisterFile()}
+		models := []map[Reg]Value{{}}
+		for op := 0; op < 80; op++ {
+			k := rng.Intn(len(files))
+			f := files[k]
+			switch r := rng.Intn(10); {
+			case r < 6:
+				reg := regs[rng.Intn(len(regs))]
+				// Few words and labels, so files often compare equal.
+				v := V(uint64(rng.Intn(3)), Label(rng.Intn(2)))
+				f.Write(reg, v)
+				models[k][reg] = v
+			case r < 8 && len(files) < 8:
+				files = append(files, f.Clone())
+				models = append(models, maps.Clone(models[k]))
+			case r == 8:
+				_ = f.HashSum()
+			}
+			for i, f := range files {
+				m := models[i]
+				for _, reg := range regs {
+					if got, want := f.Read(reg), read(m, reg); got != want {
+						t.Fatalf("run %d op %d file %d: Read(%#x) = %v, model %v", run, op, i, reg, got, want)
+					}
+				}
+				want := slices.Sorted(maps.Keys(m))
+				if got := f.Registers(); !slices.Equal(got, want) {
+					t.Fatalf("run %d op %d file %d: Registers() = %v, model %v", run, op, i, got, want)
+				}
+				if f.hashed && f.HashSum() != scratchSum(m) {
+					t.Fatalf("run %d op %d file %d: incremental HashSum differs from a from-scratch sum", run, op, i)
+				}
+				for j, g := range files {
+					if got, want := f.LowEquiv(g), agree(m, models[j], lowEq); got != want {
+						t.Fatalf("run %d op %d: files %d, %d LowEquiv = %t, model %t", run, op, i, j, got, want)
+					}
+					if got, want := f.Equal(g), agree(m, models[j], exactEq); got != want {
+						t.Fatalf("run %d op %d: files %d, %d Equal = %t, model %t", run, op, i, j, got, want)
+					}
+				}
+			}
+		}
+		for i, f := range files {
+			if f.HashSum() != scratchSum(models[i]) {
+				t.Fatalf("run %d file %d: HashSum differs from a from-scratch sum", run, i)
+			}
+		}
 	}
 }
 

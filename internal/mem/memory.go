@@ -186,15 +186,27 @@ func (m *Memory) Equal(o *Memory) bool {
 
 // RegisterFile is the register map ρ : R ⇀ V. Register names are
 // small integers; the assembler maps symbolic names (ra, rb, …, rsp,
-// rtmp) onto them. Like Memory, the representation is copy-on-write:
-// Clone is O(1) and forks pay only for the registers they write.
+// rtmp) onto them. The representation is one flat slice of register
+// cells sorted by register, searched by bisection, for every register
+// number alike: a program's registers are few, so the whole file is a
+// handful of cache lines. It is copy-on-write: Clone is O(1) and
+// shares the slice, and the first write after a fork copies it.
 type RegisterFile struct {
-	m CowMap[Reg, Value]
+	cells []regCell
+	// shared marks cells as possibly aliased by a clone; the next
+	// Write copies it first.
+	shared bool
 	// sum and hashed mirror Memory: the lazily activated, then
 	// incrementally maintained, order-independent hash of all mapped
 	// registers.
 	sum    uint64
 	hashed bool
+}
+
+// regCell is one mapped register.
+type regCell struct {
+	r Reg
+	v Value
 }
 
 // Reg names a register.
@@ -221,24 +233,50 @@ func NewRegisterFile() *RegisterFile {
 	return &RegisterFile{}
 }
 
+// find returns the position of r in the sorted cells, or the position
+// it would be inserted at, and whether it is mapped.
+func (f *RegisterFile) find(r Reg) (int, bool) {
+	lo, hi := 0, len(f.cells)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if f.cells[mid].r < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(f.cells) && f.cells[lo].r == r
+}
+
 // Read returns ρ(r); unmapped registers read as Pub(0), mirroring a
 // zeroed register file at power-on.
 func (f *RegisterFile) Read(r Reg) Value {
-	if v, ok := f.m.Lookup(r); ok {
-		return v
+	if k, ok := f.find(r); ok {
+		return f.cells[k].v
 	}
 	return Pub(0)
 }
 
 // Write sets ρ(r) = v.
 func (f *RegisterFile) Write(r Reg, v Value) {
-	old, existed := f.m.Set(r, v)
+	k, existed := f.find(r)
 	if f.hashed {
 		if existed {
-			f.sum -= cellHash(uint64(r), old)
+			f.sum -= cellHash(uint64(r), f.cells[k].v)
 		}
 		f.sum += cellHash(uint64(r), v)
 	}
+	if f.shared {
+		cells := make([]regCell, len(f.cells), len(f.cells)+1)
+		copy(cells, f.cells)
+		f.cells, f.shared = cells, false
+	}
+	if !existed {
+		f.cells = append(f.cells, regCell{})
+		copy(f.cells[k+1:], f.cells[k:])
+		f.cells[k].r = r
+	}
+	f.cells[k].v = v
 }
 
 // HashSum returns the order-independent hash sum over all mapped
@@ -248,61 +286,60 @@ func (f *RegisterFile) HashSum() uint64 {
 	if !f.hashed {
 		f.hashed = true
 		f.sum = 0
-		f.m.FlatEach(func(r Reg, v Value) {
-			f.sum += cellHash(uint64(r), v)
-		})
+		for _, c := range f.cells {
+			f.sum += cellHash(uint64(c.r), c.v)
+		}
 	}
 	return f.sum
 }
 
-// Clone returns an independent copy of the register file in O(1),
-// sharing frozen overlay layers with the original.
+// Clone returns an independent copy of the register file in O(1): both
+// sides share the cells and copy them on their next write.
 func (f *RegisterFile) Clone() *RegisterFile {
-	return &RegisterFile{m: f.m.Fork(), sum: f.sum, hashed: f.hashed}
+	f.shared = true
+	return &RegisterFile{cells: f.cells, shared: true, sum: f.sum, hashed: f.hashed}
 }
 
 // Registers returns the mapped registers in increasing order.
 func (f *RegisterFile) Registers() []Reg {
-	out := f.m.Keys()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]Reg, len(f.cells))
+	for k, c := range f.cells {
+		out[k] = c.r
+	}
 	return out
 }
 
 // LowEquiv reports ρ ≃pub ρ′ over the union of both domains (an
 // unmapped register is Pub(0), so it participates as a public zero).
-// The comparison is a two-pass, allocation-free walk: every register
-// mapped on either side is resolved through Read on both.
 func (f *RegisterFile) LowEquiv(o *RegisterFile) bool {
-	return f.lowEquivHalf(o) && o.lowEquivHalf(f)
-}
-
-func (f *RegisterFile) lowEquivHalf(o *RegisterFile) bool {
-	eq := true
-	f.m.EachKey(func(r Reg) bool {
-		v, w := f.Read(r), o.Read(r)
-		if v.L != w.L || (v.L.IsPublic() && v.W != w.W) {
-			eq = false
-			return false
-		}
-		return true
+	return f.mergeAll(o, func(v, w Value) bool {
+		return v.L == w.L && (!v.L.IsPublic() || v.W == w.W)
 	})
-	return eq
 }
 
-// Equal reports exact equality over the union of both domains, as an
-// allocation-free two-pass walk.
+// Equal reports exact equality over the union of both domains.
 func (f *RegisterFile) Equal(o *RegisterFile) bool {
-	return f.equalHalf(o) && o.equalHalf(f)
+	return f.mergeAll(o, func(v, w Value) bool { return v == w })
 }
 
-func (f *RegisterFile) equalHalf(o *RegisterFile) bool {
-	eq := true
-	f.m.EachKey(func(r Reg) bool {
-		if f.Read(r) != o.Read(r) {
-			eq = false
+// mergeAll walks the union of both files' registers in order and
+// reports whether eq holds for every register's pair of values, an
+// unmapped register reading as Pub(0).
+func (f *RegisterFile) mergeAll(o *RegisterFile, eq func(v, w Value) bool) bool {
+	a, b := f.cells, o.cells
+	for len(a) > 0 || len(b) > 0 {
+		v, w := Pub(0), Pub(0)
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].r < b[0].r:
+			v, a = a[0].v, a[1:]
+		case len(a) == 0 || b[0].r < a[0].r:
+			w, b = b[0].v, b[1:]
+		default:
+			v, w, a, b = a[0].v, b[0].v, a[1:], b[1:]
+		}
+		if !eq(v, w) {
 			return false
 		}
-		return true
-	})
-	return eq
+	}
+	return true
 }

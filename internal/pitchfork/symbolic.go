@@ -128,7 +128,7 @@ func (t *symTransient) assigns(r isa.Reg) bool {
 // transients with clones — so Clone is O(1) and each fork pays only
 // for what it subsequently changes (mirroring the concrete domain).
 type symMachine struct {
-	prog    *isa.Program
+	code    *isa.Table // the program's instructions, shared by clones
 	regs    *symx.RegFile
 	mem     *symx.Memory
 	pc      isa.Addr
@@ -167,7 +167,7 @@ type symMachine struct {
 func newSymMachine(m *SymMachine) *symMachine {
 	solver := symx.NewSolver()
 	s := &symMachine{
-		prog:           m.Prog,
+		code:           m.Prog.Table(),
 		regs:           symx.NewRegFile(),
 		mem:            m.Mem.Clone(),
 		pc:             m.PC,
@@ -191,7 +191,7 @@ func (s *symMachine) Clone() sched.Machine {
 	s.bufShared = true
 	s.bufPrivateFrom = s.base + len(s.buf)
 	return &symMachine{
-		prog:           s.prog,
+		code:           s.code,
 		regs:           s.regs.Clone(),
 		mem:            s.mem.Clone(),
 		pc:             s.pc,
@@ -251,7 +251,7 @@ func (s *symMachine) edit(i int) *symTransient {
 
 func (s *symMachine) PC() isa.Addr { return s.pc }
 
-func (s *symMachine) Instr() (isa.Instr, bool) { return s.prog.At(s.pc) }
+func (s *symMachine) Instr() *isa.Instr { return s.code.At(s.pc) }
 
 func (s *symMachine) RetiredCount() int { return s.retired }
 
@@ -335,7 +335,7 @@ func (s *symMachine) RSBTop() (isa.Addr, bool) { return s.rsb.Top() }
 // PeekJmpi resolves an indirect jump's architectural target; a target
 // that stays symbolic is outside the modeled subset, so ok is false
 // and the engine falls through to draining pending work.
-func (s *symMachine) PeekJmpi(in isa.Instr) (isa.Addr, bool) {
+func (s *symMachine) PeekJmpi(in *isa.Instr) (isa.Addr, bool) {
 	args, ok := s.resolveArgs(s.BufMax()+1, in.Args)
 	if !ok {
 		return 0, false
@@ -493,8 +493,8 @@ func (s *symMachine) Step(d core.Directive) ([]sched.Successor, error) {
 }
 
 func (s *symMachine) stepFetch(d core.Directive) ([]sched.Successor, error) {
-	in, ok := s.prog.At(s.pc)
-	if !ok {
+	in := s.Instr()
+	if in == nil {
 		return nil, symStall("nothing to fetch at halt point %d", s.pc)
 	}
 	switch in.Kind {

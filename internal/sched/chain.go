@@ -1,46 +1,82 @@
-// Immutable parent-pointer chains for per-path bookkeeping, and the
+// Parent-pointer chains for per-path bookkeeping, and the
 // exploration-node pool. A fork used to copy the accumulated schedule
 // and observation trace into every child, making fork cost grow with
 // path depth; the chains below share the common prefix structurally,
-// so extending a path is one node allocation and forking is free. The
-// slices the rest of the system consumes (Violation.Schedule,
-// Violation.Trace, the parallel merge keys) are materialized only when
-// a violation is recorded.
+// so forking is free. Extending a trace is one node allocation;
+// extending a schedule writes one cell of a shared run and allocates
+// only when the run fills or a fork arm starts its own. The slices the
+// rest of the system consumes (Violation.Schedule, Violation.Trace,
+// the parallel merge keys) are materialized only when a violation is
+// recorded.
 package sched
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"pitchfork/internal/core"
 	"pitchfork/internal/isa"
 )
 
-// schedNode is one directive of a path's schedule; parent points at
-// the preceding prefix, shared with every sibling fork.
+// schedNode is a run of consecutive schedule directives. A path's
+// schedule is a schedRef: the first n cells of a node, preceded by the
+// prefix the node continues (its parent's first plen cells, and so
+// on). Several paths may share a node: a path extends the node in
+// place only while it ends at the node's last claimed cell, claiming
+// the next one with a compare-and-swap on used, so of the paths forked
+// from a common prefix exactly one keeps extending it and the others
+// start their own nodes. Claimed cells are written once, before any
+// path that reads them exists, and never again.
 type schedNode struct {
 	parent *schedNode
-	d      core.Directive
-	depth  int // length of the prefix ending here
+	plen   int // how many of parent's cells this run continues
+	base   int // schedule length before the run's first cell
+	used   atomic.Int32
+	ds     []core.Directive // fixed length: the run's capacity
 }
 
-// push extends the schedule by one directive. A nil receiver is the
-// empty schedule.
-func (n *schedNode) push(d core.Directive) *schedNode {
-	depth := 1
-	if n != nil {
-		depth = n.depth + 1
+// Run capacities start small, since a fork arm's own run may be short,
+// and double when a path fills its node, up to the cap.
+const (
+	schedRunMin = 2
+	schedRunMax = 64
+)
+
+// schedRef is one path's schedule. The zero value is the empty
+// schedule.
+type schedRef struct {
+	node *schedNode
+	n    int
+}
+
+// push extends the schedule by one directive.
+func (r schedRef) push(d core.Directive) schedRef {
+	if nd := r.node; nd != nil && r.n < len(nd.ds) && nd.used.CompareAndSwap(int32(r.n), int32(r.n+1)) {
+		nd.ds[r.n] = d
+		return schedRef{nd, r.n + 1}
 	}
-	return &schedNode{parent: n, d: d, depth: depth}
+	size, base := schedRunMin, 0
+	if nd := r.node; nd != nil {
+		base = nd.base + r.n
+		if r.n == len(nd.ds) {
+			size = min(2*len(nd.ds), schedRunMax)
+		}
+	}
+	nd := &schedNode{parent: r.node, plen: r.n, base: base, ds: make([]core.Directive, size)}
+	nd.used.Store(1)
+	nd.ds[0] = d
+	return schedRef{nd, 1}
 }
 
-// materialize renders the chain as a flat schedule, oldest first.
-func (n *schedNode) materialize() core.Schedule {
-	if n == nil {
+// materialize renders the schedule as a flat slice, oldest first; nil
+// for the empty schedule.
+func (r schedRef) materialize() core.Schedule {
+	if r.node == nil {
 		return nil
 	}
-	out := make(core.Schedule, n.depth)
-	for m := n; m != nil; m = m.parent {
-		out[m.depth-1] = m.d
+	out := make(core.Schedule, r.node.base+r.n)
+	for nd, n := r.node, r.n; nd != nil; nd, n = nd.parent, nd.plen {
+		copy(out[nd.base:], nd.ds[:n])
 	}
 	return out
 }
@@ -93,7 +129,7 @@ func newState() *state {
 // dropped so pooling never extends an object's lifetime.
 func releaseState(s *state) {
 	s.m = nil
-	s.sched = nil
+	s.sched = schedRef{}
 	s.trace = nil
 	s.secret = nil
 	s.settled, s.branch = 0, 0

@@ -64,9 +64,10 @@ type Machine interface {
 	Clone() Machine
 	// PC returns the fetch head.
 	PC() isa.Addr
-	// Instr returns the instruction at the fetch head, if any; ok ==
-	// false means the PC is a halt point.
-	Instr() (isa.Instr, bool)
+	// Instr returns the instruction at the fetch head, or nil at a halt
+	// point. It points into the program snapshot the machine shares
+	// with its clones and must not be modified.
+	Instr() *isa.Instr
 	// RetiredCount returns the number of retired instructions (the
 	// MaxRetired budget input).
 	RetiredCount() int
@@ -83,7 +84,7 @@ type Machine interface {
 	// PeekJmpi resolves the architectural target of an indirect jump
 	// about to be fetched, if its operands (and, symbolically, its
 	// target value) are available.
-	PeekJmpi(in isa.Instr) (isa.Addr, bool)
+	PeekJmpi(in *isa.Instr) (isa.Addr, bool)
 	// PeekRet resolves the architectural return target through the
 	// in-memory return address, for rets fetched under an empty RSB.
 	PeekRet() (isa.Addr, bool)
@@ -123,7 +124,7 @@ func (c *concreteMachine) Clone() Machine { return &concreteMachine{m: c.m.Clone
 
 func (c *concreteMachine) PC() isa.Addr { return c.m.PC }
 
-func (c *concreteMachine) Instr() (isa.Instr, bool) { return c.m.Prog.At(c.m.PC) }
+func (c *concreteMachine) Instr() *isa.Instr { return c.m.Instr() }
 
 func (c *concreteMachine) RetiredCount() int { return c.m.Retired }
 
@@ -150,7 +151,7 @@ func (c *concreteMachine) View(i int) (TransientView, bool) {
 
 func (c *concreteMachine) RSBTop() (isa.Addr, bool) { return c.m.RSB.Top() }
 
-func (c *concreteMachine) PeekJmpi(in isa.Instr) (isa.Addr, bool) {
+func (c *concreteMachine) PeekJmpi(in *isa.Instr) (isa.Addr, bool) {
 	vals, ok := c.m.Buf.ResolveOperands(c.m.Buf.Max()+1, c.m.Regs, in.Args)
 	if !ok {
 		return 0, false

@@ -294,13 +294,13 @@ func NewExplorer(opts Options) (*Explorer, error) {
 }
 
 // state is one node of the exploration tree. The schedule and trace
-// are immutable parent-pointer chains (see chain.go): forks share the
-// prefix structurally instead of copying it, so cloning a state costs
+// are parent-pointer chains (see chain.go): forks share the prefix
+// structurally instead of copying it, so cloning a state costs
 // O(1) plus the machine's own copy-on-write fork. Nodes are pooled —
 // use newState/releaseState, never allocate directly.
 type state struct {
 	m     Machine
-	sched *schedNode
+	sched schedRef
 	// trace is the observation chain; each node carries the program
 	// point of the instruction that produced the observation — so
 	// violations point at the leaking instruction, not the fetch head
@@ -459,7 +459,8 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 		}
 		return true, false, &v
 	}
-	in, fetchable := m.Instr()
+	in := m.Instr()
+	fetchable := in != nil
 	if (m.BufLen() == 0 && !fetchable) || m.RetiredCount() >= opts.MaxRetired {
 		return true, false, nil
 	}
@@ -752,7 +753,7 @@ func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 // The schedule chain is extended only when some consumer exists —
 // KeepSchedules (violation schedules) or a parallel run (whose
 // deterministic merge keys are schedule prefixes); a serial counting
-// exploration skips the per-step node entirely.
+// exploration records no schedule at all.
 func apply(opts *Options, st *state, d core.Directive, emit func(*state)) bool {
 	pp := sourcePoint(st.m, d)
 	succs, err := st.m.Step(d)
@@ -760,8 +761,9 @@ func apply(opts *Options, st *state, d core.Directive, emit func(*state)) bool {
 		return false
 	}
 	recordSched := opts.KeepSchedules || opts.Workers > 1
-	// Pre-fork bookkeeping: every arm extends these chains (immutable,
-	// so sharing them with an already-emitted arm is safe). The
+	// Pre-fork bookkeeping: every arm extends these chains (a path
+	// never sees another's extension, so sharing them with an
+	// already-emitted arm is safe). The
 	// pendingFwd map is mutable and stays owned by st — the first arm —
 	// which emit may hand to another worker immediately; snapshot it
 	// before any arm is published so later arms never read a map a
