@@ -193,6 +193,53 @@ func BenchmarkKocherSymbolic(b *testing.B) {
 	}
 }
 
+// BenchmarkSymbolicBudget measures the symbolic leg of the corpus
+// sweep where it costs most: kocher03 and v11_01 run exactly as the
+// sweep runs them — the public API at shipped defaults, x unbound as a
+// solver variable, every finding reported — and both explore to the
+// state budget. BenchmarkKocherSymbolic stops at its first finding at
+// bound 30, so it never reaches this per-state cost. The pinned counts
+// fail the benchmark if an optimization changes the exploration.
+func BenchmarkSymbolicBudget(b *testing.B) {
+	want := []struct {
+		c         testcases.Case
+		states    int
+		truncated bool
+	}{
+		{testcases.Kocher()[2], 200_000, true}, // kocher03
+		{testcases.V11()[0], 200_000, true},    // v11_01
+	}
+	an, err := spectre.New(spectre.WithSymbolic(true))
+	if err != nil {
+		b.Fatal(err)
+	}
+	progs := make([]*spectre.Program, len(want))
+	for i, w := range want {
+		prog, err := spectre.CompileCTL(w.c.Source(), spectre.ModeC)
+		if err != nil {
+			b.Fatalf("%s: %v", w.c.Name, err)
+		}
+		if !prog.SymbolicGlobal("x", "x") {
+			b.Fatalf("%s: no global x", w.c.Name)
+		}
+		progs[i] = prog
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, w := range want {
+			rep, err := an.Run(ctx, progs[k])
+			if err != nil {
+				b.Fatalf("%s: %v", w.c.Name, err)
+			}
+			if rep.States != w.states || rep.Truncated != w.truncated {
+				b.Fatalf("%s: states=%d truncated=%t, pinned %d/%t", w.c.Name, rep.States, rep.Truncated, w.states, w.truncated)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // §4.2 tractability: schedule-space growth with the speculation bound,
 // with and without forwarding-hazard detection — the reason the paper

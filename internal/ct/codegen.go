@@ -50,7 +50,7 @@ type Compiled struct {
 }
 
 // Compile parses, checks, and compiles a CTL source under the mode.
-func Compile(src string, mode Mode) (*Compiled, error) {
+func Compile(src string, mode Mode) (c *Compiled, err error) {
 	ast, err := Parse(src)
 	if err != nil {
 		return nil, err
@@ -69,6 +69,14 @@ func Compile(src string, mode Mode) (*Compiled, error) {
 		entries: make(map[string]isa.Addr),
 		nextReg: 10,
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			if r != errRegisterSpace {
+				panic(r)
+			}
+			c, err = nil, errRegisterSpace
+		}
+	}()
 	return cg.run()
 }
 
@@ -97,10 +105,15 @@ func (cg *codegen) freshReg() isa.Reg {
 	r := cg.nextReg
 	cg.nextReg++
 	if cg.nextReg >= 0xFF00 {
-		panic("ct: register space exhausted")
+		panic(errRegisterSpace)
 	}
 	return r
 }
+
+// errRegisterSpace aborts code generation from deep inside the emitter
+// when a program needs more registers than the ISA names; Compile turns
+// it back into an ordinary error.
+var errRegisterSpace = &Error{Msg: "register space exhausted"}
 
 func (cg *codegen) here() isa.Addr { return isa.Addr(len(cg.instrs) + 1) }
 
@@ -114,9 +127,13 @@ func (cg *codegen) emit(in isa.Instr) int {
 func (cg *codegen) run() (*Compiled, error) {
 	cg.callPatches = make(map[int]string)
 
-	// Global layout.
+	// Global layout: the globals must fit below the call stack, which
+	// also bounds the data image the program carries.
 	addr := GlobalBase
 	for _, g := range cg.ast.Globals {
+		if g.Size > uint64(StackTop-stackWords+1-addr) {
+			return nil, &Error{Line: g.Line, Msg: "global " + g.Name + " does not fit below the call stack"}
+		}
 		cg.gaddr[g.Name] = addr
 		addr += isa.Addr(g.Size)
 	}

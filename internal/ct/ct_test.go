@@ -1,6 +1,7 @@
 package ct
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -353,12 +354,33 @@ func TestCheckErrors(t *testing.T) {
 		"fn f() {} fn f() {} fn main() { }":         "duplicate function",
 		"public f; fn f() {} fn main() { }":         "collides with global",
 		"public a[2]; fn main() { var y = a + 1; }": "is an array",
+		"public a[99999999999999]; fn main() { }":   "does not fit below the call stack",
+		"public a[32512]; public b; fn main() { }":  "global b does not fit",
 	}
 	for src, wantSub := range cases {
 		_, err := Compile(src, ModeC)
 		if err == nil || !strings.Contains(err.Error(), wantSub) {
 			t.Errorf("source %q: want error containing %q, got %v", src, wantSub, err)
 		}
+	}
+}
+
+// TestCompileLimitsAreErrors checks the two code-generation limits
+// arbitrary source can reach — the data segment below the call stack
+// and the register space — come back as errors, never as a panic or a
+// data image that grows with a declared size.
+func TestCompileLimitsAreErrors(t *testing.T) {
+	if _, err := Compile("public a[32512]; fn main() { }", ModeC); err != nil {
+		t.Fatalf("globals that exactly fill the data segment must compile: %v", err)
+	}
+	var src strings.Builder
+	src.WriteString("fn main() {")
+	for i := 0; i < 0xFF00; i++ {
+		fmt.Fprintf(&src, " var v%d = 0;", i)
+	}
+	src.WriteString(" }")
+	if _, err := Compile(src.String(), ModeC); err == nil || !strings.Contains(err.Error(), "register space exhausted") {
+		t.Fatalf("want a register-space error, got %v", err)
 	}
 }
 

@@ -18,8 +18,9 @@ type layer[K comparable, V any] struct {
 // of frozen ancestor layers. Fork is O(1) — it freezes the private
 // overlay into the shared chain and hands out an empty one — so
 // cloning cost is proportional to the data written since the last
-// fork, not to the map size. It backs the concrete Memory here and
-// the symbolic containers in internal/symx.
+// fork, not to the map size. It backs the two data memories: the
+// concrete Memory here and the symbolic Memory in internal/symx.
+// Register files, which are small, use the flat CellFile instead.
 type CowMap[K comparable, V any] struct {
 	parent *layer[K, V]
 	cells  map[K]V // private overlay; lazily allocated
@@ -143,3 +144,84 @@ func (c *CowMap[K, V]) Keys() []K {
 	}
 	return out
 }
+
+// CellFile is a flat copy-on-write map from registers to values: one
+// slice of cells sorted by register, searched by bisection, for every
+// register number alike. A program's registers are few, so the whole
+// file is a handful of cache lines. Fork is O(1) and shares the slice;
+// the first Set after a fork, on either side, copies it. It backs the
+// concrete RegisterFile here and the symbolic register file in
+// internal/symx; each wraps it with its own read default and hash sum.
+type CellFile[V any] struct {
+	cells []Cell[V]
+	// shared marks cells as possibly aliased by a fork; the next Set
+	// copies it first.
+	shared bool
+}
+
+// Cell is one mapped register of a CellFile.
+type Cell[V any] struct {
+	R   Reg
+	Val V
+}
+
+// find returns the position of r in the sorted cells, or the position
+// it would be inserted at, and whether it is mapped.
+func (f *CellFile[V]) find(r Reg) (int, bool) {
+	lo, hi := 0, len(f.cells)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if f.cells[mid].R < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(f.cells) && f.cells[lo].R == r
+}
+
+// Lookup returns the binding of r, if mapped.
+func (f *CellFile[V]) Lookup(r Reg) (V, bool) {
+	if k, ok := f.find(r); ok {
+		return f.cells[k].Val, true
+	}
+	var zero V
+	return zero, false
+}
+
+// Set binds r to v and returns the previous binding, for incremental
+// hash maintenance.
+func (f *CellFile[V]) Set(r Reg, v V) (old V, existed bool) {
+	k, existed := f.find(r)
+	if existed {
+		old = f.cells[k].Val
+	}
+	if f.shared {
+		cells := make([]Cell[V], len(f.cells), len(f.cells)+1)
+		copy(cells, f.cells)
+		f.cells, f.shared = cells, false
+	}
+	if !existed {
+		f.cells = append(f.cells, Cell[V]{})
+		copy(f.cells[k+1:], f.cells[k:])
+		f.cells[k].R = r
+	}
+	f.cells[k].Val = v
+	return old, existed
+}
+
+// Fork returns an independent file over the same cells in O(1). Both
+// the receiver and the returned file copy the cells on their next Set,
+// so neither can observe the other's subsequent writes.
+func (f *CellFile[V]) Fork() CellFile[V] {
+	f.shared = true
+	return CellFile[V]{cells: f.cells, shared: true}
+}
+
+// Len returns the number of mapped registers.
+func (f *CellFile[V]) Len() int { return len(f.cells) }
+
+// Cells returns the mapped cells in increasing register order. The
+// slice is the file's own storage, possibly shared with forks: callers
+// must not modify it, and it is valid only until the next Set.
+func (f *CellFile[V]) Cells() []Cell[V] { return f.cells }

@@ -209,6 +209,66 @@ func TestRegisterFileMatchesMapModel(t *testing.T) {
 	}
 }
 
+// TestCellFileMatchesMapModel checks the generic cell file under both
+// register files directly: random Set/Fork sequences over a family of
+// files, each beside a plain-map model, over low registers, registers
+// above 255 and RMSK/RSP/RTMP. Set must report the model's previous
+// binding; after every operation every file must agree with its model
+// on Lookup, Len and Cells (sorted by register), and cells handed out
+// before a Set on any file must not change — forks share the slice, so
+// the first Set after a fork must copy it.
+func TestCellFileMatchesMapModel(t *testing.T) {
+	regs := []Reg{0, 1, 2, 7, 15, 255, 256, 300, 4096, 0x8000, RMSK, RSP, RTMP}
+	rng := rand.New(rand.NewSource(11))
+	for run := 0; run < 100; run++ {
+		files := []*CellFile[int]{{}}
+		models := []map[Reg]int{{}}
+		for op := 0; op < 80; op++ {
+			n := rng.Intn(len(files))
+			held := make([][]Cell[int], len(files))
+			kept := make([][]Cell[int], len(files))
+			for i, f := range files {
+				held[i] = f.Cells()
+				kept[i] = slices.Clone(held[i])
+			}
+			if rng.Intn(4) > 0 || len(files) >= 8 {
+				reg, v := regs[rng.Intn(len(regs))], rng.Intn(3)
+				old, existed := files[n].Set(reg, v)
+				if want, ok := models[n][reg]; existed != ok || old != want {
+					t.Fatalf("run %d op %d file %d: Set(%#x) returned %d/%t, model %d/%t", run, op, n, reg, old, existed, want, ok)
+				}
+				models[n][reg] = v
+			} else {
+				fork := files[n].Fork()
+				files = append(files, &fork)
+				models = append(models, maps.Clone(models[n]))
+			}
+			for i, f := range files {
+				m := models[i]
+				for _, reg := range regs {
+					got, ok := f.Lookup(reg)
+					if want, wok := m[reg]; ok != wok || got != want {
+						t.Fatalf("run %d op %d file %d: Lookup(%#x) = %d/%t, model %d/%t", run, op, i, reg, got, ok, want, wok)
+					}
+				}
+				if f.Len() != len(m) {
+					t.Fatalf("run %d op %d file %d: Len = %d, model %d", run, op, i, f.Len(), len(m))
+				}
+				want := make([]Cell[int], 0, len(m))
+				for _, r := range slices.Sorted(maps.Keys(m)) {
+					want = append(want, Cell[int]{R: r, Val: m[r]})
+				}
+				if got := f.Cells(); !slices.Equal(got, want) {
+					t.Fatalf("run %d op %d file %d: Cells = %v, model %v", run, op, i, got, want)
+				}
+				if i < len(held) && i != n && !slices.Equal(held[i], kept[i]) {
+					t.Fatalf("run %d op %d file %d: a Set on file %d changed its cells", run, op, i, n)
+				}
+			}
+		}
+	}
+}
+
 // TestRegisterFileCompareAllocationFree pins the satellite fix: Equal
 // and LowEquiv on register files must not allocate, even across clone
 // chains (they used to build a per-call union set).

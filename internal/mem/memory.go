@@ -186,27 +186,16 @@ func (m *Memory) Equal(o *Memory) bool {
 
 // RegisterFile is the register map ρ : R ⇀ V. Register names are
 // small integers; the assembler maps symbolic names (ra, rb, …, rsp,
-// rtmp) onto them. The representation is one flat slice of register
-// cells sorted by register, searched by bisection, for every register
-// number alike: a program's registers are few, so the whole file is a
-// handful of cache lines. It is copy-on-write: Clone is O(1) and
-// shares the slice, and the first write after a fork copies it.
+// rtmp) onto them. The representation is the flat copy-on-write
+// CellFile: Clone is O(1) and shares the cells, and the first write
+// after a fork copies them.
 type RegisterFile struct {
-	cells []regCell
-	// shared marks cells as possibly aliased by a clone; the next
-	// Write copies it first.
-	shared bool
+	f CellFile[Value]
 	// sum and hashed mirror Memory: the lazily activated, then
 	// incrementally maintained, order-independent hash of all mapped
 	// registers.
 	sum    uint64
 	hashed bool
-}
-
-// regCell is one mapped register.
-type regCell struct {
-	r Reg
-	v Value
 }
 
 // Reg names a register.
@@ -233,50 +222,24 @@ func NewRegisterFile() *RegisterFile {
 	return &RegisterFile{}
 }
 
-// find returns the position of r in the sorted cells, or the position
-// it would be inserted at, and whether it is mapped.
-func (f *RegisterFile) find(r Reg) (int, bool) {
-	lo, hi := 0, len(f.cells)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if f.cells[mid].r < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(f.cells) && f.cells[lo].r == r
-}
-
 // Read returns ρ(r); unmapped registers read as Pub(0), mirroring a
 // zeroed register file at power-on.
 func (f *RegisterFile) Read(r Reg) Value {
-	if k, ok := f.find(r); ok {
-		return f.cells[k].v
+	if v, ok := f.f.Lookup(r); ok {
+		return v
 	}
 	return Pub(0)
 }
 
 // Write sets ρ(r) = v.
 func (f *RegisterFile) Write(r Reg, v Value) {
-	k, existed := f.find(r)
+	old, existed := f.f.Set(r, v)
 	if f.hashed {
 		if existed {
-			f.sum -= cellHash(uint64(r), f.cells[k].v)
+			f.sum -= cellHash(uint64(r), old)
 		}
 		f.sum += cellHash(uint64(r), v)
 	}
-	if f.shared {
-		cells := make([]regCell, len(f.cells), len(f.cells)+1)
-		copy(cells, f.cells)
-		f.cells, f.shared = cells, false
-	}
-	if !existed {
-		f.cells = append(f.cells, regCell{})
-		copy(f.cells[k+1:], f.cells[k:])
-		f.cells[k].r = r
-	}
-	f.cells[k].v = v
 }
 
 // HashSum returns the order-independent hash sum over all mapped
@@ -286,8 +249,8 @@ func (f *RegisterFile) HashSum() uint64 {
 	if !f.hashed {
 		f.hashed = true
 		f.sum = 0
-		for _, c := range f.cells {
-			f.sum += cellHash(uint64(c.r), c.v)
+		for _, c := range f.f.Cells() {
+			f.sum += cellHash(uint64(c.R), c.Val)
 		}
 	}
 	return f.sum
@@ -296,15 +259,15 @@ func (f *RegisterFile) HashSum() uint64 {
 // Clone returns an independent copy of the register file in O(1): both
 // sides share the cells and copy them on their next write.
 func (f *RegisterFile) Clone() *RegisterFile {
-	f.shared = true
-	return &RegisterFile{cells: f.cells, shared: true, sum: f.sum, hashed: f.hashed}
+	return &RegisterFile{f: f.f.Fork(), sum: f.sum, hashed: f.hashed}
 }
 
 // Registers returns the mapped registers in increasing order.
 func (f *RegisterFile) Registers() []Reg {
-	out := make([]Reg, len(f.cells))
-	for k, c := range f.cells {
-		out[k] = c.r
+	cells := f.f.Cells()
+	out := make([]Reg, len(cells))
+	for k, c := range cells {
+		out[k] = c.R
 	}
 	return out
 }
@@ -326,16 +289,16 @@ func (f *RegisterFile) Equal(o *RegisterFile) bool {
 // reports whether eq holds for every register's pair of values, an
 // unmapped register reading as Pub(0).
 func (f *RegisterFile) mergeAll(o *RegisterFile, eq func(v, w Value) bool) bool {
-	a, b := f.cells, o.cells
+	a, b := f.f.Cells(), o.f.Cells()
 	for len(a) > 0 || len(b) > 0 {
 		v, w := Pub(0), Pub(0)
 		switch {
-		case len(b) == 0 || len(a) > 0 && a[0].r < b[0].r:
-			v, a = a[0].v, a[1:]
-		case len(a) == 0 || b[0].r < a[0].r:
-			w, b = b[0].v, b[1:]
+		case len(b) == 0 || len(a) > 0 && a[0].R < b[0].R:
+			v, a = a[0].Val, a[1:]
+		case len(a) == 0 || b[0].R < a[0].R:
+			w, b = b[0].Val, b[1:]
 		default:
-			v, w, a, b = a[0].v, b[0].v, a[1:], b[1:]
+			v, w, a, b = a[0].Val, b[0].Val, a[1:], b[1:]
 		}
 		if !eq(v, w) {
 			return false

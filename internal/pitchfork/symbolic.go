@@ -122,11 +122,14 @@ func (t *symTransient) assigns(r isa.Reg) bool {
 // stateless per query (deterministically self-seeding), so concurrent
 // exploration workers may use them without coordination.
 //
-// The configuration is copy-on-write end to end: registers and memory
-// are overlay chains (symx.RegFile / symx.Memory), the RSB journal
-// shares its tail, and the reorder buffer shares its backing slice and
-// transients with clones — so Clone is O(1) and each fork pays only
-// for what it subsequently changes (mirroring the concrete domain).
+// The configuration is copy-on-write end to end: registers are a flat
+// cell file (symx.RegFile) copied on the first write after a fork,
+// memory is an overlay chain (symx.Memory) whose secret-cell index is
+// kept current on write, the RSB journal shares its tail, and the
+// reorder buffer shares its backing slice and transients with clones
+// — so Clone is O(1) and each fork pays only for what it subsequently
+// changes (mirroring the concrete domain). No per-state step walks
+// memory: the concretizer reads the secret-cell index as is.
 type symMachine struct {
 	code    *isa.Table // the program's instructions, shared by clones
 	regs    *symx.RegFile

@@ -1,6 +1,9 @@
 package repair
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"pitchfork/internal/core"
@@ -81,3 +84,84 @@ func repairCorpus(t *testing.T, cases []testcases.Case) {
 func TestRepairKocherSuite(t *testing.T)     { repairCorpus(t, testcases.Kocher()) }
 func TestRepairSpecOnlyV1Suite(t *testing.T) { repairCorpus(t, testcases.SpecOnlyV1()) }
 func TestRepairV11Suite(t *testing.T)        { repairCorpus(t, testcases.V11()) }
+
+// TestMinimizeSkipsIdentityTrial checks that minimization never
+// re-verifies the input program: when a trial drops the last site and
+// the plan comes out empty, the trial is the original, which the
+// baseline verification already found not clean. Each case is a
+// multi-site fence repair whose minimizer reaches that trial in the
+// auto portfolio; a counting verifier must see the original exactly
+// once. The chosen result and every strategy's attempt (outcome, sites,
+// fences, cost) are pinned to what they were when the minimizer still
+// verified the identity trial.
+func TestMinimizeSkipsIdentityTrial(t *testing.T) {
+	pinned := []struct {
+		c    testcases.Case
+		want []string
+	}{
+		{testcases.Kocher()[2], []string{
+			"fence repaired sites=[10] fences=[10] inserted=1 iters=1 pre=6 seq=24/24",
+			"fence repaired sites=[10] fences=[10] inserted=1 iters=1 pre=6 seq=24/24",
+			"mask exhausted sites=[5] fences=[] inserted=0 iters=1 pre=0 seq=0/0",
+			"ret exhausted sites=[20] fences=[] inserted=0 iters=1 pre=0 seq=0/0",
+		}},
+		{testcases.V11()[0], []string{
+			"fence repaired sites=[7] fences=[7] inserted=1 iters=1 pre=5 seq=13/13",
+			"fence repaired sites=[7] fences=[7] inserted=1 iters=1 pre=5 seq=13/13",
+			"mask exhausted sites=[] fences=[] inserted=0 iters=0 pre=0 seq=0/0",
+			"ret exhausted sites=[16] fences=[] inserted=0 iters=1 pre=0 seq=0/0",
+		}},
+	}
+	// same reports whether two programs have the same entry and
+	// instructions (an absent and an empty operand list are equal).
+	same := func(a, b *isa.Program) bool {
+		if a.Entry != b.Entry || len(a.Instrs) != len(b.Instrs) {
+			return false
+		}
+		for pp, in := range a.Instrs {
+			o, ok := b.Instrs[pp]
+			if !ok || !slices.Equal(in.Args, o.Args) {
+				return false
+			}
+			in.Args, o.Args = nil, nil
+			if !reflect.DeepEqual(in, o) {
+				return false
+			}
+		}
+		return true
+	}
+	summary := func(r *Result) string {
+		return fmt.Sprintf("%s %s sites=%v fences=%v inserted=%d iters=%d pre=%d seq=%d/%d",
+			r.Strategy, r.Outcome, r.Sites, r.Fences, r.Inserted, r.Iterations, r.PreMinimizeFences, r.SeqInstrsBefore, r.SeqInstrs)
+	}
+	for _, pin := range pinned {
+		name := pin.c.Name
+		m, err := pin.c.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := corpusOptions()
+		opts.Strategy = StrategyAuto
+		verify, originals := opts.Verify, 0
+		opts.Verify = func(p *isa.Program) (pitchfork.Report, error) {
+			if same(p, m.Prog) {
+				originals++
+			}
+			return verify(p)
+		}
+		res, err := Repair(m.Prog, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := []string{summary(res)}
+		for _, a := range res.PerStrategy {
+			got = append(got, summary(a))
+		}
+		if !slices.Equal(got, pin.want) {
+			t.Errorf("%s: results\n%q\nwant\n%q", name, got, pin.want)
+		}
+		if originals != 1 {
+			t.Errorf("%s: the original program was verified %d times, want once (the baseline)", name, originals)
+		}
+	}
+}

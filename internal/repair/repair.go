@@ -601,7 +601,11 @@ func minimize(orig *isa.Program, mit Mitigation, res *Result, opts Options) erro
 	for _, s := range minimizeOrder(orig, mit, res.Sites, opts) {
 		trial := without(sites, s)
 		plan, err := mit.Plan(orig, trial)
-		if err != nil {
+		if err != nil || plan.Empty() {
+			// An empty plan's trial is the input program itself, which
+			// the baseline verification already found not clean. (An
+			// empty site list is not enough: the mask plan with no
+			// sites still masks every computed-address load.)
 			continue
 		}
 		rw, err := plan.Apply(orig)

@@ -2,10 +2,12 @@ package symx
 
 import "pitchfork/internal/mem"
 
-// The symbolic containers (Memory, RegFile) reuse internal/mem's
-// generic copy-on-write overlay chain (mem.CowMap) with expression
-// values, so the chain logic — lookup precedence, fork freezing,
-// depth-bounded flattening — has exactly one implementation.
+// The symbolic containers reuse internal/mem's generic copy-on-write
+// representations with expression values, so each has exactly one
+// implementation: Memory runs on the overlay chain (mem.CowMap) —
+// lookup precedence, fork freezing, depth-bounded flattening — and
+// RegFile on the flat cell file (mem.CellFile) the concrete register
+// file uses.
 
 // chainCellHash is the shared per-cell hash of the incremental,
 // order-independent container sums: Mix64(Mix64(seed ^ key) ^

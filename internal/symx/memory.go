@@ -2,6 +2,7 @@ package symx
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pitchfork/internal/isa"
@@ -22,6 +23,11 @@ func eqOp() isa.Opcode { return isa.OpEq }
 // store concretizations) cheap.
 type Memory struct {
 	m mem.CowMap[mem.Word, Expr]
+	// secret is the sorted set of addresses whose expression carries a
+	// secret label — the concretizer's targets, kept current by Write.
+	// A slice is never modified once installed: Write installs a fresh
+	// one when a cell's secret-ness changes, so clones share it safely.
+	secret []mem.Word
 	// sum is the order-independent sum of chainCellHash over all
 	// mapped cells — the memory half of the symbolic configuration
 	// fingerprint, activated lazily by the first HashSum call and
@@ -50,6 +56,13 @@ func (m *Memory) Write(a mem.Word, e Expr) {
 		}
 		m.sum += chainCellHash(a, e)
 	}
+	k, wasSecret := slices.BinarySearch(m.secret, a)
+	switch isSecret := e.Label().IsSecret(); {
+	case isSecret && !wasSecret:
+		m.secret = slices.Concat(m.secret[:k], []mem.Word{a}, m.secret[k:])
+	case wasSecret && !isSecret:
+		m.secret = slices.Concat(m.secret[:k], m.secret[k+1:])
+	}
 }
 
 // Contains reports whether a is mapped.
@@ -62,7 +75,7 @@ func (m *Memory) Contains(a mem.Word) bool {
 // frozen into the shared chain (expressions are immutable and shared
 // throughout).
 func (m *Memory) Clone() *Memory {
-	return &Memory{m: m.m.Fork(), sum: m.sum, hashed: m.hashed}
+	return &Memory{m: m.m.Fork(), secret: m.secret, sum: m.sum, hashed: m.hashed}
 }
 
 // HashSum folds the memory into an order-independent 64-bit sum over
@@ -91,16 +104,10 @@ func (m *Memory) Addresses() []mem.Word {
 
 // SecretAddresses returns the mapped addresses whose contents carry a
 // secret label, in increasing order; the concretizer targets these.
-func (m *Memory) SecretAddresses() []mem.Word {
-	var out []mem.Word
-	for _, a := range m.m.Keys() {
-		if e, ok := m.m.Lookup(a); ok && e.Label().IsSecret() {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// The set is kept current by Write, so the call walks nothing and
+// allocates nothing. The returned slice is the memory's own index,
+// possibly shared with clones: callers must not modify it.
+func (m *Memory) SecretAddresses() []mem.Word { return m.secret }
 
 // Concretizer pins symbolic addresses to concrete words, in the style
 // of angr's concretization strategies. The policy is leak-hunting: if

@@ -5,14 +5,15 @@ import (
 	"pitchfork/internal/mem"
 )
 
-// RegFile is a symbolic register file ρ : R ⇀ Expr with the same
-// copy-on-write representation as Memory: Clone is O(1), forks pay
-// only for the registers they write, and an order-independent hash sum
-// over the mapped registers is maintained incrementally once
-// fingerprinting starts. Unmapped registers are simply absent (ok ==
-// false); the symbolic machine supplies its own public-zero default.
+// RegFile is a symbolic register file ρ : R ⇀ Expr on the same flat
+// copy-on-write cell file as the concrete mem.RegisterFile: Clone is
+// O(1) and shares the cells, the first write after a fork copies them,
+// and an order-independent hash sum over the mapped registers is
+// maintained incrementally once fingerprinting starts. Unmapped
+// registers are simply absent (ok == false); the symbolic machine
+// supplies its own public-zero default.
 type RegFile struct {
-	m      mem.CowMap[isa.Reg, Expr]
+	f      mem.CellFile[Expr]
 	sum    uint64
 	hashed bool
 }
@@ -22,12 +23,12 @@ func NewRegFile() *RegFile { return &RegFile{} }
 
 // Read returns ρ(r), if mapped.
 func (f *RegFile) Read(r isa.Reg) (Expr, bool) {
-	return f.m.Lookup(r)
+	return f.f.Lookup(r)
 }
 
 // Write sets ρ(r) = e.
 func (f *RegFile) Write(r isa.Reg, e Expr) {
-	old, existed := f.m.Set(r, e)
+	old, existed := f.f.Set(r, e)
 	if f.hashed {
 		if existed {
 			f.sum -= chainCellHash(uint64(r), old)
@@ -38,11 +39,11 @@ func (f *RegFile) Write(r isa.Reg, e Expr) {
 
 // Clone returns an independent copy in O(1).
 func (f *RegFile) Clone() *RegFile {
-	return &RegFile{m: f.m.Fork(), sum: f.sum, hashed: f.hashed}
+	return &RegFile{f: f.f.Fork(), sum: f.sum, hashed: f.hashed}
 }
 
 // Len returns the number of mapped registers.
-func (f *RegFile) Len() int { return f.m.Len() }
+func (f *RegFile) Len() int { return f.f.Len() }
 
 // HashSum folds the register file into an order-independent 64-bit
 // sum over structural expression fingerprints; the first call
@@ -51,9 +52,9 @@ func (f *RegFile) HashSum() uint64 {
 	if !f.hashed {
 		f.hashed = true
 		f.sum = 0
-		f.m.FlatEach(func(r isa.Reg, e Expr) {
-			f.sum += chainCellHash(uint64(r), e)
-		})
+		for _, c := range f.f.Cells() {
+			f.sum += chainCellHash(uint64(c.R), c.Val)
+		}
 	}
 	return f.sum
 }
