@@ -12,10 +12,10 @@ import (
 // through every mutating operation on both sides of a fork and checks
 // the sibling never observes the change.
 func TestBufferCloneIndependence(t *testing.T) {
-	b := NewBuffer()
-	b.Append(&Transient{Kind: TStore, Src: isa.R(1), Args: []isa.Operand{isa.ImmW(0x40)}})
-	b.Append(&Transient{Kind: TLoad, Dst: 2, Args: []isa.Operand{isa.ImmW(0x41)}})
-	b.Append(&Transient{Kind: TFence})
+	b := NewBuffer[Transient]()
+	b.AppendT(Transient{Kind: TStore, Src: isa.R(1), Args: []isa.Operand{isa.ImmW(0x40)}})
+	b.AppendT(Transient{Kind: TLoad, Dst: 2, Args: []isa.Operand{isa.ImmW(0x41)}})
+	b.AppendT(Transient{Kind: TFence})
 
 	c := b.Clone()
 
@@ -30,12 +30,12 @@ func TestBufferCloneIndependence(t *testing.T) {
 		t.Fatal("Edit on the clone mutated the original's entry")
 	}
 
-	// Array-level mutation: Set and Append on the original must not
+	// Array-level mutation: SetT and AppendT on the original must not
 	// show up in the clone.
 	b.SetT(2, Transient{Kind: TValue, Dst: 2, Val: mem.Pub(5)})
 	b.AppendT(Transient{Kind: TFence})
 	if ct, _ := c.Get(2); ct.Kind != TLoad {
-		t.Fatal("Set on the original leaked into the clone")
+		t.Fatal("SetT on the original leaked into the clone")
 	}
 	if c.Max() != 3 {
 		t.Fatalf("clone Max = %d, want 3", c.Max())
@@ -56,15 +56,15 @@ func TestBufferCloneIndependence(t *testing.T) {
 }
 
 // TestBufferEditOwnsAfterPop checks the privateFrom watermark across
-// PopMin: entries retained from before a clone stay copy-on-write even
+// PopMinN: entries retained from before a clone stay copy-on-write even
 // as the window slides.
 func TestBufferEditOwnsAfterPop(t *testing.T) {
-	b := NewBuffer()
+	b := NewBuffer[Transient]()
 	for i := 0; i < 4; i++ {
 		b.AppendT(Transient{Kind: TStore, Src: isa.R(isa.Reg(i)), Args: []isa.Operand{isa.ImmW(mem.Word(i))}})
 	}
 	c := b.Clone()
-	b.PopMin()
+	b.PopMinN(1)
 	et, _ := b.Edit(2)
 	et.ValKnown = true
 	if ct, _ := c.Get(2); ct.ValKnown {
@@ -82,7 +82,7 @@ func TestBufferEditOwnsAfterPop(t *testing.T) {
 // a clone sees. Both SetT paths must be taken.
 func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 	kinds := []TKind{TFence, TFence, TValue, TOp, TBr, TStore}
-	scan := func(b *Buffer, i int) bool {
+	scan := func(b *Buffer[Transient], i int) bool {
 		for j := b.Min(); j < i && j <= b.Max(); j++ {
 			if e, _ := b.Get(j); e.Kind == TFence {
 				return true
@@ -104,7 +104,7 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 	inPlace, copied := 0, 0
 	rng := rand.New(rand.NewSource(1))
 	for run := 0; run < 200; run++ {
-		bufs := []*Buffer{NewBuffer()}
+		bufs := []*Buffer[Transient]{NewBuffer[Transient]()}
 		models := []*model{{base: 1}}
 		for op := 0; op < 60; op++ {
 			n := rng.Intn(len(bufs))
@@ -140,7 +140,7 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 				b.TruncateFrom(i)
 				md.entries = md.entries[:min(max(i-md.base, 0), len(md.entries))]
 			case r == 8 && b.Len() > 0:
-				b.PopMin()
+				b.PopMinN(1)
 				md.entries, md.base = md.entries[1:], md.base+1
 			case r == 9 && b.Len() > 0:
 				k := 1 + rng.Intn(b.Len())

@@ -44,8 +44,7 @@ func (m *Machine) Fingerprint() uint64 {
 	f.word(m.Regs.HashSum())
 	f.word(m.Mem.HashSum())
 	f.word(uint64(m.Buf.Min()))
-	for _, i := range m.Buf.Indices() {
-		t, _ := m.Buf.Get(i)
+	for _, t := range m.Buf.All() {
 		t.hashInto(&f)
 	}
 	m.RSB.hashInto(&f)

@@ -55,11 +55,11 @@ type Machine struct {
 	AddrMode  isa.AddrMode
 	RSBPolicy RSBPolicy
 
-	Regs *mem.RegisterFile // ρ
-	Mem  *mem.Memory       // µ (data half)
-	PC   isa.Addr          // n
-	Buf  *Buffer           // buf
-	RSB  *RSB              // σ
+	Regs *mem.RegisterFile  // ρ
+	Mem  *mem.Memory        // µ (data half)
+	PC   isa.Addr           // n
+	Buf  *Buffer[Transient] // buf
+	RSB  *RSB               // σ
 
 	Retired int // N: retired-instruction count (retire directives)
 
@@ -68,9 +68,8 @@ type Machine struct {
 	code *isa.Table
 
 	// opScratch backs per-step operand resolution (see
-	// Buffer.ResolveOperandsInto) and obsScratch the per-step
-	// observation lists Step returns; neither is part of the
-	// configuration.
+	// ResolveOperands) and obsScratch the per-step observation lists
+	// Step returns; neither is part of the configuration.
 	opScratch  [4]mem.Value
 	obsScratch [2]Observation
 }
@@ -127,7 +126,7 @@ func New(prog *isa.Program, opts ...Option) *Machine {
 		Regs: mem.NewRegisterFile(),
 		Mem:  prog.InitialMemory(),
 		PC:   prog.Entry,
-		Buf:  NewBuffer(),
+		Buf:  NewBuffer[Transient](),
 		RSB:  NewRSB(RSBAttackerChoice),
 	}
 	for _, o := range opts {
@@ -194,8 +193,7 @@ func (m *Machine) Equal(o *Machine) bool {
 	if m.Buf.Len() != o.Buf.Len() {
 		return false
 	}
-	for _, i := range m.Buf.Indices() {
-		a, _ := m.Buf.Get(i)
+	for i, a := range m.Buf.All() {
 		b, ok := o.Buf.Get(i)
 		if !ok || a.String() != b.String() {
 			return false
@@ -363,6 +361,71 @@ func (m *Machine) stepFetch(d Directive) ([]Observation, error) {
 }
 
 // ---------------------------------------------------------------------
+// Register resolution over the reorder buffer
+// ---------------------------------------------------------------------
+
+// ResolveReg implements the register resolve function (buf +i ρ)(r) of
+// Fig. 3, extended per §3.5 to read through partially resolved loads:
+//
+//   - the latest assignment to r at an index j < i that is resolved
+//     yields its value;
+//   - a latest assignment that is unresolved yields ⊥ (ok == false);
+//   - no assignment at all defers to ρ(r).
+func (m *Machine) ResolveReg(i int, r isa.Reg) (mem.Value, bool) {
+	hi := m.Buf.Max()
+	if i-1 < hi {
+		hi = i - 1
+	}
+	for j := hi; j >= m.Buf.Min() && j >= 1; j-- {
+		t, ok := m.Buf.Get(j)
+		if !ok || !t.AssignsReg(r) {
+			continue
+		}
+		switch t.Kind {
+		case TValue:
+			return t.Val, true
+		case TLoad:
+			if t.PredFwd {
+				return t.PredVal, true // §3.5 extension
+			}
+			return mem.Value{}, false // pending assignment: ⊥
+		case TOp:
+			return mem.Value{}, false // pending assignment: ⊥
+		}
+	}
+	return m.Regs.Read(r), true
+}
+
+// ResolveOperand lifts ResolveReg to a register-or-value operand:
+// (buf +i ρ)(vℓ) = vℓ for immediates.
+func (m *Machine) ResolveOperand(i int, o isa.Operand) (mem.Value, bool) {
+	if !o.IsReg {
+		return o.Imm, true
+	}
+	return m.ResolveReg(i, o.Reg)
+}
+
+// ResolveOperands is the pointwise lifting to operand lists; it fails
+// if any operand is ⊥. The result is written to dst when its capacity
+// suffices (the step rules pass a per-machine scratch so per-step
+// operand resolution allocates nothing) and then aliases dst until its
+// next reuse; a nil dst allocates.
+func (m *Machine) ResolveOperands(dst []mem.Value, i int, os []isa.Operand) ([]mem.Value, bool) {
+	if cap(dst) < len(os) {
+		dst = make([]mem.Value, len(os))
+	}
+	dst = dst[:len(os)]
+	for k, o := range os {
+		v, ok := m.ResolveOperand(i, o)
+		if !ok {
+			return nil, false
+		}
+		dst[k] = v
+	}
+	return dst, true
+}
+
+// ---------------------------------------------------------------------
 // Execute stage
 // ---------------------------------------------------------------------
 
@@ -391,7 +454,7 @@ func (m *Machine) stepExecute(d Directive) ([]Observation, error) {
 }
 
 func (m *Machine) execOp(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.Buf.ResolveOperandsInto(m.opScratch[:0], d.I, m.Regs, t.Args)
+	vals, ok := m.ResolveOperands(m.opScratch[:0], d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "operands of %s unresolved", t)
 	}
@@ -404,7 +467,7 @@ func (m *Machine) execOp(d Directive, t *Transient) ([]Observation, error) {
 }
 
 func (m *Machine) execBranch(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.Buf.ResolveOperandsInto(m.opScratch[:0], d.I, m.Regs, t.Args)
+	vals, ok := m.ResolveOperands(m.opScratch[:0], d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "branch condition unresolved")
 	}
@@ -431,7 +494,7 @@ func (m *Machine) execBranch(d Directive, t *Transient) ([]Observation, error) {
 }
 
 func (m *Machine) execJmpi(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.Buf.ResolveOperandsInto(m.opScratch[:0], d.I, m.Regs, t.Args)
+	vals, ok := m.ResolveOperands(m.opScratch[:0], d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "jump target operands unresolved")
 	}
@@ -453,7 +516,7 @@ func (m *Machine) execJmpi(d Directive, t *Transient) ([]Observation, error) {
 }
 
 func (m *Machine) execLoad(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.Buf.ResolveOperandsInto(m.opScratch[:0], d.I, m.Regs, t.Args)
+	vals, ok := m.ResolveOperands(m.opScratch[:0], d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "load address operands unresolved")
 	}
@@ -496,7 +559,7 @@ func (m *Machine) execLoad(d Directive, t *Transient) ([]Observation, error) {
 // execPredictedLoad resolves a partially resolved load
 // (r = load(r⃗v, (vℓ, j)))n — the §3.5 aliasing-prediction extension.
 func (m *Machine) execPredictedLoad(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.Buf.ResolveOperandsInto(m.opScratch[:0], d.I, m.Regs, t.Args)
+	vals, ok := m.ResolveOperands(m.opScratch[:0], d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "load address operands unresolved")
 	}
@@ -567,7 +630,7 @@ func (m *Machine) stepExecuteValue(d Directive) ([]Observation, error) {
 	if t.ValKnown {
 		return nil, stall(d, "store value already resolved")
 	}
-	v, ok := m.Buf.ResolveOperand(d.I, m.Regs, t.Src)
+	v, ok := m.ResolveOperand(d.I, t.Src)
 	if !ok {
 		return nil, stall(d, "store data operand unresolved")
 	}
@@ -589,7 +652,7 @@ func (m *Machine) stepExecuteAddr(d Directive) ([]Observation, error) {
 	if t.AddrKnown {
 		return nil, stall(d, "store address already resolved")
 	}
-	vals, ok := m.Buf.ResolveOperandsInto(m.opScratch[:0], d.I, m.Regs, t.Args)
+	vals, ok := m.ResolveOperands(m.opScratch[:0], d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "store address operands unresolved")
 	}
@@ -674,13 +737,13 @@ func (m *Machine) stepRetire(d Directive) ([]Observation, error) {
 	case TValue:
 		// value-retire (covers resolved ops and resolved loads)
 		m.Regs.Write(t.Dst, t.Val)
-		m.Buf.PopMin()
+		m.Buf.PopMinN(1)
 		m.Retired++
 		return nil, nil
 
 	case TJump:
 		// jump-retire
-		m.Buf.PopMin()
+		m.Buf.PopMinN(1)
 		m.Retired++
 		return nil, nil
 
@@ -690,13 +753,13 @@ func (m *Machine) stepRetire(d Directive) ([]Observation, error) {
 			return nil, stall(d, "store not fully resolved: %s", t)
 		}
 		m.Mem.Write(t.SAddr.W, t.SVal)
-		m.Buf.PopMin()
+		m.Buf.PopMinN(1)
 		m.Retired++
 		return m.obs1(WriteObs(t.SAddr.W, t.SAddr.L)), nil
 
 	case TFence:
 		// fence-retire
-		m.Buf.PopMin()
+		m.Buf.PopMinN(1)
 		m.Retired++
 		return nil, nil
 

@@ -10,20 +10,20 @@ import (
 )
 
 func TestBufferContiguity(t *testing.T) {
-	b := NewBuffer()
+	b := NewBuffer[Transient]()
 	if b.Min() != 1 || b.Max() != 0 {
 		t.Fatalf("initial Min/Max = %d/%d, want 1/0", b.Min(), b.Max())
 	}
-	i1 := b.Append(&Transient{Kind: TFence})
-	i2 := b.Append(&Transient{Kind: TFence})
+	i1 := b.AppendT(Transient{Kind: TFence})
+	i2 := b.AppendT(Transient{Kind: TFence})
 	if i1 != 1 || i2 != 2 {
 		t.Fatalf("append indices = %d, %d", i1, i2)
 	}
-	b.PopMin()
+	b.PopMinN(1)
 	if b.Min() != 2 || b.Max() != 2 {
 		t.Fatalf("Min/Max after pop = %d/%d", b.Min(), b.Max())
 	}
-	i3 := b.Append(&Transient{Kind: TFence})
+	i3 := b.AppendT(Transient{Kind: TFence})
 	if i3 != 3 {
 		t.Fatalf("append after pop = %d, want 3", i3)
 	}
@@ -31,7 +31,7 @@ func TestBufferContiguity(t *testing.T) {
 	if b.Max() != 2 {
 		t.Fatalf("Max after truncate = %d", b.Max())
 	}
-	if i4 := b.Append(&Transient{Kind: TFence}); i4 != 3 {
+	if i4 := b.AppendT(Transient{Kind: TFence}); i4 != 3 {
 		t.Fatalf("reappend = %d, want 3 (contiguous domain)", i4)
 	}
 	// Popping everything keeps the base monotonic.
@@ -39,24 +39,24 @@ func TestBufferContiguity(t *testing.T) {
 	if !b.Empty() || b.Max() != 3 {
 		t.Fatalf("after drain: empty=%t Max=%d", b.Empty(), b.Max())
 	}
-	if i5 := b.Append(&Transient{Kind: TFence}); i5 != 4 {
+	if i5 := b.AppendT(Transient{Kind: TFence}); i5 != 4 {
 		t.Fatalf("append after drain = %d, want 4", i5)
 	}
 }
 
 func TestBufferSetPanicsOutsideDomain(t *testing.T) {
-	b := NewBuffer()
+	b := NewBuffer[Transient]()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Set outside domain must panic")
+			t.Fatal("SetT outside domain must panic")
 		}
 	}()
-	b.Set(1, &Transient{Kind: TFence})
+	b.SetT(1, Transient{Kind: TFence})
 }
 
 func TestBufferPopMinNPanicsBeyond(t *testing.T) {
-	b := NewBuffer()
-	b.Append(&Transient{Kind: TFence})
+	b := NewBuffer[Transient]()
+	b.AppendT(Transient{Kind: TFence})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("PopMinN beyond length must panic")
@@ -66,65 +66,62 @@ func TestBufferPopMinNPanicsBeyond(t *testing.T) {
 }
 
 func TestBufferString(t *testing.T) {
-	b := NewBuffer()
+	b := NewBuffer[Transient]()
 	if b.String() != "∅" {
 		t.Fatalf("empty buffer = %q", b.String())
 	}
-	b.Append(&Transient{Kind: TFence})
+	b.AppendT(Transient{Kind: TFence})
 	if !strings.Contains(b.String(), "1 ↦ fence") {
 		t.Fatalf("buffer string = %q", b.String())
 	}
 }
 
 func TestRegisterResolveLatestWins(t *testing.T) {
-	b := NewBuffer()
-	regs := mem.NewRegisterFile()
-	regs.Write(ra, mem.Pub(1))
-	b.Append(&Transient{Kind: TValue, Dst: ra, Val: mem.Pub(2)})                              // 1
-	b.Append(&Transient{Kind: TValue, Dst: ra, Val: mem.Pub(3)})                              // 2
-	b.Append(&Transient{Kind: TOp, Dst: ra, Op: isa.OpMov, Args: []isa.Operand{isa.ImmW(4)}}) // 3
+	m := New(isa.NewProgram(1))
+	m.Regs.Write(ra, mem.Pub(1))
+	m.Buf.AppendT(Transient{Kind: TValue, Dst: ra, Val: mem.Pub(2)})                              // 1
+	m.Buf.AppendT(Transient{Kind: TValue, Dst: ra, Val: mem.Pub(3)})                              // 2
+	m.Buf.AppendT(Transient{Kind: TOp, Dst: ra, Op: isa.OpMov, Args: []isa.Operand{isa.ImmW(4)}}) // 3
 
 	// Below the first assignment: the register file's value.
-	if v, ok := b.ResolveReg(1, regs, ra); !ok || v != mem.Pub(1) {
+	if v, ok := m.ResolveReg(1, ra); !ok || v != mem.Pub(1) {
 		t.Fatalf("(buf +1 ρ)(ra) = %v, %t", v, ok)
 	}
 	// Between the two resolved assignments: the earlier one.
-	if v, ok := b.ResolveReg(2, regs, ra); !ok || v != mem.Pub(2) {
+	if v, ok := m.ResolveReg(2, ra); !ok || v != mem.Pub(2) {
 		t.Fatalf("(buf +2 ρ)(ra) = %v, %t", v, ok)
 	}
-	if v, ok := b.ResolveReg(3, regs, ra); !ok || v != mem.Pub(3) {
+	if v, ok := m.ResolveReg(3, ra); !ok || v != mem.Pub(3) {
 		t.Fatalf("(buf +3 ρ)(ra) = %v, %t", v, ok)
 	}
 	// Above the unresolved op: ⊥.
-	if _, ok := b.ResolveReg(4, regs, ra); ok {
+	if _, ok := m.ResolveReg(4, ra); ok {
 		t.Fatal("latest assignment unresolved ⇒ ⊥")
 	}
 	// Unrelated register: falls through to ρ.
-	if v, ok := b.ResolveReg(4, regs, rb); !ok || v != mem.Pub(0) {
+	if v, ok := m.ResolveReg(4, rb); !ok || v != mem.Pub(0) {
 		t.Fatalf("(buf +4 ρ)(rb) = %v, %t", v, ok)
 	}
 }
 
 func TestRegisterResolveThroughPredictedLoad(t *testing.T) {
-	b := NewBuffer()
-	regs := mem.NewRegisterFile()
-	b.Append(&Transient{Kind: TLoad, Dst: ra, Args: []isa.Operand{isa.ImmW(0x10)}}) // unresolved: ⊥
-	if _, ok := b.ResolveReg(2, regs, ra); ok {
+	m := New(isa.NewProgram(1))
+	m.Buf.AppendT(Transient{Kind: TLoad, Dst: ra, Args: []isa.Operand{isa.ImmW(0x10)}}) // unresolved: ⊥
+	if _, ok := m.ResolveReg(2, ra); ok {
 		t.Fatal("unresolved load ⇒ ⊥")
 	}
-	ld, _ := b.Get(1)
+	ld, _ := m.Buf.Edit(1)
 	ld.PredFwd = true
 	ld.PredVal = mem.Sec(9)
 	ld.PredFrom = 0
-	if v, ok := b.ResolveReg(2, regs, ra); !ok || v != mem.Sec(9) {
+	if v, ok := m.ResolveReg(2, ra); !ok || v != mem.Sec(9) {
 		t.Fatalf("partially resolved load must supply its value, got %v, %t", v, ok)
 	}
 }
 
 func TestResolveOperandImmediate(t *testing.T) {
-	b := NewBuffer()
-	regs := mem.NewRegisterFile()
-	v, ok := b.ResolveOperand(1, regs, isa.Imm(mem.Sec(5)))
+	m := New(isa.NewProgram(1))
+	v, ok := m.ResolveOperand(1, isa.Imm(mem.Sec(5)))
 	if !ok || v != mem.Sec(5) {
 		t.Fatalf("immediate resolve = %v, %t", v, ok)
 	}

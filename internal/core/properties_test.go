@@ -91,8 +91,7 @@ func randomSchedule(m *Machine, rng *rand.Rand, maxSteps int) Schedule {
 				candidates = append(candidates, Fetch())
 			}
 		}
-		for _, i := range m.Buf.Indices() {
-			t, _ := m.Buf.Get(i)
+		for i, t := range m.Buf.All() {
 			switch t.Kind {
 			case TOp, TBr, TJmpi, TLoad:
 				candidates = append(candidates, Execute(i))

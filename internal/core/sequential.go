@@ -98,7 +98,7 @@ func seq(step func(Directive) error, ds ...Directive) error {
 // only valid when the reorder buffer is empty, which sequential
 // execution guarantees at fetch time.
 func (m *Machine) peekBranch(in *isa.Instr) (bool, error) {
-	vals, ok := m.Buf.ResolveOperands(m.Buf.Max()+1, m.Regs, in.Args)
+	vals, ok := m.ResolveOperands(nil, m.Buf.Max()+1, in.Args)
 	if !ok {
 		return false, fmt.Errorf("core: sequential branch at %d has unresolved operands", m.PC)
 	}
@@ -111,7 +111,7 @@ func (m *Machine) peekBranch(in *isa.Instr) (bool, error) {
 
 // peekJmpi evaluates an indirect-jump target against committed state.
 func (m *Machine) peekJmpi(in *isa.Instr) (isa.Addr, error) {
-	vals, ok := m.Buf.ResolveOperands(m.Buf.Max()+1, m.Regs, in.Args)
+	vals, ok := m.ResolveOperands(nil, m.Buf.Max()+1, in.Args)
 	if !ok {
 		return 0, fmt.Errorf("core: sequential jmpi at %d has unresolved operands", m.PC)
 	}

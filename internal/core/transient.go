@@ -99,6 +99,11 @@ func (t *Transient) AssignsReg(r isa.Reg) bool {
 	return false
 }
 
+// IsFence reports whether the instruction is a fence, for the reorder
+// buffer's lowest-fence index. It has a value receiver so that
+// Transient itself satisfies BufferEntry.
+func (t Transient) IsFence() bool { return t.Kind == TFence }
+
 // Resolved reports whether the instruction needs no further execute
 // steps before it can retire.
 func (t *Transient) Resolved() bool {

@@ -29,11 +29,11 @@ func TestResolveArgsAllocFree(t *testing.T) {
 		isa.R(isa.Reg(1)), isa.R(isa.Reg(2)),
 		isa.R(isa.Reg(1)), isa.R(isa.Reg(2)),
 	}
-	if _, ok := s.resolveArgs(s.base, args); !ok {
+	if _, ok := s.resolveArgs(s.BufMin(), args); !ok {
 		t.Fatal("warm-up resolve failed")
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := s.resolveArgs(s.base, args); !ok {
+		if _, ok := s.resolveArgs(s.BufMin(), args); !ok {
 			t.Fatal("resolve failed")
 		}
 	})
@@ -60,7 +60,7 @@ func TestResolveRegAllocFree(t *testing.T) {
 
 	for _, r := range []isa.Reg{isa.Reg(1), isa.Reg(9)} { // set and unset
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, ok := s.resolveReg(s.base, r); !ok {
+			if _, ok := s.resolveReg(s.BufMin(), r); !ok {
 				t.Fatal("resolve failed")
 			}
 		})
@@ -68,7 +68,7 @@ func TestResolveRegAllocFree(t *testing.T) {
 			t.Fatalf("resolveReg(r%d) allocates %.1f times per call; want 0", r, allocs)
 		}
 	}
-	if e, ok := s.resolveReg(s.base, isa.Reg(9)); !ok || e != symx.Zero {
+	if e, ok := s.resolveReg(s.BufMin(), isa.Reg(9)); !ok || e != symx.Zero {
 		t.Fatal("unset register must resolve to the canonical zero expression")
 	}
 }
@@ -90,7 +90,7 @@ func TestApplyArgsCopiesRetainedScratch(t *testing.T) {
 	init.SetReg(isa.Reg(2), symx.NewVar("b", mem.Public))
 	s := newSymMachine(init)
 
-	args, ok := s.resolveArgs(s.base, []isa.Operand{isa.R(isa.Reg(1)), isa.R(isa.Reg(2))})
+	args, ok := s.resolveArgs(s.BufMin(), []isa.Operand{isa.R(isa.Reg(1)), isa.R(isa.Reg(2))})
 	if !ok {
 		t.Fatal("resolve failed")
 	}
@@ -103,7 +103,7 @@ func TestApplyArgsCopiesRetainedScratch(t *testing.T) {
 		t.Fatal("applyArgs returned an expression aliasing the scratch buffer")
 	}
 	before := o.Args[0]
-	if _, ok := s.resolveArgs(s.base, []isa.Operand{isa.R(isa.Reg(2)), isa.R(isa.Reg(1))}); !ok {
+	if _, ok := s.resolveArgs(s.BufMin(), []isa.Operand{isa.R(isa.Reg(2)), isa.R(isa.Reg(1))}); !ok {
 		t.Fatal("second resolve failed")
 	}
 	if o.Args[0] != before {

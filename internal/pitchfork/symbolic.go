@@ -98,6 +98,9 @@ type symTransient struct {
 	saddrL    mem.Label
 }
 
+// IsFence implements core.BufferEntry.
+func (t symTransient) IsFence() bool { return t.kind == core.TFence }
+
 func (t *symTransient) resolved() bool {
 	switch t.kind {
 	case core.TValue, core.TJump, core.TFence, core.TCall, core.TRet:
@@ -126,31 +129,20 @@ func (t *symTransient) assigns(r isa.Reg) bool {
 // cell file (symx.RegFile) copied on the first write after a fork,
 // memory is an overlay chain (symx.Memory) whose secret-cell index is
 // kept current on write, the RSB journal shares its tail, and the
-// reorder buffer shares its backing slice and transients with clones
-// — so Clone is O(1) and each fork pays only for what it subsequently
-// changes (mirroring the concrete domain). No per-state step walks
-// memory: the concretizer reads the secret-cell index as is.
+// reorder buffer is the concrete machine's core.Buffer instantiated at
+// symTransient — so Clone is O(1), each fork pays only for what it
+// subsequently changes, and transients come from the buffer's arena.
+// No per-state step walks memory: the concretizer reads the
+// secret-cell index as is.
 type symMachine struct {
 	code    *isa.Table // the program's instructions, shared by clones
 	regs    *symx.RegFile
 	mem     *symx.Memory
 	pc      isa.Addr
-	buf     []*symTransient
-	base    int
+	buf     *core.Buffer[symTransient]
 	rsb     *core.RSB
 	pcond   symx.PathCondition
 	retired int
-
-	// bufShared marks the buffer's backing array as possibly aliased
-	// by a clone (the next array write copies it); bufPrivateFrom is
-	// the lowest buffer index whose transient is exclusively owned —
-	// entries below it are copied by edit before in-place mutation.
-	bufShared      bool
-	bufPrivateFrom int
-	// fence is the index of the lowest buffered fence, 0 for none, as
-	// in core.Buffer: append and setBuf lower it, truncateFrom drops
-	// it when it is cut off, and retiring it rescans.
-	fence int
 
 	solver *symx.Solver
 	concr  *symx.Concretizer
@@ -170,15 +162,14 @@ type symMachine struct {
 func newSymMachine(m *SymMachine) *symMachine {
 	solver := symx.NewSolver()
 	s := &symMachine{
-		code:           m.Prog.Table(),
-		regs:           symx.NewRegFile(),
-		mem:            m.Mem.Clone(),
-		pc:             m.PC,
-		base:           1,
-		bufPrivateFrom: 1,
-		rsb:            core.NewRSB(core.RSBAttackerChoice),
-		solver:         solver,
-		concr:          symx.NewConcretizer(solver),
+		code:   m.Prog.Table(),
+		regs:   symx.NewRegFile(),
+		mem:    m.Mem.Clone(),
+		pc:     m.PC,
+		buf:    core.NewBuffer[symTransient](),
+		rsb:    core.NewRSB(core.RSBAttackerChoice),
+		solver: solver,
+		concr:  symx.NewConcretizer(solver),
 	}
 	for r, e := range m.Regs {
 		s.regs.Write(r, e)
@@ -191,61 +182,18 @@ func newSymMachine(m *SymMachine) *symMachine {
 // copy-on-write; the path-condition prefix is shared (With copies on
 // extension); solver and concretizer are shared by design.
 func (s *symMachine) Clone() sched.Machine {
-	s.bufShared = true
-	s.bufPrivateFrom = s.base + len(s.buf)
 	return &symMachine{
-		code:           s.code,
-		regs:           s.regs.Clone(),
-		mem:            s.mem.Clone(),
-		pc:             s.pc,
-		buf:            s.buf,
-		base:           s.base,
-		bufShared:      true,
-		bufPrivateFrom: s.bufPrivateFrom,
-		fence:          s.fence,
-		rsb:            s.rsb.Clone(),
-		pcond:          s.pcond,
-		retired:        s.retired,
-		solver:         s.solver,
-		concr:          s.concr,
+		code:    s.code,
+		regs:    s.regs.Clone(),
+		mem:     s.mem.Clone(),
+		pc:      s.pc,
+		buf:     s.buf.Clone(),
+		rsb:     s.rsb.Clone(),
+		pcond:   s.pcond,
+		retired: s.retired,
+		solver:  s.solver,
+		concr:   s.concr,
 	}
-}
-
-// ownBuf re-owns the buffer's backing array before a write when it may
-// be shared with a clone; only the pointer slice is copied.
-func (s *symMachine) ownBuf() {
-	if !s.bufShared {
-		return
-	}
-	items := make([]*symTransient, len(s.buf), len(s.buf)+8)
-	copy(items, s.buf)
-	s.buf = items
-	s.bufShared = false
-}
-
-// setBuf replaces the entry at buffer index i.
-func (s *symMachine) setBuf(i int, t *symTransient) {
-	s.ownBuf()
-	s.buf[i-s.base] = t
-	switch {
-	case t.kind == core.TFence && (s.fence == 0 || i < s.fence):
-		s.fence = i
-	case t.kind != core.TFence && i == s.fence:
-		s.fence = s.lowestFence()
-	}
-}
-
-// edit returns the entry at i for in-place mutation, copying it first
-// if it may still be shared with a clone. Callers must not change the
-// entry's kind.
-func (s *symMachine) edit(i int) *symTransient {
-	s.ownBuf()
-	if i >= s.bufPrivateFrom {
-		return s.buf[i-s.base]
-	}
-	cp := *s.buf[i-s.base]
-	s.buf[i-s.base] = &cp
-	return &cp
 }
 
 // ---------------------------------------------------------------------
@@ -258,53 +206,14 @@ func (s *symMachine) Instr() *isa.Instr { return s.code.At(s.pc) }
 
 func (s *symMachine) RetiredCount() int { return s.retired }
 
-func (s *symMachine) BufLen() int { return len(s.buf) }
+func (s *symMachine) BufLen() int { return s.buf.Len() }
 
-func (s *symMachine) BufMin() int { return s.base }
+func (s *symMachine) BufMin() int { return s.buf.Min() }
 
-func (s *symMachine) BufMax() int { return s.base + len(s.buf) - 1 }
-
-func (s *symMachine) get(i int) (*symTransient, bool) {
-	if i < s.base || i >= s.base+len(s.buf) {
-		return nil, false
-	}
-	return s.buf[i-s.base], true
-}
-
-func (s *symMachine) append(t *symTransient) int {
-	s.ownBuf()
-	s.buf = append(s.buf, t)
-	i := s.base + len(s.buf) - 1
-	if t.kind == core.TFence && s.fence == 0 {
-		s.fence = i
-	}
-	return i
-}
-
-// truncateFrom implements buf[j : j < i] plus the RSB rollback the
-// misspeculation rules pair it with.
-func (s *symMachine) truncateFrom(i int) {
-	if s.fence >= i {
-		s.fence = 0
-	}
-	if i <= s.base {
-		s.buf = s.buf[:0]
-	} else if i <= s.base+len(s.buf) {
-		s.buf = s.buf[:i-s.base]
-	}
-	s.rsb.Rollback(i)
-}
-
-func (s *symMachine) popMinN(k int) {
-	s.buf = s.buf[k:]
-	s.base += k
-	if s.fence != 0 && s.fence < s.base {
-		s.fence = s.lowestFence()
-	}
-}
+func (s *symMachine) BufMax() int { return s.buf.Max() }
 
 func (s *symMachine) View(i int) (sched.TransientView, bool) {
-	t, ok := s.get(i)
+	t, ok := s.buf.Get(i)
 	if !ok {
 		return sched.TransientView{}, false
 	}
@@ -316,21 +225,6 @@ func (s *symMachine) View(i int) (sched.TransientView, bool) {
 		PP:        t.pp,
 		FwdSecret: t.kind == core.TValue && t.fromLoad && t.dep != core.NoDep && t.val != nil && t.val.Label().IsSecret(),
 	}, true
-}
-
-// fenceBefore is the execute rules' side condition: whether an
-// unretired fence sits at an index below i.
-func (s *symMachine) fenceBefore(i int) bool { return s.fence != 0 && s.fence < i }
-
-// lowestFence scans for the index of the lowest buffered fence, 0 for
-// none.
-func (s *symMachine) lowestFence() int {
-	for k, t := range s.buf {
-		if t.kind == core.TFence {
-			return s.base + k
-		}
-	}
-	return 0
 }
 
 func (s *symMachine) RSBTop() (isa.Addr, bool) { return s.rsb.Top() }
@@ -393,9 +287,9 @@ func (s *symMachine) resolveReg(i int, r isa.Reg) (symx.Expr, bool) {
 	if i-1 < hi {
 		hi = i - 1
 	}
-	for j := hi; j >= s.base; j-- {
-		t, _ := s.get(j)
-		if t == nil || !t.assigns(r) {
+	for j := hi; j >= s.buf.Min(); j-- {
+		t, _ := s.buf.Get(j)
+		if !t.assigns(r) {
 			continue
 		}
 		switch t.kind {
@@ -505,33 +399,33 @@ func (s *symMachine) stepFetch(d core.Directive) ([]sched.Successor, error) {
 		if d.Kind != core.DFetch {
 			return nil, symStall("%s requires a plain fetch", in.Kind)
 		}
-		s.append(&symTransient{kind: core.TOp, dst: in.Dst, op: in.Op, args: in.Args, pp: s.pc})
+		s.buf.AppendT(symTransient{kind: core.TOp, dst: in.Dst, op: in.Op, args: in.Args, pp: s.pc})
 		s.pc = in.Next
 		return s.self(d)
 	case isa.KLoad:
 		if d.Kind != core.DFetch {
 			return nil, symStall("%s requires a plain fetch", in.Kind)
 		}
-		s.append(&symTransient{kind: core.TLoad, dst: in.Dst, args: in.Args, pp: s.pc})
+		s.buf.AppendT(symTransient{kind: core.TLoad, dst: in.Dst, args: in.Args, pp: s.pc})
 		s.pc = in.Next
 		return s.self(d)
 	case isa.KStore:
 		if d.Kind != core.DFetch {
 			return nil, symStall("%s requires a plain fetch", in.Kind)
 		}
-		t := &symTransient{kind: core.TStore, src: in.Src, args: in.Args, pp: s.pc}
+		t := symTransient{kind: core.TStore, src: in.Src, args: in.Args, pp: s.pc}
 		if !in.Src.IsReg {
 			t.valKnown = true
 			t.sval = symx.C(in.Src.Imm)
 		}
-		s.append(t)
+		s.buf.AppendT(t)
 		s.pc = in.Next
 		return s.self(d)
 	case isa.KFence:
 		if d.Kind != core.DFetch {
 			return nil, symStall("%s requires a plain fetch", in.Kind)
 		}
-		s.append(&symTransient{kind: core.TFence, pp: s.pc})
+		s.buf.AppendT(symTransient{kind: core.TFence, pp: s.pc})
 		s.pc = in.Next
 		return s.self(d)
 
@@ -543,7 +437,7 @@ func (s *symMachine) stepFetch(d core.Directive) ([]sched.Successor, error) {
 		if d.Taken {
 			guess = in.True
 		}
-		s.append(&symTransient{kind: core.TBr, op: in.Op, args: in.Args, guess: guess, tTrue: in.True, tFalse: in.False, pp: s.pc})
+		s.buf.AppendT(symTransient{kind: core.TBr, op: in.Op, args: in.Args, guess: guess, tTrue: in.True, tFalse: in.False, pp: s.pc})
 		s.pc = guess
 		return s.self(d)
 
@@ -551,7 +445,7 @@ func (s *symMachine) stepFetch(d core.Directive) ([]sched.Successor, error) {
 		if d.Kind != core.DFetchTarget {
 			return nil, symStall("jmpi requires fetch: n")
 		}
-		s.append(&symTransient{kind: core.TJmpi, args: in.Args, guess: d.Target, pp: s.pc})
+		s.buf.AppendT(symTransient{kind: core.TJmpi, args: in.Args, guess: d.Target, pp: s.pc})
 		s.pc = d.Target
 		return s.self(d)
 
@@ -559,9 +453,9 @@ func (s *symMachine) stepFetch(d core.Directive) ([]sched.Successor, error) {
 		if d.Kind != core.DFetch {
 			return nil, symStall("call requires a plain fetch")
 		}
-		i := s.append(&symTransient{kind: core.TCall, pp: s.pc})
-		s.append(&symTransient{kind: core.TOp, dst: mem.RSP, op: isa.OpSucc, args: []isa.Operand{isa.R(mem.RSP)}, pp: s.pc})
-		s.append(&symTransient{
+		i := s.buf.AppendT(symTransient{kind: core.TCall, pp: s.pc})
+		s.buf.AppendT(symTransient{kind: core.TOp, dst: mem.RSP, op: isa.OpSucc, args: []isa.Operand{isa.R(mem.RSP)}, pp: s.pc})
+		s.buf.AppendT(symTransient{
 			kind: core.TStore, src: isa.Imm(mem.Pub(in.RetPt)),
 			valKnown: true, sval: symx.CW(in.RetPt),
 			args: []isa.Operand{isa.R(mem.RSP)},
@@ -584,10 +478,10 @@ func (s *symMachine) stepFetch(d core.Directive) ([]sched.Successor, error) {
 			target = d.Target
 		}
 		retPt := s.pc
-		i := s.append(&symTransient{kind: core.TRet, pp: retPt})
-		s.append(&symTransient{kind: core.TLoad, dst: mem.RTMP, args: []isa.Operand{isa.R(mem.RSP)}, pp: retPt})
-		s.append(&symTransient{kind: core.TOp, dst: mem.RSP, op: isa.OpPred, args: []isa.Operand{isa.R(mem.RSP)}, pp: retPt})
-		s.append(&symTransient{kind: core.TJmpi, args: []isa.Operand{isa.R(mem.RTMP)}, guess: target, pp: retPt})
+		i := s.buf.AppendT(symTransient{kind: core.TRet, pp: retPt})
+		s.buf.AppendT(symTransient{kind: core.TLoad, dst: mem.RTMP, args: []isa.Operand{isa.R(mem.RSP)}, pp: retPt})
+		s.buf.AppendT(symTransient{kind: core.TOp, dst: mem.RSP, op: isa.OpPred, args: []isa.Operand{isa.R(mem.RSP)}, pp: retPt})
+		s.buf.AppendT(symTransient{kind: core.TJmpi, args: []isa.Operand{isa.R(mem.RTMP)}, guess: target, pp: retPt})
 		s.rsb.Pop(i)
 		s.pc = target
 		return s.self(d)
@@ -596,11 +490,11 @@ func (s *symMachine) stepFetch(d core.Directive) ([]sched.Successor, error) {
 }
 
 func (s *symMachine) stepExecute(d core.Directive) ([]sched.Successor, error) {
-	t, ok := s.get(d.I)
+	t, ok := s.buf.Get(d.I)
 	if !ok {
 		return nil, symStall("index %d not in buffer [%d,%d]", d.I, s.BufMin(), s.BufMax())
 	}
-	if s.fenceBefore(d.I) {
+	if s.buf.FenceBefore(d.I) {
 		return nil, symStall("fence pending before index %d", d.I)
 	}
 	switch t.kind {
@@ -621,7 +515,7 @@ func (s *symMachine) execOp(d core.Directive, t *symTransient) ([]sched.Successo
 	if !ok {
 		return nil, symStall("operands unresolved at %d", d.I)
 	}
-	s.setBuf(d.I, &symTransient{kind: core.TValue, dst: t.dst, val: s.applyArgs(t.op, args)})
+	s.buf.SetT(d.I, symTransient{kind: core.TValue, dst: t.dst, val: s.applyArgs(t.op, args)})
 	return s.self(d)
 }
 
@@ -695,13 +589,14 @@ func (s *symMachine) execJmpi(d core.Directive, t *symTransient) ([]sched.Succes
 // a wrong guess, and returns the jump observation with the deciding
 // expression's label.
 func (s *symMachine) settleControl(i int, actual isa.Addr, l mem.Label) []core.Observation {
-	t, _ := s.get(i)
+	t, _ := s.buf.Get(i)
 	if actual == t.guess {
-		s.setBuf(i, &symTransient{kind: core.TJump, target: actual})
+		s.buf.SetT(i, symTransient{kind: core.TJump, target: actual})
 		return []core.Observation{core.JumpObs(actual, l)}
 	}
-	s.truncateFrom(i)
-	s.append(&symTransient{kind: core.TJump, target: actual})
+	s.buf.TruncateFrom(i)
+	s.rsb.Rollback(i)
+	s.buf.AppendT(symTransient{kind: core.TJump, target: actual})
 	s.pc = actual
 	return []core.Observation{core.RollbackObs(), core.JumpObs(actual, l)}
 }
@@ -720,8 +615,8 @@ func (s *symMachine) execLoad(d core.Directive, t *symTransient) ([]sched.Succes
 	// forwarding; its data must be resolved before any state mutates.
 	fwdFrom := core.NoDep
 	var fwdVal symx.Expr
-	for j := d.I - 1; j >= s.base; j-- {
-		st, _ := s.get(j)
+	for j := d.I - 1; j >= s.buf.Min(); j-- {
+		st, _ := s.buf.Get(j)
 		if st == nil || st.kind != core.TStore || !st.addrKnown || st.saddr != aw {
 			continue
 		}
@@ -737,14 +632,14 @@ func (s *symMachine) execLoad(d core.Directive, t *symTransient) ([]sched.Succes
 	l := ae.Label()
 	if fwdFrom != core.NoDep {
 		// load-execute-forward
-		s.setBuf(d.I, &symTransient{
+		s.buf.SetT(d.I, symTransient{
 			kind: core.TValue, dst: t.dst, val: fwdVal,
 			fromLoad: true, dep: fwdFrom, dataAddr: aw, pp: t.pp,
 		})
 		return s.self(d, core.FwdObs(aw, l))
 	}
 	// load-execute-nodep
-	s.setBuf(d.I, &symTransient{
+	s.buf.SetT(d.I, symTransient{
 		kind: core.TValue, dst: t.dst, val: s.mem.Read(aw),
 		fromLoad: true, dep: core.NoDep, dataAddr: aw, pp: t.pp,
 	})
@@ -752,11 +647,11 @@ func (s *symMachine) execLoad(d core.Directive, t *symTransient) ([]sched.Succes
 }
 
 func (s *symMachine) stepExecValue(d core.Directive) ([]sched.Successor, error) {
-	t, ok := s.get(d.I)
+	t, ok := s.buf.Get(d.I)
 	if !ok || t.kind != core.TStore {
 		return nil, symStall("execute:value needs a store at %d", d.I)
 	}
-	if s.fenceBefore(d.I) {
+	if s.buf.FenceBefore(d.I) {
 		return nil, symStall("fence pending before index %d", d.I)
 	}
 	if t.valKnown {
@@ -767,18 +662,18 @@ func (s *symMachine) stepExecValue(d core.Directive) ([]sched.Successor, error) 
 		return nil, symStall("store data operand unresolved")
 	}
 	// store-execute-value
-	t = s.edit(d.I)
+	t, _ = s.buf.Edit(d.I)
 	t.valKnown = true
 	t.sval = v
 	return s.self(d)
 }
 
 func (s *symMachine) stepExecAddr(d core.Directive) ([]sched.Successor, error) {
-	t, ok := s.get(d.I)
+	t, ok := s.buf.Get(d.I)
 	if !ok || t.kind != core.TStore {
 		return nil, symStall("execute:addr needs a store at %d", d.I)
 	}
-	if s.fenceBefore(d.I) {
+	if s.buf.FenceBefore(d.I) {
 		return nil, symStall("fence pending before index %d", d.I)
 	}
 	if t.addrKnown {
@@ -802,7 +697,7 @@ func (s *symMachine) stepExecAddr(d core.Directive) ([]sched.Successor, error) {
 	// (ak = a ∧ jk < i) ∨ (jk = i ∧ ak ≠ a).
 	hazardAt, restart := 0, isa.Addr(0)
 	for k := d.I + 1; k <= s.BufMax(); k++ {
-		lv, _ := s.get(k)
+		lv, _ := s.buf.Get(k)
 		if lv == nil || lv.kind != core.TValue || !lv.fromLoad {
 			continue
 		}
@@ -811,7 +706,7 @@ func (s *symMachine) stepExecAddr(d core.Directive) ([]sched.Successor, error) {
 			break
 		}
 	}
-	t = s.edit(d.I)
+	t, _ = s.buf.Edit(d.I)
 	t.addrKnown = true
 	t.saddr = aw
 	t.saddrL = l
@@ -821,25 +716,26 @@ func (s *symMachine) stepExecAddr(d core.Directive) ([]sched.Successor, error) {
 	}
 	// store-execute-addr-hazard: restart at the stale load's program
 	// point, discarding it and everything younger.
-	s.truncateFrom(hazardAt)
+	s.buf.TruncateFrom(hazardAt)
+	s.rsb.Rollback(hazardAt)
 	s.pc = restart
 	return s.self(d, core.RollbackObs(), core.FwdObs(aw, l))
 }
 
 func (s *symMachine) stepRetire(d core.Directive) ([]sched.Successor, error) {
 	i := s.BufMin()
-	t, ok := s.get(i)
+	t, ok := s.buf.Get(i)
 	if !ok {
 		return nil, symStall("empty reorder buffer")
 	}
 	switch t.kind {
 	case core.TValue:
 		s.regs.Write(t.dst, t.val)
-		s.popMinN(1)
+		s.buf.PopMinN(1)
 		s.retired++
 		return s.self(d)
 	case core.TJump, core.TFence:
-		s.popMinN(1)
+		s.buf.PopMinN(1)
 		s.retired++
 		return s.self(d)
 	case core.TStore:
@@ -847,29 +743,29 @@ func (s *symMachine) stepRetire(d core.Directive) ([]sched.Successor, error) {
 			return nil, symStall("store not fully resolved")
 		}
 		s.mem.Write(t.saddr, t.sval)
-		s.popMinN(1)
+		s.buf.PopMinN(1)
 		s.retired++
 		return s.self(d, core.WriteObs(t.saddr, t.saddrL))
 	case core.TCall:
-		rsp, ok1 := s.get(i + 1)
-		st, ok2 := s.get(i + 2)
+		rsp, ok1 := s.buf.Get(i + 1)
+		st, ok2 := s.buf.Get(i + 2)
 		if !ok1 || !ok2 || rsp.kind != core.TValue || st.kind != core.TStore || !st.resolved() {
 			return nil, symStall("call expansion not fully resolved")
 		}
 		s.regs.Write(mem.RSP, rsp.val)
 		s.mem.Write(st.saddr, st.sval)
-		s.popMinN(3)
+		s.buf.PopMinN(3)
 		s.retired++
 		return s.self(d, core.WriteObs(st.saddr, st.saddrL))
 	case core.TRet:
-		tmp, ok1 := s.get(i + 1)
-		rsp, ok2 := s.get(i + 2)
-		jmp, ok3 := s.get(i + 3)
+		tmp, ok1 := s.buf.Get(i + 1)
+		rsp, ok2 := s.buf.Get(i + 2)
+		jmp, ok3 := s.buf.Get(i + 3)
 		if !ok1 || !ok2 || !ok3 || tmp.kind != core.TValue || rsp.kind != core.TValue || jmp.kind != core.TJump {
 			return nil, symStall("ret expansion not fully resolved")
 		}
 		s.regs.Write(mem.RSP, rsp.val)
-		s.popMinN(4)
+		s.buf.PopMinN(4)
 		s.retired++
 		return s.self(d)
 	}
@@ -888,7 +784,7 @@ func (s *symMachine) concretizeStore(i int, ae symx.Expr) (mem.Word, bool) {
 	}
 	seen := make(map[mem.Word]bool)
 	for k := i + 1; k <= s.BufMax(); k++ {
-		ld, _ := s.get(k)
+		ld, _ := s.buf.Get(k)
 		if ld == nil || ld.kind != core.TLoad {
 			continue
 		}
@@ -922,13 +818,13 @@ func (s *symMachine) Fingerprint() uint64 {
 	mix := func(w uint64) { h = mem.Mix64(h ^ w) }
 	mix(uint64(s.pc))
 	mix(uint64(s.retired))
-	mix(uint64(s.base))
+	mix(uint64(s.buf.Min()))
 	// Registers and memory: order-independent sums over the cells,
 	// maintained incrementally by the copy-on-write containers — O(1)
 	// here instead of re-hashing every expression tree per state.
 	mix(s.regs.HashSum())
 	mix(s.mem.HashSum())
-	for _, t := range s.buf {
+	for _, t := range s.buf.All() {
 		mix(t.hash())
 	}
 	mix(s.rsb.Hash())

@@ -152,7 +152,7 @@ func (c *concreteMachine) View(i int) (TransientView, bool) {
 func (c *concreteMachine) RSBTop() (isa.Addr, bool) { return c.m.RSB.Top() }
 
 func (c *concreteMachine) PeekJmpi(in *isa.Instr) (isa.Addr, bool) {
-	vals, ok := c.m.Buf.ResolveOperands(c.m.Buf.Max()+1, c.m.Regs, in.Args)
+	vals, ok := c.m.ResolveOperands(nil, c.m.Buf.Max()+1, in.Args)
 	if !ok {
 		return 0, false
 	}
@@ -164,11 +164,11 @@ func (c *concreteMachine) PeekJmpi(in *isa.Instr) (isa.Addr, bool) {
 }
 
 func (c *concreteMachine) PeekRet() (isa.Addr, bool) {
-	sp, ok := c.m.Buf.ResolveOperands(c.m.Buf.Max()+1, c.m.Regs, []isa.Operand{isa.R(mem.RSP)})
+	sp, ok := c.m.ResolveReg(c.m.Buf.Max()+1, mem.RSP)
 	if !ok {
 		return 0, false
 	}
-	v, err := c.m.Mem.Read(sp[0].W)
+	v, err := c.m.Mem.Read(sp.W)
 	if err != nil {
 		return 0, false
 	}
