@@ -20,9 +20,12 @@ func (f *hasher) bool(b bool) {
 	}
 }
 
-func (f *hasher) value(v mem.Value) {
-	f.word(v.W)
-	f.word(uint64(v.L))
+func (f *hasher) value(v mem.Value) { f.h = mixValue(f.h, v) }
+
+// mixValue absorbs a labeled word into the running hash h: the
+// concrete domain's value hash.
+func mixValue(h uint64, v mem.Value) uint64 {
+	return mem.Mix64(mem.Mix64(h^v.W) ^ uint64(v.L))
 }
 
 // Fingerprint hashes the machine's dynamic configuration — PC, retired
@@ -43,19 +46,29 @@ func (m *Machine) Fingerprint() uint64 {
 	// explored state.
 	f.word(m.Regs.HashSum())
 	f.word(m.Mem.HashSum())
-	f.word(uint64(m.Buf.Min()))
-	for _, t := range m.Buf.All() {
-		t.hashInto(&f)
-	}
+	f.h = HashBuffer(f.h, m.Buf, mixValue)
 	m.RSB.hashInto(&f)
+	return f.h
+}
+
+// HashBuffer absorbs MIN(buf) and every buffered transient into the
+// running hash h; mix absorbs one value of the domain. Both domains'
+// Fingerprints fold their reorder buffer through it.
+func HashBuffer[V any](h uint64, buf *Buffer[TransientOf[V]], mix func(h uint64, v V) uint64) uint64 {
+	f := hasher{h: h}
+	f.word(uint64(buf.Min()))
+	for _, t := range buf.All() {
+		t.hashInto(&f, mix)
+	}
 	return f.h
 }
 
 // hashInto feeds every semantically meaningful transient field to the
 // hasher. Fields that are inert for the current Kind still hash (they
 // are zero-valued there), which keeps the function branch-free and
-// future-proof against new resolution flags.
-func (t *Transient) hashInto(f *hasher) {
+// future-proof against new resolution flags. mix absorbs a value of
+// the domain; every other field is domain-independent.
+func (t *TransientOf[V]) hashInto(f *hasher, mix func(h uint64, v V) uint64) {
 	f.word(uint64(t.Kind))
 	f.word(uint64(t.Dst))
 	f.word(uint64(t.Op))
@@ -65,7 +78,7 @@ func (t *Transient) hashInto(f *hasher) {
 		f.word(uint64(a.Reg))
 		f.value(a.Imm)
 	}
-	f.value(t.Val)
+	f.h = mix(f.h, t.Val)
 	f.bool(t.FromLoad)
 	f.word(uint64(t.Dep))
 	f.word(t.DataAddr)
@@ -78,11 +91,11 @@ func (t *Transient) hashInto(f *hasher) {
 	f.word(uint64(t.Src.Reg))
 	f.value(t.Src.Imm)
 	f.bool(t.ValKnown)
-	f.value(t.SVal)
+	f.h = mix(f.h, t.SVal)
 	f.bool(t.AddrKnown)
 	f.value(t.SAddr)
 	f.bool(t.PredFwd)
-	f.value(t.PredVal)
+	f.h = mix(f.h, t.PredVal)
 	f.word(uint64(t.PredFrom))
 }
 

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"pitchfork/internal/isa"
 	"pitchfork/internal/mem"
+	"pitchfork/internal/symx"
 )
 
 func fingerprintMachine() *Machine {
@@ -96,4 +98,71 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if m.Fingerprint() == base {
 		t.Fatal("RSB journal must perturb the fingerprint")
 	}
+}
+
+// TestTransientHashCoversEveryField guards the dedup key: setting any
+// one field of a transient to a non-zero value — down to the fields of
+// its struct and slice members — must change hashInto, in both value
+// domains. A field added later and left out of the hash fails here.
+func TestTransientHashCoversEveryField(t *testing.T) {
+	t.Run("concrete", func(t *testing.T) {
+		checkHashCoversFields(t, mixValue, mem.Pub(7))
+	})
+	t.Run("symbolic", func(t *testing.T) {
+		mix := func(h uint64, e symx.Expr) uint64 { return mem.Mix64(h ^ symx.Fingerprint(e)) }
+		checkHashCoversFields(t, mix, symx.Expr(symx.CW(7)))
+	})
+}
+
+// checkHashCoversFields walks TransientOf[V] by reflection. Each leaf
+// field is set on a fresh base value and must move the hash; a slice
+// is first grown to one element (its length must move the hash), and
+// its element's fields are then checked on that grown base. sample is
+// the non-zero value for an interface-typed field.
+func checkHashCoversFields[V any](t *testing.T, mix func(uint64, V) uint64, sample V) {
+	hash := func(tr TransientOf[V]) uint64 {
+		f := newHasher()
+		tr.hashInto(&f, mix)
+		return f.h
+	}
+	nonZero := reflect.ValueOf(&sample).Elem()
+	type path = func(*TransientOf[V]) reflect.Value
+	var visit func(name string, base func() TransientOf[V], at path)
+	visit = func(name string, base func() TransientOf[V], at path) {
+		tr := base()
+		v := at(&tr)
+		if !v.CanSet() {
+			t.Fatalf("%s: unexported field, cannot check", name)
+		}
+		switch v.Kind() {
+		case reflect.Struct:
+			for k := range v.NumField() {
+				visit(name+"."+v.Type().Field(k).Name, base, func(p *TransientOf[V]) reflect.Value { return at(p).Field(k) })
+			}
+			return
+		case reflect.Slice:
+			grown := func() TransientOf[V] {
+				g := base()
+				at(&g).Set(reflect.MakeSlice(v.Type(), 1, 1))
+				return g
+			}
+			visit(name+"[0]", grown, func(p *TransientOf[V]) reflect.Value { return at(p).Index(0) })
+			v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(7)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(7)
+		case reflect.Interface:
+			v.Set(nonZero)
+		default:
+			t.Fatalf("%s: no non-zero value for kind %s", name, v.Kind())
+		}
+		if hash(tr) == hash(base()) {
+			t.Errorf("%s does not change hashInto", name)
+		}
+	}
+	visit("TransientOf", func() TransientOf[V] { return TransientOf[V]{} },
+		func(p *TransientOf[V]) reflect.Value { return reflect.ValueOf(p).Elem() })
 }

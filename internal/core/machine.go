@@ -212,7 +212,12 @@ func (m *Machine) Equal(o *Machine) bool {
 func (m *Machine) Step(d Directive) ([]Observation, error) {
 	switch d.Kind {
 	case DFetch, DFetchGuess, DFetchTarget:
-		return m.stepFetch(d)
+		pc, err := StepFetch(m.Buf, m.RSB, m.Instr(), m.PC, d, liftValue)
+		if err != nil {
+			return nil, err
+		}
+		m.PC = pc
+		return nil, nil
 	case DExecute:
 		return m.stepExecute(d)
 	case DExecValue:
@@ -222,7 +227,15 @@ func (m *Machine) Step(d Directive) ([]Observation, error) {
 	case DExecFwd:
 		return m.stepExecuteFwd(d)
 	case DRetire:
-		return m.stepRetire(d)
+		o, wrote, err := StepRetire(m.Buf, m.Regs, m.Mem, d)
+		if err != nil {
+			return nil, err
+		}
+		m.Retired++
+		if wrote {
+			return m.obs1(o), nil
+		}
+		return nil, nil
 	}
 	return nil, stall(d, "unknown directive kind")
 }
@@ -263,122 +276,123 @@ func (m *Machine) RunRecorded(ds Schedule) ([]StepRecord, error) {
 	return recs, nil
 }
 
+// liftValue is the concrete domain's lifting of an immediate: a
+// labeled word already is a concrete value.
+func liftValue(v mem.Value) mem.Value { return v }
+
 // ---------------------------------------------------------------------
 // Fetch stage
 // ---------------------------------------------------------------------
 
-func (m *Machine) stepFetch(d Directive) ([]Observation, error) {
-	in := m.Instr()
+// StepFetch applies a fetch-family directive at fetch head pc, whose
+// instruction is in (nil at a halt point): it appends the instruction's
+// transient form(s) to buf, journals σ for call and ret, and returns
+// the new fetch head. lift carries immediates into the value domain.
+// The fetch rules never look at a value, so both domains fetch through
+// this one function; on a stall nothing changes.
+func StepFetch[V any](buf *Buffer[TransientOf[V]], rsb *RSB, in *isa.Instr, pc isa.Addr, d Directive, lift func(mem.Value) V) (isa.Addr, error) {
 	if in == nil {
-		return nil, stall(d, "nothing to fetch at halt point %d", m.PC)
+		return pc, stall(d, "nothing to fetch at halt point %d", pc)
 	}
 	switch in.Kind {
 	case isa.KOp, isa.KLoad, isa.KStore, isa.KFence:
 		// simple-fetch
 		if d.Kind != DFetch {
-			return nil, stall(d, "%s requires a plain fetch", in.Kind)
+			return pc, stall(d, "%s requires a plain fetch", in.Kind)
 		}
-		t := transientValue(in)
-		t.PP = m.PC
-		m.Buf.AppendT(t)
-		m.PC = in.Next
-		return nil, nil
+		t := transientOf(in, lift)
+		t.PP = pc
+		buf.AppendT(t)
+		return in.Next, nil
 
 	case isa.KBr:
 		// cond-fetch: the directive's guess selects the speculative arm
 		// and is recorded as n0 in the transient branch.
 		if d.Kind != DFetchGuess {
-			return nil, stall(d, "br requires fetch: true/false")
+			return pc, stall(d, "br requires fetch: true/false")
 		}
 		guess := in.False
 		if d.Taken {
 			guess = in.True
 		}
-		m.Buf.AppendT(Transient{
+		buf.AppendT(TransientOf[V]{
 			Kind: TBr, Op: in.Op, Args: in.Args,
 			Guess: guess, True: in.True, False: in.False,
-			PP: m.PC,
+			PP: pc,
 		})
-		m.PC = guess
-		return nil, nil
+		return guess, nil
 
 	case isa.KJmpi:
 		// jmpi-fetch: the attacker supplies the predicted target n′.
 		if d.Kind != DFetchTarget {
-			return nil, stall(d, "jmpi requires fetch: n")
+			return pc, stall(d, "jmpi requires fetch: n")
 		}
-		m.Buf.AppendT(Transient{Kind: TJmpi, Args: in.Args, Guess: d.Target, PP: m.PC})
-		m.PC = d.Target
-		return nil, nil
+		buf.AppendT(TransientOf[V]{Kind: TJmpi, Args: in.Args, Guess: d.Target, PP: pc})
+		return d.Target, nil
 
 	case isa.KCall:
 		// call-direct-fetch: unpack into call marker, stack-pointer
 		// bump, and return-address store; push the return point onto σ.
 		if d.Kind != DFetch {
-			return nil, stall(d, "call requires a plain fetch")
+			return pc, stall(d, "call requires a plain fetch")
 		}
-		i := m.Buf.AppendT(Transient{Kind: TCall, PP: m.PC})
-		m.Buf.AppendT(Transient{Kind: TOp, Dst: mem.RSP, Op: isa.OpSucc, Args: []isa.Operand{isa.R(mem.RSP)}, PP: m.PC})
-		m.Buf.AppendT(Transient{
-			Kind: TStore, Src: isa.Imm(mem.Pub(in.RetPt)),
-			ValKnown: true, SVal: mem.Pub(in.RetPt),
+		ret := mem.Pub(in.RetPt)
+		i := buf.AppendT(TransientOf[V]{Kind: TCall, PP: pc})
+		buf.AppendT(TransientOf[V]{Kind: TOp, Dst: mem.RSP, Op: isa.OpSucc, Args: []isa.Operand{isa.R(mem.RSP)}, PP: pc})
+		buf.AppendT(TransientOf[V]{
+			Kind: TStore, Src: isa.Imm(ret),
+			ValKnown: true, SVal: lift(ret),
 			Args: []isa.Operand{isa.R(mem.RSP)},
-			PP:   m.PC,
+			PP:   pc,
 		})
-		m.RSB.Push(i, in.RetPt)
-		m.PC = in.Callee
-		return nil, nil
+		rsb.Push(i, in.RetPt)
+		return in.Callee, nil
 
 	case isa.KRet:
 		// ret-fetch-rsb / ret-fetch-rsb-empty: unpack into ret marker,
 		// return-address load, stack-pointer pop, and indirect jump
 		// predicted to top(σ) — or to the attacker's choice when σ is
 		// empty (policy-dependent).
-		target, haveTop := m.RSB.Top()
+		target, haveTop := rsb.Top()
 		switch {
 		case haveTop:
 			if d.Kind != DFetch {
-				return nil, stall(d, "ret with non-empty RSB requires a plain fetch")
+				return pc, stall(d, "ret with non-empty RSB requires a plain fetch")
 			}
-		case m.RSBPolicy == RSBRefuse:
-			return nil, stall(d, "ret with empty RSB: processor refuses to speculate")
+		case rsb.Policy() == RSBRefuse:
+			return pc, stall(d, "ret with empty RSB: processor refuses to speculate")
 		default: // RSBAttackerChoice with empty RSB
 			if d.Kind != DFetchTarget {
-				return nil, stall(d, "ret with empty RSB requires fetch: n")
+				return pc, stall(d, "ret with empty RSB requires fetch: n")
 			}
 			target = d.Target
 		}
-		retPt := m.PC
-		i := m.Buf.AppendT(Transient{Kind: TRet, PP: retPt})
-		m.Buf.AppendT(Transient{Kind: TLoad, Dst: mem.RTMP, Args: []isa.Operand{isa.R(mem.RSP)}, PP: retPt})
-		m.Buf.AppendT(Transient{Kind: TOp, Dst: mem.RSP, Op: isa.OpPred, Args: []isa.Operand{isa.R(mem.RSP)}, PP: retPt})
-		m.Buf.AppendT(Transient{Kind: TJmpi, Args: []isa.Operand{isa.R(mem.RTMP)}, Guess: target, PP: retPt})
-		m.RSB.Pop(i)
-		m.PC = target
-		return nil, nil
+		i := buf.AppendT(TransientOf[V]{Kind: TRet, PP: pc})
+		buf.AppendT(TransientOf[V]{Kind: TLoad, Dst: mem.RTMP, Args: []isa.Operand{isa.R(mem.RSP)}, PP: pc})
+		buf.AppendT(TransientOf[V]{Kind: TOp, Dst: mem.RSP, Op: isa.OpPred, Args: []isa.Operand{isa.R(mem.RSP)}, PP: pc})
+		buf.AppendT(TransientOf[V]{Kind: TJmpi, Args: []isa.Operand{isa.R(mem.RTMP)}, Guess: target, PP: pc})
+		rsb.Pop(i)
+		return target, nil
 	}
-	return nil, stall(d, "unfetchable instruction kind %v", in.Kind)
+	return pc, stall(d, "unfetchable instruction kind %v", in.Kind)
 }
 
 // ---------------------------------------------------------------------
 // Register resolution over the reorder buffer
 // ---------------------------------------------------------------------
 
-// ResolveReg implements the register resolve function (buf +i ρ)(r) of
+// Resolve implements the register resolve function (buf +i ρ)(r) of
 // Fig. 3, extended per §3.5 to read through partially resolved loads:
 //
 //   - the latest assignment to r at an index j < i that is resolved
 //     yields its value;
 //   - a latest assignment that is unresolved yields ⊥ (ok == false);
-//   - no assignment at all defers to ρ(r).
-func (m *Machine) ResolveReg(i int, r isa.Reg) (mem.Value, bool) {
-	hi := m.Buf.Max()
-	if i-1 < hi {
-		hi = i - 1
-	}
-	for j := hi; j >= m.Buf.Min() && j >= 1; j-- {
-		t, ok := m.Buf.Get(j)
-		if !ok || !t.AssignsReg(r) {
+//   - no assignment at all defers to ρ(r), which read supplies with the
+//     domain's default for a register never written.
+func Resolve[V any](buf *Buffer[TransientOf[V]], i int, r isa.Reg, read func(isa.Reg) V) (v V, ok bool) {
+	for j := min(i-1, buf.Max()); j >= buf.Min(); j-- {
+		t, _ := buf.Get(j)
+		if !t.AssignsReg(r) {
 			continue
 		}
 		switch t.Kind {
@@ -388,12 +402,15 @@ func (m *Machine) ResolveReg(i int, r isa.Reg) (mem.Value, bool) {
 			if t.PredFwd {
 				return t.PredVal, true // §3.5 extension
 			}
-			return mem.Value{}, false // pending assignment: ⊥
-		case TOp:
-			return mem.Value{}, false // pending assignment: ⊥
 		}
+		return v, false // pending assignment: ⊥
 	}
-	return m.Regs.Read(r), true
+	return read(r), true
+}
+
+// ResolveReg is Resolve over the machine's buffer and register file.
+func (m *Machine) ResolveReg(i int, r isa.Reg) (mem.Value, bool) {
+	return Resolve(m.Buf, i, r, m.Regs.Read)
 }
 
 // ResolveOperand lifts ResolveReg to a register-or-value operand:
@@ -727,69 +744,70 @@ func (m *Machine) stepExecuteFwd(d Directive) ([]Observation, error) {
 // Retire stage
 // ---------------------------------------------------------------------
 
-func (m *Machine) stepRetire(d Directive) ([]Observation, error) {
-	i := m.Buf.Min()
-	t, ok := m.Buf.Get(i)
+// Writer is a domain's register file (K = isa.Reg) or data memory
+// (K = mem.Word), as the retire stage commits to it.
+type Writer[K, V any] interface {
+	Write(K, V)
+}
+
+// StepRetire applies a retire directive to the buffer head, committing
+// through the domain's register file regs and data memory data. It
+// returns the write observation of a retiring store or call expansion
+// (wrote reports whether there is one). Like StepFetch, the rule never
+// inspects a value, so both domains retire through it; on a stall
+// nothing changes.
+func StepRetire[V any](buf *Buffer[TransientOf[V]], regs Writer[isa.Reg, V], data Writer[mem.Word, V], d Directive) (o Observation, wrote bool, err error) {
+	i := buf.Min()
+	t, ok := buf.Get(i)
 	if !ok {
-		return nil, stall(d, "empty reorder buffer")
+		return o, false, stall(d, "empty reorder buffer")
 	}
 	switch t.Kind {
 	case TValue:
 		// value-retire (covers resolved ops and resolved loads)
-		m.Regs.Write(t.Dst, t.Val)
-		m.Buf.PopMinN(1)
-		m.Retired++
-		return nil, nil
+		regs.Write(t.Dst, t.Val)
+		buf.PopMinN(1)
+		return o, false, nil
 
-	case TJump:
-		// jump-retire
-		m.Buf.PopMinN(1)
-		m.Retired++
-		return nil, nil
+	case TJump, TFence:
+		// jump-retire, fence-retire
+		buf.PopMinN(1)
+		return o, false, nil
 
 	case TStore:
 		// store-retire
 		if !t.ValKnown || !t.AddrKnown {
-			return nil, stall(d, "store not fully resolved: %s", t)
+			return o, false, stall(d, "store not fully resolved: %s", t)
 		}
-		m.Mem.Write(t.SAddr.W, t.SVal)
-		m.Buf.PopMinN(1)
-		m.Retired++
-		return m.obs1(WriteObs(t.SAddr.W, t.SAddr.L)), nil
-
-	case TFence:
-		// fence-retire
-		m.Buf.PopMinN(1)
-		m.Retired++
-		return nil, nil
+		data.Write(t.SAddr.W, t.SVal)
+		buf.PopMinN(1)
+		return WriteObs(t.SAddr.W, t.SAddr.L), true, nil
 
 	case TCall:
 		// call-retire: the whole expansion retires at once.
-		rsp, ok1 := m.Buf.Get(i + 1)
-		st, ok2 := m.Buf.Get(i + 2)
+		rsp, ok1 := buf.Get(i + 1)
+		st, ok2 := buf.Get(i + 2)
 		if !ok1 || !ok2 || rsp.Kind != TValue || st.Kind != TStore || !st.ValKnown || !st.AddrKnown {
-			return nil, stall(d, "call expansion not fully resolved")
+			return o, false, stall(d, "call expansion not fully resolved")
 		}
-		m.Regs.Write(mem.RSP, rsp.Val)
-		m.Mem.Write(st.SAddr.W, st.SVal)
-		m.Buf.PopMinN(3)
-		m.Retired++
-		return m.obs1(WriteObs(st.SAddr.W, st.SAddr.L)), nil
+		regs.Write(mem.RSP, rsp.Val)
+		data.Write(st.SAddr.W, st.SVal)
+		buf.PopMinN(3)
+		return WriteObs(st.SAddr.W, st.SAddr.L), true, nil
 
 	case TRet:
 		// ret-retire: commits the popped stack pointer; rtmp is
 		// scratch and is deliberately not committed (Appendix A).
-		tmp, ok1 := m.Buf.Get(i + 1)
-		rsp, ok2 := m.Buf.Get(i + 2)
-		jmp, ok3 := m.Buf.Get(i + 3)
+		tmp, ok1 := buf.Get(i + 1)
+		rsp, ok2 := buf.Get(i + 2)
+		jmp, ok3 := buf.Get(i + 3)
 		if !ok1 || !ok2 || !ok3 ||
 			tmp.Kind != TValue || rsp.Kind != TValue || jmp.Kind != TJump {
-			return nil, stall(d, "ret expansion not fully resolved")
+			return o, false, stall(d, "ret expansion not fully resolved")
 		}
-		m.Regs.Write(mem.RSP, rsp.Val)
-		m.Buf.PopMinN(4)
-		m.Retired++
-		return nil, nil
+		regs.Write(mem.RSP, rsp.Val)
+		buf.PopMinN(4)
+		return o, false, nil
 	}
-	return nil, stall(d, "index %d (%s) has no retire rule", i, t)
+	return o, false, stall(d, "index %d (%s) has no retire rule", i, t)
 }

@@ -42,10 +42,13 @@ const (
 	TFence              // fence
 )
 
-// Transient is a transient instruction: the unit the reorder buffer
-// holds. A single struct covers every form; Kind plus the resolution
-// flags determine which fields are meaningful.
-type Transient struct {
+// TransientOf is a transient instruction over the value domain V: the
+// unit the reorder buffer holds. Table 1 defines one transient syntax
+// over values; the concrete machine instantiates it at labeled words
+// (Transient) and the symbolic domain at expressions. A single struct
+// covers every form; Kind plus the resolution flags determine which
+// fields are meaningful.
+type TransientOf[V any] struct {
 	Kind TKind
 
 	Dst  isa.Reg       // TOp, TValue, TLoad: destination register r
@@ -55,7 +58,7 @@ type Transient struct {
 	// TValue fields. A plain resolved value has FromLoad == false. A
 	// resolved load carries the paper's {dep, addr} annotation and the
 	// program point of its physical load.
-	Val      mem.Value
+	Val      V
 	FromLoad bool
 	Dep      int      // forwarding store's buffer index, or NoDep (⊥)
 	DataAddr mem.Word // annotated address a
@@ -74,10 +77,12 @@ type Transient struct {
 	Target isa.Addr // TJump: resolved target
 
 	// TStore resolution state: value and address resolve independently
-	// (execute i : value, execute i : addr), in either order.
+	// (execute i : value, execute i : addr), in either order. The
+	// address is a labeled word in every domain: the symbolic domain
+	// concretizes it before it resolves.
 	Src       isa.Operand // unresolved data operand rv
 	ValKnown  bool
-	SVal      mem.Value // resolved data vℓ
+	SVal      V // resolved data vℓ
 	AddrKnown bool
 	SAddr     mem.Value // resolved address aℓa (word + joined label)
 
@@ -85,13 +90,17 @@ type Transient struct {
 	// (r = load(r⃗v, (vℓ, j)))n speculatively carries the value of the
 	// store at index PredFrom before the addresses are known.
 	PredFwd  bool
-	PredVal  mem.Value
+	PredVal  V
 	PredFrom int
 }
 
+// Transient is the concrete machine's transient instruction, over
+// labeled words.
+type Transient = TransientOf[mem.Value]
+
 // AssignsReg reports whether the transient instruction targets register
 // r — the candidates the register resolve function (Fig. 3) scans for.
-func (t *Transient) AssignsReg(r isa.Reg) bool {
+func (t *TransientOf[V]) AssignsReg(r isa.Reg) bool {
 	switch t.Kind {
 	case TOp, TValue, TLoad:
 		return t.Dst == r
@@ -101,12 +110,12 @@ func (t *Transient) AssignsReg(r isa.Reg) bool {
 
 // IsFence reports whether the instruction is a fence, for the reorder
 // buffer's lowest-fence index. It has a value receiver so that
-// Transient itself satisfies BufferEntry.
-func (t Transient) IsFence() bool { return t.Kind == TFence }
+// TransientOf itself satisfies BufferEntry.
+func (t TransientOf[V]) IsFence() bool { return t.Kind == TFence }
 
 // Resolved reports whether the instruction needs no further execute
 // steps before it can retire.
-func (t *Transient) Resolved() bool {
+func (t *TransientOf[V]) Resolved() bool {
 	switch t.Kind {
 	case TValue, TJump, TFence, TCall, TRet:
 		return true
@@ -120,13 +129,13 @@ func (t *Transient) Resolved() bool {
 // IsResolvedStoreTo reports whether the instruction is a store whose
 // address has resolved to a — the buf(j) = store(_, a) pattern of the
 // load rules.
-func (t *Transient) IsResolvedStoreTo(a mem.Word) bool {
+func (t *TransientOf[V]) IsResolvedStoreTo(a mem.Word) bool {
 	return t.Kind == TStore && t.AddrKnown && t.SAddr.W == a
 }
 
 // String renders the transient instruction in the paper's notation,
 // e.g. "(rb = load([64, ra]))", "store(12, 67pub)", "jump 9".
-func (t *Transient) String() string {
+func (t *TransientOf[V]) String() string {
 	switch t.Kind {
 	case TOp:
 		return fmt.Sprintf("(%s = op(%s, %s))", isa.RegName(t.Dst), t.Op, opList(t.Args))
@@ -136,22 +145,22 @@ func (t *Transient) String() string {
 			if t.Dep != NoDep {
 				dep = fmt.Sprintf("%d", t.Dep)
 			}
-			return fmt.Sprintf("(%s = %s{%s, %#x})", isa.RegName(t.Dst), t.Val, dep, t.DataAddr)
+			return fmt.Sprintf("(%s = %v{%s, %#x})", isa.RegName(t.Dst), t.Val, dep, t.DataAddr)
 		}
-		return fmt.Sprintf("(%s = %s)", isa.RegName(t.Dst), t.Val)
+		return fmt.Sprintf("(%s = %v)", isa.RegName(t.Dst), t.Val)
 	case TBr:
 		return fmt.Sprintf("br(%s, %s, %d, (%d, %d))", t.Op, opList(t.Args), t.Guess, t.True, t.False)
 	case TJump:
 		return fmt.Sprintf("jump %d", t.Target)
 	case TLoad:
 		if t.PredFwd {
-			return fmt.Sprintf("(%s = load(%s, (%s, %d)))", isa.RegName(t.Dst), opList(t.Args), t.PredVal, t.PredFrom)
+			return fmt.Sprintf("(%s = load(%s, (%v, %d)))", isa.RegName(t.Dst), opList(t.Args), t.PredVal, t.PredFrom)
 		}
 		return fmt.Sprintf("(%s = load(%s))", isa.RegName(t.Dst), opList(t.Args))
 	case TStore:
 		src := t.Src.String()
 		if t.ValKnown {
-			src = t.SVal.String()
+			src = fmt.Sprint(t.SVal)
 		}
 		if t.AddrKnown {
 			return fmt.Sprintf("store(%s, %s)", src, t.SAddr)
@@ -181,25 +190,25 @@ func opList(args []isa.Operand) string {
 // transient form (the transient(·) function of simple-fetch). Stores
 // whose data operand is an immediate arrive with the value pre-resolved
 // — the paper notes "either step may be skipped if data or address are
-// already in immediate form". Operand slices are shared with the
-// static program: operands are immutable after assembly and transients
-// never rewrite Args, so no copy is needed (branch and jmpi fetches
-// already share them).
-func transientValue(in *isa.Instr) Transient {
+// already in immediate form" — lifted into the domain by lift. Operand
+// slices are shared with the static program: operands are immutable
+// after assembly and transients never rewrite Args, so no copy is
+// needed (branch and jmpi fetches already share them).
+func transientOf[V any](in *isa.Instr, lift func(mem.Value) V) TransientOf[V] {
 	switch in.Kind {
 	case isa.KOp:
-		return Transient{Kind: TOp, Dst: in.Dst, Op: in.Op, Args: in.Args}
+		return TransientOf[V]{Kind: TOp, Dst: in.Dst, Op: in.Op, Args: in.Args}
 	case isa.KLoad:
-		return Transient{Kind: TLoad, Dst: in.Dst, Args: in.Args}
+		return TransientOf[V]{Kind: TLoad, Dst: in.Dst, Args: in.Args}
 	case isa.KStore:
-		t := Transient{Kind: TStore, Src: in.Src, Args: in.Args}
+		t := TransientOf[V]{Kind: TStore, Src: in.Src, Args: in.Args}
 		if !in.Src.IsReg {
 			t.ValKnown = true
-			t.SVal = in.Src.Imm
+			t.SVal = lift(in.Src.Imm)
 		}
 		return t
 	case isa.KFence:
-		return Transient{Kind: TFence}
+		return TransientOf[V]{Kind: TFence}
 	}
 	panic(fmt.Sprintf("core: transientOf(%v): not a simple-fetch instruction", in.Kind))
 }

@@ -42,11 +42,12 @@ func TestResolveArgsAllocFree(t *testing.T) {
 	}
 }
 
-// TestResolveRegAllocFree pins resolveReg, resolveArgs' twin on the
-// operand-resolution hot path: resolving a register must not allocate
-// — neither through the speculative buffer, nor out of the register
-// file, nor on the unset-register default (which now returns the
-// canonical symx.Zero instead of boxing a fresh Const per call).
+// TestResolveRegAllocFree pins register resolution (core.Resolve with
+// the domain's readReg), resolveArgs' twin on the operand-resolution
+// hot path: resolving a register must not allocate — neither through
+// the speculative buffer, nor out of the register file, nor on the
+// unset-register default (the canonical symx.Zero, not a fresh boxed
+// Const per call).
 func TestResolveRegAllocFree(t *testing.T) {
 	b := isa.NewBuilder(1)
 	b.Op(isa.Reg(0), isa.OpAdd, isa.R(isa.Reg(1)), isa.R(isa.Reg(2)))
@@ -60,15 +61,15 @@ func TestResolveRegAllocFree(t *testing.T) {
 
 	for _, r := range []isa.Reg{isa.Reg(1), isa.Reg(9)} { // set and unset
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, ok := s.resolveReg(s.BufMin(), r); !ok {
+			if _, ok := s.resolveOperand(s.BufMin(), isa.R(r)); !ok {
 				t.Fatal("resolve failed")
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("resolveReg(r%d) allocates %.1f times per call; want 0", r, allocs)
+			t.Fatalf("resolving r%d allocates %.1f times per call; want 0", r, allocs)
 		}
 	}
-	if e, ok := s.resolveReg(s.BufMin(), isa.Reg(9)); !ok || e != symx.Zero {
+	if e, ok := s.resolveOperand(s.BufMin(), isa.R(isa.Reg(9))); !ok || e != symx.Zero {
 		t.Fatal("unset register must resolve to the canonical zero expression")
 	}
 }

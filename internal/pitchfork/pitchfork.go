@@ -32,40 +32,12 @@ import (
 	"pitchfork/internal/symx"
 )
 
-// Options configure an analysis.
-type Options struct {
-	// Bound is the speculation bound. The paper's evaluation uses 250
-	// without forwarding-hazard detection and 20 with it (§4.2.1).
-	Bound int
-	// ForwardHazards enables Spectre v4 style schedules.
-	ForwardHazards bool
-	// MaxStates and MaxRetired bound the exploration (0 = defaults).
-	MaxStates  int
-	MaxRetired int
-	// StopAtFirst stops at the first violation.
-	StopAtFirst bool
-	// Workers is the number of exploration goroutines in either mode
-	// (0 or 1 = serial; n > 1 = work-stealing pool with violations
-	// reported in deterministic schedule order). Both the concrete and
-	// the symbolic domain run on the same engine and pool.
-	Workers int
-	// DedupEntries, when positive, bounds a machine-fingerprint table
-	// that prunes re-converged exploration states in either mode
-	// (0 = off); symbolic fingerprints include the path condition. See
-	// sched.Options.DedupEntries for the trade-offs.
-	DedupEntries int
-	// OnViolation, if non-nil, is invoked synchronously as each
-	// violation is found, before exploration continues. Returning false
-	// stops the analysis early; everything found so far stays in the
-	// report. This is the streaming hook the public spectre package
-	// builds on.
-	OnViolation func(Violation) bool
-	// Interrupt, if non-nil, is polled once per explored state.
-	// Returning true aborts the analysis promptly with the partial
-	// report and Report.Interrupted set — how context cancellation
-	// reaches the explorers.
-	Interrupt func() bool
-}
+// Options configure an analysis: the exploration engine's options,
+// which both modes take as they are. The paper's evaluation runs Bound
+// 250 without ForwardHazards and 20 with them (§4.2.1); Workers and
+// DedupEntries apply to either mode, and symbolic fingerprints include
+// the path condition.
+type Options = sched.Options
 
 // The two bounds of the paper's evaluation procedure (§4.2.1).
 const (
@@ -77,28 +49,9 @@ const (
 	BoundWithHazards = 20
 )
 
-// Violation is a detected SCT violation.
-type Violation struct {
-	Obs      core.Observation
-	Kind     sched.VariantKind
-	Schedule core.Schedule // attacker directive schedule (both modes)
-	Trace    core.Trace
-	Model    map[string]uint64 // symbolic mode: a witness assignment
-	PC       uint64
-	// Sources are the speculation primitives (branches, unresolved
-	// store addresses, in-flight returns) still pending when the leak
-	// was detected — the fence-repair synthesis anchors.
-	Sources []sched.Source
-}
-
-// String renders the violation.
-func (v Violation) String() string {
-	s := fmt.Sprintf("%s: %s", v.Kind, v.Obs)
-	if len(v.Model) > 0 {
-		s += fmt.Sprintf(" (witness %v)", v.Model)
-	}
-	return s
-}
+// Violation is a detected SCT violation. In symbolic mode its Model
+// is a witness assignment of the symbolic inputs.
+type Violation = sched.Violation
 
 // Report aggregates an analysis run.
 type Report struct {
@@ -135,51 +88,39 @@ func (r Report) Summary() string {
 		len(r.Violations), r.Mode, r.States, r.Paths, r.Violations[0])
 }
 
-// violationOf lifts an engine violation into the detector's type.
-func violationOf(v sched.Violation) Violation {
-	return Violation{
-		Obs:      v.Obs,
-		Kind:     v.Kind,
-		Schedule: v.Schedule,
-		Trace:    v.Trace,
-		Model:    v.Model,
-		PC:       uint64(v.PC),
-		Sources:  v.Sources,
-	}
-}
-
 // Analyze runs the concrete-mode detector on a machine configuration.
 func Analyze(m *core.Machine, opts Options) (Report, error) {
-	sopts := sched.Options{
-		Bound:          opts.Bound,
-		ForwardHazards: opts.ForwardHazards,
-		MaxStates:      opts.MaxStates,
-		MaxRetired:     opts.MaxRetired,
-		StopAtFirst:    opts.StopAtFirst,
-		Workers:        opts.Workers,
-		DedupEntries:   opts.DedupEntries,
-		KeepSchedules:  true,
-		Interrupt:      opts.Interrupt,
-	}
-	if opts.OnViolation != nil {
-		sopts.OnViolation = func(v sched.Violation) bool {
-			return opts.OnViolation(violationOf(v))
-		}
-	}
-	e, err := sched.NewExplorer(sopts)
+	return analyze(sched.Concrete(m), "concrete", opts)
+}
+
+// AnalyzeSymbolic runs the symbolic-mode detector on the unified
+// engine: the same worst-case schedule strategy, worker pool, dedup
+// table, and budgets as concrete mode, over the symbolic domain.
+func AnalyzeSymbolic(m *SymMachine, opts Options) (Report, error) {
+	sm := newSymMachine(m)
+	rep, err := analyze(sm, "symbolic", opts)
 	if err != nil {
-		return Report{}, err
+		return rep, err
 	}
-	res := e.Explore(m)
-	rep := Report{
-		States: res.States, Paths: res.Paths,
-		Truncated: res.Truncated, Interrupted: res.Interrupted,
-		Mode: "concrete", Workers: res.Workers, DedupHits: res.DedupHits,
-	}
-	for _, v := range res.Violations {
-		rep.Violations = append(rep.Violations, violationOf(v))
-	}
+	stats := sm.solver.Stats()
+	rep.Solver = &stats
 	return rep, nil
+}
+
+// analyze explores m, a machine of the named mode, and reports what the
+// engine found.
+func analyze(m sched.Machine, mode string, opts Options) (Report, error) {
+	e, err := sched.NewExplorer(opts)
+	if err != nil {
+		return Report{}, fmt.Errorf("pitchfork: %w", err)
+	}
+	res := e.ExploreMachine(m)
+	return Report{
+		Violations: res.Violations,
+		States:     res.States, Paths: res.Paths,
+		Truncated: res.Truncated, Interrupted: res.Interrupted,
+		Mode: mode, Workers: res.Workers, DedupHits: res.DedupHits,
+	}, nil
 }
 
 // AnalyzeProcedure runs the paper's two-phase evaluation procedure

@@ -1,6 +1,7 @@
 package pitchfork
 
 import (
+	"strings"
 	"testing"
 
 	"pitchfork/internal/core"
@@ -89,11 +90,19 @@ func TestAnalyzeProcedureTwoPhases(t *testing.T) {
 }
 
 func TestAnalyzeRejectsBadBound(t *testing.T) {
-	if _, err := Analyze(v1Machine(), Options{Bound: 0}); err == nil {
+	_, err := Analyze(v1Machine(), Options{Bound: 0})
+	if err == nil {
 		t.Fatal("bound 0 must be rejected")
 	}
-	if _, err := AnalyzeSymbolic(NewSym(isa.NewProgram(1)), Options{Bound: 0}); err == nil {
+	_, serr := AnalyzeSymbolic(NewSym(isa.NewProgram(1)), Options{Bound: 0})
+	if serr == nil {
 		t.Fatal("symbolic bound 0 must be rejected")
+	}
+	// Both entry points name the package on engine errors.
+	for _, e := range []error{err, serr} {
+		if !strings.HasPrefix(e.Error(), "pitchfork: ") {
+			t.Errorf("error %q lacks the pitchfork: prefix", e)
+		}
 	}
 }
 

@@ -10,6 +10,16 @@
 // dedup, budgets, and deterministic violation merging therefore apply
 // to symbolic runs exactly as to concrete ones.
 //
+// The domain reuses every rule that never looks at a value: transients
+// are core.TransientOf[symx.Expr] in a core.Buffer, and fetch, the
+// register resolve function, retire, the engine's buffer view and the
+// entry hash are internal/core's and internal/sched's, instantiated at
+// expressions. This file supplies the value-specific pieces (lifting
+// an immediate to a constant expression, an expression's hash and
+// secrecy, the public-zero default of an unwritten register) and the
+// execute stage, where solver forks and address concretization make
+// the symbolic rules genuinely different.
+//
 // Like the original tool, the symbolic domain exercises a subset of
 // the semantics: conditional-branch speculation and store-forwarding
 // variants (Spectre v1, v1.1, v4), with indirect jumps and returns
@@ -72,52 +82,15 @@ func symStall(format string, args ...any) error {
 	return fmt.Errorf("pitchfork: symbolic stall: "+format, args...)
 }
 
-// symTransient mirrors the subset of transient instructions the
-// symbolic domain handles (Table 1 minus aliasing prediction, like
-// the original tool).
-type symTransient struct {
-	kind core.TKind
-	dst  isa.Reg
-	op   isa.Opcode
-	args []isa.Operand
+// liftExpr lifts an immediate into the domain: a constant expression.
+func liftExpr(v mem.Value) symx.Expr { return symx.C(v) }
 
-	val      symx.Expr // resolved value
-	fromLoad bool
-	dep      int
-	dataAddr mem.Word
-	pp       isa.Addr
+// mixExpr absorbs an expression into a running hash by its structural
+// fingerprint (a nil expression hashes to a fixed sentinel).
+func mixExpr(h uint64, e symx.Expr) uint64 { return mem.Mix64(h ^ symx.Fingerprint(e)) }
 
-	guess, tTrue, tFalse isa.Addr
-	target               isa.Addr
-
-	src       isa.Operand
-	valKnown  bool
-	sval      symx.Expr
-	addrKnown bool
-	saddr     mem.Word
-	saddrL    mem.Label
-}
-
-// IsFence implements core.BufferEntry.
-func (t symTransient) IsFence() bool { return t.kind == core.TFence }
-
-func (t *symTransient) resolved() bool {
-	switch t.kind {
-	case core.TValue, core.TJump, core.TFence, core.TCall, core.TRet:
-		return true
-	case core.TStore:
-		return t.valKnown && t.addrKnown
-	}
-	return false
-}
-
-func (t *symTransient) assigns(r isa.Reg) bool {
-	switch t.kind {
-	case core.TOp, core.TValue, core.TLoad:
-		return t.dst == r
-	}
-	return false
-}
+// secretExpr reports whether an expression carries a secret label.
+func secretExpr(e symx.Expr) bool { return e != nil && e.Label().IsSecret() }
 
 // symMachine is the symbolic domain: one speculative machine
 // configuration over expressions, implementing sched.Machine. The
@@ -129,17 +102,20 @@ func (t *symTransient) assigns(r isa.Reg) bool {
 // cell file (symx.RegFile) copied on the first write after a fork,
 // memory is an overlay chain (symx.Memory) whose secret-cell index is
 // kept current on write, the RSB journal shares its tail, and the
-// reorder buffer is the concrete machine's core.Buffer instantiated at
-// symTransient — so Clone is O(1), each fork pays only for what it
-// subsequently changes, and transients come from the buffer's arena.
+// reorder buffer is the concrete machine's core.Buffer of
+// core.TransientOf, instantiated at expressions — so Clone is O(1),
+// each fork pays only for what it subsequently changes, and transients
+// come from the buffer's arena.
 // No per-state step walks memory: the concretizer reads the
-// secret-cell index as is.
+// secret-cell index as is. The domain never sets a transient's
+// aliasing-prediction fields (it handles Table 1 minus §3.5, like the
+// original tool).
 type symMachine struct {
 	code    *isa.Table // the program's instructions, shared by clones
 	regs    *symx.RegFile
 	mem     *symx.Memory
 	pc      isa.Addr
-	buf     *core.Buffer[symTransient]
+	buf     *core.Buffer[core.TransientOf[symx.Expr]]
 	rsb     *core.RSB
 	pcond   symx.PathCondition
 	retired int
@@ -166,7 +142,7 @@ func newSymMachine(m *SymMachine) *symMachine {
 		regs:   symx.NewRegFile(),
 		mem:    m.Mem.Clone(),
 		pc:     m.PC,
-		buf:    core.NewBuffer[symTransient](),
+		buf:    core.NewBuffer[core.TransientOf[symx.Expr]](),
 		rsb:    core.NewRSB(core.RSBAttackerChoice),
 		solver: solver,
 		concr:  symx.NewConcretizer(solver),
@@ -212,19 +188,12 @@ func (s *symMachine) BufMin() int { return s.buf.Min() }
 
 func (s *symMachine) BufMax() int { return s.buf.Max() }
 
-func (s *symMachine) View(i int) (sched.TransientView, bool) {
+func (s *symMachine) View(i int) (v sched.TransientView, ok bool) {
 	t, ok := s.buf.Get(i)
-	if !ok {
-		return sched.TransientView{}, false
+	if ok {
+		sched.FillView(&v, t, secretExpr)
 	}
-	return sched.TransientView{
-		Kind:      t.kind,
-		Resolved:  t.resolved(),
-		ValKnown:  t.valKnown,
-		AddrKnown: t.addrKnown,
-		PP:        t.pp,
-		FwdSecret: t.kind == core.TValue && t.fromLoad && t.dep != core.NoDep && t.val != nil && t.val.Label().IsSecret(),
-	}, true
+	return v, ok
 }
 
 func (s *symMachine) RSBTop() (isa.Addr, bool) { return s.rsb.Top() }
@@ -247,7 +216,7 @@ func (s *symMachine) PeekJmpi(in *isa.Instr) (isa.Addr, bool) {
 // PeekRet predicts through the in-memory return address when the RSB
 // is empty, like the concrete machine.
 func (s *symMachine) PeekRet() (isa.Addr, bool) {
-	sp, ok := s.resolveReg(s.BufMax()+1, mem.RSP)
+	sp, ok := core.Resolve(s.buf, s.BufMax()+1, mem.RSP, s.readReg)
 	if !ok {
 		return 0, false
 	}
@@ -280,39 +249,22 @@ func (s *symMachine) Witness() map[string]uint64 {
 // Register/operand resolution over the speculative buffer.
 // ---------------------------------------------------------------------
 
-// resolveReg is the register resolve function (Fig. 3) lifted to
-// expressions.
-func (s *symMachine) resolveReg(i int, r isa.Reg) (symx.Expr, bool) {
-	hi := s.BufMax()
-	if i-1 < hi {
-		hi = i - 1
-	}
-	for j := hi; j >= s.buf.Min(); j-- {
-		t, _ := s.buf.Get(j)
-		if !t.assigns(r) {
-			continue
-		}
-		switch t.kind {
-		case core.TValue:
-			return t.val, true
-		default:
-			return nil, false
-		}
-	}
+// readReg is ρ(r) for the register resolve function: an unwritten
+// register reads as the canonical public zero (boxing a fresh Const
+// here would make every such resolve an allocation, on the
+// operand-resolution hot path).
+func (s *symMachine) readReg(r isa.Reg) symx.Expr {
 	if e, ok := s.regs.Read(r); ok {
-		return e, true
+		return e
 	}
-	// The canonical zero expression: boxing a fresh Const here made
-	// every unset-register resolve an allocation (resolveReg is on the
-	// operand-resolution hot path alongside resolveArgs).
-	return symx.Zero, true
+	return symx.Zero
 }
 
 func (s *symMachine) resolveOperand(i int, o isa.Operand) (symx.Expr, bool) {
 	if !o.IsReg {
-		return symx.C(o.Imm), true
+		return liftExpr(o.Imm), true
 	}
-	return s.resolveReg(i, o.Reg)
+	return core.Resolve(s.buf, i, o.Reg, s.readReg)
 }
 
 // resolveArgs resolves an operand list into the machine's scratch
@@ -376,7 +328,12 @@ func (s *symMachine) self(d core.Directive, obs ...core.Observation) ([]sched.Su
 func (s *symMachine) Step(d core.Directive) ([]sched.Successor, error) {
 	switch d.Kind {
 	case core.DFetch, core.DFetchGuess, core.DFetchTarget:
-		return s.stepFetch(d)
+		pc, err := core.StepFetch(s.buf, s.rsb, s.Instr(), s.pc, d, liftExpr)
+		if err != nil {
+			return nil, err
+		}
+		s.pc = pc
+		return s.self(d)
 	case core.DExecute:
 		return s.stepExecute(d)
 	case core.DExecValue:
@@ -384,109 +341,17 @@ func (s *symMachine) Step(d core.Directive) ([]sched.Successor, error) {
 	case core.DExecAddr:
 		return s.stepExecAddr(d)
 	case core.DRetire:
-		return s.stepRetire(d)
+		o, wrote, err := core.StepRetire(s.buf, s.regs, s.mem, d)
+		if err != nil {
+			return nil, err
+		}
+		s.retired++
+		if wrote {
+			return s.self(d, o)
+		}
+		return s.self(d)
 	}
 	return nil, symStall("directive %q not in the symbolic subset", d)
-}
-
-func (s *symMachine) stepFetch(d core.Directive) ([]sched.Successor, error) {
-	in := s.Instr()
-	if in == nil {
-		return nil, symStall("nothing to fetch at halt point %d", s.pc)
-	}
-	switch in.Kind {
-	case isa.KOp:
-		if d.Kind != core.DFetch {
-			return nil, symStall("%s requires a plain fetch", in.Kind)
-		}
-		s.buf.AppendT(symTransient{kind: core.TOp, dst: in.Dst, op: in.Op, args: in.Args, pp: s.pc})
-		s.pc = in.Next
-		return s.self(d)
-	case isa.KLoad:
-		if d.Kind != core.DFetch {
-			return nil, symStall("%s requires a plain fetch", in.Kind)
-		}
-		s.buf.AppendT(symTransient{kind: core.TLoad, dst: in.Dst, args: in.Args, pp: s.pc})
-		s.pc = in.Next
-		return s.self(d)
-	case isa.KStore:
-		if d.Kind != core.DFetch {
-			return nil, symStall("%s requires a plain fetch", in.Kind)
-		}
-		t := symTransient{kind: core.TStore, src: in.Src, args: in.Args, pp: s.pc}
-		if !in.Src.IsReg {
-			t.valKnown = true
-			t.sval = symx.C(in.Src.Imm)
-		}
-		s.buf.AppendT(t)
-		s.pc = in.Next
-		return s.self(d)
-	case isa.KFence:
-		if d.Kind != core.DFetch {
-			return nil, symStall("%s requires a plain fetch", in.Kind)
-		}
-		s.buf.AppendT(symTransient{kind: core.TFence, pp: s.pc})
-		s.pc = in.Next
-		return s.self(d)
-
-	case isa.KBr:
-		if d.Kind != core.DFetchGuess {
-			return nil, symStall("br requires fetch: true/false")
-		}
-		guess := in.False
-		if d.Taken {
-			guess = in.True
-		}
-		s.buf.AppendT(symTransient{kind: core.TBr, op: in.Op, args: in.Args, guess: guess, tTrue: in.True, tFalse: in.False, pp: s.pc})
-		s.pc = guess
-		return s.self(d)
-
-	case isa.KJmpi:
-		if d.Kind != core.DFetchTarget {
-			return nil, symStall("jmpi requires fetch: n")
-		}
-		s.buf.AppendT(symTransient{kind: core.TJmpi, args: in.Args, guess: d.Target, pp: s.pc})
-		s.pc = d.Target
-		return s.self(d)
-
-	case isa.KCall:
-		if d.Kind != core.DFetch {
-			return nil, symStall("call requires a plain fetch")
-		}
-		i := s.buf.AppendT(symTransient{kind: core.TCall, pp: s.pc})
-		s.buf.AppendT(symTransient{kind: core.TOp, dst: mem.RSP, op: isa.OpSucc, args: []isa.Operand{isa.R(mem.RSP)}, pp: s.pc})
-		s.buf.AppendT(symTransient{
-			kind: core.TStore, src: isa.Imm(mem.Pub(in.RetPt)),
-			valKnown: true, sval: symx.CW(in.RetPt),
-			args: []isa.Operand{isa.R(mem.RSP)},
-			pp:   s.pc,
-		})
-		s.rsb.Push(i, in.RetPt)
-		s.pc = in.Callee
-		return s.self(d)
-
-	case isa.KRet:
-		target, haveTop := s.rsb.Top()
-		if haveTop {
-			if d.Kind != core.DFetch {
-				return nil, symStall("ret with non-empty RSB requires a plain fetch")
-			}
-		} else {
-			if d.Kind != core.DFetchTarget {
-				return nil, symStall("ret with empty RSB requires fetch: n")
-			}
-			target = d.Target
-		}
-		retPt := s.pc
-		i := s.buf.AppendT(symTransient{kind: core.TRet, pp: retPt})
-		s.buf.AppendT(symTransient{kind: core.TLoad, dst: mem.RTMP, args: []isa.Operand{isa.R(mem.RSP)}, pp: retPt})
-		s.buf.AppendT(symTransient{kind: core.TOp, dst: mem.RSP, op: isa.OpPred, args: []isa.Operand{isa.R(mem.RSP)}, pp: retPt})
-		s.buf.AppendT(symTransient{kind: core.TJmpi, args: []isa.Operand{isa.R(mem.RTMP)}, guess: target, pp: retPt})
-		s.rsb.Pop(i)
-		s.pc = target
-		return s.self(d)
-	}
-	return nil, symStall("unfetchable instruction kind %v", in.Kind)
 }
 
 func (s *symMachine) stepExecute(d core.Directive) ([]sched.Successor, error) {
@@ -497,7 +362,7 @@ func (s *symMachine) stepExecute(d core.Directive) ([]sched.Successor, error) {
 	if s.buf.FenceBefore(d.I) {
 		return nil, symStall("fence pending before index %d", d.I)
 	}
-	switch t.kind {
+	switch t.Kind {
 	case core.TOp:
 		return s.execOp(d, t)
 	case core.TBr:
@@ -510,12 +375,12 @@ func (s *symMachine) stepExecute(d core.Directive) ([]sched.Successor, error) {
 	return nil, symStall("index %d has no symbolic execute rule", d.I)
 }
 
-func (s *symMachine) execOp(d core.Directive, t *symTransient) ([]sched.Successor, error) {
-	args, ok := s.resolveArgs(d.I, t.args)
+func (s *symMachine) execOp(d core.Directive, t *core.TransientOf[symx.Expr]) ([]sched.Successor, error) {
+	args, ok := s.resolveArgs(d.I, t.Args)
 	if !ok {
 		return nil, symStall("operands unresolved at %d", d.I)
 	}
-	s.buf.SetT(d.I, symTransient{kind: core.TValue, dst: t.dst, val: s.applyArgs(t.op, args)})
+	s.buf.SetT(d.I, core.TransientOf[symx.Expr]{Kind: core.TValue, Dst: t.Dst, Val: s.applyArgs(t.Op, args)})
 	return s.self(d)
 }
 
@@ -524,16 +389,16 @@ func (s *symMachine) execOp(d core.Directive, t *symTransient) ([]sched.Successo
 // forks into each feasible world, extending the path condition and
 // recording the arm in the directive's Arm field so every completed
 // path keeps a distinct (and distinctly rendered) schedule.
-func (s *symMachine) execBranch(d core.Directive, t *symTransient) ([]sched.Successor, error) {
-	args, ok := s.resolveArgs(d.I, t.args)
+func (s *symMachine) execBranch(d core.Directive, t *core.TransientOf[symx.Expr]) ([]sched.Successor, error) {
+	args, ok := s.resolveArgs(d.I, t.Args)
 	if !ok {
 		return nil, symStall("branch condition unresolved")
 	}
-	cond := s.applyArgs(t.op, args)
+	cond := s.applyArgs(t.Op, args)
 	if cv, ok := cond.Concrete(); ok {
-		actual := t.tFalse
+		actual := t.False
 		if cv.W != 0 {
-			actual = t.tTrue
+			actual = t.True
 		}
 		return []sched.Successor{{M: s, D: d, Obs: s.settleControl(d.I, actual, cv.L)}}, nil
 	}
@@ -560,11 +425,11 @@ func (s *symMachine) execBranch(d core.Directive, t *symTransient) ([]sched.Succ
 			arm = s.Clone().(*symMachine)
 		}
 		arm.pcond = p.pcond
-		actual := t.tFalse
+		actual := t.False
 		ad := d
 		ad.Arm = core.ArmNotTaken
 		if p.taken {
-			actual = t.tTrue
+			actual = t.True
 			ad.Arm = core.ArmTaken
 		}
 		succs[k] = sched.Successor{M: arm, D: ad, Obs: arm.settleControl(d.I, actual, cond.Label())}
@@ -572,8 +437,8 @@ func (s *symMachine) execBranch(d core.Directive, t *symTransient) ([]sched.Succ
 	return succs, nil
 }
 
-func (s *symMachine) execJmpi(d core.Directive, t *symTransient) ([]sched.Successor, error) {
-	args, ok := s.resolveArgs(d.I, t.args)
+func (s *symMachine) execJmpi(d core.Directive, t *core.TransientOf[symx.Expr]) ([]sched.Successor, error) {
+	args, ok := s.resolveArgs(d.I, t.Args)
 	if !ok {
 		return nil, symStall("jump target operands unresolved")
 	}
@@ -590,19 +455,19 @@ func (s *symMachine) execJmpi(d core.Directive, t *symTransient) ([]sched.Succes
 // expression's label.
 func (s *symMachine) settleControl(i int, actual isa.Addr, l mem.Label) []core.Observation {
 	t, _ := s.buf.Get(i)
-	if actual == t.guess {
-		s.buf.SetT(i, symTransient{kind: core.TJump, target: actual})
+	if actual == t.Guess {
+		s.buf.SetT(i, core.TransientOf[symx.Expr]{Kind: core.TJump, Target: actual})
 		return []core.Observation{core.JumpObs(actual, l)}
 	}
 	s.buf.TruncateFrom(i)
 	s.rsb.Rollback(i)
-	s.buf.AppendT(symTransient{kind: core.TJump, target: actual})
+	s.buf.AppendT(core.TransientOf[symx.Expr]{Kind: core.TJump, Target: actual})
 	s.pc = actual
 	return []core.Observation{core.RollbackObs(), core.JumpObs(actual, l)}
 }
 
-func (s *symMachine) execLoad(d core.Directive, t *symTransient) ([]sched.Successor, error) {
-	args, ok := s.resolveArgs(d.I, t.args)
+func (s *symMachine) execLoad(d core.Directive, t *core.TransientOf[symx.Expr]) ([]sched.Successor, error) {
+	args, ok := s.resolveArgs(d.I, t.Args)
 	if !ok {
 		return nil, symStall("load address operands unresolved")
 	}
@@ -617,13 +482,13 @@ func (s *symMachine) execLoad(d core.Directive, t *symTransient) ([]sched.Succes
 	var fwdVal symx.Expr
 	for j := d.I - 1; j >= s.buf.Min(); j-- {
 		st, _ := s.buf.Get(j)
-		if st == nil || st.kind != core.TStore || !st.addrKnown || st.saddr != aw {
+		if !st.IsResolvedStoreTo(aw) {
 			continue
 		}
-		if !st.valKnown {
+		if !st.ValKnown {
 			return nil, symStall("matching store at %d has unresolved data", j)
 		}
-		fwdFrom, fwdVal = j, st.sval
+		fwdFrom, fwdVal = j, st.SVal
 		break
 	}
 	if _, concrete := ae.Concrete(); !concrete {
@@ -632,54 +497,54 @@ func (s *symMachine) execLoad(d core.Directive, t *symTransient) ([]sched.Succes
 	l := ae.Label()
 	if fwdFrom != core.NoDep {
 		// load-execute-forward
-		s.buf.SetT(d.I, symTransient{
-			kind: core.TValue, dst: t.dst, val: fwdVal,
-			fromLoad: true, dep: fwdFrom, dataAddr: aw, pp: t.pp,
+		s.buf.SetT(d.I, core.TransientOf[symx.Expr]{
+			Kind: core.TValue, Dst: t.Dst, Val: fwdVal,
+			FromLoad: true, Dep: fwdFrom, DataAddr: aw, PP: t.PP,
 		})
 		return s.self(d, core.FwdObs(aw, l))
 	}
 	// load-execute-nodep
-	s.buf.SetT(d.I, symTransient{
-		kind: core.TValue, dst: t.dst, val: s.mem.Read(aw),
-		fromLoad: true, dep: core.NoDep, dataAddr: aw, pp: t.pp,
+	s.buf.SetT(d.I, core.TransientOf[symx.Expr]{
+		Kind: core.TValue, Dst: t.Dst, Val: s.mem.Read(aw),
+		FromLoad: true, Dep: core.NoDep, DataAddr: aw, PP: t.PP,
 	})
 	return s.self(d, core.ReadObs(aw, l))
 }
 
 func (s *symMachine) stepExecValue(d core.Directive) ([]sched.Successor, error) {
 	t, ok := s.buf.Get(d.I)
-	if !ok || t.kind != core.TStore {
+	if !ok || t.Kind != core.TStore {
 		return nil, symStall("execute:value needs a store at %d", d.I)
 	}
 	if s.buf.FenceBefore(d.I) {
 		return nil, symStall("fence pending before index %d", d.I)
 	}
-	if t.valKnown {
+	if t.ValKnown {
 		return nil, symStall("store value already resolved")
 	}
-	v, ok := s.resolveOperand(d.I, t.src)
+	v, ok := s.resolveOperand(d.I, t.Src)
 	if !ok {
 		return nil, symStall("store data operand unresolved")
 	}
 	// store-execute-value
 	t, _ = s.buf.Edit(d.I)
-	t.valKnown = true
-	t.sval = v
+	t.ValKnown = true
+	t.SVal = v
 	return s.self(d)
 }
 
 func (s *symMachine) stepExecAddr(d core.Directive) ([]sched.Successor, error) {
 	t, ok := s.buf.Get(d.I)
-	if !ok || t.kind != core.TStore {
+	if !ok || t.Kind != core.TStore {
 		return nil, symStall("execute:addr needs a store at %d", d.I)
 	}
 	if s.buf.FenceBefore(d.I) {
 		return nil, symStall("fence pending before index %d", d.I)
 	}
-	if t.addrKnown {
+	if t.AddrKnown {
 		return nil, symStall("store address already resolved")
 	}
-	args, ok := s.resolveArgs(d.I, t.args)
+	args, ok := s.resolveArgs(d.I, t.Args)
 	if !ok {
 		return nil, symStall("store address operands unresolved")
 	}
@@ -698,18 +563,17 @@ func (s *symMachine) stepExecAddr(d core.Directive) ([]sched.Successor, error) {
 	hazardAt, restart := 0, isa.Addr(0)
 	for k := d.I + 1; k <= s.BufMax(); k++ {
 		lv, _ := s.buf.Get(k)
-		if lv == nil || lv.kind != core.TValue || !lv.fromLoad {
+		if lv.Kind != core.TValue || !lv.FromLoad {
 			continue
 		}
-		if (lv.dataAddr == aw && lv.dep < d.I) || (lv.dep == d.I && lv.dataAddr != aw) {
-			hazardAt, restart = k, lv.pp
+		if (lv.DataAddr == aw && lv.Dep < d.I) || (lv.Dep == d.I && lv.DataAddr != aw) {
+			hazardAt, restart = k, lv.PP
 			break
 		}
 	}
 	t, _ = s.buf.Edit(d.I)
-	t.addrKnown = true
-	t.saddr = aw
-	t.saddrL = l
+	t.AddrKnown = true
+	t.SAddr = mem.V(aw, l)
 	if hazardAt == 0 {
 		// store-execute-addr-ok
 		return s.self(d, core.FwdObs(aw, l))
@@ -720,56 +584,6 @@ func (s *symMachine) stepExecAddr(d core.Directive) ([]sched.Successor, error) {
 	s.rsb.Rollback(hazardAt)
 	s.pc = restart
 	return s.self(d, core.RollbackObs(), core.FwdObs(aw, l))
-}
-
-func (s *symMachine) stepRetire(d core.Directive) ([]sched.Successor, error) {
-	i := s.BufMin()
-	t, ok := s.buf.Get(i)
-	if !ok {
-		return nil, symStall("empty reorder buffer")
-	}
-	switch t.kind {
-	case core.TValue:
-		s.regs.Write(t.dst, t.val)
-		s.buf.PopMinN(1)
-		s.retired++
-		return s.self(d)
-	case core.TJump, core.TFence:
-		s.buf.PopMinN(1)
-		s.retired++
-		return s.self(d)
-	case core.TStore:
-		if !t.valKnown || !t.addrKnown {
-			return nil, symStall("store not fully resolved")
-		}
-		s.mem.Write(t.saddr, t.sval)
-		s.buf.PopMinN(1)
-		s.retired++
-		return s.self(d, core.WriteObs(t.saddr, t.saddrL))
-	case core.TCall:
-		rsp, ok1 := s.buf.Get(i + 1)
-		st, ok2 := s.buf.Get(i + 2)
-		if !ok1 || !ok2 || rsp.kind != core.TValue || st.kind != core.TStore || !st.resolved() {
-			return nil, symStall("call expansion not fully resolved")
-		}
-		s.regs.Write(mem.RSP, rsp.val)
-		s.mem.Write(st.saddr, st.sval)
-		s.buf.PopMinN(3)
-		s.retired++
-		return s.self(d, core.WriteObs(st.saddr, st.saddrL))
-	case core.TRet:
-		tmp, ok1 := s.buf.Get(i + 1)
-		rsp, ok2 := s.buf.Get(i + 2)
-		jmp, ok3 := s.buf.Get(i + 3)
-		if !ok1 || !ok2 || !ok3 || tmp.kind != core.TValue || rsp.kind != core.TValue || jmp.kind != core.TJump {
-			return nil, symStall("ret expansion not fully resolved")
-		}
-		s.regs.Write(mem.RSP, rsp.val)
-		s.buf.PopMinN(4)
-		s.retired++
-		return s.self(d)
-	}
-	return nil, symStall("index %d has no retire rule", i)
 }
 
 // concretizeStore pins a store's symbolic address. The leak-hunting
@@ -785,10 +599,10 @@ func (s *symMachine) concretizeStore(i int, ae symx.Expr) (mem.Word, bool) {
 	seen := make(map[mem.Word]bool)
 	for k := i + 1; k <= s.BufMax(); k++ {
 		ld, _ := s.buf.Get(k)
-		if ld == nil || ld.kind != core.TLoad {
+		if ld.Kind != core.TLoad {
 			continue
 		}
-		largs, ok := s.resolveArgs(k, ld.args)
+		largs, ok := s.resolveArgs(k, ld.Args)
 		if !ok {
 			continue
 		}
@@ -818,125 +632,13 @@ func (s *symMachine) Fingerprint() uint64 {
 	mix := func(w uint64) { h = mem.Mix64(h ^ w) }
 	mix(uint64(s.pc))
 	mix(uint64(s.retired))
-	mix(uint64(s.buf.Min()))
 	// Registers and memory: order-independent sums over the cells,
 	// maintained incrementally by the copy-on-write containers — O(1)
 	// here instead of re-hashing every expression tree per state.
 	mix(s.regs.HashSum())
 	mix(s.mem.HashSum())
-	for _, t := range s.buf.All() {
-		mix(t.hash())
-	}
+	h = core.HashBuffer(h, s.buf, mixExpr)
 	mix(s.rsb.Hash())
 	mix(s.pcond.Fingerprint())
 	return h
-}
-
-// exprHash is the structural expression hash shared with the solver's
-// query seeding.
-func exprHash(e symx.Expr) uint64 { return symx.Fingerprint(e) }
-
-// hash folds every semantically meaningful transient field, with nil
-// expressions hashing to a fixed sentinel.
-func (t *symTransient) hash() uint64 {
-	h := mem.HashSeed
-	mix := func(w uint64) { h = mem.Mix64(h ^ w) }
-	he := func(e symx.Expr) {
-		if e == nil {
-			mix(5)
-			return
-		}
-		mix(exprHash(e))
-	}
-	mix(uint64(t.kind))
-	mix(uint64(t.dst))
-	mix(uint64(t.op))
-	mix(uint64(len(t.args)))
-	for _, a := range t.args {
-		if a.IsReg {
-			mix(1)
-		} else {
-			mix(2)
-		}
-		mix(uint64(a.Reg))
-		mix(a.Imm.W)
-		mix(uint64(a.Imm.L))
-	}
-	he(t.val)
-	if t.fromLoad {
-		mix(1)
-	} else {
-		mix(2)
-	}
-	mix(uint64(t.dep))
-	mix(t.dataAddr)
-	mix(uint64(t.pp))
-	mix(uint64(t.guess))
-	mix(uint64(t.tTrue))
-	mix(uint64(t.tFalse))
-	mix(uint64(t.target))
-	if t.src.IsReg {
-		mix(1)
-	} else {
-		mix(2)
-	}
-	mix(uint64(t.src.Reg))
-	mix(t.src.Imm.W)
-	if t.valKnown {
-		mix(1)
-	} else {
-		mix(2)
-	}
-	he(t.sval)
-	if t.addrKnown {
-		mix(1)
-	} else {
-		mix(2)
-	}
-	mix(t.saddr)
-	mix(uint64(t.saddrL))
-	return h
-}
-
-// ---------------------------------------------------------------------
-// Entry point.
-// ---------------------------------------------------------------------
-
-// AnalyzeSymbolic runs the symbolic-mode detector on the unified
-// engine: the same worst-case schedule strategy, worker pool, dedup
-// table, and budgets as concrete mode, over the symbolic domain.
-func AnalyzeSymbolic(m *SymMachine, opts Options) (Report, error) {
-	sopts := sched.Options{
-		Bound:          opts.Bound,
-		ForwardHazards: opts.ForwardHazards,
-		MaxStates:      opts.MaxStates,
-		MaxRetired:     opts.MaxRetired,
-		StopAtFirst:    opts.StopAtFirst,
-		Workers:        opts.Workers,
-		DedupEntries:   opts.DedupEntries,
-		KeepSchedules:  true,
-		Interrupt:      opts.Interrupt,
-	}
-	if opts.OnViolation != nil {
-		sopts.OnViolation = func(v sched.Violation) bool {
-			return opts.OnViolation(violationOf(v))
-		}
-	}
-	e, err := sched.NewExplorer(sopts)
-	if err != nil {
-		return Report{}, fmt.Errorf("pitchfork: %w", err)
-	}
-	sm := newSymMachine(m)
-	res := e.ExploreMachine(sm)
-	rep := Report{
-		States: res.States, Paths: res.Paths,
-		Truncated: res.Truncated, Interrupted: res.Interrupted,
-		Mode: "symbolic", Workers: res.Workers, DedupHits: res.DedupHits,
-	}
-	stats := sm.solver.Stats()
-	rep.Solver = &stats
-	for _, v := range res.Violations {
-		rep.Violations = append(rep.Violations, violationOf(v))
-	}
-	return rep, nil
 }

@@ -7,6 +7,12 @@
 // Machine interface below, so the serial and work-stealing drivers,
 // the fingerprint dedup table, the exploration budgets, and the
 // deterministic violation merge apply to every domain uniformly.
+//
+// Both domains hold core.TransientOf[V] entries in a core.Buffer, V
+// being a labeled word or an expression, and fetch, resolve and retire
+// through the shared rules of internal/core; FillView below is their
+// one projection to TransientView. Only the execute stage differs between
+// them.
 package sched
 
 import (
@@ -36,6 +42,20 @@ type TransientView struct {
 	// FwdSecret marks a resolved load that forwarded secret-labeled
 	// data from a buffered store — the classifier's v1.1 signal.
 	FwdSecret bool
+}
+
+// FillView projects t into v for the engine: the one View body of
+// every domain whose buffer holds core.TransientOf[V]. secret tests a
+// value for a secret label. It fills v in place, field by field,
+// rather than returning a view: a returned six-field view is copied
+// through memory on its way out of View, a cost the engine's hottest
+// loop would pay on every decision. The body is kept small enough to
+// inline into View for the same reason; FromLoad needs no Kind check,
+// since only resolved loads (TValue) set it.
+func FillView[V any](v *TransientView, t *core.TransientOf[V], secret func(V) bool) {
+	v.Kind, v.Resolved, v.PP = t.Kind, t.Resolved(), t.PP
+	v.ValKnown, v.AddrKnown = t.ValKnown, t.AddrKnown
+	v.FwdSecret = t.FromLoad && t.Dep != core.NoDep && secret(t.Val)
 }
 
 // Successor is one outcome of applying a directive. Deterministic
@@ -112,7 +132,7 @@ func Concrete(m *core.Machine) Machine { return &concreteMachine{m: m} }
 
 // concreteMachine adapts *core.Machine: every directive is a single
 // deterministic successor (the paper's small-step relation), and the
-// views project the Transient structs directly. succ is the
+// views project the Transient structs through FillView. succ is the
 // single-successor scratch Step returns, so the hot path performs no
 // per-step slice allocation.
 type concreteMachine struct {
@@ -134,19 +154,12 @@ func (c *concreteMachine) BufMin() int { return c.m.Buf.Min() }
 
 func (c *concreteMachine) BufMax() int { return c.m.Buf.Max() }
 
-func (c *concreteMachine) View(i int) (TransientView, bool) {
+func (c *concreteMachine) View(i int) (v TransientView, ok bool) {
 	t, ok := c.m.Buf.Get(i)
-	if !ok {
-		return TransientView{}, false
+	if ok {
+		FillView(&v, t, mem.Value.IsSecret)
 	}
-	return TransientView{
-		Kind:      t.Kind,
-		Resolved:  t.Resolved(),
-		ValKnown:  t.ValKnown,
-		AddrKnown: t.AddrKnown,
-		PP:        t.PP,
-		FwdSecret: t.Kind == core.TValue && t.FromLoad && t.Dep != core.NoDep && t.Val.IsSecret(),
-	}, true
+	return v, ok
 }
 
 func (c *concreteMachine) RSBTop() (isa.Addr, bool) { return c.m.RSB.Top() }

@@ -68,10 +68,6 @@ type Options struct {
 	MaxRetired int
 	// StopAtFirst stops the exploration at the first violation.
 	StopAtFirst bool
-	// KeepSchedules records the full directive schedule of each
-	// violation (memory-heavy for deep runs; on by default via
-	// Explore).
-	KeepSchedules bool
 	// Workers is the number of exploration goroutines. 0 and 1 run the
 	// classic serial depth-first exploration; n > 1 runs the
 	// work-stealing parallel explorer of parallel.go, whose violations
@@ -201,9 +197,14 @@ func specSources(m Machine) []Source {
 	return out
 }
 
-// String renders the violation compactly.
+// String renders the violation compactly, with the witness when the
+// domain has one.
 func (v Violation) String() string {
-	return fmt.Sprintf("%s: %s at pc %d", v.Kind, v.Obs, v.PC)
+	s := fmt.Sprintf("%s: %s at pc %d", v.Kind, v.Obs, v.PC)
+	if len(v.Model) > 0 {
+		s += fmt.Sprintf(" (witness %v)", v.Model)
+	}
+	return s
 }
 
 // VariantKind classifies a violation by its microarchitectural cause.
@@ -447,15 +448,13 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 	if st.secret != nil {
 		prefix := st.secret.materialize()
 		v := Violation{
-			Obs:     st.secret.o,
-			Trace:   prefix,
-			Kind:    classify(m, prefix, len(prefix)-1),
-			PC:      st.secret.pp,
-			Sources: specSources(m),
-			Model:   m.Witness(),
-		}
-		if opts.KeepSchedules {
-			v.Schedule = st.sched.materialize()
+			Obs:      st.secret.o,
+			Trace:    prefix,
+			Kind:     classify(m, prefix, len(prefix)-1),
+			PC:       st.secret.pp,
+			Sources:  specSources(m),
+			Model:    m.Witness(),
+			Schedule: st.sched.materialize(),
 		}
 		return true, false, &v
 	}
@@ -481,11 +480,11 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 			// directive checks are guess-independent), so the clone is
 			// made only once the first arm has succeeded.
 			b := st.clone()
-			if !apply(opts, st, core.FetchGuess(true), emit) {
+			if !apply(st, core.FetchGuess(true), emit) {
 				releaseState(b)
 				return true, false, nil
 			}
-			if !apply(opts, b, core.FetchGuess(false), emit) {
+			if !apply(b, core.FetchGuess(false), emit) {
 				releaseState(b)
 			}
 			return false, false, nil
@@ -493,7 +492,7 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 			// The tool follows the architecturally correct target
 			// (it does not model indirect-jump speculation, §4).
 			if target, ok := m.PeekJmpi(in); ok {
-				if apply(opts, st, core.FetchTarget(target), emit) {
+				if apply(st, core.FetchTarget(target), emit) {
 					return false, false, nil
 				}
 				return true, false, nil
@@ -504,19 +503,19 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 				// The tool does not model RSB underflow attacks;
 				// predict through the in-memory return address.
 				if target, ok := m.PeekRet(); ok {
-					if apply(opts, st, core.FetchTarget(target), emit) {
+					if apply(st, core.FetchTarget(target), emit) {
 						return false, false, nil
 					}
 					return true, false, nil
 				}
 				break // execute pending work first
 			}
-			if apply(opts, st, core.Fetch(), emit) {
+			if apply(st, core.Fetch(), emit) {
 				return false, false, nil
 			}
 			return true, false, nil
 		default:
-			if apply(opts, st, core.Fetch(), emit) {
+			if apply(st, core.Fetch(), emit) {
 				return false, false, nil
 			}
 			return true, false, nil
@@ -539,7 +538,7 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 		return true, false, nil
 	}
 	if t.Resolved {
-		if apply(opts, st, core.Retire(), emit) {
+		if apply(st, core.Retire(), emit) {
 			return false, false, nil
 		}
 		// A call/ret marker retires only with its whole expansion
@@ -549,14 +548,14 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 			if !ok || u.Resolved {
 				continue
 			}
-			if forceOne(opts, st, j, u, emit) {
+			if forceOne(st, j, u, emit) {
 				return false, false, nil
 			}
 			break
 		}
 		return true, false, nil
 	}
-	if forceOne(opts, st, i, t, emit) {
+	if forceOne(st, i, t, emit) {
 		return false, false, nil
 	}
 	return true, false, nil
@@ -566,15 +565,15 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 // instruction regardless of the deferral rules — used when nothing can
 // proceed otherwise (delayed branches at the head, deferred store
 // addresses blocking retirement, call/ret expansion members).
-func forceOne(opts *Options, st *state, i int, t TransientView, emit func(*state)) bool {
+func forceOne(st *state, i int, t TransientView, emit func(*state)) bool {
 	switch t.Kind {
 	case core.TBr, core.TJmpi, core.TLoad, core.TOp:
-		return apply(opts, st, core.Execute(i), emit)
+		return apply(st, core.Execute(i), emit)
 	case core.TStore:
 		if !t.ValKnown {
-			return apply(opts, st, core.ExecuteValue(i), emit)
+			return apply(st, core.ExecuteValue(i), emit)
 		}
-		return apply(opts, st, core.ExecuteAddr(i), emit)
+		return apply(st, core.ExecuteAddr(i), emit)
 	}
 	return false
 }
@@ -626,7 +625,7 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 		case core.TFence:
 			top = i // nothing beyond a pending fence may execute
 		case core.TOp:
-			if apply(opts, st, core.Execute(i), emit) {
+			if apply(st, core.Execute(i), emit) {
 				return true
 			}
 		case core.TJmpi:
@@ -636,7 +635,7 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 			// the speculative stale-return window of the Fig. 10 gadget
 			// — the transient return must happen *before* the pending
 			// store address resolves and flags the hazard.
-			if apply(opts, st, core.Execute(i), emit) {
+			if apply(st, core.Execute(i), emit) {
 				return true
 			}
 		case core.TBr:
@@ -646,13 +645,13 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 			}
 		case core.TStore:
 			if !t.ValKnown {
-				if apply(opts, st, core.ExecuteValue(i), emit) {
+				if apply(st, core.ExecuteValue(i), emit) {
 					return true
 				}
 				continue
 			}
 			if !t.AddrKnown && !opts.ForwardHazards {
-				if apply(opts, st, core.ExecuteAddr(i), emit) {
+				if apply(st, core.ExecuteAddr(i), emit) {
 					return true
 				}
 			}
@@ -669,7 +668,7 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 	// nested inside that window resolve eagerly so their own
 	// observations and rollbacks land within it.
 	for i := top; i > oldest && oldest != 0; i-- {
-		if t, ok := m.View(i); ok && t.Kind == core.TBr && apply(opts, st, core.Execute(i), emit) {
+		if t, ok := m.View(i); ok && t.Kind == core.TBr && apply(st, core.Execute(i), emit) {
 			return true
 		}
 	}
@@ -711,13 +710,13 @@ func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 		}
 	}
 	if len(pending) == 0 {
-		return apply(opts, st, core.Execute(i), emit)
+		return apply(st, core.Execute(i), emit)
 	}
 	acted := false
 	// Arm 0: execute the load now, skipping the pending stores.
 	now := st.clone()
 	now.markPendingFwd(i)
-	if apply(opts, now, core.Execute(i), emit) {
+	if apply(now, core.Execute(i), emit) {
 		acted = true
 	} else {
 		releaseState(now)
@@ -727,7 +726,7 @@ func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 	// remaining pending stores).
 	for _, j := range pending {
 		arm := st.clone()
-		if apply(opts, arm, core.ExecuteAddr(j), emit) {
+		if apply(arm, core.ExecuteAddr(j), emit) {
 			acted = true
 		} else {
 			releaseState(arm)
@@ -749,18 +748,12 @@ func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 // arm-disambiguated directive onto the common prefix and is emitted in
 // arm order. A rollback invalidates the load-fork bookkeeping, since
 // buffer indices are reused by re-fetched instructions.
-//
-// The schedule chain is extended only when some consumer exists —
-// KeepSchedules (violation schedules) or a parallel run (whose
-// deterministic merge keys are schedule prefixes); a serial counting
-// exploration records no schedule at all.
-func apply(opts *Options, st *state, d core.Directive, emit func(*state)) bool {
+func apply(st *state, d core.Directive, emit func(*state)) bool {
 	pp := sourcePoint(st.m, d)
 	succs, err := st.m.Step(d)
 	if err != nil || len(succs) == 0 {
 		return false
 	}
-	recordSched := opts.KeepSchedules || opts.Workers > 1
 	// Pre-fork bookkeeping: every arm extends these chains (a path
 	// never sees another's extension, so sharing them with an
 	// already-emitted arm is safe). The
@@ -791,9 +784,7 @@ func apply(opts *Options, st *state, d core.Directive, emit func(*state)) bool {
 			}
 		}
 		ns.m = sc.M
-		if recordSched {
-			ns.sched = baseSched.push(sc.D)
-		}
+		ns.sched = baseSched.push(sc.D)
 		ns.trace, ns.secret = baseTrace, baseSecret
 		// A rollback truncates the buffer: clamp the settled prefix to
 		// what is left. The branch hint stays below it — a rollback
@@ -884,10 +875,9 @@ func classify(m Machine, trace core.Trace, at int) VariantKind {
 	}
 }
 
-// Explore is the package-level convenience entry point with schedule
-// recording enabled.
+// Explore is the package-level convenience entry point.
 func Explore(m *core.Machine, bound int, forwardHazards bool) (Result, error) {
-	e, err := NewExplorer(Options{Bound: bound, ForwardHazards: forwardHazards, KeepSchedules: true})
+	e, err := NewExplorer(Options{Bound: bound, ForwardHazards: forwardHazards})
 	if err != nil {
 		return Result{}, err
 	}

@@ -166,7 +166,7 @@ func TestExplorerFenceMitigation(t *testing.T) {
 	// serial and the work-stealing driver alike.
 	for _, fwd := range []bool{false, true} {
 		for _, workers := range []int{1, 2} {
-			e, err := NewExplorer(Options{Bound: 20, ForwardHazards: fwd, Workers: workers, KeepSchedules: true})
+			e, err := NewExplorer(Options{Bound: 20, ForwardHazards: fwd, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,7 +318,7 @@ func TestExplorerFenceOrdering(t *testing.T) {
 					}
 				}
 			}
-			e, err := NewExplorer(Options{Bound: bound, ForwardHazards: fwd, KeepSchedules: true})
+			e, err := NewExplorer(Options{Bound: bound, ForwardHazards: fwd})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,7 +406,7 @@ func TestCountSchedulesGrowsWithBound(t *testing.T) {
 }
 
 func TestExplorerStopAtFirst(t *testing.T) {
-	e, err := NewExplorer(Options{Bound: 20, StopAtFirst: true, KeepSchedules: true})
+	e, err := NewExplorer(Options{Bound: 20, StopAtFirst: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,8 +487,7 @@ func TestExplorerHandlesCalls(t *testing.T) {
 func TestExplorerOnViolationStreamsAndStops(t *testing.T) {
 	var streamed []Violation
 	e, err := NewExplorer(Options{
-		Bound:         20,
-		KeepSchedules: true,
+		Bound: 20,
 		OnViolation: func(v Violation) bool {
 			streamed = append(streamed, v)
 			return false // stop after the first

@@ -100,24 +100,6 @@ func (d *workerDeque) steal() *state {
 	return s
 }
 
-// keyedViolation pairs a violation with its path's schedule prefix, the
-// deterministic merge key. The key is kept separately from
-// Violation.Schedule so ordering works even when KeepSchedules is off.
-type keyedViolation struct {
-	key core.Schedule
-	v   Violation
-}
-
-// scheduleKey materializes the merge key for a violation recorded at
-// st: the violation's own schedule when KeepSchedules already paid for
-// it, otherwise the state's schedule chain rendered flat.
-func scheduleKey(st *state, v *Violation) core.Schedule {
-	if v.Schedule != nil {
-		return v.Schedule
-	}
-	return st.sched.materialize()
-}
-
 // compareDirectives orders directives by kind, then by their operand
 // fields — an arbitrary but total and stable order.
 func compareDirectives(a, b core.Directive) int {
@@ -160,21 +142,20 @@ func compareSchedules(a, b core.Schedule) int {
 	return len(a) - len(b)
 }
 
-// assemble sorts the collected violations into schedule order and
+// assemble sorts the collected violations into schedule order (each
+// violation's own schedule is its deterministic merge key) and
 // finalizes the result. Under StopAtFirst several workers may have
 // recorded a violation before the stop flag propagated; the
 // schedule-least one is kept so the report matches the option's
 // contract.
-func assemble(res Result, collected []keyedViolation, opts *Options) Result {
+func assemble(res Result, collected []Violation, opts *Options) Result {
 	sort.SliceStable(collected, func(i, j int) bool {
-		return compareSchedules(collected[i].key, collected[j].key) < 0
+		return compareSchedules(collected[i].Schedule, collected[j].Schedule) < 0
 	})
 	if opts.StopAtFirst && len(collected) > 1 {
 		collected = collected[:1]
 	}
-	for _, kv := range collected {
-		res.Violations = append(res.Violations, kv.v)
-	}
+	res.Violations = append(res.Violations, collected...)
 	return res
 }
 
@@ -187,7 +168,7 @@ func assemble(res Result, collected []keyedViolation, opts *Options) Result {
 func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 	workers := opts.Workers
 	res := Result{Workers: workers}
-	var collected []keyedViolation
+	var collected []Violation
 	stopped := false
 
 	// ---- Seed phase -------------------------------------------------
@@ -213,7 +194,7 @@ func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 
 		done, deduped, viol := advance(opts, dedup, st, seedEmit)
 		if viol != nil {
-			collected = append(collected, keyedViolation{key: scheduleKey(st, viol), v: *viol})
+			collected = append(collected, *viol)
 			if opts.OnViolation != nil && !opts.OnViolation(*viol) {
 				stopped = true
 			}
@@ -259,7 +240,7 @@ func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 	statesN.Store(int64(res.States))
 	pending.Store(int64(len(frontier)))
 	maxStates := int64(opts.MaxStates)
-	workerViols := make([][]keyedViolation, workers)
+	workerViols := make([][]Violation, workers)
 
 	var wg sync.WaitGroup
 	for id := 0; id < workers; id++ {
@@ -316,10 +297,9 @@ func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 					// contains a finding the OnViolation stream did not
 					// deliver, and StopAtFirst fires the callback for
 					// exactly the one finding that survives.
-					key := scheduleKey(st, viol)
 					violMu.Lock()
 					if !stop.Load() {
-						workerViols[id] = append(workerViols[id], keyedViolation{key: key, v: *viol})
+						workerViols[id] = append(workerViols[id], *viol)
 						if opts.OnViolation != nil && !opts.OnViolation(*viol) {
 							interrupted.Store(true)
 							stop.Store(true)

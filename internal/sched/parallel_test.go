@@ -48,8 +48,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	for name, mk := range gadgets {
 		for _, fwd := range []bool{false, true} {
-			serial := mustExplorer(t, Options{Bound: 20, ForwardHazards: fwd, KeepSchedules: true}).Explore(mk())
-			par := mustExplorer(t, Options{Bound: 20, ForwardHazards: fwd, KeepSchedules: true, Workers: 4}).Explore(mk())
+			serial := mustExplorer(t, Options{Bound: 20, ForwardHazards: fwd}).Explore(mk())
+			par := mustExplorer(t, Options{Bound: 20, ForwardHazards: fwd, Workers: 4}).Explore(mk())
 			if par.Workers != 4 || serial.Workers != 1 {
 				t.Fatalf("%s/fwd=%t: workers not recorded: %d/%d", name, fwd, serial.Workers, par.Workers)
 			}
@@ -91,8 +91,8 @@ func cascadeGadget(n int) *core.Machine {
 }
 
 func TestParallelMatchesSerialOnWideTree(t *testing.T) {
-	serial := mustExplorer(t, Options{Bound: 20, KeepSchedules: true, MaxStates: 1_000_000}).Explore(cascadeGadget(10))
-	par := mustExplorer(t, Options{Bound: 20, KeepSchedules: true, MaxStates: 1_000_000, Workers: 8}).Explore(cascadeGadget(10))
+	serial := mustExplorer(t, Options{Bound: 20, MaxStates: 1_000_000}).Explore(cascadeGadget(10))
+	par := mustExplorer(t, Options{Bound: 20, MaxStates: 1_000_000, Workers: 8}).Explore(cascadeGadget(10))
 	if serial.Paths < 1000 {
 		t.Fatalf("cascade too small to stress the pool: %d paths", serial.Paths)
 	}
@@ -115,7 +115,7 @@ func TestParallelDeterministicOrder(t *testing.T) {
 	// Two parallel runs must report violations in the same order even
 	// though workers race for subtrees.
 	run := func() []string {
-		res := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, KeepSchedules: true, Workers: 8}).Explore(v11Gadget())
+		res := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, Workers: 8}).Explore(v11Gadget())
 		out := make([]string, len(res.Violations))
 		for i, v := range res.Violations {
 			out[i] = violationKey(v) + "|" + v.Schedule.String()
@@ -171,7 +171,7 @@ func TestParallelOnViolationStops(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
 	e := mustExplorer(t, Options{
-		Bound: 20, Workers: 4, KeepSchedules: true,
+		Bound: 20, Workers: 4,
 		OnViolation: func(Violation) bool {
 			mu.Lock()
 			calls++
@@ -195,7 +195,7 @@ func TestParallelOnViolationStops(t *testing.T) {
 // detector can certify there is no per-instance mutable state left.
 func TestExplorerSharedAcrossGoroutines(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		e := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, KeepSchedules: true, Workers: workers})
+		e := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, Workers: workers})
 		var wg sync.WaitGroup
 		errs := make(chan string, 8)
 		for g := 0; g < 8; g++ {
@@ -222,8 +222,8 @@ func TestExplorerSharedAcrossGoroutines(t *testing.T) {
 // pruned, shrinking the explored state count without losing any
 // violation signature.
 func TestDedupPrunesReconvergedStates(t *testing.T) {
-	full := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, KeepSchedules: true}).Explore(v11Gadget())
-	dedup := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, KeepSchedules: true, DedupEntries: 1 << 16}).Explore(v11Gadget())
+	full := mustExplorer(t, Options{Bound: 20, ForwardHazards: true}).Explore(v11Gadget())
+	dedup := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, DedupEntries: 1 << 16}).Explore(v11Gadget())
 	if dedup.DedupHits == 0 {
 		t.Fatal("forwarding forks must reconverge and hit the dedup table")
 	}

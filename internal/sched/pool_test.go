@@ -13,7 +13,7 @@ import (
 // against the pool's concurrent Get/Put too).
 func TestPooledNodesPreserveDeterminism(t *testing.T) {
 	mk := func() Options {
-		return Options{Bound: 20, ForwardHazards: true, KeepSchedules: true, MaxStates: 1_000_000}
+		return Options{Bound: 20, ForwardHazards: true, MaxStates: 1_000_000}
 	}
 	reference := mustExplorer(t, mk()).Explore(cascadeGadget(6))
 	refSigs := sortedSignatures(reference, true)

@@ -35,7 +35,7 @@ func TestParallelMatchesSerialOnKocherSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			se, err := sched.NewExplorer(sched.Options{Bound: 20, ForwardHazards: c.NeedsFwdHazards, KeepSchedules: true})
+			se, err := sched.NewExplorer(sched.Options{Bound: 20, ForwardHazards: c.NeedsFwdHazards})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func TestParallelMatchesSerialOnKocherSuite(t *testing.T) {
 			}
 			pe, err := sched.NewExplorer(sched.Options{
 				Bound: 20, ForwardHazards: c.NeedsFwdHazards,
-				KeepSchedules: true, Workers: workers,
+				Workers: workers,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -25,9 +25,7 @@ type Analyzer struct {
 func New(opts ...Option) (*Analyzer, error) {
 	cfg := DefaultConfig()
 	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return nil, err
-		}
+		o(&cfg)
 	}
 	return NewFromConfig(cfg)
 }
@@ -170,28 +168,13 @@ func (a *Analyzer) runWith(ctx context.Context, p *Program, bound int, fwd bool,
 			}, nil
 		}
 	}
-	opts := pitchfork.Options{
-		Bound:          bound,
-		ForwardHazards: fwd,
-		MaxStates:      a.cfg.MaxStates,
-		MaxRetired:     a.cfg.MaxRetired,
-		StopAtFirst:    a.cfg.StopAtFirst,
-		Workers:        workers,
-		DedupEntries:   a.cfg.DedupEntries,
-		Interrupt:      func() bool { return ctx.Err() != nil },
-	}
+	opts := pitchfork.Options{Bound: bound, ForwardHazards: fwd, StopAtFirst: a.cfg.StopAtFirst, Workers: workers}
 	if yield != nil {
 		opts.OnViolation = func(v pitchfork.Violation) bool {
 			return yield(findingOf(v))
 		}
 	}
-	var irep pitchfork.Report
-	var err error
-	if a.cfg.Symbolic {
-		irep, err = pitchfork.AnalyzeSymbolic(p.symMachine(), opts)
-	} else {
-		irep, err = pitchfork.Analyze(p.machine(), opts)
-	}
+	irep, err := a.detect(ctx, p, opts)
 	if err != nil {
 		return nil, fmt.Errorf("spectre: %w", err)
 	}
@@ -204,4 +187,17 @@ func (a *Analyzer) runWith(ctx context.Context, p *Program, bound int, fwd bool,
 		return rep, ctxErr
 	}
 	return rep, nil
+}
+
+// detect runs the configured detector, concrete or symbolic, on p. o
+// carries the run's own settings (bound, hazards, stop-at-first,
+// workers, streaming hook); detect adds the analyzer-wide budgets and
+// dedup table and lets ctx cancellation interrupt the exploration.
+func (a *Analyzer) detect(ctx context.Context, p *Program, o pitchfork.Options) (pitchfork.Report, error) {
+	o.MaxStates, o.MaxRetired, o.DedupEntries = a.cfg.MaxStates, a.cfg.MaxRetired, a.cfg.DedupEntries
+	o.Interrupt = func() bool { return ctx.Err() != nil }
+	if a.cfg.Symbolic {
+		return pitchfork.AnalyzeSymbolic(p.symMachine(), o)
+	}
+	return pitchfork.Analyze(p.machine(), o)
 }

@@ -33,40 +33,47 @@ type BatchResult struct {
 // the context error with a nil report) and interrupts running ones
 // (partial report plus the context error), mirroring Run.
 func (a *Analyzer) AnalyzeBatch(ctx context.Context, items []BatchItem) []BatchResult {
+	reps, errs := fanOut(ctx, a.cfg.Workers, items, func(p *Program) (*Report, error) {
+		return a.runWith(ctx, p, a.cfg.Bound, a.cfg.ForwardHazards, nil, 1)
+	})
+	out := make([]BatchResult, len(items))
+	for i, it := range items {
+		out[i] = BatchResult{Name: it.Name, Report: reps[i], Err: errs[i]}
+	}
+	return out
+}
+
+// fanOut runs run on every item's program across up to workers
+// goroutines (at least one, at most one per item) and returns the
+// results and errors in input order. A nil program fails its item
+// without running. Once ctx is cancelled no new item starts, and every
+// item not yet started reports the context error.
+func fanOut[R any](ctx context.Context, workers int, items []BatchItem, run func(*Program) (R, error)) ([]R, []error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]BatchResult, len(items))
-	for i, it := range items {
-		out[i].Name = it.Name
-	}
-	workers := a.cfg.Workers
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	vals := make([]R, len(items))
+	errs := make([]error, len(items))
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < max(1, min(workers, len(items))); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
 				it := items[i]
 				if it.Program == nil {
-					out[i].Err = fmt.Errorf("spectre: batch item %d (%q): nil program", i, it.Name)
+					errs[i] = fmt.Errorf("spectre: batch item %d (%q): nil program", i, it.Name)
 					continue
 				}
-				out[i].Report, out[i].Err = a.runWith(ctx, it.Program, a.cfg.Bound, a.cfg.ForwardHazards, nil, 1)
+				vals[i], errs[i] = run(it.Program)
 			}
 		}()
 	}
 	for i := range items {
 		if err := ctx.Err(); err != nil {
 			for j := i; j < len(items); j++ {
-				out[j].Err = err
+				errs[j] = err
 			}
 			break
 		}
@@ -74,7 +81,7 @@ func (a *Analyzer) AnalyzeBatch(ctx context.Context, items []BatchItem) []BatchR
 	}
 	close(next)
 	wg.Wait()
-	return out
+	return vals, errs
 }
 
 // RunAll is AnalyzeBatch over bare programs: it analyzes every program

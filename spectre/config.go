@@ -69,9 +69,9 @@ func DefaultConfig() Config {
 }
 
 // normalize resolves the two fields whose zero value means "pick for
-// me": Workers 0 → NumCPU, RepairStrategy "" → auto. Mirrors what the
-// corresponding options do, so a Config built by hand and one built by
-// options cannot diverge.
+// me": Workers 0 → NumCPU, RepairStrategy "" → auto. New and
+// NewFromConfig both apply it, so a Config built by hand and one built
+// by options cannot diverge.
 func (c *Config) normalize() {
 	if c.Workers == 0 {
 		c.Workers = runtime.NumCPU()
@@ -81,8 +81,9 @@ func (c *Config) normalize() {
 	}
 }
 
-// validate rejects unrunnable configurations with the same messages
-// the functional options emit.
+// validate rejects unrunnable configurations. It is the one check
+// behind both New and NewFromConfig; the functional options only set
+// fields.
 func (c Config) validate() error {
 	if c.Bound < 1 {
 		return fmt.Errorf("spectre: speculation bound must be positive, got %d", c.Bound)

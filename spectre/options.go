@@ -1,10 +1,5 @@
 package spectre
 
-import (
-	"fmt"
-	"runtime"
-)
-
 // The speculation bounds of the paper's §4.2.1 evaluation procedure.
 const (
 	// BoundNoHazards is the bound used without forwarding-hazard
@@ -19,23 +14,18 @@ const (
 )
 
 // Option configures an Analyzer. Options are a thin layer over the
-// serializable Config struct: each one validates its argument and sets
-// the corresponding field, so New(opts…) and NewFromConfig(cfg) are
-// two spellings of the same construction.
-type Option func(*Config) error
+// serializable Config struct: each one sets the corresponding field,
+// and New validates the result exactly as NewFromConfig does, so
+// New(opts…) and NewFromConfig(cfg) are two spellings of the same
+// construction.
+type Option func(*Config)
 
 // WithBound sets the speculation bound: the maximum reorder-buffer
 // size, hence the maximum speculation depth. The paper's evaluation
 // uses 250 without forwarding-hazard detection and 20 with it. The
 // bound must be positive.
 func WithBound(n int) Option {
-	return func(c *Config) error {
-		if n < 1 {
-			return fmt.Errorf("spectre: speculation bound must be positive, got %d", n)
-		}
-		c.Bound = n
-		return nil
-	}
+	return func(c *Config) { c.Bound = n }
 }
 
 // WithForwardHazards enables or disables exploration of
@@ -43,43 +33,25 @@ func WithBound(n int) Option {
 // It is enabled by default; disabling it makes deep bounds like
 // BoundNoHazards tractable.
 func WithForwardHazards(on bool) Option {
-	return func(c *Config) error {
-		c.ForwardHazards = on
-		return nil
-	}
+	return func(c *Config) { c.ForwardHazards = on }
 }
 
 // WithMaxStates bounds the number of explored machine states. Zero
 // restores the exploration default; negative is rejected.
 func WithMaxStates(n int) Option {
-	return func(c *Config) error {
-		if n < 0 {
-			return fmt.Errorf("spectre: max states must be non-negative, got %d", n)
-		}
-		c.MaxStates = n
-		return nil
-	}
+	return func(c *Config) { c.MaxStates = n }
 }
 
 // WithMaxRetired bounds the retired instructions per exploration path
 // (the budget that terminates non-halting programs). Zero restores the
 // default; negative is rejected.
 func WithMaxRetired(n int) Option {
-	return func(c *Config) error {
-		if n < 0 {
-			return fmt.Errorf("spectre: max retired must be non-negative, got %d", n)
-		}
-		c.MaxRetired = n
-		return nil
-	}
+	return func(c *Config) { c.MaxRetired = n }
 }
 
 // WithStopAtFirst stops each run at the first finding.
 func WithStopAtFirst(on bool) Option {
-	return func(c *Config) error {
-		c.StopAtFirst = on
-		return nil
-	}
+	return func(c *Config) { c.StopAtFirst = on }
 }
 
 // WithSymbolic switches the analyzer to symbolic mode: registers and
@@ -91,10 +63,7 @@ func WithStopAtFirst(on bool) Option {
 // (Spectre v1, v1.1, v4), with computed control flow followed
 // architecturally.
 func WithSymbolic(on bool) Option {
-	return func(c *Config) error {
-		c.Symbolic = on
-		return nil
-	}
+	return func(c *Config) { c.Symbolic = on }
 }
 
 // WithWorkers sets the number of exploration goroutines. 1 (the
@@ -113,16 +82,7 @@ func WithSymbolic(on bool) Option {
 // may vary between runs. The same setting sizes the fan-out of
 // AnalyzeBatch/RunAll.
 func WithWorkers(n int) Option {
-	return func(c *Config) error {
-		if n < 0 {
-			return fmt.Errorf("spectre: workers must be non-negative, got %d", n)
-		}
-		if n == 0 {
-			n = runtime.NumCPU()
-		}
-		c.Workers = n
-		return nil
-	}
+	return func(c *Config) { c.Workers = n }
 }
 
 // WithStaticPass runs the flow-sensitive speculative-taint
@@ -134,10 +94,7 @@ func WithWorkers(n int) Option {
 // carries the static verdict alongside the findings, which are
 // identical with and without the pass. Off by default.
 func WithStaticPass(on bool) Option {
-	return func(c *Config) error {
-		c.StaticPass = on
-		return nil
-	}
+	return func(c *Config) { c.StaticPass = on }
 }
 
 // WithRepairStrategy selects the mitigation Repair and RepairAll
@@ -145,18 +102,12 @@ func WithStaticPass(on bool) Option {
 // (SLH-style speculative load hardening), StrategyRet (Figure 13
 // retpolines for flagged returns), or StrategyAuto (the default) to
 // run the whole portfolio and keep the cheapest certified patch by
-// estimated sequential cost. Whatever the strategy, every patch is
+// estimated sequential cost; "" also selects StrategyAuto. Whatever
+// the strategy, every patch is
 // re-verified secret-free by the configured detector and certified
 // behaviour-preserving modulo the rewrite's address map.
 func WithRepairStrategy(s string) Option {
-	return func(c *Config) error {
-		switch s {
-		case StrategyAuto, StrategyFence, StrategyMask, StrategyRet:
-			c.RepairStrategy = s
-			return nil
-		}
-		return fmt.Errorf("spectre: unknown repair strategy %q (want auto, fence, mask or ret)", s)
-	}
+	return func(c *Config) { c.RepairStrategy = s }
 }
 
 // WithDedup bounds a machine-fingerprint table at maxEntries states;
@@ -171,11 +122,5 @@ func WithRepairStrategy(s string) Option {
 // explored from its first-visited twin). 0 (the default) disables
 // deduplication. Works in both concrete and symbolic mode.
 func WithDedup(maxEntries int) Option {
-	return func(c *Config) error {
-		if maxEntries < 0 {
-			return fmt.Errorf("spectre: dedup entries must be non-negative, got %d", maxEntries)
-		}
-		c.DedupEntries = maxEntries
-		return nil
-	}
+	return func(c *Config) { c.DedupEntries = maxEntries }
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"pitchfork/internal/core"
 	"pitchfork/internal/isa"
@@ -251,7 +250,17 @@ func (a *Analyzer) repairWith(ctx context.Context, p *Program, workers int) (*Re
 	// bindings are simply replaced by their concrete seeds for the
 	// replay (verification itself stays symbolic).
 	ropts := repair.Options{
-		Verify:       a.repairVerifier(ctx, p, workers),
+		// Each candidate is verified at the configured bound with all
+		// findings collected.
+		Verify: func(ip *isa.Program) (pitchfork.Report, error) {
+			rep, err := a.detect(ctx, p.withProg(ip), pitchfork.Options{
+				Bound: a.cfg.Bound, ForwardHazards: a.cfg.ForwardHazards, Workers: workers,
+			})
+			if err == nil {
+				err = ctx.Err()
+			}
+			return rep, err
+		},
 		MaxSeqInstrs: a.cfg.MaxRetired,
 		Strategy:     a.cfg.RepairStrategy,
 		Machine: func(ip *isa.Program) *core.Machine {
@@ -274,38 +283,6 @@ func (a *Analyzer) repairWith(ctx context.Context, p *Program, workers int) (*Re
 		return out, fmt.Errorf("spectre: %w", err)
 	}
 	return out, nil
-}
-
-// repairVerifier adapts the analyzer's configuration into the engine's
-// verification hook, running each candidate at the configured bound
-// with all findings collected.
-func (a *Analyzer) repairVerifier(ctx context.Context, p *Program, workers int) func(*isa.Program) (pitchfork.Report, error) {
-	return func(ip *isa.Program) (pitchfork.Report, error) {
-		q := p.withProg(ip)
-		opts := pitchfork.Options{
-			Bound:          a.cfg.Bound,
-			ForwardHazards: a.cfg.ForwardHazards,
-			MaxStates:      a.cfg.MaxStates,
-			MaxRetired:     a.cfg.MaxRetired,
-			Workers:        workers,
-			DedupEntries:   a.cfg.DedupEntries,
-			Interrupt:      func() bool { return ctx.Err() != nil },
-		}
-		var rep pitchfork.Report
-		var err error
-		if a.cfg.Symbolic {
-			rep, err = pitchfork.AnalyzeSymbolic(q.symMachine(), opts)
-		} else {
-			rep, err = pitchfork.Analyze(q.machine(), opts)
-		}
-		if err != nil {
-			return rep, err
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return rep, ctxErr
-		}
-		return rep, nil
-	}
 }
 
 // repairResultOf lifts an engine result into the wire schema,
@@ -376,47 +353,13 @@ type RepairBatchResult struct {
 // exploration). Results are returned in input order. Cancelling the
 // context stops new items from starting and aborts running ones.
 func (a *Analyzer) RepairAll(ctx context.Context, items []BatchItem) []RepairBatchResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	results, errs := fanOut(ctx, a.cfg.Workers, items, func(p *Program) (*RepairResult, error) {
+		return a.repairWith(ctx, p, 1)
+	})
 	out := make([]RepairBatchResult, len(items))
 	for i, it := range items {
-		out[i].Name = it.Name
+		out[i] = RepairBatchResult{Name: it.Name, Result: results[i], Err: errs[i]}
 	}
-	workers := a.cfg.Workers
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				it := items[i]
-				if it.Program == nil {
-					out[i].Err = fmt.Errorf("spectre: batch item %d (%q): nil program", i, it.Name)
-					continue
-				}
-				out[i].Result, out[i].Err = a.repairWith(ctx, it.Program, 1)
-			}
-		}()
-	}
-	for i := range items {
-		if err := ctx.Err(); err != nil {
-			for j := i; j < len(items); j++ {
-				out[j].Err = err
-			}
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 	return out
 }
 
