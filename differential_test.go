@@ -3,7 +3,7 @@
 // expressions, so both domains must walk the same worst-case schedule
 // tree and report exactly the same findings — same program counters,
 // same speculation sources, same variant kinds, same observations —
-// across the Kocher and v1.1 corpora.
+// across the Kocher, spec-only v1 and v1.1 corpora.
 package pitchfork_test
 
 import (
@@ -29,7 +29,10 @@ func concreteFindingKeys(rep pitchfork.Report) []string {
 }
 
 func TestDifferentialConcreteVsSymbolicOnCorpora(t *testing.T) {
-	cases := append(append([]testcases.Case{}, testcases.Kocher()...), testcases.V11()...)
+	var cases []testcases.Case
+	for _, corpus := range [][]testcases.Case{testcases.Kocher(), testcases.SpecOnlyV1(), testcases.V11()} {
+		cases = append(cases, corpus...)
+	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {

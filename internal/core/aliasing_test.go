@@ -178,23 +178,6 @@ func TestExecuteFwdValidation(t *testing.T) {
 	}
 }
 
-// TestAddrModeBaseScale: the machine under the x86-style address mode
-// computes v0 + v1*v2 for ternary operand lists.
-func TestAddrModeBaseScale(t *testing.T) {
-	b := isa.NewBuilder(1)
-	b.Load(ra, isa.ImmW(0x40), isa.R(rb), isa.ImmW(8))
-	b.Data(0x50, mem.Sec(3))
-	m := New(b.MustBuild(), WithAddrMode(isa.AddrBaseScale))
-	m.Regs.Write(rb, mem.Pub(2))
-	mustStep(t, m, Fetch())
-	obs := mustStep(t, m, Execute(1)) // 0x40 + 2*8 = 0x50
-	wantTrace(t, obs, ReadObs(0x50, mem.Public))
-	mustStep(t, m, Retire())
-	if got := m.Regs.Read(ra); got != mem.Sec(3) {
-		t.Fatalf("ra = %v", got)
-	}
-}
-
 // TestRSBCircularUnderflowRet: under the circular policy a bare ret
 // fetches without attacker input, predicting from stale ring contents.
 func TestRSBCircularUnderflowRet(t *testing.T) {

@@ -37,27 +37,27 @@ func mixValue(h uint64, v mem.Value) uint64 {
 // accept that). The static program and the machine parameters are not
 // hashed: they are constant across one exploration.
 func (m *Machine) Fingerprint() uint64 {
-	f := newHasher()
-	f.word(uint64(m.PC))
-	f.word(uint64(m.Retired))
-	// Register file and memory maintain incremental order-independent
-	// hash sums (updated on every Write), so their contribution is
-	// O(1) here — crucial, since the dedup table fingerprints every
-	// explored state.
-	f.word(m.Regs.HashSum())
-	f.word(m.Mem.HashSum())
-	f.h = HashBuffer(f.h, m.Buf, mixValue)
+	f := hasher{h: m.HashState(mixValue)}
 	m.RSB.hashInto(&f)
 	return f.h
 }
 
-// HashBuffer absorbs MIN(buf) and every buffered transient into the
-// running hash h; mix absorbs one value of the domain. Both domains'
-// Fingerprints fold their reorder buffer through it.
-func HashBuffer[V any](h uint64, buf *Buffer[TransientOf[V]], mix func(h uint64, v V) uint64) uint64 {
-	f := hasher{h: h}
-	f.word(uint64(buf.Min()))
-	for _, t := range buf.All() {
+// HashState hashes the configuration but σ — PC, retired count,
+// register file, data memory, MIN(buf) and every buffered transient —
+// for a domain's Fingerprint; mix absorbs one value of the domain. The
+// register file and memory keep incremental order-independent hash
+// sums (updated on every Write), so their share is O(1): the dedup
+// table fingerprints every explored state. σ is left to the caller
+// because the two domains fold it in differently, and changing either
+// would move states between dedup shards.
+func (s *State[V, R, M]) HashState(mix func(h uint64, v V) uint64) uint64 {
+	f := newHasher()
+	f.word(uint64(s.PC))
+	f.word(uint64(s.Retired))
+	f.word(s.Regs.HashSum())
+	f.word(s.Mem.HashSum())
+	f.word(uint64(s.Buf.Min()))
+	for _, t := range s.Buf.All() {
 		t.hashInto(&f, mix)
 	}
 	return f.h

@@ -42,65 +42,28 @@ func stall(d Directive, format string, args ...any) error {
 	return &StepError{Directive: d, Reason: fmt.Sprintf(format, args...)}
 }
 
-func fault(d Directive, format string, args ...any) error {
-	return &StepError{Directive: d, Reason: fmt.Sprintf(format, args...), Fault: true}
+// failed reports a domain error from the step d: a stall when the
+// domain says the directive does not apply, a machine fault otherwise.
+func failed(d Directive, what string, err error) error {
+	return &StepError{Directive: d, Reason: what + ": " + err.Error(), Fault: !errors.Is(err, ErrStall)}
 }
 
-// Machine is a configuration C = (ρ, µ, n, buf) — extended with the
-// return stack buffer σ of Appendix A — together with the static
-// program and the machine parameters (address mode, RSB policy).
-// Step mutates the machine in place; Clone forks it for exploration.
+// Machine is the concrete reference machine: the configuration State
+// over labeled words, together with the static program. It is its own
+// value domain (the Domain methods below). Step mutates the machine in
+// place; Clone forks it for exploration.
 type Machine struct {
-	Prog      *isa.Program
-	AddrMode  isa.AddrMode
-	RSBPolicy RSBPolicy
+	State[mem.Value, *mem.RegisterFile, *mem.Memory]
 
-	Regs *mem.RegisterFile  // ρ
-	Mem  *mem.Memory        // µ (data half)
-	PC   isa.Addr           // n
-	Buf  *Buffer[Transient] // buf
-	RSB  *RSB               // σ
-
-	Retired int // N: retired-instruction count (retire directives)
-
-	// code is the snapshot of Prog's instructions the fetch stage
-	// reads, built once by New and shared by every clone.
-	code *isa.Table
-
-	// opScratch backs per-step operand resolution (see
-	// ResolveOperands) and obsScratch the per-step observation lists
-	// Step returns; neither is part of the configuration.
-	opScratch  [4]mem.Value
-	obsScratch [2]Observation
-}
-
-// obs1 and obs2 return the step's observations in the machine's
-// scratch buffer — valid until the next Step call (Run and the
-// exploration engine consume them immediately; RunRecorded copies).
-func (m *Machine) obs1(a Observation) []Observation {
-	m.obsScratch[0] = a
-	return m.obsScratch[:1]
-}
-
-func (m *Machine) obs2(a, b Observation) []Observation {
-	m.obsScratch[0], m.obsScratch[1] = a, b
-	return m.obsScratch[:2]
+	Prog *isa.Program
 }
 
 // Option configures a Machine at construction.
 type Option func(*Machine)
 
-// WithAddrMode selects the Jaddr(·)K instantiation.
-func WithAddrMode(mode isa.AddrMode) Option {
-	return func(m *Machine) { m.AddrMode = mode }
-}
-
 // WithRSBPolicy selects the empty-RSB behaviour.
 func WithRSBPolicy(p RSBPolicy) Option {
-	return func(m *Machine) {
-		m.RSBPolicy = p
-		m.RSB = NewRSB(p)
-	}
+	return func(m *Machine) { m.RSB = NewRSB(p) }
 }
 
 // WithStrictMemory makes reads of unmapped data addresses machine
@@ -120,15 +83,8 @@ func WithStrictMemory() Option {
 // buffer, empty RSB, PC at the entry point, memory seeded from the
 // program's data image.
 func New(prog *isa.Program, opts ...Option) *Machine {
-	m := &Machine{
-		Prog: prog,
-		code: prog.Table(),
-		Regs: mem.NewRegisterFile(),
-		Mem:  prog.InitialMemory(),
-		PC:   prog.Entry,
-		Buf:  NewBuffer[Transient](),
-		RSB:  NewRSB(RSBAttackerChoice),
-	}
+	m := &Machine{Prog: prog}
+	m.State = NewState[mem.Value](prog.Table(), mem.NewRegisterFile(), prog.InitialMemory(), prog.Entry, m)
 	for _, o := range opts {
 		o(m)
 	}
@@ -138,24 +94,36 @@ func New(prog *isa.Program, opts ...Option) *Machine {
 // Clone forks the machine; the program and its instruction snapshot
 // are shared (a program is immutable during execution).
 func (m *Machine) Clone() *Machine {
-	return &Machine{
-		Prog:      m.Prog,
-		AddrMode:  m.AddrMode,
-		RSBPolicy: m.RSBPolicy,
-		Regs:      m.Regs.Clone(),
-		Mem:       m.Mem.Clone(),
-		PC:        m.PC,
-		Buf:       m.Buf.Clone(),
-		RSB:       m.RSB.Clone(),
-		Retired:   m.Retired,
-		code:      m.code,
-	}
+	c := &Machine{Prog: m.Prog}
+	m.CloneInto(&c.State, c)
+	return c
 }
 
-// Instr returns the instruction at the fetch head, or nil at a halt
-// point. It points into the program snapshot the machine shares with
-// its clones and must not be modified.
-func (m *Machine) Instr() *isa.Instr { return m.code.At(m.PC) }
+// Fork implements Explorable.
+func (m *Machine) Fork() Explorable { return m.Clone() }
+
+// Successors implements Explorable: every directive has the single
+// successor of the paper's small-step relation, the machine itself.
+func (m *Machine) Successors(d Directive) ([]Successor, error) {
+	obs, err := m.Step(d)
+	if err != nil {
+		return nil, err
+	}
+	return m.Self(m, d, obs), nil
+}
+
+// View implements Explorable.
+func (m *Machine) View(i int) (v TransientView, ok bool) {
+	t, ok := m.Buf.Get(i)
+	if ok {
+		FillView(&v, t, mem.Value.IsSecret)
+	}
+	return v, ok
+}
+
+// Witness implements Explorable: a concrete run's inputs are the given
+// ones, so there is nothing to solve for.
+func (m *Machine) Witness() map[string]uint64 { return nil }
 
 // Halted reports whether execution is complete: nothing in flight and
 // nothing to fetch (the PC is a halt point).
@@ -202,40 +170,56 @@ func (m *Machine) Equal(o *Machine) bool {
 	return true
 }
 
+// The concrete value domain: labeled words, evaluated as they are.
+
+// Lift implements Domain: an immediate already is a labeled word.
+func (m *Machine) Lift(v mem.Value) mem.Value { return v }
+
+// Reg implements Domain: ρ(r), public zero when never written.
+func (m *Machine) Reg(r isa.Reg) mem.Value { return m.Regs.Read(r) }
+
+// Eval implements Domain.
+func (m *Machine) Eval(op isa.Opcode, args []mem.Value) (mem.Value, error) {
+	return isa.Eval(op, args)
+}
+
+// Addr implements Domain: a concrete address already is one word.
+func (m *Machine) Addr(_ int, _ TKind, args []mem.Value) (mem.Value, error) {
+	return isa.EvalAddr(args)
+}
+
+// Commit implements Domain: a concrete address assumes nothing.
+func (m *Machine) Commit() {}
+
+// Load implements Domain; under strict memory an unmapped address
+// faults.
+func (m *Machine) Load(a mem.Word) (mem.Value, error) { return m.Mem.Read(a) }
+
+// Cond implements Domain: a concrete condition is always one world.
+func (m *Machine) Cond(v mem.Value) (bool, mem.Label, bool) { return v.W != 0, v.L, true }
+
 // Step executes one small step C ↪→ᵈ C′, returning the observations o
 // the step produces. A nil error means the directive applied; a
 // returned error wrapping ErrStall means the schedule is not
-// well-formed here and the machine is unchanged. The returned slice is
-// backed by a per-machine scratch buffer and is only valid until the
-// next Step call on this machine; consume or copy it first (Run
-// appends the values, RunRecorded copies).
-func (m *Machine) Step(d Directive) ([]Observation, error) {
+// well-formed here and the machine is unchanged (ErrSplit, which only
+// a symbolic domain raises, likewise leaves it unchanged). The
+// returned slice is backed by a per-machine scratch buffer and is only
+// valid until the next Step call on this machine; consume or copy it
+// first (Run appends the values, RunRecorded copies).
+func (s *State[V, R, M]) Step(d Directive) ([]Observation, error) {
 	switch d.Kind {
 	case DFetch, DFetchGuess, DFetchTarget:
-		pc, err := StepFetch(m.Buf, m.RSB, m.Instr(), m.PC, d, liftValue)
-		if err != nil {
-			return nil, err
-		}
-		m.PC = pc
-		return nil, nil
+		return nil, s.fetch(d)
 	case DExecute:
-		return m.stepExecute(d)
+		return s.execute(d)
 	case DExecValue:
-		return m.stepExecuteValue(d)
+		return s.executeValue(d)
 	case DExecAddr:
-		return m.stepExecuteAddr(d)
+		return s.executeAddr(d)
 	case DExecFwd:
-		return m.stepExecuteFwd(d)
+		return s.executeFwd(d)
 	case DRetire:
-		o, wrote, err := StepRetire(m.Buf, m.Regs, m.Mem, d)
-		if err != nil {
-			return nil, err
-		}
-		m.Retired++
-		if wrote {
-			return m.obs1(o), nil
-		}
-		return nil, nil
+		return s.retire(d)
 	}
 	return nil, stall(d, "unknown directive kind")
 }
@@ -276,277 +260,173 @@ func (m *Machine) RunRecorded(ds Schedule) ([]StepRecord, error) {
 	return recs, nil
 }
 
-// liftValue is the concrete domain's lifting of an immediate: a
-// labeled word already is a concrete value.
-func liftValue(v mem.Value) mem.Value { return v }
-
 // ---------------------------------------------------------------------
 // Fetch stage
 // ---------------------------------------------------------------------
 
-// StepFetch applies a fetch-family directive at fetch head pc, whose
-// instruction is in (nil at a halt point): it appends the instruction's
-// transient form(s) to buf, journals σ for call and ret, and returns
-// the new fetch head. lift carries immediates into the value domain.
-// The fetch rules never look at a value, so both domains fetch through
-// this one function; on a stall nothing changes.
-func StepFetch[V any](buf *Buffer[TransientOf[V]], rsb *RSB, in *isa.Instr, pc isa.Addr, d Directive, lift func(mem.Value) V) (isa.Addr, error) {
+// fetch applies a fetch-family directive: it appends the transient
+// form(s) of the instruction at the fetch head to the buffer, journals
+// σ for call and ret, and moves the fetch head. On a stall nothing
+// changes.
+func (s *State[V, R, M]) fetch(d Directive) error {
+	in, pc := s.Instr(), s.PC
 	if in == nil {
-		return pc, stall(d, "nothing to fetch at halt point %d", pc)
+		return stall(d, "nothing to fetch at halt point %d", pc)
 	}
 	switch in.Kind {
 	case isa.KOp, isa.KLoad, isa.KStore, isa.KFence:
 		// simple-fetch
 		if d.Kind != DFetch {
-			return pc, stall(d, "%s requires a plain fetch", in.Kind)
+			return stall(d, "%s requires a plain fetch", in.Kind)
 		}
-		t := transientOf(in, lift)
+		t := transientOf[V](in)
+		// A store whose data operand is an immediate arrives with the
+		// value pre-resolved: "either step may be skipped if data or
+		// address are already in immediate form".
+		if t.Kind == TStore && !in.Src.IsReg {
+			t.ValKnown = true
+			t.SVal = s.dom.Lift(in.Src.Imm)
+		}
 		t.PP = pc
-		buf.AppendT(t)
-		return in.Next, nil
+		s.Buf.AppendT(t)
+		s.PC = in.Next
 
 	case isa.KBr:
 		// cond-fetch: the directive's guess selects the speculative arm
 		// and is recorded as n0 in the transient branch.
 		if d.Kind != DFetchGuess {
-			return pc, stall(d, "br requires fetch: true/false")
+			return stall(d, "br requires fetch: true/false")
 		}
 		guess := in.False
 		if d.Taken {
 			guess = in.True
 		}
-		buf.AppendT(TransientOf[V]{
+		s.Buf.AppendT(TransientOf[V]{
 			Kind: TBr, Op: in.Op, Args: in.Args,
 			Guess: guess, True: in.True, False: in.False,
 			PP: pc,
 		})
-		return guess, nil
+		s.PC = guess
 
 	case isa.KJmpi:
 		// jmpi-fetch: the attacker supplies the predicted target n′.
 		if d.Kind != DFetchTarget {
-			return pc, stall(d, "jmpi requires fetch: n")
+			return stall(d, "jmpi requires fetch: n")
 		}
-		buf.AppendT(TransientOf[V]{Kind: TJmpi, Args: in.Args, Guess: d.Target, PP: pc})
-		return d.Target, nil
+		s.Buf.AppendT(TransientOf[V]{Kind: TJmpi, Args: in.Args, Guess: d.Target, PP: pc})
+		s.PC = d.Target
 
 	case isa.KCall:
 		// call-direct-fetch: unpack into call marker, stack-pointer
 		// bump, and return-address store; push the return point onto σ.
 		if d.Kind != DFetch {
-			return pc, stall(d, "call requires a plain fetch")
+			return stall(d, "call requires a plain fetch")
 		}
 		ret := mem.Pub(in.RetPt)
-		i := buf.AppendT(TransientOf[V]{Kind: TCall, PP: pc})
-		buf.AppendT(TransientOf[V]{Kind: TOp, Dst: mem.RSP, Op: isa.OpSucc, Args: []isa.Operand{isa.R(mem.RSP)}, PP: pc})
-		buf.AppendT(TransientOf[V]{
+		i := s.Buf.AppendT(TransientOf[V]{Kind: TCall, PP: pc})
+		s.Buf.AppendT(TransientOf[V]{Kind: TOp, Dst: mem.RSP, Op: isa.OpSucc, Args: []isa.Operand{isa.R(mem.RSP)}, PP: pc})
+		s.Buf.AppendT(TransientOf[V]{
 			Kind: TStore, Src: isa.Imm(ret),
-			ValKnown: true, SVal: lift(ret),
+			ValKnown: true, SVal: s.dom.Lift(ret),
 			Args: []isa.Operand{isa.R(mem.RSP)},
 			PP:   pc,
 		})
-		rsb.Push(i, in.RetPt)
-		return in.Callee, nil
+		s.RSB.Push(i, in.RetPt)
+		s.PC = in.Callee
 
 	case isa.KRet:
 		// ret-fetch-rsb / ret-fetch-rsb-empty: unpack into ret marker,
 		// return-address load, stack-pointer pop, and indirect jump
 		// predicted to top(σ) — or to the attacker's choice when σ is
 		// empty (policy-dependent).
-		target, haveTop := rsb.Top()
+		target, haveTop := s.RSB.Top()
 		switch {
 		case haveTop:
 			if d.Kind != DFetch {
-				return pc, stall(d, "ret with non-empty RSB requires a plain fetch")
+				return stall(d, "ret with non-empty RSB requires a plain fetch")
 			}
-		case rsb.Policy() == RSBRefuse:
-			return pc, stall(d, "ret with empty RSB: processor refuses to speculate")
+		case s.RSB.Policy() == RSBRefuse:
+			return stall(d, "ret with empty RSB: processor refuses to speculate")
 		default: // RSBAttackerChoice with empty RSB
 			if d.Kind != DFetchTarget {
-				return pc, stall(d, "ret with empty RSB requires fetch: n")
+				return stall(d, "ret with empty RSB requires fetch: n")
 			}
 			target = d.Target
 		}
-		i := buf.AppendT(TransientOf[V]{Kind: TRet, PP: pc})
-		buf.AppendT(TransientOf[V]{Kind: TLoad, Dst: mem.RTMP, Args: []isa.Operand{isa.R(mem.RSP)}, PP: pc})
-		buf.AppendT(TransientOf[V]{Kind: TOp, Dst: mem.RSP, Op: isa.OpPred, Args: []isa.Operand{isa.R(mem.RSP)}, PP: pc})
-		buf.AppendT(TransientOf[V]{Kind: TJmpi, Args: []isa.Operand{isa.R(mem.RTMP)}, Guess: target, PP: pc})
-		rsb.Pop(i)
-		return target, nil
-	}
-	return pc, stall(d, "unfetchable instruction kind %v", in.Kind)
-}
+		i := s.Buf.AppendT(TransientOf[V]{Kind: TRet, PP: pc})
+		s.Buf.AppendT(TransientOf[V]{Kind: TLoad, Dst: mem.RTMP, Args: []isa.Operand{isa.R(mem.RSP)}, PP: pc})
+		s.Buf.AppendT(TransientOf[V]{Kind: TOp, Dst: mem.RSP, Op: isa.OpPred, Args: []isa.Operand{isa.R(mem.RSP)}, PP: pc})
+		s.Buf.AppendT(TransientOf[V]{Kind: TJmpi, Args: []isa.Operand{isa.R(mem.RTMP)}, Guess: target, PP: pc})
+		s.RSB.Pop(i)
+		s.PC = target
 
-// ---------------------------------------------------------------------
-// Register resolution over the reorder buffer
-// ---------------------------------------------------------------------
-
-// Resolve implements the register resolve function (buf +i ρ)(r) of
-// Fig. 3, extended per §3.5 to read through partially resolved loads:
-//
-//   - the latest assignment to r at an index j < i that is resolved
-//     yields its value;
-//   - a latest assignment that is unresolved yields ⊥ (ok == false);
-//   - no assignment at all defers to ρ(r), which read supplies with the
-//     domain's default for a register never written.
-func Resolve[V any](buf *Buffer[TransientOf[V]], i int, r isa.Reg, read func(isa.Reg) V) (v V, ok bool) {
-	for j := min(i-1, buf.Max()); j >= buf.Min(); j-- {
-		t, _ := buf.Get(j)
-		if !t.AssignsReg(r) {
-			continue
-		}
-		switch t.Kind {
-		case TValue:
-			return t.Val, true
-		case TLoad:
-			if t.PredFwd {
-				return t.PredVal, true // §3.5 extension
-			}
-		}
-		return v, false // pending assignment: ⊥
+	default:
+		return stall(d, "unfetchable instruction kind %v", in.Kind)
 	}
-	return read(r), true
-}
-
-// ResolveReg is Resolve over the machine's buffer and register file.
-func (m *Machine) ResolveReg(i int, r isa.Reg) (mem.Value, bool) {
-	return Resolve(m.Buf, i, r, m.Regs.Read)
-}
-
-// ResolveOperand lifts ResolveReg to a register-or-value operand:
-// (buf +i ρ)(vℓ) = vℓ for immediates.
-func (m *Machine) ResolveOperand(i int, o isa.Operand) (mem.Value, bool) {
-	if !o.IsReg {
-		return o.Imm, true
-	}
-	return m.ResolveReg(i, o.Reg)
-}
-
-// ResolveOperands is the pointwise lifting to operand lists; it fails
-// if any operand is ⊥. The result is written to dst when its capacity
-// suffices (the step rules pass a per-machine scratch so per-step
-// operand resolution allocates nothing) and then aliases dst until its
-// next reuse; a nil dst allocates.
-func (m *Machine) ResolveOperands(dst []mem.Value, i int, os []isa.Operand) ([]mem.Value, bool) {
-	if cap(dst) < len(os) {
-		dst = make([]mem.Value, len(os))
-	}
-	dst = dst[:len(os)]
-	for k, o := range os {
-		v, ok := m.ResolveOperand(i, o)
-		if !ok {
-			return nil, false
-		}
-		dst[k] = v
-	}
-	return dst, true
+	return nil
 }
 
 // ---------------------------------------------------------------------
 // Execute stage
 // ---------------------------------------------------------------------
 
-func (m *Machine) stepExecute(d Directive) ([]Observation, error) {
-	t, ok := m.Buf.Get(d.I)
+// execute applies execute i to an operation, branch, indirect jump or
+// load, once its operands resolve.
+func (s *State[V, R, M]) execute(d Directive) ([]Observation, error) {
+	t, ok := s.Buf.Get(d.I)
 	if !ok {
-		return nil, stall(d, "index %d not in buffer [%d,%d]", d.I, m.Buf.Min(), m.Buf.Max())
+		return nil, stall(d, "index %d not in buffer [%d,%d]", d.I, s.Buf.Min(), s.Buf.Max())
 	}
-	if m.Buf.FenceBefore(d.I) {
+	if s.Buf.FenceBefore(d.I) {
 		return nil, stall(d, "fence pending before index %d", d.I)
 	}
 	switch t.Kind {
+	case TOp, TBr, TJmpi, TLoad:
+	default:
+		return nil, stall(d, "index %d (%s) has no execute rule", d.I, t)
+	}
+	args, ok := s.ResolveOperands(d.I, t.Args)
+	if !ok {
+		return nil, stall(d, "operands of index %d unresolved", d.I)
+	}
+	switch t.Kind {
 	case TOp:
-		return m.execOp(d, t)
-	case TBr:
-		return m.execBranch(d, t)
-	case TJmpi:
-		return m.execJmpi(d, t)
-	case TLoad:
-		if t.PredFwd {
-			return m.execPredictedLoad(d, t)
+		v, err := s.dom.Eval(t.Op, args)
+		if err != nil {
+			return nil, failed(d, "eval", err)
 		}
-		return m.execLoad(d, t)
+		s.Buf.SetT(d.I, TransientOf[V]{Kind: TValue, Dst: t.Dst, Val: v})
+		return nil, nil
+	case TBr:
+		cond, err := s.dom.Eval(t.Op, args)
+		if err != nil {
+			return nil, failed(d, "eval", err)
+		}
+		taken, l, ok := s.dom.Cond(cond)
+		if !ok {
+			return nil, ErrSplit
+		}
+		return s.Branch(d.I, taken, l), nil
+	case TJmpi:
+		target, err := s.dom.Addr(d.I, TJmpi, args)
+		if err != nil {
+			return nil, failed(d, "addr", err)
+		}
+		return s.settle(d.I, target.W, target.L), nil
 	}
-	return nil, stall(d, "index %d (%s) has no execute rule", d.I, t)
-}
-
-func (m *Machine) execOp(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.ResolveOperands(m.opScratch[:0], d.I, t.Args)
-	if !ok {
-		return nil, stall(d, "operands of %s unresolved", t)
-	}
-	v, err := isa.Eval(t.Op, vals)
+	addr, err := s.dom.Addr(d.I, TLoad, args)
 	if err != nil {
-		return nil, fault(d, "eval: %v", err)
+		return nil, failed(d, "addr", err)
 	}
-	m.Buf.SetT(d.I, Transient{Kind: TValue, Dst: t.Dst, Val: v})
-	return nil, nil
-}
-
-func (m *Machine) execBranch(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.ResolveOperands(m.opScratch[:0], d.I, t.Args)
-	if !ok {
-		return nil, stall(d, "branch condition unresolved")
-	}
-	cond, err := isa.Eval(t.Op, vals)
-	if err != nil {
-		return nil, fault(d, "eval: %v", err)
-	}
-	actual := t.False
-	if cond.W != 0 {
-		actual = t.True
-	}
-	if actual == t.Guess {
-		// cond-execute-correct
-		m.Buf.SetT(d.I, Transient{Kind: TJump, Target: actual})
-		return m.obs1(JumpObs(actual, cond.L)), nil
-	}
-	// cond-execute-incorrect: discard everything from i on, reinstall
-	// the resolved jump at i, redirect the PC, roll back σ.
-	m.Buf.TruncateFrom(d.I)
-	m.RSB.Rollback(d.I)
-	m.Buf.AppendT(Transient{Kind: TJump, Target: actual})
-	m.PC = actual
-	return m.obs2(RollbackObs(), JumpObs(actual, cond.L)), nil
-}
-
-func (m *Machine) execJmpi(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.ResolveOperands(m.opScratch[:0], d.I, t.Args)
-	if !ok {
-		return nil, stall(d, "jump target operands unresolved")
-	}
-	target, err := isa.EvalAddr(m.AddrMode, vals)
-	if err != nil {
-		return nil, fault(d, "addr: %v", err)
-	}
-	if target.W == t.Guess {
-		// jmpi-execute-correct
-		m.Buf.SetT(d.I, Transient{Kind: TJump, Target: target.W})
-		return m.obs1(JumpObs(target.W, target.L)), nil
-	}
-	// jmpi-execute-incorrect
-	m.Buf.TruncateFrom(d.I)
-	m.RSB.Rollback(d.I)
-	m.Buf.AppendT(Transient{Kind: TJump, Target: target.W})
-	m.PC = target.W
-	return m.obs2(RollbackObs(), JumpObs(target.W, target.L)), nil
-}
-
-func (m *Machine) execLoad(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.ResolveOperands(m.opScratch[:0], d.I, t.Args)
-	if !ok {
-		return nil, stall(d, "load address operands unresolved")
-	}
-	addr, err := isa.EvalAddr(m.AddrMode, vals)
-	if err != nil {
-		return nil, fault(d, "addr: %v", err)
+	if t.PredFwd {
+		return s.executePredictedLoad(d, t, addr)
 	}
 	// Most recent prior store with a resolved matching address, if any.
 	// Stores with unresolved addresses are skipped — which is exactly
 	// what makes Spectre v4 expressible.
-	for j := d.I - 1; j >= m.Buf.Min() && j >= 1; j-- {
-		st, ok := m.Buf.Get(j)
-		if !ok || !st.IsResolvedStoreTo(addr.W) {
+	for j := d.I - 1; j >= s.Buf.Min(); j-- {
+		st, _ := s.Buf.Get(j)
+		if !st.IsResolvedStoreTo(addr.W) {
 			continue
 		}
 		if !st.ValKnown {
@@ -555,185 +435,211 @@ func (m *Machine) execLoad(d Directive, t *Transient) ([]Observation, error) {
 			return nil, stall(d, "matching store at %d has unresolved data", j)
 		}
 		// load-execute-forward
-		m.Buf.SetT(d.I, Transient{
+		s.dom.Commit()
+		s.Buf.SetT(d.I, TransientOf[V]{
 			Kind: TValue, Dst: t.Dst, Val: st.SVal,
 			FromLoad: true, Dep: j, DataAddr: addr.W, PP: t.PP,
 		})
-		return m.obs1(FwdObs(addr.W, addr.L)), nil
+		return s.obs1(FwdObs(addr.W, addr.L)), nil
 	}
 	// load-execute-nodep
-	v, err := m.Mem.Read(addr.W)
+	v, err := s.dom.Load(addr.W)
 	if err != nil {
-		return nil, fault(d, "%v", err)
+		return nil, failed(d, "load", err)
 	}
-	m.Buf.SetT(d.I, Transient{
+	s.dom.Commit()
+	s.Buf.SetT(d.I, TransientOf[V]{
 		Kind: TValue, Dst: t.Dst, Val: v,
 		FromLoad: true, Dep: NoDep, DataAddr: addr.W, PP: t.PP,
 	})
-	return m.obs1(ReadObs(addr.W, addr.L)), nil
+	return s.obs1(ReadObs(addr.W, addr.L)), nil
 }
 
-// execPredictedLoad resolves a partially resolved load
-// (r = load(r⃗v, (vℓ, j)))n — the §3.5 aliasing-prediction extension.
-func (m *Machine) execPredictedLoad(d Directive, t *Transient) ([]Observation, error) {
-	vals, ok := m.ResolveOperands(m.opScratch[:0], d.I, t.Args)
-	if !ok {
-		return nil, stall(d, "load address operands unresolved")
+// Branch settles the conditional branch at buffer index i on the arm
+// the condition took, with the condition's label l, and returns the
+// step's observations. The execute rule calls it for a condition that
+// is one world; a domain that splits a machine settles each world with
+// it.
+func (s *State[V, R, M]) Branch(i int, taken bool, l mem.Label) []Observation {
+	t, _ := s.Buf.Get(i)
+	actual := t.False
+	if taken {
+		actual = t.True
 	}
-	addr, err := isa.EvalAddr(m.AddrMode, vals)
-	if err != nil {
-		return nil, fault(d, "addr: %v", err)
+	return s.settle(i, actual, l)
+}
+
+// settle resolves the branch or indirect jump at index i to actual.
+func (s *State[V, R, M]) settle(i int, actual isa.Addr, l mem.Label) []Observation {
+	t, _ := s.Buf.Get(i)
+	if actual == t.Guess {
+		// cond-execute-correct, jmpi-execute-correct
+		s.Buf.SetT(i, TransientOf[V]{Kind: TJump, Target: actual})
+		return s.obs1(JumpObs(actual, l))
 	}
+	// cond-execute-incorrect, jmpi-execute-incorrect: discard everything
+	// from i on, reinstall the resolved jump at i, redirect the PC, roll
+	// back σ.
+	s.Buf.TruncateFrom(i)
+	s.RSB.Rollback(i)
+	s.Buf.AppendT(TransientOf[V]{Kind: TJump, Target: actual})
+	s.PC = actual
+	return s.obs2(RollbackObs(), JumpObs(actual, l))
+}
+
+// executePredictedLoad resolves a partially resolved load
+// (r = load(r⃗v, (vℓ, j)))n at address addr — the §3.5
+// aliasing-prediction extension.
+func (s *State[V, R, M]) executePredictedLoad(d Directive, t *TransientOf[V], addr mem.Value) ([]Observation, error) {
 	j := t.PredFrom
-	if st, inBuf := m.Buf.Get(j); inBuf {
+	if st, inBuf := s.Buf.Get(j); inBuf {
 		// Originating store still in the reorder buffer.
+		s.dom.Commit()
 		mismatch := st.AddrKnown && st.SAddr.W != addr.W
 		intervening := false
 		for k := j + 1; k < d.I; k++ {
-			if s2, ok := m.Buf.Get(k); ok && s2.IsResolvedStoreTo(addr.W) {
+			if s2, ok := s.Buf.Get(k); ok && s2.IsResolvedStoreTo(addr.W) {
 				intervening = true
 				break
 			}
 		}
 		if !mismatch && !intervening {
 			// load-execute-addr-ok
-			m.Buf.SetT(d.I, Transient{
+			s.Buf.SetT(d.I, TransientOf[V]{
 				Kind: TValue, Dst: t.Dst, Val: st.SVal,
 				FromLoad: true, Dep: j, DataAddr: addr.W, PP: t.PP,
 			})
-			return m.obs1(FwdObs(addr.W, addr.L)), nil
+			return s.obs1(FwdObs(addr.W, addr.L)), nil
 		}
 		// load-execute-addr-hazard: discard the load and everything
 		// after it; restart at the load's own program point.
-		m.Buf.TruncateFrom(d.I)
-		m.RSB.Rollback(d.I)
-		m.PC = t.PP
-		return m.obs2(RollbackObs(), FwdObs(addr.W, addr.L)), nil
+		s.rollback(d.I, t.PP)
+		return s.obs2(RollbackObs(), FwdObs(addr.W, addr.L)), nil
 	}
 	// Originating store already retired: validate against memory,
 	// provided no other buffered store resolves to this address.
-	for k := m.Buf.Min(); k < d.I; k++ {
-		if s2, ok := m.Buf.Get(k); ok && s2.IsResolvedStoreTo(addr.W) {
+	for k := s.Buf.Min(); k < d.I; k++ {
+		if s2, ok := s.Buf.Get(k); ok && s2.IsResolvedStoreTo(addr.W) {
 			return nil, stall(d, "prior store at %d to %#x must resolve first", k, addr.W)
 		}
 	}
-	v, err := m.Mem.Read(addr.W)
+	v, err := s.dom.Load(addr.W)
 	if err != nil {
-		return nil, fault(d, "%v", err)
+		return nil, failed(d, "load", err)
 	}
-	if v.Equal(t.PredVal) {
+	s.dom.Commit()
+	if v == t.PredVal {
 		// load-execute-addr-mem-match
-		m.Buf.SetT(d.I, Transient{
+		s.Buf.SetT(d.I, TransientOf[V]{
 			Kind: TValue, Dst: t.Dst, Val: v,
 			FromLoad: true, Dep: NoDep, DataAddr: addr.W, PP: t.PP,
 		})
-		return m.obs1(ReadObs(addr.W, addr.L)), nil
+		return s.obs1(ReadObs(addr.W, addr.L)), nil
 	}
 	// load-execute-addr-mem-hazard
-	m.Buf.TruncateFrom(d.I)
-	m.RSB.Rollback(d.I)
-	m.PC = t.PP
-	return m.obs2(RollbackObs(), ReadObs(addr.W, addr.L)), nil
+	s.rollback(d.I, t.PP)
+	return s.obs2(RollbackObs(), ReadObs(addr.W, addr.L)), nil
 }
 
-func (m *Machine) stepExecuteValue(d Directive) ([]Observation, error) {
-	t, ok := m.Buf.Get(d.I)
+// rollback discards the buffer from index i on, rolls σ back with it,
+// and restarts fetch at pp.
+func (s *State[V, R, M]) rollback(i int, pp isa.Addr) {
+	s.Buf.TruncateFrom(i)
+	s.RSB.Rollback(i)
+	s.PC = pp
+}
+
+func (s *State[V, R, M]) executeValue(d Directive) ([]Observation, error) {
+	t, ok := s.Buf.Get(d.I)
 	if !ok || t.Kind != TStore {
 		return nil, stall(d, "execute:value needs a store at %d", d.I)
 	}
-	if m.Buf.FenceBefore(d.I) {
+	if s.Buf.FenceBefore(d.I) {
 		return nil, stall(d, "fence pending before index %d", d.I)
 	}
 	if t.ValKnown {
 		return nil, stall(d, "store value already resolved")
 	}
-	v, ok := m.ResolveOperand(d.I, t.Src)
+	v, ok := s.ResolveOperand(d.I, t.Src)
 	if !ok {
 		return nil, stall(d, "store data operand unresolved")
 	}
 	// store-execute-value
-	t, _ = m.Buf.Edit(d.I)
+	t, _ = s.Buf.Edit(d.I)
 	t.ValKnown = true
 	t.SVal = v
 	return nil, nil
 }
 
-func (m *Machine) stepExecuteAddr(d Directive) ([]Observation, error) {
-	t, ok := m.Buf.Get(d.I)
+func (s *State[V, R, M]) executeAddr(d Directive) ([]Observation, error) {
+	t, ok := s.Buf.Get(d.I)
 	if !ok || t.Kind != TStore {
 		return nil, stall(d, "execute:addr needs a store at %d", d.I)
 	}
-	if m.Buf.FenceBefore(d.I) {
+	if s.Buf.FenceBefore(d.I) {
 		return nil, stall(d, "fence pending before index %d", d.I)
 	}
 	if t.AddrKnown {
 		return nil, stall(d, "store address already resolved")
 	}
-	vals, ok := m.ResolveOperands(m.opScratch[:0], d.I, t.Args)
+	args, ok := s.ResolveOperands(d.I, t.Args)
 	if !ok {
 		return nil, stall(d, "store address operands unresolved")
 	}
-	addr, err := isa.EvalAddr(m.AddrMode, vals)
+	addr, err := s.dom.Addr(d.I, TStore, args)
 	if err != nil {
-		return nil, fault(d, "addr: %v", err)
+		return nil, failed(d, "addr", err)
 	}
+	s.dom.Commit()
 	// Forwarding-correctness check over all later resolved loads
 	// (r = vℓ{jk, ak}): a hazard is the earliest k > i with
 	// (ak = a ∧ jk < i) ∨ (jk = i ∧ ak ≠ a), where ⊥ < n for all n.
-	hazardAt := 0
-	var hazardLoad *Transient
-	for k := d.I + 1; k <= m.Buf.Max(); k++ {
-		lv, ok := m.Buf.Get(k)
-		if !ok || lv.Kind != TValue || !lv.FromLoad {
+	hazardAt, restart := 0, isa.Addr(0)
+	for k := d.I + 1; k <= s.Buf.Max(); k++ {
+		lv, _ := s.Buf.Get(k)
+		if lv.Kind != TValue || !lv.FromLoad {
 			continue
 		}
 		staleRead := lv.DataAddr == addr.W && lv.Dep < d.I
 		wrongFwd := lv.Dep == d.I && lv.DataAddr != addr.W
 		if staleRead || wrongFwd {
-			hazardAt = k
-			hazardLoad = lv
+			hazardAt, restart = k, lv.PP
 			break
 		}
 	}
-	if hazardLoad == nil {
+	t, _ = s.Buf.Edit(d.I)
+	t.AddrKnown = true
+	t.SAddr = addr
+	if hazardAt == 0 {
 		// store-execute-addr-ok
-		t, _ = m.Buf.Edit(d.I)
-		t.AddrKnown = true
-		t.SAddr = addr
-		return m.obs1(FwdObs(addr.W, addr.L)), nil
+		return s.obs1(FwdObs(addr.W, addr.L)), nil
 	}
 	// store-execute-addr-hazard: restart at the stale load's program
 	// point, discarding it and everything younger.
-	restart := hazardLoad.PP
-	m.Buf.TruncateFrom(hazardAt)
-	m.RSB.Rollback(hazardAt)
-	t, _ = m.Buf.Edit(d.I)
-	t.AddrKnown = true
-	t.SAddr = addr
-	m.PC = restart
-	return m.obs2(RollbackObs(), FwdObs(addr.W, addr.L)), nil
+	s.rollback(hazardAt, restart)
+	return s.obs2(RollbackObs(), FwdObs(addr.W, addr.L)), nil
 }
 
-func (m *Machine) stepExecuteFwd(d Directive) ([]Observation, error) {
-	t, ok := m.Buf.Get(d.I)
+func (s *State[V, R, M]) executeFwd(d Directive) ([]Observation, error) {
+	t, ok := s.Buf.Get(d.I)
 	if !ok || t.Kind != TLoad {
 		return nil, stall(d, "execute:fwd needs an unresolved load at %d", d.I)
 	}
 	if t.PredFwd {
 		return nil, stall(d, "load already carries a predicted forward")
 	}
-	if m.Buf.FenceBefore(d.I) {
+	if s.Buf.FenceBefore(d.I) {
 		return nil, stall(d, "fence pending before index %d", d.I)
 	}
 	if d.From >= d.I {
 		return nil, stall(d, "forwarding store %d must be older than load %d", d.From, d.I)
 	}
-	st, ok := m.Buf.Get(d.From)
+	st, ok := s.Buf.Get(d.From)
 	if !ok || st.Kind != TStore || !st.ValKnown {
 		return nil, stall(d, "index %d is not a value-resolved store", d.From)
 	}
 	// load-execute-forwarded-guessed
-	t, _ = m.Buf.Edit(d.I)
+	t, _ = s.Buf.Edit(d.I)
 	t.PredFwd = true
 	t.PredVal = st.SVal
 	t.PredFrom = d.From
@@ -744,70 +650,63 @@ func (m *Machine) stepExecuteFwd(d Directive) ([]Observation, error) {
 // Retire stage
 // ---------------------------------------------------------------------
 
-// Writer is a domain's register file (K = isa.Reg) or data memory
-// (K = mem.Word), as the retire stage commits to it.
-type Writer[K, V any] interface {
-	Write(K, V)
-}
-
-// StepRetire applies a retire directive to the buffer head, committing
-// through the domain's register file regs and data memory data. It
-// returns the write observation of a retiring store or call expansion
-// (wrote reports whether there is one). Like StepFetch, the rule never
-// inspects a value, so both domains retire through it; on a stall
-// nothing changes.
-func StepRetire[V any](buf *Buffer[TransientOf[V]], regs Writer[isa.Reg, V], data Writer[mem.Word, V], d Directive) (o Observation, wrote bool, err error) {
-	i := buf.Min()
-	t, ok := buf.Get(i)
+// retire applies a retire directive to the buffer head, committing to
+// the register file and data memory. A retiring store or call
+// expansion observes its write.
+func (s *State[V, R, M]) retire(d Directive) ([]Observation, error) {
+	i := s.Buf.Min()
+	t, ok := s.Buf.Get(i)
 	if !ok {
-		return o, false, stall(d, "empty reorder buffer")
+		return nil, stall(d, "empty reorder buffer")
 	}
+	var obs []Observation
 	switch t.Kind {
 	case TValue:
 		// value-retire (covers resolved ops and resolved loads)
-		regs.Write(t.Dst, t.Val)
-		buf.PopMinN(1)
-		return o, false, nil
+		s.Regs.Write(t.Dst, t.Val)
+		s.Buf.PopMinN(1)
 
 	case TJump, TFence:
 		// jump-retire, fence-retire
-		buf.PopMinN(1)
-		return o, false, nil
+		s.Buf.PopMinN(1)
 
 	case TStore:
 		// store-retire
 		if !t.ValKnown || !t.AddrKnown {
-			return o, false, stall(d, "store not fully resolved: %s", t)
+			return nil, stall(d, "store not fully resolved: %s", t)
 		}
-		data.Write(t.SAddr.W, t.SVal)
-		buf.PopMinN(1)
-		return WriteObs(t.SAddr.W, t.SAddr.L), true, nil
+		s.Mem.Write(t.SAddr.W, t.SVal)
+		obs = s.obs1(WriteObs(t.SAddr.W, t.SAddr.L))
+		s.Buf.PopMinN(1)
 
 	case TCall:
 		// call-retire: the whole expansion retires at once.
-		rsp, ok1 := buf.Get(i + 1)
-		st, ok2 := buf.Get(i + 2)
+		rsp, ok1 := s.Buf.Get(i + 1)
+		st, ok2 := s.Buf.Get(i + 2)
 		if !ok1 || !ok2 || rsp.Kind != TValue || st.Kind != TStore || !st.ValKnown || !st.AddrKnown {
-			return o, false, stall(d, "call expansion not fully resolved")
+			return nil, stall(d, "call expansion not fully resolved")
 		}
-		regs.Write(mem.RSP, rsp.Val)
-		data.Write(st.SAddr.W, st.SVal)
-		buf.PopMinN(3)
-		return WriteObs(st.SAddr.W, st.SAddr.L), true, nil
+		s.Regs.Write(mem.RSP, rsp.Val)
+		s.Mem.Write(st.SAddr.W, st.SVal)
+		obs = s.obs1(WriteObs(st.SAddr.W, st.SAddr.L))
+		s.Buf.PopMinN(3)
 
 	case TRet:
 		// ret-retire: commits the popped stack pointer; rtmp is
 		// scratch and is deliberately not committed (Appendix A).
-		tmp, ok1 := buf.Get(i + 1)
-		rsp, ok2 := buf.Get(i + 2)
-		jmp, ok3 := buf.Get(i + 3)
+		tmp, ok1 := s.Buf.Get(i + 1)
+		rsp, ok2 := s.Buf.Get(i + 2)
+		jmp, ok3 := s.Buf.Get(i + 3)
 		if !ok1 || !ok2 || !ok3 ||
 			tmp.Kind != TValue || rsp.Kind != TValue || jmp.Kind != TJump {
-			return o, false, stall(d, "ret expansion not fully resolved")
+			return nil, stall(d, "ret expansion not fully resolved")
 		}
-		regs.Write(mem.RSP, rsp.Val)
-		buf.PopMinN(4)
-		return o, false, nil
+		s.Regs.Write(mem.RSP, rsp.Val)
+		s.Buf.PopMinN(4)
+
+	default:
+		return nil, stall(d, "index %d (%s) has no retire rule", i, t)
 	}
-	return o, false, stall(d, "index %d (%s) has no retire rule", i, t)
+	s.Retired++
+	return obs, nil
 }

@@ -7,9 +7,6 @@ import (
 	"pitchfork/internal/mem"
 )
 
-// mRSP avoids importing mem at every call site in sequential.go.
-func mRSP() mem.Reg { return mem.RSP }
-
 // SCTResult reports the outcome of one speculative constant-time
 // comparison (Def. 3.1) between two low-equivalent configurations run
 // under the same schedule.

@@ -53,9 +53,9 @@ func RunSequential(m *Machine, maxInstrs int) (Schedule, Trace, error) {
 			}
 			err = seq(step, FetchGuess(taken), Execute(m.Buf.Max()+1), Retire())
 		case isa.KJmpi:
-			target, evalErr := m.peekJmpi(in)
-			if evalErr != nil {
-				return sched, trace, evalErr
+			target, ok := m.PeekJmpi(in)
+			if !ok {
+				return sched, trace, fmt.Errorf("core: sequential jmpi at %d has no resolvable target", m.PC)
 			}
 			err = seq(step, FetchTarget(target), Execute(m.Buf.Max()+1), Retire())
 		case isa.KCall:
@@ -65,12 +65,12 @@ func RunSequential(m *Machine, maxInstrs int) (Schedule, Trace, error) {
 			i := m.Buf.Max() + 1
 			fetchD := Fetch()
 			if _, haveTop := m.RSB.Top(); !haveTop {
-				if m.RSBPolicy == RSBRefuse {
+				if m.RSB.Policy() == RSBRefuse {
 					return sched, trace, fmt.Errorf("core: sequential ret at %d with empty RSB under refuse policy", m.PC)
 				}
-				target, peekErr := m.peekReturnTarget()
-				if peekErr != nil {
-					return sched, trace, peekErr
+				target, ok := m.PeekRet()
+				if !ok {
+					return sched, trace, fmt.Errorf("core: sequential ret at %d has no resolvable return address", m.PC)
 				}
 				fetchD = FetchTarget(target)
 			}
@@ -98,7 +98,7 @@ func seq(step func(Directive) error, ds ...Directive) error {
 // only valid when the reorder buffer is empty, which sequential
 // execution guarantees at fetch time.
 func (m *Machine) peekBranch(in *isa.Instr) (bool, error) {
-	vals, ok := m.ResolveOperands(nil, m.Buf.Max()+1, in.Args)
+	vals, ok := m.ResolveOperands(m.Buf.Max()+1, in.Args)
 	if !ok {
 		return false, fmt.Errorf("core: sequential branch at %d has unresolved operands", m.PC)
 	}
@@ -107,28 +107,4 @@ func (m *Machine) peekBranch(in *isa.Instr) (bool, error) {
 		return false, err
 	}
 	return v.W != 0, nil
-}
-
-// peekJmpi evaluates an indirect-jump target against committed state.
-func (m *Machine) peekJmpi(in *isa.Instr) (isa.Addr, error) {
-	vals, ok := m.ResolveOperands(nil, m.Buf.Max()+1, in.Args)
-	if !ok {
-		return 0, fmt.Errorf("core: sequential jmpi at %d has unresolved operands", m.PC)
-	}
-	v, err := isa.EvalAddr(m.AddrMode, vals)
-	if err != nil {
-		return 0, err
-	}
-	return v.W, nil
-}
-
-// peekReturnTarget reads the return address at the top of the
-// in-memory call stack, which is where a sequential ret will land.
-func (m *Machine) peekReturnTarget() (isa.Addr, error) {
-	sp := m.Regs.Read(mRSP())
-	v, err := m.Mem.Read(sp.W)
-	if err != nil {
-		return 0, err
-	}
-	return v.W, nil
 }

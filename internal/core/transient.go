@@ -187,26 +187,18 @@ func opList(args []isa.Operand) string {
 }
 
 // transientOf translates a physical instruction to its unresolved
-// transient form (the transient(·) function of simple-fetch). Stores
-// whose data operand is an immediate arrive with the value pre-resolved
-// — the paper notes "either step may be skipped if data or address are
-// already in immediate form" — lifted into the domain by lift. Operand
+// transient form (the transient(·) function of simple-fetch). Operand
 // slices are shared with the static program: operands are immutable
 // after assembly and transients never rewrite Args, so no copy is
 // needed (branch and jmpi fetches already share them).
-func transientOf[V any](in *isa.Instr, lift func(mem.Value) V) TransientOf[V] {
+func transientOf[V any](in *isa.Instr) TransientOf[V] {
 	switch in.Kind {
 	case isa.KOp:
 		return TransientOf[V]{Kind: TOp, Dst: in.Dst, Op: in.Op, Args: in.Args}
 	case isa.KLoad:
 		return TransientOf[V]{Kind: TLoad, Dst: in.Dst, Args: in.Args}
 	case isa.KStore:
-		t := TransientOf[V]{Kind: TStore, Src: in.Src, Args: in.Args}
-		if !in.Src.IsReg {
-			t.ValKnown = true
-			t.SVal = lift(in.Src.Imm)
-		}
-		return t
+		return TransientOf[V]{Kind: TStore, Src: in.Src, Args: in.Args}
 	case isa.KFence:
 		return TransientOf[V]{Kind: TFence}
 	}

@@ -207,7 +207,7 @@ func (in Instr) SinkArgs() []Operand {
 // points of the instruction to dst. ok is false when the successor set
 // cannot be determined statically: an indirect jump whose target is
 // not a single immediate (the computed address depends on run-time
-// register contents and the machine's address mode), or a return
+// register contents), or a return
 // (whose transient target is an RSB — or stale in-memory — prediction
 // that may point anywhere a store could reach, Fig. 10). Conditional
 // branches report both arms: the speculative semantics fetches either

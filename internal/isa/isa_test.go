@@ -119,24 +119,15 @@ func TestEvalLabelIsJoin(t *testing.T) {
 	}
 }
 
-func TestEvalAddrModes(t *testing.T) {
-	sum, err := EvalAddr(AddrSum, []mem.Value{mem.Pub(0x40), mem.Pub(2)})
+func TestEvalAddr(t *testing.T) {
+	sum, err := EvalAddr([]mem.Value{mem.Pub(0x40), mem.Pub(2)})
 	if err != nil || sum.W != 0x42 {
-		t.Fatalf("AddrSum = %v, %v", sum, err)
+		t.Fatalf("EvalAddr = %v, %v", sum, err)
 	}
-	bs, err := EvalAddr(AddrBaseScale, []mem.Value{mem.Pub(0x40), mem.Pub(2), mem.Pub(8)})
-	if err != nil || bs.W != 0x50 {
-		t.Fatalf("AddrBaseScale = %v, %v", bs, err)
-	}
-	// BaseScale falls back to sum for non-ternary lists.
-	bs2, err := EvalAddr(AddrBaseScale, []mem.Value{mem.Pub(0x40), mem.Pub(2)})
-	if err != nil || bs2.W != 0x42 {
-		t.Fatalf("AddrBaseScale/2 = %v, %v", bs2, err)
-	}
-	if _, err := EvalAddr(AddrSum, nil); err == nil {
+	if _, err := EvalAddr(nil); err == nil {
 		t.Fatal("empty address list must fail")
 	}
-	sec, _ := EvalAddr(AddrSum, []mem.Value{mem.Pub(0x40), mem.Sec(1)})
+	sec, _ := EvalAddr([]mem.Value{mem.Pub(0x40), mem.Sec(1)})
 	if sec.L != mem.Secret {
 		t.Fatal("address label must join operand labels")
 	}

@@ -190,36 +190,19 @@ func Eval(op Opcode, args []mem.Value) (mem.Value, error) {
 	return mem.V(w, label), nil
 }
 
-// AddrMode selects the instantiation of the abstract address operator
-// Jaddr(v⃗)K of §3.4.
-type AddrMode uint8
-
-const (
-	// AddrSum computes the sum of all operands — the "simple addressing
-	// mode" the figures use, where [40, ra] means 40+ra.
-	AddrSum AddrMode = iota
-	// AddrBaseScale computes v0 + v1*v2 for three operands (x86-style
-	// base+index*scale) and falls back to the sum otherwise.
-	AddrBaseScale
-)
-
-// EvalAddr computes the target address of a load or store under the
-// given mode, with the joined label ℓa = ⊔ℓ⃗.
-func EvalAddr(mode AddrMode, args []mem.Value) (mem.Value, error) {
+// EvalAddr computes the target address of a load, store or indirect
+// jump: the abstract address operator Jaddr(v⃗)K of §3.4 instantiated
+// as the sum of all operands (the "simple addressing mode" the figures
+// use, where [40, ra] means 40+ra), with the joined label ℓa = ⊔ℓ⃗.
+func EvalAddr(args []mem.Value) (mem.Value, error) {
 	if len(args) == 0 {
 		return mem.Value{}, fmt.Errorf("isa: addr of empty operand list")
 	}
 	label := mem.Public
+	var w mem.Word
 	for _, v := range args {
 		label = label.Join(v.L)
-	}
-	var w mem.Word
-	if mode == AddrBaseScale && len(args) == 3 {
-		w = args[0].W + args[1].W*args[2].W
-	} else {
-		for _, v := range args {
-			w += v.W
-		}
+		w += v.W
 	}
 	return mem.V(w, label), nil
 }

@@ -5,8 +5,10 @@
 //
 // Both modes run on one domain-parameterized speculation engine — the
 // DT(n) schedule strategy, work-stealing pool, fingerprint dedup,
-// budgets, and deterministic violation merge of internal/sched —
-// instantiated over two value domains:
+// budgets, and deterministic violation merge of internal/sched — and
+// on one copy of the semantics: internal/core's State applies every
+// fetch, execute and retire rule over a value domain. The two modes
+// differ only in that domain:
 //
 //   - Concrete mode (Analyze): the program runs on the reference
 //     machine of internal/core with concrete, labeled inputs. Sound
@@ -14,10 +16,11 @@
 //
 //   - Symbolic mode (AnalyzeSymbolic): public inputs may be
 //     unconstrained symbolic variables (the attacker-controlled index
-//     of the Kocher cases); the symbolic domain of symbolic.go tracks
-//     path conditions, forks at input-dependent branches, and
-//     concretizes addresses with a leak-hunting policy, mirroring how
-//     the original tool drives the angr engine. Like the original,
+//     of the Kocher cases); the symbolic domain of symbolic.go
+//     evaluates over expressions, concretizes addresses with a
+//     leak-hunting policy that extends the path condition, and splits
+//     the machine at input-dependent branches, mirroring how the
+//     original tool drives the angr engine. Like the original,
 //     symbolic mode exercises a subset of the semantics:
 //     conditional-branch speculation and store-forwarding variants
 //     (Spectre v1, v1.1, v4), with indirect jumps and returns
@@ -90,7 +93,7 @@ func (r Report) Summary() string {
 
 // Analyze runs the concrete-mode detector on a machine configuration.
 func Analyze(m *core.Machine, opts Options) (Report, error) {
-	return analyze(sched.Concrete(m), "concrete", opts)
+	return analyze(m, "concrete", opts)
 }
 
 // AnalyzeSymbolic runs the symbolic-mode detector on the unified
@@ -114,7 +117,7 @@ func analyze(m sched.Machine, mode string, opts Options) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("pitchfork: %w", err)
 	}
-	res := e.ExploreMachine(m)
+	res := e.Explore(m)
 	return Report{
 		Violations: res.Violations,
 		States:     res.States, Paths: res.Paths,

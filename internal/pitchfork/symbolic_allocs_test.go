@@ -45,7 +45,7 @@ func TestSymbolicAllocsPerState(t *testing.T) {
 	}
 	perState := float64(after.Mallocs-before.Mallocs) / float64(states)
 	t.Logf("%.3f allocations per explored state", perState)
-	if perState > 3.25 {
-		t.Fatalf("%.3f allocations per explored state, want at most 3.25", perState)
+	if perState > 2.9 {
+		t.Fatalf("%.3f allocations per explored state, want at most 2.9", perState)
 	}
 }

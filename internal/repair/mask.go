@@ -29,7 +29,7 @@ import (
 // correctly even with other speculation in flight. Each maskable load
 // is rewritten to
 //
-//	rtmp = add(addrArgs)               // the AddrSum address
+//	rtmp = add(addrArgs)               // the load's address (a sum)
 //	rtmp = and(rtmp, rmsk)             // zero on mis-speculated paths
 //	dst  = load([rtmp])
 //
@@ -39,9 +39,8 @@ import (
 // mask: a wrong-path load reads address 0 — unmapped, hence the
 // label-lowering Pub(0) — and downstream leak addresses computed from
 // it stay public. The pass refuses programs that use rmsk or read
-// rtmp, and only masks loads with at most two address operands (their
-// address is the operand sum under every machine address mode; x86-
-// style base+index*scale loads are left to other strategies).
+// rtmp, and only masks loads with at most two address operands; wider
+// operand lists are left to other strategies.
 //
 // A branch is protectable only when each arm is entered from that
 // branch alone (sole static predecessor, not the program entry, arms

@@ -337,7 +337,7 @@ func isSettled(t TransientView) bool {
 
 func (s *state) clone() *state {
 	c := newState()
-	c.m = s.m.Clone()
+	c.m = s.m.Fork()
 	c.sched, c.trace, c.secret = s.sched, s.trace, s.secret
 	c.settled, c.branch = s.settled, s.branch
 	if len(s.pendingFwd) > 0 {
@@ -360,21 +360,17 @@ func (s *state) markPendingFwd(i int) {
 	s.pendingFwd[i] = true
 }
 
-// Explore runs the worst-case schedules from the concrete machine's
-// current configuration. The machine itself is not mutated.
-func (e *Explorer) Explore(m *core.Machine) Result {
-	return e.ExploreMachine(Concrete(m))
-}
-
-// ExploreMachine runs the worst-case schedules of any domain machine.
-// The machine is cloned up front, so the caller's copy is not mutated.
-func (e *Explorer) ExploreMachine(m Machine) Result {
+// Explore runs the worst-case schedules from a machine's current
+// configuration, in either domain (a *core.Machine is the concrete
+// one). The machine is forked up front, so the caller's copy is not
+// mutated.
+func (e *Explorer) Explore(m Machine) Result {
 	var dedup *dedupTable
 	if e.opts.DedupEntries > 0 {
 		dedup = newDedupTable(e.opts.DedupEntries)
 	}
 	root := newState()
-	root.m = m.Clone()
+	root.m = m.Fork()
 	if e.opts.Workers > 1 {
 		return exploreParallel(&e.opts, dedup, root)
 	}
@@ -750,7 +746,7 @@ func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 // buffer indices are reused by re-fetched instructions.
 func apply(st *state, d core.Directive, emit func(*state)) bool {
 	pp := sourcePoint(st.m, d)
-	succs, err := st.m.Step(d)
+	succs, err := st.m.Successors(d)
 	if err != nil || len(succs) == 0 {
 		return false
 	}
@@ -811,7 +807,7 @@ func apply(st *state, d core.Directive, emit func(*state)) bool {
 // of the instruction it acts on — the point any observations the step
 // produces are attributed to. Execute-family directives name a buffer
 // index; retire acts on the buffer head; fetch directives produce no
-// observations, so the fetch head is an adequate fallback.
+// observations, so they need no program point.
 func sourcePoint(m Machine, d core.Directive) isa.Addr {
 	switch d.Kind {
 	case core.DExecute, core.DExecValue, core.DExecAddr, core.DExecFwd:
@@ -823,7 +819,7 @@ func sourcePoint(m Machine, d core.Directive) isa.Addr {
 			return t.PP
 		}
 	}
-	return m.PC()
+	return 0
 }
 
 // classify heuristically attributes a violation to a Spectre variant

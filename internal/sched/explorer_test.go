@@ -179,7 +179,7 @@ func TestExplorerFenceMitigation(t *testing.T) {
 
 // probe wraps a domain machine so tests can watch how the schedule
 // strategy drives it: every View call is counted, and every directive
-// is shown to check before it is applied. Clones and successors stay
+// is shown to check before it is applied. Forks and successors stay
 // wrapped and share the hooks. Serial explorations only.
 type probe struct {
 	Machine
@@ -192,15 +192,15 @@ func (p *probe) View(i int) (TransientView, bool) {
 	return p.Machine.View(i)
 }
 
-func (p *probe) Clone() Machine {
-	return &probe{Machine: p.Machine.Clone(), views: p.views, check: p.check}
+func (p *probe) Fork() Machine {
+	return &probe{Machine: p.Machine.Fork(), views: p.views, check: p.check}
 }
 
-func (p *probe) Step(d core.Directive) ([]Successor, error) {
+func (p *probe) Successors(d core.Directive) ([]Successor, error) {
 	if p.check != nil {
 		p.check(p.Machine, d)
 	}
-	succs, err := p.Machine.Step(d)
+	succs, err := p.Machine.Successors(d)
 	for k := range succs {
 		if succs[k].M == p.Machine {
 			succs[k].M = p
@@ -249,7 +249,7 @@ func TestExplorerBufferScanLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := e.ExploreMachine(&probe{Machine: Concrete(m), views: &views})
+		res := e.Explore(&probe{Machine: m, views: &views})
 		worst = max(worst, views-last)
 		if res.Truncated || !res.SecretFree() {
 			t.Fatalf("fenced=%t: straight-line program must explore fully and cleanly: %+v", fenced, res)
@@ -322,7 +322,7 @@ func TestExplorerFenceOrdering(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := e.ExploreMachine(&probe{Machine: Concrete(fencedNestedGadget()), views: &views, check: check})
+			res := e.Explore(&probe{Machine: fencedNestedGadget(), views: &views, check: check})
 			if len(res.Violations) != len(want) {
 				t.Fatalf("bound=%d fwd=%t: %d leaking schedules, want %d", bound, fwd, len(res.Violations), len(want))
 			}

@@ -348,3 +348,30 @@ func TestHealthzOK(t *testing.T) {
 		t.Errorf("healthy /healthz = %d %+v, want 200 {status: ok}", resp.StatusCode, health)
 	}
 }
+
+// TestOversizedWorkersRejected: a request asking for more exploration
+// workers than spectre.MaxWorkers is a bad request, refused before any
+// analysis starts — not an allocation sized by the request.
+func TestOversizedWorkersRejected(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(AnalyzeRequest{
+		Source: tinySource(0),
+		Config: json.RawMessage(`{"workers":1099511627776}`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := postAnalyze(t, ts.URL, body)
+	var e ErrorResponse
+	if err := json.Unmarshal(raw, &e); err != nil {
+		t.Fatalf("decode error body: %v\nbody: %s", err, raw)
+	}
+	if resp.StatusCode != http.StatusBadRequest || e.Code != spectre.ErrCodeBadRequest {
+		t.Fatalf("oversized workers = %d %s, want 400 %s", resp.StatusCode, raw, spectre.ErrCodeBadRequest)
+	}
+	if got := s.Stats().Analyses; got != 0 {
+		t.Fatalf("%d analyses ran for a rejected request, want 0", got)
+	}
+}

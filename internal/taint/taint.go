@@ -403,8 +403,7 @@ func argsLabel(os []isa.Operand, rs regState, ms *memState) mem.Label {
 }
 
 // staticAddr resolves an address operand list statically: known iff it
-// is a single immediate (label tracking carries no values, and the
-// machine's address mode is not visible here).
+// is a single immediate (label tracking carries no values).
 func staticAddr(os []isa.Operand) (isa.Addr, bool) {
 	if len(os) == 1 && !os[0].IsReg {
 		return os[0].Imm.W, true

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# bench.sh — run the Table 2, schedule-generation and symbolic
-# state-budget benchmarks ten times each and emit a BENCH_<sha>.json
+# bench.sh — run the Table 2, schedule-generation, symbolic
+# state-budget and machine-step benchmarks ten times each and emit a BENCH_<sha>.json
 # artifact in the format the CI bench job uploads (go test -json event
 # stream). Ten samples per benchmark are what benchstat needs for a
 # median and a confidence interval; compare two checkouts with:
@@ -13,7 +13,7 @@
 #   output-dir  where BENCH_<sha>.json lands (default .)
 #   count       go test -count value (default 10)
 #   pattern     go test -bench regexp (default
-#               'Table2|ScheduleGeneration|SymbolicBudget';
+#               'Table2|ScheduleGeneration|SymbolicBudget|MachineStep';
 #               '.' runs every benchmark in bench_test.go)
 #
 # -benchmem is always on: B/op and allocs/op are tracked alongside
@@ -24,7 +24,7 @@ set -eu
 
 outdir="${1:-.}"
 count="${2:-10}"
-pattern="${3:-Table2|ScheduleGeneration|SymbolicBudget}"
+pattern="${3:-Table2|ScheduleGeneration|SymbolicBudget|MachineStep}"
 sha="$(git rev-parse HEAD 2>/dev/null || echo nogit)"
 out="${outdir}/BENCH_${sha}.json"
 

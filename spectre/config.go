@@ -54,6 +54,13 @@ type Config struct {
 	RepairStrategy string `json:"repairStrategy"`
 }
 
+// MaxWorkers caps Config.Workers. The parallel explorer sizes one
+// work deque per worker up front, so an unchecked count from a request
+// could ask the runtime for more memory than exists — a fatal error no
+// panic isolation catches. No seed phase ever splits the tree across
+// more workers than this (it stops at 1024 states).
+const MaxWorkers = 1024
+
 // DefaultConfig returns the configuration New uses with no options:
 // concrete-mode analysis at DefaultBound with forwarding-hazard
 // detection enabled, serial exploration, auto repair strategy. Every
@@ -69,12 +76,13 @@ func DefaultConfig() Config {
 }
 
 // normalize resolves the two fields whose zero value means "pick for
-// me": Workers 0 → NumCPU, RepairStrategy "" → auto. New and
+// me": Workers 0 → NumCPU (at most MaxWorkers), RepairStrategy "" →
+// auto. New and
 // NewFromConfig both apply it, so a Config built by hand and one built
 // by options cannot diverge.
 func (c *Config) normalize() {
 	if c.Workers == 0 {
-		c.Workers = runtime.NumCPU()
+		c.Workers = min(runtime.NumCPU(), MaxWorkers)
 	}
 	if c.RepairStrategy == "" {
 		c.RepairStrategy = StrategyAuto
@@ -94,8 +102,8 @@ func (c Config) validate() error {
 	if c.MaxRetired < 0 {
 		return fmt.Errorf("spectre: max retired must be non-negative, got %d", c.MaxRetired)
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("spectre: workers must be non-negative, got %d", c.Workers)
+	if c.Workers < 0 || c.Workers > MaxWorkers {
+		return fmt.Errorf("spectre: workers must be in [0, %d], got %d", MaxWorkers, c.Workers)
 	}
 	if c.DedupEntries < 0 {
 		return fmt.Errorf("spectre: dedup entries must be non-negative, got %d", c.DedupEntries)

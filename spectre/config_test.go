@@ -146,6 +146,7 @@ func TestNewFromConfigRejects(t *testing.T) {
 		"negative states":  func(c *spectre.Config) { c.MaxStates = -1 },
 		"negative retired": func(c *spectre.Config) { c.MaxRetired = -1 },
 		"negative workers": func(c *spectre.Config) { c.Workers = -1 },
+		"too many workers": func(c *spectre.Config) { c.Workers = spectre.MaxWorkers + 1 },
 		"negative dedup":   func(c *spectre.Config) { c.DedupEntries = -1 },
 		"bad strategy":     func(c *spectre.Config) { c.RepairStrategy = "nop" },
 	} {
