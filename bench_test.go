@@ -7,9 +7,13 @@
 package pitchfork_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -22,6 +26,7 @@ import (
 	"pitchfork/internal/mem"
 	"pitchfork/internal/pitchfork"
 	"pitchfork/internal/sched"
+	"pitchfork/internal/serve"
 	"pitchfork/internal/symx"
 	"pitchfork/internal/testcases"
 	"pitchfork/spectre"
@@ -236,6 +241,46 @@ func BenchmarkSymbolicBudget(b *testing.B) {
 			if rep.States != w.states || rep.Truncated != w.truncated {
 				b.Fatalf("%s: states=%d truncated=%t, pinned %d/%t", w.c.Name, rep.States, rep.Truncated, w.states, w.truncated)
 			}
+		}
+	}
+}
+
+// BenchmarkServeCacheHit measures a warm verdict-cache hit through the
+// spectred handler: request decode, CTL compile, fingerprint, cache
+// lookup and the provenance stamp on the stored envelope. v11_01's
+// report is large and kocher01's small, so the pair separates the
+// per-request cost from the per-byte one.
+func BenchmarkServeCacheHit(b *testing.B) {
+	srv, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Drain()
+	h := srv.Handler()
+	for _, c := range []testcases.Case{testcases.V11()[0], testcases.Kocher()[0]} {
+		body, err := json.Marshal(serve.AnalyzeRequest{Source: c.Source()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, op := range []string{"analyze", "repair"} {
+			send := func() *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/"+op, bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s %s: status %d: %s", op, c.Name, rec.Code, rec.Body.Bytes())
+				}
+				return rec
+			}
+			send() // the miss that fills the cache
+			if !bytes.Contains(send().Body.Bytes(), []byte(`"cacheHit":true`)) {
+				b.Fatalf("%s %s: repeat request was not a cache hit", op, c.Name)
+			}
+			b.Run(op+"/"+c.Name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					send()
+				}
+			})
 		}
 	}
 }

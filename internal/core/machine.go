@@ -264,6 +264,14 @@ func (m *Machine) RunRecorded(ds Schedule) ([]StepRecord, error) {
 // Fetch stage
 // ---------------------------------------------------------------------
 
+// rspArgs and rtmpArgs are the address/operand lists of the call and
+// ret expansions. Transients never rewrite Args (see transientOf), so
+// every expansion shares these two slices instead of allocating its own.
+var (
+	rspArgs  = []isa.Operand{isa.R(mem.RSP)}
+	rtmpArgs = []isa.Operand{isa.R(mem.RTMP)}
+)
+
 // fetch applies a fetch-family directive: it appends the transient
 // form(s) of the instruction at the fetch head to the buffer, journals
 // σ for call and ret, and moves the fetch head. On a stall nothing
@@ -324,11 +332,11 @@ func (s *State[V, R, M]) fetch(d Directive) error {
 		}
 		ret := mem.Pub(in.RetPt)
 		i := s.Buf.AppendT(TransientOf[V]{Kind: TCall, PP: pc})
-		s.Buf.AppendT(TransientOf[V]{Kind: TOp, Dst: mem.RSP, Op: isa.OpSucc, Args: []isa.Operand{isa.R(mem.RSP)}, PP: pc})
+		s.Buf.AppendT(TransientOf[V]{Kind: TOp, Dst: mem.RSP, Op: isa.OpSucc, Args: rspArgs, PP: pc})
 		s.Buf.AppendT(TransientOf[V]{
 			Kind: TStore, Src: isa.Imm(ret),
 			ValKnown: true, SVal: s.dom.Lift(ret),
-			Args: []isa.Operand{isa.R(mem.RSP)},
+			Args: rspArgs,
 			PP:   pc,
 		})
 		s.RSB.Push(i, in.RetPt)
@@ -354,9 +362,9 @@ func (s *State[V, R, M]) fetch(d Directive) error {
 			target = d.Target
 		}
 		i := s.Buf.AppendT(TransientOf[V]{Kind: TRet, PP: pc})
-		s.Buf.AppendT(TransientOf[V]{Kind: TLoad, Dst: mem.RTMP, Args: []isa.Operand{isa.R(mem.RSP)}, PP: pc})
-		s.Buf.AppendT(TransientOf[V]{Kind: TOp, Dst: mem.RSP, Op: isa.OpPred, Args: []isa.Operand{isa.R(mem.RSP)}, PP: pc})
-		s.Buf.AppendT(TransientOf[V]{Kind: TJmpi, Args: []isa.Operand{isa.R(mem.RTMP)}, Guess: target, PP: pc})
+		s.Buf.AppendT(TransientOf[V]{Kind: TLoad, Dst: mem.RTMP, Args: rspArgs, PP: pc})
+		s.Buf.AppendT(TransientOf[V]{Kind: TOp, Dst: mem.RSP, Op: isa.OpPred, Args: rspArgs, PP: pc})
+		s.Buf.AppendT(TransientOf[V]{Kind: TJmpi, Args: rtmpArgs, Guess: target, PP: pc})
 		s.RSB.Pop(i)
 		s.PC = target
 

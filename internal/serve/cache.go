@@ -7,12 +7,15 @@
 // The cache observation is Serberus's: Spectre checking as a pipeline
 // stage sees highly repetitive traffic — the same program at the same
 // configuration, submitted on every CI run — so verdicts keyed by
-// content hash make the common case O(1). The two cache tiers split
-// the latency/durability trade: an in-memory LRU answers the steady
-// state, an on-disk tier survives restarts (a redeployed daemon starts
-// warm). Coalescing covers the remaining repetitive case the cache
-// cannot: N identical submissions in flight at once share one
-// analysis.
+// content hash make the common case O(1). A hit serves the stored
+// envelope bytes with its cacheHit (or coalesced) flag spliced in where
+// encoding/json would put it: it costs the request decode plus one
+// validity scan of the stored verdict, with no report re-encode. The
+// two cache tiers split the latency/durability trade: an in-memory LRU
+// answers the steady state, an on-disk tier survives restarts (a
+// redeployed daemon starts warm). Coalescing covers the remaining
+// repetitive case the cache cannot: N identical submissions in flight
+// at once share one analysis.
 //
 // The layer is built to lose availability to nothing: every failure
 // class has a downgrade, not an error. A corrupt or truncated disk

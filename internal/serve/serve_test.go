@@ -400,6 +400,11 @@ func TestEvictionAndRestart(t *testing.T) {
 			t.Errorf("GET /v1/report/%s after restart: status %d: %s", fp, resp.StatusCode, body)
 		}
 	}
+	// Report refetches are not verdict requests, so they must not count
+	// as hits: the rate is hits over analyze and repair requests.
+	if rate := s2.Stats().CacheHitRate; rate < 0 || rate > 1 {
+		t.Errorf("cacheHitRate = %.2f after POSTs and report GETs, want within [0, 1]", rate)
+	}
 	if resp, err := http.Get(ts2.URL + "/v1/report/" + "0000"); err == nil {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("unknown fingerprint: status %d, want 404", resp.StatusCode)

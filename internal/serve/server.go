@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -75,7 +76,9 @@ type AnalyzeRequest struct {
 
 // AnalyzeResponse is the body of a successful POST /v1/analyze and of
 // GET /v1/report/{fingerprint}. The cached form stores the report with
-// provenance unset; CacheHit/Coalesced are stamped per response.
+// provenance unset; CacheHit/Coalesced are stamped per response by
+// splicing them into the stored bytes, which depends on field order:
+// Report must stay the last field (see stampProvenance).
 type AnalyzeResponse struct {
 	Fingerprint string          `json:"fingerprint"`
 	CacheKey    string          `json:"cacheKey"`
@@ -85,6 +88,9 @@ type AnalyzeResponse struct {
 // RepairResponse is the body of a successful POST /v1/repair.
 // Provenance lives on the envelope: a repair verdict is one result,
 // not two reports, so CacheHit/Coalesced qualify the whole response.
+// They are spliced into the stored bytes ahead of Result, which depends
+// on field order: CacheHit, Coalesced must sit directly between the
+// fixed-width hex CacheKey and Result (see stampProvenance).
 type RepairResponse struct {
 	Fingerprint string                `json:"fingerprint"`
 	CacheKey    string                `json:"cacheKey"`
@@ -367,11 +373,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if raw, tier := s.cache.Get(key); tier != TierNone {
 		s.recordHit(tier)
 		s.indexFingerprint(fp, key)
-		s.writeAnalyze(w, raw, true, false)
+		s.writeVerdict(w, raw, analyzeEnvelope, provCacheHit)
 		return
 	}
 
-	raw, coalesced, err := s.flights.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
+	raw, shared, err := s.flights.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
 		return s.runJob(ctx, func(runCtx context.Context) ([]byte, error) {
 			rep, err := s.runAnalysis(runCtx, an, prog)
 			if err != nil {
@@ -387,14 +393,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			return out, nil
 		})
 	})
-	if coalesced {
+	prov := provFresh
+	if shared {
 		s.coalesced.Add(1)
+		prov = provCoalesced
 	}
 	if err != nil {
 		s.writeJobError(w, r, err)
 		return
 	}
-	s.writeAnalyze(w, raw, false, coalesced)
+	s.writeVerdict(w, raw, analyzeEnvelope, prov)
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
@@ -411,11 +419,11 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 
 	if raw, tier := s.cache.Get(key); tier != TierNone {
 		s.recordHit(tier)
-		s.writeRepair(w, raw, true, false)
+		s.writeVerdict(w, raw, repairEnvelope, provCacheHit)
 		return
 	}
 
-	raw, coalesced, err := s.flights.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
+	raw, shared, err := s.flights.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
 		return s.runJob(ctx, func(runCtx context.Context) ([]byte, error) {
 			res, err := s.runRepair(runCtx, an, prog)
 			if err != nil {
@@ -439,14 +447,16 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 			return out, nil
 		})
 	})
-	if coalesced {
+	prov := provFresh
+	if shared {
 		s.coalesced.Add(1)
+		prov = provCoalesced
 	}
 	if err != nil {
 		s.writeJobError(w, r, err)
 		return
 	}
-	s.writeRepair(w, raw, false, coalesced)
+	s.writeVerdict(w, raw, repairEnvelope, prov)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -464,8 +474,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, spectre.ErrCodeNotFound, fmt.Errorf("report for fingerprint %s evicted", fp))
 		return
 	}
-	s.recordHit(tier)
-	s.writeAnalyze(w, raw, true, false)
+	s.writeVerdict(w, raw, analyzeEnvelope, provCacheHit)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -608,6 +617,9 @@ func (s *Server) executeJob(ctx context.Context, run func(context.Context) ([]by
 // Response writing
 // ---------------------------------------------------------------------
 
+// recordHit counts a verdict request (analyze or repair) answered from
+// the cache. GET /v1/report reads are not counted, so cacheHitRate
+// stays hits over verdict requests.
 func (s *Server) recordHit(tier Tier) {
 	switch tier {
 	case TierMem:
@@ -623,40 +635,93 @@ func (s *Server) indexFingerprint(fp, key string) {
 	s.fpMu.Unlock()
 }
 
-// writeAnalyze sends a cached analyze envelope, stamping the report's
-// cache provenance for this response. The cached bytes always have
-// both flags unset, so the fast path — a fresh analysis — writes them
-// through untouched.
-func (s *Server) writeAnalyze(w http.ResponseWriter, raw []byte, cacheHit, coalesced bool) {
-	if !cacheHit && !coalesced {
+// provenance is how a response came by its verdict: run fresh for this
+// request, answered from the cache, or shared from another request's
+// in-flight analysis.
+type provenance int
+
+const (
+	provFresh provenance = iota
+	provCacheHit
+	provCoalesced
+)
+
+// envelope names which stored form a verdict is: an AnalyzeResponse or
+// a RepairResponse. The two carry the provenance flag in different
+// places.
+type envelope int
+
+const (
+	analyzeEnvelope envelope = iota
+	repairEnvelope
+)
+
+var (
+	cacheHitField  = []byte(`,"cacheHit":true`)
+	coalescedField = []byte(`,"coalesced":true`)
+	resultAnchor   = []byte(`,"result":`)
+	reportEnd      = []byte(`}}`)
+)
+
+// writeVerdict sends a stored verdict envelope with this response's
+// provenance. The stored bytes always have both flags unset, so a fresh
+// analysis writes them through untouched; a cache hit or a coalesced
+// waiter gets them with its flag spliced in (see stampProvenance).
+func (s *Server) writeVerdict(w http.ResponseWriter, raw []byte, env envelope, prov provenance) {
+	if prov == provFresh {
 		s.writeRaw(w, raw)
 		return
 	}
-	var env AnalyzeResponse
-	if err := json.Unmarshal(raw, &env); err != nil {
+	out, err := stampProvenance(raw, env, prov)
+	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, spectre.ErrCodeInternal, fmt.Errorf("corrupt cache entry: %w", err))
 		return
 	}
-	if env.Report != nil {
-		env.Report.CacheHit = cacheHit
-		env.Report.Coalesced = coalesced
-	}
-	s.writeJSON(w, http.StatusOK, env)
+	s.writeRaw(w, out)
 }
 
-func (s *Server) writeRepair(w http.ResponseWriter, raw []byte, cacheHit, coalesced bool) {
-	if !cacheHit && !coalesced {
-		s.writeRaw(w, raw)
-		return
+// stampProvenance returns the stored envelope raw with the cacheHit or
+// coalesced flag inserted exactly where encoding/json would put it, and
+// the trailing newline json.Encoder writes, so the body is
+// byte-identical to decoding the envelope, setting the flag and
+// re-encoding it — without the cost of doing so. It relies on the field
+// order documented on AnalyzeResponse, RepairResponse and
+// spectre.Report:
+//
+//   - analyze: Report is the envelope's last field and CacheHit,
+//     Coalesced the report's last fields, so the flag goes before the
+//     final "}}";
+//   - repair: CacheHit, Coalesced sit between the fixed-width hex
+//     CacheKey and Result, so the flag goes before the first
+//     `,"result":`.
+//
+// An entry without its anchor, or whose stamped form is not valid JSON,
+// is corrupt: it is reported as an error, never served.
+func stampProvenance(raw []byte, env envelope, prov provenance) ([]byte, error) {
+	at := -1
+	switch env {
+	case analyzeEnvelope:
+		if bytes.HasSuffix(raw, reportEnd) {
+			at = len(raw) - len(reportEnd)
+		}
+	case repairEnvelope:
+		at = bytes.Index(raw, resultAnchor)
 	}
-	var env RepairResponse
-	if err := json.Unmarshal(raw, &env); err != nil {
-		s.writeError(w, http.StatusInternalServerError, spectre.ErrCodeInternal, fmt.Errorf("corrupt cache entry: %w", err))
-		return
+	if at < 0 {
+		return nil, errors.New("envelope has no provenance anchor")
 	}
-	env.CacheHit = cacheHit
-	env.Coalesced = coalesced
-	s.writeJSON(w, http.StatusOK, env)
+	field := cacheHitField
+	if prov == provCoalesced {
+		field = coalescedField
+	}
+	out := make([]byte, 0, len(raw)+len(field)+1)
+	out = append(out, raw[:at]...)
+	out = append(out, field...)
+	out = append(out, raw[at:]...)
+	if !json.Valid(out) {
+		return nil, errors.New("stamped envelope is not valid JSON")
+	}
+	return append(out, '\n'), nil
 }
 
 func (s *Server) writeRaw(w http.ResponseWriter, raw []byte) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # bench.sh — run the Table 2, schedule-generation, symbolic
-# state-budget and machine-step benchmarks ten times each and emit a BENCH_<sha>.json
-# artifact in the format the CI bench job uploads (go test -json event
-# stream). Ten samples per benchmark are what benchstat needs for a
-# median and a confidence interval; compare two checkouts with:
+# state-budget, machine-step and service cache-hit benchmarks ten times
+# each and emit a BENCH_<sha>.json artifact in the format the CI bench
+# job uploads (go test -json event stream). Ten samples per benchmark
+# are what benchstat needs for a median and a confidence interval;
+# compare two checkouts with:
 #
 #   jq -rj 'select(.Action=="output") | .Output' BENCH_<base>.json > base.txt
 #   jq -rj 'select(.Action=="output") | .Output' BENCH_<head>.json > head.txt
@@ -13,7 +14,7 @@
 #   output-dir  where BENCH_<sha>.json lands (default .)
 #   count       go test -count value (default 10)
 #   pattern     go test -bench regexp (default
-#               'Table2|ScheduleGeneration|SymbolicBudget|MachineStep';
+#               'Table2|ScheduleGeneration|SymbolicBudget|MachineStep|ServeCacheHit';
 #               '.' runs every benchmark in bench_test.go)
 #
 # -benchmem is always on: B/op and allocs/op are tracked alongside
@@ -24,7 +25,7 @@ set -eu
 
 outdir="${1:-.}"
 count="${2:-10}"
-pattern="${3:-Table2|ScheduleGeneration|SymbolicBudget|MachineStep}"
+pattern="${3:-Table2|ScheduleGeneration|SymbolicBudget|MachineStep|ServeCacheHit}"
 sha="$(git rev-parse HEAD 2>/dev/null || echo nogit)"
 out="${outdir}/BENCH_${sha}.json"
 

@@ -236,7 +236,9 @@ type Report struct {
 	// analysis; Coalesced marks a report shared from another request's
 	// in-flight analysis of the same (fingerprint, config) key. Both
 	// are absent from the wire when false, so library-produced
-	// encodings are unchanged.
+	// encodings are unchanged. They must stay the last two fields: the
+	// serving layer splices them into a stored report's encoding just
+	// before its closing brace instead of re-encoding it.
 	CacheHit  bool `json:"cacheHit,omitempty"`
 	Coalesced bool `json:"coalesced,omitempty"`
 }
