@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"pitchfork/internal/attacks"
-	"pitchfork/internal/cachesim"
 	"pitchfork/internal/core"
 	"pitchfork/internal/crypto"
 	"pitchfork/internal/ct"
@@ -76,7 +75,7 @@ func benchTable2(b *testing.B, caseIdx int, mode ct.Mode, want crypto.Finding) {
 	c := crypto.Cases()[caseIdx]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		got, err := crypto.Analyze(c, mode, crypto.Options{})
+		got, err := crypto.Analyze(c, mode)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -668,17 +667,13 @@ func BenchmarkSolverCacheHit(b *testing.B) {
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func BenchmarkCacheRecovery(b *testing.B) {
-	a := attacks.Figure1()
-	recs, err := a.Run()
+	fig, _ := spectre.FigureByID("fig1")
+	trace, err := fig.Trace()
 	if err != nil {
 		b.Fatal(err)
 	}
-	var trace core.Trace
-	for _, r := range recs {
-		trace = append(trace, r.Obs...)
-	}
-	cache, _ := cachesim.New(64, 4, 1)
-	fr := cachesim.FlushReload{Cache: cache, ProbeBase: 0x44, Stride: 1, Slots: 256}
+	cache, _ := spectre.NewCache(64, 4, 1)
+	fr := spectre.FlushReload{Cache: cache, ProbeBase: 0x44, Stride: 1, Slots: 256}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

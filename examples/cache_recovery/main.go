@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"pitchfork/spectre"
 )
@@ -33,5 +34,8 @@ func main() {
 		if s > 0x20 { // discount the victim's known in-bounds access
 			fmt.Printf("recovered secret byte: %#x (planted Key[1] = 0xA1)\n", s)
 		}
+	}
+	if !slices.Contains(hot, 0xA1) {
+		log.Fatalf("flush+reload did not recover the planted Key[1] = 0xA1 (hot slots %v)", hot)
 	}
 }

@@ -20,4 +20,20 @@ func main() {
 	fmt.Println("Table 2 — ✓: violation found; f: found only with forwarding-hazard detection; –: clean")
 	fmt.Println()
 	fmt.Print(spectre.RenderTable2(rows))
+
+	// The paper's Table 2 cells, C then FaCT.
+	want := map[string][2]string{
+		"curve25519-donna":             {"–", "–"},
+		"libsodium secretbox":          {"✓", "–"},
+		"OpenSSL ssl3 record validate": {"✓", "f"},
+		"OpenSSL MEE-CBC":              {"✓", "f"},
+	}
+	if len(rows) != len(want) {
+		log.Fatalf("got %d rows, want the paper's %d", len(rows), len(want))
+	}
+	for _, r := range rows {
+		if w, ok := want[r.Case]; !ok || r.C != w[0] || r.FaCT != w[1] {
+			log.Fatalf("%s: C=%s FaCT=%s, want the paper's C=%s FaCT=%s", r.Case, r.C, r.FaCT, w[0], w[1])
+		}
+	}
 }

@@ -1,9 +1,6 @@
 package crypto
 
 import (
-	"fmt"
-	"strings"
-
 	"pitchfork/internal/core"
 	"pitchfork/internal/ct"
 	"pitchfork/internal/pitchfork"
@@ -37,60 +34,27 @@ func (f Finding) String() string {
 
 // Row is one Table 2 line.
 type Row struct {
-	Case  string
-	C     Finding
-	FaCT  Finding
-	Notes string
+	Case string
+	C    Finding
+	FaCT Finding
 }
 
-// Options tune the Table 2 reproduction. Zero values use the paper's
-// §4.2.1 procedure bounds (250 without hazard detection, 20 with).
-type Options struct {
-	BoundPhase1 int
-	BoundPhase2 int
-	MaxStates   int
-}
-
-func (o Options) withDefaults() Options {
-	if o.BoundPhase1 == 0 {
-		o.BoundPhase1 = pitchfork.BoundNoHazards
-	}
-	if o.BoundPhase2 == 0 {
-		o.BoundPhase2 = pitchfork.BoundWithHazards
-	}
-	return o
-}
-
-// Analyze runs the paper's two-phase procedure on one build and folds
-// the two reports into a Table 2 cell.
-func Analyze(c Case, mode ct.Mode, opts Options) (Finding, error) {
-	opts = opts.withDefaults()
+// Analyze runs the paper's two-phase procedure on one build, stopping
+// each phase at its first violation, and folds the two reports into a
+// Table 2 cell.
+func Analyze(c Case, mode ct.Mode) (Finding, error) {
 	comp, err := c.Build(mode)
 	if err != nil {
 		return Clean, err
 	}
 	mk := func() *core.Machine { return core.New(comp.Prog) }
-	p1, err := pitchfork.Analyze(mk(), pitchfork.Options{
-		Bound:       opts.BoundPhase1,
-		MaxStates:   opts.MaxStates,
-		StopAtFirst: true,
-	})
-	if err != nil {
+	p1, p2, err := pitchfork.AnalyzeProcedure(mk, pitchfork.Options{StopAtFirst: true})
+	switch {
+	case err != nil:
 		return Clean, err
-	}
-	if !p1.SecretFree() {
+	case !p1.SecretFree():
 		return Flagged, nil
-	}
-	p2, err := pitchfork.Analyze(mk(), pitchfork.Options{
-		Bound:          opts.BoundPhase2,
-		ForwardHazards: true,
-		MaxStates:      opts.MaxStates,
-		StopAtFirst:    true,
-	})
-	if err != nil {
-		return Clean, err
-	}
-	if !p2.SecretFree() {
+	case !p2.SecretFree():
 		return FlaggedFwd, nil
 	}
 	return Clean, nil
@@ -98,28 +62,18 @@ func Analyze(c Case, mode ct.Mode, opts Options) (Finding, error) {
 
 // Table2 regenerates the full table: every case study under both
 // toolchains.
-func Table2(opts Options) ([]Row, error) {
+func Table2() ([]Row, error) {
 	var rows []Row
 	for _, c := range Cases() {
-		fc, err := Analyze(c, ct.ModeC, opts)
+		fc, err := Analyze(c, ct.ModeC)
 		if err != nil {
 			return nil, err
 		}
-		ff, err := Analyze(c, ct.ModeFaCT, opts)
+		ff, err := Analyze(c, ct.ModeFaCT)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Row{Case: c.Name, C: fc, FaCT: ff})
 	}
 	return rows, nil
-}
-
-// Render formats the rows like the paper's Table 2.
-func Render(rows []Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-30s %-5s %-5s\n", "Case Study", "C", "FaCT")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-30s %-5s %-5s\n", r.Case, r.C, r.FaCT)
-	}
-	return b.String()
 }

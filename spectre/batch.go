@@ -83,24 +83,3 @@ func fanOut[R any](ctx context.Context, workers int, items []BatchItem, run func
 	wg.Wait()
 	return vals, errs
 }
-
-// RunAll is AnalyzeBatch over bare programs: it analyzes every program
-// and returns the reports in input order, plus the first error
-// encountered (later reports are still filled in where their runs
-// succeeded). It is the corpus-shaped counterpart of Run.
-func (a *Analyzer) RunAll(ctx context.Context, progs []*Program) ([]*Report, error) {
-	items := make([]BatchItem, len(progs))
-	for i, p := range progs {
-		items[i] = BatchItem{Name: fmt.Sprintf("program-%d", i), Program: p}
-	}
-	results := a.AnalyzeBatch(ctx, items)
-	reports := make([]*Report, len(results))
-	var firstErr error
-	for i, r := range results {
-		reports[i] = r.Report
-		if r.Err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("%s: %w", r.Name, r.Err)
-		}
-	}
-	return reports, firstErr
-}

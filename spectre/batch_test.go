@@ -8,17 +8,23 @@ import (
 	"pitchfork/spectre"
 )
 
-func TestRunAllMatchesIndividualRuns(t *testing.T) {
+func TestAnalyzeBatchMatchesIndividualRuns(t *testing.T) {
 	an := mustNew(t, spectre.WithBound(20), spectre.WithForwardHazards(true), spectre.WithWorkers(4))
 	progs := []*spectre.Program{v1Program(9), v1Program(1), v4Program(), doubleV1Program()}
-	reports, err := an.RunAll(context.Background(), progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != len(progs) {
-		t.Fatalf("got %d reports for %d programs", len(reports), len(progs))
-	}
+	items := make([]spectre.BatchItem, len(progs))
 	for i, p := range progs {
+		items[i] = spectre.BatchItem{Program: p}
+	}
+	results := an.AnalyzeBatch(context.Background(), items)
+	if len(results) != len(progs) {
+		t.Fatalf("got %d results for %d programs", len(results), len(progs))
+	}
+	reports := make([]*spectre.Report, len(results))
+	for i, p := range progs {
+		if results[i].Err != nil {
+			t.Fatalf("item %d: %v", i, results[i].Err)
+		}
+		reports[i] = results[i].Report
 		solo := mustRun(t, mustNew(t, spectre.WithBound(20), spectre.WithForwardHazards(true)), p)
 		if reports[i] == nil {
 			t.Fatalf("report %d missing", i)
@@ -72,8 +78,5 @@ func TestAnalyzeBatchCancelledContext(t *testing.T) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("item %s: err = %v, want context.Canceled", r.Name, r.Err)
 		}
-	}
-	if _, err := an.RunAll(ctx, []*spectre.Program{v1Program(9)}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunAll must surface the context error, got %v", err)
 	}
 }

@@ -19,78 +19,62 @@ type Word = uint64
 type Addr = uint64
 
 // Reg names a register of the abstract machine.
-type Reg uint16
+type Reg = mem.Reg
 
 // Conventional registers of the call/return expansion: RSP is the
 // stack pointer, RTMP the scratch register return addresses pass
 // through.
 const (
-	RSP  Reg = Reg(mem.RSP)
-	RTMP Reg = Reg(mem.RTMP)
+	RSP  = mem.RSP
+	RTMP = mem.RTMP
 )
 
 // Opcode identifies an arithmetic or boolean operator of the abstract
 // ISA. All operators are total: division and remainder by zero yield
 // zero, shift counts are taken modulo 64.
-type Opcode uint8
+type Opcode = isa.Opcode
 
 // The operator set. Comparisons yield 0/1 words; OpSelect is the
 // constant-time selection FaCT-style code relies on.
 const (
-	OpAdd    = Opcode(isa.OpAdd)
-	OpSub    = Opcode(isa.OpSub)
-	OpMul    = Opcode(isa.OpMul)
-	OpDiv    = Opcode(isa.OpDiv)
-	OpMod    = Opcode(isa.OpMod)
-	OpAnd    = Opcode(isa.OpAnd)
-	OpOr     = Opcode(isa.OpOr)
-	OpXor    = Opcode(isa.OpXor)
-	OpShl    = Opcode(isa.OpShl)
-	OpShr    = Opcode(isa.OpShr)
-	OpSar    = Opcode(isa.OpSar)
-	OpNot    = Opcode(isa.OpNot)
-	OpNeg    = Opcode(isa.OpNeg)
-	OpMov    = Opcode(isa.OpMov)
-	OpEq     = Opcode(isa.OpEq)
-	OpNe     = Opcode(isa.OpNe)
-	OpLt     = Opcode(isa.OpLt)
-	OpLe     = Opcode(isa.OpLe)
-	OpGt     = Opcode(isa.OpGt)
-	OpGe     = Opcode(isa.OpGe)
-	OpSlt    = Opcode(isa.OpSlt)
-	OpSle    = Opcode(isa.OpSle)
-	OpSgt    = Opcode(isa.OpSgt)
-	OpSge    = Opcode(isa.OpSge)
-	OpSelect = Opcode(isa.OpSelect)
+	OpAdd    = isa.OpAdd
+	OpSub    = isa.OpSub
+	OpMul    = isa.OpMul
+	OpDiv    = isa.OpDiv
+	OpMod    = isa.OpMod
+	OpAnd    = isa.OpAnd
+	OpOr     = isa.OpOr
+	OpXor    = isa.OpXor
+	OpShl    = isa.OpShl
+	OpShr    = isa.OpShr
+	OpSar    = isa.OpSar
+	OpNot    = isa.OpNot
+	OpNeg    = isa.OpNeg
+	OpMov    = isa.OpMov
+	OpEq     = isa.OpEq
+	OpNe     = isa.OpNe
+	OpLt     = isa.OpLt
+	OpLe     = isa.OpLe
+	OpGt     = isa.OpGt
+	OpGe     = isa.OpGe
+	OpSlt    = isa.OpSlt
+	OpSle    = isa.OpSle
+	OpSgt    = isa.OpSgt
+	OpSge    = isa.OpSge
+	OpSelect = isa.OpSelect
 )
 
-// String returns the opcode mnemonic.
-func (op Opcode) String() string { return isa.Opcode(op).String() }
-
 // Operand is a register-or-immediate operand.
-type Operand struct {
-	o isa.Operand
-}
+type Operand = isa.Operand
 
 // R returns a register operand.
-func R(r Reg) Operand { return Operand{o: isa.R(mem.Reg(r))} }
+func R(r Reg) Operand { return isa.R(r) }
 
 // Imm returns a public immediate operand.
-func Imm(w Word) Operand { return Operand{o: isa.ImmW(w)} }
+func Imm(w Word) Operand { return isa.ImmW(w) }
 
 // SecretImm returns a secret-labeled immediate operand.
-func SecretImm(w Word) Operand { return Operand{o: isa.Imm(mem.Sec(w))} }
-
-// String renders the operand in assembly syntax.
-func (o Operand) String() string { return o.o.String() }
-
-func lower(args []Operand) []isa.Operand {
-	out := make([]isa.Operand, len(args))
-	for i, a := range args {
-		out[i] = a.o
-	}
-	return out
-}
+func SecretImm(w Word) Operand { return isa.Imm(mem.Sec(w)) }
 
 // Program is an analyzable unit: the instructions and data image, the
 // initial register file, and (for symbolic analysis) the symbolic
@@ -211,33 +195,33 @@ func (pb *ProgramBuilder) Skip(count Addr) *ProgramBuilder {
 
 // Op appends (dst = op(args…)) falling through to the next point.
 func (pb *ProgramBuilder) Op(dst Reg, op Opcode, args ...Operand) *ProgramBuilder {
-	pb.b.Op(mem.Reg(dst), isa.Opcode(op), lower(args)...)
+	pb.b.Op(dst, op, args...)
 	return pb
 }
 
 // Load appends (dst = load(args…)); the address is the sum of the
 // operands, so Load(r, Imm(0x40), R(x)) reads address 0x40+x.
 func (pb *ProgramBuilder) Load(dst Reg, args ...Operand) *ProgramBuilder {
-	pb.b.Load(mem.Reg(dst), lower(args)...)
+	pb.b.Load(dst, args...)
 	return pb
 }
 
 // Store appends store(src, args…) with the summed address.
 func (pb *ProgramBuilder) Store(src Operand, args ...Operand) *ProgramBuilder {
-	pb.b.Store(src.o, lower(args)...)
+	pb.b.Store(src, args...)
 	return pb
 }
 
 // Br appends br(op, args, ntrue, nfalse): if op over args is nonzero,
 // control continues at ntrue, else at nfalse.
 func (pb *ProgramBuilder) Br(op Opcode, args []Operand, ntrue, nfalse Addr) *ProgramBuilder {
-	pb.b.Br(isa.Opcode(op), lower(args), ntrue, nfalse)
+	pb.b.Br(op, args, ntrue, nfalse)
 	return pb
 }
 
 // Jmpi appends an indirect jump to the summed operand address.
 func (pb *ProgramBuilder) Jmpi(args ...Operand) *ProgramBuilder {
-	pb.b.Jmpi(lower(args)...)
+	pb.b.Jmpi(args...)
 	return pb
 }
 
@@ -289,13 +273,13 @@ func (pb *ProgramBuilder) Secret(base Word, words ...Word) *ProgramBuilder {
 // SetReg seeds the initial register file with a public word — e.g. an
 // attacker-chosen input.
 func (pb *ProgramBuilder) SetReg(r Reg, w Word) *ProgramBuilder {
-	pb.regs[mem.Reg(r)] = mem.Pub(w)
+	pb.regs[r] = mem.Pub(w)
 	return pb
 }
 
 // SetSecretReg seeds the initial register file with a secret word.
 func (pb *ProgramBuilder) SetSecretReg(r Reg, w Word) *ProgramBuilder {
-	pb.regs[mem.Reg(r)] = mem.Sec(w)
+	pb.regs[r] = mem.Sec(w)
 	return pb
 }
 
@@ -303,13 +287,13 @@ func (pb *ProgramBuilder) SetSecretReg(r Reg, w Word) *ProgramBuilder {
 // input (an attacker-controlled value) for symbolic analysis. The name
 // identifies the variable in Finding.Witness.
 func (pb *ProgramBuilder) SymbolicReg(r Reg, name string) *ProgramBuilder {
-	pb.symRegs[mem.Reg(r)] = symx.NewVar(name, mem.Public)
+	pb.symRegs[r] = symx.NewVar(name, mem.Public)
 	return pb
 }
 
 // SymbolicSecretReg binds a register to a symbolic secret.
 func (pb *ProgramBuilder) SymbolicSecretReg(r Reg, name string) *ProgramBuilder {
-	pb.symRegs[mem.Reg(r)] = symx.NewVar(name, mem.Secret)
+	pb.symRegs[r] = symx.NewVar(name, mem.Secret)
 	return pb
 }
 

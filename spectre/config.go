@@ -30,7 +30,7 @@ type Config struct {
 	// (Spectre v4 and the paper's "f" findings).
 	ForwardHazards bool `json:"forwardHazards"`
 	// MaxStates bounds the number of explored machine states; 0 is the
-	// exploration default (unlimited).
+	// exploration default of 200 000 states.
 	MaxStates int `json:"maxStates"`
 	// MaxRetired bounds retired instructions per exploration path; 0 is
 	// the exploration default.

@@ -24,7 +24,7 @@ type Table2Row struct {
 // analyzed with the §4.2.1 two-phase procedure. This is the
 // repository's heaviest entry point — expect seconds of exploration.
 func Table2() ([]Table2Row, error) {
-	rows, err := crypto.Table2(crypto.Options{})
+	rows, err := crypto.Table2()
 	if err != nil {
 		return nil, fmt.Errorf("spectre: %w", err)
 	}

@@ -17,8 +17,8 @@
 //     speculation engine, so every option composes with every mode:
 //     WithWorkers spreads one exploration — concrete or symbolic —
 //     over a work-stealing pool (reports stay deterministic, symbolic
-//     witness models included) and sizes the AnalyzeBatch/RunAll
-//     corpus fan-out; WithDedup prunes re-converged exploration states
+//     witness models included) and sizes the AnalyzeBatch corpus
+//     fan-out; WithDedup prunes re-converged exploration states
 //     through a bounded machine-fingerprint table in either domain.
 //     Analysis is context-aware: cancelling the context makes Run
 //     return promptly with the findings accumulated so far, and Stream

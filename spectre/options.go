@@ -1,13 +1,15 @@
 package spectre
 
+import "pitchfork/internal/pitchfork"
+
 // The speculation bounds of the paper's §4.2.1 evaluation procedure.
 const (
 	// BoundNoHazards is the bound used without forwarding-hazard
-	// detection (phase 1).
-	BoundNoHazards = 250
+	// detection (phase 1): 250.
+	BoundNoHazards = pitchfork.BoundNoHazards
 	// BoundWithHazards is the reduced bound that keeps hazard-aware
-	// analysis tractable (phase 2).
-	BoundWithHazards = 20
+	// analysis tractable (phase 2): 20.
+	BoundWithHazards = pitchfork.BoundWithHazards
 	// DefaultBound is the bound an Analyzer uses when WithBound is not
 	// given: the tractable hazard-aware bound.
 	DefaultBound = BoundWithHazards
@@ -80,7 +82,7 @@ func WithSymbolic(on bool) Option {
 // workers got before the stop propagated, so their state/path counts
 // — and, under WithStopAtFirst, which single finding is reported —
 // may vary between runs. The same setting sizes the fan-out of
-// AnalyzeBatch/RunAll.
+// AnalyzeBatch.
 func WithWorkers(n int) Option {
 	return func(c *Config) { c.Workers = n }
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"pitchfork/internal/core"
-	"pitchfork/internal/mem"
 	"pitchfork/internal/pitchfork"
 )
 
@@ -288,36 +287,6 @@ func traceOf(t core.Trace) Trace {
 	out := make(Trace, len(t))
 	for i, o := range t {
 		out[i] = obsOf(o)
-	}
-	return out
-}
-
-// coreObs lowers a wire observation back into the semantics' type.
-// Only the binary public/secret distinction survives the wire schema;
-// secret observations come back with the canonical secret label.
-func coreObs(o Observation) core.Observation {
-	label := mem.Public
-	if o.Secret {
-		label = mem.Secret
-	}
-	switch o.Kind {
-	case ObsRead:
-		return core.ReadObs(o.Addr, label)
-	case ObsFwd:
-		return core.FwdObs(o.Addr, label)
-	case ObsWrite:
-		return core.WriteObs(o.Addr, label)
-	case ObsJump:
-		return core.JumpObs(o.Target, label)
-	default:
-		return core.RollbackObs()
-	}
-}
-
-func coreTrace(t Trace) core.Trace {
-	out := make(core.Trace, len(t))
-	for i, o := range t {
-		out[i] = coreObs(o)
 	}
 	return out
 }
