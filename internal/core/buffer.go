@@ -8,10 +8,12 @@ import (
 
 // BufferEntry is what the reorder buffer needs to know about the
 // transient instructions it holds: which of them are fences, so the
-// execute rules' fence side condition stays O(1). Both value domains'
-// transient types implement it.
+// execute rules' fence side condition stays O(1), and which are
+// pending branches, so the schedule strategy visits only those. Both
+// value domains' transient types implement it.
 type BufferEntry interface {
 	IsFence() bool
+	IsBranch() bool
 }
 
 // Buffer is the reorder buffer buf : N ⇀ TransInstr, generic over the
@@ -45,6 +47,10 @@ type Buffer[T BufferEntry] struct {
 	// lower it, TruncateFrom drops it when it is cut off, and only
 	// retiring that fence rescans for the next one.
 	fence int
+	// branches lists the indices of the pending branches, ascending, so
+	// the schedule strategy's branch pass visits only them. AppendT,
+	// SetT, TruncateFrom and PopMinN keep it exact.
+	branches branchIndex
 	// arena bump-allocates transients in chunks, so the fetch and
 	// execute rules do not pay one heap allocation per instruction.
 	// Cells are never reused; a clone starts a fresh arena (the parent
@@ -141,6 +147,9 @@ func (b *Buffer[T]) AppendT(t T) int {
 	if b.fence == 0 && t.IsFence() {
 		b.fence = i
 	}
+	if t.IsBranch() {
+		b.branches.insert(i)
+	}
 	return i
 }
 
@@ -166,6 +175,12 @@ func (b *Buffer[T]) SetT(i int, t T) {
 	case !fence && i == b.fence:
 		b.fence = b.lowestFence()
 	}
+	// Likewise the branch index; buf(i) was a branch iff i is listed.
+	if t.IsBranch() {
+		b.branches.insert(i)
+	} else {
+		b.branches.remove(i)
+	}
 }
 
 // Edit returns buf(i) for in-place mutation. An entry that may still
@@ -173,7 +188,8 @@ func (b *Buffer[T]) SetT(i int, t T) {
 // first, so the returned transient is exclusively owned by this
 // buffer. Step rules that partially resolve an entry (store
 // value/address, predicted forwards) must mutate through Edit rather
-// than Get, and must not change whether the entry is a fence.
+// than Get, and must not change whether the entry is a fence or a
+// branch.
 func (b *Buffer[T]) Edit(i int) (*T, bool) {
 	if !b.Contains(i) {
 		return nil, false
@@ -193,6 +209,7 @@ func (b *Buffer[T]) TruncateFrom(i int) {
 	if b.fence >= i {
 		b.fence = 0 // every fence is cut off with the lowest one
 	}
+	b.branches.cutFrom(i)
 	if i <= b.base {
 		b.items = b.items[:0]
 		return
@@ -214,12 +231,18 @@ func (b *Buffer[T]) PopMinN(k int) {
 	if b.fence != 0 && b.fence < b.base {
 		b.fence = b.lowestFence()
 	}
+	b.branches.cutBelow(b.base)
 }
 
 // FenceBefore reports whether any index j < i holds a fence — the
 // highlighted side condition ∀j < i : buf(j) ≠ fence on every execute
 // rule.
 func (b *Buffer[T]) FenceBefore(i int) bool { return b.fence != 0 && b.fence < i }
+
+// Branches returns the indices of the pending branches, in ascending
+// order. The slice aliases the buffer's index: it is valid until the
+// next mutation and must not be modified.
+func (b *Buffer[T]) Branches() []int { return b.branches.list() }
 
 // lowestFence scans for the index of the lowest buffered fence, 0 for
 // none.
@@ -250,7 +273,130 @@ func (b *Buffer[T]) All() iter.Seq2[int, *T] {
 func (b *Buffer[T]) Clone() *Buffer[T] {
 	b.shared = true
 	b.privateFrom = b.base + len(b.items)
-	return &Buffer[T]{base: b.base, items: b.items, shared: true, privateFrom: b.privateFrom, fence: b.fence}
+	return &Buffer[T]{base: b.base, items: b.items, shared: true, privateFrom: b.privateFrom, fence: b.fence, branches: b.branches.clone()}
+}
+
+// branchInline is how many pending-branch indices a buffer holds
+// inline. Eager fetch fills the window before any branch resolves, so
+// at bound 250 a state holds every branch of the window: up to 15 on
+// the Table 2 builds. A list that fits inline is copied with the
+// struct, so the index costs no allocation to keep or to clone.
+const branchInline = 16
+
+// branchIndex is an ascending list of buffer indices. A list of up to
+// branchInline entries lives in inline, which Clone copies with the
+// struct; a longer one lives in heap, which Clone shares copy-on-write
+// (shared marks it possibly aliased, so the next write copies it).
+type branchIndex struct {
+	n      int
+	inline [branchInline]int
+	heap   []int
+	shared bool
+}
+
+// list returns the indices; it aliases x.
+func (x *branchIndex) list() []int {
+	if x.n <= branchInline {
+		return x.inline[:x.n]
+	}
+	return x.heap[:x.n]
+}
+
+// writable returns the list in storage only x may write, with room for
+// extra more entries.
+func (x *branchIndex) writable(extra int) []int {
+	l := x.list()
+	n := len(l) + extra
+	switch {
+	case n <= branchInline:
+		return l // inline
+	case x.n > branchInline && !x.shared && cap(x.heap) >= n:
+		return l // the heap list, owned
+	case x.shared || cap(x.heap) < n:
+		x.heap, x.shared = make([]int, 0, 2*n), false
+	}
+	return append(x.heap[:0], l...)
+}
+
+// store makes w, a list returned by writable and edited, the index.
+func (x *branchIndex) store(w []int) {
+	x.n = len(w)
+	if x.n <= branchInline {
+		copy(x.inline[:], w)
+		return
+	}
+	x.heap = w
+}
+
+// insert adds index i unless it is listed.
+func (x *branchIndex) insert(i int) {
+	l := x.list()
+	k := len(l)
+	for k > 0 && l[k-1] > i {
+		k--
+	}
+	if k > 0 && l[k-1] == i {
+		return
+	}
+	w := append(x.writable(1), 0)
+	copy(w[k+1:], w[k:])
+	w[k] = i
+	x.store(w)
+}
+
+// remove drops index i if it is listed.
+func (x *branchIndex) remove(i int) {
+	for k, j := range x.list() {
+		if j == i {
+			w := x.writable(0)
+			x.store(append(w[:k], w[k+1:]...))
+			return
+		}
+	}
+}
+
+// cutFrom drops every index ≥ i. Shortening writes nothing, so a
+// shared list stays shared.
+func (x *branchIndex) cutFrom(i int) {
+	l := x.list()
+	k := len(l)
+	for k > 0 && l[k-1] >= i {
+		k--
+	}
+	if x.n > branchInline && k <= branchInline {
+		copy(x.inline[:], l[:k])
+	}
+	x.n = k
+}
+
+// cutBelow drops every index < i.
+func (x *branchIndex) cutBelow(i int) {
+	l := x.list()
+	k := 0
+	for k < len(l) && l[k] < i {
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	switch n := x.n - k; {
+	case x.n <= branchInline || n <= branchInline:
+		copy(x.inline[:], l[k:])
+	default:
+		x.heap = x.heap[k:]
+	}
+	x.n -= k
+}
+
+// clone returns a copy of x that shares its heap list copy-on-write.
+func (x *branchIndex) clone() branchIndex {
+	c := *x
+	if x.n > branchInline {
+		x.shared, c.shared = true, true
+	} else {
+		c.heap, c.shared = nil, false
+	}
+	return c
 }
 
 // String renders the buffer one entry per line, figure-style.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pitchfork/internal/isa"
@@ -73,15 +74,20 @@ func TestBufferEditOwnsAfterPop(t *testing.T) {
 }
 
 // TestBufferFenceBeforeMatchesScan checks the O(1) fence side
-// condition against a linear scan of the live entries over random
-// append, set, edit, truncate, pop and clone sequences: each buffer's
-// lowest-fence index must survive every operation on it and on its
-// clones. Every buffer is also checked against a plain model of its
+// condition and the pending-branch index against linear scans of the
+// live entries over random append, set, edit, truncate, pop and clone
+// sequences: each buffer's lowest-fence index and Branches list must
+// survive every operation on it and on its clones. A list obtained
+// before an operation on another buffer must still read the same
+// after it, so a write to one buffer's index never shows through a
+// clone's. Every buffer is also checked against a plain model of its
 // entries after every operation, so neither an in-place SetT on a
 // private entry nor an arena copy of a shared one may ever change what
-// a clone sees. Both SetT paths must be taken.
+// a clone sees. Both SetT paths must be taken, SetT must both create
+// and remove branches, PopMinN must drop some, and some list must
+// outgrow the inline slots.
 func TestBufferFenceBeforeMatchesScan(t *testing.T) {
-	kinds := []TKind{TFence, TFence, TValue, TOp, TBr, TStore}
+	kinds := []TKind{TFence, TFence, TValue, TOp, TBr, TBr, TBr, TStore}
 	scan := func(b *Buffer[Transient], i int) bool {
 		for j := b.Min(); j < i && j <= b.Max(); j++ {
 			if e, _ := b.Get(j); e.Kind == TFence {
@@ -89,6 +95,15 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 			}
 		}
 		return false
+	}
+	scanBranches := func(b *Buffer[Transient]) []int {
+		var out []int
+		for j, e := range b.All() {
+			if e.Kind == TBr {
+				out = append(out, j)
+			}
+		}
+		return out
 	}
 	// model is a buffer's expected contents: the entries' kinds and
 	// Target tags (unique per write), with the index of the first.
@@ -101,7 +116,7 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 		tag++
 		return Transient{Kind: kinds[rng.Intn(len(kinds))], Target: tag}
 	}
-	inPlace, copied := 0, 0
+	inPlace, copied, created, removed, popped, longest := 0, 0, 0, 0, 0, 0
 	rng := rand.New(rand.NewSource(1))
 	for run := 0; run < 200; run++ {
 		bufs := []*Buffer[Transient]{NewBuffer[Transient]()}
@@ -109,11 +124,22 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 		for op := 0; op < 60; op++ {
 			n := rng.Intn(len(bufs))
 			b, md := bufs[n], models[n]
+			// The other buffers' lists as returned (aliasing their
+			// index) and as copied, to compare after the operation.
+			before := make([][]int, len(bufs))
+			kept := make([][]int, len(bufs))
+			for k, c := range bufs {
+				before[k] = c.Branches()
+				kept[k] = append([]int(nil), before[k]...)
+			}
 			switch r := rng.Intn(12); {
 			case r < 4:
-				e := fresh(rng)
-				b.AppendT(e)
-				md.entries = append(md.entries, e)
+				// One entry, or a run of them, as eager fetch places.
+				for k := 1 + (r/3)*rng.Intn(16); k > 0; k-- {
+					e := fresh(rng)
+					b.AppendT(e)
+					md.entries = append(md.entries, e)
+				}
 			case r <= 5 && b.Len() > 0:
 				// Half the time aim at the private tail, if there is one.
 				i := b.Min() + rng.Intn(b.Len())
@@ -127,6 +153,12 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 					copied++
 				}
 				e := fresh(rng)
+				switch was := md.entries[i-md.base].Kind == TBr; {
+				case !was && e.Kind == TBr:
+					created++
+				case was && e.Kind != TBr:
+					removed++
+				}
 				b.SetT(i, e)
 				md.entries[i-md.base] = e
 			case r == 6 && b.Len() > 0:
@@ -140,10 +172,18 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 				b.TruncateFrom(i)
 				md.entries = md.entries[:min(max(i-md.base, 0), len(md.entries))]
 			case r == 8 && b.Len() > 0:
+				if md.entries[0].Kind == TBr {
+					popped++
+				}
 				b.PopMinN(1)
 				md.entries, md.base = md.entries[1:], md.base+1
 			case r == 9 && b.Len() > 0:
 				k := 1 + rng.Intn(b.Len())
+				for _, e := range md.entries[:k] {
+					if e.Kind == TBr {
+						popped++
+					}
+				}
 				b.PopMinN(k)
 				md.entries, md.base = md.entries[k:], md.base+k
 			case r >= 10 && len(bufs) < 6:
@@ -165,11 +205,42 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 						t.Fatalf("run %d op %d buffer %d: FenceBefore(%d) = %t, scan says %t\n%s", run, op, k, i, got, want, c)
 					}
 				}
+				if got, want := c.Branches(), scanBranches(c); !slices.Equal(got, want) {
+					t.Fatalf("run %d op %d buffer %d: Branches() = %v, scan says %v\n%s", run, op, k, got, want, c)
+				}
+				longest = max(longest, len(c.Branches()))
+				if k != n && k < len(before) && (!slices.Equal(before[k], kept[k]) || !slices.Equal(c.Branches(), kept[k])) {
+					t.Fatalf("run %d op %d: writing buffer %d changed buffer %d's branch list from %v to %v (old slice now %v)", run, op, n, k, kept[k], c.Branches(), before[k])
+				}
 			}
 		}
 	}
 	if inPlace == 0 || copied == 0 {
 		t.Fatalf("SetT on private entries %d times, on shared ones %d times; want both", inPlace, copied)
+	}
+	t.Logf("SetT in place %d, copied %d; branches created %d, removed %d, popped %d; longest list %d", inPlace, copied, created, removed, popped, longest)
+	if created == 0 || removed == 0 || popped == 0 || longest <= branchInline {
+		t.Fatalf("SetT created %d branches and removed %d, PopMinN dropped %d, longest list %d; want all, and a list longer than %d", created, removed, popped, longest, branchInline)
+	}
+}
+
+// TestBufferBranchesAllocationFree checks that reading the
+// pending-branch index allocates nothing, whether the list is held
+// inline or has outgrown the inline slots.
+func TestBufferBranchesAllocationFree(t *testing.T) {
+	for _, n := range []int{0, 1, branchInline, branchInline + 3} {
+		b := NewBuffer[Transient]()
+		for k := 0; k < n; k++ {
+			b.AppendT(Transient{Kind: TValue})
+			b.AppendT(Transient{Kind: TBr})
+		}
+		var got []int
+		if allocs := testing.AllocsPerRun(100, func() { got = b.Branches() }); allocs != 0 {
+			t.Errorf("%d pending branches: Branches() made %.1f allocations, want 0", n, allocs)
+		}
+		if len(got) != n {
+			t.Errorf("%d pending branches: Branches() = %v", n, got)
+		}
 	}
 }
 

@@ -76,6 +76,10 @@ type Explorable interface {
 	BufMax() int
 	// View projects the buffer entry at index i.
 	View(i int) (TransientView, bool)
+	// Branches lists the indices of the pending branches (TBr entries),
+	// in ascending order. The slice is valid until the machine's next
+	// step and must not be modified.
+	Branches() []int
 	// RSBTop reports top(σ), the return-stack prediction, if present.
 	RSBTop() (isa.Addr, bool)
 	// PeekJmpi resolves the architectural target of an indirect jump

@@ -117,6 +117,9 @@ func (s *State[V, R, M]) BufMin() int { return s.Buf.Min() }
 
 func (s *State[V, R, M]) BufMax() int { return s.Buf.Max() }
 
+// Branches lists the pending branches' buffer indices, ascending.
+func (s *State[V, R, M]) Branches() []int { return s.Buf.Branches() }
+
 // RSBTop reports top(σ), the return-stack prediction, if present.
 func (s *State[V, R, M]) RSBTop() (isa.Addr, bool) { return s.RSB.Top() }
 

@@ -132,7 +132,7 @@ func releaseState(s *state) {
 	s.sched = schedRef{}
 	s.trace = nil
 	s.secret = nil
-	s.settled, s.branch = 0, 0
+	s.settled = 0
 	clear(s.pendingFwd)
 	statePool.Put(s)
 }

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -173,12 +174,14 @@ var cursorPins = map[string][2]cursorPin{
 // workers, in both phases of the paper's procedure (bound 250 without
 // forwarding hazards, bound 20 with them). In every state executePhase
 // scans, each index below the settled-prefix cursor must be settled —
-// resolved and not a fence, or a pending branch — and the branch hint
-// must be the lowest pending branch there. The exploration counts must
-// match the pins, so the cursor changes no decision.
+// resolved and not a fence, or a pending branch — and the machine's
+// pending-branch index must list exactly the pending branches of a
+// scan of the whole buffer, in ascending order. The exploration counts
+// must match the pins, so neither the cursor nor the index changes a
+// decision.
 func TestCursorInvariant(t *testing.T) {
 	var checked, failures atomic.Int64
-	defer sched.SetCursorCheck(func(m sched.Machine, settled, branch int) {
+	defer sched.SetCursorCheck(func(m sched.Machine, settled int) {
 		checked.Add(1)
 		fail := func(format string, args ...any) {
 			if failures.Add(1) <= 10 {
@@ -189,18 +192,18 @@ func TestCursorInvariant(t *testing.T) {
 			fail("cursor %d outside [%d, %d]", settled, m.BufMin(), m.BufMax()+1)
 			return
 		}
-		lowest := 0
-		for i := m.BufMin(); i < settled; i++ {
+		var branches []int
+		for i := m.BufMin(); i <= m.BufMax(); i++ {
 			v, _ := m.View(i)
-			if v.Kind != core.TBr && (!v.Resolved || v.Kind == core.TFence) {
+			if i < settled && v.Kind != core.TBr && (!v.Resolved || v.Kind == core.TFence) {
 				fail("index %d below cursor %d is unsettled: %+v", i, settled, v)
 			}
-			if v.Kind == core.TBr && lowest == 0 {
-				lowest = i
+			if v.Kind == core.TBr {
+				branches = append(branches, i)
 			}
 		}
-		if branch != lowest {
-			fail("branch hint %d, lowest pending branch below cursor %d is %d", branch, settled, lowest)
+		if !slices.Equal(m.Branches(), branches) {
+			fail("branch index %v, pending branches in [%d, %d] are %v", m.Branches(), m.BufMin(), m.BufMax(), branches)
 		}
 	})()
 

@@ -34,8 +34,10 @@
 // buffer: every entry below it is resolved and not a fence, or a
 // pending branch, so the strategy would pass it over on every
 // decision. The ascending scan for the next eager step starts at the
-// cursor, so a decision costs the entries that can still act, not the
-// whole buffer (see executePhase).
+// cursor, and the young-to-old branch pass walks the reorder buffer's
+// pending-branch index (Machine.Branches), so a decision costs the
+// entries that can still act and the pending branches, not the whole
+// buffer (see executePhase).
 //
 // The exploration runs on one goroutine by default; Options.Workers
 // switches to a work-stealing pool (see parallel.go), and
@@ -319,10 +321,8 @@ type state struct {
 	// settled is the path's settled-prefix cursor: every buffer index
 	// in [BufMin, settled) holds an entry executePhase's first pass
 	// never acts on (see isSettled), so the pass starts at
-	// max(settled, BufMin). branch is the lowest pending branch in that
-	// prefix, 0 for none — or a stale index (its branch has resolved or
-	// retired), which executePhase detects with one View and recomputes.
-	settled, branch int
+	// max(settled, BufMin).
+	settled int
 }
 
 // isSettled reports whether executePhase's first pass can never act
@@ -339,7 +339,7 @@ func (s *state) clone() *state {
 	c := newState()
 	c.m = s.m.Fork()
 	c.sched, c.trace, c.secret = s.sched, s.trace, s.secret
-	c.settled, c.branch = s.settled, s.branch
+	c.settled = s.settled
 	if len(s.pendingFwd) > 0 {
 		if c.pendingFwd == nil {
 			c.pendingFwd = make(map[int]bool, len(s.pendingFwd))
@@ -579,32 +579,26 @@ func forceOne(st *state, i int, t TransientView, emit func(*state)) bool {
 // branches (always delayed) and store addresses (delayed under
 // forwarding-hazard mode). Loads fork over forwarding outcomes. The
 // scan stops at the first fence — the execute rules' side condition
-// ∀j < i : buf(j) ≠ fence bars everything above it — and records the
-// oldest pending branch on the way. Successors are delivered through
-// emit; the return reports whether a step was taken.
+// ∀j < i : buf(j) ≠ fence bars everything above it. A second pass then
+// resolves the pending branches below that fence. Successors are
+// delivered through emit; the return reports whether a step was taken.
 //
 // The scan starts at the path's settled-prefix cursor, not at the
 // buffer head: every entry in [BufMin, settled) is settled (isSettled)
-// and would be passed over, and the lowest pending branch among them
-// is kept in st.branch. The scan extends the prefix over the settled
-// entries it walks before the first one that can still act, so each
-// entry is walked as settled once per path, not once per decision.
-// The first directive that applies is the one a scan from the head
-// would find.
+// and would be passed over. The scan extends the prefix over the
+// settled entries it walks before the first one that can still act, so
+// each entry is walked as settled once per path, not once per decision.
+// The second pass walks the buffer's pending-branch index instead of
+// the entries, so it costs the pending branches, not the buffer. The
+// first directive that applies is the one a scan from the head would
+// find.
 func executePhase(opts *Options, st *state, emit func(*state)) bool {
 	m := st.m
-	lo := m.BufMin()
-	start := max(st.settled, lo)
-	if b := st.branch; b != 0 {
-		// A retired branch fails the View; a resolved one is a jump.
-		if t, ok := m.View(b); !ok || t.Kind != core.TBr {
-			st.branch = lowestBranch(m, lo, start)
-		}
-	}
+	start := max(st.settled, m.BufMin())
 	if cursorCheck != nil {
-		cursorCheck(m, start, st.branch)
+		cursorCheck(m, start)
 	}
-	top, oldest := m.BufMax(), st.branch
+	top := m.BufMax()
 	settling := true
 	for i := start; i <= top; i++ {
 		t, ok := m.View(i)
@@ -613,9 +607,6 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 		}
 		if settling = settling && isSettled(t); settling {
 			st.settled = i + 1
-			if t.Kind == core.TBr && st.branch == 0 {
-				st.branch = i
-			}
 		}
 		switch t.Kind {
 		case core.TFence:
@@ -633,11 +624,6 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 			// store address resolves and flags the hazard.
 			if apply(st, core.Execute(i), emit) {
 				return true
-			}
-		case core.TBr:
-			// Branches resolve in the second pass below.
-			if oldest == 0 {
-				oldest = i
 			}
 		case core.TStore:
 			if !t.ValKnown {
@@ -659,33 +645,25 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 	}
 	// Second pass: with all non-branch work drained, resolve pending
 	// branches young-to-old, from the fence (or the buffer top) down —
-	// the oldest in-flight branch is delayed to the last possible
-	// moment (maximizing its misprediction window), while branches
-	// nested inside that window resolve eagerly so their own
-	// observations and rollbacks land within it.
-	for i := top; i > oldest && oldest != 0; i-- {
-		if t, ok := m.View(i); ok && t.Kind == core.TBr && apply(st, core.Execute(i), emit) {
+	// the oldest in-flight branch, branches[0], is delayed to the last
+	// possible moment (maximizing its misprediction window), while
+	// branches nested inside that window resolve eagerly so their own
+	// observations and rollbacks land within it. A stalled directive
+	// leaves the machine, and so the index, unchanged.
+	branches := m.Branches()
+	for k := len(branches) - 1; k > 0; k-- {
+		if i := branches[k]; i <= top && apply(st, core.Execute(i), emit) {
 			return true
 		}
 	}
 	return false
 }
 
-// lowestBranch returns the lowest pending branch in [lo, hi), or 0.
-func lowestBranch(m Machine, lo, hi int) int {
-	for i := lo; i < hi; i++ {
-		if t, ok := m.View(i); ok && t.Kind == core.TBr {
-			return i
-		}
-	}
-	return 0
-}
-
 // cursorCheck, when non-nil, is shown every state executePhase scans:
-// the machine, the cursor the scan starts at, and the validated lowest
-// pending branch below it. Tests set it to assert the settled-prefix
-// invariant; with Workers > 1 it is called concurrently.
-var cursorCheck func(m Machine, settled, branch int)
+// the machine and the cursor the scan starts at. Tests set it to
+// assert the settled-prefix invariant and the branch index; with
+// Workers > 1 it is called concurrently.
+var cursorCheck func(m Machine, settled int)
 
 // loadFork decides how the load at index i resolves. Without
 // forwarding hazards, or with no pending store addresses below it, the
@@ -758,7 +736,7 @@ func apply(st *state, d core.Directive, emit func(*state)) bool {
 	// before any arm is published so later arms never read a map a
 	// thief might already be mutating.
 	baseSched, baseTrace, baseSecret := st.sched, st.trace, st.secret
-	baseSettled, baseBranch := st.settled, st.branch
+	baseSettled := st.settled
 	var basePF map[int]bool
 	if len(succs) > 1 && len(st.pendingFwd) > 0 {
 		basePF = make(map[int]bool, len(st.pendingFwd))
@@ -783,10 +761,8 @@ func apply(st *state, d core.Directive, emit func(*state)) bool {
 		ns.sched = baseSched.push(sc.D)
 		ns.trace, ns.secret = baseTrace, baseSecret
 		// A rollback truncates the buffer: clamp the settled prefix to
-		// what is left. The branch hint stays below it — a rollback
-		// that reaches into the prefix starts at a pending branch, at
-		// or above the lowest one.
-		ns.settled, ns.branch = min(baseSettled, sc.M.BufMax()+1), baseBranch
+		// what is left.
+		ns.settled = min(baseSettled, sc.M.BufMax()+1)
 		for _, o := range sc.Obs {
 			ns.trace = ns.trace.push(o, pp)
 			if ns.secret == nil && o.Secret() {

@@ -349,6 +349,69 @@ func TestHealthzOK(t *testing.T) {
 	}
 }
 
+// TestOversizedBudgetsRejected: a request overlay asking for a bound
+// or a budget above the daemon's per-request caps is a bad request,
+// refused before any analysis starts; the library itself would accept
+// it.
+func TestOversizedBudgetsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cap   int
+	}{
+		{"bound", maxRequestBound},
+		{"maxStates", maxRequestStates},
+		{"dedupEntries", maxRequestDedupEntries},
+		{"maxRetired", maxRequestRetired},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			body, err := json.Marshal(AnalyzeRequest{
+				Source: tinySource(0),
+				Config: json.RawMessage(fmt.Sprintf(`{%q:%d}`, tc.field, tc.cap+1)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, raw := postAnalyze(t, ts.URL, body)
+			var e ErrorResponse
+			if err := json.Unmarshal(raw, &e); err != nil {
+				t.Fatalf("decode error body: %v\nbody: %s", err, raw)
+			}
+			if resp.StatusCode != http.StatusBadRequest || e.Code != spectre.ErrCodeBadRequest {
+				t.Fatalf("%s %d = %d %s, want 400 %s", tc.field, tc.cap+1, resp.StatusCode, raw, spectre.ErrCodeBadRequest)
+			}
+			if got := s.Stats().Analyses; got != 0 {
+				t.Fatalf("%d analyses ran for a rejected request, want 0", got)
+			}
+		})
+	}
+}
+
+// TestBudgetsAtCapsAccepted: an overlay at every per-request cap is
+// served. A small program explores far below them.
+func TestBudgetsAtCapsAccepted(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(AnalyzeRequest{
+		Source: tinySource(0),
+		Config: json.RawMessage(fmt.Sprintf(`{"bound":%d,"maxStates":%d,"dedupEntries":%d,"maxRetired":%d}`,
+			maxRequestBound, maxRequestStates, maxRequestDedupEntries, maxRequestRetired)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := postAnalyze(t, ts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("overlay at the caps = %d %s, want 200", resp.StatusCode, raw)
+	}
+	if got := s.Stats().Analyses; got != 1 {
+		t.Fatalf("%d analyses ran, want 1", got)
+	}
+}
+
 // TestOversizedWorkersRejected: a request asking for more exploration
 // workers than spectre.MaxWorkers is a bad request, refused before any
 // analysis starts — not an allocation sized by the request.

@@ -286,6 +286,18 @@ func analyzeKeyFingerprint(key string) (string, bool) {
 // Request decoding
 // ---------------------------------------------------------------------
 
+// The exploration budgets one request may ask for. The library accepts
+// any non-negative budget; the daemon refuses more than these, so one
+// request cannot exhaust memory before its timeout fires. Each sits
+// well above DefaultConfig and the paper's settings (bound 250 without
+// forwarding hazards, 20 with them).
+const (
+	maxRequestBound        = 1_000
+	maxRequestStates       = 2_000_000
+	maxRequestDedupEntries = 2_000_000
+	maxRequestRetired      = 200_000
+)
+
 type badRequestError struct{ msg string }
 
 func (e *badRequestError) Error() string { return e.msg }
@@ -297,7 +309,7 @@ func badRequest(format string, args ...any) error {
 // decodeRequest parses the request body and resolves it into a program
 // and an analyzer. All failures are the client's: malformed JSON, an
 // unknown schema version, a program that doesn't validate, a config
-// that doesn't.
+// that doesn't, or one whose budgets exceed the request caps.
 func (s *Server) decodeRequest(r *http.Request) (*spectre.Program, *spectre.Analyzer, error) {
 	var req AnalyzeRequest
 	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
@@ -345,6 +357,19 @@ func (s *Server) decodeRequest(r *http.Request) (*spectre.Program, *spectre.Anal
 	if len(req.Config) > 0 {
 		if err := json.Unmarshal(req.Config, &cfg); err != nil {
 			return nil, nil, badRequest("config: %v", err)
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		got, max int
+	}{
+		{"bound", cfg.Bound, maxRequestBound},
+		{"maxStates", cfg.MaxStates, maxRequestStates},
+		{"dedupEntries", cfg.DedupEntries, maxRequestDedupEntries},
+		{"maxRetired", cfg.MaxRetired, maxRequestRetired},
+	} {
+		if c.got > c.max {
+			return nil, nil, badRequest("config: %s %d exceeds the per-request cap of %d", c.name, c.got, c.max)
 		}
 	}
 	an, err := spectre.NewFromConfig(cfg)
