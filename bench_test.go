@@ -245,10 +245,13 @@ func BenchmarkSymbolicBudget(b *testing.B) {
 }
 
 // BenchmarkServeCacheHit measures a warm verdict-cache hit through the
-// spectred handler: request decode, CTL compile, fingerprint, cache
-// lookup and the provenance stamp on the stored envelope. v11_01's
-// report is large and kocher01's small, so the pair separates the
-// per-request cost from the per-byte one.
+// spectred handler: reading and digesting the request body, the
+// body → cache key memo, the cache lookup and the provenance splice
+// into the stored envelope. A hit neither decodes, compiles nor
+// fingerprints its request, nor rescans the stored verdict, so
+// v11_01's large report and kocher01's small one separate the
+// per-request cost from the per-byte one (the splice and the
+// recorder's copy of the body).
 func BenchmarkServeCacheHit(b *testing.B) {
 	srv, err := serve.New(serve.Config{Workers: 1})
 	if err != nil {

@@ -10,15 +10,24 @@ import (
 // transient instructions it holds: which of them are fences, so the
 // execute rules' fence side condition stays O(1), and which are
 // pending branches, so the schedule strategy visits only those. Both
-// value domains' transient types implement it.
+// value domains' transient types implement it on the pointer, so the
+// buffer asks an entry without copying it.
 type BufferEntry interface {
 	IsFence() bool
 	IsBranch() bool
 }
 
+// entryPtr is the constraint on a buffer's second type parameter: a
+// pointer to its entry type that implements BufferEntry.
+type entryPtr[T any] interface {
+	*T
+	BufferEntry
+}
+
 // Buffer is the reorder buffer buf : N ⇀ TransInstr, generic over the
-// transient-instruction type of a value domain (Transient for the
-// concrete machine). Its domain is always a contiguous range of indices
+// transient-instruction type T of a value domain (Transient for the
+// concrete machine); P is *T, through which the buffer reads an entry's
+// BufferEntry methods. Its domain is always a contiguous range of indices
 // [Min, Max] (the paper's rules "add and remove indices in a way that
 // ensures that buf's domain will always be contiguous"), so it is
 // represented as a slice plus a base. Indices grow monotonically across
@@ -31,7 +40,7 @@ type BufferEntry interface {
 // mutation goes through Edit, which copies an entry that may still be
 // shared with a clone. Reslicing operations (PopMinN, TruncateFrom)
 // never touch the shared array, so they stay O(1) even when shared.
-type Buffer[T BufferEntry] struct {
+type Buffer[T any, P entryPtr[T]] struct {
 	base  int // index of items[0]; Min when non-empty
 	items []*T
 	// shared marks the backing array as possibly aliased by a clone;
@@ -66,8 +75,9 @@ type Buffer[T BufferEntry] struct {
 // amortize to a chunk per 32 instructions.
 const transientArenaChunk = 32
 
-// alloc returns a fresh arena cell holding t.
-func (b *Buffer[T]) alloc(t T) *T {
+// alloc returns a fresh arena cell holding a copy of *t. It takes a
+// pointer so that the transient is copied once, into the cell.
+func (b *Buffer[T, P]) alloc(t *T) *T {
 	if len(b.arena) == cap(b.arena) {
 		n := cap(b.arena) * 2
 		if n == 0 {
@@ -78,19 +88,21 @@ func (b *Buffer[T]) alloc(t T) *T {
 		}
 		b.arena = make([]T, 0, n)
 	}
-	b.arena = append(b.arena, t)
-	return &b.arena[len(b.arena)-1]
+	b.arena = b.arena[:len(b.arena)+1]
+	c := &b.arena[len(b.arena)-1]
+	*c = *t
+	return c
 }
 
 // NewBuffer returns an empty reorder buffer whose first insertion gets
 // index 1.
-func NewBuffer[T BufferEntry]() *Buffer[T] { return &Buffer[T]{base: 1, privateFrom: 1} }
+func NewBuffer[T any, P entryPtr[T]]() *Buffer[T, P] { return &Buffer[T, P]{base: 1, privateFrom: 1} }
 
 // own re-owns the backing array before a write when it may be shared
 // with a clone. Only the pointer slice is copied; the transients stay
 // shared and are protected by the entry-level copy-on-write of Edit
 // and SetT.
-func (b *Buffer[T]) own() {
+func (b *Buffer[T, P]) own() {
 	if !b.shared {
 		return
 	}
@@ -101,10 +113,10 @@ func (b *Buffer[T]) own() {
 }
 
 // Len returns the number of buffered transient instructions.
-func (b *Buffer[T]) Len() int { return len(b.items) }
+func (b *Buffer[T, P]) Len() int { return len(b.items) }
 
 // Empty reports whether the buffer holds no instructions.
-func (b *Buffer[T]) Empty() bool { return len(b.items) == 0 }
+func (b *Buffer[T, P]) Empty() bool { return len(b.items) == 0 }
 
 // Min returns MIN(buf). For an empty buffer it returns the next index
 // to be allocated; on the initial buffer that is 1, consistent with
@@ -112,12 +124,12 @@ func (b *Buffer[T]) Empty() bool { return len(b.items) == 0 }
 // Keeping the base (rather than resetting to 0) preserves the
 // invariant that AppendT always inserts at Max()+1 even after the
 // buffer drains mid-run.
-func (b *Buffer[T]) Min() int { return b.base }
+func (b *Buffer[T, P]) Min() int { return b.base }
 
 // Max returns MAX(buf); for an empty buffer it returns base-1 so that
 // Max()+1 is always the next insertion index (0 on the initial empty
 // buffer, matching MAX(∅) = 0).
-func (b *Buffer[T]) Max() int {
+func (b *Buffer[T, P]) Max() int {
 	if len(b.items) == 0 {
 		return b.base - 1
 	}
@@ -125,12 +137,12 @@ func (b *Buffer[T]) Max() int {
 }
 
 // Contains reports whether index i is in the buffer's domain.
-func (b *Buffer[T]) Contains(i int) bool {
+func (b *Buffer[T, P]) Contains(i int) bool {
 	return i >= b.base && i < b.base+len(b.items)
 }
 
 // Get returns buf(i).
-func (b *Buffer[T]) Get(i int) (*T, bool) {
+func (b *Buffer[T, P]) Get(i int) (*T, bool) {
 	if !b.Contains(i) {
 		return nil, false
 	}
@@ -140,14 +152,15 @@ func (b *Buffer[T]) Get(i int) (*T, bool) {
 // AppendT inserts t at MAX(buf)+1 and returns the new index. The entry
 // is placed in the buffer's arena, so the caller's composite literal
 // stays off the heap.
-func (b *Buffer[T]) AppendT(t T) int {
+func (b *Buffer[T, P]) AppendT(t T) int {
 	b.own()
-	b.items = append(b.items, b.alloc(t))
+	p := b.alloc(&t)
+	b.items = append(b.items, p)
 	i := b.base + len(b.items) - 1
-	if b.fence == 0 && t.IsFence() {
+	if b.fence == 0 && P(p).IsFence() {
 		b.fence = i
 	}
-	if t.IsBranch() {
+	if P(p).IsBranch() {
 		b.branches.insert(i)
 	}
 	return i
@@ -158,7 +171,7 @@ func (b *Buffer[T]) AppendT(t T) int {
 // this buffer (i >= privateFrom, the invariant Edit relies on) is
 // overwritten in place; an older, possibly shared one is replaced by a
 // fresh arena cell.
-func (b *Buffer[T]) SetT(i int, t T) {
+func (b *Buffer[T, P]) SetT(i int, t T) {
 	if !b.Contains(i) {
 		panic(fmt.Sprintf("core: Buffer.SetT(%d) outside [%d,%d]", i, b.Min(), b.Max()))
 	}
@@ -166,17 +179,18 @@ func (b *Buffer[T]) SetT(i int, t T) {
 		*b.items[i-b.base] = t
 	} else {
 		b.own()
-		b.items[i-b.base] = b.alloc(t)
+		b.items[i-b.base] = b.alloc(&t)
 	}
+	e := P(b.items[i-b.base])
 	// Keep the lowest-fence index exact now that buf(i) is t.
-	switch fence := t.IsFence(); {
+	switch fence := e.IsFence(); {
 	case fence && (b.fence == 0 || i < b.fence):
 		b.fence = i
 	case !fence && i == b.fence:
 		b.fence = b.lowestFence()
 	}
 	// Likewise the branch index; buf(i) was a branch iff i is listed.
-	if t.IsBranch() {
+	if e.IsBranch() {
 		b.branches.insert(i)
 	} else {
 		b.branches.remove(i)
@@ -190,7 +204,7 @@ func (b *Buffer[T]) SetT(i int, t T) {
 // value/address, predicted forwards) must mutate through Edit rather
 // than Get, and must not change whether the entry is a fence or a
 // branch.
-func (b *Buffer[T]) Edit(i int) (*T, bool) {
+func (b *Buffer[T, P]) Edit(i int) (*T, bool) {
 	if !b.Contains(i) {
 		return nil, false
 	}
@@ -198,14 +212,14 @@ func (b *Buffer[T]) Edit(i int) (*T, bool) {
 	if i >= b.privateFrom {
 		return b.items[i-b.base], true
 	}
-	cp := b.alloc(*b.items[i-b.base])
+	cp := b.alloc(b.items[i-b.base])
 	b.items[i-b.base] = cp
 	return cp, true
 }
 
 // TruncateFrom implements buf[j : j < i]: it removes every entry at
 // index ≥ i.
-func (b *Buffer[T]) TruncateFrom(i int) {
+func (b *Buffer[T, P]) TruncateFrom(i int) {
 	if b.fence >= i {
 		b.fence = 0 // every fence is cut off with the lowest one
 	}
@@ -222,7 +236,7 @@ func (b *Buffer[T]) TruncateFrom(i int) {
 
 // PopMinN removes the k lowest-indexed entries: 1 for the simple
 // retire rules, the whole expansion for call-retire and ret-retire.
-func (b *Buffer[T]) PopMinN(k int) {
+func (b *Buffer[T, P]) PopMinN(k int) {
 	if k > len(b.items) {
 		panic("core: PopMinN beyond buffer")
 	}
@@ -237,18 +251,18 @@ func (b *Buffer[T]) PopMinN(k int) {
 // FenceBefore reports whether any index j < i holds a fence — the
 // highlighted side condition ∀j < i : buf(j) ≠ fence on every execute
 // rule.
-func (b *Buffer[T]) FenceBefore(i int) bool { return b.fence != 0 && b.fence < i }
+func (b *Buffer[T, P]) FenceBefore(i int) bool { return b.fence != 0 && b.fence < i }
 
 // Branches returns the indices of the pending branches, in ascending
 // order. The slice aliases the buffer's index: it is valid until the
 // next mutation and must not be modified.
-func (b *Buffer[T]) Branches() []int { return b.branches.list() }
+func (b *Buffer[T, P]) Branches() []int { return b.branches.list() }
 
 // lowestFence scans for the index of the lowest buffered fence, 0 for
 // none.
-func (b *Buffer[T]) lowestFence() int {
+func (b *Buffer[T, P]) lowestFence() int {
 	for k, t := range b.items {
-		if (*t).IsFence() {
+		if P(t).IsFence() {
 			return b.base + k
 		}
 	}
@@ -257,7 +271,7 @@ func (b *Buffer[T]) lowestFence() int {
 
 // All yields the live entries with their indices, in increasing index
 // order.
-func (b *Buffer[T]) All() iter.Seq2[int, *T] {
+func (b *Buffer[T, P]) All() iter.Seq2[int, *T] {
 	return func(yield func(int, *T) bool) {
 		for k, t := range b.items {
 			if !yield(b.base+k, t) {
@@ -270,10 +284,10 @@ func (b *Buffer[T]) All() iter.Seq2[int, *T] {
 // Clone returns an independent copy in O(1). The backing array and
 // the transients are shared; both buffers mark them copy-on-write, so
 // neither can observe the other's subsequent mutations.
-func (b *Buffer[T]) Clone() *Buffer[T] {
+func (b *Buffer[T, P]) Clone() *Buffer[T, P] {
 	b.shared = true
 	b.privateFrom = b.base + len(b.items)
-	return &Buffer[T]{base: b.base, items: b.items, shared: true, privateFrom: b.privateFrom, fence: b.fence, branches: b.branches.clone()}
+	return &Buffer[T, P]{base: b.base, items: b.items, shared: true, privateFrom: b.privateFrom, fence: b.fence, branches: b.branches.clone()}
 }
 
 // branchInline is how many pending-branch indices a buffer holds
@@ -400,7 +414,7 @@ func (x *branchIndex) clone() branchIndex {
 }
 
 // String renders the buffer one entry per line, figure-style.
-func (b *Buffer[T]) String() string {
+func (b *Buffer[T, P]) String() string {
 	if b.Empty() {
 		return "∅"
 	}

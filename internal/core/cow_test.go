@@ -88,7 +88,7 @@ func TestBufferEditOwnsAfterPop(t *testing.T) {
 // outgrow the inline slots.
 func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 	kinds := []TKind{TFence, TFence, TValue, TOp, TBr, TBr, TBr, TStore}
-	scan := func(b *Buffer[Transient], i int) bool {
+	scan := func(b *Buffer[Transient, *Transient], i int) bool {
 		for j := b.Min(); j < i && j <= b.Max(); j++ {
 			if e, _ := b.Get(j); e.Kind == TFence {
 				return true
@@ -96,7 +96,7 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 		}
 		return false
 	}
-	scanBranches := func(b *Buffer[Transient]) []int {
+	scanBranches := func(b *Buffer[Transient, *Transient]) []int {
 		var out []int
 		for j, e := range b.All() {
 			if e.Kind == TBr {
@@ -119,7 +119,7 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 	inPlace, copied, created, removed, popped, longest := 0, 0, 0, 0, 0, 0
 	rng := rand.New(rand.NewSource(1))
 	for run := 0; run < 200; run++ {
-		bufs := []*Buffer[Transient]{NewBuffer[Transient]()}
+		bufs := []*Buffer[Transient, *Transient]{NewBuffer[Transient]()}
 		models := []*model{{base: 1}}
 		for op := 0; op < 60; op++ {
 			n := rng.Intn(len(bufs))

@@ -63,12 +63,12 @@ type Cells[K, V, S any] interface {
 // exploration engine reads (see Explorable), written once for both
 // domains.
 type State[V comparable, R Cells[isa.Reg, V, R], M Cells[mem.Word, V, M]] struct {
-	Regs    R                       // ρ
-	Mem     M                       // µ (data half)
-	PC      isa.Addr                // n
-	Buf     *Buffer[TransientOf[V]] // buf
-	RSB     *RSB                    // σ
-	Retired int                     // N: retired-instruction count (retire directives)
+	Regs    R                                        // ρ
+	Mem     M                                        // µ (data half)
+	PC      isa.Addr                                 // n
+	Buf     *Buffer[TransientOf[V], *TransientOf[V]] // buf
+	RSB     *RSB                                     // σ
+	Retired int                                      // N: retired-instruction count (retire directives)
 
 	// code is the snapshot of the program's instructions the fetch
 	// stage reads, shared by every clone; dom is the embedding machine.

@@ -110,11 +110,11 @@ func (t *TransientOf[V]) AssignsReg(r isa.Reg) bool {
 
 // IsFence and IsBranch report whether the instruction is a fence or a
 // pending branch, for the reorder buffer's lowest-fence and branch
-// indexes. They have value receivers so that TransientOf itself
-// satisfies BufferEntry.
-func (t TransientOf[V]) IsFence() bool { return t.Kind == TFence }
+// indexes. Pointer receivers let the buffer ask without copying the
+// transient.
+func (t *TransientOf[V]) IsFence() bool { return t.Kind == TFence }
 
-func (t TransientOf[V]) IsBranch() bool { return t.Kind == TBr }
+func (t *TransientOf[V]) IsBranch() bool { return t.Kind == TBr }
 
 // Resolved reports whether the instruction needs no further execute
 // steps before it can retire.

@@ -7,11 +7,14 @@
 // The cache observation is Serberus's: Spectre checking as a pipeline
 // stage sees highly repetitive traffic — the same program at the same
 // configuration, submitted on every CI run — so verdicts keyed by
-// content hash make the common case O(1). A hit serves the stored
-// envelope bytes with its cacheHit (or coalesced) flag spliced in where
-// encoding/json would put it: it costs the request decode plus one
-// validity scan of the stored verdict, with no report re-encode. The
-// two cache tiers split the latency/durability trade: an in-memory LRU
+// content hash make the common case O(1). A hit costs a digest of the
+// request body, one map lookup and one splice: the server memoizes
+// which cache key each body digest resolves to, so a repeated body is
+// never decoded, compiled or fingerprinted again, and each stored
+// verdict is checked once, when it enters the memory tier, for the spot
+// its cacheHit (or coalesced) flag is spliced in where encoding/json
+// would put it. No hit re-encodes or rescans a report. The two cache
+// tiers split the latency/durability trade: an in-memory LRU
 // answers the steady state, an on-disk tier survives restarts (a
 // redeployed daemon starts warm). Coalescing covers the remaining
 // repetitive case the cache cannot: N identical submissions in flight
@@ -76,8 +79,9 @@ const quarantineSuffix = ".quarantined"
 const diskFailureLimit = 8
 
 // Cache is the two-tier verdict cache. Keys are filename-safe strings
-// (the server derives them from hex digests); values are opaque
-// response bytes. The memory tier is a bounded LRU; the disk tier —
+// (the server derives them from hex digests); values are response
+// envelopes, each held with its provenance anchor (see verdict). The
+// memory tier is a bounded LRU; the disk tier —
 // enabled by a non-empty directory — persists entries with a sha256
 // checksum frame, verified on every read, under an optional byte
 // budget enforced by LRU eviction. All methods are safe for concurrent
@@ -124,7 +128,18 @@ type Cache struct {
 
 type cacheEntry struct {
 	key string
-	val []byte
+	v   verdict
+}
+
+// verdict is a stored response envelope together with its provenance
+// anchor: the offset at which a cache hit or a coalesced waiter splices
+// its flag, or -1 when the envelope is corrupt and must not be served
+// (see provenanceAnchor). The anchor is found, and the stamped form
+// validated, once per entry as it enters the memory tier — in Put and
+// on disk-tier promotion — so no read scans the envelope again.
+type verdict struct {
+	raw    []byte
+	anchor int
 }
 
 type diskEntry struct {
@@ -215,23 +230,24 @@ func (c *Cache) scanDisk() {
 	}
 }
 
-// Get returns the cached value for key and the tier that answered. A
-// disk-tier hit is checksum-verified and promoted into the memory
-// tier; a corrupt entry is quarantined and answered as a miss.
-func (c *Cache) Get(key string) ([]byte, Tier) {
+// Get returns the cached verdict for key and the tier that answered. A
+// disk-tier hit is checksum-verified, given its provenance anchor and
+// promoted into the memory tier; an entry that fails the checksum is
+// quarantined and answered as a miss.
+func (c *Cache) Get(key string) (verdict, Tier) {
 	if c.flt.fire(siteCacheLookup) {
-		return nil, TierNone
+		return verdict{}, TierNone
 	}
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
-		val := el.Value.(*cacheEntry).val
+		v := el.Value.(*cacheEntry).v
 		c.mu.Unlock()
-		return val, TierMem
+		return v, TierMem
 	}
 	c.mu.Unlock()
 	if c.dir == "" || c.disabled.Load() {
-		return nil, TierNone
+		return verdict{}, TierNone
 	}
 	path := c.diskPath(key)
 	var data []byte
@@ -249,28 +265,32 @@ func (c *Cache) Get(key string) ([]byte, Tier) {
 		} else {
 			c.diskFailure()
 		}
-		return nil, TierNone
+		return verdict{}, TierNone
 	}
 	val, ok := unframe(data)
 	if !ok {
 		c.quarantine(key, path)
-		return nil, TierNone
+		return verdict{}, TierNone
 	}
 	c.diskOK()
+	v := verdict{raw: val, anchor: provenanceAnchor(key, val)}
 	c.mu.Lock()
-	c.insertLocked(key, val)
+	c.insertLocked(key, v)
 	c.mu.Unlock()
 	c.touchDisk(key, int64(len(data)))
-	return val, TierDisk
+	return v, TierDisk
 }
 
-// Put stores the value in both tiers and runs the byte-budget GC.
-func (c *Cache) Put(key string, val []byte) {
+// Put stores the value in both tiers, runs the byte-budget GC, and
+// returns the value as the memory tier holds it, with its provenance
+// anchor.
+func (c *Cache) Put(key string, val []byte) verdict {
+	v := verdict{raw: val, anchor: provenanceAnchor(key, val)}
 	c.mu.Lock()
-	c.insertLocked(key, val)
+	c.insertLocked(key, v)
 	c.mu.Unlock()
 	if c.dir == "" || c.disabled.Load() {
-		return
+		return v
 	}
 	data := frame(val)
 	var err error
@@ -291,20 +311,21 @@ func (c *Cache) Put(key string, val []byte) {
 	}
 	if err != nil {
 		c.diskFailure()
-		return
+		return v
 	}
 	c.diskOK()
 	c.touchDisk(key, int64(len(data)))
 	c.gc()
+	return v
 }
 
-func (c *Cache) insertLocked(key string, val []byte) {
+func (c *Cache) insertLocked(key string, v verdict) {
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).val = val
+		el.Value.(*cacheEntry).v = v
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, val: val})
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, v: v})
 	for c.lru.Len() > c.cap {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)

@@ -28,7 +28,7 @@ type flightGroup struct {
 
 type flight struct {
 	done    chan struct{}
-	val     []byte
+	val     verdict
 	err     error
 	waiters int
 	cancel  context.CancelFunc
@@ -39,7 +39,7 @@ type flight struct {
 // flight another caller started. If ctx ends before the flight
 // completes, Do returns ctx.Err() immediately — and if this was the
 // flight's last waiter, the flight context is cancelled so fn can stop.
-func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) (val []byte, coalesced bool, err error) {
+func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Context) (verdict, error)) (val verdict, coalesced bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flight)
@@ -84,7 +84,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 		if last {
 			f.cancel()
 		}
-		return nil, joined, ctx.Err()
+		return verdict{}, joined, ctx.Err()
 	}
 }
 

@@ -65,8 +65,8 @@ func TestDiskCorruptionQuarantine(t *testing.T) {
 	}
 	c.Put("good", []byte("GOOD"))
 	c.Put("filler", []byte("F")) // evicts "good" from the 1-entry memory tier
-	if v, tier := c.Get("good"); tier != TierDisk || string(v) != "GOOD" {
-		t.Fatalf("sanity: framed disk read = (%q, %d), want (GOOD, disk)", v, tier)
+	if v, tier := c.Get("good"); tier != TierDisk || string(v.raw) != "GOOD" {
+		t.Fatalf("sanity: framed disk read = (%q, %d), want (GOOD, disk)", v.raw, tier)
 	}
 
 	payload := []byte(`{"report":"payload"}`)
@@ -91,7 +91,7 @@ func TestDiskCorruptionQuarantine(t *testing.T) {
 	}
 	for key := range corrupt {
 		if v, tier := c.Get(key); tier != TierNone {
-			t.Errorf("%s: corrupt entry was served (%q, tier %d)", key, v, tier)
+			t.Errorf("%s: corrupt entry was served (%q, tier %d)", key, v.raw, tier)
 		}
 		if _, err := os.Stat(filepath.Join(dir, key+".json"+quarantineSuffix)); err != nil {
 			t.Errorf("%s: not quarantined: %v", key, err)
@@ -112,8 +112,8 @@ func TestDiskCorruptionQuarantine(t *testing.T) {
 	// A quarantined key heals on the next Put: fresh bytes, served again.
 	c.Put("bitflip", []byte("HEALED"))
 	c.Put("filler2", []byte("F")) // push it out of the memory tier
-	if v, tier := c.Get("bitflip"); tier != TierDisk || string(v) != "HEALED" {
-		t.Errorf("re-put after quarantine = (%q, %d), want (HEALED, disk)", v, tier)
+	if v, tier := c.Get("bitflip"); tier != TierDisk || string(v.raw) != "HEALED" {
+		t.Errorf("re-put after quarantine = (%q, %d), want (HEALED, disk)", v.raw, tier)
 	}
 }
 
@@ -253,8 +253,8 @@ func TestDiskGCConcurrentAccess(t *testing.T) {
 				default:
 				}
 				v, tier := c.Get(hot)
-				if tier != TierNone && !bytes.Equal(v, hotVal) {
-					t.Errorf("read returned wrong bytes during eviction window (%d bytes)", len(v))
+				if tier != TierNone && !bytes.Equal(v.raw, hotVal) {
+					t.Errorf("read returned wrong bytes during eviction window (%d bytes)", len(v.raw))
 					return
 				}
 			}

@@ -311,9 +311,9 @@ func TestCacheTiers(t *testing.T) {
 	if _, tier := c.Get("b"); tier != TierMem {
 		t.Errorf("b answered from tier %d, want mem", tier)
 	}
-	val, tier := c.Get("a")
-	if tier != TierDisk || string(val) != "A" {
-		t.Errorf("evicted entry came back (%q, tier %d), want (A, disk)", val, tier)
+	v, tier := c.Get("a")
+	if tier != TierDisk || string(v.raw) != "A" {
+		t.Errorf("evicted entry came back (%q, tier %d), want (A, disk)", v.raw, tier)
 	}
 	if _, tier := c.Get("a"); tier != TierMem {
 		t.Error("disk hit was not promoted to the memory tier")

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -78,7 +80,7 @@ type AnalyzeRequest struct {
 // GET /v1/report/{fingerprint}. The cached form stores the report with
 // provenance unset; CacheHit/Coalesced are stamped per response by
 // splicing them into the stored bytes, which depends on field order:
-// Report must stay the last field (see stampProvenance).
+// Report must stay the last field (see provenanceAnchor).
 type AnalyzeResponse struct {
 	Fingerprint string          `json:"fingerprint"`
 	CacheKey    string          `json:"cacheKey"`
@@ -90,7 +92,7 @@ type AnalyzeResponse struct {
 // not two reports, so CacheHit/Coalesced qualify the whole response.
 // They are spliced into the stored bytes ahead of Result, which depends
 // on field order: CacheHit, Coalesced must sit directly between the
-// fixed-width hex CacheKey and Result (see stampProvenance).
+// fixed-width hex CacheKey and Result (see provenanceAnchor).
 type RepairResponse struct {
 	Fingerprint string                `json:"fingerprint"`
 	CacheKey    string                `json:"cacheKey"`
@@ -175,6 +177,16 @@ type Server struct {
 	fpMu sync.Mutex
 	byFP map[string]string
 
+	// memo maps the sha256 of a request body to the fingerprint and
+	// config key the body resolves to, so a repeated body goes straight
+	// to the cache without being decoded, compiled or fingerprinted.
+	// Both halves are a pure function of the body bytes and the
+	// server's fixed configuration, so an entry never goes stale, and
+	// the analyze and repair endpoints share it. The map holds at most
+	// cfg.MemEntries entries and is cleared when full.
+	memoMu sync.Mutex
+	memo   map[[sha256.Size]byte]memoEntry
+
 	requests    atomic.Int64
 	analyzeReqs atomic.Int64
 	repairReqs  atomic.Int64
@@ -218,6 +230,7 @@ func New(cfg Config) (*Server, error) {
 		pool:    newPool(cfg.Workers, cfg.QueueDepth),
 		started: time.Now(),
 		byFP:    make(map[string]string),
+		memo:    make(map[[sha256.Size]byte]memoEntry),
 		runAnalysis: func(ctx context.Context, an *spectre.Analyzer, p *spectre.Program) (*spectre.Report, error) {
 			return an.Run(ctx, p)
 		},
@@ -269,12 +282,18 @@ func (s *Server) Drain() {
 // analyzeKey and repairKey build the cache/flight keys. Both halves
 // are fixed-width lowercase hex (stability-pinned in the spectre
 // package), so the key is filename-safe and doubles as the disk-tier
-// file name.
-func analyzeKey(fp, ck string) string { return "analyze-" + fp + "-" + ck }
-func repairKey(fp, ck string) string  { return "repair-" + fp + "-" + ck }
+// file name. The prefix names the stored envelope: an AnalyzeResponse
+// or a RepairResponse.
+const (
+	analyzePrefix = "analyze-"
+	repairPrefix  = "repair-"
+)
+
+func analyzeKey(fp, ck string) string { return analyzePrefix + fp + "-" + ck }
+func repairKey(fp, ck string) string  { return repairPrefix + fp + "-" + ck }
 
 func analyzeKeyFingerprint(key string) (string, bool) {
-	rest, ok := strings.CutPrefix(key, "analyze-")
+	rest, ok := strings.CutPrefix(key, analyzePrefix)
 	if !ok {
 		return "", false
 	}
@@ -306,14 +325,67 @@ func badRequest(format string, args ...any) error {
 	return &badRequestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// decodeRequest parses the request body and resolves it into a program
-// and an analyzer. All failures are the client's: malformed JSON, an
-// unknown schema version, a program that doesn't validate, a config
-// that doesn't, or one whose budgets exceed the request caps.
-func (s *Server) decodeRequest(r *http.Request) (*spectre.Program, *spectre.Analyzer, error) {
+// memoEntry is what a request body resolves to: the program
+// fingerprint and the config cache key.
+type memoEntry struct{ fp, ck string }
+
+// verdictRequest is one analyze or repair request: its body, the
+// body's digest, and the fingerprint and config key it resolves to.
+// prog and an are nil while the request is answered from the memo;
+// decode fills them in.
+type verdictRequest struct {
+	body   []byte
+	sum    [sha256.Size]byte
+	fp, ck string
+	prog   *spectre.Program
+	an     *spectre.Analyzer
+}
+
+// readRequest reads the body, capped at cfg.MaxBodyBytes, and resolves
+// it to its fingerprint and config key: from the memo when the same
+// body was decoded before, by decoding it otherwise.
+func (s *Server) readRequest(r *http.Request) (*verdictRequest, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		return nil, badRequest("invalid request body: %v", err)
+	}
+	req := &verdictRequest{body: body, sum: sha256.Sum256(body)}
+	s.memoMu.Lock()
+	m, ok := s.memo[req.sum]
+	s.memoMu.Unlock()
+	if ok {
+		req.fp, req.ck = m.fp, m.ck
+		return req, nil
+	}
+	return req, s.decode(req)
+}
+
+// decode compiles the request's program and builds its analyzer, then
+// memoizes what its body resolves to.
+func (s *Server) decode(req *verdictRequest) error {
+	prog, an, err := s.decodeRequest(req.body)
+	if err != nil {
+		return err
+	}
+	req.prog, req.an = prog, an
+	req.fp, req.ck = prog.Fingerprint(), an.Config().CacheKey()
+	s.memoMu.Lock()
+	if len(s.memo) >= s.cfg.MemEntries {
+		clear(s.memo)
+	}
+	s.memo[req.sum] = memoEntry{fp: req.fp, ck: req.ck}
+	s.memoMu.Unlock()
+	return nil
+}
+
+// decodeRequest parses a request body and resolves it into a program
+// and an analyzer. Bytes after the first JSON value are ignored. All
+// failures are the client's: malformed JSON, an unknown schema
+// version, a program that doesn't validate, a config that doesn't, or
+// one whose budgets exceed the request caps.
+func (s *Server) decodeRequest(body []byte) (*spectre.Program, *spectre.Analyzer, error) {
 	var req AnalyzeRequest
-	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		return nil, nil, badRequest("invalid request body: %v", err)
 	}
 	if req.SchemaVersion != "" && req.SchemaVersion != spectre.ReportSchemaVersion {
@@ -386,90 +458,75 @@ func (s *Server) decodeRequest(r *http.Request) (*spectre.Program, *spectre.Anal
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.analyzeReqs.Add(1)
-	prog, an, err := s.decodeRequest(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, spectre.ErrCodeBadRequest, err)
-		return
-	}
-	fp := prog.Fingerprint()
-	ck := an.Config().CacheKey()
-	key := analyzeKey(fp, ck)
-
-	if raw, tier := s.cache.Get(key); tier != TierNone {
-		s.recordHit(tier)
-		s.indexFingerprint(fp, key)
-		s.writeVerdict(w, raw, analyzeEnvelope, provCacheHit)
-		return
-	}
-
-	raw, shared, err := s.flights.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
-		return s.runJob(ctx, func(runCtx context.Context) ([]byte, error) {
-			rep, err := s.runAnalysis(runCtx, an, prog)
-			if err != nil {
-				return nil, err
-			}
-			rep.SchemaVersion = spectre.ReportSchemaVersion
-			out, err := json.Marshal(AnalyzeResponse{Fingerprint: fp, CacheKey: ck, Report: rep})
-			if err != nil {
-				return nil, err
-			}
-			s.cache.Put(key, out)
-			s.indexFingerprint(fp, key)
-			return out, nil
-		})
+	s.serveVerdict(w, r, analyzeKey, func(ctx context.Context, req *verdictRequest) ([]byte, error) {
+		rep, err := s.runAnalysis(ctx, req.an, req.prog)
+		if err != nil {
+			return nil, err
+		}
+		rep.SchemaVersion = spectre.ReportSchemaVersion
+		return json.Marshal(AnalyzeResponse{Fingerprint: req.fp, CacheKey: req.ck, Report: rep})
 	})
-	prov := provFresh
-	if shared {
-		s.coalesced.Add(1)
-		prov = provCoalesced
-	}
-	if err != nil {
-		s.writeJobError(w, r, err)
-		return
-	}
-	s.writeVerdict(w, raw, analyzeEnvelope, prov)
 }
 
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.repairReqs.Add(1)
-	prog, an, err := s.decodeRequest(r)
+	s.serveVerdict(w, r, repairKey, func(ctx context.Context, req *verdictRequest) ([]byte, error) {
+		res, err := s.runRepair(ctx, req.an, req.prog)
+		if err != nil {
+			return nil, err
+		}
+		if res.Before != nil {
+			res.Before.SchemaVersion = spectre.ReportSchemaVersion
+		}
+		if res.After != nil {
+			res.After.SchemaVersion = spectre.ReportSchemaVersion
+		}
+		env := RepairResponse{Fingerprint: req.fp, CacheKey: req.ck, Result: res}
+		if res.Outcome == spectre.RepairRepaired {
+			env.RepairedProgram = res.Program
+		}
+		return json.Marshal(env)
+	})
+}
+
+// serveVerdict answers an analyze or repair request: from the cache
+// when it holds the verdict under keyOf(fp, ck), from another
+// request's in-flight analysis when one is running, and otherwise by
+// running run on the pool and storing its envelope. A body the memo
+// knows reaches the cache lookup without being decoded; it is decoded
+// only if the verdict has to be computed again.
+func (s *Server) serveVerdict(w http.ResponseWriter, r *http.Request, keyOf func(fp, ck string) string,
+	run func(context.Context, *verdictRequest) ([]byte, error)) {
+	req, err := s.readRequest(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, spectre.ErrCodeBadRequest, err)
 		return
 	}
-	fp := prog.Fingerprint()
-	ck := an.Config().CacheKey()
-	key := repairKey(fp, ck)
-
-	if raw, tier := s.cache.Get(key); tier != TierNone {
+	key := keyOf(req.fp, req.ck)
+	if v, tier := s.cache.Get(key); tier != TierNone {
 		s.recordHit(tier)
-		s.writeVerdict(w, raw, repairEnvelope, provCacheHit)
+		s.indexFingerprint(req.fp, key)
+		s.writeVerdict(w, v, provCacheHit)
 		return
 	}
+	if req.prog == nil {
+		// Memoized, but the verdict has been evicted.
+		if err := s.decode(req); err != nil {
+			s.writeError(w, http.StatusBadRequest, spectre.ErrCodeBadRequest, err)
+			return
+		}
+	}
 
-	raw, shared, err := s.flights.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
-		return s.runJob(ctx, func(runCtx context.Context) ([]byte, error) {
-			res, err := s.runRepair(runCtx, an, prog)
+	v, shared, err := s.flights.Do(r.Context(), key, func(ctx context.Context) (verdict, error) {
+		return s.runJob(ctx, func(runCtx context.Context) (verdict, error) {
+			out, err := run(runCtx, req)
 			if err != nil {
-				return nil, err
+				return verdict{}, err
 			}
-			if res.Before != nil {
-				res.Before.SchemaVersion = spectre.ReportSchemaVersion
-			}
-			if res.After != nil {
-				res.After.SchemaVersion = spectre.ReportSchemaVersion
-			}
-			env := RepairResponse{Fingerprint: fp, CacheKey: ck, Result: res}
-			if res.Outcome == spectre.RepairRepaired {
-				env.RepairedProgram = res.Program
-			}
-			out, err := json.Marshal(env)
-			if err != nil {
-				return nil, err
-			}
-			s.cache.Put(key, out)
-			return out, nil
+			v := s.cache.Put(key, out)
+			s.indexFingerprint(req.fp, key)
+			return v, nil
 		})
 	})
 	prov := provFresh
@@ -481,7 +538,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		s.writeJobError(w, r, err)
 		return
 	}
-	s.writeVerdict(w, raw, repairEnvelope, prov)
+	s.writeVerdict(w, v, prov)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -494,12 +551,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, spectre.ErrCodeNotFound, fmt.Errorf("no cached report for fingerprint %s", fp))
 		return
 	}
-	raw, tier := s.cache.Get(key)
+	v, tier := s.cache.Get(key)
 	if tier == TierNone {
 		s.writeError(w, http.StatusNotFound, spectre.ErrCodeNotFound, fmt.Errorf("report for fingerprint %s evicted", fp))
 		return
 	}
-	s.writeVerdict(w, raw, analyzeEnvelope, provCacheHit)
+	s.writeVerdict(w, v, provCacheHit)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -556,7 +613,7 @@ func (s *Server) Stats() StatsResponse {
 // ---------------------------------------------------------------------
 
 type jobResult struct {
-	raw []byte
+	v   verdict
 	err error
 }
 
@@ -575,10 +632,10 @@ func (e *panicError) Error() string {
 // dropped client connection propagates into the analysis. The
 // per-request budget starts when a worker picks the job up, so queue
 // wait doesn't eat analysis time.
-func (s *Server) runJob(ctx context.Context, run func(context.Context) ([]byte, error)) ([]byte, error) {
+func (s *Server) runJob(ctx context.Context, run func(context.Context) (verdict, error)) (verdict, error) {
 	if s.flt.fire(sitePoolAdmit) {
 		s.rejected.Add(1)
-		return nil, errQueueFull
+		return verdict{}, errQueueFull
 	}
 	res := make(chan jobResult, 1)
 	admitted := s.pool.trySubmit(func() {
@@ -586,10 +643,10 @@ func (s *Server) runJob(ctx context.Context, run func(context.Context) ([]byte, 
 	})
 	if !admitted {
 		s.rejected.Add(1)
-		return nil, errQueueFull
+		return verdict{}, errQueueFull
 	}
 	jr := <-res
-	return jr.raw, jr.err
+	return jr.v, jr.err
 }
 
 // executeJob runs one admitted job under the per-request budget inside
@@ -600,7 +657,7 @@ func (s *Server) runJob(ctx context.Context, run func(context.Context) ([]byte, 
 // because the error propagates through the flight group like any
 // other, every coalesced waiter sees the failure and the flight
 // unmaps, so a poisoned flight cannot wedge future identical requests.
-func (s *Server) executeJob(ctx context.Context, run func(context.Context) ([]byte, error)) (jr jobResult) {
+func (s *Server) executeJob(ctx context.Context, run func(context.Context) (verdict, error)) (jr jobResult) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -626,7 +683,7 @@ func (s *Server) executeJob(ctx context.Context, run func(context.Context) ([]by
 	if s.flt.fire(siteEngine) {
 		panic(errInjectedPanic)
 	}
-	raw, err := run(runCtx)
+	v, err := run(runCtx)
 	switch {
 	case err == nil:
 		s.analyses.Add(1)
@@ -635,7 +692,7 @@ func (s *Server) executeJob(ctx context.Context, run func(context.Context) ([]by
 	default:
 		s.errCount.Add(1)
 	}
-	return jobResult{raw: raw, err: err}
+	return jobResult{v: v, err: err}
 }
 
 // ---------------------------------------------------------------------
@@ -654,7 +711,12 @@ func (s *Server) recordHit(tier Tier) {
 	}
 }
 
+// indexFingerprint points GET /v1/report for fp at key when key holds
+// an analyze verdict; repair keys are not indexed.
 func (s *Server) indexFingerprint(fp, key string) {
+	if !strings.HasPrefix(key, analyzePrefix) {
+		return
+	}
 	s.fpMu.Lock()
 	s.byFP[fp] = key
 	s.fpMu.Unlock()
@@ -671,47 +733,46 @@ const (
 	provCoalesced
 )
 
-// envelope names which stored form a verdict is: an AnalyzeResponse or
-// a RepairResponse. The two carry the provenance flag in different
-// places.
-type envelope int
-
-const (
-	analyzeEnvelope envelope = iota
-	repairEnvelope
-)
-
 var (
 	cacheHitField  = []byte(`,"cacheHit":true`)
 	coalescedField = []byte(`,"coalesced":true`)
 	resultAnchor   = []byte(`,"result":`)
 	reportEnd      = []byte(`}}`)
+	newline        = []byte("\n")
 )
 
 // writeVerdict sends a stored verdict envelope with this response's
 // provenance. The stored bytes always have both flags unset, so a fresh
-// analysis writes them through untouched; a cache hit or a coalesced
-// waiter gets them with its flag spliced in (see stampProvenance).
-func (s *Server) writeVerdict(w http.ResponseWriter, raw []byte, env envelope, prov provenance) {
+// analysis writes them through untouched; a cache hit, a coalesced
+// waiter or a GET /v1/report read gets them with its flag spliced in at
+// the verdict's anchor, plus the trailing newline json.Encoder writes.
+// The body is byte-identical to decoding the envelope, setting the flag
+// and re-encoding it, and costs neither that nor a scan: the anchor was
+// found and the stamped form validated when the verdict entered the
+// memory tier. A corrupt verdict (anchor -1) is answered with a
+// structured 500, never served.
+func (s *Server) writeVerdict(w http.ResponseWriter, v verdict, prov provenance) {
 	if prov == provFresh {
-		s.writeRaw(w, raw)
+		s.writeRaw(w, v.raw)
 		return
 	}
-	out, err := stampProvenance(raw, env, prov)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, spectre.ErrCodeInternal, fmt.Errorf("corrupt cache entry: %w", err))
+	if v.anchor < 0 {
+		s.writeError(w, http.StatusInternalServerError, spectre.ErrCodeInternal,
+			errors.New("corrupt cache entry: envelope has no provenance anchor or its stamped form is not valid JSON"))
 		return
 	}
-	s.writeRaw(w, out)
+	field := cacheHitField
+	if prov == provCoalesced {
+		field = coalescedField
+	}
+	s.writeRaw(w, v.raw[:v.anchor], field, v.raw[v.anchor:], newline)
 }
 
-// stampProvenance returns the stored envelope raw with the cacheHit or
-// coalesced flag inserted exactly where encoding/json would put it, and
-// the trailing newline json.Encoder writes, so the body is
-// byte-identical to decoding the envelope, setting the flag and
-// re-encoding it — without the cost of doing so. It relies on the field
-// order documented on AnalyzeResponse, RepairResponse and
-// spectre.Report:
+// provenanceAnchor returns the offset in the stored envelope raw at
+// which encoding/json would put the cacheHit or coalesced flag, or -1
+// when raw is not a servable envelope. The key's prefix names the
+// envelope, and the offset follows from the field order documented on
+// AnalyzeResponse, RepairResponse and spectre.Report:
 //
 //   - analyze: Report is the envelope's last field and CacheHit,
 //     Coalesced the report's last fields, so the flag goes before the
@@ -721,38 +782,41 @@ func (s *Server) writeVerdict(w http.ResponseWriter, raw []byte, env envelope, p
 //     `,"result":`.
 //
 // An entry without its anchor, or whose stamped form is not valid JSON,
-// is corrupt: it is reported as an error, never served.
-func stampProvenance(raw []byte, env envelope, prov provenance) ([]byte, error) {
+// is corrupt. The two flags have the same shape, so one stamped form
+// stands for both. This runs once per entry, as it enters the memory
+// tier; the check costs a copy and a scan of the envelope.
+func provenanceAnchor(key string, raw []byte) int {
 	at := -1
-	switch env {
-	case analyzeEnvelope:
+	switch {
+	case strings.HasPrefix(key, analyzePrefix):
 		if bytes.HasSuffix(raw, reportEnd) {
 			at = len(raw) - len(reportEnd)
 		}
-	case repairEnvelope:
+	case strings.HasPrefix(key, repairPrefix):
 		at = bytes.Index(raw, resultAnchor)
 	}
 	if at < 0 {
-		return nil, errors.New("envelope has no provenance anchor")
+		return -1
 	}
-	field := cacheHitField
-	if prov == provCoalesced {
-		field = coalescedField
+	stamped := make([]byte, 0, len(raw)+len(cacheHitField))
+	stamped = append(stamped, raw[:at]...)
+	stamped = append(stamped, cacheHitField...)
+	stamped = append(stamped, raw[at:]...)
+	if !json.Valid(stamped) {
+		return -1
 	}
-	out := make([]byte, 0, len(raw)+len(field)+1)
-	out = append(out, raw[:at]...)
-	out = append(out, field...)
-	out = append(out, raw[at:]...)
-	if !json.Valid(out) {
-		return nil, errors.New("stamped envelope is not valid JSON")
-	}
-	return append(out, '\n'), nil
+	return at
 }
 
-func (s *Server) writeRaw(w http.ResponseWriter, raw []byte) {
+// writeRaw sends a 200 JSON body made of the given parts, in order.
+func (s *Server) writeRaw(w http.ResponseWriter, parts ...[]byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(raw) //nolint:errcheck // client gone; nothing to do
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return // client gone; nothing to do
+		}
+	}
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
