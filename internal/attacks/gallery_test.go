@@ -8,6 +8,17 @@ import (
 	"pitchfork/internal/sched"
 )
 
+// explore runs the paper's bound-20 exploration with forwarding
+// hazards on.
+func explore(t *testing.T, m *core.Machine) sched.Result {
+	t.Helper()
+	e, err := sched.NewExplorer(sched.Options{Bound: 20, ForwardHazards: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Explore(m)
+}
+
 // TestGalleryLeakExpectations: every figure's schedule runs cleanly
 // and leaks (or not) exactly as the paper shows.
 func TestGalleryLeakExpectations(t *testing.T) {
@@ -43,10 +54,7 @@ func TestGalleryDetectedByExplorer(t *testing.T) {
 			continue
 		}
 		t.Run(a.ID, func(t *testing.T) {
-			res, err := sched.Explore(a.New(), 20, true)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := explore(t, a.New())
 			if got := !res.SecretFree(); got != a.WantSecretLeak {
 				t.Fatalf("%s: explorer found leak = %t, want %t", a.ID, got, a.WantSecretLeak)
 			}
@@ -58,10 +66,7 @@ func TestGalleryDetectedByExplorer(t *testing.T) {
 // aliasing-predictor attack needs the execute:fwd directive, which the
 // schedule generator never issues.
 func TestFig2OutsideToolSubset(t *testing.T) {
-	res, err := sched.Explore(Figure2().New(), 20, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := explore(t, Figure2().New())
 	if !res.SecretFree() {
 		t.Fatal("the explorer must not issue aliasing predictions")
 	}

@@ -186,7 +186,8 @@ func TestRSBCircularUnderflowRet(t *testing.T) {
 	p.Add(10, isa.Ret())
 	p.Add(2, isa.Ret()) // unmatched: underflows the RSB
 	p.SetRegion(0x78, make([]mem.Value, 8))
-	m := New(p, WithRSBPolicy(RSBCircular))
+	m := New(p)
+	m.RSB = NewRSB(RSBCircular)
 	m.Regs.Write(mem.RSP, mem.Pub(0x7C))
 	mustStep(t, m, Fetch()) // call
 	mustStep(t, m, Fetch()) // ret at 10 → predicted 2 (matched)

@@ -147,7 +147,8 @@ func TestFigure12Ret2spec(t *testing.T) {
 func TestRSBRefusePolicy(t *testing.T) {
 	p := isa.NewProgram(1)
 	p.Add(1, isa.Ret())
-	m := New(p, WithRSBPolicy(RSBRefuse))
+	m := New(p)
+	m.RSB = NewRSB(RSBRefuse)
 	m.Regs.Write(mem.RSP, mem.Pub(0x7C))
 	if _, err := m.Step(Fetch()); !errors.Is(err, ErrStall) {
 		t.Fatalf("refuse policy must stall, got %v", err)
@@ -163,7 +164,8 @@ func TestRSBRefusePolicy(t *testing.T) {
 func TestRSBCircularPolicy(t *testing.T) {
 	p := isa.NewProgram(1)
 	p.Add(1, isa.Ret())
-	m := New(p, WithRSBPolicy(RSBCircular))
+	m := New(p)
+	m.RSB = NewRSB(RSBCircular)
 	m.Regs.Write(mem.RSP, mem.Pub(0x7C))
 	m.Mem.Write(0x7C, mem.Pub(9))
 	mustStep(t, m, Fetch()) // no stall: ring yields its (zero) slot

@@ -67,20 +67,6 @@ func ExecuteFwd(i, j int) Directive { return Directive{Kind: DExecFwd, I: i, Fro
 // Retire returns the retire directive.
 func Retire() Directive { return Directive{Kind: DRetire} }
 
-// IsFetch reports whether the directive is any of the fetch forms.
-func (d Directive) IsFetch() bool {
-	return d.Kind == DFetch || d.Kind == DFetchGuess || d.Kind == DFetchTarget
-}
-
-// IsExecute reports whether the directive is any of the execute forms.
-func (d Directive) IsExecute() bool {
-	switch d.Kind {
-	case DExecute, DExecValue, DExecAddr, DExecFwd:
-		return true
-	}
-	return false
-}
-
 // String renders the directive in the paper's syntax.
 func (d Directive) String() string {
 	switch d.Kind {
@@ -113,17 +99,6 @@ func (d Directive) String() string {
 // Schedule is a directive sequence D. Its retire count is the paper's
 // N (the number of retired instructions in a big step).
 type Schedule []Directive
-
-// Retires counts retire directives: N = #{d ∈ D | d = retire}.
-func (s Schedule) Retires() int {
-	n := 0
-	for _, d := range s {
-		if d.Kind == DRetire {
-			n++
-		}
-	}
-	return n
-}
 
 // String renders the schedule as "d1; d2; …".
 func (s Schedule) String() string {

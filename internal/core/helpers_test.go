@@ -19,6 +19,31 @@ const (
 	rx = isa.Reg(23)
 )
 
+// Retires counts retire directives: N = #{d ∈ D | d = retire}.
+func (s Schedule) Retires() int {
+	n := 0
+	for _, d := range s {
+		if d.Kind == DRetire {
+			n++
+		}
+	}
+	return n
+}
+
+// Depth returns the replayed stack depth, a pop of an empty stack
+// leaving it at zero like the replay.
+func (s *RSB) Depth() int {
+	d := 0
+	for _, e := range s.entries {
+		if e.isPush {
+			d++
+		} else if d > 0 {
+			d--
+		}
+	}
+	return d
+}
+
 func mustStep(t *testing.T, m *Machine, d Directive) []Observation {
 	t.Helper()
 	obs, err := m.Step(d)

@@ -18,7 +18,7 @@ var ErrStall = errors.New("directive not applicable")
 type StepError struct {
 	Directive Directive
 	Reason    string
-	Fault     bool // true for machine faults (e.g. wild strict-memory read)
+	Fault     bool // true for machine faults (e.g. an operator given the wrong operand count)
 }
 
 // Error implements error.
@@ -58,36 +58,12 @@ type Machine struct {
 	Prog *isa.Program
 }
 
-// Option configures a Machine at construction.
-type Option func(*Machine)
-
-// WithRSBPolicy selects the empty-RSB behaviour.
-func WithRSBPolicy(p RSBPolicy) Option {
-	return func(m *Machine) { m.RSB = NewRSB(p) }
-}
-
-// WithStrictMemory makes reads of unmapped data addresses machine
-// faults instead of zeroes.
-func WithStrictMemory() Option {
-	return func(m *Machine) {
-		strict := mem.NewStrictMemory()
-		for _, a := range m.Mem.Addresses() {
-			v, _ := m.Mem.Read(a)
-			strict.Write(a, v)
-		}
-		m.Mem = strict
-	}
-}
-
 // New builds a machine in the initial configuration of prog: empty
 // buffer, empty RSB, PC at the entry point, memory seeded from the
 // program's data image.
-func New(prog *isa.Program, opts ...Option) *Machine {
+func New(prog *isa.Program) *Machine {
 	m := &Machine{Prog: prog}
 	m.State = NewState[mem.Value](prog.Table(), mem.NewRegisterFile(), prog.InitialMemory(), prog.Entry, m)
-	for _, o := range opts {
-		o(m)
-	}
 	return m
 }
 
@@ -133,10 +109,6 @@ func (m *Machine) Halted() bool {
 	}
 	return m.Instr() == nil
 }
-
-// Terminal reports |buf| = 0, the paper's initial/terminal condition
-// (Def. B.2).
-func (m *Machine) Terminal() bool { return m.Buf.Empty() }
 
 // LowEquiv reports C ≃pub C′: agreement on public register and memory
 // values. It is meaningful for initial/terminal configurations, where
@@ -191,9 +163,8 @@ func (m *Machine) Addr(_ int, _ TKind, args []mem.Value) (mem.Value, error) {
 // Commit implements Domain: a concrete address assumes nothing.
 func (m *Machine) Commit() {}
 
-// Load implements Domain; under strict memory an unmapped address
-// faults.
-func (m *Machine) Load(a mem.Word) (mem.Value, error) { return m.Mem.Read(a) }
+// Load implements Domain.
+func (m *Machine) Load(a mem.Word) mem.Value { return m.Mem.Read(a) }
 
 // Cond implements Domain: a concrete condition is always one world.
 func (m *Machine) Cond(v mem.Value) (bool, mem.Label, bool) { return v.W != 0, v.L, true }
@@ -451,10 +422,7 @@ func (s *State[V, R, M]) execute(d Directive) ([]Observation, error) {
 		return s.obs1(FwdObs(addr.W, addr.L)), nil
 	}
 	// load-execute-nodep
-	v, err := s.dom.Load(addr.W)
-	if err != nil {
-		return nil, failed(d, "load", err)
-	}
+	v := s.dom.Load(addr.W)
 	s.dom.Commit()
 	s.Buf.SetT(d.I, TransientOf[V]{
 		Kind: TValue, Dst: t.Dst, Val: v,
@@ -531,10 +499,7 @@ func (s *State[V, R, M]) executePredictedLoad(d Directive, t *TransientOf[V], ad
 			return nil, stall(d, "prior store at %d to %#x must resolve first", k, addr.W)
 		}
 	}
-	v, err := s.dom.Load(addr.W)
-	if err != nil {
-		return nil, failed(d, "load", err)
-	}
+	v := s.dom.Load(addr.W)
 	s.dom.Commit()
 	if v == t.PredVal {
 		// load-execute-addr-mem-match

@@ -104,17 +104,6 @@ func (t Trace) HasSecret() bool {
 	return false
 }
 
-// FirstSecret returns the index of the first secret-labeled
-// observation, or -1.
-func (t Trace) FirstSecret() int {
-	for i, o := range t {
-		if o.Secret() {
-			return i
-		}
-	}
-	return -1
-}
-
 // String renders the trace as "o1; o2; …".
 func (t Trace) String() string {
 	parts := make([]string, len(t))

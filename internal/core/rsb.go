@@ -148,20 +148,6 @@ func (s *RSB) Top() (isa.Addr, bool) {
 	return 0, false
 }
 
-// Depth returns the replayed stack depth (may go negative under
-// underflow before clamping; clamped at zero like the replay).
-func (s *RSB) Depth() int {
-	d := 0
-	for _, e := range s.entries {
-		if e.isPush {
-			d++
-		} else if d > 0 {
-			d--
-		}
-	}
-	return d
-}
-
 // Clone returns an independent copy in O(1): the journal's backing
 // array is shared and marked copy-on-write on both sides, so the next
 // append on either side re-owns it first.

@@ -75,7 +75,7 @@ func VarySecrets(m *Machine, rng *rand.Rand) *Machine {
 		}
 	}
 	for _, a := range c.Mem.Addresses() {
-		v, _ := c.Mem.Read(a)
+		v := c.Mem.Read(a)
 		if v.IsSecret() {
 			c.Mem.Write(a, mem.V(mem.Word(rng.Uint64()), v.L))
 		}

@@ -34,7 +34,7 @@ type Domain[V comparable] interface {
 	// so a stalled step leaves the machine unchanged.
 	Commit()
 	// Load reads µ(a).
-	Load(a mem.Word) (V, error)
+	Load(a mem.Word) V
 	// Cond decides a branch condition: whether it is nonzero, and its
 	// label. ok is false when the condition is not one concrete world;
 	// the step then fails with ErrSplit and the domain splits the
@@ -147,13 +147,13 @@ func (s *State[V, R, M]) PeekRet() (isa.Addr, bool) {
 		return 0, false
 	}
 	s.args[0] = sp
-	if a, err := s.dom.Addr(i, TJmpi, s.args[:1]); err == nil {
-		if s.args[0], err = s.dom.Load(a.W); err == nil {
-			a, err = s.dom.Addr(i, TJmpi, s.args[:1])
-			return a.W, err == nil
-		}
+	a, err := s.dom.Addr(i, TJmpi, s.args[:1])
+	if err != nil {
+		return 0, false
 	}
-	return 0, false
+	s.args[0] = s.dom.Load(a.W)
+	a, err = s.dom.Addr(i, TJmpi, s.args[:1])
+	return a.W, err == nil
 }
 
 // Self returns m, the machine embedding s, as the single successor of

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"pitchfork/internal/core"
@@ -46,7 +47,7 @@ func TestAllBuildsSequentiallyConstantTime(t *testing.T) {
 			}
 			if trace.HasSecret() {
 				t.Fatalf("%s/%s: sequential trace leaks: first secret %s",
-					c.Name, mode, trace[trace.FirstSecret()])
+					c.Name, mode, trace[slices.IndexFunc(trace, core.Observation.Secret)])
 			}
 		}
 	}
@@ -291,10 +292,7 @@ func TestDonnaComputesDeterministically(t *testing.T) {
 	if _, _, err := core.RunSequential(m, 100000); err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.Mem.Read(comp.GlobalAddr["out"])
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := m.Mem.Read(comp.GlobalAddr["out"])
 	if !out.L.IsSecret() {
 		t.Fatal("ladder output must be secret-labeled")
 	}
@@ -302,7 +300,7 @@ func TestDonnaComputesDeterministically(t *testing.T) {
 	if _, _, err := core.RunSequential(m2, 100000); err != nil {
 		t.Fatal(err)
 	}
-	out2, _ := m2.Mem.Read(comp.GlobalAddr["out"])
+	out2 := m2.Mem.Read(comp.GlobalAddr["out"])
 	if out != out2 {
 		t.Fatal("nondeterministic ladder")
 	}

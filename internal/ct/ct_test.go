@@ -34,11 +34,7 @@ func global(t *testing.T, c *Compiled, m *core.Machine, name string, idx uint64)
 	if !ok {
 		t.Fatalf("no global %q", name)
 	}
-	v, err := m.Mem.Read(a + idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
+	return m.Mem.Read(a + idx)
 }
 
 func TestCompileArithmetic(t *testing.T) {

@@ -62,16 +62,6 @@ func (op Opcode) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// OpcodeByName resolves an assembler mnemonic.
-func OpcodeByName(name string) (Opcode, bool) {
-	for op, n := range opcodeNames {
-		if n == name {
-			return Opcode(op), true
-		}
-	}
-	return 0, false
-}
-
 // Arity returns the number of operands the opcode consumes, or -1 for
 // variadic opcodes (OpAdd accepts 1..n operands and sums them, which is
 // what the figures' [40, ra]-style address lists rely on).

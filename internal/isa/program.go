@@ -172,65 +172,6 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// InsertAt inserts in at program point n, shifting every existing
-// instruction at a point ≥ n one point up and remapping the static
-// control-flow references of the shifted program: Next/True/False
-// fall-through and branch targets, call entry and return points, the
-// entry point, and symbol bindings that denote instruction points.
-// References strictly greater than n are incremented; references equal
-// to n keep referring to n, so control that targeted the shifted
-// instruction flows through the inserted one first (the semantics a
-// fence patch wants). The inserted instruction's own fields are taken
-// verbatim — callers supply post-shift addresses, e.g. Fence(n+1) to
-// fall through to the old occupant of n.
-//
-// Computed targets are NOT remapped: jmpi operands, code addresses
-// held in registers or in the data image stay as written, because the
-// address they denote is only known at run time. Return addresses are
-// unaffected — they are materialized at fetch time from the (remapped)
-// RetPt of the call expansion. Callers repairing programs with
-// computed control flow must check behavioural preservation
-// separately.
-func (p *Program) InsertAt(n Addr, in Instr) *Program {
-	shift := func(a Addr) Addr {
-		if a > n {
-			return a + 1
-		}
-		return a
-	}
-	moved := make(map[Addr]Instr, len(p.Instrs)+1)
-	for a, old := range p.Instrs {
-		// Remapping the unused address fields of a kind is harmless:
-		// they are zero-valued and never read.
-		old.Next = shift(old.Next)
-		old.True = shift(old.True)
-		old.False = shift(old.False)
-		old.Callee = shift(old.Callee)
-		old.RetPt = shift(old.RetPt)
-		if a >= n {
-			moved[a+1] = old
-		} else {
-			moved[a] = old
-		}
-	}
-	moved[n] = in
-	p.Instrs = moved
-	p.Entry = shift(p.Entry)
-	for name, a := range p.Symbols {
-		if a <= n {
-			continue // below the insertion point, or flows through it
-		}
-		// Only symbols that denoted an instruction point move with the
-		// code (its new home is a+1); data-address bindings (and
-		// halt-point labels, which are indistinguishable from them)
-		// stay put.
-		if _, wasInstr := moved[a+1]; wasInstr {
-			p.Symbols[name] = a + 1
-		}
-	}
-	return p
-}
-
 // Clone returns a deep copy of the program.
 func (p *Program) Clone() *Program {
 	c := NewProgram(p.Entry)

@@ -5,14 +5,15 @@ import (
 	"sort"
 )
 
-// This file grows the single-instruction InsertAt rewriting into a
-// patch-plan abstraction: a Plan collects per-point patches (blocks of
-// inserted instructions and/or a replacement of the point's occupant),
-// computes ONE address map for the whole plan, and applies everything
-// in a single pass. The address-map semantics deliberately matches the
-// composition of ascending InsertAt calls, so a plan of single-fence
-// patches produces the byte-identical program and maps the repair
-// engine's historical applySites loop did.
+// This file is the patch-plan rewriter: a Plan collects per-point
+// patches (blocks of inserted instructions and/or a replacement of the
+// point's occupant), computes ONE address map for the whole plan, and
+// applies everything in a single pass. The shift rule: k instructions
+// inserted at point s move every instruction located at or above s up
+// by k, and every control reference strictly above s; a reference equal
+// to s keeps naming s, which now holds the head of the inserted block,
+// so control that targeted the old occupant flows through the block
+// into it.
 
 // Patch describes the rewrite of one original program point At:
 // Insert instructions are placed, in order, BEFORE the point's
@@ -24,8 +25,7 @@ import (
 // field of an INSERTED instruction that equals the patch's own At
 // means "the next instruction of this block" — the natural
 // fall-through that ends at the point's (possibly replaced) occupant.
-// Fence(s) at At = s therefore chains exactly like InsertAt's
-// Fence(at+1) did.
+// Fence(s) at At = s therefore falls through to the point's occupant.
 type Patch struct {
 	At      Addr
 	Insert  []Instr
@@ -73,10 +73,9 @@ func (pl *Plan) InsertCount() int {
 }
 
 // AddrMap translates original program points into the address space of
-// a plan's rewritten program. It is computed once per plan — lookups
+// a plan's rewritten program. It is computed once per plan; lookups
 // are O(log sites) binary searches over the precomputed cumulative
-// shifts instead of the per-call linear scans the repair engine's
-// Result.MapAddr historically recomposed.
+// shifts.
 type AddrMap struct {
 	sites []Addr // ascending insertion sites with at least one inserted instruction
 	cum   []Addr // cum[i]: total instructions inserted at sites[0..i]
@@ -146,26 +145,13 @@ type Rewrite struct {
 	// Inserted lists the new-space points of the plan-inserted
 	// instructions, ascending.
 	Inserted []Addr
-	// interior marks new-space points no remapped original control
-	// reference can name: inserted instructions that are not the first
-	// of their block, and replaced occupants preceded by an inserted
-	// block. Remapped control always enters a patch at its block head,
-	// so these points are reachable only by falling through the block.
-	interior map[Addr]bool
 }
-
-// Interior reports whether new-space point a is interior to a patch —
-// a point no remapped original control reference can name (the address
-// map's Target image skips every such slot). Behaviour certificates
-// use this to recognize jump observations that only plan-authored
-// instructions can produce.
-func (r *Rewrite) Interior(a Addr) bool { return r.interior[a] }
 
 // Apply rewrites orig under the plan and returns the new program with
 // its address map. The input program is never mutated. Computed jmpi
 // targets are NOT remapped (their value is only known at run time);
 // callers must consult JmpiHazard first and certify behavioural
-// preservation separately, exactly as with InsertAt.
+// preservation separately.
 func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 	for i := 1; i < len(pl.patches); i++ {
 		if pl.patches[i].At == pl.patches[i-1].At {
@@ -174,10 +160,9 @@ func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 	}
 	m := pl.addrMapOf()
 	rw := &Rewrite{
-		Prog:     NewProgram(m.Target(orig.Entry)),
-		Map:      m,
-		Orig:     make(map[Addr]Addr, len(orig.Instrs)),
-		interior: make(map[Addr]bool),
+		Prog: NewProgram(m.Target(orig.Entry)),
+		Map:  m,
+		Orig: make(map[Addr]Addr, len(orig.Instrs)),
 	}
 	remap := func(in Instr) Instr {
 		in.Next = m.Target(in.Next)
@@ -214,11 +199,9 @@ func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 
 	// Surviving originals (replacements keep the point's identity).
 	replaced := make(map[Addr]*Instr, len(pl.patches))
-	replacedBehindBlock := make(map[Addr]bool, len(pl.patches))
 	for _, p := range pl.patches {
 		if p.Replace != nil {
 			replaced[p.At] = p.Replace
-			replacedBehindBlock[p.At] = len(p.Insert) > 0
 		}
 	}
 	for at := range replaced {
@@ -226,9 +209,9 @@ func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 			return nil, fmt.Errorf("isa: replacement at %d, which has no instruction", at)
 		}
 	}
-	// Caller-authored instructions (inserts, replacements) keep a nil
-	// Args nil — the same verbatim placement InsertAt gave — but always
-	// get their own backing array so the plan can be reused.
+	// Caller-authored instructions (inserts, replacements) are placed
+	// verbatim, a nil Args staying nil, but always get their own
+	// backing array so the plan can be reused.
 	cloneArgs := func(in *Instr) {
 		if in.Args == nil {
 			return
@@ -241,11 +224,6 @@ func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 		if r := replaced[a]; r != nil {
 			in = *r
 			cloneArgs(&in)
-			if replacedBehindBlock[a] {
-				// Control enters the patch at its block head; the
-				// replacement is reachable only by falling through.
-				rw.interior[m.Addr(a)] = true
-			}
 		} else {
 			// Surviving originals are copied exactly as Clone copies
 			// them: a fresh, non-nil backing array.
@@ -271,16 +249,13 @@ func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 				return nil, err
 			}
 			rw.Inserted = append(rw.Inserted, na)
-			if j > 0 {
-				rw.interior[na] = true
-			}
 		}
 	}
 	sort.Slice(rw.Inserted, func(i, j int) bool { return rw.Inserted[i] < rw.Inserted[j] })
 
 	// Symbols denoting instruction points flow through insertions like
 	// any control target; data-address bindings (and halt-point labels,
-	// indistinguishable from them) stay put — InsertAt's rule.
+	// indistinguishable from them) stay put.
 	for name, a := range orig.Symbols {
 		if _, wasInstr := orig.Instrs[a]; wasInstr {
 			rw.Prog.Symbols[name] = m.Target(a)

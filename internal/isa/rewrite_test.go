@@ -17,6 +17,59 @@ func fencePlan(sites []Addr) Plan {
 	return pl
 }
 
+// InsertAt is the single-site insert the plan rewriter grew out of,
+// kept as the oracle of TestFencePlanMatchesInsertAt. It inserts in at
+// program point n, shifting every existing instruction at a point ≥ n
+// one point up and remapping the static control-flow references of
+// the shifted program: Next/True/False fall-through and branch
+// targets, call entry and return points, the entry point, and symbol
+// bindings that denote instruction points. References strictly greater
+// than n are incremented; references equal to n keep referring to n,
+// so control that targeted the shifted instruction flows through the
+// inserted one first. The inserted instruction's own fields are taken
+// verbatim — callers supply post-shift addresses, e.g. Fence(n+1) to
+// fall through to the old occupant of n. Computed targets (jmpi
+// operands, code addresses in registers or data) are not remapped.
+func (p *Program) InsertAt(n Addr, in Instr) *Program {
+	shift := func(a Addr) Addr {
+		if a > n {
+			return a + 1
+		}
+		return a
+	}
+	moved := make(map[Addr]Instr, len(p.Instrs)+1)
+	for a, old := range p.Instrs {
+		// Remapping the unused address fields of a kind is harmless:
+		// they are zero-valued and never read.
+		old.Next = shift(old.Next)
+		old.True = shift(old.True)
+		old.False = shift(old.False)
+		old.Callee = shift(old.Callee)
+		old.RetPt = shift(old.RetPt)
+		if a >= n {
+			moved[a+1] = old
+		} else {
+			moved[a] = old
+		}
+	}
+	moved[n] = in
+	p.Instrs = moved
+	p.Entry = shift(p.Entry)
+	for name, a := range p.Symbols {
+		if a <= n {
+			continue // below the insertion point, or flows through it
+		}
+		// Only symbols that denoted an instruction point move with the
+		// code (its new home is a+1); data-address bindings (and
+		// halt-point labels, which are indistinguishable from them)
+		// stay put.
+		if _, wasInstr := moved[a+1]; wasInstr {
+			p.Symbols[name] = a + 1
+		}
+	}
+	return p
+}
+
 // insertAtChain applies sites with the legacy one-at-a-time InsertAt
 // loop, ascending, fence falling through to the shifted occupant.
 func insertAtChain(orig *Program, sites []Addr) *Program {
@@ -144,9 +197,6 @@ func TestMultiInsertBlock(t *testing.T) {
 	if !reflect.DeepEqual(rw.Inserted, []Addr{2, 3}) {
 		t.Fatalf("Inserted = %v", rw.Inserted)
 	}
-	if rw.Interior(2) || !rw.Interior(3) {
-		t.Fatalf("interior marking wrong: head %v, second %v", rw.Interior(2), rw.Interior(3))
-	}
 	// The predecessor's fall-through enters the block head.
 	prev, _ := rw.Prog.At(1)
 	if prev.Next != 2 {
@@ -248,5 +298,99 @@ func TestPlanJmpiHazard(t *testing.T) {
 	repl.Add(Patch{At: 2, Insert: []Instr{Fence(2)}})
 	if pc, hazard := repl.JmpiHazard(p2); hazard {
 		t.Errorf("replaced jmpi still flagged at %d", pc)
+	}
+}
+
+func TestInsertAtShiftsAndRemaps(t *testing.T) {
+	// 1: br(gt, [4, ra], 2, 5); 2: load; 3: store; 4: call 1 ret 5;
+	// insert a fence at 2 (before the load).
+	p := NewProgram(1)
+	p.Add(1, Br(OpGt, []Operand{ImmW(4), R(0)}, 2, 5))
+	p.Add(2, Load(1, []Operand{ImmW(0x40), R(0)}, 3))
+	p.Add(3, Store(R(1), []Operand{ImmW(0x41)}, 4))
+	p.Add(4, Call(1, 5))
+	p.SetData(0x40, mem.Pub(7))
+	p.Define("body", 2)
+	p.Define("st", 3)
+	p.Define("buf", 0x40)
+	p.InsertAt(2, Fence(3))
+
+	if in, ok := p.At(2); !ok || in.Kind != KFence || in.Next != 3 {
+		t.Fatalf("point 2 should hold the inserted fence, got %v", in)
+	}
+	br, _ := p.At(1)
+	if br.True != 2 || br.False != 6 {
+		t.Fatalf("branch targets = (%d, %d), want (2, 6): a target equal to the site flows through the fence", br.True, br.False)
+	}
+	ld, ok := p.At(3)
+	if !ok || ld.Kind != KLoad || ld.Next != 4 {
+		t.Fatalf("load should have moved to 3 with Next 4, got %v (ok=%v)", ld, ok)
+	}
+	st, _ := p.At(4)
+	if st.Kind != KStore || st.Next != 5 {
+		t.Fatalf("store should have moved to 4 with Next 5, got %v", st)
+	}
+	call, _ := p.At(5)
+	if call.Kind != KCall || call.Callee != 1 || call.RetPt != 6 {
+		t.Fatalf("call should have moved to 5 with callee 1, retpt 6, got %v", call)
+	}
+	if a, _ := p.Lookup("body"); a != 2 {
+		t.Fatalf("a symbol at the site should flow through the fence like a target, got %d", a)
+	}
+	if a, _ := p.Lookup("st"); a != 4 {
+		t.Fatalf("a code symbol above the site should follow its instruction, got %d", a)
+	}
+	if a, _ := p.Lookup("buf"); a != 0x40 {
+		t.Fatalf("data symbol must not move, got %#x", a)
+	}
+	if v, ok := p.Data[0x40]; !ok || v != mem.Pub(7) {
+		t.Fatal("data image must be untouched")
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("rewritten program invalid: %v", err)
+	}
+}
+
+func TestInsertAtEntry(t *testing.T) {
+	p := NewProgram(1)
+	p.Add(1, Ret())
+	p.InsertAt(1, Fence(2))
+	if p.Entry != 1 {
+		t.Fatalf("entry should stay at the inserted instruction, got %d", p.Entry)
+	}
+	if in, _ := p.At(1); in.Kind != KFence {
+		t.Fatal("entry does not hold the fence")
+	}
+	if in, _ := p.At(2); in.Kind != KRet {
+		t.Fatal("old entry instruction did not shift")
+	}
+}
+
+func TestInsertAtEntryBelowShifts(t *testing.T) {
+	p := NewProgram(5)
+	p.Add(5, Ret())
+	p.InsertAt(3, Fence(4))
+	if p.Entry != 6 {
+		t.Fatalf("entry above the site must shift, got %d", p.Entry)
+	}
+	if in, ok := p.At(6); !ok || in.Kind != KRet {
+		t.Fatal("instruction did not shift past the site")
+	}
+}
+
+func TestInsertAtHaltPointStaysHalting(t *testing.T) {
+	// Instructions at 1..2, halt at 3, more code at 9. Inserting at the
+	// halt point must keep control reaching it halting (after the
+	// transparent fence) and must not capture the distant code.
+	p := NewProgram(1)
+	p.Add(1, Op(0, OpMov, []Operand{ImmW(0)}, 2))
+	p.Add(2, Op(0, OpMov, []Operand{ImmW(0)}, 3))
+	p.Add(9, Ret())
+	p.InsertAt(3, Fence(4))
+	if _, ok := p.At(4); ok {
+		t.Fatal("halt point after the fence should stay empty")
+	}
+	if _, ok := p.At(10); !ok {
+		t.Fatal("distant instruction should shift from 9 to 10")
 	}
 }

@@ -41,7 +41,7 @@ func TestMemoryCloneIndependenceDeepChains(t *testing.T) {
 	if last.Len() != wantLen {
 		t.Fatalf("Len = %d, want %d", last.Len(), wantLen)
 	}
-	if v, _ := last.Read(Word(100 + 3*MaxChainDepth - 1)); v != Pub(uint64(3*MaxChainDepth-1)) {
+	if v := last.Read(Word(100 + 3*MaxChainDepth - 1)); v != Pub(uint64(3*MaxChainDepth-1)) {
 		t.Fatalf("last clone lost its own write: %v", v)
 	}
 }
@@ -55,7 +55,7 @@ func TestMemoryParentWriteInvisibleToChild(t *testing.T) {
 	c := p.Clone()
 	p.Write(1, Pub(20))
 	p.Write(2, Pub(30))
-	if v, _ := c.Read(1); v != Pub(10) {
+	if v := c.Read(1); v != Pub(10) {
 		t.Fatalf("child sees parent's post-fork overwrite: %v", v)
 	}
 	if c.Contains(2) {
@@ -82,8 +82,7 @@ func TestMemoryHashSumStableAcrossChains(t *testing.T) {
 	// Rebuild the same contents flat, hashing only at the end.
 	flat := NewMemory()
 	for _, a := range chained.Addresses() {
-		v, _ := chained.Read(a)
-		flat.Write(a, v)
+		flat.Write(a, chained.Read(a))
 	}
 	if !chained.Equal(flat) {
 		t.Fatal("rebuild must be Equal")

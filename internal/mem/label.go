@@ -1,119 +1,39 @@
 // Package mem provides the value-level substrate of the speculative
-// machine: security labels drawn from a join semilattice, labeled
-// machine words, register files, and labeled sparse memories.
+// machine: security labels drawn from a two-point label lattice,
+// labeled machine words, register files, and labeled sparse memories.
 //
 // The paper (§3, "Values and labels") annotates every value with a label
 // from a lattice of security labels with join ⊔ and defines the
 // low-equivalence ≃pub over configurations as agreement on public
-// values. This package implements that lattice as a set of principals
-// encoded in a bitmask, with Public as the bottom element and Secret as
-// the canonical non-bottom label used throughout the test suites.
+// values. Its checker, and every checker here, uses the two-point
+// lattice {pub ⊑ sec}, which is what this package implements.
 package mem
 
-import (
-	"sort"
-	"strings"
-)
-
-// Label is an element of the security lattice: a finite set of
-// principals encoded as a bitmask. The empty set is Public (bottom);
-// join is set union. Any label that is not Public is treated as
-// sensitive by the speculative constant-time checkers, matching the
-// paper's two-point instantiation {pub ⊑ sec} while remaining a genuine
-// lattice.
+// Label is an element of the two-point security lattice {pub ⊑ sec}.
+// Public is 0 and Secret is 1, so join is bitwise or; the encoding is
+// part of every cell hash and fingerprint, so it must not change.
 type Label uint64
 
 // Public is the bottom element of the lattice: data the attacker is
 // allowed to observe.
 const Public Label = 0
 
-// Secret is the canonical high label used by the paper's examples
-// (written "sec" in the figures). It is principal #0.
+// Secret is the top element (written "sec" in the figures).
 const Secret Label = 1
-
-// Principal returns the label owned by principal i (0 ≤ i < 64).
-// Principal(0) == Secret.
-func Principal(i uint) Label {
-	if i >= 64 {
-		panic("mem: principal index out of range")
-	}
-	return Label(1) << i
-}
 
 // Join returns the least upper bound ℓ ⊔ m.
 func (l Label) Join(m Label) Label { return l | m }
 
-// Meet returns the greatest lower bound ℓ ⊓ m.
-func (l Label) Meet(m Label) Label { return l & m }
-
-// FlowsTo reports whether l ⊑ m in the lattice, i.e. whether data
-// labeled l may be stored in a sink labeled m.
-func (l Label) FlowsTo(m Label) bool { return l|m == m }
-
 // IsPublic reports whether the label is the bottom element.
 func (l Label) IsPublic() bool { return l == Public }
 
-// IsSecret reports whether the label is above bottom; every such label
-// is treated as secret by the SCT checkers.
+// IsSecret reports whether the label is above bottom.
 func (l Label) IsSecret() bool { return l != Public }
 
-// String renders Public as "pub", Secret as "sec", and other lattice
-// points as a principal set such as "sec{0,3}".
+// String renders Public as "pub" and Secret as "sec".
 func (l Label) String() string {
-	switch l {
-	case Public:
+	if l == Public {
 		return "pub"
-	case Secret:
-		return "sec"
 	}
-	var ids []int
-	for i := 0; i < 64; i++ {
-		if l&(Label(1)<<i) != 0 {
-			ids = append(ids, i)
-		}
-	}
-	sort.Ints(ids)
-	var b strings.Builder
-	b.WriteString("sec{")
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(itoa(id))
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// JoinAll folds Join over a list of labels, returning Public for the
-// empty list. It implements the ⊔ℓ⃗ operation used by the execute rules
-// to label calculated addresses and branch conditions.
-func JoinAll(labels ...Label) Label {
-	out := Public
-	for _, l := range labels {
-		out |= l
-	}
-	return out
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return "sec"
 }

@@ -5,55 +5,32 @@ import (
 	"testing/quick"
 )
 
+// TestLabelLatticeBasics checks the two-point lattice {pub ⊑ sec}
+// exhaustively: join, the bottom/top predicates and the rendering.
 func TestLabelLatticeBasics(t *testing.T) {
+	cases := []struct {
+		a, b, join Label
+	}{
+		{Public, Public, Public},
+		{Public, Secret, Secret},
+		{Secret, Public, Secret},
+		{Secret, Secret, Secret},
+	}
+	for _, c := range cases {
+		if got := c.a.Join(c.b); got != c.join {
+			t.Errorf("%v ⊔ %v = %v, want %v", c.a, c.b, got, c.join)
+		}
+	}
 	if !Public.IsPublic() || Public.IsSecret() {
 		t.Fatal("Public must be bottom")
 	}
 	if Secret.IsPublic() || !Secret.IsSecret() {
 		t.Fatal("Secret must be above bottom")
 	}
-	if got := Public.Join(Secret); got != Secret {
-		t.Fatalf("pub ⊔ sec = %v, want sec", got)
-	}
-	if !Public.FlowsTo(Secret) {
-		t.Fatal("pub ⊑ sec must hold")
-	}
-	if Secret.FlowsTo(Public) {
-		t.Fatal("sec ⊑ pub must not hold")
-	}
-}
-
-func TestPrincipalDistinct(t *testing.T) {
-	a, b := Principal(3), Principal(7)
-	if a == b {
-		t.Fatal("distinct principals must differ")
-	}
-	j := a.Join(b)
-	if !a.FlowsTo(j) || !b.FlowsTo(j) {
-		t.Fatal("join must be an upper bound")
-	}
-	if j.FlowsTo(a) || j.FlowsTo(b) {
-		t.Fatal("join of incomparable labels must be strictly above both")
-	}
-}
-
-func TestPrincipalPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Principal(64) must panic")
-		}
-	}()
-	Principal(64)
 }
 
 func TestLabelString(t *testing.T) {
-	cases := map[Label]string{
-		Public:                          "pub",
-		Secret:                          "sec",
-		Principal(1):                    "sec{1}",
-		Principal(1).Join(Secret):       "sec{0,1}",
-		Principal(5).Join(Principal(9)): "sec{5,9}",
-	}
+	cases := map[Label]string{Public: "pub", Secret: "sec"}
 	for l, want := range cases {
 		if got := l.String(); got != want {
 			t.Errorf("%#x.String() = %q, want %q", uint64(l), got, want)
@@ -61,39 +38,28 @@ func TestLabelString(t *testing.T) {
 	}
 }
 
-// Property: Join is a commutative, associative, idempotent upper bound
-// — i.e. Label really is a join semilattice.
+// Join is a commutative, associative, idempotent upper bound on both
+// points: Label really is a join semilattice.
 func TestLabelSemilatticeProperties(t *testing.T) {
-	comm := func(a, b uint64) bool {
-		x, y := Label(a), Label(b)
-		return x.Join(y) == y.Join(x)
-	}
-	assoc := func(a, b, c uint64) bool {
-		x, y, z := Label(a), Label(b), Label(c)
-		return x.Join(y).Join(z) == x.Join(y.Join(z))
-	}
-	idem := func(a uint64) bool {
-		x := Label(a)
-		return x.Join(x) == x
-	}
-	upper := func(a, b uint64) bool {
-		x, y := Label(a), Label(b)
-		j := x.Join(y)
-		return x.FlowsTo(j) && y.FlowsTo(j)
-	}
-	for name, f := range map[string]any{"comm": comm, "assoc": assoc, "idem": idem, "upper": upper} {
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%s: %v", name, err)
+	points := []Label{Public, Secret}
+	for _, x := range points {
+		if x.Join(x) != x {
+			t.Errorf("%v ⊔ %v != %v", x, x, x)
 		}
-	}
-}
-
-func TestJoinAll(t *testing.T) {
-	if JoinAll() != Public {
-		t.Fatal("empty join must be bottom")
-	}
-	if JoinAll(Public, Secret, Principal(2)) != Secret.Join(Principal(2)) {
-		t.Fatal("JoinAll must fold Join")
+		for _, y := range points {
+			j := x.Join(y)
+			if j != y.Join(x) {
+				t.Errorf("%v ⊔ %v is not commutative", x, y)
+			}
+			if x.Join(j) != j || y.Join(j) != j {
+				t.Errorf("%v ⊔ %v = %v is not an upper bound", x, y, j)
+			}
+			for _, z := range points {
+				if x.Join(y).Join(z) != x.Join(y.Join(z)) {
+					t.Errorf("(%v ⊔ %v) ⊔ %v is not associative", x, y, z)
+				}
+			}
+		}
 	}
 }
 
@@ -105,40 +71,19 @@ func TestValueBasics(t *testing.T) {
 	if got := Pub(9).String(); got != "9pub" {
 		t.Fatalf("String = %q, want 9pub", got)
 	}
-	if Pub(1).Raise(Secret) != Sec(1) {
-		t.Fatal("Raise must join labels")
-	}
-	if Pub(1).WithLabel(Secret) != Sec(1) {
-		t.Fatal("WithLabel must replace the label")
-	}
 }
 
 func TestMemoryReadWrite(t *testing.T) {
 	m := NewMemory()
-	if v, err := m.Read(0x40); err != nil || v != Pub(0) {
-		t.Fatalf("unmapped read = %v, %v; want 0pub", v, err)
+	if v := m.Read(0x40); v != Pub(0) {
+		t.Fatalf("unmapped read = %v; want 0pub", v)
 	}
 	m.Write(0x40, Sec(7))
-	v, err := m.Read(0x40)
-	if err != nil || v != Sec(7) {
-		t.Fatalf("read-after-write = %v, %v", v, err)
+	if v := m.Read(0x40); v != Sec(7) {
+		t.Fatalf("read-after-write = %v", v)
 	}
 	if !m.Contains(0x40) || m.Contains(0x41) {
 		t.Fatal("Contains wrong")
-	}
-}
-
-func TestStrictMemoryRejectsWildReads(t *testing.T) {
-	m := NewStrictMemory()
-	if _, err := m.Read(0x99); err == nil {
-		t.Fatal("strict memory must reject unmapped reads")
-	}
-	m.Write(0x99, Pub(1))
-	if _, err := m.Read(0x99); err != nil {
-		t.Fatalf("mapped read failed: %v", err)
-	}
-	if !m.Strict() {
-		t.Fatal("Strict() must report true")
 	}
 }
 
@@ -147,17 +92,19 @@ func TestMemoryCloneIsDeep(t *testing.T) {
 	m.Write(1, Pub(10))
 	c := m.Clone()
 	c.Write(1, Pub(20))
-	if v, _ := m.Read(1); v != Pub(10) {
+	if v := m.Read(1); v != Pub(10) {
 		t.Fatal("clone must not alias the original")
 	}
-	if v, _ := c.Read(1); v != Pub(20) {
+	if v := c.Read(1); v != Pub(20) {
 		t.Fatal("clone write lost")
 	}
 }
 
 func TestMemoryRegionAndAddresses(t *testing.T) {
 	m := NewMemory()
-	m.WriteRegion(0x44, []Value{Pub(1), Pub(2), Pub(3)})
+	for a := Word(0x46); a >= 0x44; a-- {
+		m.Write(a, Pub(a))
+	}
 	want := []Word{0x44, 0x45, 0x46}
 	got := m.Addresses()
 	if len(got) != len(want) {

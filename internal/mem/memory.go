@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // HashSeed is an arbitrary non-zero starting state for hash chains
 // (the FNV-1a 64-bit offset basis, kept for familiarity); shared with
@@ -37,18 +34,15 @@ func cellHash(key uint64, v Value) uint64 {
 
 // Memory is the labeled data memory µ : V ⇀ V of a configuration: a
 // sparse, word-granular map from addresses to labeled values. Reads of
-// unmapped addresses return a labeled zero by default (the machine is
-// total over data addresses, like a zero-filled address space), unless
-// the memory is constructed Strict, in which case they are errors —
-// strict mode is what the test suites use to catch wild reads early.
+// unmapped addresses return a public zero: the machine is total over
+// data addresses, like a zero-filled address space.
 //
 // The representation is copy-on-write (see CowMap): Clone is O(1),
 // sharing a chain of frozen overlays with the original, and each fork
 // pays only for the cells it writes afterwards. This is what makes
 // exploration-tree forking O(changed-cells) instead of O(memory-size).
 type Memory struct {
-	m      CowMap[Word, Value]
-	strict bool
+	m CowMap[Word, Value]
 	// sum is the order-independent sum of cellHash over all mapped
 	// cells — the O(1) memory half of the machine fingerprint. It is
 	// computed lazily at the first HashSum call and maintained
@@ -58,28 +52,15 @@ type Memory struct {
 	hashed bool
 }
 
-// NewMemory returns an empty, non-strict memory.
+// NewMemory returns an empty memory.
 func NewMemory() *Memory { return &Memory{} }
 
-// NewStrictMemory returns an empty memory whose reads of unmapped
-// addresses fail.
-func NewStrictMemory() *Memory {
-	return &Memory{strict: true}
-}
-
-// Strict reports whether unmapped reads are errors.
-func (m *Memory) Strict() bool { return m.strict }
-
-// Read returns µ(a). For non-strict memories, unmapped addresses read
-// as Pub(0).
-func (m *Memory) Read(a Word) (Value, error) {
+// Read returns µ(a); unmapped addresses read as Pub(0).
+func (m *Memory) Read(a Word) Value {
 	if v, ok := m.m.Lookup(a); ok {
-		return v, nil
+		return v
 	}
-	if m.strict {
-		return Value{}, fmt.Errorf("mem: read of unmapped address %#x", a)
-	}
-	return Pub(0), nil
+	return Pub(0)
 }
 
 // Write sets µ(a) = v.
@@ -122,7 +103,7 @@ func (m *Memory) Len() int { return m.m.Len() }
 // private overlays. Step rules never mutate a shared layer, so the two
 // copies cannot observe one another's subsequent writes.
 func (m *Memory) Clone() *Memory {
-	return &Memory{m: m.m.Fork(), strict: m.strict, sum: m.sum, hashed: m.hashed}
+	return &Memory{m: m.m.Fork(), sum: m.sum, hashed: m.hashed}
 }
 
 // Addresses returns the mapped addresses in increasing order.
@@ -130,13 +111,6 @@ func (m *Memory) Addresses() []Word {
 	out := m.m.Keys()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// WriteRegion maps len(vs) consecutive words starting at base.
-func (m *Memory) WriteRegion(base Word, vs []Value) {
-	for i, v := range vs {
-		m.Write(base+Word(i), v)
-	}
 }
 
 // LowEquiv reports µ ≃pub µ′: the two memories agree on their public

@@ -24,13 +24,6 @@ func Pub(w Word) Value { return Value{W: w, L: Public} }
 // Sec constructs a secret value.
 func Sec(w Word) Value { return Value{W: w, L: Secret} }
 
-// WithLabel returns the value relabeled to l.
-func (v Value) WithLabel(l Label) Value { return Value{W: v.W, L: l} }
-
-// Raise returns the value with its label joined with l; used when a
-// computation over v is influenced by data labeled l.
-func (v Value) Raise(l Label) Value { return Value{W: v.W, L: v.L.Join(l)} }
-
 // IsSecret reports whether the value's label is above Public.
 func (v Value) IsSecret() bool { return v.L.IsSecret() }
 

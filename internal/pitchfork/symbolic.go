@@ -233,7 +233,7 @@ func (s *symMachine) Commit() {
 }
 
 // Load reads µ(a); an unwritten cell is a public zero.
-func (s *symMachine) Load(a mem.Word) (symx.Expr, error) { return s.Mem.Read(a), nil }
+func (s *symMachine) Load(a mem.Word) symx.Expr { return s.Mem.Read(a) }
 
 // Cond decides a concrete condition like the concrete machine, and
 // keeps an input-dependent one for the world split.

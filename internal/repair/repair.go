@@ -225,23 +225,6 @@ func (r *Result) replacedPoints() map[isa.Addr]bool {
 	return set
 }
 
-// MapAddr translates an original program point to its location in the
-// repaired program (the instruction-location map). With a rewrite
-// attached this is one precomputed binary search; the fallback
-// recomputes the fence-shaped shift from Sites.
-func (r *Result) MapAddr(a isa.Addr) isa.Addr {
-	if r.rw != nil {
-		return r.rw.Map.Addr(a)
-	}
-	out := a
-	for _, s := range r.Sites {
-		if s <= a {
-			out++
-		}
-	}
-	return out
-}
-
 // MapTarget translates an original control-flow target: targets equal
 // to a patch site keep pointing at the start of the inserted block —
 // they flow through it — so only strictly smaller sites shift them.

@@ -310,8 +310,8 @@ type state struct {
 	// at detection time.
 	trace *traceNode
 	// secret is the oldest secret-labeled observation on the trace, or
-	// nil — maintained incrementally as observations append, replacing
-	// the full-trace FirstSecret scan per explored state.
+	// nil — maintained incrementally as observations append, so no
+	// state rescans its trace.
 	secret *traceNode
 	// pendingFwd marks load indices whose forwarding fork has already
 	// been taken in this state (so re-deciding after a partial store
@@ -845,29 +845,4 @@ func classify(m Machine, trace core.Trace, at int) VariantKind {
 	default:
 		return VariantUnknown
 	}
-}
-
-// Explore is the package-level convenience entry point.
-func Explore(m *core.Machine, bound int, forwardHazards bool) (Result, error) {
-	e, err := NewExplorer(Options{Bound: bound, ForwardHazards: forwardHazards})
-	if err != nil {
-		return Result{}, err
-	}
-	return e.Explore(m), nil
-}
-
-// CountSchedules runs an exploration purely to count completed paths —
-// the |DT(n)| growth measurement behind the paper's bound-20-vs-250
-// tractability discussion.
-func CountSchedules(m *core.Machine, bound int, forwardHazards bool, maxStates int) (paths, states int, truncated bool, err error) {
-	e, err := NewExplorer(Options{
-		Bound:          bound,
-		ForwardHazards: forwardHazards,
-		MaxStates:      maxStates,
-	})
-	if err != nil {
-		return 0, 0, false, err
-	}
-	res := e.Explore(m)
-	return res.Paths, res.States, res.Truncated, nil
 }

@@ -84,8 +84,17 @@ func findVariant(res Result, k VariantKind) bool {
 	return false
 }
 
+// explore runs one exploration at the given bound and hazard mode.
+func explore(m *core.Machine, bound int, forwardHazards bool) (Result, error) {
+	e, err := NewExplorer(Options{Bound: bound, ForwardHazards: forwardHazards})
+	if err != nil {
+		return Result{}, err
+	}
+	return e.Explore(m), nil
+}
+
 func TestExplorerFindsSpectreV1(t *testing.T) {
-	res, err := Explore(v1Gadget(9), 20, false)
+	res, err := explore(v1Gadget(9), 20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +124,7 @@ func TestExplorerInBoundsIndexStillLeaks(t *testing.T) {
 	// the in-bounds load chain reads public data only. The mispredicted
 	// arm for ra=1 is the *true* arm, which is also the correct arm, so
 	// no speculation window opens on secrets.
-	res, err := Explore(v1Gadget(1), 20, false)
+	res, err := explore(v1Gadget(1), 20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +135,7 @@ func TestExplorerInBoundsIndexStillLeaks(t *testing.T) {
 
 func TestExplorerFindsSpectreV11(t *testing.T) {
 	for _, fwd := range []bool{false, true} {
-		res, err := Explore(v11Gadget(), 20, fwd)
+		res, err := explore(v11Gadget(), 20, fwd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,14 +151,14 @@ func TestExplorerFindsSpectreV11(t *testing.T) {
 func TestExplorerFindsSpectreV4OnlyWithHazards(t *testing.T) {
 	// Without forwarding-hazard detection the v4 window is not
 	// explored — matching the paper's two-phase procedure (§4.2.1).
-	res, err := Explore(v4Gadget(), 20, false)
+	res, err := explore(v4Gadget(), 20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.SecretFree() {
 		t.Fatalf("v4 gadget must be clean without hazard detection, got %v", res.Violations)
 	}
-	res, err = Explore(v4Gadget(), 20, true)
+	res, err = explore(v4Gadget(), 20, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +371,7 @@ func TestExplorerSequentialViolation(t *testing.T) {
 	b.Region(0x44, mem.Pub(5), mem.Pub(6), mem.Pub(7), mem.Pub(8))
 	b.Data(0x48, mem.Sec(2))
 	m := core.New(b.MustBuild())
-	res, err := Explore(m, 4, false)
+	res, err := explore(m, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +383,7 @@ func TestExplorerSequentialViolation(t *testing.T) {
 func TestExplorerBoundLimitsSpeculation(t *testing.T) {
 	// With bound 1 the buffer holds a single instruction: the branch
 	// must resolve before the loads enter, so Figure 1 cannot leak.
-	res, err := Explore(v1Gadget(9), 1, false)
+	res, err := explore(v1Gadget(9), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +392,7 @@ func TestExplorerBoundLimitsSpeculation(t *testing.T) {
 	}
 	// Bound 2 admits the first load but not the second; still no
 	// secret-labeled observation (the first read's address is public).
-	res, err = Explore(v1Gadget(9), 2, false)
+	res, err = explore(v1Gadget(9), 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +400,7 @@ func TestExplorerBoundLimitsSpeculation(t *testing.T) {
 		t.Fatalf("bound 2 must still be clean, got %v", res.Violations)
 	}
 	// Bound 3 fits branch + both loads: the leak appears.
-	res, err = Explore(v1Gadget(9), 3, false)
+	res, err = explore(v1Gadget(9), 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,23 +410,22 @@ func TestExplorerBoundLimitsSpeculation(t *testing.T) {
 }
 
 func TestCountSchedulesGrowsWithBound(t *testing.T) {
-	p10, _, _, err := CountSchedules(v1Gadget(9), 2, false, 100000)
-	if err != nil {
-		t.Fatal(err)
+	paths := func(m *core.Machine, bound int, fwd bool) int {
+		t.Helper()
+		e, err := NewExplorer(Options{Bound: bound, ForwardHazards: fwd, MaxStates: 100000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Explore(m).Paths
 	}
-	p20, _, _, err := CountSchedules(v11Gadget(), 20, true, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p10 := paths(v1Gadget(9), 2, false)
+	p20 := paths(v11Gadget(), 20, true)
 	if p10 < 1 || p20 < 1 {
 		t.Fatalf("path counts must be positive: %d, %d", p10, p20)
 	}
 	// Forward-hazard exploration of the v1.1 gadget must fork more
 	// paths than the non-hazard exploration.
-	pNoFwd, _, _, err := CountSchedules(v11Gadget(), 20, false, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pNoFwd := paths(v11Gadget(), 20, false)
 	if p20 <= pNoFwd {
 		t.Fatalf("hazard mode must explore more paths: %d vs %d", p20, pNoFwd)
 	}
@@ -454,7 +462,7 @@ func TestNewExplorerRejectsBadBound(t *testing.T) {
 func TestExplorerDoesNotMutateInput(t *testing.T) {
 	m := v1Gadget(9)
 	before := m.Clone()
-	if _, err := Explore(m, 10, true); err != nil {
+	if _, err := explore(m, 10, true); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Equal(before) || m.PC != before.PC {
@@ -490,7 +498,7 @@ func TestExplorerHandlesCalls(t *testing.T) {
 	m := core.New(p)
 	m.Regs.Write(mem.RSP, mem.Pub(0x7F))
 
-	res, err := Explore(m, 8, true)
+	res, err := explore(m, 8, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +553,7 @@ func TestExplorerInterruptAborts(t *testing.T) {
 
 func TestViolationSpeculationSources(t *testing.T) {
 	// Figure 1: the leak's guard is the unresolved bounds check at 1.
-	res, err := Explore(v1Gadget(9), 20, false)
+	res, err := explore(v1Gadget(9), 20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +573,7 @@ func TestViolationSpeculationSources(t *testing.T) {
 	}
 
 	// Figure 7: the guard is the store at 1 with its address pending.
-	res, err = Explore(v4Gadget(), 20, true)
+	res, err = explore(v4Gadget(), 20, true)
 	if err != nil {
 		t.Fatal(err)
 	}

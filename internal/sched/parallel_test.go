@@ -288,7 +288,7 @@ func TestNewExplorerRejectsBadParallelOptions(t *testing.T) {
 // fix: the Figure 1 leak is the load at program point 3, not the fetch
 // head (4) at detection time.
 func TestViolationPCPointsAtLeakingInstruction(t *testing.T) {
-	res, err := Explore(v1Gadget(9), 20, false)
+	res, err := explore(v1Gadget(9), 20, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -414,7 +414,8 @@ func TestEvictionAndRestart(t *testing.T) {
 }
 
 // TestBadRequests pins the 400 surface: malformed body, neither/both
-// program forms, bad config, bad schema version, unknown global.
+// program forms, bad config, bad schema version, unknown global, a
+// wire label other than pub or sec. None of them reaches the pool.
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -422,15 +423,16 @@ func TestBadRequests(t *testing.T) {
 
 	valid := tinySource(1)
 	for name, body := range map[string]string{
-		"malformed":      `{"source": `,
-		"empty":          `{}`,
-		"both forms":     fmt.Sprintf(`{"source": %q, "program": {"version":1}}`, valid),
-		"bad source":     `{"source": "fn fn fn"}`,
-		"bad mode":       fmt.Sprintf(`{"source": %q, "mode": "fortran"}`, valid),
-		"bad config":     fmt.Sprintf(`{"source": %q, "config": {"bound": 0}}`, valid),
-		"bad schema":     fmt.Sprintf(`{"source": %q, "schemaVersion": "99"}`, valid),
-		"unknown global": fmt.Sprintf(`{"source": %q, "symbolicGlobals": ["nope"]}`, valid),
-		"bad wire":       `{"program": {"version": 99}}`,
+		"malformed":       `{"source": `,
+		"empty":           `{}`,
+		"both forms":      fmt.Sprintf(`{"source": %q, "program": {"version":1}}`, valid),
+		"bad source":      `{"source": "fn fn fn"}`,
+		"bad mode":        fmt.Sprintf(`{"source": %q, "mode": "fortran"}`, valid),
+		"bad config":      fmt.Sprintf(`{"source": %q, "config": {"bound": 0}}`, valid),
+		"bad schema":      fmt.Sprintf(`{"source": %q, "schemaVersion": "99"}`, valid),
+		"unknown global":  fmt.Sprintf(`{"source": %q, "symbolicGlobals": ["nope"]}`, valid),
+		"bad wire":        `{"program": {"version": 99}}`,
+		"label above sec": `{"program": {"version":1,"entry":1,"instrs":[{"pc":1,"kind":0,"args":[{"w":5,"l":2}],"next":2}]}}`,
 	} {
 		resp, raw := postAnalyze(t, ts.URL, []byte(body))
 		if resp.StatusCode != http.StatusBadRequest {
@@ -444,6 +446,9 @@ func TestBadRequests(t *testing.T) {
 		if e.Code != spectre.ErrCodeBadRequest {
 			t.Errorf("%s: error code %q, want %q", name, e.Code, spectre.ErrCodeBadRequest)
 		}
+	}
+	if st := s.Stats(); st.Analyses != 0 {
+		t.Errorf("%d analyses ran for rejected requests, want 0", st.Analyses)
 	}
 }
 

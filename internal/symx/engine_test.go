@@ -262,40 +262,32 @@ func TestEngineDefiniteUnsat(t *testing.T) {
 	xPlus1 := Apply(isa.OpAdd, x, CW(1))
 	cases := []PathCondition{
 		// kocher03: the bounds check taken and not taken.
-		PCond(
-			Constraint{E: test(isa.OpLt, x, CW(4)), Truthy: false},
-			Constraint{E: test(isa.OpLt, x, CW(4)), Truthy: true},
-		),
+		PathCondition{}.
+			With(Constraint{E: test(isa.OpLt, x, CW(4)), Truthy: false}).
+			With(Constraint{E: test(isa.OpLt, x, CW(4)), Truthy: true}),
 		// kocher12: x+1 < 4 against a pinned x+1+4097 past the array.
-		PCond(
-			Constraint{E: test(isa.OpLt, xPlus1, CW(4)), Truthy: true},
-			Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, xPlus1, CW(4097)), CW(4101)), Truthy: true},
-		),
-		PCond(
-			Constraint{E: test(isa.OpLt, xPlus1, CW(4)), Truthy: true},
-			Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, xPlus1, CW(4097)), CW(4108)), Truthy: true},
-		),
+		PathCondition{}.
+			With(Constraint{E: test(isa.OpLt, xPlus1, CW(4)), Truthy: true}).
+			With(Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, xPlus1, CW(4097)), CW(4101)), Truthy: true}),
+		PathCondition{}.
+			With(Constraint{E: test(isa.OpLt, xPlus1, CW(4)), Truthy: true}).
+			With(Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, xPlus1, CW(4097)), CW(4108)), Truthy: true}),
 		// specv1_04: x > 0 false and x < 4 false.
-		PCond(
-			Constraint{E: test(isa.OpGt, x, CW(0)), Truthy: false},
-			Constraint{E: test(isa.OpLt, x, CW(4)), Truthy: false},
-		),
-		PCond(
-			Constraint{E: Apply(isa.OpEq, x, CW(7)), Truthy: true},
-			Constraint{E: Apply(isa.OpEq, x, CW(8)), Truthy: true},
-		),
-		PCond(
-			Constraint{E: Apply(isa.OpLt, x, CW(4)), Truthy: true},
-			Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, x, CW(0x40)), CW(0x48)), Truthy: true},
-		),
-		PCond(
-			Constraint{E: Apply(isa.OpAnd, x, CW(1)), Truthy: false},
-			Constraint{E: Apply(isa.OpAnd, x, CW(1)), Truthy: true},
-		),
-		PCond(
-			Constraint{E: Apply(isa.OpGe, x, CW(16)), Truthy: true},
-			Constraint{E: Apply(isa.OpLt, x, CW(16)), Truthy: true},
-		),
+		PathCondition{}.
+			With(Constraint{E: test(isa.OpGt, x, CW(0)), Truthy: false}).
+			With(Constraint{E: test(isa.OpLt, x, CW(4)), Truthy: false}),
+		PathCondition{}.
+			With(Constraint{E: Apply(isa.OpEq, x, CW(7)), Truthy: true}).
+			With(Constraint{E: Apply(isa.OpEq, x, CW(8)), Truthy: true}),
+		PathCondition{}.
+			With(Constraint{E: Apply(isa.OpLt, x, CW(4)), Truthy: true}).
+			With(Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, x, CW(0x40)), CW(0x48)), Truthy: true}),
+		PathCondition{}.
+			With(Constraint{E: Apply(isa.OpAnd, x, CW(1)), Truthy: false}).
+			With(Constraint{E: Apply(isa.OpAnd, x, CW(1)), Truthy: true}),
+		PathCondition{}.
+			With(Constraint{E: Apply(isa.OpGe, x, CW(16)), Truthy: true}).
+			With(Constraint{E: Apply(isa.OpLt, x, CW(16)), Truthy: true}),
 	}
 	for i, p := range cases {
 		e := s.query(p)
@@ -311,7 +303,7 @@ func TestEngineDefiniteUnsat(t *testing.T) {
 	}
 
 	// v11_04: the nested offset x-5+4105 pinned to 36861 is satisfiable.
-	sat := PCond(Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, Apply(isa.OpSub, x, CW(5)), CW(4105)), CW(36861)), Truthy: true})
+	sat := PathCondition{}.With(Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, Apply(isa.OpSub, x, CW(5)), CW(4105)), CW(36861)), Truthy: true})
 	if env, ok := s.Solve(sat); !ok || env["x"] != 32761 {
 		t.Errorf("v11_04 pin: Solve = %v, %v; want x=32761", env, ok)
 	}
@@ -336,11 +328,10 @@ func TestEnginePinnedEqualitySkipsProbing(t *testing.T) {
 // Vars is O(1) on the chain: the sorted set is cached per node.
 func TestPathConditionVarsAllocFree(t *testing.T) {
 	x, y := NewVar("x", mem.Public), NewVar("y", mem.Public)
-	p := PCond(
-		Constraint{E: Apply(isa.OpLt, y, CW(100)), Truthy: true},
-		Constraint{E: Apply(isa.OpGt, x, CW(2)), Truthy: true},
-		Constraint{E: Apply(isa.OpEq, x, y), Truthy: false},
-	)
+	p := PathCondition{}.
+		With(Constraint{E: Apply(isa.OpLt, y, CW(100)), Truthy: true}).
+		With(Constraint{E: Apply(isa.OpGt, x, CW(2)), Truthy: true}).
+		With(Constraint{E: Apply(isa.OpEq, x, y), Truthy: false})
 	if got := p.Vars(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
 		t.Fatalf("Vars = %v, want [x y]", got)
 	}
@@ -372,7 +363,7 @@ func TestMemoryReadUnmappedAllocFree(t *testing.T) {
 func TestEngineCacheHits(t *testing.T) {
 	x := NewVar("x", mem.Public)
 	s := NewSolver()
-	p := PCond(Constraint{E: Apply(isa.OpGt, x, CW(4)), Truthy: true})
+	p := PathCondition{}.With(Constraint{E: Apply(isa.OpGt, x, CW(4)), Truthy: true})
 	e1, ok1 := s.Solve(p)
 	e2, ok2 := s.Solve(p)
 	if !ok1 || !ok2 || fmt.Sprint(e1) != fmt.Sprint(e2) {

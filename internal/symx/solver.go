@@ -51,15 +51,6 @@ type pcNode struct {
 	vars   []string
 }
 
-// PCond builds a path condition from constraints, oldest first.
-func PCond(cs ...Constraint) PathCondition {
-	var p PathCondition
-	for _, c := range cs {
-		p = p.With(c)
-	}
-	return p
-}
-
 // With returns the path condition extended by one constraint (the
 // receiver is not mutated; prefixes stay shared across forks).
 func (p PathCondition) With(c Constraint) PathCondition {

@@ -171,7 +171,10 @@ func TestPathConditionFingerprintFold(t *testing.T) {
 		{E: Apply(isa.OpEq, x, CW(3)), Truthy: false},
 		{E: Apply(isa.OpGt, x, CW(1)), Truthy: true},
 	}
-	p := PCond(cs...)
+	var p PathCondition
+	for _, c := range cs {
+		p = p.With(c)
+	}
 	want := mem.HashSeed
 	for _, c := range cs {
 		want = mem.Mix64(want ^ Fingerprint(c.E))
@@ -184,7 +187,7 @@ func TestPathConditionFingerprintFold(t *testing.T) {
 	if got := p.Fingerprint(); got != want {
 		t.Fatalf("chain fingerprint %#x, slice fold %#x", got, want)
 	}
-	if PCond().Fingerprint() != mem.HashSeed {
+	if (PathCondition{}).Fingerprint() != mem.HashSeed {
 		t.Fatal("empty condition must fingerprint to the seed")
 	}
 }
@@ -193,11 +196,10 @@ func TestPathConditionFingerprintFold(t *testing.T) {
 // allocates exactly the one chain node, never a copy of the prefix.
 func TestPathConditionWithAllocs(t *testing.T) {
 	x := NewVar("x", mem.Public)
-	base := PCond(
-		Constraint{E: Apply(isa.OpLt, x, CW(100)), Truthy: true},
-		Constraint{E: Apply(isa.OpGt, x, CW(2)), Truthy: true},
-		Constraint{E: Apply(isa.OpEq, x, CW(50)), Truthy: false},
-	)
+	base := PathCondition{}.
+		With(Constraint{E: Apply(isa.OpLt, x, CW(100)), Truthy: true}).
+		With(Constraint{E: Apply(isa.OpGt, x, CW(2)), Truthy: true}).
+		With(Constraint{E: Apply(isa.OpEq, x, CW(50)), Truthy: false})
 	c := Constraint{E: Apply(isa.OpEq, x, CW(7)), Truthy: true}
 	allocs := testing.AllocsPerRun(200, func() {
 		sink = base.With(c)
@@ -213,10 +215,9 @@ func TestSolverSimple(t *testing.T) {
 	s := NewSolver()
 	x := NewVar("x", mem.Public)
 	// x > 4 ∧ x < 8
-	pc := PCond(
-		Constraint{E: Apply(isa.OpGt, x, CW(4)), Truthy: true},
-		Constraint{E: Apply(isa.OpLt, x, CW(8)), Truthy: true},
-	)
+	pc := PathCondition{}.
+		With(Constraint{E: Apply(isa.OpGt, x, CW(4)), Truthy: true}).
+		With(Constraint{E: Apply(isa.OpLt, x, CW(8)), Truthy: true})
 	env, ok := s.Solve(pc)
 	if !ok {
 		t.Fatal("satisfiable system not solved")
@@ -231,7 +232,7 @@ func TestSolverEmptyAndTrivial(t *testing.T) {
 	if env, ok := s.Solve(PathCondition{}); !ok || len(env) != 0 {
 		t.Fatal("empty condition is satisfiable by the empty model")
 	}
-	pc := PCond(Constraint{E: CW(0), Truthy: true})
+	pc := PathCondition{}.With(Constraint{E: CW(0), Truthy: true})
 	if _, ok := s.Solve(pc); ok {
 		t.Fatal("0 ≠ 0 must not be satisfiable")
 	}
@@ -241,10 +242,9 @@ func TestSolverTwoVariables(t *testing.T) {
 	s := NewSolver()
 	x, y := NewVar("x", mem.Public), NewVar("y", mem.Public)
 	// x + y == 255 ∧ x == 255 (forces y == 0)
-	pc := PCond(
-		Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, x, y), CW(255)), Truthy: true},
-		Constraint{E: Apply(isa.OpEq, x, CW(255)), Truthy: true},
-	)
+	pc := PathCondition{}.
+		With(Constraint{E: Apply(isa.OpEq, Apply(isa.OpAdd, x, y), CW(255)), Truthy: true}).
+		With(Constraint{E: Apply(isa.OpEq, x, CW(255)), Truthy: true})
 	env, ok := s.Solve(pc)
 	if !ok {
 		t.Fatal("not solved")
@@ -270,11 +270,10 @@ func TestSolveWithPinsExpression(t *testing.T) {
 func TestFeasible(t *testing.T) {
 	s := NewSolver()
 	x := NewVar("x", mem.Public)
-	sat := PCond(Constraint{E: Apply(isa.OpEq, x, CW(7)), Truthy: true})
-	unsat := PCond(
-		Constraint{E: Apply(isa.OpEq, x, CW(7)), Truthy: true},
-		Constraint{E: Apply(isa.OpEq, x, CW(8)), Truthy: true},
-	)
+	sat := PathCondition{}.With(Constraint{E: Apply(isa.OpEq, x, CW(7)), Truthy: true})
+	unsat := PathCondition{}.
+		With(Constraint{E: Apply(isa.OpEq, x, CW(7)), Truthy: true}).
+		With(Constraint{E: Apply(isa.OpEq, x, CW(8)), Truthy: true})
 	if !s.Feasible(sat) {
 		t.Fatal("sat reported infeasible")
 	}
@@ -327,7 +326,7 @@ func TestConcretizerPrefersSecretCells(t *testing.T) {
 	}
 	// Under a bounds constraint x < 4 the secret cells are
 	// unreachable; concretization must still succeed, in bounds.
-	pc := PCond(Constraint{E: Apply(isa.OpLt, x, CW(4)), Truthy: true})
+	pc := PathCondition{}.With(Constraint{E: Apply(isa.OpLt, x, CW(4)), Truthy: true})
 	a, ok = c.Concretize(addr, pc, m)
 	if !ok {
 		t.Fatal("bounded concretization failed")
@@ -350,10 +349,9 @@ func TestConcretizeInfeasiblePath(t *testing.T) {
 	s := NewSolver()
 	c := NewConcretizer(s)
 	x := NewVar("x", mem.Public)
-	pc := PCond(
-		Constraint{E: Apply(isa.OpEq, x, CW(1)), Truthy: true},
-		Constraint{E: Apply(isa.OpEq, x, CW(2)), Truthy: true},
-	)
+	pc := PathCondition{}.
+		With(Constraint{E: Apply(isa.OpEq, x, CW(1)), Truthy: true}).
+		With(Constraint{E: Apply(isa.OpEq, x, CW(2)), Truthy: true})
 	if _, ok := c.Concretize(x, pc, NewMemory()); ok {
 		t.Fatal("infeasible path must fail concretization")
 	}

@@ -52,10 +52,9 @@ type Config struct {
 	Mem  map[isa.Addr]mem.Label
 }
 
-// Report is the analysis result: per-point speculative reachability,
-// sink labels, and verdicts, plus the forward-reachability closure
-// behind ForkFree. Reports are immutable after Analyze and
-// safe for concurrent readers.
+// Report is the analysis result: per-point speculative reachability
+// and verdicts, plus the forward-reachability closure behind ForkFree.
+// Reports are immutable after Analyze and safe for concurrent readers.
 type Report struct {
 	// Points is the number of instruction points analyzed; Reachable
 	// the number of speculatively reachable ones.
@@ -68,7 +67,6 @@ type Report struct {
 	ComputedFlow bool
 
 	reachable  map[isa.Addr]bool
-	sink       map[isa.Addr]mem.Label
 	suspicious map[isa.Addr]bool
 	// suspectReach holds the points from which some suspicious point is
 	// forward-reachable (including the point itself). Under
@@ -86,15 +84,6 @@ func (r *Report) Safe() bool { return !r.anySuspicious }
 // public sink label — no transient execution can produce a
 // secret-labeled observation there.
 func (r *Report) SafePoint(pp isa.Addr) bool { return !r.suspicious[pp] }
-
-// SinkLabel returns the point's static sink label: the join of every
-// label a transient execution could expose through the point's
-// observations. Unreachable points are Public.
-func (r *Report) SinkLabel(pp isa.Addr) mem.Label { return r.sink[pp] }
-
-// ReachablePoint reports whether any speculative execution can reach
-// the point.
-func (r *Report) ReachablePoint(pp isa.Addr) bool { return r.reachable[pp] }
 
 // ForkFree reports whether no suspicious point is forward-reachable
 // from pp (pp itself included): the entire execution future unlocked
@@ -187,7 +176,6 @@ func Analyze(cfg Config) (*Report, error) {
 	rep := &Report{
 		Points:     len(points),
 		reachable:  make(map[isa.Addr]bool, len(points)),
-		sink:       make(map[isa.Addr]mem.Label, len(points)),
 		suspicious: make(map[isa.Addr]bool),
 	}
 	if len(points) == 0 {
@@ -284,9 +272,7 @@ func Analyze(cfg Config) (*Report, error) {
 		if !rep.reachable[pp] {
 			continue
 		}
-		l := sinkLabel(p.Instrs[pp], in[pp], ms)
-		rep.sink[pp] = l
-		if l.IsSecret() {
+		if sinkLabel(p.Instrs[pp], in[pp], ms).IsSecret() {
 			rep.suspicious[pp] = true
 			rep.anySuspicious = true
 		}

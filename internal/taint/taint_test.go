@@ -201,8 +201,8 @@ func randProgram(rng *rand.Rand, n int) *isa.Program {
 }
 
 // TestMonotonicity: joining MORE secrets into the seed labeling never
-// yields a LESS secret result — sink labels rise pointwise, the
-// suspicious set only grows, and Safe can only flip towards false.
+// yields a LESS secret result — the suspicious set only grows, and
+// Safe can only flip towards false.
 func TestMonotonicity(t *testing.T) {
 	rng := rand.New(rand.NewSource(20200615))
 	for trial := 0; trial < 200; trial++ {
@@ -233,10 +233,6 @@ func TestMonotonicity(t *testing.T) {
 		sr := analyze(t, strong)
 
 		for _, pp := range p.Points() {
-			if !wr.SinkLabel(pp).FlowsTo(sr.SinkLabel(pp)) {
-				t.Fatalf("trial %d: sink label not monotone at %d: weak %v, strong %v\n%v",
-					trial, pp, wr.SinkLabel(pp), sr.SinkLabel(pp), p.Instrs)
-			}
 			if !wr.SafePoint(pp) && sr.SafePoint(pp) {
 				t.Fatalf("trial %d: point %d suspicious under weak seed but safe under strong\n%v", trial, pp, p.Instrs)
 			}
@@ -315,10 +311,6 @@ func TestReorderingIndependentBlocks(t *testing.T) {
 		if rAB.SafePoint(from) != rBA.SafePoint(to) {
 			t.Errorf("verdict differs across reordering: AB@%d safe=%v, BA@%d safe=%v",
 				from, rAB.SafePoint(from), to, rBA.SafePoint(to))
-		}
-		if rAB.SinkLabel(from) != rBA.SinkLabel(to) {
-			t.Errorf("sink label differs across reordering: AB@%d %v, BA@%d %v",
-				from, rAB.SinkLabel(from), to, rBA.SinkLabel(to))
 		}
 	}
 	if rAB.Safe() != rBA.Safe() {

@@ -12,6 +12,7 @@ package testcases
 
 import (
 	"fmt"
+	"strings"
 
 	"pitchfork/internal/core"
 	"pitchfork/internal/ct"
@@ -265,25 +266,16 @@ func (c Case) Source() string { return withHelpers(c.Src) }
 
 func withHelpers(src string) string {
 	out := src
-	if contains(src, "leak(") {
+	if strings.Contains(src, "leak(") {
 		out += leakHelper
 	}
-	if contains(src, "scrub(") {
+	if strings.Contains(src, "scrub(") {
 		out += `
 fn scrub(i) {
   key[i] = 0;
 }`
 	}
 	return out
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // Build compiles the case (ModeC) and returns a fresh machine.

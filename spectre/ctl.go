@@ -99,10 +99,7 @@ func (r *SequentialResult) SecretFree() bool { return r.Trace.SecretFree() }
 // Read returns the final memory word at address a and whether it is
 // secret-labeled.
 func (r *SequentialResult) Read(a Word) (value Word, secret bool) {
-	v, err := r.m.Mem.Read(a)
-	if err != nil {
-		return 0, false
-	}
+	v := r.m.Mem.Read(a)
 	return v.W, v.IsSecret()
 }
 

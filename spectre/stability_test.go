@@ -3,6 +3,7 @@ package spectre_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"pitchfork/spectre"
@@ -95,6 +96,54 @@ func TestConfigCacheKeyStability(t *testing.T) {
 	c.ForwardHazards = false
 	if got, want := c.CacheKey(), "72906792b7e6f4aeeb1a24fc375d4cc0da629ca48db61666f84df26419956557"; got != want {
 		t.Errorf("symbolic config key rotated:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestProgramWireLabels: each of the wire form's five label fields
+// (operand, datum, register seed, symbolic register, symbolic memory)
+// decodes 0 and 1 and re-encodes them byte-identically, and rejects 2.
+func TestProgramWireLabels(t *testing.T) {
+	// doc renders the program with label l[i] in field i. explicit
+	// writes every label; otherwise a zero label is omitted, as
+	// MarshalJSON does.
+	doc := func(l [5]int, explicit bool) string {
+		f := func(i int) string {
+			if l[i] == 0 && !explicit {
+				return ""
+			}
+			return fmt.Sprintf(`,"l":%d`, l[i])
+		}
+		return `{"version":1,"entry":1,` +
+			`"instrs":[{"pc":1,"kind":0,"args":[{"w":5` + f(0) + `}],"next":2}],` +
+			`"data":[{"a":64,"w":7` + f(1) + `}],` +
+			`"regs":[{"r":1,"w":3` + f(2) + `}],` +
+			`"symRegs":[{"r":2,"n":"x"` + f(3) + `}],` +
+			`"symMem":[{"a":96,"n":"k"` + f(4) + `}]}`
+	}
+	fields := []string{"operand", "datum", "reg seed", "sym reg", "sym mem"}
+	for i, field := range fields {
+		for _, l := range []int{0, 1, 2} {
+			labels := [5]int{1, 1, 1, 1, 1}
+			labels[i] = l
+			var p spectre.Program
+			err := json.Unmarshal([]byte(doc(labels, true)), &p)
+			if l > 1 {
+				if err == nil {
+					t.Errorf("%s label %d decoded, want an error", field, l)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s label %d: %v", field, l, err)
+			}
+			raw, err := json.Marshal(&p)
+			if err != nil {
+				t.Fatalf("%s label %d: marshal: %v", field, l, err)
+			}
+			if want := doc(labels, false); string(raw) != want {
+				t.Errorf("%s label %d re-encodes as\n%s\nwant\n%s", field, l, raw, want)
+			}
+		}
 	}
 }
 

@@ -32,12 +32,30 @@ const programWireVersion = 1
 // spectre/stability_test.go.
 const fingerprintDomain = "spectre-program-v1\x00"
 
+// wireLabel is a security label on the wire: 0 (pub) or 1 (sec), the
+// two points of the lattice. It encodes as the bare number; decoding
+// rejects any other value, which no checker gives a meaning.
+type wireLabel uint64
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (l *wireLabel) UnmarshalJSON(data []byte) error {
+	var n uint64
+	if err := json.Unmarshal(data, &n); err != nil {
+		return err
+	}
+	if n > uint64(mem.Secret) {
+		return fmt.Errorf("label %d is neither 0 (pub) nor 1 (sec)", n)
+	}
+	*l = wireLabel(n)
+	return nil
+}
+
 type wireOperand struct {
 	// Reg is set for register operands; W/L carry the labeled
 	// immediate otherwise.
-	Reg *uint16 `json:"reg,omitempty"`
-	W   uint64  `json:"w,omitempty"`
-	L   uint64  `json:"l,omitempty"`
+	Reg *uint16   `json:"reg,omitempty"`
+	W   uint64    `json:"w,omitempty"`
+	L   wireLabel `json:"l,omitempty"`
 }
 
 type wireInstr struct {
@@ -55,9 +73,9 @@ type wireInstr struct {
 }
 
 type wireDatum struct {
-	A uint64 `json:"a"`
-	W uint64 `json:"w,omitempty"`
-	L uint64 `json:"l,omitempty"`
+	A uint64    `json:"a"`
+	W uint64    `json:"w,omitempty"`
+	L wireLabel `json:"l,omitempty"`
 }
 
 type wireSymbol struct {
@@ -66,21 +84,21 @@ type wireSymbol struct {
 }
 
 type wireRegSeed struct {
-	R uint16 `json:"r"`
-	W uint64 `json:"w,omitempty"`
-	L uint64 `json:"l,omitempty"`
+	R uint16    `json:"r"`
+	W uint64    `json:"w,omitempty"`
+	L wireLabel `json:"l,omitempty"`
 }
 
 type wireSymReg struct {
-	R uint16 `json:"r"`
-	N string `json:"n"`
-	L uint64 `json:"l,omitempty"`
+	R uint16    `json:"r"`
+	N string    `json:"n"`
+	L wireLabel `json:"l,omitempty"`
 }
 
 type wireSymMem struct {
-	A uint64 `json:"a"`
-	N string `json:"n"`
-	L uint64 `json:"l,omitempty"`
+	A uint64    `json:"a"`
+	N string    `json:"n"`
+	L wireLabel `json:"l,omitempty"`
 }
 
 type programWire struct {
@@ -101,7 +119,7 @@ func wireOperandOf(o isa.Operand) wireOperand {
 		r := uint16(o.Reg)
 		return wireOperand{Reg: &r}
 	}
-	return wireOperand{W: o.Imm.W, L: uint64(o.Imm.L)}
+	return wireOperand{W: o.Imm.W, L: wireLabel(o.Imm.L)}
 }
 
 func (w wireOperand) operand() isa.Operand {
@@ -152,12 +170,12 @@ func (p *Program) wire() (*programWire, error) {
 		w.Instrs = []wireInstr{}
 	}
 	for a, v := range p.prog.Data {
-		w.Data = append(w.Data, wireDatum{A: a, W: v.W, L: uint64(v.L)})
+		w.Data = append(w.Data, wireDatum{A: a, W: v.W, L: wireLabel(v.L)})
 	}
 	sort.Slice(w.Data, func(i, j int) bool { return w.Data[i].A < w.Data[j].A })
 	w.Symbols = sortedSymbols(p.prog.Symbols)
 	for r, v := range p.regs {
-		w.Regs = append(w.Regs, wireRegSeed{R: uint16(r), W: v.W, L: uint64(v.L)})
+		w.Regs = append(w.Regs, wireRegSeed{R: uint16(r), W: v.W, L: wireLabel(v.L)})
 	}
 	sort.Slice(w.Regs, func(i, j int) bool { return w.Regs[i].R < w.Regs[j].R })
 	for r, e := range p.symRegs {
@@ -165,7 +183,7 @@ func (p *Program) wire() (*programWire, error) {
 		if !ok {
 			return nil, fmt.Errorf("spectre: register %d: non-variable symbolic binding cannot be serialized", r)
 		}
-		w.SymRegs = append(w.SymRegs, wireSymReg{R: uint16(r), N: v.Name, L: uint64(v.L)})
+		w.SymRegs = append(w.SymRegs, wireSymReg{R: uint16(r), N: v.Name, L: wireLabel(v.L)})
 	}
 	sort.Slice(w.SymRegs, func(i, j int) bool { return w.SymRegs[i].R < w.SymRegs[j].R })
 	for a, e := range p.symMem {
@@ -173,7 +191,7 @@ func (p *Program) wire() (*programWire, error) {
 		if !ok {
 			return nil, fmt.Errorf("spectre: memory %d: non-variable symbolic binding cannot be serialized", a)
 		}
-		w.SymMem = append(w.SymMem, wireSymMem{A: a, N: v.Name, L: uint64(v.L)})
+		w.SymMem = append(w.SymMem, wireSymMem{A: a, N: v.Name, L: wireLabel(v.L)})
 	}
 	sort.Slice(w.SymMem, func(i, j int) bool { return w.SymMem[i].A < w.SymMem[j].A })
 	w.Globals = sortedSymbols(p.globals)
@@ -198,7 +216,7 @@ func (p *Program) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes the builder wire form produced by MarshalJSON,
 // validating the program like ProgramBuilder.Build does. Unknown wire
-// versions are rejected.
+// versions, and labels other than 0 (pub) and 1 (sec), are rejected.
 func (p *Program) UnmarshalJSON(data []byte) error {
 	var w programWire
 	if err := json.Unmarshal(data, &w); err != nil {

@@ -40,6 +40,7 @@ func FuzzProgramWire(f *testing.F) {
 	f.Add([]byte(sparseWireProgram))
 	f.Add([]byte(`{"version":1,"entry":0,"instrs":[]}`))
 	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`{"version":1,"entry":0,"instrs":[],"data":[{"a":64,"w":7,"l":2}]}`))
 	an, err := spectre.New(spectre.WithMaxStates(64), spectre.WithMaxRetired(32))
 	if err != nil {
 		f.Fatal(err)

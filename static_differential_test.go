@@ -35,11 +35,7 @@ func taintOfMachine(m *core.Machine) (*taint.Report, error) {
 		cfg.Regs[r] = m.Regs.Read(r).L
 	}
 	for _, a := range m.Mem.Addresses() {
-		v, err := m.Mem.Read(a)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Mem[a] = v.L
+		cfg.Mem[a] = m.Mem.Read(a).L
 	}
 	return taint.Analyze(cfg)
 }
