@@ -56,20 +56,11 @@ const (
 // is a witness assignment of the symbolic inputs.
 type Violation = sched.Violation
 
-// Report aggregates an analysis run.
+// Report aggregates an analysis run: the engine's result and the mode
+// it ran in.
 type Report struct {
-	Violations []Violation
-	States     int
-	Paths      int
-	Truncated  bool
-	// Interrupted reports whether Options.Interrupt (or an OnViolation
-	// callback returning false) cut the analysis short.
-	Interrupted bool
-	Mode        string
-	// Workers is the number of exploration goroutines the run used.
-	Workers int
-	// DedupHits counts states pruned by fingerprint deduplication.
-	DedupHits int
+	sched.Result
+	Mode string
 	// Solver carries the constraint engine's per-analysis counters in
 	// symbolic mode; nil in concrete mode. Under parallel runs the
 	// cache-hit/fresh-solve split depends on worker interleaving (the
@@ -77,10 +68,6 @@ type Report struct {
 	// deterministic result surface.
 	Solver *symx.SolverStats
 }
-
-// SecretFree reports whether the program was found SCT-clean at the
-// analyzed bound.
-func (r Report) SecretFree() bool { return len(r.Violations) == 0 }
 
 // Summary renders a one-line result.
 func (r Report) Summary() string {
@@ -117,13 +104,7 @@ func analyze(m sched.Machine, mode string, opts Options) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("pitchfork: %w", err)
 	}
-	res := e.Explore(m)
-	return Report{
-		Violations: res.Violations,
-		States:     res.States, Paths: res.Paths,
-		Truncated: res.Truncated, Interrupted: res.Interrupted,
-		Mode: mode, Workers: res.Workers, DedupHits: res.DedupHits,
-	}, nil
+	return Report{Result: e.Explore(m), Mode: mode}, nil
 }
 
 // AnalyzeProcedure runs the paper's two-phase evaluation procedure

@@ -13,8 +13,7 @@ import (
 // at run time, a mask recomputed inside a loop is paid every
 // iteration. Cost is therefore the number of instructions the bounded
 // sequential replay retires — exactly the directives a sequential
-// processor issues — and falls back to static program length when no
-// Machine is configured.
+// processor issues.
 
 // costUnbounded ranks programs whose replay faults or never halts
 // below every measurable candidate.
@@ -22,13 +21,9 @@ const costUnbounded = int(^uint(0) >> 1)
 
 // seqCost estimates the sequential-schedule cost of a program: retired
 // instructions of the bounded sequential replay (the behaviour
-// certificate's budget), or p.Len() when opts has no Machine.
+// certificate's budget).
 func seqCost(p *isa.Program, opts Options) int {
-	if opts.Machine == nil {
-		return p.Len()
-	}
-	m := opts.Machine(p)
-	schedule, _, err := core.RunSequential(m, 2*opts.MaxSeqInstrs)
+	schedule, _, err := core.RunSequential(opts.Machine(p), 2*opts.MaxSeqInstrs)
 	if err != nil {
 		return costUnbounded
 	}
@@ -55,12 +50,9 @@ func retiredCount(s core.Schedule) int {
 // WITHOUT the site — the drop that buys the cheapest program is
 // attempted before the others, so the surviving 1-minimal set is
 // biased toward low sequential overhead rather than low addresses.
-// Without a Machine every trial costs the same (static length differs
-// by a constant per site for a fixed strategy), and the order reduces
-// to ascending addresses — the historical behaviour.
 func minimizeOrder(orig *isa.Program, mit Mitigation, sites []isa.Addr, opts Options) []isa.Addr {
 	order := append([]isa.Addr(nil), sites...)
-	if opts.Machine == nil || len(sites) < 2 {
+	if len(sites) < 2 {
 		return order
 	}
 	cost := make(map[isa.Addr]int, len(sites))

@@ -54,15 +54,13 @@ type Options struct {
 	// secret-freedom only when it is neither truncated nor interrupted.
 	Verify func(*isa.Program) (pitchfork.Report, error)
 	// Machine builds a concrete machine in a candidate program's
-	// initial configuration. Optional; when set it enables the
-	// sequential-leak precheck, the behaviour-preservation certificate,
-	// and the sequential cost model.
+	// initial configuration. Required: the sequential-leak precheck,
+	// the behaviour-preservation certificate and the sequential cost
+	// model replay it.
 	Machine func(*isa.Program) *core.Machine
 	// MaxIters bounds the counterexample-guided iterations (0 =
 	// DefaultMaxIters).
 	MaxIters int
-	// NoMinimize skips the greedy patch-set minimization pass.
-	NoMinimize bool
 	// MaxSeqInstrs bounds the sequential replays of the precheck, the
 	// behaviour certificate and the cost model (0 =
 	// sched.DefaultMaxRetired).
@@ -179,8 +177,8 @@ type Result struct {
 	// the program was already clean).
 	Iterations int
 	// PreMinimizeFences is the inserted-instruction count before
-	// minimization (equal to Inserted when minimization is disabled or
-	// removed nothing).
+	// minimization (equal to Inserted when minimization removed
+	// nothing).
 	PreMinimizeFences int
 	// UnsafeJump is the program point of the computed jump whose target
 	// the refused patch plan would have shifted (OutcomeUnsafeRewrite
@@ -188,8 +186,8 @@ type Result struct {
 	UnsafeJump isa.Addr
 	// SeqInstrsBefore and SeqInstrs are the sequential cost model's
 	// estimates — instructions retired by the bounded sequential
-	// replay — for the original and the repaired program (0 when
-	// Options.Machine is unset).
+	// replay — for the original and the repaired program (0 when the
+	// original's replay faults).
 	SeqInstrsBefore, SeqInstrs int
 	// PerStrategy holds every strategy's attempt in portfolio order
 	// when the run used StrategyAuto (nil otherwise); the Result itself
@@ -253,6 +251,9 @@ func Repair(prog *isa.Program, opts Options) (*Result, error) {
 	if opts.Verify == nil {
 		return nil, fmt.Errorf("repair: Options.Verify is required")
 	}
+	if opts.Machine == nil {
+		return nil, fmt.Errorf("repair: Options.Machine is required")
+	}
 	strategies, err := strategiesFor(opts.Strategy)
 	if err != nil {
 		return nil, err
@@ -281,15 +282,13 @@ func Repair(prog *isa.Program, opts Options) (*Result, error) {
 	// count double as the baseline of the behaviour certificate and the
 	// cost model.
 	var base *seqBaseline
-	if opts.Machine != nil {
-		if b, err := runAttributed(func() *core.Machine { return opts.Machine(prog) }, opts.MaxSeqInstrs); err == nil {
-			base = b
-			for _, o := range b.obs {
-				if o.o.Secret() {
-					res.Outcome = OutcomeSequentialLeak
-					res.Strategy = strategies[0].Name()
-					return res, nil
-				}
+	if b, err := runAttributed(func() *core.Machine { return opts.Machine(prog) }, opts.MaxSeqInstrs); err == nil {
+		base = b
+		for _, o := range b.obs {
+			if o.o.Secret() {
+				res.Outcome = OutcomeSequentialLeak
+				res.Strategy = strategies[0].Name()
+				return res, nil
 			}
 		}
 	}
@@ -389,7 +388,7 @@ func runStrategy(prog *isa.Program, mit Mitigation, before pitchfork.Report, bas
 	res.Outcome = OutcomeRepaired
 	res.PreMinimizeFences = len(res.rw.Inserted)
 
-	if !opts.NoMinimize && len(res.Sites) > 1 {
+	if len(res.Sites) > 1 {
 		if err := minimize(prog, mit, res, opts); err != nil {
 			res.Outcome = OutcomeFailed
 			return res, err

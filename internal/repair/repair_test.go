@@ -117,6 +117,21 @@ func TestRepairCleanProgram(t *testing.T) {
 	}
 }
 
+// TestRepairRequiresOptions: a run without Verify or without Machine is
+// refused before anything is analyzed.
+func TestRepairRequiresOptions(t *testing.T) {
+	prog, regs := fromAttack(attacks.Figure1())
+	full := optionsFor(regs)
+	for name, opts := range map[string]Options{
+		"no Verify":  {Machine: full.Machine},
+		"no Machine": {Verify: full.Verify},
+	} {
+		if res, err := Repair(prog, opts); err == nil || res != nil {
+			t.Errorf("%s: got %v, %v; want a nil result and an error", name, res, err)
+		}
+	}
+}
+
 // TestRepairSequentialLeak refuses to "repair" a program that leaks
 // with no speculation at all: fences only constrain scheduling.
 func TestRepairSequentialLeak(t *testing.T) {

@@ -113,10 +113,9 @@ func (n *traceNode) materialize() core.Trace {
 }
 
 // statePool recycles exploration nodes: a finished path's state is
-// returned here and its struct (plus its pendingFwd map, cleared) is
-// reused for the next fork, in both the serial and the work-stealing
-// drivers. The chains and machines a state pointed at are shared and
-// never pooled.
+// returned here and its struct is reused for the next fork, in both
+// the serial and the work-stealing drivers. The chains and machines a
+// state pointed at are shared and never pooled.
 var statePool = sync.Pool{New: func() any { return new(state) }}
 
 // newState returns a blank exploration node from the pool.
@@ -124,15 +123,13 @@ func newState() *state {
 	return statePool.Get().(*state)
 }
 
-// releaseState returns a finished node to the pool. The pendingFwd
-// map is kept (cleared) for reuse; every reference the node held is
-// dropped so pooling never extends an object's lifetime.
+// releaseState returns a finished node to the pool. Every reference the
+// node held is dropped so pooling never extends an object's lifetime.
 func releaseState(s *state) {
 	s.m = nil
 	s.sched = schedRef{}
 	s.trace = nil
 	s.secret = nil
 	s.settled = 0
-	clear(s.pendingFwd)
 	statePool.Put(s)
 }

@@ -176,11 +176,20 @@ var cursorPins = map[string][2]cursorPin{
 // scans, each index below the settled-prefix cursor must be settled —
 // resolved and not a fence, or a pending branch — and the machine's
 // pending-branch index must list exactly the pending branches of a
-// scan of the whole buffer, in ascending order. The exploration counts
-// must match the pins, so neither the cursor nor the index changes a
-// decision.
+// scan of the whole buffer, in ascending order. With forwarding
+// hazards on, each unresolved load is also executed on a fork of the
+// machine, and the step must fail or leave the load resolved in every
+// successor: the strategy issues only plain execute directives, which
+// stall or resolve a load, so the load fork's execute-now arm never
+// comes back to the same unresolved load and the fork keeps no record
+// of which loads it has taken. The
+// exploration counts must match the pins, so neither the cursor nor
+// the index changes a decision.
 func TestCursorInvariant(t *testing.T) {
-	var checked, failures atomic.Int64
+	var checked, loads, failures atomic.Int64
+	// fwd is set before each run starts its workers and read by the
+	// hook during the run.
+	var fwd bool
 	defer sched.SetCursorCheck(func(m sched.Machine, settled int) {
 		checked.Add(1)
 		fail := func(format string, args ...any) {
@@ -200,6 +209,19 @@ func TestCursorInvariant(t *testing.T) {
 			}
 			if v.Kind == core.TBr {
 				branches = append(branches, i)
+			}
+			if !fwd || v.Kind != core.TLoad || v.Resolved {
+				continue
+			}
+			loads.Add(1)
+			succs, err := m.Fork().Successors(core.Execute(i))
+			if err != nil {
+				continue
+			}
+			for _, sc := range succs {
+				if v, ok := sc.M.View(i); !ok || !v.Resolved {
+					fail("execute %d left the load unresolved (in buffer %t): %+v", i, ok, v)
+				}
 			}
 		}
 		if !slices.Equal(m.Branches(), branches) {
@@ -257,6 +279,7 @@ func TestCursorInvariant(t *testing.T) {
 					continue
 				}
 				for w := 1; w <= 2; w++ {
+					fwd = ph.fwd
 					opts := pitchfork.Options{Bound: ph.bound, ForwardHazards: ph.fwd, Workers: w, MaxStates: 20_000}
 					var rep pitchfork.Report
 					var err error
@@ -290,5 +313,8 @@ func TestCursorInvariant(t *testing.T) {
 	if checked.Load() == 0 {
 		t.Fatal("the cursor check never ran")
 	}
-	t.Logf("%d runs, cursor checked in %d states", runs, checked.Load())
+	if loads.Load() == 0 {
+		t.Fatal("no unresolved load was ever scanned")
+	}
+	t.Logf("%d runs, cursor checked in %d states, %d unresolved loads executed", runs, checked.Load(), loads.Load())
 }

@@ -112,7 +112,7 @@ const (
 // observation reachable under a worst-case schedule.
 type Violation struct {
 	Obs      core.Observation
-	Schedule core.Schedule // schedule prefix that produced it (if kept)
+	Schedule core.Schedule // schedule prefix that produced it
 	Trace    core.Trace    // observation trace up to and including Obs
 	Kind     VariantKind   // heuristic Spectre-variant classification
 	PC       isa.Addr      // program point of the instruction that produced Obs
@@ -313,11 +313,6 @@ type state struct {
 	// nil — maintained incrementally as observations append, so no
 	// state rescans its trace.
 	secret *traceNode
-	// pendingFwd marks load indices whose forwarding fork has already
-	// been taken in this state (so re-deciding after a partial store
-	// resolution re-forks correctly but not infinitely). Lazily
-	// allocated: most states never fork on forwarding.
-	pendingFwd map[int]bool
 	// settled is the path's settled-prefix cursor: every buffer index
 	// in [BufMin, settled) holds an entry executePhase's first pass
 	// never acts on (see isSettled), so the pass starts at
@@ -340,24 +335,7 @@ func (s *state) clone() *state {
 	c.m = s.m.Fork()
 	c.sched, c.trace, c.secret = s.sched, s.trace, s.secret
 	c.settled = s.settled
-	if len(s.pendingFwd) > 0 {
-		if c.pendingFwd == nil {
-			c.pendingFwd = make(map[int]bool, len(s.pendingFwd))
-		}
-		for k, v := range s.pendingFwd {
-			c.pendingFwd[k] = v
-		}
-	}
 	return c
-}
-
-// markPendingFwd records that the load at buffer index i has taken its
-// forwarding fork, allocating the map on first use.
-func (s *state) markPendingFwd(i int) {
-	if s.pendingFwd == nil {
-		s.pendingFwd = make(map[int]bool, 2)
-	}
-	s.pendingFwd[i] = true
 }
 
 // Explore runs the worst-case schedules from a machine's current
@@ -374,56 +352,70 @@ func (e *Explorer) Explore(m Machine) Result {
 	if e.opts.Workers > 1 {
 		return exploreParallel(&e.opts, dedup, root)
 	}
-	return exploreSerial(&e.opts, dedup, root)
+	res := Result{Workers: 1}
+	drive(&e.opts, dedup, &res, root, 0)
+	return res
 }
 
-// exploreSerial is the classic single-goroutine depth-first driver.
-func exploreSerial(opts *Options, dedup *dedupTable, root *state) Result {
-	res := Result{Workers: 1}
-	stopped := false
+// drive is the driver loop of both the serial explorer and the pool's
+// seed phase, counting into res. With wide 0 it explores from root
+// depth-first, the last-emitted arm first, until the tree is exhausted
+// or a budget or stop condition ends the run. With wide > 0 it seeds
+// the pool: it explores breadth-first, so the frontier's states root
+// subtrees of like size, and also stops once the frontier holds wide
+// states or res has counted seedStatesCap. It returns the states still
+// to explore: none unless a seed run stopped early.
+func drive(opts *Options, dedup *dedupTable, res *Result, root *state, wide int) []*state {
 	stack := []*state{root}
-	// Successors land directly on the stack as advance produces them
-	// (same order as before: the last-emitted arm is explored first).
+	// Successors land directly on the stack as advance produces them.
 	emit := func(s *state) { stack = append(stack, s) }
-	for len(stack) > 0 {
+	for len(stack) > 0 && (wide == 0 || len(stack) < wide && res.States < seedStatesCap) {
 		if res.States >= opts.MaxStates {
 			res.Truncated = true
-			break
+			return ended(stack)
 		}
 		if opts.Interrupt != nil && opts.Interrupt() {
 			res.Interrupted = true
-			break
+			return ended(stack)
 		}
-		st := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		var st *state
+		if wide > 0 {
+			st, stack = stack[0], stack[1:]
+		} else {
+			st, stack = stack[len(stack)-1], stack[:len(stack)-1]
+		}
 		res.States++
 
 		done, deduped, viol := advance(opts, dedup, st, emit)
-		if viol != nil {
-			res.Violations = append(res.Violations, *viol)
-			if opts.OnViolation != nil && !opts.OnViolation(*viol) {
-				stopped = true
-			}
-		}
 		if deduped {
 			res.DedupHits++
 		}
-		if done {
-			res.Paths++
-			releaseState(st)
-			if stopped {
+		if !done {
+			continue
+		}
+		res.Paths++
+		releaseState(st)
+		if viol != nil {
+			res.Violations = append(res.Violations, *viol)
+			if opts.OnViolation != nil && !opts.OnViolation(*viol) {
 				res.Interrupted = true
-				break
+				return ended(stack)
 			}
-			if opts.StopAtFirst && len(res.Violations) > 0 {
-				break
+			if opts.StopAtFirst {
+				return ended(stack)
 			}
 		}
 	}
+	return stack
+}
+
+// ended releases the states left on the stack of a run that a budget or
+// stop condition ended: none of them is to be explored.
+func ended(stack []*state) []*state {
 	for _, s := range stack {
 		releaseState(s)
 	}
-	return res
+	return nil
 }
 
 // advance pushes st forward by one strategy decision. It is a pure
@@ -674,7 +666,7 @@ var cursorCheck func(m Machine, settled int)
 func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 	m := st.m
 	var pending []int
-	if opts.ForwardHazards && !st.pendingFwd[i] {
+	if opts.ForwardHazards {
 		// A pending store address is unresolved, so it sits at or above
 		// the settled-prefix cursor.
 		for j := max(st.settled, m.BufMin()); j < i; j++ {
@@ -689,7 +681,6 @@ func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 	acted := false
 	// Arm 0: execute the load now, skipping the pending stores.
 	now := st.clone()
-	now.markPendingFwd(i)
 	if apply(now, core.Execute(i), emit) {
 		acted = true
 	} else {
@@ -720,8 +711,7 @@ func loadFork(opts *Options, st *state, i int, emit func(*state)) bool {
 // steps mutate st in place and emit it; at a domain fork the chains
 // are shared structurally — each successor just pushes its own
 // arm-disambiguated directive onto the common prefix and is emitted in
-// arm order. A rollback invalidates the load-fork bookkeeping, since
-// buffer indices are reused by re-fetched instructions.
+// arm order.
 func apply(st *state, d core.Directive, emit func(*state)) bool {
 	pp := sourcePoint(st.m, d)
 	succs, err := st.m.Successors(d)
@@ -730,32 +720,15 @@ func apply(st *state, d core.Directive, emit func(*state)) bool {
 	}
 	// Pre-fork bookkeeping: every arm extends these chains (a path
 	// never sees another's extension, so sharing them with an
-	// already-emitted arm is safe). The
-	// pendingFwd map is mutable and stays owned by st — the first arm —
-	// which emit may hand to another worker immediately; snapshot it
-	// before any arm is published so later arms never read a map a
-	// thief might already be mutating.
+	// already-emitted arm is safe). st is the first arm, which emit may
+	// hand to another worker immediately, so later arms read the
+	// snapshot, never st.
 	baseSched, baseTrace, baseSecret := st.sched, st.trace, st.secret
 	baseSettled := st.settled
-	var basePF map[int]bool
-	if len(succs) > 1 && len(st.pendingFwd) > 0 {
-		basePF = make(map[int]bool, len(st.pendingFwd))
-		for idx, v := range st.pendingFwd {
-			basePF[idx] = v
-		}
-	}
 	for k, sc := range succs {
 		ns := st
 		if k > 0 {
 			ns = newState()
-			if len(basePF) > 0 {
-				if ns.pendingFwd == nil {
-					ns.pendingFwd = make(map[int]bool, len(basePF))
-				}
-				for idx, v := range basePF {
-					ns.pendingFwd[idx] = v
-				}
-			}
 		}
 		ns.m = sc.M
 		ns.sched = baseSched.push(sc.D)
@@ -767,11 +740,6 @@ func apply(st *state, d core.Directive, emit func(*state)) bool {
 			ns.trace = ns.trace.push(o, pp)
 			if ns.secret == nil && o.Secret() {
 				ns.secret = ns.trace
-			}
-			if o.Kind == core.ORollback {
-				// Drop (never clear in place: later arms copy from the
-				// shared base map) the load-fork bookkeeping.
-				ns.pendingFwd = nil
 			}
 		}
 		emit(ns)

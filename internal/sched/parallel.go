@@ -142,80 +142,40 @@ func compareSchedules(a, b core.Schedule) int {
 	return len(a) - len(b)
 }
 
-// assemble sorts the collected violations into schedule order (each
-// violation's own schedule is its deterministic merge key) and
-// finalizes the result. Under StopAtFirst several workers may have
-// recorded a violation before the stop flag propagated; the
-// schedule-least one is kept so the report matches the option's
-// contract.
-func assemble(res Result, collected []Violation, opts *Options) Result {
-	sort.SliceStable(collected, func(i, j int) bool {
-		return compareSchedules(collected[i].Schedule, collected[j].Schedule) < 0
+// assemble sorts the violations into schedule order (each violation's
+// own schedule is its deterministic merge key) and finalizes the
+// result. Under StopAtFirst several workers may have recorded a
+// violation before the stop flag propagated; the schedule-least one is
+// kept so the report matches the option's contract.
+func assemble(res Result, opts *Options) Result {
+	sort.SliceStable(res.Violations, func(i, j int) bool {
+		return compareSchedules(res.Violations[i].Schedule, res.Violations[j].Schedule) < 0
 	})
-	if opts.StopAtFirst && len(collected) > 1 {
-		collected = collected[:1]
+	if opts.StopAtFirst && len(res.Violations) > 1 {
+		res.Violations = res.Violations[:1]
 	}
-	res.Violations = append(res.Violations, collected...)
 	return res
 }
 
+// seedStatesCap bounds the seed phase: work-stealing spreads the load
+// once the pool is running, so for narrow trees that fork late a
+// partial frontier is enough to start.
+const seedStatesCap = 1024
+
 // exploreParallel drives the work-stealing pool. The seed phase runs
-// breadth-first on the calling goroutine until the frontier is wide
-// enough to feed every worker (or the exploration finishes first);
-// the parallel phase distributes the frontier round-robin and lets the
-// workers run until the tree, a budget, or a stop condition is
-// exhausted.
+// the serial driver's loop breadth-first on the calling goroutine
+// until the frontier is wide enough to feed every worker (or the
+// exploration finishes first); the parallel phase distributes the
+// frontier round-robin and lets the workers run until the tree, a
+// budget, or a stop condition is exhausted.
 func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 	workers := opts.Workers
 	res := Result{Workers: workers}
-	var collected []Violation
-	stopped := false
 
 	// ---- Seed phase -------------------------------------------------
-	// Breadth-first until there is one state per worker — or, for
-	// narrow trees that fork late, until the seed budget runs out:
-	// work-stealing spreads the load once the pool is running, so a
-	// partial frontier is enough to start.
-	const seedStatesCap = 1024
-	frontier := []*state{root}
-	seedEmit := func(s *state) { frontier = append(frontier, s) }
-	for len(frontier) > 0 && len(frontier) < workers && res.States < seedStatesCap {
-		if res.States >= opts.MaxStates {
-			res.Truncated = true
-			return assemble(res, collected, opts)
-		}
-		if opts.Interrupt != nil && opts.Interrupt() {
-			res.Interrupted = true
-			return assemble(res, collected, opts)
-		}
-		st := frontier[0]
-		frontier = frontier[1:]
-		res.States++
-
-		done, deduped, viol := advance(opts, dedup, st, seedEmit)
-		if viol != nil {
-			collected = append(collected, *viol)
-			if opts.OnViolation != nil && !opts.OnViolation(*viol) {
-				stopped = true
-			}
-		}
-		if deduped {
-			res.DedupHits++
-		}
-		if done {
-			res.Paths++
-			releaseState(st)
-			if stopped {
-				res.Interrupted = true
-				return assemble(res, collected, opts)
-			}
-			if opts.StopAtFirst && len(collected) > 0 {
-				return assemble(res, collected, opts)
-			}
-		}
-	}
+	frontier := drive(opts, dedup, &res, root, workers)
 	if len(frontier) == 0 {
-		return assemble(res, collected, opts)
+		return assemble(res, opts)
 	}
 
 	// ---- Parallel phase ---------------------------------------------
@@ -326,10 +286,10 @@ func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 	res.States = int(statesN.Load())
 	res.Paths += int(pathsN.Load())
 	res.DedupHits += int(dedupN.Load())
-	res.Truncated = res.Truncated || truncated.Load()
-	res.Interrupted = res.Interrupted || interrupted.Load()
+	res.Truncated = truncated.Load()
+	res.Interrupted = interrupted.Load()
 	for _, vs := range workerViols {
-		collected = append(collected, vs...)
+		res.Violations = append(res.Violations, vs...)
 	}
-	return assemble(res, collected, opts)
+	return assemble(res, opts)
 }

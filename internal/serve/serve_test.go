@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -445,6 +446,9 @@ func TestBadRequests(t *testing.T) {
 		}
 		if e.Code != spectre.ErrCodeBadRequest {
 			t.Errorf("%s: error code %q, want %q", name, e.Code, spectre.ErrCodeBadRequest)
+		}
+		if n := strings.Count(e.Error, "program wire form"); n > 1 {
+			t.Errorf("%s: error %q names the program wire form %d times", name, e.Error, n)
 		}
 	}
 	if st := s.Stats(); st.Analyses != 0 {

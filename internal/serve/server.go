@@ -413,7 +413,7 @@ func (s *Server) decodeRequest(body []byte) (*spectre.Program, *spectre.Analyzer
 	case len(req.Program) > 0:
 		var p spectre.Program
 		if err := json.Unmarshal(req.Program, &p); err != nil {
-			return nil, nil, badRequest("program wire form: %v", err)
+			return nil, nil, badRequest("%v", err)
 		}
 		prog = &p
 	default:
