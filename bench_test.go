@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"testing"
 
 	"pitchfork/internal/attacks"
@@ -364,29 +363,69 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleGenerationParallel is BenchmarkScheduleGeneration on
-// the work-stealing pool, one worker per CPU core. The acceptance bar
-// for the pool is ≥2× wall-clock on bound=250/fwd=false versus the
-// serial benchmark above, with identical path and state counts.
+// poolTree is one tree the parallel benchmarks explore at bound 20
+// with forwarding hazards, under a state cap.
+type poolTree struct {
+	c         testcases.Case
+	maxStates int
+}
+
+// poolTrees are the parallel benchmarks' trees: v11_02 in full (1 497
+// concrete states, 4 601 symbolic) and v11_01 under a 50 000-state cap
+// (34 816 concrete states; the symbolic run hits the cap). They are
+// large enough that the time goes into exploring and stealing, not
+// into starting the workers.
+func poolTrees() []poolTree {
+	return []poolTree{
+		{testcases.V11()[1], 2_000_000}, // v11_02
+		{testcases.V11()[0], 50_000},    // v11_01
+	}
+}
+
+// poolWorkers are the worker counts the parallel benchmarks run.
+var poolWorkers = []int{2, 4, 8}
+
+// checkPoolCounts fails the benchmark if an untruncated parallel run
+// explored a different number of states or paths than the serial run.
+func checkPoolCounts(b *testing.B, par, serial sched.Result) {
+	b.Helper()
+	if !par.Truncated && (par.States != serial.States || par.Paths != serial.Paths) {
+		b.Fatalf("%d workers: %d states / %d paths, serial %d / %d",
+			par.Workers, par.States, par.Paths, serial.States, serial.Paths)
+	}
+}
+
+// BenchmarkScheduleGenerationParallel times the work-stealing pool at
+// 2, 4 and 8 workers on poolTrees, and fails if an untruncated run's
+// state or path count differs from the serial run's. Its ns/op is
+// compared with the same benchmark at the base commit; how far it
+// beats the serial run depends on the cores the machine has.
 func BenchmarkScheduleGenerationParallel(b *testing.B) {
-	workers := runtime.NumCPU()
-	for _, bound := range []int{100, 250} {
-		for _, fwd := range []bool{false, true} {
-			name := fmt.Sprintf("bound=%d/fwd=%t", bound, fwd)
-			b.Run(name, func(b *testing.B) {
-				e, err := sched.NewExplorer(sched.Options{
-					Bound: bound, ForwardHazards: fwd,
-					MaxStates: 2_000_000, Workers: workers,
-				})
+	for _, tree := range poolTrees() {
+		m, err := tree.c.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := sched.Options{Bound: 20, ForwardHazards: true, MaxStates: tree.maxStates}
+		e, err := sched.NewExplorer(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		serial := e.Explore(m)
+		for _, workers := range poolWorkers {
+			b.Run(fmt.Sprintf("%s/workers=%d", tree.c.Name, workers), func(b *testing.B) {
+				opts := opts
+				opts.Workers = workers
+				e, err := sched.NewExplorer(opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				m := kocherMachine()
 				b.ReportAllocs()
 				b.ResetTimer()
 				var res sched.Result
 				for i := 0; i < b.N; i++ {
 					res = e.Explore(m)
+					checkPoolCounts(b, res, serial)
 				}
 				b.ReportMetric(float64(res.Paths), "paths")
 				b.ReportMetric(float64(res.States), "states")
@@ -462,27 +501,34 @@ func BenchmarkSymbolicScheduleGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkSymbolicScheduleGenerationParallel runs the symbolic
-// exploration on the work-stealing pool, one worker per CPU core —
-// path and state counts must match the serial benchmark above.
+// BenchmarkSymbolicScheduleGenerationParallel is
+// BenchmarkScheduleGenerationParallel in the symbolic domain, with the
+// attacker index x unconstrained.
 func BenchmarkSymbolicScheduleGenerationParallel(b *testing.B) {
-	workers := runtime.NumCPU()
-	for _, bound := range []int{20, 30} {
-		for _, fwd := range []bool{false, true} {
-			name := fmt.Sprintf("bound=%d/fwd=%t", bound, fwd)
-			b.Run(name, func(b *testing.B) {
-				sm := kocherSymMachine()
+	for _, tree := range poolTrees() {
+		sm, err := tree.c.BuildSym()
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := pitchfork.Options{Bound: 20, ForwardHazards: true, MaxStates: tree.maxStates}
+		serial, err := pitchfork.AnalyzeSymbolic(sm, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range poolWorkers {
+			b.Run(fmt.Sprintf("%s/workers=%d", tree.c.Name, workers), func(b *testing.B) {
+				opts := opts
+				opts.Workers = workers
 				b.ReportAllocs()
 				b.ResetTimer()
 				var rep pitchfork.Report
 				for i := 0; i < b.N; i++ {
 					var err error
-					rep, err = pitchfork.AnalyzeSymbolic(sm, pitchfork.Options{
-						Bound: bound, ForwardHazards: fwd, MaxStates: 2_000_000, Workers: workers,
-					})
+					rep, err = pitchfork.AnalyzeSymbolic(sm, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
+					checkPoolCounts(b, rep.Result, serial.Result)
 				}
 				b.ReportMetric(float64(rep.Paths), "paths")
 				b.ReportMetric(float64(rep.States), "states")
@@ -768,11 +814,12 @@ func BenchmarkRepairFig7SpectreV4(b *testing.B) {
 
 // BenchmarkRepairPortfolio prices each mitigation strategy — and the
 // auto portfolio that certifies all of them and keeps the cheapest —
-// over the Kocher suite, so the cost of portfolio repair relative to
-// a pinned strategy stays visible in the benchmark trail. A pinned
-// strategy may legitimately exhaust on cases its mitigation cannot
-// cover (a retpoline cannot fix a branch gadget with no return), so
-// only the shapes that must succeed assert a repaired count.
+// over the Kocher suite, one Repair call per case on the default
+// single worker, so the cost of portfolio repair relative to a pinned
+// strategy stays visible in the benchmark trail. A pinned strategy may
+// legitimately exhaust on cases its mitigation cannot cover (a
+// retpoline cannot fix a branch gadget with no return), so only the
+// shapes that must succeed assert a secured case.
 func BenchmarkRepairPortfolio(b *testing.B) {
 	cases := testcases.Kocher()
 	for _, strat := range []string{
@@ -780,27 +827,19 @@ func BenchmarkRepairPortfolio(b *testing.B) {
 	} {
 		b.Run(strat, func(b *testing.B) {
 			b.ReportAllocs()
-			an, err := spectre.New(
-				spectre.WithWorkers(runtime.NumCPU()),
-				spectre.WithDedup(1<<20),
-				spectre.WithRepairStrategy(strat),
-			)
+			an, err := spectre.New(spectre.WithDedup(1<<20), spectre.WithRepairStrategy(strat))
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				items := make([]spectre.BatchItem, len(cases))
-				for j, c := range cases {
+				secured := 0
+				for _, c := range cases {
 					p, err := spectre.CompileCTL(c.Source(), spectre.ModeC)
 					if err != nil {
 						b.Fatal(err)
 					}
-					items[j] = spectre.BatchItem{Name: c.Name, Program: p}
-				}
-				secured := 0
-				for _, r := range an.RepairAll(context.Background(), items) {
-					if r.Err == nil && r.Result.SecretFree() {
+					if res, err := an.Repair(context.Background(), p); err == nil && res.SecretFree() {
 						secured++
 					}
 				}
@@ -809,37 +848,5 @@ func BenchmarkRepairPortfolio(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkRepairAllKocherSuite(b *testing.B) {
-	b.ReportAllocs()
-	an, err := spectre.New(spectre.WithWorkers(runtime.NumCPU()), spectre.WithDedup(1<<20))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := testcases.Kocher()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		items := make([]spectre.BatchItem, len(cases))
-		for j, c := range cases {
-			p, err := spectre.CompileCTL(c.Source(), spectre.ModeC)
-			if err != nil {
-				b.Fatal(err)
-			}
-			items[j] = spectre.BatchItem{Name: c.Name, Program: p}
-		}
-		secured := 0
-		for _, r := range an.RepairAll(context.Background(), items) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-			if r.Result.SecretFree() {
-				secured++
-			}
-		}
-		if secured == 0 {
-			b.Fatal("no case secured")
-		}
 	}
 }

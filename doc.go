@@ -72,7 +72,7 @@
 // The supported API surface is the spectre package (pitchfork/spectre):
 // a ProgramBuilder, an Analyzer with functional options and streaming,
 // context-aware analysis, a stable JSON report schema, and automatic
-// portfolio repair (Repair/RepairAll). The service layer
+// portfolio repair (Repair). The service layer
 // (internal/serve behind cmd/spectred) exposes the same façade over
 // HTTP for CI-shaped repeat traffic: verdicts cached under
 // (Program.Fingerprint, Config.CacheKey) in a memory LRU plus a

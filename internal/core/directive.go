@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"pitchfork/internal/isa"
 )
@@ -106,16 +107,5 @@ func (s Schedule) String() string {
 	for i, d := range s {
 		parts[i] = d.String()
 	}
-	return join(parts, "; ")
-}
-
-func join(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
+	return strings.Join(parts, "; ")
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"pitchfork/internal/isa"
 	"pitchfork/internal/mem"
@@ -110,5 +111,5 @@ func (t Trace) String() string {
 	for i, o := range t {
 		parts[i] = o.String()
 	}
-	return join(parts, "; ")
+	return strings.Join(parts, "; ")
 }

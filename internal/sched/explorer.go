@@ -39,8 +39,9 @@
 // entries that can still act and the pending branches, not the whole
 // buffer (see executePhase).
 //
-// The exploration runs on one goroutine by default; Options.Workers
-// switches to a work-stealing pool (see parallel.go), and
+// The exploration runs on one goroutine by default. Options.Workers
+// switches to a work-stealing pool whose workers start from the root
+// alone and spread the tree by stealing (see parallel.go), and
 // Options.DedupEntries enables fingerprint-based pruning of
 // re-converged states — in either domain.
 package sched
@@ -353,37 +354,30 @@ func (e *Explorer) Explore(m Machine) Result {
 		return exploreParallel(&e.opts, dedup, root)
 	}
 	res := Result{Workers: 1}
-	drive(&e.opts, dedup, &res, root, 0)
+	drive(&e.opts, dedup, &res, root)
 	return res
 }
 
-// drive is the driver loop of both the serial explorer and the pool's
-// seed phase, counting into res. With wide 0 it explores from root
-// depth-first, the last-emitted arm first, until the tree is exhausted
-// or a budget or stop condition ends the run. With wide > 0 it seeds
-// the pool: it explores breadth-first, so the frontier's states root
-// subtrees of like size, and also stops once the frontier holds wide
-// states or res has counted seedStatesCap. It returns the states still
-// to explore: none unless a seed run stopped early.
-func drive(opts *Options, dedup *dedupTable, res *Result, root *state, wide int) []*state {
+// drive is the serial explorer's loop, counting into res: it explores
+// from root depth-first, the last-emitted arm first, until the tree is
+// exhausted or a budget or stop condition ends the run.
+func drive(opts *Options, dedup *dedupTable, res *Result, root *state) {
 	stack := []*state{root}
 	// Successors land directly on the stack as advance produces them.
 	emit := func(s *state) { stack = append(stack, s) }
-	for len(stack) > 0 && (wide == 0 || len(stack) < wide && res.States < seedStatesCap) {
+	for len(stack) > 0 {
 		if res.States >= opts.MaxStates {
 			res.Truncated = true
-			return ended(stack)
+			ended(stack)
+			return
 		}
 		if opts.Interrupt != nil && opts.Interrupt() {
 			res.Interrupted = true
-			return ended(stack)
+			ended(stack)
+			return
 		}
-		var st *state
-		if wide > 0 {
-			st, stack = stack[0], stack[1:]
-		} else {
-			st, stack = stack[len(stack)-1], stack[:len(stack)-1]
-		}
+		st := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		res.States++
 
 		done, deduped, viol := advance(opts, dedup, st, emit)
@@ -399,23 +393,23 @@ func drive(opts *Options, dedup *dedupTable, res *Result, root *state, wide int)
 			res.Violations = append(res.Violations, *viol)
 			if opts.OnViolation != nil && !opts.OnViolation(*viol) {
 				res.Interrupted = true
-				return ended(stack)
+				ended(stack)
+				return
 			}
 			if opts.StopAtFirst {
-				return ended(stack)
+				ended(stack)
+				return
 			}
 		}
 	}
-	return stack
 }
 
 // ended releases the states left on the stack of a run that a budget or
 // stop condition ended: none of them is to be explored.
-func ended(stack []*state) []*state {
+func ended(stack []*state) {
 	for _, s := range stack {
 		releaseState(s)
 	}
-	return nil
 }
 
 // advance pushes st forward by one strategy decision. It is a pure

@@ -1,8 +1,8 @@
 // Work-stealing parallel exploration. The worst-case schedule tree is
 // embarrassingly parallel below its fork points — subtrees share no
-// mutable state — so the driver seeds a frontier breadth-first from the
-// root, hands it to per-worker LIFO deques, and lets idle workers steal
-// the oldest (largest-subtree) states from their peers. Global budgets
+// mutable state — so the root starts alone on the first worker's LIFO
+// deque, and idle workers steal the oldest (largest-subtree) states
+// from their peers until the work is spread. Global budgets
 // (MaxStates, StopAtFirst, Interrupt) are enforced with atomics, and
 // violations are merged in schedule order so reports stay deterministic
 // regardless of which worker found what first.
@@ -142,11 +142,12 @@ func compareSchedules(a, b core.Schedule) int {
 	return len(a) - len(b)
 }
 
-// assemble sorts the violations into schedule order (each violation's
-// own schedule is its deterministic merge key) and finalizes the
-// result. Under StopAtFirst several workers may have recorded a
-// violation before the stop flag propagated; the schedule-least one is
-// kept so the report matches the option's contract.
+// assemble sorts the workers' violations into schedule order (each
+// violation's own schedule is its deterministic merge key) and
+// finalizes the result. Under StopAtFirst several workers may have
+// recorded a violation before the stop flag propagated; the
+// schedule-least one is kept so the report matches the option's
+// contract.
 func assemble(res Result, opts *Options) Result {
 	sort.SliceStable(res.Violations, func(i, j int) bool {
 		return compareSchedules(res.Violations[i].Schedule, res.Violations[j].Schedule) < 0
@@ -157,38 +158,20 @@ func assemble(res Result, opts *Options) Result {
 	return res
 }
 
-// seedStatesCap bounds the seed phase: work-stealing spreads the load
-// once the pool is running, so for narrow trees that fork late a
-// partial frontier is enough to start.
-const seedStatesCap = 1024
-
-// exploreParallel drives the work-stealing pool. The seed phase runs
-// the serial driver's loop breadth-first on the calling goroutine
-// until the frontier is wide enough to feed every worker (or the
-// exploration finishes first); the parallel phase distributes the
-// frontier round-robin and lets the workers run until the tree, a
-// budget, or a stop condition is exhausted.
+// exploreParallel drives the work-stealing pool: the root starts alone
+// on deques[0], the other workers steal from there as it forks, and
+// the workers run until the tree, a budget, or a stop condition is
+// exhausted.
 func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 	workers := opts.Workers
-	res := Result{Workers: workers}
-
-	// ---- Seed phase -------------------------------------------------
-	frontier := drive(opts, dedup, &res, root, workers)
-	if len(frontier) == 0 {
-		return assemble(res, opts)
-	}
-
-	// ---- Parallel phase ---------------------------------------------
 	deques := make([]*workerDeque, workers)
 	for i := range deques {
 		deques[i] = &workerDeque{}
 	}
-	for i, st := range frontier {
-		deques[i%workers].items = append(deques[i%workers].items, st)
-	}
+	deques[0].items = []*state{root}
 
 	var (
-		statesN     atomic.Int64 // states explored, seed phase included
+		statesN     atomic.Int64
 		pathsN      atomic.Int64
 		dedupN      atomic.Int64
 		pending     atomic.Int64 // states queued or mid-processing
@@ -197,8 +180,7 @@ func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 		interrupted atomic.Bool
 		violMu      sync.Mutex // serializes the OnViolation callback
 	)
-	statesN.Store(int64(res.States))
-	pending.Store(int64(len(frontier)))
+	pending.Store(1)
 	maxStates := int64(opts.MaxStates)
 	workerViols := make([][]Violation, workers)
 
@@ -283,11 +265,14 @@ func exploreParallel(opts *Options, dedup *dedupTable, root *state) Result {
 	}
 	wg.Wait()
 
-	res.States = int(statesN.Load())
-	res.Paths += int(pathsN.Load())
-	res.DedupHits += int(dedupN.Load())
-	res.Truncated = truncated.Load()
-	res.Interrupted = interrupted.Load()
+	res := Result{
+		Workers:     workers,
+		States:      int(statesN.Load()),
+		Paths:       int(pathsN.Load()),
+		DedupHits:   int(dedupN.Load()),
+		Truncated:   truncated.Load(),
+		Interrupted: interrupted.Load(),
+	}
 	for _, vs := range workerViols {
 		res.Violations = append(res.Violations, vs...)
 	}

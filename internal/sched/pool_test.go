@@ -1,8 +1,14 @@
 package sched
 
 import (
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
+
+	"pitchfork/internal/core"
+	"pitchfork/internal/isa"
 )
 
 // TestPooledNodesPreserveDeterminism interleaves serial and parallel
@@ -70,5 +76,40 @@ func TestPooledNodesPreserveDeterminism(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
+	}
+}
+
+// TestPoolTreesThatEndAtOnce runs the pool on trees that end at the
+// root: a halted machine, and a tree cut by MaxStates 1. The root
+// starts alone on one deque, so seven of the eight workers explore
+// nothing. The result must equal the serial run's, and every worker
+// must exit.
+func TestPoolTreesThatEndAtOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		m         func() *core.Machine
+		maxStates int
+	}{
+		{"halted root", func() *core.Machine { return core.New(isa.NewBuilder(1).MustBuild()) }, 0},
+		{"max states 1", func() *core.Machine { return v1Gadget(9) }, 1},
+	} {
+		before := runtime.NumGoroutine()
+		serial := mustExplorer(t, Options{Bound: 20, MaxStates: tc.maxStates}).Explore(tc.m())
+		par := mustExplorer(t, Options{Bound: 20, MaxStates: tc.maxStates, Workers: 8}).Explore(tc.m())
+		if serial.States != 1 {
+			t.Fatalf("%s: serial run explored %d states, want 1", tc.name, serial.States)
+		}
+		want := serial
+		want.Workers = 8
+		if !reflect.DeepEqual(par, want) {
+			t.Fatalf("%s: parallel %+v, want %+v", tc.name, par, want)
+		}
+		// A worker that has returned may still be counted for a moment.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after the run, %d before", tc.name, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

@@ -134,13 +134,6 @@ func (a *Analyzer) RunProcedure(ctx context.Context, p *Program) (*ProcedureRepo
 // wiring context cancellation and the streaming callback into the
 // exploration hooks.
 func (a *Analyzer) run(ctx context.Context, p *Program, bound int, fwd bool, yield func(Finding) bool) (*Report, error) {
-	return a.runWith(ctx, p, bound, fwd, yield, a.cfg.Workers)
-}
-
-// runWith is run with an explicit worker count — the batch API fans
-// programs across the pool and runs each program's exploration on a
-// single goroutine.
-func (a *Analyzer) runWith(ctx context.Context, p *Program, bound int, fwd bool, yield func(Finding) bool, workers int) (*Report, error) {
 	if p == nil {
 		return nil, fmt.Errorf("spectre: nil program")
 	}
@@ -168,7 +161,7 @@ func (a *Analyzer) runWith(ctx context.Context, p *Program, bound int, fwd bool,
 			}, nil
 		}
 	}
-	opts := pitchfork.Options{Bound: bound, ForwardHazards: fwd, StopAtFirst: a.cfg.StopAtFirst, Workers: workers}
+	opts := pitchfork.Options{Bound: bound, ForwardHazards: fwd, StopAtFirst: a.cfg.StopAtFirst}
 	if yield != nil {
 		opts.OnViolation = func(v pitchfork.Violation) bool {
 			return yield(findingOf(v))
@@ -191,10 +184,11 @@ func (a *Analyzer) runWith(ctx context.Context, p *Program, bound int, fwd bool,
 
 // detect runs the configured detector, concrete or symbolic, on p. o
 // carries the run's own settings (bound, hazards, stop-at-first,
-// workers, streaming hook); detect adds the analyzer-wide budgets and
-// dedup table and lets ctx cancellation interrupt the exploration.
+// streaming hook); detect adds the analyzer-wide budgets, worker count
+// and dedup table and lets ctx cancellation interrupt the exploration.
 func (a *Analyzer) detect(ctx context.Context, p *Program, o pitchfork.Options) (pitchfork.Report, error) {
 	o.MaxStates, o.MaxRetired, o.DedupEntries = a.cfg.MaxStates, a.cfg.MaxRetired, a.cfg.DedupEntries
+	o.Workers = a.cfg.Workers
 	o.Interrupt = func() bool { return ctx.Err() != nil }
 	if a.cfg.Symbolic {
 		return pitchfork.AnalyzeSymbolic(p.symMachine(), o)

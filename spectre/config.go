@@ -57,8 +57,7 @@ type Config struct {
 // MaxWorkers caps Config.Workers. The parallel explorer sizes one
 // work deque per worker up front, so an unchecked count from a request
 // could ask the runtime for more memory than exists — a fatal error no
-// panic isolation catches. No seed phase ever splits the tree across
-// more workers than this (it stops at 1024 states).
+// panic isolation catches.
 const MaxWorkers = 1024
 
 // DefaultConfig returns the configuration New uses with no options:

@@ -17,24 +17,26 @@
 //     speculation engine, so every option composes with every mode:
 //     WithWorkers spreads one exploration — concrete or symbolic —
 //     over a work-stealing pool (reports stay deterministic, symbolic
-//     witness models included) and sizes the AnalyzeBatch corpus
-//     fan-out; WithDedup prunes re-converged exploration states
-//     through a bounded machine-fingerprint table in either domain.
+//     witness models included); WithDedup prunes re-converged
+//     exploration states through a bounded machine-fingerprint table
+//     in either domain.
 //     Analysis is context-aware: cancelling the context makes Run
 //     return promptly with the findings accumulated so far, and Stream
 //     delivers each Finding through a callback as exploration proceeds
 //     — the hook batching, sharding, and serving layers build on. An
-//     Analyzer is immutable and safe to share across goroutines.
+//     Analyzer is immutable and safe to share across goroutines, which
+//     is how a caller analyzes a corpus: one goroutine per program,
+//     one shared Analyzer.
 //
 //   - A stable, JSON-serializable Finding/Report schema: Spectre
 //     variant kind, violating program counter, the guarding
 //     speculation sources, the leaking observation, the attacker's
 //     directive schedule, and (in symbolic mode) a witness assignment.
 //
-//   - Automatic mitigation: Repair (and the corpus-shaped RepairAll)
-//     synthesizes a minimal certified patch by counterexample-guided
-//     iteration — patch each finding's speculation source, re-verify,
-//     minimize in cost order — over a portfolio of strategies:
+//   - Automatic mitigation: Repair synthesizes a minimal certified
+//     patch by counterexample-guided iteration — patch each finding's
+//     speculation source, re-verify, minimize in cost order — over a
+//     portfolio of strategies:
 //     StrategyFence (§3.6 fences), StrategyMask (SLH-style load
 //     hardening), StrategyRet (Figure 13 retpolines), or the default
 //     StrategyAuto, which runs all three and keeps the cheapest

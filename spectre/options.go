@@ -76,13 +76,14 @@ func WithSymbolic(on bool) Option {
 // symbolic mode alike — both run on the same domain-parameterized
 // engine, and each symbolic solver answer depends on its query alone,
 // so parallel symbolic findings (witness models included) reproduce
-// the serial run's exactly. Full parallel explorations are fully deterministic;
-// runs cut short early (WithStopAtFirst, cancellation, a stopping
-// Stream callback, or a MaxStates truncation) depend on how far
-// workers got before the stop propagated, so their state/path counts
-// — and, under WithStopAtFirst, which single finding is reported —
-// may vary between runs. The same setting sizes the fan-out of
-// AnalyzeBatch.
+// the serial run's exactly. Full parallel explorations are fully
+// deterministic; runs cut short early (WithStopAtFirst, cancellation,
+// a stopping Stream callback, or a MaxStates truncation) depend on how
+// far workers got before the stop propagated, so their state/path
+// counts — and, under WithStopAtFirst, which single finding is
+// reported — may vary between runs. The setting counts the goroutines
+// of one exploration only: to analyze a corpus concurrently, share one
+// Analyzer across goroutines.
 func WithWorkers(n int) Option {
 	return func(c *Config) { c.Workers = n }
 }
@@ -99,15 +100,15 @@ func WithStaticPass(on bool) Option {
 	return func(c *Config) { c.StaticPass = on }
 }
 
-// WithRepairStrategy selects the mitigation Repair and RepairAll
-// synthesize: StrategyFence (the paper's §3.6 fences), StrategyMask
-// (SLH-style speculative load hardening), StrategyRet (Figure 13
-// retpolines for flagged returns), or StrategyAuto (the default) to
-// run the whole portfolio and keep the cheapest certified patch by
-// estimated sequential cost; "" also selects StrategyAuto. Whatever
-// the strategy, every patch is
-// re-verified secret-free by the configured detector and certified
-// behaviour-preserving modulo the rewrite's address map.
+// WithRepairStrategy selects the mitigation Repair synthesizes:
+// StrategyFence (the paper's §3.6 fences), StrategyMask (SLH-style
+// speculative load hardening), StrategyRet (Figure 13 retpolines for
+// flagged returns), or StrategyAuto (the default) to run the whole
+// portfolio and keep the cheapest certified patch by estimated
+// sequential cost; "" also selects StrategyAuto. Whatever the
+// strategy, every patch is re-verified secret-free by the configured
+// detector and certified behaviour-preserving modulo the rewrite's
+// address map.
 func WithRepairStrategy(s string) Option {
 	return func(c *Config) { c.RepairStrategy = s }
 }

@@ -235,10 +235,6 @@ func (r *RepairResult) StrategyTable() string {
 // left unmodified. Cancelling the context aborts the synthesis with
 // an error.
 func (a *Analyzer) Repair(ctx context.Context, p *Program) (*RepairResult, error) {
-	return a.repairWith(ctx, p, a.cfg.Workers)
-}
-
-func (a *Analyzer) repairWith(ctx context.Context, p *Program, workers int) (*RepairResult, error) {
 	if p == nil {
 		return nil, fmt.Errorf("spectre: nil program")
 	}
@@ -254,7 +250,7 @@ func (a *Analyzer) repairWith(ctx context.Context, p *Program, workers int) (*Re
 		// findings collected.
 		Verify: func(ip *isa.Program) (pitchfork.Report, error) {
 			rep, err := a.detect(ctx, p.withProg(ip), pitchfork.Options{
-				Bound: a.cfg.Bound, ForwardHazards: a.cfg.ForwardHazards, Workers: workers,
+				Bound: a.cfg.Bound, ForwardHazards: a.cfg.ForwardHazards,
 			})
 			if err == nil {
 				err = ctx.Err()
@@ -334,33 +330,6 @@ func repairCostOf(p *Program, res *repair.Result) RepairCost {
 		StatesBefore:      res.Before.States,
 		StatesAfter:       res.After.States,
 	}
-}
-
-// RepairBatchResult is the outcome for one RepairAll item. Exactly one
-// of Result and Err is meaningful per item, except for context
-// cancellation mid-repair, where a partial result may accompany the
-// error.
-type RepairBatchResult struct {
-	Name   string
-	Result *RepairResult
-	Err    error
-}
-
-// RepairAll repairs a corpus of programs, fanning the items across
-// the analyzer's worker pool: up to WithWorkers repairs run
-// concurrently, each with single-goroutine verification (corpus-level
-// fan-out parallelizes strictly better than splitting each small
-// exploration). Results are returned in input order. Cancelling the
-// context stops new items from starting and aborts running ones.
-func (a *Analyzer) RepairAll(ctx context.Context, items []BatchItem) []RepairBatchResult {
-	results, errs := fanOut(ctx, a.cfg.Workers, items, func(p *Program) (*RepairResult, error) {
-		return a.repairWith(ctx, p, 1)
-	})
-	out := make([]RepairBatchResult, len(items))
-	for i, it := range items {
-		out[i] = RepairBatchResult{Name: it.Name, Result: results[i], Err: errs[i]}
-	}
-	return out
 }
 
 // withProg returns a Program sharing p's register seeds and symbolic

@@ -3,6 +3,7 @@ package spectre_test
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pitchfork/internal/testcases"
@@ -29,79 +30,78 @@ func compileCase(t *testing.T, c testcases.Case) *spectre.Program {
 	return p
 }
 
-// TestRepairAllKocherCorpus is the acceptance criterion: RepairAll
-// over the full Kocher corpus (classic, speculative-only, and v1.1
-// suites) yields re-verified secret-free programs for every flagged
-// speculative case, with a reported fence count and overhead, and
-// reports the architecturally leaking cases unrepairable.
-func TestRepairAllKocherCorpus(t *testing.T) {
+// TestRepairKocherCorpus is the acceptance criterion: Repair over the
+// full Kocher corpus (classic, speculative-only, and v1.1 suites)
+// yields re-verified secret-free programs for every flagged speculative
+// case, with a reported fence count and overhead, and reports the
+// architecturally leaking cases unrepairable. The cases run as parallel
+// subtests sharing one Analyzer, the way a caller repairs a corpus.
+func TestRepairKocherCorpus(t *testing.T) {
 	var cases []testcases.Case
 	for _, suite := range [][]testcases.Case{testcases.Kocher(), testcases.SpecOnlyV1(), testcases.V11()} {
 		cases = append(cases, suite...)
 	}
-	items := make([]spectre.BatchItem, len(cases))
-	for i, c := range cases {
-		items[i] = spectre.BatchItem{Name: c.Name, Program: compileCase(t, c)}
-	}
-	an := repairAnalyzer(t, spectre.WithWorkers(4))
-	results := an.RepairAll(context.Background(), items)
-	repaired := 0
-	for i, r := range results {
-		c := cases[i]
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Name, r.Err)
-			continue
-		}
-		res := r.Result
-		switch {
-		case c.SequentialLeak:
-			if res.Outcome != spectre.RepairSequentialLeak {
-				t.Errorf("%s: outcome %s, want sequential-leak", c.Name, res.Outcome)
-			}
-		case res.Outcome == spectre.RepairClean:
-			// Not flagged at this bound; nothing to do.
-		case res.Outcome == spectre.RepairRepaired:
-			repaired++
-			if !res.After.SecretFree {
-				t.Errorf("%s: repaired program still flagged: %s", c.Name, res.After.Summary())
-			}
-			if res.Cost.Fences < 1 || res.Cost.InstrAfter != res.Cost.InstrBefore+res.Cost.Inserted {
-				t.Errorf("%s: inconsistent cost %+v", c.Name, res.Cost)
-			}
-			if res.Cost.StatesBefore == 0 || res.Cost.StatesAfter == 0 {
-				t.Errorf("%s: missing exploration-overhead accounting: %+v", c.Name, res.Cost)
-			}
-			// The default strategy is the auto portfolio: the chosen
-			// patch must name its strategy, carry all three attempts on
-			// the wire, and cost no more (by the sequential model) than
-			// the fence-only baseline.
-			if res.Strategy == "" || res.Strategy == spectre.StrategyAuto {
-				t.Errorf("%s: chosen strategy %q", c.Name, res.Strategy)
-			}
-			if len(res.PerStrategy) != 3 {
-				t.Errorf("%s: %d portfolio attempts on the wire, want 3", c.Name, len(res.PerStrategy))
-			}
-			for _, a := range res.PerStrategy {
-				if a.Strategy == spectre.StrategyFence && a.Outcome == spectre.RepairRepaired &&
-					res.Cost.SeqInstrsAfter > a.Cost.SeqInstrsAfter {
-					t.Errorf("%s: chose %s at seq cost %d over fence at %d", c.Name, res.Strategy,
-						res.Cost.SeqInstrsAfter, a.Cost.SeqInstrsAfter)
+	an := repairAnalyzer(t)
+	var repaired atomic.Int64
+	t.Run("cases", func(t *testing.T) {
+		for _, c := range cases {
+			t.Run(c.Name, func(t *testing.T) {
+				t.Parallel()
+				res, err := an.Repair(context.Background(), compileCase(t, c))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			// The repaired wrapper must re-analyze clean through the
-			// ordinary Run path too.
-			rep, err := an.Run(context.Background(), res.Program)
-			if err != nil {
-				t.Errorf("%s: re-run: %v", c.Name, err)
-			} else if !rep.SecretFree {
-				t.Errorf("%s: re-run of repaired program flagged: %s", c.Name, rep.Summary())
-			}
-		default:
-			t.Errorf("%s: outcome %s (before: %s)", c.Name, res.Outcome, res.Before.Summary())
+				switch {
+				case c.SequentialLeak:
+					if res.Outcome != spectre.RepairSequentialLeak {
+						t.Errorf("%s: outcome %s, want sequential-leak", c.Name, res.Outcome)
+					}
+				case res.Outcome == spectre.RepairClean:
+					// Not flagged at this bound; nothing to do.
+				case res.Outcome == spectre.RepairRepaired:
+					repaired.Add(1)
+					if !res.After.SecretFree {
+						t.Errorf("%s: repaired program still flagged: %s", c.Name, res.After.Summary())
+					}
+					if res.Cost.Fences < 1 || res.Cost.InstrAfter != res.Cost.InstrBefore+res.Cost.Inserted {
+						t.Errorf("%s: inconsistent cost %+v", c.Name, res.Cost)
+					}
+					if res.Cost.StatesBefore == 0 || res.Cost.StatesAfter == 0 {
+						t.Errorf("%s: missing exploration-overhead accounting: %+v", c.Name, res.Cost)
+					}
+					// The default strategy is the auto portfolio: the
+					// chosen patch must name its strategy, carry all three
+					// attempts on the wire, and cost no more (by the
+					// sequential model) than the fence-only baseline.
+					if res.Strategy == "" || res.Strategy == spectre.StrategyAuto {
+						t.Errorf("%s: chosen strategy %q", c.Name, res.Strategy)
+					}
+					if len(res.PerStrategy) != 3 {
+						t.Errorf("%s: %d portfolio attempts on the wire, want 3", c.Name, len(res.PerStrategy))
+					}
+					for _, a := range res.PerStrategy {
+						if a.Strategy == spectre.StrategyFence && a.Outcome == spectre.RepairRepaired &&
+							res.Cost.SeqInstrsAfter > a.Cost.SeqInstrsAfter {
+							t.Errorf("%s: chose %s at seq cost %d over fence at %d", c.Name, res.Strategy,
+								res.Cost.SeqInstrsAfter, a.Cost.SeqInstrsAfter)
+						}
+					}
+					// The repaired wrapper must re-analyze clean through
+					// the ordinary Run path too.
+					rep, err := an.Run(context.Background(), res.Program)
+					if err != nil {
+						t.Errorf("%s: re-run: %v", c.Name, err)
+					} else if !rep.SecretFree {
+						t.Errorf("%s: re-run of repaired program flagged: %s", c.Name, rep.Summary())
+					}
+				default:
+					t.Errorf("%s: outcome %s (before: %s)", c.Name, res.Outcome, res.Before.Summary())
+				}
+			})
 		}
-	}
-	if repaired < len(cases)/2 {
-		t.Errorf("only %d/%d cases repaired; the corpus has gone quiet", repaired, len(cases))
+	})
+	if n := int(repaired.Load()); n < len(cases)/2 {
+		t.Errorf("only %d/%d cases repaired; the corpus has gone quiet", n, len(cases))
 	}
 }
 
