@@ -3,7 +3,8 @@
 // The benchmarks regenerate the *shape* of each result — who is
 // flagged, under which detection mode, and how analysis cost scales
 // with the speculation bound — on this repository's simulator
-// substrate.
+// substrate. Table 2's benchmarks live in spectre/crypto_test.go, next
+// to the unexported cell they time.
 package pitchfork_test
 
 import (
@@ -18,7 +19,6 @@ import (
 
 	"pitchfork/internal/attacks"
 	"pitchfork/internal/core"
-	"pitchfork/internal/crypto"
 	"pitchfork/internal/ct"
 	"pitchfork/internal/isa"
 	"pitchfork/internal/mem"
@@ -63,41 +63,6 @@ func BenchmarkFig7SpectreV4(b *testing.B)      { benchAttack(b, attacks.Figure7(
 func BenchmarkFig8Fence(b *testing.B)          { benchAttack(b, attacks.Figure8()) }
 func BenchmarkFig11SpectreV2(b *testing.B)     { benchAttack(b, attacks.Figure11()) }
 func BenchmarkFig13Retpoline(b *testing.B)     { benchAttack(b, attacks.Figure13()) }
-
-// ---------------------------------------------------------------------
-// Table 2: per case study × backend, the §4.2.1 two-phase procedure.
-// Bounds are the paper's (250 / 20); StopAtFirst keeps flagged cells
-// cheap, clean cells pay for the full exploration like the original.
-// ---------------------------------------------------------------------
-
-func benchTable2(b *testing.B, caseIdx int, mode ct.Mode, want crypto.Finding) {
-	c := crypto.Cases()[caseIdx]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		got, err := crypto.Analyze(c, mode)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got != want {
-			b.Fatalf("%s/%s: finding = %s, want %s", c.Name, mode, got, want)
-		}
-	}
-}
-
-func BenchmarkTable2_Donna_C(b *testing.B)     { benchTable2(b, 0, ct.ModeC, crypto.Clean) }
-func BenchmarkTable2_Donna_FaCT(b *testing.B)  { benchTable2(b, 0, ct.ModeFaCT, crypto.Clean) }
-func BenchmarkTable2_Secretbox_C(b *testing.B) { benchTable2(b, 1, ct.ModeC, crypto.Flagged) }
-func BenchmarkTable2_Secretbox_FaCT(b *testing.B) {
-	benchTable2(b, 1, ct.ModeFaCT, crypto.Clean)
-}
-func BenchmarkTable2_SSL3_C(b *testing.B) { benchTable2(b, 2, ct.ModeC, crypto.Flagged) }
-func BenchmarkTable2_SSL3_FaCT(b *testing.B) {
-	benchTable2(b, 2, ct.ModeFaCT, crypto.FlaggedFwd)
-}
-func BenchmarkTable2_MEE_C(b *testing.B) { benchTable2(b, 3, ct.ModeC, crypto.Flagged) }
-func BenchmarkTable2_MEE_FaCT(b *testing.B) {
-	benchTable2(b, 3, ct.ModeFaCT, crypto.FlaggedFwd)
-}
 
 // ---------------------------------------------------------------------
 // §4.2 corpora: the Kocher suite, the speculative-only v1 suite, and

@@ -53,39 +53,6 @@ func TestAllBuildsSequentiallyConstantTime(t *testing.T) {
 	}
 }
 
-// TestTable2 reproduces the paper's Table 2 pattern:
-//
-//	curve25519-donna              –   –
-//	libsodium secretbox           ✓   –
-//	OpenSSL ssl3 record validate  ✓   f
-//	OpenSSL MEE-CBC               ✓   f
-func TestTable2(t *testing.T) {
-	rows, err := Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string][2]Finding{
-		"curve25519-donna":             {Clean, Clean},
-		"libsodium secretbox":          {Flagged, Clean},
-		"OpenSSL ssl3 record validate": {Flagged, FlaggedFwd},
-		"OpenSSL MEE-CBC":              {Flagged, FlaggedFwd},
-	}
-	if len(rows) != len(want) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		w, ok := want[r.Case]
-		if !ok {
-			t.Errorf("unexpected case %q", r.Case)
-			continue
-		}
-		if r.C != w[0] || r.FaCT != w[1] {
-			t.Errorf("%s: got C=%s FaCT=%s, want C=%s FaCT=%s",
-				r.Case, r.C, r.FaCT, w[0], w[1])
-		}
-	}
-}
-
 // table2Phases are the two phases of the §4.2.1 procedure, as the
 // exploration pins run them.
 var table2Phases = [2]pitchfork.Options{

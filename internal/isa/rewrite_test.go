@@ -7,8 +7,8 @@ import (
 	"pitchfork/internal/mem"
 )
 
-// fencePlan builds the plan equivalent of the repair engine's historic
-// applySites loop: one fence inserted before the occupant of each site.
+// fencePlan builds the plan the repair engine's fence strategy makes:
+// one fence inserted before the occupant of each site.
 func fencePlan(sites []Addr) Plan {
 	var pl Plan
 	for _, s := range sites {

@@ -106,23 +106,3 @@ func analyze(m sched.Machine, mode string, opts Options) (Report, error) {
 	}
 	return Report{Result: e.Explore(m), Mode: mode}, nil
 }
-
-// AnalyzeProcedure runs the paper's two-phase evaluation procedure
-// (§4.2.1) on a machine: first without forwarding-hazard detection at
-// BoundNoHazards; if clean, again with hazard detection at
-// BoundWithHazards. The returned reports correspond to the two phases
-// (the second is zero-valued if the first already flagged).
-func AnalyzeProcedure(mk func() *core.Machine, opts Options) (phase1, phase2 Report, err error) {
-	o1 := opts
-	o1.Bound = BoundNoHazards
-	o1.ForwardHazards = false
-	phase1, err = Analyze(mk(), o1)
-	if err != nil || !phase1.SecretFree() {
-		return phase1, Report{}, err
-	}
-	o2 := opts
-	o2.Bound = BoundWithHazards
-	o2.ForwardHazards = true
-	phase2, err = Analyze(mk(), o2)
-	return phase1, phase2, err
-}

@@ -31,18 +31,6 @@ func v1Machine() *core.Machine {
 	return m
 }
 
-func v4Machine() *core.Machine {
-	b := isa.NewBuilder(1)
-	b.Store(isa.ImmW(0), isa.ImmW(3), isa.R(ra))
-	b.Load(rc, isa.ImmW(0x43))
-	b.Load(rc, isa.ImmW(0x44), isa.R(rc))
-	b.Region(0x40, mem.Sec(1), mem.Sec(2), mem.Sec(3), mem.Sec(0x5A))
-	b.Region(0x44, mem.Pub(5), mem.Pub(6), mem.Pub(7), mem.Pub(8))
-	m := core.New(b.MustBuild())
-	m.Regs.Write(ra, mem.Pub(0x40))
-	return m
-}
-
 func TestAnalyzeConcreteV1(t *testing.T) {
 	rep, err := Analyze(v1Machine(), Options{Bound: 20})
 	if err != nil {
@@ -56,36 +44,6 @@ func TestAnalyzeConcreteV1(t *testing.T) {
 	}
 	if rep.Mode != "concrete" || rep.Summary() == "" {
 		t.Fatal("report metadata")
-	}
-}
-
-func TestAnalyzeProcedureTwoPhases(t *testing.T) {
-	// Figure 1 gadget: flagged in phase 1 (no hazard detection needed).
-	p1, p2, err := AnalyzeProcedure(v1Machine, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.SecretFree() {
-		t.Fatal("phase 1 must flag the v1 gadget")
-	}
-	if p2.Mode != "" {
-		t.Fatal("phase 2 must not run after a phase-1 finding")
-	}
-
-	// Figure 7 gadget: clean in phase 1, flagged only with forwarding
-	// hazards — the paper's "f" annotation in Table 2.
-	p1, p2, err = AnalyzeProcedure(v4Machine, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p1.SecretFree() {
-		t.Fatalf("phase 1 must be clean for the v4 gadget: %s", p1.Summary())
-	}
-	if p2.SecretFree() {
-		t.Fatal("phase 2 must flag the v4 gadget")
-	}
-	if p2.Violations[0].Kind != sched.VariantV4 {
-		t.Fatalf("kind = %v", p2.Violations[0].Kind)
 	}
 }
 

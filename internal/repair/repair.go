@@ -196,9 +196,7 @@ type Result struct {
 
 	// rw is the final patch plan's rewrite, carrying the precomputed
 	// address map and the inserted-point provenance. nil when no
-	// rewrite was applied (clean, refused, exhausted) or on hand-built
-	// Results, where the address maps fall back to the historical
-	// fence-shaped shift arithmetic over Sites.
+	// rewrite was applied (clean, refused, exhausted).
 	rw *isa.Rewrite
 	// plan is the final patch plan itself; the behaviour certificate
 	// reads its replacement points. nil exactly when rw is.
@@ -223,20 +221,16 @@ func (r *Result) replacedPoints() map[isa.Addr]bool {
 	return set
 }
 
-// MapTarget translates an original control-flow target: targets equal
-// to a patch site keep pointing at the start of the inserted block —
-// they flow through it — so only strictly smaller sites shift them.
+// MapTarget translates an original control-flow target into Prog:
+// targets equal to a patch site keep pointing at the start of the
+// inserted block — they flow through it — so only strictly smaller
+// sites shift them. Without a rewrite Prog is the input program and
+// every target stays put.
 func (r *Result) MapTarget(a isa.Addr) isa.Addr {
-	if r.rw != nil {
-		return r.rw.Map.Target(a)
+	if r.rw == nil {
+		return a
 	}
-	out := a
-	for _, s := range r.Sites {
-		if s < a {
-			out++
-		}
-	}
-	return out
+	return r.rw.Map.Target(a)
 }
 
 // Repair runs the counterexample-guided synthesis loop on prog. The
@@ -398,12 +392,12 @@ func runStrategy(prog *isa.Program, mit Mitigation, before pitchfork.Report, bas
 	res.Inserted = len(res.Fences)
 
 	if base != nil {
-		if err := behaviourPreserved(base, res, opts); err != nil {
+		retired, err := behaviourPreserved(base, res, opts)
+		if err != nil {
 			res.Outcome = OutcomeFailed
 			return res, fmt.Errorf("repair: %w", err)
 		}
-		res.SeqInstrsBefore = base.retired
-		res.SeqInstrs = seqCost(res.Prog, opts)
+		res.SeqInstrsBefore, res.SeqInstrs = base.retired, retired
 	}
 	return res, nil
 }
@@ -530,30 +524,6 @@ func rankSites(sites []isa.Addr, h Hints) {
 	})
 }
 
-// computedJumpHazard reports whether inserting fences at sites would
-// silently retarget a computed jump — the historical entry point, now
-// a thin wrapper over the fence plan's static hazard check.
-func computedJumpHazard(p *isa.Program, sites []isa.Addr) (isa.Addr, bool) {
-	plan, _ := fenceMitigation{}.Plan(p, sites)
-	return plan.JmpiHazard(p)
-}
-
-// applySites inserts a fence before the original occupant of every
-// site and returns the rewritten program plus the inverse
-// instruction-location map (repaired point → original point) — the
-// historical fence-only rewrite, expressed as a patch plan.
-func applySites(orig *isa.Program, sites []isa.Addr) (*isa.Program, map[isa.Addr]isa.Addr) {
-	plan, _ := fenceMitigation{}.Plan(orig, sites)
-	rw, err := plan.Apply(orig)
-	if err != nil {
-		// Unreachable for fence plans over a valid program (insertion
-		// never invalidates and sites are deduplicated); fail loudly
-		// rather than hand back a half-rewritten program.
-		panic(fmt.Sprintf("repair: fence plan failed to apply: %v", err))
-	}
-	return rw.Prog, rw.Orig
-}
-
 func identityMap(p *isa.Program) map[isa.Addr]isa.Addr {
 	inv := make(map[isa.Addr]isa.Addr, len(p.Instrs))
 	for a := range p.Instrs {
@@ -640,11 +610,10 @@ func without(sites []isa.Addr, drop isa.Addr) []isa.Addr {
 // point. This catches the one unsoundness the rewriting layer
 // documents (computed control flow the static remap could not follow)
 // as well as any mitigation that changed what the program
-// architecturally does.
-func behaviourPreserved(base *seqBaseline, res *Result, opts Options) error {
-	if opts.MaxSeqInstrs <= 0 {
-		opts.MaxSeqInstrs = sched.DefaultMaxRetired
-	}
+// architecturally does. On success it returns the instructions the
+// repaired replay retired: the same count seqCost takes at the same
+// budget, so the certificate's replay doubles as the cost estimate.
+func behaviourPreserved(base *seqBaseline, res *Result, opts Options) (int, error) {
 	// Inserted instructions retire too, so the repaired replay needs a
 	// wider budget — and a patch inside a loop retires once per
 	// iteration, so no static widening covers every program. Instead,
@@ -653,7 +622,7 @@ func behaviourPreserved(base *seqBaseline, res *Result, opts Options) error {
 	// replays actually halted.
 	rew, err := runAttributed(func() *core.Machine { return opts.Machine(res.Prog) }, 2*opts.MaxSeqInstrs)
 	if err != nil {
-		return fmt.Errorf("behaviour check: repaired program faults sequentially: %v", err)
+		return 0, fmt.Errorf("behaviour check: repaired program faults sequentially: %v", err)
 	}
 	replacedOrig := res.replacedPoints()
 	planPoint := func(pp isa.Addr) bool { return false }
@@ -681,21 +650,21 @@ func behaviourPreserved(base *seqBaseline, res *Result, opts Options) error {
 		}
 		if planPoint(o.pp) {
 			if o.o.Secret() {
-				return fmt.Errorf("behaviour check: patch instruction at %d makes a secret observation: %s", o.pp, o.o)
+				return 0, fmt.Errorf("behaviour check: patch instruction at %d makes a secret observation: %s", o.pp, o.o)
 			}
 			continue
 		}
 		tr = append(tr, o)
 	}
 	if base.halted && rew.halted && len(to) != len(tr) {
-		return fmt.Errorf("behaviour check: sequential trace length changed: %d → %d", len(to), len(tr))
+		return 0, fmt.Errorf("behaviour check: sequential trace length changed: %d → %d", len(to), len(tr))
 	}
 	if rew.halted && !base.halted && len(tr) < len(to) {
-		return fmt.Errorf("behaviour check: repaired program halts early: %d observations, original produced %d", len(tr), len(to))
+		return 0, fmt.Errorf("behaviour check: repaired program halts early: %d observations, original produced %d", len(tr), len(to))
 	}
 	if base.halted && rew.halted {
 		if want := res.MapTarget(base.haltPC); rew.haltPC != want {
-			return fmt.Errorf("behaviour check: halt point %d remapped to %d, reached %d", base.haltPC, want, rew.haltPC)
+			return 0, fmt.Errorf("behaviour check: halt point %d remapped to %d, reached %d", base.haltPC, want, rew.haltPC)
 		}
 	}
 	n := len(to)
@@ -705,15 +674,15 @@ func behaviourPreserved(base *seqBaseline, res *Result, opts Options) error {
 	for i := 0; i < n; i++ {
 		a, b := to[i].o, tr[i].o
 		if a.Kind != b.Kind || a.Secret() != b.Secret() {
-			return fmt.Errorf("behaviour check: sequential observation %d changed: %s → %s", i, a, b)
+			return 0, fmt.Errorf("behaviour check: sequential observation %d changed: %s → %s", i, a, b)
 		}
 		if a.Kind == core.OJump {
 			if want := res.MapTarget(a.Target); b.Target != want {
-				return fmt.Errorf("behaviour check: jump target %d remapped to %d, executed %d", a.Target, want, b.Target)
+				return 0, fmt.Errorf("behaviour check: jump target %d remapped to %d, executed %d", a.Target, want, b.Target)
 			}
 		} else if a.Addr != b.Addr {
-			return fmt.Errorf("behaviour check: data address changed at observation %d: %#x → %#x", i, a.Addr, b.Addr)
+			return 0, fmt.Errorf("behaviour check: data address changed at observation %d: %#x → %#x", i, a.Addr, b.Addr)
 		}
 	}
-	return nil
+	return rew.retired, nil
 }

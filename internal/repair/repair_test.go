@@ -196,8 +196,15 @@ func assert1Minimal(t *testing.T, orig *isa.Program, res *Result, opts Options) 
 	}
 	for _, s := range res.Sites {
 		trial := without(res.Sites, s)
-		rp, _ := applySites(orig, trial)
-		rep, err := opts.Verify(rp)
+		plan, err := fenceMitigation{}.Plan(orig, trial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw, err := plan.Apply(orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := opts.Verify(rw.Prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,16 +221,21 @@ func assert1Minimal(t *testing.T, orig *isa.Program, res *Result, opts Options) 
 func TestRepairBehaviourCertificate(t *testing.T) {
 	prog, regs := fromAttack(attacks.Figure1())
 	opts := optionsFor(regs)
+	opts.MaxSeqInstrs = 1000
 	res, err := Repair(prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := runAttributed(func() *core.Machine { return opts.Machine(prog) }, 1000)
+	base, err := runAttributed(func() *core.Machine { return opts.Machine(prog) }, opts.MaxSeqInstrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := behaviourPreserved(base, res, opts); err != nil {
+	retired, err := behaviourPreserved(base, res, opts)
+	if err != nil {
 		t.Fatalf("behaviour certificate failed: %v", err)
+	}
+	if want := seqCost(res.Prog, opts); retired != want || res.SeqInstrs != want {
+		t.Fatalf("certificate replay retired %d and Repair reported %d instructions, cost model %d", retired, res.SeqInstrs, want)
 	}
 	// Sabotage the baseline: a mismatching jump target must be caught.
 	for i := range base.obs {
@@ -231,16 +243,32 @@ func TestRepairBehaviourCertificate(t *testing.T) {
 			base.obs[i].o.Target += 7
 		}
 	}
-	if err := behaviourPreserved(base, res, opts); err == nil {
+	if _, err := behaviourPreserved(base, res, opts); err == nil {
 		t.Fatal("certificate accepted a divergent baseline")
 	}
 }
 
-// TestMapAddrTargetSemantics pins the target map: control targets
-// shift past sites strictly below them and flow through a fence placed
-// exactly at the target.
+// TestMapAddrTargetSemantics pins MapTarget over a real fence plan:
+// control targets shift past sites strictly below them and flow
+// through a fence placed exactly at the target. A Result without a
+// rewrite holds the input program, so it maps every target to itself.
 func TestMapAddrTargetSemantics(t *testing.T) {
-	res := &Result{Sites: []isa.Addr{2, 5}}
+	b := isa.NewBuilder(1)
+	for i := 0; i < 10; i++ {
+		b.Op(isa.Reg(0), isa.OpAdd, isa.ImmW(0))
+	}
+	prog := b.MustBuild()
+	sites := []isa.Addr{2, 5}
+	plan, err := fenceMitigation{}.Plan(prog, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := plan.Apply(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := &Result{Prog: rw.Prog, Sites: sites, rw: rw, plan: plan}
+	unrewritten := &Result{Prog: prog, Sites: sites}
 	cases := []struct {
 		in, target isa.Addr
 	}{
@@ -251,8 +279,11 @@ func TestMapAddrTargetSemantics(t *testing.T) {
 		{9, 11},
 	}
 	for _, c := range cases {
-		if got := res.MapTarget(c.in); got != c.target {
+		if got := rewritten.MapTarget(c.in); got != c.target {
 			t.Errorf("MapTarget(%d) = %d, want %d", c.in, got, c.target)
+		}
+		if got := unrewritten.MapTarget(c.in); got != c.in {
+			t.Errorf("unrewritten MapTarget(%d) = %d, want %d", c.in, got, c.in)
 		}
 	}
 }

@@ -16,41 +16,46 @@ func TestComputedJumpHazard(t *testing.T) {
 	b.Jmpi(isa.ImmW(5))
 	b.Op(isa.Reg(0), isa.OpAdd, isa.ImmW(0))
 	b.Op(isa.Reg(0), isa.OpAdd, isa.ImmW(0))
-	p, err := b.Build()
+	imm, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if _, hazard := computedJumpHazard(p, nil); hazard {
-		t.Error("empty site set cannot shift anything")
-	}
-	// A fence at or above the target leaves the target's address alone.
-	if _, hazard := computedJumpHazard(p, []isa.Addr{5}); hazard {
-		t.Error("site at the jump target does not shift it")
-	}
-	if _, hazard := computedJumpHazard(p, []isa.Addr{6}); hazard {
-		t.Error("site above the jump target does not shift it")
-	}
-	// A fence below the target shifts it: the immediate now names the
-	// wrong instruction.
-	pc, hazard := computedJumpHazard(p, []isa.Addr{2})
-	if !hazard || pc != 3 {
-		t.Errorf("site below the target must be a hazard at the jmpi: got (%d, %v)", pc, hazard)
-	}
-
-	// A register-target jmpi is unanalyzable: any insertion is a hazard.
+	// 1: jmpi r0 (register target), 2: op
 	b2 := isa.NewBuilder(1)
 	b2.Jmpi(isa.R(isa.Reg(0)))
 	b2.Op(isa.Reg(0), isa.OpAdd, isa.ImmW(0))
-	p2, err := b2.Build()
+	reg, err := b2.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc, hazard := computedJumpHazard(p2, []isa.Addr{2}); !hazard || pc != 1 {
-		t.Errorf("register-target jmpi must flag any site: got (%d, %v)", pc, hazard)
+
+	cases := []struct {
+		why    string
+		p      *isa.Program
+		sites  []isa.Addr
+		hazard bool
+		pc     isa.Addr
+	}{
+		{"empty site set cannot shift anything", imm, nil, false, 0},
+		// A fence at or above the target leaves the target's address alone.
+		{"site at the jump target does not shift it", imm, []isa.Addr{5}, false, 0},
+		{"site above the jump target does not shift it", imm, []isa.Addr{6}, false, 0},
+		// A fence below the target shifts it: the immediate now names
+		// the wrong instruction.
+		{"site below the target must be a hazard at the jmpi", imm, []isa.Addr{2}, true, 3},
+		// A register-target jmpi is unanalyzable: any insertion is a hazard.
+		{"register-target jmpi must flag any site", reg, []isa.Addr{2}, true, 1},
+		{"register-target jmpi with no sites is still not a hazard", reg, nil, false, 0},
 	}
-	if _, hazard := computedJumpHazard(p2, nil); hazard {
-		t.Error("register-target jmpi with no sites is still not a hazard")
+	for _, c := range cases {
+		plan, err := fenceMitigation{}.Plan(c.p, c.sites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc, hazard := plan.JmpiHazard(c.p)
+		if hazard != c.hazard || (hazard && pc != c.pc) {
+			t.Errorf("%s: got (%d, %v)", c.why, pc, hazard)
+		}
 	}
 }
 

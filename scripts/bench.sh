@@ -15,7 +15,8 @@
 #   count       go test -count value (default 10)
 #   pattern     go test -bench regexp (default
 #               'Table2|ScheduleGeneration|SymbolicBudget|MachineStep|ServeCacheHit';
-#               '.' runs every benchmark in bench_test.go)
+#               '.' runs every benchmark in bench_test.go and
+#               spectre/crypto_test.go)
 #
 # -benchmem is always on: B/op and allocs/op are tracked alongside
 # ns/op, since allocation volume is what the copy-on-write state
@@ -30,5 +31,5 @@ sha="$(git rev-parse HEAD 2>/dev/null || echo nogit)"
 out="${outdir}/BENCH_${sha}.json"
 
 mkdir -p "$outdir"
-go test -bench="$pattern" -count="$count" -benchmem -run='^$' -json . > "$out"
+go test -bench="$pattern" -count="$count" -benchmem -run='^$' -json . ./spectre > "$out"
 echo "wrote $out" >&2

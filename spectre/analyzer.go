@@ -103,18 +103,6 @@ func (pr *ProcedureReport) Interrupted() bool {
 	return pr.Phase2 == nil || pr.Phase2.Interrupted
 }
 
-// Findings returns the findings of both phases in discovery order.
-func (pr *ProcedureReport) Findings() []Finding {
-	var out []Finding
-	if pr.Phase1 != nil {
-		out = append(out, pr.Phase1.Findings...)
-	}
-	if pr.Phase2 != nil {
-		out = append(out, pr.Phase2.Findings...)
-	}
-	return out
-}
-
 // RunProcedure runs the paper's two-phase evaluation procedure
 // (§4.2.1): first at BoundNoHazards without forwarding-hazard
 // detection; if that phase is clean, again at BoundWithHazards with

@@ -1,10 +1,12 @@
 package spectre
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"pitchfork/internal/crypto"
+	"pitchfork/internal/ct"
 )
 
 // Table2Row is one line of the paper's Table 2 reproduction: a crypto
@@ -24,15 +26,43 @@ type Table2Row struct {
 // analyzed with the §4.2.1 two-phase procedure. This is the
 // repository's heaviest entry point — expect seconds of exploration.
 func Table2() ([]Table2Row, error) {
-	rows, err := crypto.Table2()
+	var rows []Table2Row
+	for _, c := range crypto.Cases() {
+		fc, err := table2Cell(c, ct.ModeC)
+		if err != nil {
+			return nil, err
+		}
+		ff, err := table2Cell(c, ct.ModeFaCT)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, Table2Row{Case: c.Name, C: fc, FaCT: ff})
+	}
+	return rows, nil
+}
+
+// table2Cell builds one case study under one backend, runs RunProcedure
+// on it at the default budgets with each phase stopping at its first
+// violation, and names the result in the paper's notation.
+func table2Cell(c crypto.Case, mode ct.Mode) (string, error) {
+	comp, err := c.Build(mode)
 	if err != nil {
-		return nil, fmt.Errorf("spectre: %w", err)
+		return "", fmt.Errorf("spectre: %w", err)
 	}
-	out := make([]Table2Row, len(rows))
-	for i, r := range rows {
-		out[i] = Table2Row{Case: r.Case, C: r.C.String(), FaCT: r.FaCT.String()}
+	an, err := New(WithStopAtFirst(true))
+	if err != nil {
+		return "", err
 	}
-	return out, nil
+	pr, err := an.RunProcedure(context.TODO(), &Program{prog: comp.Prog})
+	switch {
+	case err != nil:
+		return "", err
+	case !pr.Phase1.SecretFree:
+		return "✓", nil
+	case !pr.Phase2.SecretFree:
+		return "f", nil
+	}
+	return "–", nil
 }
 
 // RenderTable2 formats rows like the paper's Table 2.

@@ -256,3 +256,46 @@ func TestRepairCancelledContext(t *testing.T) {
 		t.Fatal("cancelled repair returned no error")
 	}
 }
+
+// TestUnrewrittenRepairKeepsFunctionEntries: a repair that rewrote
+// nothing hands back the input program, so every CTL function entry
+// must stay where it was. Here a helper precedes main; the ret
+// strategy commits the helper's ret as a site, cannot secure the
+// gadget, and gives up — main, behind the site, must not move.
+func TestUnrewrittenRepairKeepsFunctionEntries(t *testing.T) {
+	const src = `
+public size = 4;
+public a1[4] = {1, 2, 3, 4};
+secret key[8] = {160, 161, 162, 163, 164, 165, 166, 167};
+public a2[64];
+public x = 5;
+public temp;
+fn leak(v) {
+  return a2[v * 2];
+}
+fn main() {
+  if (x < size) {
+    temp = temp & leak(a1[x]);
+  }
+}`
+	p, err := spectre.CompileCTL(src, spectre.ModeC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := repairAnalyzer(t, spectre.WithRepairStrategy(spectre.StrategyRet)).Repair(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != spectre.RepairExhausted || len(res.Sites) == 0 {
+		t.Fatalf("outcome %s with sites %v, want exhausted with committed sites", res.Outcome, res.Sites)
+	}
+	for _, fn := range []string{"leak", "main"} {
+		want, _ := p.Lookup(fn)
+		if got, _ := res.Program.Lookup(fn); got != want {
+			t.Errorf("%s entry moved from %d to %d in an unrewritten program", fn, want, got)
+		}
+	}
+	if res.Program.Fingerprint() != p.Fingerprint() {
+		t.Error("unrewritten result differs from the input program")
+	}
+}

@@ -336,6 +336,23 @@ func TestRunProcedure(t *testing.T) {
 	if pr.Phase2.Bound != spectre.BoundWithHazards || !pr.Phase2.ForwardHazards {
 		t.Fatal("phase 2 must run hazard-aware at the reduced bound")
 	}
+
+	// Figure 7's store-bypass gadget is clean in phase 1 and flagged
+	// only with forwarding hazards: the paper's "f" in Table 2.
+	fig7, ok := spectre.FigureByID("fig7")
+	if !ok {
+		t.Fatal("fig7 missing from the gallery")
+	}
+	pr, err = mustNew(t).RunProcedure(context.Background(), fig7.Program())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pr.Phase1.SecretFree || pr.Phase2 == nil {
+		t.Fatalf("phase 1 must be clean for the v4 gadget and phase 2 must run: %s", pr.Phase1.Summary())
+	}
+	if pr.Phase2.SecretFree || pr.Phase2.Findings[0].Variant != "spectre-v4" {
+		t.Fatalf("phase 2 must flag spectre-v4: %s", pr.Phase2.Summary())
+	}
 }
 
 func TestCompileCTLAndSequential(t *testing.T) {
