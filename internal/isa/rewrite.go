@@ -59,19 +59,6 @@ func (pl *Plan) Add(p Patch) {
 // Empty reports whether the plan rewrites nothing.
 func (pl *Plan) Empty() bool { return len(pl.patches) == 0 }
 
-// Patches returns the plan's patches in ascending address order. The
-// returned slice is the plan's own storage; callers must not mutate it.
-func (pl *Plan) Patches() []Patch { return pl.patches }
-
-// InsertCount is the total number of inserted instructions.
-func (pl *Plan) InsertCount() int {
-	n := 0
-	for _, p := range pl.patches {
-		n += len(p.Insert)
-	}
-	return n
-}
-
 // AddrMap translates original program points into the address space of
 // a plan's rewritten program. It is computed once per plan; lookups
 // are O(log sites) binary searches over the precomputed cumulative
@@ -109,13 +96,6 @@ func (m AddrMap) Addr(a Addr) Addr { return a + m.shiftAtOrBelow(a) }
 // insertions strictly below shift it.
 func (m AddrMap) Target(a Addr) Addr { return a + m.shiftBelow(a) }
 
-// Map returns the plan's address map without applying it — the same
-// map Apply will attach to its Rewrite. Mitigations that embed
-// new-space addresses in inserted OPERANDS (which Apply deliberately
-// never remaps) use it to pre-translate those immediates once every
-// patch has been added.
-func (pl *Plan) Map() AddrMap { return pl.addrMapOf() }
-
 // addrMapOf precomputes the cumulative shifts of the plan's insertions.
 func (pl *Plan) addrMapOf() AddrMap {
 	var m AddrMap
@@ -145,13 +125,28 @@ type Rewrite struct {
 	// Inserted lists the new-space points of the plan-inserted
 	// instructions, ascending.
 	Inserted []Addr
+	// Replaced lists the ORIGINAL program points whose occupant the
+	// plan replaced, ascending (nil for insertion-only plans).
+	Replaced []Addr
+}
+
+// ComputedJumpError is Apply's refusal of a plan that would silently
+// retarget a computed jump of the original program.
+type ComputedJumpError struct {
+	// Jump is the original program point of the jmpi.
+	Jump Addr
+}
+
+func (e *ComputedJumpError) Error() string {
+	return fmt.Sprintf("isa: plan would retarget the computed jump at %d", e.Jump)
 }
 
 // Apply rewrites orig under the plan and returns the new program with
 // its address map. The input program is never mutated. Computed jmpi
-// targets are NOT remapped (their value is only known at run time);
-// callers must consult JmpiHazard first and certify behavioural
-// preservation separately.
+// targets are NOT remapped (their value is only known at run time), so
+// a plan that would shift one is refused with a *ComputedJumpError
+// (see jmpiHazard); callers still certify behavioural preservation
+// separately.
 func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 	for i := 1; i < len(pl.patches); i++ {
 		if pl.patches[i].At == pl.patches[i-1].At {
@@ -159,6 +154,19 @@ func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 		}
 	}
 	m := pl.addrMapOf()
+	replaced := make(map[Addr]*Instr, len(pl.patches))
+	for _, p := range pl.patches {
+		if p.Replace == nil {
+			continue
+		}
+		if _, ok := orig.Instrs[p.At]; !ok {
+			return nil, fmt.Errorf("isa: replacement at %d, which has no instruction", p.At)
+		}
+		replaced[p.At] = p.Replace
+	}
+	if pc, hazard := jmpiHazard(orig, m, replaced); hazard {
+		return nil, &ComputedJumpError{Jump: pc}
+	}
 	rw := &Rewrite{
 		Prog: NewProgram(m.Target(orig.Entry)),
 		Map:  m,
@@ -197,18 +205,6 @@ func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 		return nil
 	}
 
-	// Surviving originals (replacements keep the point's identity).
-	replaced := make(map[Addr]*Instr, len(pl.patches))
-	for _, p := range pl.patches {
-		if p.Replace != nil {
-			replaced[p.At] = p.Replace
-		}
-	}
-	for at := range replaced {
-		if _, ok := orig.Instrs[at]; !ok {
-			return nil, fmt.Errorf("isa: replacement at %d, which has no instruction", at)
-		}
-	}
 	// Caller-authored instructions (inserts, replacements) are placed
 	// verbatim, a nil Args staying nil, but always get their own
 	// backing array so the plan can be reused.
@@ -220,6 +216,7 @@ func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 		copy(args, in.Args)
 		in.Args = args
 	}
+	// Surviving originals (replacements keep the point's identity).
 	for a, in := range orig.Instrs {
 		if r := replaced[a]; r != nil {
 			in = *r
@@ -241,6 +238,9 @@ func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 	// Inserted blocks: the block for site s occupies the slots directly
 	// below the (shifted) occupant, starting at Target(s).
 	for _, p := range pl.patches {
+		if p.Replace != nil {
+			rw.Replaced = append(rw.Replaced, p.At)
+		}
 		start := m.Target(p.At)
 		for j, in := range p.Insert {
 			na := start + Addr(j)
@@ -272,31 +272,25 @@ func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 	return rw, nil
 }
 
-// JmpiHazard reports whether applying the plan would silently retarget
-// a computed jump of the ORIGINAL program. The rewrite remaps every
-// static control-flow reference but cannot touch jmpi operands (the
-// target is computed at run time): an immediate target T still reads T
-// after the code at T shifted — a hazard for any insertion strictly
-// below T (an insertion AT T is fine: the old target flows through the
-// block) — and a register-computed target could denote any shifted
-// point, so any insertion at all is a hazard. Points the plan REPLACES
-// are skipped: the replacement's fields are plan-authored and remapped
-// normally, and plan-inserted jmpis (e.g. a return-protection
-// dispatch) read run-time values that are already post-rewrite
-// addresses.
-func (pl *Plan) JmpiHazard(orig *Program) (Addr, bool) {
-	if pl.InsertCount() == 0 {
+// jmpiHazard reports whether applying the plan (address map m, point
+// replacements replaced) would silently retarget a computed jump of the
+// ORIGINAL program. The rewrite remaps every static control-flow
+// reference but cannot touch jmpi operands (the target is computed at
+// run time): an immediate target T still reads T after the code at T
+// shifted — a hazard for any insertion strictly below T (an insertion
+// AT T is fine: the old target flows through the block) — and a
+// register-computed target could denote any shifted point, so any
+// insertion at all is a hazard. Points the plan REPLACES are skipped:
+// the replacement's fields are plan-authored and remapped normally, and
+// plan-inserted jmpis (e.g. a return-protection dispatch) read run-time
+// values that are already post-rewrite addresses. The lowest hazardous
+// point is reported.
+func jmpiHazard(orig *Program, m AddrMap, replaced map[Addr]*Instr) (Addr, bool) {
+	if len(m.sites) == 0 {
 		return 0, false
 	}
-	m := pl.addrMapOf()
-	replaced := make(map[Addr]bool, len(pl.patches))
-	for _, p := range pl.patches {
-		if p.Replace != nil {
-			replaced[p.At] = true
-		}
-	}
 	for _, pc := range orig.Points() {
-		if replaced[pc] {
+		if replaced[pc] != nil {
 			continue
 		}
 		in, _ := orig.At(pc)

@@ -4,12 +4,13 @@ package isa_test
 // observation-free insertions (fences and scratch-register ops) applied
 // to a random program must preserve the sequential observation trace
 // modulo the address map — memory addresses and labels byte-identical,
-// jump targets translated by Map.Target. Plans the static JmpiHazard
-// check flags are exactly the ones the repair engine refuses with
+// jump targets translated by Map.Target. Plans Apply refuses with a
+// ComputedJumpError are exactly the ones the repair engine reports as
 // OutcomeUnsafeRewrite, so they are skipped here (and pinned separately
 // in the repair tests).
 
 import (
+	"errors"
 	"testing"
 
 	"pitchfork/internal/core"
@@ -102,10 +103,11 @@ func FuzzRewrite(f *testing.F) {
 			t.Skip()
 		}
 		pl := genPlan(p, rest)
-		if _, hazard := pl.JmpiHazard(p); hazard {
+		rw, err := pl.Apply(p)
+		var cj *isa.ComputedJumpError
+		if errors.As(err, &cj) {
 			t.Skip() // the repair engine refuses these as OutcomeUnsafeRewrite
 		}
-		rw, err := pl.Apply(p)
 		if err != nil {
 			t.Fatalf("hazard-free plan failed to apply: %v", err)
 		}
@@ -114,7 +116,7 @@ func FuzzRewrite(f *testing.F) {
 		if !okO || !haltO {
 			t.Skip() // faulting or non-terminating original; nothing to compare
 		}
-		tr, haltR, okR := seqTrace(rw.Prog, budget+pl.InsertCount()*2)
+		tr, haltR, okR := seqTrace(rw.Prog, budget+len(rw.Inserted)*2)
 		if !okR || !haltR {
 			t.Fatalf("rewritten program no longer halts within the budget the original met")
 		}

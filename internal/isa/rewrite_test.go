@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -249,17 +250,29 @@ func TestPlanAddMerges(t *testing.T) {
 	pl.Add(Patch{At: 5, Insert: []Instr{Fence(5)}})
 	pl.Add(Patch{At: 2, Insert: []Instr{Fence(2)}})
 	pl.Add(Patch{At: 5, Insert: []Instr{Fence(5)}})
-	ps := pl.Patches()
-	if len(ps) != 2 || ps[0].At != 2 || ps[1].At != 5 || len(ps[1].Insert) != 2 {
+	ps := pl.patches
+	if len(ps) != 2 || ps[0].At != 2 || ps[1].At != 5 || len(ps[0].Insert) != 1 || len(ps[1].Insert) != 2 {
 		t.Fatalf("merged patches = %+v", ps)
-	}
-	if pl.InsertCount() != 3 {
-		t.Fatalf("InsertCount = %d", pl.InsertCount())
 	}
 }
 
-// TestPlanJmpiHazard mirrors the repair engine's historic
-// computed-jump rules on the plan form.
+// applyHazard applies pl to p and reports the computed jump Apply
+// refused the plan for, if any; any other Apply error fails the test.
+func applyHazard(t *testing.T, pl Plan, p *Program) (Addr, bool) {
+	t.Helper()
+	_, err := pl.Apply(p)
+	var cj *ComputedJumpError
+	if errors.As(err, &cj) {
+		return cj.Jump, true
+	}
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	return 0, false
+}
+
+// TestPlanJmpiHazard pins Apply's computed-jump refusal: a plan that
+// would shift a jmpi's target is rejected with the jump's point.
 func TestPlanJmpiHazard(t *testing.T) {
 	b := NewBuilder(1)
 	b.Op(Reg(0), OpAdd, ImmW(0)) // 1
@@ -269,16 +282,13 @@ func TestPlanJmpiHazard(t *testing.T) {
 	b.Op(Reg(0), OpAdd, ImmW(0)) // 5
 	p := b.MustBuild()
 
-	empty := Plan{}
-	if _, hazard := empty.JmpiHazard(p); hazard {
+	if _, hazard := applyHazard(t, Plan{}, p); hazard {
 		t.Error("empty plan cannot shift anything")
 	}
-	at5 := fencePlan([]Addr{5})
-	if _, hazard := at5.JmpiHazard(p); hazard {
+	if _, hazard := applyHazard(t, fencePlan([]Addr{5}), p); hazard {
 		t.Error("insertion at the jump target does not shift it")
 	}
-	below := fencePlan([]Addr{2})
-	if pc, hazard := below.JmpiHazard(p); !hazard || pc != 3 {
+	if pc, hazard := applyHazard(t, fencePlan([]Addr{2}), p); !hazard || pc != 3 {
 		t.Errorf("insertion below the target must be a hazard at the jmpi: got (%d, %v)", pc, hazard)
 	}
 
@@ -286,18 +296,22 @@ func TestPlanJmpiHazard(t *testing.T) {
 	b2.Jmpi(R(Reg(0)))            // 1
 	b2.Op(Reg(0), OpAdd, ImmW(0)) // 2
 	p2 := b2.MustBuild()
-	reg := fencePlan([]Addr{2})
-	if pc, hazard := reg.JmpiHazard(p2); !hazard || pc != 1 {
+	if pc, hazard := applyHazard(t, fencePlan([]Addr{2}), p2); !hazard || pc != 1 {
 		t.Errorf("register-target jmpi must flag any insertion: got (%d, %v)", pc, hazard)
 	}
 	// A plan that REPLACES the jmpi removes the hazard: the replacement
-	// is plan-authored and remapped normally.
+	// is plan-authored and remapped normally. The rewrite records the
+	// replaced point.
 	var repl Plan
 	nop := Op(Reg(0), OpAdd, []Operand{ImmW(0)}, 2)
 	repl.Add(Patch{At: 1, Replace: &nop})
 	repl.Add(Patch{At: 2, Insert: []Instr{Fence(2)}})
-	if pc, hazard := repl.JmpiHazard(p2); hazard {
-		t.Errorf("replaced jmpi still flagged at %d", pc)
+	rw, err := repl.Apply(p2)
+	if err != nil {
+		t.Fatalf("replaced jmpi still refused: %v", err)
+	}
+	if !reflect.DeepEqual(rw.Replaced, []Addr{1}) {
+		t.Errorf("Replaced = %v, want [1]", rw.Replaced)
 	}
 }
 

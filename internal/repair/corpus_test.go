@@ -132,7 +132,7 @@ func TestMinimizeSkipsIdentityTrial(t *testing.T) {
 	}
 	summary := func(r *Result) string {
 		return fmt.Sprintf("%s %s sites=%v fences=%v inserted=%d iters=%d pre=%d seq=%d/%d",
-			r.Strategy, r.Outcome, r.Sites, r.Fences, r.Inserted, r.Iterations, r.PreMinimizeFences, r.SeqInstrsBefore, r.SeqInstrs)
+			r.Strategy, r.Outcome, r.Sites, r.Fences, len(r.Fences), r.Iterations, r.PreMinimizeFences, r.SeqInstrsBefore, r.SeqInstrs)
 	}
 	for _, pin := range pinned {
 		name := pin.c.Name

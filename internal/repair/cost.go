@@ -3,7 +3,6 @@ package repair
 import (
 	"sort"
 
-	"pitchfork/internal/core"
 	"pitchfork/internal/isa"
 )
 
@@ -15,49 +14,18 @@ import (
 // sequential replay retires — exactly the directives a sequential
 // processor issues.
 
-// costUnbounded ranks programs whose replay faults or never halts
-// below every measurable candidate.
-const costUnbounded = int(^uint(0) >> 1)
-
-// seqCost estimates the sequential-schedule cost of a program: retired
-// instructions of the bounded sequential replay (the behaviour
-// certificate's budget).
-func seqCost(p *isa.Program, opts Options) int {
-	schedule, _, err := core.RunSequential(opts.Machine(p), 2*opts.MaxSeqInstrs)
-	if err != nil {
-		return costUnbounded
-	}
-	// When the budget ran out before halting the count is a lower
-	// bound, still comparable across candidates replayed under one
-	// budget.
-	return retiredCount(schedule)
-}
-
-// retiredCount counts the retire directives of a schedule — the
-// sequential instruction count (every fetch retires exactly once).
-func retiredCount(s core.Schedule) int {
-	n := 0
-	for _, d := range s {
-		if d.Kind == core.DRetire {
-			n++
-		}
-	}
-	return n
-}
-
 // minimizeOrder decides which patch sites the greedy minimizer tries
 // to drop first: ascending estimated sequential cost of the program
 // WITHOUT the site — the drop that buys the cheapest program is
 // attempted before the others, so the surviving 1-minimal set is
 // biased toward low sequential overhead rather than low addresses.
 func minimizeOrder(orig *isa.Program, mit Mitigation, sites []isa.Addr, opts Options) []isa.Addr {
-	order := append([]isa.Addr(nil), sites...)
-	if len(sites) < 2 {
-		return order
-	}
+	// cost holds the retired count of each trial the behaviour
+	// certificate's replay could measure at its budget (a lower bound
+	// when the budget ran out first, still comparable across trials);
+	// trials that cannot be built or replayed rank last.
 	cost := make(map[isa.Addr]int, len(sites))
 	for _, s := range sites {
-		cost[s] = costUnbounded
 		plan, err := mit.Plan(orig, without(sites, s))
 		if err != nil {
 			continue
@@ -66,11 +34,19 @@ func minimizeOrder(orig *isa.Program, mit Mitigation, sites []isa.Addr, opts Opt
 		if err != nil {
 			continue
 		}
-		cost[s] = seqCost(rw.Prog, opts)
+		if b, err := runAttributed(opts.Machine(rw.Prog), 2*opts.MaxSeqInstrs); err == nil {
+			cost[s] = b.retired
+		}
 	}
+	order := append([]isa.Addr(nil), sites...)
 	sort.SliceStable(order, func(i, j int) bool {
-		if cost[order[i]] != cost[order[j]] {
-			return cost[order[i]] < cost[order[j]]
+		ci, oki := cost[order[i]]
+		cj, okj := cost[order[j]]
+		if oki != okj {
+			return oki
+		}
+		if ci != cj {
+			return ci < cj
 		}
 		return order[i] < order[j]
 	})

@@ -29,15 +29,17 @@
 //     patch by estimated sequential cost.
 //
 // Every candidate patch, whatever the strategy, is re-verified by the
-// explorer and certified behaviour-preserved; a strategy that cannot
-// realize or certify a patch reports OutcomeExhausted and (in auto
-// mode) the portfolio falls back to the others. Sequential
-// constant-time violations are detected up front and reported as
-// unrepairable: no scheduling or masking mitigation can fix a program
-// that leaks architecturally.
+// explorer and certified behaviour-preserved. Only an OutcomeRepaired
+// result carries a rewrite: every other outcome hands back the input
+// program with After equal to Before, whatever the engine tried on the
+// way, and (in auto mode) the portfolio falls back to the other
+// strategies. Sequential constant-time violations are detected up
+// front and reported as unrepairable: no scheduling or masking
+// mitigation can fix a program that leaks architecturally.
 package repair
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -145,10 +147,13 @@ func (o Outcome) String() string {
 // (either as given or after repair).
 func (o Outcome) Secured() bool { return o == OutcomeClean || o == OutcomeRepaired }
 
-// Result is the outcome of a repair run.
+// Result is the outcome of a repair run. Only an OutcomeRepaired
+// result describes a rewrite; any other outcome describes the input
+// program: Prog is the input, After equals Before, Fences is empty and
+// MapTarget is the identity.
 type Result struct {
-	// Prog is the repaired program — the input program itself when no
-	// patches were needed or none could help.
+	// Prog is the repaired program — the input program itself unless
+	// the outcome is OutcomeRepaired.
 	Prog *isa.Program
 	// Outcome classifies the run.
 	Outcome Outcome
@@ -158,17 +163,16 @@ type Result struct {
 	// Sites are the committed patch sites in the ORIGINAL program's
 	// address space, sorted. Their meaning is strategy-relative: fence
 	// insertion points for "fence", protected branches for "mask",
-	// rewritten rets for "ret".
+	// rewritten rets for "ret". A run that gave up after committing
+	// sites lists the sites it tried.
 	Sites []isa.Addr
 	// Fences are the program points of the inserted instructions in the
 	// REPAIRED program's address space, sorted. (The name predates the
 	// portfolio: for the fence strategy these are exactly the fences;
 	// for the others they are the strategy's inserted instructions.)
+	// Replacements keep the instruction count unchanged, so repaired
+	// length = original length + len(Fences).
 	Fences []isa.Addr
-	// Inserted is the number of inserted instructions in the final
-	// patch (replacements keep the instruction count unchanged, so
-	// repaired length = original length + Inserted).
-	Inserted int
 	// Before is the detector report of the unrepaired program; After
 	// the report of the final program (equal to Before when no rewrite
 	// happened).
@@ -177,7 +181,7 @@ type Result struct {
 	// the program was already clean).
 	Iterations int
 	// PreMinimizeFences is the inserted-instruction count before
-	// minimization (equal to Inserted when minimization removed
+	// minimization (equal to len(Fences) when minimization removed
 	// nothing).
 	PreMinimizeFences int
 	// UnsafeJump is the program point of the computed jump whose target
@@ -194,31 +198,9 @@ type Result struct {
 	// is the chosen attempt.
 	PerStrategy []*Result
 
-	// rw is the final patch plan's rewrite, carrying the precomputed
-	// address map and the inserted-point provenance. nil when no
-	// rewrite was applied (clean, refused, exhausted).
+	// rw is the certified rewrite, carrying the address map and the
+	// plan's provenance. nil unless the outcome is OutcomeRepaired.
 	rw *isa.Rewrite
-	// plan is the final patch plan itself; the behaviour certificate
-	// reads its replacement points. nil exactly when rw is.
-	plan *isa.Plan
-}
-
-// replacedPoints returns the original program points whose occupant the
-// final plan replaced (nil for insertion-only plans).
-func (r *Result) replacedPoints() map[isa.Addr]bool {
-	if r.plan == nil {
-		return nil
-	}
-	var set map[isa.Addr]bool
-	for _, p := range r.plan.Patches() {
-		if p.Replace != nil {
-			if set == nil {
-				set = make(map[isa.Addr]bool)
-			}
-			set[p.At] = true
-		}
-	}
-	return set
 }
 
 // MapTarget translates an original control-flow target into Prog:
@@ -276,7 +258,7 @@ func Repair(prog *isa.Program, opts Options) (*Result, error) {
 	// count double as the baseline of the behaviour certificate and the
 	// cost model.
 	var base *seqBaseline
-	if b, err := runAttributed(func() *core.Machine { return opts.Machine(prog) }, opts.MaxSeqInstrs); err == nil {
+	if b, err := runAttributed(opts.Machine(prog), opts.MaxSeqInstrs); err == nil {
 		base = b
 		for _, o := range b.obs {
 			if o.o.Secret() {
@@ -297,12 +279,19 @@ func Repair(prog *isa.Program, opts Options) (*Result, error) {
 // mitigation: propose sites per violation, realize them as a patch
 // plan, re-verify, iterate; then minimize, and certify behaviour.
 func runStrategy(prog *isa.Program, mit Mitigation, before pitchfork.Report, base *seqBaseline, opts Options) (*Result, error) {
+	// The rewrite under test lives in locals until it is certified, so
+	// every give-up hands back the input program with After == Before.
 	res := &Result{Prog: prog, Before: before, After: before, Strategy: mit.Name()}
+	giveUp := func(o Outcome, err error) (*Result, error) {
+		res.Outcome = o
+		return res, err
+	}
 	siteSet := make(map[isa.Addr]bool)
 	cur := before
 	inv := identityMap(prog) // repaired-space point → original-space point
-	secured := false
-	for iter := 1; iter <= opts.MaxIters; iter++ {
+	var rw *isa.Rewrite
+	clean := false
+	for iter := 1; iter <= opts.MaxIters && !clean; iter++ {
 		progress := false
 		pending := make(map[isa.Addr]bool) // sites first proposed this round
 		for _, v := range cur.Violations {
@@ -334,71 +323,54 @@ func runStrategy(prog *isa.Program, mit Mitigation, before pitchfork.Report, bas
 			}
 		}
 		if !progress {
-			res.Outcome = OutcomeExhausted
-			res.Prog = prog // per the Result contract: no effective repair, no rewrite
-			res.rw, res.plan = nil, nil
-			return res, nil
+			return giveUp(OutcomeExhausted, nil)
 		}
 		res.Iterations = iter
 		res.Sites = sortedSites(siteSet)
-		plan, perr := mit.Plan(prog, res.Sites)
-		if perr != nil {
+		plan, err := mit.Plan(prog, res.Sites)
+		if err != nil {
 			// The strategy cannot rewrite this program at all (e.g. a
 			// violated register convention, no dispatch targets).
-			res.Outcome = OutcomeExhausted
-			res.Prog, res.rw, res.plan = prog, nil, nil
-			return res, nil
+			return giveUp(OutcomeExhausted, nil)
 		}
-		if pp, hazard := plan.JmpiHazard(prog); hazard {
-			res.Outcome = OutcomeUnsafeRewrite
-			res.Prog = prog // refuse the rewrite: it would break the jump at pp
-			res.rw, res.plan = nil, nil
-			res.UnsafeJump = pp
-			return res, nil
-		}
-		rw, err := plan.Apply(prog)
-		if err != nil {
-			return res, fmt.Errorf("repair: %s plan rejected: %w", mit.Name(), err)
+		if rw, err = plan.Apply(prog); err != nil {
+			var cj *isa.ComputedJumpError
+			if errors.As(err, &cj) {
+				res.UnsafeJump = cj.Jump // refuse the rewrite: it would break the jump
+				return giveUp(OutcomeUnsafeRewrite, nil)
+			}
+			return giveUp(OutcomeFailed, fmt.Errorf("repair: %s plan rejected: %w", mit.Name(), err))
 		}
 		inv = rw.Orig
-		rep, err := opts.Verify(rw.Prog)
-		if err != nil {
-			return res, fmt.Errorf("repair: verification (iteration %d): %w", iter, err)
+		if cur, err = opts.Verify(rw.Prog); err != nil {
+			return giveUp(OutcomeFailed, fmt.Errorf("repair: verification (iteration %d): %w", iter, err))
 		}
-		res.Prog, res.rw, res.plan, res.After, cur = rw.Prog, rw, plan, rep, rep
-		if clean, err := certifiedClean(rep); clean {
-			secured = true
-			break
-		} else if err != nil {
-			return res, fmt.Errorf("repair: verification inconclusive (iteration %d): %w", iter, err)
+		if clean, err = certifiedClean(cur); err != nil {
+			return giveUp(OutcomeFailed, fmt.Errorf("repair: verification inconclusive (iteration %d): %w", iter, err))
 		}
 	}
-	if !secured {
-		res.Outcome = OutcomeExhausted
-		res.Prog = prog // the tried patches were ineffective; return the input
-		res.rw, res.plan = nil, nil
-		return res, nil
+	if !clean {
+		return giveUp(OutcomeExhausted, nil) // the tried patches were ineffective
 	}
-	res.Outcome = OutcomeRepaired
-	res.PreMinimizeFences = len(res.rw.Inserted)
 
-	if len(res.Sites) > 1 {
-		if err := minimize(prog, mit, res, opts); err != nil {
-			res.Outcome = OutcomeFailed
-			return res, err
+	best := candidate{sites: res.Sites, rw: rw, rep: cur}
+	if len(best.sites) > 1 {
+		var err error
+		if best, err = minimize(prog, mit, best, opts); err != nil {
+			return giveUp(OutcomeFailed, err)
 		}
 	}
-	res.Fences = append([]isa.Addr(nil), res.rw.Inserted...)
-	res.Inserted = len(res.Fences)
-
 	if base != nil {
-		retired, err := behaviourPreserved(base, res, opts)
+		retired, err := behaviourPreserved(base, best.rw, opts)
 		if err != nil {
-			res.Outcome = OutcomeFailed
-			return res, fmt.Errorf("repair: %w", err)
+			return giveUp(OutcomeFailed, fmt.Errorf("repair: %w", err))
 		}
 		res.SeqInstrsBefore, res.SeqInstrs = base.retired, retired
 	}
+	res.Outcome = OutcomeRepaired
+	res.Prog, res.rw, res.After, res.Sites = best.rw.Prog, best.rw, best.rep, best.sites
+	res.Fences = append([]isa.Addr(nil), best.rw.Inserted...)
+	res.PreMinimizeFences = len(rw.Inserted) // the last round's rewrite, before minimization
 	return res, nil
 }
 
@@ -450,9 +422,10 @@ type seqObs struct {
 	pp isa.Addr
 }
 
-// seqBaseline is the original program's bounded sequential replay:
-// the precheck input, the behaviour-certificate reference, and the
-// cost model's "before" estimate.
+// seqBaseline is a program's bounded sequential replay: for the
+// original, the precheck input, the behaviour-certificate reference,
+// and the cost model's "before" estimate; for a rewrite, the
+// certificate's subject and the cost model's estimate.
 type seqBaseline struct {
 	obs     []seqObs
 	halted  bool
@@ -460,19 +433,22 @@ type seqBaseline struct {
 	retired int
 }
 
-// runAttributed plays the canonical sequential schedule of a fresh
-// machine and attributes every observation to the program point it was
-// fetched from: the schedule is discovered with RunSequential, then
-// replayed step by step on a second fresh machine, reading the fetch
-// PC before each fetch directive. Replay is deterministic, so both
-// runs see identical behaviour.
-func runAttributed(mk func() *core.Machine, budget int) (*seqBaseline, error) {
-	schedule, _, err := core.RunSequential(mk(), budget)
+// runAttributed plays the canonical sequential schedule of the fresh
+// machine m and attributes every observation to the program point it
+// was fetched from: the schedule is discovered with RunSequential on m,
+// then replayed step by step on a clone of m taken before the run,
+// reading the fetch PC before each fetch directive. Replay is
+// deterministic, so both runs see identical behaviour. (A clone is
+// copy-on-write; building a second machine would re-image the whole
+// data memory.)
+func runAttributed(m *core.Machine, budget int) (*seqBaseline, error) {
+	replay := m.Clone()
+	schedule, _, err := core.RunSequential(m, budget)
 	if err != nil {
 		return nil, err
 	}
-	m := mk()
-	b := &seqBaseline{retired: retiredCount(schedule)}
+	m = replay
+	b := &seqBaseline{}
 	var cur isa.Addr
 	for _, d := range schedule {
 		switch d.Kind {
@@ -487,7 +463,7 @@ func runAttributed(mk func() *core.Machine, budget int) (*seqBaseline, error) {
 			b.obs = append(b.obs, seqObs{o: o, pp: cur})
 		}
 	}
-	b.halted, b.haltPC = m.Halted(), m.PC
+	b.halted, b.haltPC, b.retired = m.Halted(), m.PC, m.Retired
 	return b, nil
 }
 
@@ -541,17 +517,24 @@ func sortedSites(set map[isa.Addr]bool) []isa.Addr {
 	return out
 }
 
-// minimize greedily deletes redundant patch sites: for each site — in
-// the cost model's preferred order — re-verify without it and drop it
-// if the program stays certified clean. Patches only restrict the
+// candidate is a certified-clean rewrite of the input program: the
+// committed sites, the rewrite realizing them, and its clean report.
+type candidate struct {
+	sites []isa.Addr
+	rw    *isa.Rewrite
+	rep   pitchfork.Report
+}
+
+// minimize greedily deletes redundant patch sites of c: for each site —
+// in the cost model's preferred order — re-verify without it and drop
+// it if the program stays certified clean. Patches only restrict the
 // attacker (fences constrain schedules, masks zero mis-speculated
 // addresses, dispatches shrink the reachable target set), so leakage
 // is monotone in site removal — the surviving set is 1-minimal:
 // removing any single remaining site reintroduces a violation.
-func minimize(orig *isa.Program, mit Mitigation, res *Result, opts Options) error {
-	sites := append([]isa.Addr(nil), res.Sites...)
-	for _, s := range minimizeOrder(orig, mit, res.Sites, opts) {
-		trial := without(sites, s)
+func minimize(orig *isa.Program, mit Mitigation, c candidate, opts Options) (candidate, error) {
+	for _, s := range minimizeOrder(orig, mit, c.sites, opts) {
+		trial := without(c.sites, s)
 		plan, err := mit.Plan(orig, trial)
 		if err != nil || plan.Empty() {
 			// An empty plan's trial is the input program itself, which
@@ -566,19 +549,17 @@ func minimize(orig *isa.Program, mit Mitigation, res *Result, opts Options) erro
 		}
 		rep, err := opts.Verify(rw.Prog)
 		if err != nil {
-			return fmt.Errorf("repair: minimization verification: %w", err)
+			return c, fmt.Errorf("repair: minimization verification: %w", err)
 		}
 		clean, certErr := certifiedClean(rep)
 		if certErr != nil {
-			return fmt.Errorf("repair: minimization inconclusive: %w", certErr)
+			return c, fmt.Errorf("repair: minimization inconclusive: %w", certErr)
 		}
 		if clean {
-			sites = trial
-			res.Prog, res.After, res.rw, res.plan = rw.Prog, rep, rw, plan
+			c = candidate{sites: trial, rw: rw, rep: rep}
 		}
 	}
-	res.Sites = sites
-	return nil
+	return c, nil
 }
 
 func without(sites []isa.Addr, drop isa.Addr) []isa.Addr {
@@ -592,49 +573,46 @@ func without(sites []isa.Addr, drop isa.Addr) []isa.Addr {
 }
 
 // behaviourPreserved replays the canonical sequential schedule of the
-// repaired program and compares it against the original's baseline:
+// rewritten program and compares it against the original's baseline:
 // observations of instructions inherited from the original must match
-// in order, kind, label, and address — jump targets through the plan's
-// address map — while plan-authored instructions (inserted, and the
-// occupants of replaced points on both sides) may only contribute
-// PUBLIC observations. Rollback events are excluded on both sides:
-// sequentially they only mark an RSB misprediction recovering to the
-// architectural target, which is exactly the prediction behaviour a
+// in order, kind, label, and address — jump targets through the
+// rewrite's address map — while plan-authored instructions (inserted,
+// and the occupants of replaced points on both sides) may only
+// contribute PUBLIC observations. Rollback events are excluded on both
+// sides: sequentially they only mark an RSB misprediction recovering to
+// the architectural target, which is exactly the prediction behaviour a
 // return mitigation is entitled to change (always-public, no payload,
-// and the very next jump observation pins the recovered target). A fence plan authors nothing observable, so its
-// comparison degenerates to the exact historical trace equality; a
-// mask's replaced loads read the same addresses they replaced; a
-// retpoline's added stack traffic is public by construction and
-// anything it gets wrong — a misdirected return, a clobbered slot —
-// desynchronizes the very next inherited observation or the final halt
-// point. This catches the one unsoundness the rewriting layer
-// documents (computed control flow the static remap could not follow)
-// as well as any mitigation that changed what the program
-// architecturally does. On success it returns the instructions the
-// repaired replay retired: the same count seqCost takes at the same
-// budget, so the certificate's replay doubles as the cost estimate.
-func behaviourPreserved(base *seqBaseline, res *Result, opts Options) (int, error) {
+// and the very next jump observation pins the recovered target). A
+// fence plan authors nothing observable, so its comparison degenerates
+// to the exact historical trace equality; a mask's replaced loads read
+// the same addresses they replaced; a retpoline's added stack traffic
+// is public by construction and anything it gets wrong — a misdirected
+// return, a clobbered slot — desynchronizes the very next inherited
+// observation or the final halt point. This catches the one
+// unsoundness the rewriting layer documents (computed control flow the
+// static remap could not follow) as well as any mitigation that changed
+// what the program architecturally does. On success it returns the
+// instructions the rewritten replay retired: the certificate's replay
+// doubles as the cost estimate.
+func behaviourPreserved(base *seqBaseline, rw *isa.Rewrite, opts Options) (int, error) {
 	// Inserted instructions retire too, so the repaired replay needs a
 	// wider budget — and a patch inside a loop retires once per
 	// iteration, so no static widening covers every program. Instead,
 	// both runs are budget-bounded and compared on their common
 	// observation prefix; lengths must agree exactly only when both
 	// replays actually halted.
-	rew, err := runAttributed(func() *core.Machine { return opts.Machine(res.Prog) }, 2*opts.MaxSeqInstrs)
+	rew, err := runAttributed(opts.Machine(rw.Prog), 2*opts.MaxSeqInstrs)
 	if err != nil {
 		return 0, fmt.Errorf("behaviour check: repaired program faults sequentially: %v", err)
 	}
-	replacedOrig := res.replacedPoints()
-	planPoint := func(pp isa.Addr) bool { return false }
-	if res.rw != nil {
-		inserted := make(map[isa.Addr]bool, len(res.rw.Inserted))
-		for _, a := range res.rw.Inserted {
-			inserted[a] = true
-		}
-		for p := range replacedOrig {
-			inserted[res.rw.Map.Addr(p)] = true
-		}
-		planPoint = func(pp isa.Addr) bool { return inserted[pp] }
+	replacedOrig := make(map[isa.Addr]bool, len(rw.Replaced))
+	planPoint := make(map[isa.Addr]bool, len(rw.Inserted)+len(rw.Replaced))
+	for _, a := range rw.Inserted {
+		planPoint[a] = true
+	}
+	for _, p := range rw.Replaced {
+		replacedOrig[p] = true
+		planPoint[rw.Map.Addr(p)] = true
 	}
 	to := make([]seqObs, 0, len(base.obs))
 	for _, o := range base.obs {
@@ -648,7 +626,7 @@ func behaviourPreserved(base *seqBaseline, res *Result, opts Options) (int, erro
 		if o.o.Kind == core.ORollback {
 			continue
 		}
-		if planPoint(o.pp) {
+		if planPoint[o.pp] {
 			if o.o.Secret() {
 				return 0, fmt.Errorf("behaviour check: patch instruction at %d makes a secret observation: %s", o.pp, o.o)
 			}
@@ -663,7 +641,7 @@ func behaviourPreserved(base *seqBaseline, res *Result, opts Options) (int, erro
 		return 0, fmt.Errorf("behaviour check: repaired program halts early: %d observations, original produced %d", len(tr), len(to))
 	}
 	if base.halted && rew.halted {
-		if want := res.MapTarget(base.haltPC); rew.haltPC != want {
+		if want := rw.Map.Target(base.haltPC); rew.haltPC != want {
 			return 0, fmt.Errorf("behaviour check: halt point %d remapped to %d, reached %d", base.haltPC, want, rew.haltPC)
 		}
 	}
@@ -677,7 +655,7 @@ func behaviourPreserved(base *seqBaseline, res *Result, opts Options) (int, erro
 			return 0, fmt.Errorf("behaviour check: sequential observation %d changed: %s → %s", i, a, b)
 		}
 		if a.Kind == core.OJump {
-			if want := res.MapTarget(a.Target); b.Target != want {
+			if want := rw.Map.Target(a.Target); b.Target != want {
 				return 0, fmt.Errorf("behaviour check: jump target %d remapped to %d, executed %d", a.Target, want, b.Target)
 			}
 		} else if a.Addr != b.Addr {

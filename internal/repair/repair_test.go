@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"errors"
 	"testing"
 
 	"pitchfork/internal/attacks"
@@ -8,6 +9,7 @@ import (
 	"pitchfork/internal/isa"
 	"pitchfork/internal/mem"
 	"pitchfork/internal/pitchfork"
+	"pitchfork/internal/testcases"
 )
 
 // optionsFor builds engine options that verify with the concrete
@@ -226,16 +228,20 @@ func TestRepairBehaviourCertificate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := runAttributed(func() *core.Machine { return opts.Machine(prog) }, opts.MaxSeqInstrs)
+	base, err := runAttributed(opts.Machine(prog), opts.MaxSeqInstrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	retired, err := behaviourPreserved(base, res, opts)
+	retired, err := behaviourPreserved(base, res.rw, opts)
 	if err != nil {
 		t.Fatalf("behaviour certificate failed: %v", err)
 	}
-	if want := seqCost(res.Prog, opts); retired != want || res.SeqInstrs != want {
-		t.Fatalf("certificate replay retired %d and Repair reported %d instructions, cost model %d", retired, res.SeqInstrs, want)
+	m := opts.Machine(res.Prog)
+	if _, _, err := core.RunSequential(m, 2*opts.MaxSeqInstrs); err != nil {
+		t.Fatal(err)
+	}
+	if retired != m.Retired || res.SeqInstrs != m.Retired {
+		t.Fatalf("certificate replay retired %d and Repair reported %d instructions, sequential run %d", retired, res.SeqInstrs, m.Retired)
 	}
 	// Sabotage the baseline: a mismatching jump target must be caught.
 	for i := range base.obs {
@@ -243,7 +249,7 @@ func TestRepairBehaviourCertificate(t *testing.T) {
 			base.obs[i].o.Target += 7
 		}
 	}
-	if _, err := behaviourPreserved(base, res, opts); err == nil {
+	if _, err := behaviourPreserved(base, res.rw, opts); err == nil {
 		t.Fatal("certificate accepted a divergent baseline")
 	}
 }
@@ -267,7 +273,7 @@ func TestMapAddrTargetSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewritten := &Result{Prog: rw.Prog, Sites: sites, rw: rw, plan: plan}
+	rewritten := &Result{Prog: rw.Prog, Sites: sites, rw: rw}
 	unrewritten := &Result{Prog: prog, Sites: sites}
 	cases := []struct {
 		in, target isa.Addr
@@ -285,5 +291,91 @@ func TestMapAddrTargetSemantics(t *testing.T) {
 		if got := unrewritten.MapTarget(c.in); got != c.in {
 			t.Errorf("unrewritten MapTarget(%d) = %d, want %d", c.in, got, c.in)
 		}
+	}
+}
+
+// TestGiveUpHandsBackInput covers every exit of a strategy run that
+// ends without a certified rewrite: whatever the engine tried, the
+// result describes the input program — Prog is the input, After
+// reports what Before reports, MapTarget is the identity and no
+// instruction counts as inserted.
+func TestGiveUpHandsBackInput(t *testing.T) {
+	// secondVerify replaces the second Verify call (the first after the
+	// baseline) with fail.
+	secondVerify := func(opts Options, fail func() (pitchfork.Report, error)) Options {
+		verify, calls := opts.Verify, 0
+		opts.Verify = func(p *isa.Program) (pitchfork.Report, error) {
+			if calls++; calls == 2 {
+				return fail()
+			}
+			return verify(p)
+		}
+		return opts
+	}
+	withStrategy := func(opts Options, s string) Options {
+		opts.Strategy = s
+		return opts
+	}
+
+	fig1, fig1Regs := fromAttack(attacks.Figure1())
+	kocher, err := testcases.Kocher()[0].Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The maskable gadget with a final read of the mask pass's scratch
+	// register: the pass proposes the branch, then refuses to plan.
+	masked, maskRegs := maskableGadget()
+	masked.Add(6, isa.Op(isa.Reg(3), isa.OpMov, []isa.Operand{isa.R(mem.RTMP)}, 7))
+	jmpi, jmpiRegs := computedJumpGadget(t)
+
+	cases := []struct {
+		name    string
+		prog    *isa.Program
+		opts    Options
+		outcome Outcome
+		iters   int // rounds run before the exit
+		wantErr bool
+	}{
+		{"no progress", fig1, withStrategy(optionsFor(fig1Regs), StrategyRet), OutcomeExhausted, 0, false},
+		{"ret exhausted after round 1", kocher.Prog, withStrategy(corpusOptions(), StrategyRet), OutcomeExhausted, 1, false},
+		{"mask plan error", masked, withStrategy(optionsFor(maskRegs), StrategyMask), OutcomeExhausted, 1, false},
+		{"jmpi hazard", jmpi, optionsFor(jmpiRegs), OutcomeUnsafeRewrite, 1, false},
+		{"verification error", fig1, secondVerify(optionsFor(fig1Regs), func() (pitchfork.Report, error) {
+			return pitchfork.Report{}, errors.New("verifier unavailable")
+		}), OutcomeFailed, 1, true},
+		{"truncated clean report", fig1, secondVerify(optionsFor(fig1Regs), func() (pitchfork.Report, error) {
+			var rep pitchfork.Report
+			rep.States, rep.Truncated = 3, true
+			return rep, nil
+		}), OutcomeFailed, 1, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := Repair(c.prog, c.opts)
+			if (err != nil) != c.wantErr {
+				t.Fatalf("err = %v, want error %v", err, c.wantErr)
+			}
+			if res.Outcome != c.outcome || res.Iterations != c.iters {
+				t.Fatalf("outcome = %s after %d rounds, want %s after %d", res.Outcome, res.Iterations, c.outcome, c.iters)
+			}
+			if res.Before.SecretFree() {
+				t.Fatal("baseline must be flagged for the exit to be reached")
+			}
+			if res.Prog != c.prog {
+				t.Error("Prog is not the input program")
+			}
+			if res.After.States != res.Before.States || len(res.After.Violations) != len(res.Before.Violations) {
+				t.Errorf("After reports %d states, %d violations; Before %d, %d",
+					res.After.States, len(res.After.Violations), res.Before.States, len(res.Before.Violations))
+			}
+			for _, pp := range c.prog.Points() {
+				if got := res.MapTarget(pp); got != pp {
+					t.Errorf("MapTarget(%d) = %d, want the identity", pp, got)
+				}
+			}
+			if len(res.Fences) != 0 || res.PreMinimizeFences != 0 {
+				t.Errorf("Fences = %v, PreMinimizeFences = %d on an unrewritten result", res.Fences, res.PreMinimizeFences)
+			}
+		})
 	}
 }

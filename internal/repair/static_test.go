@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -52,25 +53,30 @@ func TestComputedJumpHazard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, hazard := plan.JmpiHazard(c.p)
-		if hazard != c.hazard || (hazard && pc != c.pc) {
-			t.Errorf("%s: got (%d, %v)", c.why, pc, hazard)
+		_, err = plan.Apply(c.p)
+		var cj *isa.ComputedJumpError
+		hazard := errors.As(err, &cj)
+		if !hazard && err != nil {
+			t.Fatalf("%s: %v", c.why, err)
+		}
+		if hazard != c.hazard || (hazard && cj.Jump != c.pc) {
+			t.Errorf("%s: got %v", c.why, err)
 		}
 	}
 }
 
-// TestRepairRefusesComputedJumpRewrite runs the full engine on a v1
-// gadget that sits below a computed jump's immediate target: the
-// synthesized fence would shift the target, so the engine must refuse
-// the rewrite rather than emit a program with silently retargeted
-// control flow.
-func TestRepairRefusesComputedJumpRewrite(t *testing.T) {
-	// 1: br (r0 < 1) → 2 / 4   bounds check; r0 = 1 is out of bounds
-	// 2: load r1 = [100 + r0]  transiently reads the secret at 101
-	// 3: load r2 = [200 + r1]  leaks it through the address
-	// 4: jmpi 6                computed jump over the landing pad
-	// 5: op                    (dead)
-	// 6: op                    join point
+// computedJumpGadget is a v1 gadget that sits below a computed jump's
+// immediate target, so a fence in the gadget would shift the target.
+// r0 = 1 (the returned seed) is out of bounds.
+//
+//	1: br (r0 < 1) → 2 / 4   bounds check
+//	2: load r1 = [100 + r0]  transiently reads the secret at 101
+//	3: load r2 = [200 + r1]  leaks it through the address
+//	4: jmpi 6                computed jump over the landing pad
+//	5: op                    (dead)
+//	6: op                    join point
+func computedJumpGadget(t *testing.T) (*isa.Program, map[isa.Reg]mem.Value) {
+	t.Helper()
 	b := isa.NewBuilder(1)
 	b.Data(100, mem.Pub(0))
 	b.Data(101, mem.Sec(7))
@@ -85,8 +91,16 @@ func TestRepairRefusesComputedJumpRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p, map[isa.Reg]mem.Value{isa.Reg(0): mem.Pub(1)}
+}
 
-	res, err := Repair(p, optionsFor(map[isa.Reg]mem.Value{isa.Reg(0): mem.Pub(1)}))
+// TestRepairRefusesComputedJumpRewrite runs the full engine on the
+// computed-jump gadget: the synthesized fence would shift the jump's
+// target, so the engine must refuse the rewrite rather than emit a
+// program with silently retargeted control flow.
+func TestRepairRefusesComputedJumpRewrite(t *testing.T) {
+	p, regs := computedJumpGadget(t)
+	res, err := Repair(p, optionsFor(regs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -283,10 +283,12 @@ func (s *Server) Drain() {
 // are fixed-width lowercase hex (stability-pinned in the spectre
 // package), so the key is filename-safe and doubles as the disk-tier
 // file name. The prefix names the stored envelope: an AnalyzeResponse
-// or a RepairResponse.
+// or a RepairResponse. Repair envelopes stored under the earlier
+// "repair-" prefix may describe a discarded rewrite in a give-up's
+// cost row, so a disk tier never reads them.
 const (
 	analyzePrefix = "analyze-"
-	repairPrefix  = "repair-"
+	repairPrefix  = "repair2-"
 )
 
 func analyzeKey(fp, ck string) string { return analyzePrefix + fp + "-" + ck }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -412,5 +413,45 @@ func TestRequestBodyFraming(t *testing.T) {
 	}
 	if got := s.Stats().Analyses; got != 1 {
 		t.Errorf("analyses = %d, want 1", got)
+	}
+}
+
+// TestRepairEntryUnderOldPrefixNotServed: repair envelopes written
+// under the "repair-" prefix predate cost rows that describe the
+// program a give-up hands back, so a disk tier holding one must rerun
+// the repair instead of serving it.
+func TestRepairEntryUnderOldPrefixNotServed(t *testing.T) {
+	prog, err := spectre.CompileCTL(tinySource(1), spectre.ModeC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, ck := prog.Fingerprint(), spectre.DefaultConfig().CacheKey()
+	stale, err := json.Marshal(RepairResponse{Fingerprint: fp, CacheKey: ck,
+		Result: &spectre.RepairResult{Outcome: spectre.RepairClean, Before: stubReport(), After: stubReport()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "repair-"+fp+"-"+ck+".json"), frame(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, CacheDir: dir})
+	calls := 0
+	s.runRepair = func(context.Context, *spectre.Analyzer, *spectre.Program) (*spectre.RepairResult, error) {
+		calls++
+		return &spectre.RepairResult{Outcome: spectre.RepairClean, Before: stubReport(), After: stubReport()}, nil
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/repair", bytes.NewReader(analyzeBody(t, tinySource(1)))))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	var env RepairResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.CacheHit || calls != 1 || s.Stats().DiskHits != 0 {
+		t.Errorf("cacheHit=%v repairs=%d diskHits=%d, want the old entry ignored and the repair rerun",
+			env.CacheHit, calls, s.Stats().DiskHits)
 	}
 }

@@ -54,12 +54,16 @@ const (
 // RepairCost quantifies what a repair cost: patch sites committed,
 // instructions inserted, program growth, the sequential-schedule cost
 // the portfolio optimizes, and the exploration-effort delta between
-// analyzing the unrepaired and the repaired program.
+// analyzing the unrepaired and the repaired program. The row describes
+// the program the result hands back: unless the outcome is repaired
+// that is the input, so nothing is counted as inserted and the
+// "after" figures equal the "before" ones.
 type RepairCost struct {
-	// Fences is the size of the final (minimized) patch-site set;
-	// PreMinimizeFences the inserted-instruction count before greedy
-	// minimization. (The names predate the strategy portfolio: for the
-	// fence strategy sites and inserted instructions coincide.)
+	// Fences is the size of the final (minimized) patch-site set of a
+	// repaired program (0 for every other outcome); PreMinimizeFences
+	// the inserted-instruction count before greedy minimization. (The
+	// names predate the strategy portfolio: for the fence strategy
+	// sites and inserted instructions coincide.)
 	Fences            int `json:"fences"`
 	PreMinimizeFences int `json:"preMinimizeFences"`
 	// Inserted is the number of instructions the final patch inserted
@@ -137,7 +141,9 @@ type RepairResult struct {
 	// address space (fence insertion points, protected branches, or
 	// rewritten rets, per Strategy); FencePoints the inserted
 	// instructions' program points in the repaired program's address
-	// space. Both sorted.
+	// space. Both sorted. On an exhausted or unsafe-rewrite outcome
+	// Sites lists the sites tried and FencePoints is empty: only a
+	// repaired outcome carries a rewrite.
 	Sites       []Addr `json:"sites,omitempty"`
 	FencePoints []Addr `json:"fencePoints,omitempty"`
 	// Cost quantifies the repair.
@@ -316,12 +322,17 @@ func repairResultOf(a *Analyzer, p *Program, res *repair.Result) *RepairResult {
 }
 
 // repairCostOf condenses one engine result (the chosen repair or a
-// portfolio attempt) into the wire cost row.
+// portfolio attempt) into the wire cost row of the program it hands
+// back; only a repaired result counts its sites as fences.
 func repairCostOf(p *Program, res *repair.Result) RepairCost {
+	fences := 0
+	if res.Outcome == repair.OutcomeRepaired {
+		fences = len(res.Sites)
+	}
 	return RepairCost{
-		Fences:            len(res.Sites),
+		Fences:            fences,
 		PreMinimizeFences: res.PreMinimizeFences,
-		Inserted:          res.Inserted,
+		Inserted:          len(res.Fences),
 		Iterations:        res.Iterations,
 		InstrBefore:       p.prog.Len(),
 		InstrAfter:        res.Prog.Len(),

@@ -299,3 +299,55 @@ fn main() {
 		t.Error("unrewritten result differs from the input program")
 	}
 }
+
+// TestGiveUpCostRowDescribesInput: a strategy that commits a site but
+// cannot secure the program hands back the input, so its cost row
+// counts no fences and no exploration change — both for the strategy
+// run on its own and for its row in the auto portfolio. The ret
+// strategy on kocher01 protects main's ret, which cannot stop the
+// bounds-check bypass.
+func TestGiveUpCostRowDescribesInput(t *testing.T) {
+	p := compileCase(t, testcases.Kocher()[0])
+	ret, err := spectre.New(spectre.WithRepairStrategy(spectre.StrategyRet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ret.Repair(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != spectre.RepairExhausted || len(res.Sites) == 0 {
+		t.Fatalf("outcome %s with sites %v, want exhausted with committed sites", res.Outcome, res.Sites)
+	}
+	if c := res.Cost; c.Fences != 0 || c.StatesAfter != c.StatesBefore || c.InstrAfter != c.InstrBefore {
+		t.Errorf("ret cost row describes a discarded rewrite: %+v", c)
+	}
+	if len(res.FencePoints) != 0 || res.After.States != res.Before.States {
+		t.Errorf("fence points %v, states %d → %d on an unrewritten result", res.FencePoints, res.Before.States, res.After.States)
+	}
+
+	auto, err := spectre.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = auto.Repair(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, a := range res.PerStrategy {
+		if a.Strategy != spectre.StrategyRet {
+			continue
+		}
+		found = true
+		if a.Outcome != spectre.RepairExhausted {
+			t.Fatalf("auto's ret attempt: outcome %s, want exhausted", a.Outcome)
+		}
+		if a.Cost.Fences != 0 || a.Cost.StatesAfter != a.Cost.StatesBefore {
+			t.Errorf("auto's ret row describes a discarded rewrite: %+v", a.Cost)
+		}
+	}
+	if !found {
+		t.Fatalf("auto portfolio has no ret row: %+v", res.PerStrategy)
+	}
+}
