@@ -328,77 +328,6 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 	}
 }
 
-// poolTree is one tree the parallel benchmarks explore at bound 20
-// with forwarding hazards, under a state cap.
-type poolTree struct {
-	c         testcases.Case
-	maxStates int
-}
-
-// poolTrees are the parallel benchmarks' trees: v11_02 in full (1 497
-// concrete states, 4 601 symbolic) and v11_01 under a 50 000-state cap
-// (34 816 concrete states; the symbolic run hits the cap). They are
-// large enough that the time goes into exploring and stealing, not
-// into starting the workers.
-func poolTrees() []poolTree {
-	return []poolTree{
-		{testcases.V11()[1], 2_000_000}, // v11_02
-		{testcases.V11()[0], 50_000},    // v11_01
-	}
-}
-
-// poolWorkers are the worker counts the parallel benchmarks run.
-var poolWorkers = []int{2, 4, 8}
-
-// checkPoolCounts fails the benchmark if an untruncated parallel run
-// explored a different number of states or paths than the serial run.
-func checkPoolCounts(b *testing.B, par, serial sched.Result) {
-	b.Helper()
-	if !par.Truncated && (par.States != serial.States || par.Paths != serial.Paths) {
-		b.Fatalf("%d workers: %d states / %d paths, serial %d / %d",
-			par.Workers, par.States, par.Paths, serial.States, serial.Paths)
-	}
-}
-
-// BenchmarkScheduleGenerationParallel times the work-stealing pool at
-// 2, 4 and 8 workers on poolTrees, and fails if an untruncated run's
-// state or path count differs from the serial run's. Its ns/op is
-// compared with the same benchmark at the base commit; how far it
-// beats the serial run depends on the cores the machine has.
-func BenchmarkScheduleGenerationParallel(b *testing.B) {
-	for _, tree := range poolTrees() {
-		m, err := tree.c.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := sched.Options{Bound: 20, ForwardHazards: true, MaxStates: tree.maxStates}
-		e, err := sched.NewExplorer(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		serial := e.Explore(m)
-		for _, workers := range poolWorkers {
-			b.Run(fmt.Sprintf("%s/workers=%d", tree.c.Name, workers), func(b *testing.B) {
-				opts := opts
-				opts.Workers = workers
-				e, err := sched.NewExplorer(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var res sched.Result
-				for i := 0; i < b.N; i++ {
-					res = e.Explore(m)
-					checkPoolCounts(b, res, serial)
-				}
-				b.ReportMetric(float64(res.Paths), "paths")
-				b.ReportMetric(float64(res.States), "states")
-			})
-		}
-	}
-}
-
 // BenchmarkScheduleGenerationDedup measures fingerprint pruning on the
 // forwarding-hazard exploration, where reconverging fork arms make
 // dedup bite hardest.
@@ -428,8 +357,8 @@ func BenchmarkScheduleGenerationDedup(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Symbolic-domain schedule generation on the unified engine: the same
-// serial / parallel / dedup trio as the concrete sweep above, with the
-// attacker index x unconstrained. These are the CI sweep's symbolic
+// plain / dedup pair as the concrete sweep above, with the attacker
+// index x unconstrained. These are the CI sweep's symbolic
 // throughput trackers.
 // ---------------------------------------------------------------------
 
@@ -458,42 +387,6 @@ func BenchmarkSymbolicScheduleGeneration(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-				}
-				b.ReportMetric(float64(rep.Paths), "paths")
-				b.ReportMetric(float64(rep.States), "states")
-			})
-		}
-	}
-}
-
-// BenchmarkSymbolicScheduleGenerationParallel is
-// BenchmarkScheduleGenerationParallel in the symbolic domain, with the
-// attacker index x unconstrained.
-func BenchmarkSymbolicScheduleGenerationParallel(b *testing.B) {
-	for _, tree := range poolTrees() {
-		sm, err := tree.c.BuildSym()
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := pitchfork.Options{Bound: 20, ForwardHazards: true, MaxStates: tree.maxStates}
-		serial, err := pitchfork.AnalyzeSymbolic(sm, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, workers := range poolWorkers {
-			b.Run(fmt.Sprintf("%s/workers=%d", tree.c.Name, workers), func(b *testing.B) {
-				opts := opts
-				opts.Workers = workers
-				b.ReportAllocs()
-				b.ResetTimer()
-				var rep pitchfork.Report
-				for i := 0; i < b.N; i++ {
-					var err error
-					rep, err = pitchfork.AnalyzeSymbolic(sm, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					checkPoolCounts(b, rep.Result, serial.Result)
 				}
 				b.ReportMetric(float64(rep.Paths), "paths")
 				b.ReportMetric(float64(rep.States), "states")

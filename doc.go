@@ -8,17 +8,17 @@
 //
 // Detection is organized around a single domain-parameterized
 // speculation engine (internal/sched): the paper's worst-case schedule
-// strategy DT(n) (§4.1), a serial and a work-stealing parallel driver,
-// a bounded fingerprint-dedup table, exploration budgets, streaming
-// violation callbacks, and a deterministic schedule-order merge. The
+// strategy DT(n) (§4.1), one depth-first driver per exploration, a
+// bounded fingerprint-dedup table with an O(1) key, exploration
+// budgets, and streaming violation callbacks. The
 // engine drives any implementation of its Machine interface — a value
 // domain that applies single attacker directives and reports its
 // reorder-buffer shape:
 //
 //	┌────────────────────────┐      ┌────────────────────────────┐
 //	│ internal/taint         │      │  internal/sched (engine)   │
-//	│ static taint pass:     │      │  DT(n) strategy · workers  │
-//	│ certify · ForkFree     │      │  dedup · budgets · merge   │
+//	│ static taint pass:     │      │  DT(n) strategy · DFS      │
+//	│ certify · ForkFree     │      │  dedup · budgets · stream  │
 //	└───────────┬────────────┘      └─────────┬───────┬──────────┘
 //	            │                    Machine  │       │  Machine
 //	            │             ┌───────────────┘       └───────────────┐
@@ -43,11 +43,12 @@
 //	                                └─────────────────────────────────┘
 //
 // Because both domains share the engine, every scaling feature —
-// WithWorkers parallelism, WithDedup state pruning, MaxStates /
-// MaxRetired budgets, StopAtFirst, streaming, cancellation, and the
-// deterministic report order — applies identically to concrete and
-// symbolic analysis, and repair re-verifies candidate patches on the
-// same pool in either mode.
+// WithDedup state pruning, MaxStates / MaxRetired budgets,
+// StopAtFirst, streaming, and cancellation — applies identically to
+// concrete and symbolic analysis, and repair re-verifies candidate
+// patches on the same engine in either mode. An exploration runs on
+// one goroutine; a caller uses several cores by analyzing several
+// programs at once on one shared spectre.Analyzer.
 //
 // Mitigation is a portfolio over one rewriting layer: internal/isa
 // patch plans (insert/replace with full address remapping) carry

@@ -2,14 +2,13 @@
 // spectre API, prove it is sequentially constant-time, catch the
 // Spectre v1 violation with the concrete detector, then find the same
 // leak with no concrete attacker input at all — the symbolic detector
-// running in parallel on the same engine, witness included.
+// running on the same engine, witness included.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
-	"runtime"
 	"strings"
 
 	"pitchfork/spectre"
@@ -54,8 +53,8 @@ func main() {
 	}
 
 	// The same gadget with the attacker index unconstrained: symbolic
-	// mode shares the engine, so WithWorkers and WithStopAtFirst
-	// compose with it, and each finding carries a witness index.
+	// mode shares the engine, so WithStopAtFirst (like every option)
+	// composes with it, and each finding carries a witness index.
 	symProg := spectre.NewProgramBuilder().
 		Br(spectre.OpGt, []spectre.Operand{spectre.Imm(4), spectre.R(ra)}, 2, 4).
 		Load(rb, spectre.Imm(0x40), spectre.R(ra)).
@@ -67,7 +66,6 @@ func main() {
 		MustBuild()
 	symAn, err := spectre.New(
 		spectre.WithSymbolic(true),
-		spectre.WithWorkers(runtime.NumCPU()),
 		spectre.WithStopAtFirst(true),
 	)
 	if err != nil {

@@ -66,6 +66,20 @@ type Buffer[T any, P entryPtr[T]] struct {
 	// keeps the tail of the current chunk, so the two never write the
 	// same cell).
 	arena []T
+	// sum is the order-independent sum of hash(i, buf(i)) over the live
+	// entries: the buffer's O(1) share of the machine fingerprint, kept
+	// like the register file's and memory's. hash is nil until
+	// StartHashing, so a run that never fingerprints pays one branch per
+	// mutation; clones inherit it. hashes caches each live entry's hash,
+	// aligned with items and copy-on-write with it, so removing or
+	// replacing an entry does not rehash it. Edit hands out a pointer
+	// the caller mutates afterwards, so it subtracts the entry's hash
+	// and leaves the index in edited (0 for none); the next operation
+	// rehashes the edited entry and adds it back (settle).
+	sum    uint64
+	hash   func(i int, t *T) uint64
+	hashes []uint64
+	edited int
 }
 
 // transientArenaChunk caps the arena's chunk size. Chunks start small
@@ -109,6 +123,11 @@ func (b *Buffer[T, P]) own() {
 	items := make([]*T, len(b.items), len(b.items)+8)
 	copy(items, b.items)
 	b.items = items
+	if b.hash != nil {
+		hashes := make([]uint64, len(b.hashes), len(b.hashes)+8)
+		copy(hashes, b.hashes)
+		b.hashes = hashes
+	}
 	b.shared = false
 }
 
@@ -163,6 +182,12 @@ func (b *Buffer[T, P]) AppendT(t T) int {
 	if P(p).IsBranch() {
 		b.branches.insert(i)
 	}
+	if b.hash != nil {
+		b.settle()
+		h := b.hash(i, p)
+		b.hashes = append(b.hashes, h)
+		b.sum += h
+	}
 	return i
 }
 
@@ -175,11 +200,20 @@ func (b *Buffer[T, P]) SetT(i int, t T) {
 	if !b.Contains(i) {
 		panic(fmt.Sprintf("core: Buffer.SetT(%d) outside [%d,%d]", i, b.Min(), b.Max()))
 	}
+	if b.hash != nil {
+		b.settle()
+		b.sum -= b.hashes[i-b.base]
+	}
 	if i >= b.privateFrom {
 		*b.items[i-b.base] = t
 	} else {
 		b.own()
 		b.items[i-b.base] = b.alloc(&t)
+	}
+	if b.hash != nil {
+		h := b.hash(i, b.items[i-b.base])
+		b.hashes[i-b.base] = h
+		b.sum += h
 	}
 	e := P(b.items[i-b.base])
 	// Keep the lowest-fence index exact now that buf(i) is t.
@@ -203,10 +237,16 @@ func (b *Buffer[T, P]) SetT(i int, t T) {
 // buffer. Step rules that partially resolve an entry (store
 // value/address, predicted forwards) must mutate through Edit rather
 // than Get, and must not change whether the entry is a fence or a
-// branch.
+// branch. The caller must finish mutating before its next call on
+// the buffer, which re-hashes the entry.
 func (b *Buffer[T, P]) Edit(i int) (*T, bool) {
 	if !b.Contains(i) {
 		return nil, false
+	}
+	if b.hash != nil {
+		b.settle()
+		b.sum -= b.hashes[i-b.base]
+		b.edited = i
 	}
 	b.own()
 	if i >= b.privateFrom {
@@ -224,14 +264,15 @@ func (b *Buffer[T, P]) TruncateFrom(i int) {
 		b.fence = 0 // every fence is cut off with the lowest one
 	}
 	b.branches.cutFrom(i)
-	if i <= b.base {
-		b.items = b.items[:0]
-		return
+	n := min(max(i-b.base, 0), len(b.items)) // the entries kept
+	if b.hash != nil {
+		b.settle()
+		for _, h := range b.hashes[n:] {
+			b.sum -= h
+		}
+		b.hashes = b.hashes[:n]
 	}
-	if i > b.base+len(b.items) {
-		return
-	}
-	b.items = b.items[:i-b.base]
+	b.items = b.items[:n]
 }
 
 // PopMinN removes the k lowest-indexed entries: 1 for the simple
@@ -239,6 +280,13 @@ func (b *Buffer[T, P]) TruncateFrom(i int) {
 func (b *Buffer[T, P]) PopMinN(k int) {
 	if k > len(b.items) {
 		panic("core: PopMinN beyond buffer")
+	}
+	if b.hash != nil {
+		b.settle()
+		for _, h := range b.hashes[:k] {
+			b.sum -= h
+		}
+		b.hashes = b.hashes[k:]
 	}
 	b.items = b.items[k:]
 	b.base += k
@@ -285,9 +333,46 @@ func (b *Buffer[T, P]) All() iter.Seq2[int, *T] {
 // the transients are shared; both buffers mark them copy-on-write, so
 // neither can observe the other's subsequent mutations.
 func (b *Buffer[T, P]) Clone() *Buffer[T, P] {
+	b.settle()
 	b.shared = true
 	b.privateFrom = b.base + len(b.items)
-	return &Buffer[T, P]{base: b.base, items: b.items, shared: true, privateFrom: b.privateFrom, fence: b.fence, branches: b.branches.clone()}
+	return &Buffer[T, P]{base: b.base, items: b.items, shared: true, privateFrom: b.privateFrom, fence: b.fence, branches: b.branches.clone(),
+		sum: b.sum, hash: b.hash, hashes: b.hashes}
+}
+
+// Hashing reports whether the buffer keeps its hash sum.
+func (b *Buffer[T, P]) Hashing() bool { return b.hash != nil }
+
+// StartHashing switches the buffer (and, via Clone, its descendants)
+// to keeping the sum of hash(i, buf(i)) over its live entries, from a
+// sum over the entries it holds now. hash must be a pure function of
+// the index and the entry's contents.
+func (b *Buffer[T, P]) StartHashing(hash func(i int, t *T) uint64) {
+	b.hash, b.sum, b.edited = hash, 0, 0
+	b.hashes = make([]uint64, len(b.items))
+	for k, t := range b.items {
+		b.hashes[k] = hash(b.base+k, t)
+		b.sum += b.hashes[k]
+	}
+}
+
+// HashSum returns the sum of hash(i, buf(i)) over the live entries, in
+// O(1); the buffer must be hashing (StartHashing). Buffers with equal
+// entries at equal indices have equal sums, whatever operations built
+// them.
+func (b *Buffer[T, P]) HashSum() uint64 {
+	b.settle()
+	return b.sum
+}
+
+// settle adds the entry Edit last handed out back into the sum.
+func (b *Buffer[T, P]) settle() {
+	if i := b.edited; i != 0 {
+		h := b.hash(i, b.items[i-b.base])
+		b.hashes[i-b.base] = h
+		b.sum += h
+		b.edited = 0
+	}
 }
 
 // branchInline is how many pending-branch indices a buffer holds

@@ -7,6 +7,7 @@ import (
 
 	"pitchfork/internal/isa"
 	"pitchfork/internal/mem"
+	"pitchfork/internal/symx"
 )
 
 // TestBufferCloneIndependence drives the copy-on-write reorder buffer
@@ -224,6 +225,98 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 	}
 }
 
+// TestBufferHashSumMatchesScratch checks the reorder buffer's
+// incremental hash sum in both value domains: over random AppendT,
+// SetT, Edit, TruncateFrom and PopMinN sequences on copy-on-write
+// clone chains, a hashing buffer's HashSum must equal the sum of the
+// entry hash over its live entries, computed from scratch. Hashing
+// starts at a random point of a run, as the first fingerprint starts
+// it mid-exploration; clones made later inherit it. The sum is read
+// only now and then, so an Edit is often followed by further
+// operations before anything re-adds the edited entry.
+func TestBufferHashSumMatchesScratch(t *testing.T) {
+	t.Run("concrete", func(t *testing.T) {
+		checkBufferHashSum(t, mixValue, func(rng *rand.Rand) mem.Value {
+			return mem.Value{W: mem.Word(rng.Intn(4)), L: mem.Label(rng.Intn(2))}
+		})
+	})
+	t.Run("symbolic", func(t *testing.T) {
+		mix := func(h uint64, e symx.Expr) uint64 { return mem.Mix64(h ^ symx.Fingerprint(e)) }
+		checkBufferHashSum(t, mix, func(rng *rand.Rand) symx.Expr {
+			if rng.Intn(2) == 0 {
+				return symx.NewVar("x", mem.Label(rng.Intn(2)))
+			}
+			return symx.CW(mem.Word(rng.Intn(4)))
+		})
+	})
+}
+
+func checkBufferHashSum[V any](t *testing.T, mix func(uint64, V) uint64, value func(*rand.Rand) V) {
+	hash := entryHash(mix)
+	scratch := func(b *Buffer[TransientOf[V], *TransientOf[V]]) uint64 {
+		var sum uint64
+		for i, e := range b.All() {
+			sum += hash(i, e)
+		}
+		return sum
+	}
+	kinds := []TKind{TFence, TValue, TOp, TBr, TStore, TLoad}
+	fresh := func(rng *rand.Rand) TransientOf[V] {
+		e := TransientOf[V]{Kind: kinds[rng.Intn(len(kinds))], Dst: isa.Reg(rng.Intn(3)), Val: value(rng), PP: isa.Addr(rng.Intn(4))}
+		if rng.Intn(2) == 0 {
+			e.Args = []isa.Operand{isa.R(isa.Reg(rng.Intn(3)))}
+		}
+		return e
+	}
+	rng := rand.New(rand.NewSource(3))
+	checks, edits := 0, 0
+	for run := 0; run < 200; run++ {
+		bufs := []*Buffer[TransientOf[V], *TransientOf[V]]{NewBuffer[TransientOf[V]]()}
+		startAt := rng.Intn(20)
+		for op := 0; op < 60; op++ {
+			b := bufs[rng.Intn(len(bufs))]
+			if op == startAt {
+				b.StartHashing(hash)
+			}
+			switch r := rng.Intn(12); {
+			case r < 4:
+				for k := 1 + rng.Intn(4); k > 0; k-- {
+					b.AppendT(fresh(rng))
+				}
+			case r == 4 && b.Len() > 0:
+				b.SetT(b.Min()+rng.Intn(b.Len()), fresh(rng))
+			case r <= 6 && b.Len() > 0:
+				// Edit never turns an entry into or out of a fence or a
+				// branch; it resolves fields in place.
+				e, _ := b.Edit(b.Min() + rng.Intn(b.Len()))
+				e.ValKnown, e.SVal, e.PredFrom = true, value(rng), rng.Intn(8)
+				edits++
+			case r == 7:
+				b.TruncateFrom(b.Min() - 1 + rng.Intn(b.Len()+3))
+			case r == 8 && b.Len() > 0:
+				b.PopMinN(1 + rng.Intn(b.Len()))
+			case r >= 9 && len(bufs) < 6:
+				bufs = append(bufs, b.Clone())
+			}
+			if rng.Intn(3) != 0 {
+				continue
+			}
+			for k, c := range bufs {
+				if !c.Hashing() {
+					continue
+				}
+				checks++
+				if got, want := c.HashSum(), scratch(c); got != want {
+					t.Fatalf("run %d op %d buffer %d: HashSum %#x, from scratch %#x\n%s", run, op, k, got, want, c)
+				}
+			}
+		}
+	}
+	if checks == 0 || edits == 0 {
+		t.Fatalf("%d sum checks over %d edits; want both", checks, edits)
+	}
+}
+
 // TestBufferBranchesAllocationFree checks that reading the
 // pending-branch index allocates nothing, whether the list is held
 // inline or has outgrown the inline slots.
@@ -272,6 +365,59 @@ func TestRSBCloneIndependence(t *testing.T) {
 	c.Push(2, 8)
 	if top, _ := s.Top(); top != 4 {
 		t.Fatalf("original top = %d after clone's post-rollback push, want 4", top)
+	}
+}
+
+// TestRSBHashSumMatchesScratch checks the RSB journal's incremental
+// hash sum against a from-scratch sum over random pushes, pops,
+// rollbacks and clones, with the sum started at a random point of each
+// run as the first fingerprint starts it.
+func TestRSBHashSumMatchesScratch(t *testing.T) {
+	scratch := func(s *RSB) uint64 {
+		var sum uint64
+		for _, e := range s.entries {
+			sum += e.hash()
+		}
+		return sum
+	}
+	rng := rand.New(rand.NewSource(5))
+	checks := 0
+	for run := 0; run < 200; run++ {
+		rsbs, next := []*RSB{NewRSB(RSBAttackerChoice)}, []int{1}
+		startAt := rng.Intn(20)
+		for op := 0; op < 40; op++ {
+			k := rng.Intn(len(rsbs))
+			s := rsbs[k]
+			if op == startAt {
+				s.HashSum()
+			}
+			switch r := rng.Intn(6); {
+			case r < 2:
+				s.Push(next[k], isa.Addr(rng.Intn(8)))
+				next[k]++
+			case r < 4:
+				s.Pop(next[k])
+				next[k]++
+			case r == 4:
+				i := 1 + rng.Intn(next[k])
+				s.Rollback(i)
+				next[k] = min(next[k], i)
+			case len(rsbs) < 6:
+				rsbs, next = append(rsbs, s.Clone()), append(next, next[k])
+			}
+			for k, c := range rsbs {
+				if !c.hashed {
+					continue
+				}
+				checks++
+				if got, want := c.HashSum(), scratch(c); got != want {
+					t.Fatalf("run %d op %d journal %d: HashSum %#x, from scratch %#x (%s)", run, op, k, got, want, c)
+				}
+			}
+		}
+	}
+	if checks == 0 {
+		t.Fatal("no journal was ever hashing")
 	}
 }
 

@@ -41,8 +41,8 @@ func FillView[V any](v *TransientView, t *TransientOf[V], secret func(V) bool) {
 // domain may fork on a single directive — the symbolic domain forks a
 // branch whose condition is input-dependent into every feasible world
 // — in which case each successor is an independent machine and D
-// disambiguates the arm (Directive.Arm), keeping parallel-merge
-// schedule keys unique per completed path.
+// disambiguates the arm (Directive.Arm), keeping every completed
+// path's schedule distinct.
 type Successor struct {
 	// M is the machine after the step.
 	M Explorable

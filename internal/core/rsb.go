@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"pitchfork/internal/isa"
+	"pitchfork/internal/mem"
 )
 
 // RSBPolicy selects what top(σ) yields when the return stack buffer is
@@ -49,6 +50,13 @@ type rsbEntry struct {
 	target isa.Addr // push payload
 }
 
+// hash hashes the entry for the journal's hash sum. Each fetch
+// journals at most one entry, at its own buffer index, so the index
+// keys the entry the way a position keys a buffer entry.
+func (e rsbEntry) hash() uint64 {
+	return mem.Mix64(mem.Mix64(mem.HashSeed^uint64(e.idx)<<1|bit(e.isPush)) ^ uint64(e.target))
+}
+
 // RSB is the return stack buffer σ: a journal of push/pop commands
 // keyed by reorder-buffer indices. Keeping the journal (rather than a
 // materialized stack) makes rollback exact: misspeculation at buffer
@@ -66,6 +74,14 @@ type RSB struct {
 	// shared marks the backing array as possibly aliased by a clone;
 	// the next append copies it first.
 	shared bool
+	// sum is the order-independent sum of the entries' hashes, the
+	// journal's O(1) share of the machine fingerprint: the journal is
+	// sorted by index, so the sum stands for the sequence. It is
+	// computed at the first HashSum call and kept by Push, Pop and
+	// Rollback from then on (hashed tracks the mode), like the
+	// register file's and memory's.
+	sum    uint64
+	hashed bool
 }
 
 // NewRSB returns an empty RSB with the given policy.
@@ -88,14 +104,21 @@ func (s *RSB) own() {
 
 // Push journals σ[i ↦ push n].
 func (s *RSB) Push(idx int, target isa.Addr) {
-	s.own()
-	s.entries = append(s.entries, rsbEntry{idx: idx, isPush: true, target: target})
+	s.add(rsbEntry{idx: idx, isPush: true, target: target})
 }
 
 // Pop journals σ[i ↦ pop].
 func (s *RSB) Pop(idx int) {
+	s.add(rsbEntry{idx: idx})
+}
+
+// add journals e.
+func (s *RSB) add(e rsbEntry) {
 	s.own()
-	s.entries = append(s.entries, rsbEntry{idx: idx})
+	s.entries = append(s.entries, e)
+	if s.hashed {
+		s.sum += e.hash()
+	}
 }
 
 // Rollback discards entries journaled at buffer indices ≥ i. Entries
@@ -107,8 +130,24 @@ func (s *RSB) Rollback(i int) {
 	n := len(s.entries)
 	for n > 0 && s.entries[n-1].idx >= i {
 		n--
+		if s.hashed {
+			s.sum -= s.entries[n].hash()
+		}
 	}
 	s.entries = s.entries[:n]
+}
+
+// HashSum returns the sum of the entries' hashes. The first call walks
+// the journal once and switches it (and, via Clone, its descendants)
+// to keeping the sum.
+func (s *RSB) HashSum() uint64 {
+	if !s.hashed {
+		s.hashed, s.sum = true, 0
+		for _, e := range s.entries {
+			s.sum += e.hash()
+		}
+	}
+	return s.sum
 }
 
 // Top evaluates top(σ) = st(MAX(st)) where st = JσK: the journal is
@@ -153,7 +192,7 @@ func (s *RSB) Top() (isa.Addr, bool) {
 // append on either side re-owns it first.
 func (s *RSB) Clone() *RSB {
 	s.shared = true
-	return &RSB{policy: s.policy, entries: s.entries, shared: true}
+	return &RSB{policy: s.policy, entries: s.entries, shared: true, sum: s.sum, hashed: s.hashed}
 }
 
 // String renders the journal, e.g. "[1↦push 4][8↦pop]".

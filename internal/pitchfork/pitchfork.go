@@ -4,8 +4,8 @@
 // labels are secret.
 //
 // Both modes run on one domain-parameterized speculation engine — the
-// DT(n) schedule strategy, work-stealing pool, fingerprint dedup,
-// budgets, and deterministic violation merge of internal/sched — and
+// DT(n) schedule strategy, depth-first driver, fingerprint dedup and
+// budgets of internal/sched — and
 // on one copy of the semantics: internal/core's State applies every
 // fetch, execute and retire rule over a value domain. The two modes
 // differ only in that domain:
@@ -37,9 +37,9 @@ import (
 
 // Options configure an analysis: the exploration engine's options,
 // which both modes take as they are. The paper's evaluation runs Bound
-// 250 without ForwardHazards and 20 with them (§4.2.1); Workers and
-// DedupEntries apply to either mode, and symbolic fingerprints include
-// the path condition.
+// 250 without ForwardHazards and 20 with them (§4.2.1); DedupEntries
+// applies to either mode, and symbolic fingerprints include the path
+// condition.
 type Options = sched.Options
 
 // The two bounds of the paper's evaluation procedure (§4.2.1).
@@ -62,10 +62,8 @@ type Report struct {
 	sched.Result
 	Mode string
 	// Solver carries the constraint engine's per-analysis counters in
-	// symbolic mode; nil in concrete mode. Under parallel runs the
-	// cache-hit/fresh-solve split depends on worker interleaving (the
-	// results never do), so these are diagnostics, not part of the
-	// deterministic result surface.
+	// symbolic mode; nil in concrete mode. Each analysis owns its
+	// solver, so two runs of one program report equal counters.
 	Solver *symx.SolverStats
 }
 
@@ -84,8 +82,8 @@ func Analyze(m *core.Machine, opts Options) (Report, error) {
 }
 
 // AnalyzeSymbolic runs the symbolic-mode detector on the unified
-// engine: the same worst-case schedule strategy, worker pool, dedup
-// table, and budgets as concrete mode, over the symbolic domain.
+// engine: the same worst-case schedule strategy, dedup table, and
+// budgets as concrete mode, over the symbolic domain.
 func AnalyzeSymbolic(m *SymMachine, opts Options) (Report, error) {
 	sm := newSymMachine(m)
 	rep, err := analyze(sm, "symbolic", opts)

@@ -8,9 +8,9 @@
 // that State at expressions and supplies the domain: labeled
 // expressions in registers and memory, path conditions from resolved
 // input-dependent branches, and angr-style leak-hunting address
-// concretization (§4.2). The engine's work-stealing pool, fingerprint
-// dedup, budgets, and deterministic violation merge therefore apply to
-// symbolic runs exactly as to concrete ones.
+// concretization (§4.2). The engine's depth-first driver, fingerprint
+// dedup and budgets therefore apply to symbolic runs exactly as to
+// concrete ones.
 //
 // Besides the value operations, this file holds what only a symbolic
 // configuration has: the world split at a branch whose condition is
@@ -94,9 +94,9 @@ func secretExpr(e symx.Expr) bool { return e != nil && e.Label().IsSecret() }
 
 // symMachine is the symbolic domain: one speculative machine
 // configuration over expressions, implementing core.Explorable. The
-// solver and concretizer are shared across clones — they are
-// stateless per query (deterministically self-seeding), so concurrent
-// exploration workers may use them without coordination.
+// solver and concretizer are shared across clones: their answers are
+// a pure function of the query, and one exploration drives every
+// clone from one goroutine.
 //
 // The configuration is copy-on-write end to end: registers are a flat
 // cell file (symx.RegFile) copied on the first write after a fork,
@@ -355,6 +355,5 @@ func (s *symMachine) splitBranch(d core.Directive) ([]core.Successor, error) {
 // Fingerprint hashes the symbolic configuration to 64 bits; equal
 // configurations hash equal.
 func (s *symMachine) Fingerprint() uint64 {
-	h := mem.Mix64(s.HashState(mixExpr) ^ s.RSB.Hash())
-	return mem.Mix64(h ^ s.pcond.Fingerprint())
+	return mem.Mix64(s.HashState(mixExpr) ^ s.pcond.Fingerprint())
 }

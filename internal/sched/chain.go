@@ -5,14 +5,12 @@
 // so forking is free. Extending a trace is one node allocation;
 // extending a schedule writes one cell of a shared run and allocates
 // only when the run fills or a fork arm starts its own. The slices the
-// rest of the system consumes (Violation.Schedule, Violation.Trace,
-// the parallel merge keys) are materialized only when a violation is
-// recorded.
+// rest of the system consumes (Violation.Schedule, Violation.Trace)
+// are materialized only when a violation is recorded.
 package sched
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"pitchfork/internal/core"
 	"pitchfork/internal/isa"
@@ -23,15 +21,15 @@ import (
 // prefix the node continues (its parent's first plen cells, and so
 // on). Several paths may share a node: a path extends the node in
 // place only while it ends at the node's last claimed cell, claiming
-// the next one with a compare-and-swap on used, so of the paths forked
-// from a common prefix exactly one keeps extending it and the others
-// start their own nodes. Claimed cells are written once, before any
+// the next one by bumping used, so of the paths forked from a common
+// prefix exactly one keeps extending it and the others start their own
+// nodes. Claimed cells are written once, before any
 // path that reads them exists, and never again.
 type schedNode struct {
 	parent *schedNode
 	plen   int // how many of parent's cells this run continues
 	base   int // schedule length before the run's first cell
-	used   atomic.Int32
+	used   int
 	ds     []core.Directive // fixed length: the run's capacity
 }
 
@@ -51,7 +49,8 @@ type schedRef struct {
 
 // push extends the schedule by one directive.
 func (r schedRef) push(d core.Directive) schedRef {
-	if nd := r.node; nd != nil && r.n < len(nd.ds) && nd.used.CompareAndSwap(int32(r.n), int32(r.n+1)) {
+	if nd := r.node; nd != nil && r.n < len(nd.ds) && nd.used == r.n {
+		nd.used++
 		nd.ds[r.n] = d
 		return schedRef{nd, r.n + 1}
 	}
@@ -62,8 +61,7 @@ func (r schedRef) push(d core.Directive) schedRef {
 			size = min(2*len(nd.ds), schedRunMax)
 		}
 	}
-	nd := &schedNode{parent: r.node, plen: r.n, base: base, ds: make([]core.Directive, size)}
-	nd.used.Store(1)
+	nd := &schedNode{parent: r.node, plen: r.n, base: base, used: 1, ds: make([]core.Directive, size)}
 	nd.ds[0] = d
 	return schedRef{nd, 1}
 }
@@ -113,8 +111,8 @@ func (n *traceNode) materialize() core.Trace {
 }
 
 // statePool recycles exploration nodes: a finished path's state is
-// returned here and its struct is reused for the next fork, in both
-// the serial and the work-stealing drivers. The chains and machines a
+// returned here and its struct is reused for the next fork, by every
+// exploration running in the process. The chains and machines a
 // state pointed at are shared and never pooled.
 var statePool = sync.Pool{New: func() any { return new(state) }}
 

@@ -3,8 +3,6 @@ package sched
 import (
 	"math/rand"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"pitchfork/internal/core"
@@ -63,61 +61,6 @@ func TestSchedChainMatchesModel(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSchedChainConcurrentForks hands forks to other goroutines, as
-// the work-stealing pool does, while their parents keep extending the
-// shared node: every path, checked after each of its own pushes and
-// again once all have finished, must materialize to its own model.
-// Run under -race, it also checks that claiming a cell is race-free.
-func TestSchedChainConcurrentForks(t *testing.T) {
-	var next atomic.Int64
-	fresh := func() core.Directive { return core.Execute(int(next.Add(1))) }
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		finals []chainPath
-		failed atomic.Bool
-	)
-	var walk func(p chainPath, seed int64, depth int)
-	walk = func(p chainPath, seed int64, depth int) {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(seed))
-		for step := 0; step < 150; step++ {
-			if depth < 2 && rng.Intn(30) == 0 {
-				wg.Add(1)
-				go walk(p.fork(), rng.Int63(), depth+1)
-			}
-			p.push(fresh())
-			if !p.agrees() {
-				failed.Store(true)
-				return
-			}
-		}
-		mu.Lock()
-		finals = append(finals, p)
-		mu.Unlock()
-	}
-	var root chainPath
-	for i := 0; i < 5; i++ {
-		root.push(fresh())
-	}
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go walk(root.fork(), int64(g), 0)
-	}
-	wg.Wait()
-	if failed.Load() {
-		t.Fatal("a path's chain diverged from its model while siblings extended concurrently")
-	}
-	for i := range finals {
-		if !finals[i].agrees() {
-			t.Fatalf("path %d: chain diverged from its model after all paths finished", i)
-		}
-	}
-	if !root.agrees() {
-		t.Fatal("the root prefix changed under its forks")
 	}
 }
 

@@ -4,9 +4,9 @@
 // symbolic machine of internal/pitchfork. Everything the strategy
 // needs — fetchability, reorder-buffer shape, speculation-source and
 // resolution flags, directive application — is expressed through the
-// Machine interface below, so the serial and work-stealing drivers,
-// the fingerprint dedup table, the exploration budgets, and the
-// deterministic violation merge apply to every domain uniformly.
+// Machine interface below, so the depth-first driver, the fingerprint
+// dedup table and the exploration budgets apply to every domain
+// uniformly.
 //
 // Both domains embed internal/core's State, which holds the semantics
 // once: fetch, execute and retire are written over a small core.Domain

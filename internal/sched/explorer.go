@@ -39,11 +39,12 @@
 // entries that can still act and the pending branches, not the whole
 // buffer (see executePhase).
 //
-// The exploration runs on one goroutine by default. Options.Workers
-// switches to a work-stealing pool whose workers start from the root
-// alone and spread the tree by stealing (see parallel.go), and
+// An exploration runs on one goroutine, depth-first. A caller uses
+// several cores by running several explorations at once: an Explorer
+// keeps no per-run state, so one Explorer may serve them all.
 // Options.DedupEntries enables fingerprint-based pruning of
-// re-converged states — in either domain.
+// re-converged states, in either domain; the fingerprint is O(1) per
+// state (core.State.HashState).
 package sched
 
 import (
@@ -71,34 +72,21 @@ type Options struct {
 	MaxRetired int
 	// StopAtFirst stops the exploration at the first violation.
 	StopAtFirst bool
-	// Workers is the number of exploration goroutines. 0 and 1 run the
-	// classic serial depth-first exploration; n > 1 runs the
-	// work-stealing parallel explorer of parallel.go, whose violations
-	// are reported in deterministic schedule order (not discovery
-	// order). Full parallel explorations are fully deterministic;
-	// under an early stop (StopAtFirst, Interrupt, a stopping
-	// OnViolation, or truncation) which states were reached before the
-	// stop propagated is timing-dependent, so the stopping run's
-	// States/Paths counts — and, for StopAtFirst, which single
-	// violation is reported — may vary between runs.
-	Workers int
 	// DedupEntries, when positive, bounds a machine-fingerprint table
 	// that prunes states whose configuration was already visited —
-	// many forwarding-fork arms reconverge, so dedup cuts states
-	// independently of parallelism. Pruning trades exactness for
+	// many forwarding-fork arms reconverge. The table records at most
+	// DedupEntries fingerprints; once full it stops recording (and so
+	// stops pruning new configurations). Pruning trades exactness for
 	// speed: path counts shrink, and a 64-bit fingerprint collision
 	// could in principle prune a genuinely new state. 0 disables.
 	DedupEntries int
 	// OnViolation, if non-nil, is invoked synchronously as each
 	// violation is recorded, before exploration continues. Returning
-	// false stops the exploration early, like StopAtFirst. With
-	// Workers > 1 the callback is serialized by the pool but may be
-	// invoked from different goroutines.
+	// false stops the exploration early, like StopAtFirst.
 	OnViolation func(Violation) bool
 	// Interrupt, if non-nil, is polled once per explored state.
 	// Returning true aborts the exploration; the violations found so
-	// far remain in the result and Result.Interrupted is set. With
-	// Workers > 1 it must be safe for concurrent calls.
+	// far remain in the result and Result.Interrupted is set.
 	Interrupt func() bool
 }
 
@@ -262,8 +250,6 @@ type Result struct {
 	// DedupHits is the number of states pruned because their machine
 	// fingerprint was already in the dedup table.
 	DedupHits int
-	// Workers is the number of exploration goroutines the run used.
-	Workers int
 }
 
 // SecretFree reports whether no violation was found.
@@ -281,9 +267,6 @@ type Explorer struct {
 func NewExplorer(opts Options) (*Explorer, error) {
 	if opts.Bound < 1 {
 		return nil, fmt.Errorf("sched: speculation bound must be positive, got %d", opts.Bound)
-	}
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("sched: workers must be non-negative, got %d", opts.Workers)
 	}
 	if opts.DedupEntries < 0 {
 		return nil, fmt.Errorf("sched: dedup entries must be non-negative, got %d", opts.DedupEntries)
@@ -343,25 +326,18 @@ func (s *state) clone() *state {
 // configuration, in either domain (a *core.Machine is the concrete
 // one). The machine is forked up front, so the caller's copy is not
 // mutated.
+//
+// The exploration is depth-first, the last-emitted arm first, until
+// the tree is exhausted or a budget or stop condition ends the run.
 func (e *Explorer) Explore(m Machine) Result {
+	var res Result
+	opts := &e.opts
 	var dedup *dedupTable
-	if e.opts.DedupEntries > 0 {
-		dedup = newDedupTable(e.opts.DedupEntries)
+	if opts.DedupEntries > 0 {
+		dedup = &dedupTable{max: opts.DedupEntries, fps: make(map[uint64]struct{})}
 	}
 	root := newState()
 	root.m = m.Fork()
-	if e.opts.Workers > 1 {
-		return exploreParallel(&e.opts, dedup, root)
-	}
-	res := Result{Workers: 1}
-	drive(&e.opts, dedup, &res, root)
-	return res
-}
-
-// drive is the serial explorer's loop, counting into res: it explores
-// from root depth-first, the last-emitted arm first, until the tree is
-// exhausted or a budget or stop condition ends the run.
-func drive(opts *Options, dedup *dedupTable, res *Result, root *state) {
 	stack := []*state{root}
 	// Successors land directly on the stack as advance produces them.
 	emit := func(s *state) { stack = append(stack, s) }
@@ -369,12 +345,12 @@ func drive(opts *Options, dedup *dedupTable, res *Result, root *state) {
 		if res.States >= opts.MaxStates {
 			res.Truncated = true
 			ended(stack)
-			return
+			return res
 		}
 		if opts.Interrupt != nil && opts.Interrupt() {
 			res.Interrupted = true
 			ended(stack)
-			return
+			return res
 		}
 		st := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -394,14 +370,36 @@ func drive(opts *Options, dedup *dedupTable, res *Result, root *state) {
 			if opts.OnViolation != nil && !opts.OnViolation(*viol) {
 				res.Interrupted = true
 				ended(stack)
-				return
+				return res
 			}
 			if opts.StopAtFirst {
 				ended(stack)
-				return
+				return res
 			}
 		}
 	}
+	return res
+}
+
+// dedupTable is the bounded set of machine fingerprints one
+// exploration has visited.
+type dedupTable struct {
+	max int
+	fps map[uint64]struct{}
+}
+
+// seen records fp and reports whether it was already present. A full
+// table stops recording — and therefore stops pruning new
+// configurations — rather than evicting, keeping the memory bound hard
+// and the pruning decision stable within a run.
+func (t *dedupTable) seen(fp uint64) bool {
+	n := len(t.fps)
+	if n == t.max {
+		_, ok := t.fps[fp]
+		return ok
+	}
+	t.fps[fp] = struct{}{} // one map operation: the length says if fp was new
+	return len(t.fps) == n
 }
 
 // ended releases the states left on the stack of a run that a budget or
@@ -414,12 +412,12 @@ func ended(stack []*state) {
 
 // advance pushes st forward by one strategy decision. It is a pure
 // function of the options, the dedup table, and the state — it touches
-// no explorer-level mutable state, so serial and parallel drivers share
-// it. done=true means the path is finished (with viol set if it ended
-// in a violation, deduped set if it was pruned as a revisited
-// configuration); otherwise the successor states (one for deterministic
-// steps, several at fork points) are delivered through emit, in
-// deterministic order, avoiding a per-step slice allocation.
+// no explorer-level mutable state. done=true means the path is
+// finished (with viol set if it ended in a violation, deduped set if it
+// was pruned as a revisited configuration); otherwise the successor
+// states (one for deterministic steps, several at fork points) are
+// delivered through emit, in deterministic order, avoiding a per-step
+// slice allocation.
 func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (done, deduped bool, viol *Violation) {
 	m := st.m
 
@@ -647,8 +645,7 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 
 // cursorCheck, when non-nil, is shown every state executePhase scans:
 // the machine and the cursor the scan starts at. Tests set it to
-// assert the settled-prefix invariant and the branch index; with
-// Workers > 1 it is called concurrently.
+// assert the settled-prefix invariant and the branch index.
 var cursorCheck func(m Machine, settled int)
 
 // loadFork decides how the load at index i resolves. Without
@@ -714,9 +711,8 @@ func apply(st *state, d core.Directive, emit func(*state)) bool {
 	}
 	// Pre-fork bookkeeping: every arm extends these chains (a path
 	// never sees another's extension, so sharing them with an
-	// already-emitted arm is safe). st is the first arm, which emit may
-	// hand to another worker immediately, so later arms read the
-	// snapshot, never st.
+	// already-emitted arm is safe). st becomes the first arm, so later
+	// arms read the snapshot, never st.
 	baseSched, baseTrace, baseSecret := st.sched, st.trace, st.secret
 	baseSettled := st.settled
 	for k, sc := range succs {

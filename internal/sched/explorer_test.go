@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"fmt"
+	"sort"
+	"sync"
 	"testing"
 
 	"pitchfork/internal/core"
@@ -171,17 +174,14 @@ func TestExplorerFindsSpectreV4OnlyWithHazards(t *testing.T) {
 }
 
 func TestExplorerFenceMitigation(t *testing.T) {
-	// Figure 8: the fence closes the v1 window entirely, under the
-	// serial and the work-stealing driver alike.
+	// Figure 8: the fence closes the v1 window entirely.
 	for _, fwd := range []bool{false, true} {
-		for _, workers := range []int{1, 2} {
-			e, err := NewExplorer(Options{Bound: 20, ForwardHazards: fwd, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res := e.Explore(fencedV1Gadget()); !res.SecretFree() {
-				t.Fatalf("fwd=%t workers=%d: fenced gadget must be clean, got %v", fwd, workers, res.Violations)
-			}
+		e, err := NewExplorer(Options{Bound: 20, ForwardHazards: fwd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := e.Explore(fencedV1Gadget()); !res.SecretFree() {
+			t.Fatalf("fwd=%t: fenced gadget must be clean, got %v", fwd, res.Violations)
 		}
 	}
 }
@@ -599,5 +599,226 @@ func TestSourceStrings(t *testing.T) {
 	}
 	if SrcStore.String() != "store" || SrcRet.String() != "return" {
 		t.Fatal("source kind names drifted from the wire vocabulary")
+	}
+}
+
+// violationKey reduces a violation to its schedule-independent
+// signature, for set comparisons across exploration strategies.
+func violationKey(v Violation) string {
+	return fmt.Sprintf("%s|%s|%d", v.Kind, v.Obs, v.PC)
+}
+
+// sortedSignatures renders each violation as signature+schedule, sorted,
+// so two results compare as multisets.
+func sortedSignatures(res Result, withSchedule bool) []string {
+	out := make([]string, len(res.Violations))
+	for i, v := range res.Violations {
+		out[i] = violationKey(v)
+		if withSchedule {
+			out[i] += "|" + v.Schedule.String()
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func mustExplorer(t *testing.T, opts Options) *Explorer {
+	t.Helper()
+	e, err := NewExplorer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// cascadeGadget chains the Figure 1 gadget with n extra conditional
+// branches, giving the exploration tree ~2^n paths.
+func cascadeGadget(n int) *core.Machine {
+	b := isa.NewBuilder(1)
+	b.Br(isa.OpGt, []isa.Operand{isa.ImmW(4), isa.R(ra)}, 2, 4)
+	b.Load(rb, isa.ImmW(0x40), isa.R(ra))
+	b.Load(rc, isa.ImmW(0x44), isa.R(rb))
+	for i := 0; i < n; i++ {
+		here := b.Here()
+		b.Br(isa.OpGt, []isa.Operand{isa.ImmW(4), isa.R(ra)}, here+1, here+1)
+	}
+	b.Region(0x40, mem.Pub(1), mem.Pub(2), mem.Pub(3), mem.Pub(4))
+	b.Region(0x44, mem.Pub(5), mem.Pub(6), mem.Pub(7), mem.Pub(8))
+	b.Region(0x48, mem.Sec(0xA0), mem.Sec(0xA1), mem.Sec(0xA2), mem.Sec(0xA3))
+	m := core.New(b.MustBuild())
+	m.Regs.Write(ra, mem.Pub(9))
+	return m
+}
+
+// TestExplorerSharedAcrossGoroutines exercises one Explorer from many
+// goroutines concurrently — the reuse the type documents — so the race
+// detector can certify there is no per-instance mutable state left.
+func TestExplorerSharedAcrossGoroutines(t *testing.T) {
+	e := mustExplorer(t, Options{Bound: 20, ForwardHazards: true})
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res := e.Explore(v1Gadget(9))
+			if res.SecretFree() {
+				errs <- "shared explorer missed the v1 leak"
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
+}
+
+// exploreConcurrently runs n explorations of fresh machines from mk on
+// the one Explorer e at once, the way a caller spreads programs over
+// cores, and returns their results.
+func exploreConcurrently(e *Explorer, mk func() *core.Machine, n int) []Result {
+	out := make([]Result, n)
+	var wg sync.WaitGroup
+	for g := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[g] = e.Explore(mk())
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// The TestParallel tests check that every stop condition belongs to
+// one Explore call: explorations running at once on a shared Explorer
+// each stop on their own, as a lone run would.
+
+func TestParallelStopAtFirst(t *testing.T) {
+	e := mustExplorer(t, Options{Bound: 20, StopAtFirst: true})
+	for _, res := range exploreConcurrently(e, func() *core.Machine { return v1Gadget(9) }, 4) {
+		if len(res.Violations) != 1 {
+			t.Fatalf("StopAtFirst must report exactly one violation, got %d", len(res.Violations))
+		}
+	}
+}
+
+func TestParallelTruncation(t *testing.T) {
+	e := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, MaxStates: 5})
+	for _, res := range exploreConcurrently(e, v11Gadget, 4) {
+		if !res.Truncated || res.States != 5 {
+			t.Fatalf("each run must truncate at its own budget of 5 states: truncated %t, %d states", res.Truncated, res.States)
+		}
+	}
+}
+
+func TestParallelInterrupt(t *testing.T) {
+	e := mustExplorer(t, Options{Bound: 20, Interrupt: func() bool { return true }})
+	for _, res := range exploreConcurrently(e, func() *core.Machine { return v1Gadget(9) }, 4) {
+		if !res.Interrupted {
+			t.Fatal("interrupt must mark the result interrupted")
+		}
+		if res.States != 0 {
+			t.Fatalf("interrupt before the first state must explore nothing, got %d states", res.States)
+		}
+	}
+}
+
+func TestParallelOnViolationStops(t *testing.T) {
+	var mu sync.Mutex
+	calls := 0
+	e := mustExplorer(t, Options{
+		Bound: 20,
+		OnViolation: func(Violation) bool {
+			mu.Lock()
+			calls++
+			mu.Unlock()
+			return false
+		},
+	})
+	const runs = 4
+	for _, res := range exploreConcurrently(e, func() *core.Machine { return v1Gadget(9) }, runs) {
+		if !res.Interrupted || len(res.Violations) != 1 {
+			t.Fatalf("stopping callback must end each run at its first violation: interrupted %t, %d violations", res.Interrupted, len(res.Violations))
+		}
+	}
+	if calls != runs {
+		t.Fatalf("callback fired %d times, want once per run (%d)", calls, runs)
+	}
+}
+
+// TestDedupPrunesReconvergedStates checks the fingerprint table's
+// central claim: forwarding-fork arms that reconverge (store address
+// resolved and load executed, in either order, without aliasing) are
+// pruned, shrinking the explored state count without losing any
+// violation signature.
+func TestDedupPrunesReconvergedStates(t *testing.T) {
+	full := mustExplorer(t, Options{Bound: 20, ForwardHazards: true}).Explore(v11Gadget())
+	dedup := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, DedupEntries: 1 << 16}).Explore(v11Gadget())
+	if dedup.DedupHits == 0 {
+		t.Fatal("forwarding forks must reconverge and hit the dedup table")
+	}
+	if dedup.States >= full.States {
+		t.Fatalf("dedup must shrink the exploration: %d states with, %d without", dedup.States, full.States)
+	}
+	want := map[string]bool{}
+	for _, v := range full.Violations {
+		want[violationKey(v)] = true
+	}
+	got := map[string]bool{}
+	for _, v := range dedup.Violations {
+		got[violationKey(v)] = true
+	}
+	if len(got) != len(want) {
+		t.Fatalf("violation signatures differ: %v vs %v", got, want)
+	}
+	for k := range want {
+		if !got[k] {
+			t.Fatalf("dedup lost violation %s", k)
+		}
+	}
+}
+
+// TestDedupParallelAgreesOnSignatures checks that each exploration
+// keeps its own dedup table: runs sharing one Explorer at once prune
+// exactly what a lone run prunes.
+func TestDedupParallelAgreesOnSignatures(t *testing.T) {
+	e := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, DedupEntries: 1 << 16})
+	lone := e.Explore(v11Gadget())
+	want := sortedSignatures(lone, true)
+	for _, res := range exploreConcurrently(e, v11Gadget, 4) {
+		if res.States != lone.States || res.Paths != lone.Paths || res.DedupHits != lone.DedupHits {
+			t.Fatalf("concurrent run: %d states / %d paths / %d dedup hits, lone run %d / %d / %d",
+				res.States, res.Paths, res.DedupHits, lone.States, lone.Paths, lone.DedupHits)
+		}
+		got := sortedSignatures(res, true)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("signatures differ:\n concurrent %v\n lone       %v", got, want)
+		}
+	}
+}
+
+func TestNewExplorerRejectsNegativeDedupEntries(t *testing.T) {
+	if _, err := NewExplorer(Options{Bound: 20, DedupEntries: -1}); err == nil {
+		t.Fatal("negative dedup entries must be rejected")
+	}
+}
+
+// TestViolationPCPointsAtLeakingInstruction pins the PC attribution
+// fix: the Figure 1 leak is the load at program point 3, not the fetch
+// head (4) at detection time.
+func TestViolationPCPointsAtLeakingInstruction(t *testing.T) {
+	res, err := explore(v1Gadget(9), 20, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SecretFree() {
+		t.Fatal("v1 gadget must leak")
+	}
+	for _, v := range res.Violations {
+		if v.PC != 3 {
+			t.Fatalf("violation PC = %d, want 3 (the leaking load)", v.PC)
+		}
 	}
 }

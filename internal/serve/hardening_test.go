@@ -412,29 +412,31 @@ func TestBudgetsAtCapsAccepted(t *testing.T) {
 	}
 }
 
-// TestOversizedWorkersRejected: a request asking for more exploration
-// workers than spectre.MaxWorkers is a bad request, refused before any
-// analysis starts — not an allocation sized by the request.
-func TestOversizedWorkersRejected(t *testing.T) {
+// TestWorkersOverlayIgnored: Config has no workers field (an
+// exploration is one goroutine), so a "workers" key in a request's
+// config overlay is an unknown field that decoding drops. The request
+// answers 200 under the same cache key as one without it, and the
+// second request is a cache hit.
+func TestWorkersOverlayIgnored(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	body, err := json.Marshal(AnalyzeRequest{
-		Source: tinySource(0),
-		Config: json.RawMessage(`{"workers":1099511627776}`),
-	})
-	if err != nil {
-		t.Fatal(err)
+	var keys []string
+	for _, overlay := range []string{`{}`, `{"workers":4}`} {
+		body, err := json.Marshal(AnalyzeRequest{Source: tinySource(0), Config: json.RawMessage(overlay)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, raw := postAnalyze(t, ts.URL, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("overlay %s = %d %s, want 200", overlay, resp.StatusCode, raw)
+		}
+		keys = append(keys, decodeAnalyze(t, raw).CacheKey)
 	}
-	resp, raw := postAnalyze(t, ts.URL, body)
-	var e ErrorResponse
-	if err := json.Unmarshal(raw, &e); err != nil {
-		t.Fatalf("decode error body: %v\nbody: %s", err, raw)
+	if keys[0] != keys[1] {
+		t.Fatalf("a workers overlay moved the cache key: %s vs %s", keys[1], keys[0])
 	}
-	if resp.StatusCode != http.StatusBadRequest || e.Code != spectre.ErrCodeBadRequest {
-		t.Fatalf("oversized workers = %d %s, want 400 %s", resp.StatusCode, raw, spectre.ErrCodeBadRequest)
-	}
-	if got := s.Stats().Analyses; got != 0 {
-		t.Fatalf("%d analyses ran for a rejected request, want 0", got)
+	if got := s.Stats().Analyses; got != 1 {
+		t.Fatalf("%d analyses ran, want 1 (the second request is a cache hit)", got)
 	}
 }

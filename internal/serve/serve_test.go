@@ -37,7 +37,6 @@ func stubReport() *spectre.Report {
 		Findings:   []spectre.Finding{},
 		States:     1,
 		Paths:      1,
-		Workers:    1,
 	}
 }
 

@@ -6,8 +6,7 @@ package symx
 // parent condition's fixpoint, so child conditions pay for one new
 // conjunct), an incremental candidate evaluator that re-checks only
 // the conjuncts whose variables changed, the depth-first model search
-// built on it, and a bounded fingerprint-keyed result cache shared
-// across exploration workers.
+// built on it, and a bounded fingerprint-keyed result cache.
 //
 // The domains over-approximate the model set, so they are only ever
 // used to (a) return definite UNSAT when a variable's domain is empty
@@ -17,8 +16,6 @@ package symx
 import (
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"pitchfork/internal/isa"
 	"pitchfork/internal/mem"
@@ -987,76 +984,52 @@ type solveEntry struct {
 
 var emptyEntry = &solveEntry{env: Env{}, ok: true}
 
-const (
-	cacheShards  = 16
-	cacheEntries = 1 << 13 // per solver, across shards
-)
+// cacheEntries bounds one solver's result cache.
+const cacheEntries = 1 << 13
 
-// modelCache memoizes solve results by path-condition fingerprint.
-// Sharded mutexes keep exploration workers out of each other's way;
-// FIFO eviction bounds memory. Solve results are a pure function of
-// the query, so concurrent duplicate computation is
-// harmless — both workers publish identical entries.
+// modelCache memoizes solve results by path-condition fingerprint;
+// FIFO eviction bounds memory. One analysis owns it, on one goroutine.
 type modelCache struct {
-	shards [cacheShards]cacheShard
-}
-
-type cacheShard struct {
-	mu   sync.Mutex
 	m    map[uint64]*solveEntry
 	fifo []uint64
 	head int
 }
 
 func newModelCache() *modelCache {
-	c := &modelCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]*solveEntry)
-	}
-	return c
+	return &modelCache{m: make(map[uint64]*solveEntry)}
 }
 
 func (c *modelCache) get(fp uint64) (*solveEntry, bool) {
-	sh := &c.shards[fp&(cacheShards-1)]
-	sh.mu.Lock()
-	e, ok := sh.m[fp]
-	sh.mu.Unlock()
+	e, ok := c.m[fp]
 	return e, ok
 }
 
 func (c *modelCache) put(fp uint64, e *solveEntry) {
-	sh := &c.shards[fp&(cacheShards-1)]
-	sh.mu.Lock()
-	if _, exists := sh.m[fp]; !exists {
-		if len(sh.fifo)-sh.head >= cacheEntries/cacheShards {
-			delete(sh.m, sh.fifo[sh.head])
-			sh.head++
-			if sh.head > cacheEntries/cacheShards {
-				sh.fifo = append(sh.fifo[:0], sh.fifo[sh.head:]...)
-				sh.head = 0
+	if _, exists := c.m[fp]; !exists {
+		if len(c.fifo)-c.head >= cacheEntries {
+			delete(c.m, c.fifo[c.head])
+			c.head++
+			if c.head > cacheEntries {
+				c.fifo = append(c.fifo[:0], c.fifo[c.head:]...)
+				c.head = 0
 			}
 		}
-		sh.fifo = append(sh.fifo, fp)
+		c.fifo = append(c.fifo, fp)
 	}
-	sh.m[fp] = e
-	sh.mu.Unlock()
+	c.m[fp] = e
 }
 
 // ---------------------------------------------------------------------
 // Counters.
 // ---------------------------------------------------------------------
 
-// solverCounters are the engine's per-analysis diagnostics. They are
-// atomics because exploration workers share one solver; under parallel
-// runs the split between cache hits and fresh solves depends on
-// interleaving (results never do), so the counters are observability,
-// not part of the deterministic result surface.
+// solverCounters are the engine's per-analysis diagnostics.
 type solverCounters struct {
-	queries        atomic.Uint64
-	cacheHits      atomic.Uint64
-	definiteUnsats atomic.Uint64
-	propPruned     atomic.Uint64
-	probeIters     atomic.Uint64
+	queries        uint64
+	cacheHits      uint64
+	definiteUnsats uint64
+	propPruned     uint64
+	probeIters     uint64
 }
 
 // SolverStats is a snapshot of the constraint engine's counters for
@@ -1074,11 +1047,12 @@ type SolverStats struct {
 
 // Stats snapshots the solver's counters.
 func (s *Solver) Stats() SolverStats {
+	c := &s.counters
 	return SolverStats{
-		Queries:        s.counters.queries.Load(),
-		CacheHits:      s.counters.cacheHits.Load(),
-		DefiniteUnsats: s.counters.definiteUnsats.Load(),
-		PropPruned:     s.counters.propPruned.Load(),
-		ProbeIters:     s.counters.probeIters.Load(),
+		Queries:        c.queries,
+		CacheHits:      c.cacheHits,
+		DefiniteUnsats: c.definiteUnsats,
+		PropPruned:     c.propPruned,
+		ProbeIters:     c.probeIters,
 	}
 }

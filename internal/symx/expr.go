@@ -13,8 +13,7 @@
 //
 // The solver (engine.go) exploits the structure the explorer gives it
 // — path conditions grow by one conjunct per branch along a
-// parent-pointer chain, and the same conditions recur across forks and
-// workers:
+// parent-pointer chain, and the same conditions recur across forks:
 //
 //   - an interval × known-bits abstract domain with per-opcode
 //     transfer functions propagates constraints to a fixpoint,
@@ -24,11 +23,11 @@
 //     candidate lists drawn from those domains, re-checking only the
 //     conjuncts whose variables changed and cutting a branch as soon
 //     as a fully assigned conjunct fails;
-//   - results are memoized per fingerprint in a sharded model cache
-//     shared across forks and workers.
+//   - results are memoized per fingerprint in a bounded model cache
+//     shared across forks.
 //
-// Every answer is a pure function of the query, so parallel runs stay
-// deterministic. What a real SMT backend would still add is
+// Every answer is a pure function of the query, whatever the cache
+// holds. What a real SMT backend would still add is
 // completeness on dense multi-variable arithmetic (e.g. nonlinear
 // mixes of wide-range variables), where the search's node budget makes
 // it bounded best-effort.

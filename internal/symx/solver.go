@@ -176,11 +176,11 @@ func (p PathCondition) conjuncts() []Constraint {
 //
 // Results are memoized in a bounded cache keyed by the path
 // condition's fingerprint, and both steps are pure functions of the
-// query: answers are independent of call order and cache state, which
-// is what lets one Solver be shared across the exploration engine's
-// worker goroutines while keeping parallel symbolic runs bit-identical
-// to serial ones. Returned models are shared with the cache — callers
-// must not mutate them.
+// query: answers are independent of call order and cache state. A
+// Solver belongs to one analysis and is not safe for concurrent use;
+// its counters are therefore a deterministic function of the analysis.
+// Returned models are shared with the cache — callers must not mutate
+// them.
 type Solver struct {
 	cache    *modelCache
 	counters solverCounters
@@ -244,13 +244,13 @@ func (s *Solver) Feasible(p PathCondition) bool {
 // recursively, parent first, so a result never depends on what happens
 // to be cached.
 func (s *Solver) query(p PathCondition) *solveEntry {
-	s.counters.queries.Add(1)
+	s.counters.queries++
 	if p.n == nil {
 		return emptyEntry
 	}
 	if e, ok := s.cache.get(p.n.fp); ok {
 		if !e.ok || p.Holds(e.env) {
-			s.counters.cacheHits.Add(1)
+			s.counters.cacheHits++
 			return e
 		}
 	}
@@ -268,7 +268,7 @@ func (s *Solver) solveFresh(p PathCondition) *solveEntry {
 		pe = s.query(par)
 		if pe.unsat {
 			// A superset of an unsatisfiable conjunction is unsatisfiable.
-			s.counters.definiteUnsats.Add(1)
+			s.counters.definiteUnsats++
 			return &solveEntry{unsat: true}
 		}
 	}
@@ -296,19 +296,19 @@ func (s *Solver) solveFresh(p PathCondition) *solveEntry {
 		fromParent = true
 	}
 	if !propagate(cons, vidx, doms, fromParent) {
-		s.counters.definiteUnsats.Add(1)
+		s.counters.definiteUnsats++
 		return &solveEntry{doms: doms, unsat: true}
 	}
 	for i := range doms {
 		if !doms[i].isFull() {
-			s.counters.propPruned.Add(1)
+			s.counters.propPruned++
 			break
 		}
 	}
 
 	ec := newEvalCtx(vars, cons, vidx)
 	ok, evals := ec.search(doms)
-	s.counters.probeIters.Add(evals)
+	s.counters.probeIters += evals
 	if ok {
 		return &solveEntry{doms: doms, env: ec.env, ok: true}
 	}

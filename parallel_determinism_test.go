@@ -1,12 +1,12 @@
-// Determinism of the parallel explorer on the paper's §4.2 corpus:
-// work-stealing changes which goroutine visits which subtree, but the
-// explored tree — and therefore the violation multiset — must be
-// exactly the serial one, and the merged report order must be stable.
+// Determinism under the concurrency the engine supports on the paper's
+// §4.2 corpus. An exploration runs on one goroutine; a caller uses
+// several cores by running explorations at once on shared Explorers.
+// Each case is explored once alone and once while the other cases'
+// explorations run on the same Explorer: the explored tree, and with it
+// the violation list, must be exactly the lone run's.
 package pitchfork_test
 
 import (
-	"runtime"
-	"sort"
 	"testing"
 
 	"pitchfork/internal/sched"
@@ -18,53 +18,41 @@ func violationStrings(res sched.Result) []string {
 	for i, v := range res.Violations {
 		out[i] = v.String() + "|" + v.Schedule.String()
 	}
-	sort.Strings(out)
 	return out
 }
 
 func TestParallelMatchesSerialOnKocherSuite(t *testing.T) {
-	workers := runtime.NumCPU()
-	if workers > 8 {
-		workers = 8
+	shared := map[bool]*sched.Explorer{}
+	for _, fwd := range []bool{false, true} {
+		e, err := sched.NewExplorer(sched.Options{Bound: 20, ForwardHazards: fwd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared[fwd] = e
 	}
 	for _, c := range testcases.Kocher() {
-		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			t.Parallel()
+			e := shared[c.NeedsFwdHazards]
 			m, err := c.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			se, err := sched.NewExplorer(sched.Options{Bound: 20, ForwardHazards: c.NeedsFwdHazards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial := se.Explore(m)
-
-			m2, err := c.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			pe, err := sched.NewExplorer(sched.Options{
-				Bound: 20, ForwardHazards: c.NeedsFwdHazards,
-				Workers: workers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			par := pe.Explore(m2)
+			// Subtests run one by one up to t.Parallel, then together.
+			serial := e.Explore(m)
+			t.Parallel()
+			par := e.Explore(m)
 
 			if serial.States != par.States || serial.Paths != par.Paths {
-				t.Fatalf("serial %d states / %d paths, parallel %d states / %d paths",
+				t.Fatalf("alone %d states / %d paths, concurrently %d states / %d paths",
 					serial.States, serial.Paths, par.States, par.Paths)
 			}
 			ss, ps := violationStrings(serial), violationStrings(par)
 			if len(ss) != len(ps) {
-				t.Fatalf("violation counts differ: serial %d, parallel %d", len(ss), len(ps))
+				t.Fatalf("violation counts differ: alone %d, concurrently %d", len(ss), len(ps))
 			}
 			for i := range ss {
 				if ss[i] != ps[i] {
-					t.Fatalf("violation sets differ at %d:\n serial   %s\n parallel %s", i, ss[i], ps[i])
+					t.Fatalf("violation %d differs:\n alone        %s\n concurrently %s", i, ss[i], ps[i])
 				}
 			}
 		})

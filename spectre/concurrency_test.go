@@ -2,7 +2,6 @@ package spectre_test
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"testing"
 
@@ -14,7 +13,7 @@ import (
 // race detector can certify it (satellite of the Explorer.stopped
 // bugfix: stopping one exploration must not bleed into another).
 func TestAnalyzerSharedAcrossGoroutines(t *testing.T) {
-	an := mustNew(t, spectre.WithBound(20), spectre.WithWorkers(4))
+	an := mustNew(t, spectre.WithBound(20))
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for g := 0; g < 8; g++ {
@@ -51,38 +50,6 @@ func TestAnalyzerSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// TestWorkersMatchSerialFindings checks that the façade-level parallel
-// run reports exactly the serial findings (the wire-schema view of the
-// explorer determinism guarantee).
-func TestWorkersMatchSerialFindings(t *testing.T) {
-	serial := mustRun(t, mustNew(t, spectre.WithBound(20)), doubleV1Program())
-	par := mustRun(t, mustNew(t, spectre.WithBound(20), spectre.WithWorkers(4)), doubleV1Program())
-	if par.Workers != 4 || serial.Workers != 1 {
-		t.Fatalf("workers not recorded: serial %d, parallel %d", serial.Workers, par.Workers)
-	}
-	if serial.States != par.States || serial.Paths != par.Paths {
-		t.Fatalf("serial %d states / %d paths, parallel %d states / %d paths",
-			serial.States, serial.Paths, par.States, par.Paths)
-	}
-	key := func(rep *spectre.Report) []string {
-		out := make([]string, len(rep.Findings))
-		for i, f := range rep.Findings {
-			out[i] = f.String()
-		}
-		sort.Strings(out)
-		return out
-	}
-	ss, ps := key(serial), key(par)
-	if len(ss) != len(ps) {
-		t.Fatalf("finding counts differ: %d vs %d", len(ss), len(ps))
-	}
-	for i := range ss {
-		if ss[i] != ps[i] {
-			t.Fatalf("finding sets differ:\n serial   %s\n parallel %s", ss[i], ps[i])
-		}
-	}
-}
-
 // TestDedupReportStats checks WithDedup surfaces its pruning in the
 // report and preserves the findings.
 func TestDedupReportStats(t *testing.T) {
@@ -102,9 +69,6 @@ func TestDedupReportStats(t *testing.T) {
 	}
 	if _, err := spectre.New(spectre.WithDedup(-1)); err == nil {
 		t.Fatal("negative dedup bound must be rejected")
-	}
-	if _, err := spectre.New(spectre.WithWorkers(-1)); err == nil {
-		t.Fatal("negative workers must be rejected")
 	}
 }
 

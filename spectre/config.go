@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 )
 
 // Config is the analyzer's full configuration as an explicit,
@@ -17,7 +16,7 @@ import (
 // included), and New() and New(WithBound(DefaultBound)) produce
 // identical Configs, hence identical cache keys.
 //
-// The functional options (WithBound, WithWorkers, …) are a thin layer
+// The functional options (WithBound, WithDedup, …) are a thin layer
 // over this struct; NewFromConfig constructs an Analyzer from a Config
 // directly. The zero Config is not runnable (Bound must be positive) —
 // start from DefaultConfig and overlay, which is also how the serving
@@ -39,10 +38,6 @@ type Config struct {
 	StopAtFirst bool `json:"stopAtFirst"`
 	// Symbolic switches to symbolic mode (see WithSymbolic).
 	Symbolic bool `json:"symbolic"`
-	// Workers is the number of exploration goroutines; 0 resolves to
-	// runtime.NumCPU() at construction (the resolved value is what
-	// Analyzer.Config reports and what CacheKey hashes).
-	Workers int `json:"workers"`
 	// DedupEntries bounds the machine-fingerprint dedup table; 0
 	// disables deduplication.
 	DedupEntries int `json:"dedupEntries"`
@@ -54,35 +49,23 @@ type Config struct {
 	RepairStrategy string `json:"repairStrategy"`
 }
 
-// MaxWorkers caps Config.Workers. The parallel explorer sizes one
-// work deque per worker up front, so an unchecked count from a request
-// could ask the runtime for more memory than exists — a fatal error no
-// panic isolation catches.
-const MaxWorkers = 1024
-
 // DefaultConfig returns the configuration New uses with no options:
 // concrete-mode analysis at DefaultBound with forwarding-hazard
-// detection enabled, serial exploration, auto repair strategy. Every
+// detection enabled, auto repair strategy. Every
 // default is explicit — the returned value round-trips through JSON
 // and CacheKey without further resolution.
 func DefaultConfig() Config {
 	return Config{
 		Bound:          DefaultBound,
 		ForwardHazards: true,
-		Workers:        1,
 		RepairStrategy: StrategyAuto,
 	}
 }
 
-// normalize resolves the two fields whose zero value means "pick for
-// me": Workers 0 → NumCPU (at most MaxWorkers), RepairStrategy "" →
-// auto. New and
-// NewFromConfig both apply it, so a Config built by hand and one built
-// by options cannot diverge.
+// normalize resolves the field whose zero value means "pick for me":
+// RepairStrategy "" → auto. New and NewFromConfig both apply it, so a
+// Config built by hand and one built by options cannot diverge.
 func (c *Config) normalize() {
-	if c.Workers == 0 {
-		c.Workers = min(runtime.NumCPU(), MaxWorkers)
-	}
 	if c.RepairStrategy == "" {
 		c.RepairStrategy = StrategyAuto
 	}
@@ -101,9 +84,6 @@ func (c Config) validate() error {
 	if c.MaxRetired < 0 {
 		return fmt.Errorf("spectre: max retired must be non-negative, got %d", c.MaxRetired)
 	}
-	if c.Workers < 0 || c.Workers > MaxWorkers {
-		return fmt.Errorf("spectre: workers must be in [0, %d], got %d", MaxWorkers, c.Workers)
-	}
 	if c.DedupEntries < 0 {
 		return fmt.Errorf("spectre: dedup entries must be non-negative, got %d", c.DedupEntries)
 	}
@@ -121,31 +101,30 @@ func (c Config) validate() error {
 // keys iff they are equal after normalization — and equal Configs
 // produce byte-identical reports on the same program, which is the
 // contract the fingerprint-keyed verdict cache (internal/serve) relies
-// on. Every field participates, including ones like Workers that do
-// not change the finding set, because they do appear in the wire
-// Report; a key must never alias two configurations whose reports can
-// differ in any byte.
+// on. Every field participates, including ones like RepairStrategy
+// that do not change the finding set; a key must never alias two
+// configurations whose reports can differ in any byte.
 //
 // The digest is stability-pinned (spectre/stability_test.go): it may
 // only change with a deliberate bump of the version tag below, never
 // silently. v2 dropped the solver seed: the model search became
 // deterministic, so symbolic witnesses changed and v1 entries must not
-// be served.
+// be served. v3 dropped Workers: reports lost their workers field, so
+// v2 entries must not be served.
 func (c Config) CacheKey() string {
 	c.normalize()
 	canonical := fmt.Sprintf(
-		"spectre-config-v2|bound=%d|fwd=%t|maxStates=%d|maxRetired=%d|stopAtFirst=%t|symbolic=%t|workers=%d|dedup=%d|static=%t|strategy=%s",
+		"spectre-config-v3|bound=%d|fwd=%t|maxStates=%d|maxRetired=%d|stopAtFirst=%t|symbolic=%t|dedup=%d|static=%t|strategy=%s",
 		c.Bound, c.ForwardHazards, c.MaxStates, c.MaxRetired, c.StopAtFirst,
-		c.Symbolic, c.Workers, c.DedupEntries, c.StaticPass,
-		c.RepairStrategy)
+		c.Symbolic, c.DedupEntries, c.StaticPass, c.RepairStrategy)
 	sum := sha256.Sum256([]byte(canonical))
 	return hex.EncodeToString(sum[:])
 }
 
 // NewFromConfig constructs an Analyzer from an explicit Config — the
 // deserialized-request path the serving layer uses, equivalent to New
-// with the corresponding options. The Config is normalized (Workers 0
-// → NumCPU, RepairStrategy "" → auto) and validated; the analyzer
+// with the corresponding options. The Config is normalized
+// (RepairStrategy "" → auto) and validated; the analyzer
 // keeps a copy, so later mutations of c do not affect it.
 func NewFromConfig(c Config) (*Analyzer, error) {
 	c.normalize()

@@ -3,7 +3,6 @@ package spectre_test
 import (
 	"context"
 	"encoding/json"
-	"runtime"
 	"testing"
 
 	"pitchfork/spectre"
@@ -42,8 +41,8 @@ func TestConfigDefaultsExplicit(t *testing.T) {
 }
 
 // TestConfigSnapshotResolved checks Analyzer.Config returns the
-// resolved snapshot: every option lands in its field, and the two
-// pick-for-me zeroes (Workers, RepairStrategy) come back resolved.
+// resolved snapshot: every option lands in its field, and the
+// pick-for-me zero RepairStrategy comes back resolved.
 func TestConfigSnapshotResolved(t *testing.T) {
 	an := mustNew(t,
 		spectre.WithBound(250),
@@ -52,7 +51,6 @@ func TestConfigSnapshotResolved(t *testing.T) {
 		spectre.WithMaxRetired(500),
 		spectre.WithStopAtFirst(true),
 		spectre.WithSymbolic(true),
-		spectre.WithWorkers(3),
 		spectre.WithDedup(64),
 		spectre.WithStaticPass(true),
 		spectre.WithRepairStrategy(spectre.StrategyFence),
@@ -64,7 +62,6 @@ func TestConfigSnapshotResolved(t *testing.T) {
 		MaxRetired:     500,
 		StopAtFirst:    true,
 		Symbolic:       true,
-		Workers:        3,
 		DedupEntries:   64,
 		StaticPass:     true,
 		RepairStrategy: spectre.StrategyFence,
@@ -73,15 +70,11 @@ func TestConfigSnapshotResolved(t *testing.T) {
 		t.Errorf("snapshot drifted:\n got %+v\nwant %+v", got, want)
 	}
 
-	zeroWorkers := spectre.DefaultConfig()
-	zeroWorkers.Workers = 0
-	zeroWorkers.RepairStrategy = ""
-	resolved, err := spectre.NewFromConfig(zeroWorkers)
+	zeroStrategy := spectre.DefaultConfig()
+	zeroStrategy.RepairStrategy = ""
+	resolved, err := spectre.NewFromConfig(zeroStrategy)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := resolved.Config().Workers; got != runtime.NumCPU() {
-		t.Errorf("Workers 0 resolved to %d, want NumCPU %d", got, runtime.NumCPU())
 	}
 	if got := resolved.Config().RepairStrategy; got != spectre.StrategyAuto {
 		t.Errorf("empty strategy resolved to %q, want auto", got)
@@ -145,8 +138,6 @@ func TestNewFromConfigRejects(t *testing.T) {
 		"zero bound":       func(c *spectre.Config) { c.Bound = 0 },
 		"negative states":  func(c *spectre.Config) { c.MaxStates = -1 },
 		"negative retired": func(c *spectre.Config) { c.MaxRetired = -1 },
-		"negative workers": func(c *spectre.Config) { c.Workers = -1 },
-		"too many workers": func(c *spectre.Config) { c.Workers = spectre.MaxWorkers + 1 },
 		"negative dedup":   func(c *spectre.Config) { c.DedupEntries = -1 },
 		"bad strategy":     func(c *spectre.Config) { c.RepairStrategy = "nop" },
 	} {
@@ -170,7 +161,6 @@ func TestCacheKeySeparates(t *testing.T) {
 		"maxRetired": func(c *spectre.Config) { c.MaxRetired = 10 },
 		"stopFirst":  func(c *spectre.Config) { c.StopAtFirst = true },
 		"symbolic":   func(c *spectre.Config) { c.Symbolic = true },
-		"workers":    func(c *spectre.Config) { c.Workers = 2 },
 		"dedup":      func(c *spectre.Config) { c.DedupEntries = 16 },
 		"static":     func(c *spectre.Config) { c.StaticPass = true },
 		"strategy":   func(c *spectre.Config) { c.RepairStrategy = spectre.StrategyMask },

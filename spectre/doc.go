@@ -11,22 +11,20 @@
 //
 //   - An Analyzer, constructed with functional options (WithBound,
 //     WithForwardHazards, WithMaxStates, WithMaxRetired,
-//     WithStopAtFirst, WithSymbolic, WithWorkers, WithDedup), that
-//     runs the paper's worst-case-schedule exploration in concrete or
-//     symbolic mode. Both modes run on one domain-parameterized
-//     speculation engine, so every option composes with every mode:
-//     WithWorkers spreads one exploration — concrete or symbolic —
-//     over a work-stealing pool (reports stay deterministic, symbolic
-//     witness models included); WithDedup prunes re-converged
-//     exploration states through a bounded machine-fingerprint table
-//     in either domain.
+//     WithStopAtFirst, WithSymbolic, WithDedup), that runs the paper's
+//     worst-case-schedule exploration in concrete or symbolic mode.
+//     Both modes run on one domain-parameterized speculation engine,
+//     so every option composes with every mode: WithDedup prunes
+//     re-converged exploration states through a bounded
+//     machine-fingerprint table in either domain.
 //     Analysis is context-aware: cancelling the context makes Run
 //     return promptly with the findings accumulated so far, and Stream
 //     delivers each Finding through a callback as exploration proceeds
 //     — the hook batching, sharding, and serving layers build on. An
-//     Analyzer is immutable and safe to share across goroutines, which
-//     is how a caller analyzes a corpus: one goroutine per program,
-//     one shared Analyzer.
+//     Analyzer is immutable and safe to share across goroutines. Each
+//     run explores on the calling goroutine; a caller uses several
+//     cores by analyzing several programs at once: one goroutine per
+//     program, one shared Analyzer.
 //
 //   - A stable, JSON-serializable Finding/Report schema: Spectre
 //     variant kind, violating program counter, the guarding
@@ -77,16 +75,17 @@
 // Config, and the Program wire form are a stable schema, pinned by
 // golden fixtures under testdata/. The compatibility policy:
 //
-//   - ReportSchemaVersion names the current schema revision ("1").
-//     Within a revision, changes are strictly additive and new fields
-//     are omitempty, so existing encodings remain byte-identical and
-//     old readers ignore what they don't know. Renaming, removing, or
-//     re-typing a field requires a new revision.
+//   - ReportSchemaVersion names the current schema revision ("2";
+//     revision "1" also carried a workers field). Within a revision,
+//     changes are strictly additive and new fields are omitempty, so
+//     existing encodings remain byte-identical and old readers ignore
+//     what they don't know. Renaming, removing, or re-typing a field
+//     requires a new revision.
 //
-//   - A Report with an empty SchemaVersion is revision "1": the field
-//     was introduced omitempty precisely so library-produced encodings
-//     did not change. The serving layer (cmd/spectred) stamps it
-//     explicitly on every response; library callers may ignore it.
+//   - A Report with an empty SchemaVersion is of the current
+//     revision: the library leaves the field empty, and the serving
+//     layer (cmd/spectred) stamps it explicitly on every response;
+//     library callers may ignore it.
 //
 //   - Program.Fingerprint and Config.CacheKey are stability-pinned to
 //     fixed digests over a fixed corpus (stability_test.go), because

@@ -68,26 +68,6 @@ func WithSymbolic(on bool) Option {
 	return func(c *Config) { c.Symbolic = on }
 }
 
-// WithWorkers sets the number of exploration goroutines. 1 (the
-// default) runs the classic serial depth-first exploration; n > 1 runs
-// a work-stealing pool over the schedule tree, with findings reported
-// in deterministic schedule order rather than discovery order; 0
-// selects runtime.NumCPU(). The setting applies to concrete and
-// symbolic mode alike — both run on the same domain-parameterized
-// engine, and each symbolic solver answer depends on its query alone,
-// so parallel symbolic findings (witness models included) reproduce
-// the serial run's exactly. Full parallel explorations are fully
-// deterministic; runs cut short early (WithStopAtFirst, cancellation,
-// a stopping Stream callback, or a MaxStates truncation) depend on how
-// far workers got before the stop propagated, so their state/path
-// counts — and, under WithStopAtFirst, which single finding is
-// reported — may vary between runs. The setting counts the goroutines
-// of one exploration only: to analyze a corpus concurrently, share one
-// Analyzer across goroutines.
-func WithWorkers(n int) Option {
-	return func(c *Config) { c.Workers = n }
-}
-
 // WithStaticPass runs the flow-sensitive speculative-taint
 // pre-analysis (internal/taint) before exploration. A program the
 // static pass proves safe is certified without constructing an
@@ -117,8 +97,8 @@ func WithRepairStrategy(s string) Option {
 // exploration states whose full configuration (PC, registers, memory,
 // reorder buffer, RSB — and, in symbolic mode, the path condition)
 // was already visited are pruned. Many forwarding-fork arms
-// reconverge, so dedup cuts explored states independently of
-// parallelism — at the price of exactness: Paths shrinks, schedules
+// reconverge, so dedup cuts explored states — at the price of
+// exactness: Paths shrinks, schedules
 // for pruned duplicates are not enumerated, and a 64-bit fingerprint
 // collision could in principle prune a genuinely new state. The
 // distinct-finding set is preserved (every pruned state's future is

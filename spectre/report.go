@@ -170,9 +170,8 @@ type StaticReport struct {
 // settled UNSAT by interval/known-bits propagation alone, queries
 // whose candidate space propagation narrowed, and the total candidates
 // the model search evaluated (probeIters). Present only on symbolic
-// reports. The counters are diagnostics: under parallel runs the
-// cache-hit/fresh-solve split depends on worker interleaving (findings
-// never do).
+// reports. Each analysis owns its solver, so two runs of one program
+// report equal counters.
 type SolverStats struct {
 	Queries        uint64 `json:"queries"`
 	CacheHits      uint64 `json:"cacheHits"`
@@ -183,10 +182,10 @@ type SolverStats struct {
 
 // ReportSchemaVersion is the current revision of the wire schema.
 // Report.SchemaVersion carries it on versioned wire traffic; an empty
-// SchemaVersion means "1" (the schema has been backward-compatible
-// since its introduction). See the compatibility policy in the package
-// documentation.
-const ReportSchemaVersion = "1"
+// SchemaVersion means the current revision. Revision "2" removed the
+// report's workers field (exploration is one goroutine per run). See
+// the compatibility policy in the package documentation.
+const ReportSchemaVersion = "2"
 
 // Report aggregates one analysis run in the stable wire schema.
 type Report struct {
@@ -216,9 +215,6 @@ type Report struct {
 	// Interrupted reports whether the run was cut short — by context
 	// cancellation or by a Stream callback returning false.
 	Interrupted bool `json:"interrupted"`
-	// Workers is the number of exploration goroutines the run used
-	// (see WithWorkers).
-	Workers int `json:"workers"`
 	// DedupHits counts exploration states pruned by fingerprint
 	// deduplication (see WithDedup); 0 when dedup is off.
 	DedupHits int `json:"dedupHits"`
@@ -327,7 +323,6 @@ func reportOf(rep pitchfork.Report, bound int, fwd bool) *Report {
 		Paths:          rep.Paths,
 		Truncated:      rep.Truncated,
 		Interrupted:    rep.Interrupted,
-		Workers:        rep.Workers,
 		DedupHits:      rep.DedupHits,
 	}
 	if rep.Solver != nil {

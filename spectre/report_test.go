@@ -50,14 +50,12 @@ func TestReportGoldenJSON(t *testing.T) {
 
 // TestSymbolicReportGoldenJSON pins the wire schema of a symbolic run
 // on the unified engine: the same Report shape as concrete mode (the
-// schema is backward-compatible), now with Workers and DedupHits
-// populated by the shared engine's fingerprint table, the attacker
-// schedule recorded, and the witness assignment attached. The run is
-// serial: with dedup on, which reconverged twin survives — and hence
-// the schedule prefixes under its subtree — is only deterministic on
-// one goroutine, and a byte-pinned fixture must not race. (Parallel
-// symbolic determinism is asserted semantically in
-// symbolic_engine_test.go and the root determinism suite.)
+// schema is backward-compatible), now with DedupHits populated by the
+// shared engine's fingerprint table, the attacker schedule recorded,
+// and the witness assignment attached. With dedup on, which
+// reconverged twin survives — and hence the schedule prefixes under
+// its subtree — follows from the depth-first order of the one
+// exploration goroutine, so the fixture pins them byte for byte.
 // Regenerate deliberately with: go test ./spectre -run Golden -update
 func TestSymbolicReportGoldenJSON(t *testing.T) {
 	p := figure1Symbolic(t)

@@ -87,14 +87,14 @@ func TestFingerprintStability(t *testing.T) {
 }
 
 func TestConfigCacheKeyStability(t *testing.T) {
-	if got, want := spectre.DefaultConfig().CacheKey(), "c6f1a94afcc293387b9fd842f40c63e6d198d7bccd58eaee0a8fad181b66da86"; got != want {
+	if got, want := spectre.DefaultConfig().CacheKey(), "a7d7f4a991342238b8637f21c40d7db8481c9ec043b0bf25feb802ea888e802d"; got != want {
 		t.Errorf("default config key rotated:\n got %s\nwant %s", got, want)
 	}
 	c := spectre.DefaultConfig()
 	c.Symbolic = true
 	c.Bound = 250
 	c.ForwardHazards = false
-	if got, want := c.CacheKey(), "72906792b7e6f4aeeb1a24fc375d4cc0da629ca48db61666f84df26419956557"; got != want {
+	if got, want := c.CacheKey(), "7e0fc920ca669ad3be691ea20cab828f0a52fc24291f8c6cd963bf42718d5fd0"; got != want {
 		t.Errorf("symbolic config key rotated:\n got %s\nwant %s", got, want)
 	}
 }

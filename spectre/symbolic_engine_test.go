@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"pitchfork/internal/testcases"
@@ -22,7 +23,7 @@ func figure1Symbolic(t *testing.T) *spectre.Program {
 }
 
 // findingKey projects a finding onto the fields that are stable across
-// worker counts and dedup settings (schedule/trace prefixes of a
+// dedup settings (schedule/trace prefixes of a
 // deduplicated subtree depend on which reconverged twin survived).
 func findingKey(f spectre.Finding) string {
 	return fmt.Sprintf("%s|pc=%d|%s|%v|%v", f.Variant, f.PC, f.Observation, f.Sources, f.Witness)
@@ -42,98 +43,71 @@ func distinctKeys(rep *spectre.Report) []string {
 	return out
 }
 
-// TestSymbolicWorkersTakeEffect is the regression test for the
-// silent-option bug: WithWorkers used to be silently ignored under
-// WithSymbolic. A parallel symbolic run must report the worker count
-// and produce exactly the serial run's findings, in schedule order.
-func TestSymbolicWorkersTakeEffect(t *testing.T) {
-	p := figure1Symbolic(t)
-	serial := mustRun(t, mustNew(t, spectre.WithSymbolic(true)), p)
-	if serial.Workers != 1 {
-		t.Fatalf("serial Workers = %d, want 1", serial.Workers)
-	}
-	if serial.SecretFree {
-		t.Fatal("Figure 1 gadget must be flagged symbolically")
-	}
-	par := mustRun(t, mustNew(t, spectre.WithSymbolic(true), spectre.WithWorkers(4)), p)
-	if par.Workers != 4 {
-		t.Fatalf("parallel Workers = %d, want 4 (option silently ignored)", par.Workers)
-	}
-	if par.States != serial.States || par.Paths != serial.Paths {
-		t.Fatalf("parallel states/paths %d/%d, serial %d/%d",
-			par.States, par.Paths, serial.States, serial.Paths)
-	}
-	// The serial driver reports in discovery order, the pool merges in
-	// schedule order — the multisets (schedules included) must match.
-	sk, pk := fullKeys(serial), fullKeys(par)
-	if len(sk) != len(pk) {
-		t.Fatalf("parallel %d findings, serial %d", len(pk), len(sk))
-	}
-	for i := range sk {
-		if sk[i] != pk[i] {
-			t.Fatalf("finding %d differs:\n serial   %s\n parallel %s", i, sk[i], pk[i])
-		}
-	}
-}
-
-// fullKeys renders every finding with its schedule, sorted — the
-// order-insensitive full-equality comparison between drivers.
-func fullKeys(rep *spectre.Report) []string {
-	out := make([]string, len(rep.Findings))
-	for i, f := range rep.Findings {
-		out[i] = findingKey(f) + "|" + fmt.Sprint(f.Schedule)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestSymbolicParallelDedup is the acceptance criterion of the engine
-// unification: WithSymbolic composed with WithWorkers and WithDedup
-// runs the Figure 1 gadget in parallel with dedup hits, and the
-// distinct findings match the serial symbolic run's.
+// TestSymbolicParallelDedup: WithSymbolic composed with WithDedup
+// prunes re-converged symbolic states, and the distinct findings match
+// the plain symbolic run's — also for runs made at once on one shared
+// Analyzer, each of which keeps its own dedup table.
 func TestSymbolicParallelDedup(t *testing.T) {
 	p := figure1Symbolic(t)
 	serial := mustRun(t, mustNew(t, spectre.WithSymbolic(true)), p)
 	if serial.DedupHits != 0 {
 		t.Fatalf("dedup off but DedupHits = %d", serial.DedupHits)
 	}
-	par := mustRun(t, mustNew(t,
-		spectre.WithSymbolic(true),
-		spectre.WithWorkers(4),
-		spectre.WithDedup(1<<16),
-	), p)
-	if par.Workers != 4 {
-		t.Fatalf("Workers = %d, want 4", par.Workers)
+	an := mustNew(t, spectre.WithSymbolic(true), spectre.WithDedup(1<<16))
+	lone := mustRun(t, an, p)
+	var reps [4]*spectre.Report
+	var wg sync.WaitGroup
+	for k := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[k], _ = an.Run(context.Background(), p)
+		}()
 	}
-	if par.DedupHits == 0 {
-		t.Fatal("DedupHits = 0: the dedup table did not take effect on the symbolic run")
-	}
-	if par.SecretFree {
-		t.Fatal("parallel symbolic run lost the findings")
-	}
-	sk, pk := distinctKeys(serial), distinctKeys(par)
-	if len(sk) != len(pk) {
-		t.Fatalf("distinct findings: serial %d, parallel+dedup %d\n serial %v\n parallel %v", len(sk), len(pk), sk, pk)
-	}
-	for i := range sk {
-		if sk[i] != pk[i] {
-			t.Fatalf("distinct finding %d differs:\n serial   %s\n parallel %s", i, sk[i], pk[i])
+	wg.Wait()
+	for _, rep := range append(reps[:], lone) {
+		if rep == nil {
+			t.Fatal("concurrent run failed")
+		}
+		if rep.DedupHits == 0 || rep.DedupHits != lone.DedupHits || rep.States != lone.States {
+			t.Fatalf("DedupHits %d / states %d, lone run %d / %d", rep.DedupHits, rep.States, lone.DedupHits, lone.States)
+		}
+		if rep.SecretFree {
+			t.Fatal("symbolic dedup run lost the findings")
+		}
+		sk, pk := distinctKeys(serial), distinctKeys(rep)
+		if fmt.Sprint(sk) != fmt.Sprint(pk) {
+			t.Fatalf("distinct findings differ:\n plain %v\n dedup %v", sk, pk)
 		}
 	}
 }
 
-// TestSymbolicInterruptParallel: context cancellation reaches the
-// symbolic worker pool like the concrete one.
+// TestSymbolicInterruptParallel: context cancellation reaches symbolic
+// runs like concrete ones, including runs made at once on one shared
+// Analyzer.
 func TestSymbolicInterruptParallel(t *testing.T) {
 	p := figure1Symbolic(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	an := mustNew(t, spectre.WithSymbolic(true), spectre.WithWorkers(4))
-	rep, err := an.Run(ctx, p)
-	if err == nil {
-		t.Fatal("cancelled run must return the context error")
+	an := mustNew(t, spectre.WithSymbolic(true))
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := an.Run(ctx, p)
+			if err == nil {
+				errs <- "cancelled run must return the context error"
+			}
+			if rep == nil || !rep.Interrupted {
+				errs <- fmt.Sprintf("cancelled run must return a partial interrupted report, got %+v", rep)
+			}
+		}()
 	}
-	if rep == nil || !rep.Interrupted {
-		t.Fatalf("cancelled run must return a partial interrupted report, got %+v", rep)
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
 	}
 }

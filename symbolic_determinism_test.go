@@ -1,110 +1,100 @@
-// Determinism of the unified engine's parallel driver in the symbolic
-// domain: work-stealing changes which goroutine visits which subtree
-// and the per-query self-seeding solver answers independently of call
-// order, so a full parallel symbolic exploration must reproduce the
-// serial run exactly — same states, paths, and violation multiset
-// (schedules and witness models included), merged in schedule order.
+// Determinism of the symbolic domain under the concurrency the engine
+// supports: each analysis owns its solver, and every solver answer is a
+// pure function of its query, so a symbolic analysis run while others
+// run must reproduce a lone run exactly — same states, paths, violation
+// list (schedules and witness models included) and solver counters.
 // Runs under -race in CI alongside its concrete twin.
 package pitchfork_test
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
+	"sync"
 	"testing"
 
 	"pitchfork/internal/pitchfork"
 	"pitchfork/internal/testcases"
 )
 
-// symViolationStrings renders violations order-insensitively with
-// every deterministic field included.
+// symViolationStrings renders violations with every deterministic
+// field included.
 func symViolationStrings(rep pitchfork.Report) []string {
 	out := make([]string, len(rep.Violations))
 	for i, v := range rep.Violations {
 		out[i] = fmt.Sprintf("%s|pc=%d|src=%v|model=%v|%s", v.String(), v.PC, v.Sources, v.Model, v.Schedule)
 	}
-	sort.Strings(out)
 	return out
 }
 
-func TestSymbolicParallelMatchesSerialOnKocherSample(t *testing.T) {
-	workers := runtime.NumCPU()
-	if workers > 8 {
-		workers = 8
+// sameSymbolicReport fails t unless b reproduces a exactly.
+func sameSymbolicReport(t *testing.T, a, b pitchfork.Report) {
+	t.Helper()
+	if a.States != b.States || a.Paths != b.Paths {
+		t.Fatalf("%d states / %d paths, then %d states / %d paths", a.States, a.Paths, b.States, b.Paths)
 	}
+	if *a.Solver != *b.Solver {
+		t.Fatalf("solver counters differ: %+v, then %+v", *a.Solver, *b.Solver)
+	}
+	as, bs := symViolationStrings(a), symViolationStrings(b)
+	if len(as) != len(bs) {
+		t.Fatalf("violation counts differ: %d, then %d", len(as), len(bs))
+	}
+	for i := range as {
+		if as[i] != bs[i] {
+			t.Fatalf("violation %d differs:\n %s\n %s", i, as[i], bs[i])
+		}
+	}
+}
+
+func TestSymbolicParallelMatchesSerialOnKocherSample(t *testing.T) {
 	// A corpus sample with distinct shapes: the Figure 1 baseline, the
 	// nested check, the safe-flag variant, and the compiled ternary.
 	all := testcases.Kocher()
+	opts := pitchfork.Options{Bound: 20, ForwardHazards: true}
 	for _, idx := range []int{0, 1, 6, 7} {
 		c := all[idx]
 		t.Run(c.Name, func(t *testing.T) {
-			t.Parallel()
 			sm, err := c.BuildSym()
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := pitchfork.AnalyzeSymbolic(sm, pitchfork.Options{Bound: 20, ForwardHazards: true})
+			// Subtests run one by one up to t.Parallel, then together.
+			serial, err := pitchfork.AnalyzeSymbolic(sm, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sm2, err := c.BuildSym()
+			t.Parallel()
+			par, err := pitchfork.AnalyzeSymbolic(sm, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := pitchfork.AnalyzeSymbolic(sm2, pitchfork.Options{
-				Bound: 20, ForwardHazards: true, Workers: workers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Workers != workers {
-				t.Fatalf("Workers = %d, want %d", par.Workers, workers)
-			}
-			if serial.States != par.States || serial.Paths != par.Paths {
-				t.Fatalf("serial %d states / %d paths, parallel %d states / %d paths",
-					serial.States, serial.Paths, par.States, par.Paths)
-			}
-			ss, ps := symViolationStrings(serial), symViolationStrings(par)
-			if len(ss) != len(ps) {
-				t.Fatalf("violation counts differ: serial %d, parallel %d", len(ss), len(ps))
-			}
-			for i := range ss {
-				if ss[i] != ps[i] {
-					t.Fatalf("violation sets differ at %d:\n serial   %s\n parallel %s", i, ss[i], ps[i])
-				}
-			}
+			sameSymbolicReport(t, serial, par)
 		})
 	}
 }
 
-// TestSymbolicParallelIsReproducible: two identical parallel runs must
-// agree with each other bit for bit (the schedule-order merge is the
-// report order, so plain index-wise comparison applies).
+// TestSymbolicParallelIsReproducible: two analyses of one program run
+// at once must agree with each other bit for bit.
 func TestSymbolicParallelIsReproducible(t *testing.T) {
 	c := testcases.Kocher()[0]
-	run := func() pitchfork.Report {
+	var reps [2]pitchfork.Report
+	var errs [2]error
+	var wg sync.WaitGroup
+	for k := range reps {
 		sm, err := c.BuildSym()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := pitchfork.AnalyzeSymbolic(sm, pitchfork.Options{
-			Bound: 20, ForwardHazards: true, Workers: 4,
-		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[k], errs[k] = pitchfork.AnalyzeSymbolic(sm, pitchfork.Options{Bound: 20, ForwardHazards: true})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
 	}
-	a, b := run(), run()
-	if len(a.Violations) != len(b.Violations) {
-		t.Fatalf("violation counts differ between runs: %d vs %d", len(a.Violations), len(b.Violations))
-	}
-	for i := range a.Violations {
-		av, bv := a.Violations[i], b.Violations[i]
-		if fmt.Sprintf("%s|%v|%v|%s", av, av.Sources, av.Model, av.Schedule) !=
-			fmt.Sprintf("%s|%v|%v|%s", bv, bv.Sources, bv.Model, bv.Schedule) {
-			t.Fatalf("run-to-run drift at violation %d:\n a %s %v\n b %s %v", i, av, av.Model, bv, bv.Model)
-		}
-	}
+	sameSymbolicReport(t, reps[0], reps[1])
 }
