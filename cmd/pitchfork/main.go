@@ -3,14 +3,12 @@
 //
 // Usage:
 //
-//	pitchfork [-mode c|fact] [-bound N] [-fwd] [-all] [-json] [-symbolic] [-symvars x] [-dedup N] [-static] [-repair] [-strategy auto|fence|mask|ret] file.ctl
+//	pitchfork [-mode c|fact] [-bound N] [-fwd] [-all] [-json] [-symbolic] [-symvars x] [-static] [-repair] [-strategy auto|fence|mask|ret] file.ctl
 //
 // Without -bound/-fwd the two-phase procedure runs: bound 250 without
 // forwarding-hazard detection, then bound 20 with it. With -json the
 // stable machine-readable report schema is emitted instead of the
-// human-readable summary. -dedup bounds an optional state-deduplication
-// table that prunes re-converged schedules. It composes with
-// -symbolic, which switches to the symbolic detector:
+// human-readable summary. -symbolic switches to the symbolic detector:
 // the globals named by -symvars (default x, the corpus convention for
 // the attacker-controlled index) become unconstrained solver
 // variables, and each finding carries a witness assignment.
@@ -55,7 +53,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the machine-readable JSON report")
 	symbolic := flag.Bool("symbolic", false, "symbolic mode: unbind the -symvars globals as unconstrained attacker inputs")
 	symvars := flag.String("symvars", "x", "comma-separated CTL globals to unbind in -symbolic mode")
-	dedup := flag.Int("dedup", 0, "bound of the state-dedup table (0 = off)")
 	static := flag.Bool("static", false, "run the static taint pre-analysis: certify safe programs without exploring, attach the verdict otherwise")
 	doRepair := flag.Bool("repair", false, "synthesize a minimal repair and emit the repaired program with its cost table")
 	strategy := flag.String("strategy", "auto", "repair mitigation: auto (cheapest certified), fence, mask, or ret (with -repair)")
@@ -99,7 +96,6 @@ func main() {
 	if *doRepair {
 		opts := []spectre.Option{
 			spectre.WithSymbolic(*symbolic),
-			spectre.WithDedup(*dedup),
 			spectre.WithStaticPass(*static),
 			spectre.WithRepairStrategy(*strategy),
 		}
@@ -143,7 +139,6 @@ func main() {
 			spectre.WithForwardHazards(*fwd),
 			spectre.WithStopAtFirst(!*all),
 			spectre.WithSymbolic(*symbolic),
-			spectre.WithDedup(*dedup),
 			spectre.WithStaticPass(*static),
 		)
 		if err != nil {
@@ -175,7 +170,6 @@ func main() {
 	an, err := spectre.New(
 		spectre.WithStopAtFirst(!*all),
 		spectre.WithSymbolic(*symbolic),
-		spectre.WithDedup(*dedup),
 		spectre.WithStaticPass(*static),
 	)
 	if err != nil {

@@ -1,11 +1,14 @@
 // Differential test for fingerprint dedup: pruning a state whose
 // configuration was already visited may cut paths, but it must never
-// change a decided verdict. Whenever neither the pruned nor the
-// unpruned exploration hits its state budget, both must agree on
-// whether the program leaks.
+// change a decided verdict or the findings. Whenever neither the
+// pruned nor the unpruned exploration hits its state budget, both
+// must agree on whether the program leaks and on the distinct
+// (variant, program point) pairs it leaks at.
 package pitchfork_test
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"pitchfork/internal/attacks"
@@ -15,45 +18,19 @@ import (
 
 // TestDedupKeepsDecidedVerdicts runs the Kocher, spec-only v1 and v1.1
 // corpora in both domains, and every gallery figure in the concrete
-// domain, with forwarding hazards off and on at bound 20, once without
-// dedup and once with a 1<<20-entry table.
+// domain, with forwarding hazards off and on at bound 20, once with
+// the visited set switched off and once at the default.
 func TestDedupKeepsDecidedVerdicts(t *testing.T) {
-	type target struct {
-		name    string
-		analyze func(pitchfork.Options) (pitchfork.Report, error)
-	}
-	var targets []target
-	for _, a := range attacks.Gallery() {
-		targets = append(targets, target{a.ID + "/concrete", func(o pitchfork.Options) (pitchfork.Report, error) {
-			return pitchfork.Analyze(a.New(), o)
-		}})
-	}
-	for _, corpus := range [][]testcases.Case{testcases.Kocher(), testcases.SpecOnlyV1(), testcases.V11()} {
-		for _, c := range corpus {
-			targets = append(targets, target{c.Name + "/concrete", func(o pitchfork.Options) (pitchfork.Report, error) {
-				m, err := c.Build()
-				if err != nil {
-					return pitchfork.Report{}, err
-				}
-				return pitchfork.Analyze(m, o)
-			}}, target{c.Name + "/symbolic", func(o pitchfork.Options) (pitchfork.Report, error) {
-				sm, err := c.BuildSym()
-				if err != nil {
-					return pitchfork.Report{}, err
-				}
-				return pitchfork.AnalyzeSymbolic(sm, o)
-			}})
-		}
-	}
+	targets := append(analysisTargets("concrete"), analysisTargets("symbolic")...)
 
-	compared, truncated, leaks := 0, 0, 0
+	compared, truncated, leaks, shrunk := 0, 0, 0, 0
 	for _, tg := range targets {
 		for _, fwd := range []bool{false, true} {
 			var reps [2]pitchfork.Report
-			for k, entries := range []int{0, 1 << 20} {
-				rep, err := tg.analyze(pitchfork.Options{Bound: 20, ForwardHazards: fwd, DedupEntries: entries})
+			for k, off := range []bool{true, false} {
+				rep, err := tg.analyze(pitchfork.Options{Bound: 20, ForwardHazards: fwd, NoDedup: off})
 				if err != nil {
-					t.Fatalf("%s fwd=%t dedup=%d: %v", tg.name, fwd, entries, err)
+					t.Fatalf("%s fwd=%t dedup off=%t: %v", tg.name, fwd, off, err)
 				}
 				reps[k] = rep
 			}
@@ -69,10 +46,87 @@ func TestDedupKeepsDecidedVerdicts(t *testing.T) {
 				t.Errorf("%s fwd=%t: secret-free %t without dedup (%d paths), %t with it (%d paths)",
 					tg.name, fwd, reps[0].SecretFree(), reps[0].Paths, reps[1].SecretFree(), reps[1].Paths)
 			}
+			if off, on := distinctFindings(reps[0]), distinctFindings(reps[1]); off != on {
+				t.Errorf("%s fwd=%t: distinct findings differ\n without dedup %s\n with it       %s", tg.name, fwd, off, on)
+			}
+			if reps[0].DedupHits != 0 {
+				t.Errorf("%s fwd=%t: the visited set is off but pruned %d states", tg.name, fwd, reps[0].DedupHits)
+			}
+			if reps[1].States > reps[0].States {
+				t.Errorf("%s fwd=%t: pruning grew the exploration from %d to %d states", tg.name, fwd, reps[0].States, reps[1].States)
+			}
+			if reps[1].States < reps[0].States {
+				shrunk++
+			}
 		}
 	}
-	t.Logf("%d decided pairs compared (%d leak), %d skipped as truncated", compared, leaks, truncated)
+	t.Logf("%d decided pairs compared (%d leak, %d pruned smaller), %d skipped as truncated", compared, leaks, shrunk, truncated)
 	if leaks == 0 || leaks == compared {
 		t.Fatalf("the %d decided pairs must include both verdicts, got %d leaking", compared, leaks)
 	}
+	if shrunk == 0 {
+		t.Fatalf("the visited set pruned none of the %d decided pairs", compared)
+	}
+}
+
+// distinctFindings renders the sorted set of distinct (variant, program
+// point) pairs a report leaks at. Schedules, traces and witnesses are
+// left out: which of two reconverged twins survives the visited set
+// decides those, not whether the leak is found.
+func distinctFindings(rep pitchfork.Report) string {
+	seen := make(map[string]bool)
+	var keys []string
+	for _, v := range rep.Violations {
+		k := fmt.Sprintf("%s@%d", v.Kind, v.PC)
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return fmt.Sprint(keys)
+}
+
+// target is one program in one domain: analyze runs it under the given
+// options.
+type target struct {
+	name    string
+	analyze func(pitchfork.Options) (pitchfork.Report, error)
+}
+
+// analysisTargets lists the programs the corpus-wide property tests
+// run in a domain: every gallery figure in the concrete domain, and the
+// Kocher, spec-only v1 and v1.1 corpora in either domain (x unbound as
+// a solver variable in the symbolic one). Names are "program/domain".
+func analysisTargets(domain string) []target {
+	var targets []target
+	if domain == "concrete" {
+		for _, a := range attacks.Gallery() {
+			targets = append(targets, target{a.ID + "/concrete", func(o pitchfork.Options) (pitchfork.Report, error) {
+				return pitchfork.Analyze(a.New(), o)
+			}})
+		}
+	}
+	for _, corpus := range [][]testcases.Case{testcases.Kocher(), testcases.SpecOnlyV1(), testcases.V11()} {
+		for _, c := range corpus {
+			if domain == "concrete" {
+				targets = append(targets, target{c.Name + "/concrete", func(o pitchfork.Options) (pitchfork.Report, error) {
+					m, err := c.Build()
+					if err != nil {
+						return pitchfork.Report{}, err
+					}
+					return pitchfork.Analyze(m, o)
+				}})
+				continue
+			}
+			targets = append(targets, target{c.Name + "/symbolic", func(o pitchfork.Options) (pitchfork.Report, error) {
+				sm, err := c.BuildSym()
+				if err != nil {
+					return pitchfork.Report{}, err
+				}
+				return pitchfork.AnalyzeSymbolic(sm, o)
+			}})
+		}
+	}
+	return targets
 }

@@ -8,9 +8,9 @@
 //
 // Detection is organized around a single domain-parameterized
 // speculation engine (internal/sched): the paper's worst-case schedule
-// strategy DT(n) (§4.1), one depth-first driver per exploration, a
-// bounded fingerprint-dedup table with an O(1) key, exploration
-// budgets, and streaming violation callbacks. The
+// strategy DT(n) (§4.1), one depth-first walk per exploration, an
+// always-on visited set of machine fingerprints with an O(1) key,
+// exploration budgets, and streaming violation callbacks. The
 // engine drives any implementation of its Machine interface — a value
 // domain that applies single attacker directives and reports its
 // reorder-buffer shape:
@@ -43,7 +43,7 @@
 //	                                └─────────────────────────────────┘
 //
 // Because both domains share the engine, every scaling feature —
-// WithDedup state pruning, MaxStates / MaxRetired budgets,
+// fingerprint state pruning, MaxStates / MaxRetired budgets,
 // StopAtFirst, streaming, and cancellation — applies identically to
 // concrete and symbolic analysis, and repair re-verifies candidate
 // patches on the same engine in either mode. An exploration runs on

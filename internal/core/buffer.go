@@ -34,7 +34,7 @@ type entryPtr[T any] interface {
 // the run; the first fetched instruction lands at index 1, matching
 // MAX(∅) = 0.
 //
-// The representation is copy-on-write: Clone is O(1) and shares the
+// The representation is copy-on-write: CloneTo is O(1) and shares the
 // backing slice (and the transients it points to) with the original.
 // Mutating operations re-own the slice lazily, and in-place transient
 // mutation goes through Edit, which copies an entry that may still be
@@ -48,7 +48,7 @@ type Buffer[T any, P entryPtr[T]] struct {
 	shared bool
 	// privateFrom is the lowest index whose transient is known to be
 	// owned exclusively by this buffer (everything at or above it was
-	// appended after the last Clone). Edit and SetT mutate those in
+	// appended after the last CloneTo). Edit and SetT mutate those in
 	// place and copy older, possibly shared entries.
 	privateFrom int
 	// fence is the index of the lowest buffered fence, 0 for none
@@ -329,21 +329,22 @@ func (b *Buffer[T, P]) All() iter.Seq2[int, *T] {
 	}
 }
 
-// Clone returns an independent copy in O(1). The backing array and
-// the transients are shared; both buffers mark them copy-on-write, so
-// neither can observe the other's subsequent mutations.
-func (b *Buffer[T, P]) Clone() *Buffer[T, P] {
+// CloneTo makes dst an independent copy in O(1), in storage the caller
+// owns. The backing array and the transients are shared; both buffers
+// mark them copy-on-write, so neither can observe the other's
+// subsequent mutations.
+func (b *Buffer[T, P]) CloneTo(dst *Buffer[T, P]) {
 	b.settle()
 	b.shared = true
 	b.privateFrom = b.base + len(b.items)
-	return &Buffer[T, P]{base: b.base, items: b.items, shared: true, privateFrom: b.privateFrom, fence: b.fence, branches: b.branches.clone(),
+	*dst = Buffer[T, P]{base: b.base, items: b.items, shared: true, privateFrom: b.privateFrom, fence: b.fence, branches: b.branches.clone(),
 		sum: b.sum, hash: b.hash, hashes: b.hashes}
 }
 
 // Hashing reports whether the buffer keeps its hash sum.
 func (b *Buffer[T, P]) Hashing() bool { return b.hash != nil }
 
-// StartHashing switches the buffer (and, via Clone, its descendants)
+// StartHashing switches the buffer (and, via CloneTo, its descendants)
 // to keeping the sum of hash(i, buf(i)) over its live entries, from a
 // sum over the entries it holds now. hash must be a pure function of
 // the index and the entry's contents.
@@ -383,8 +384,8 @@ func (b *Buffer[T, P]) settle() {
 const branchInline = 16
 
 // branchIndex is an ascending list of buffer indices. A list of up to
-// branchInline entries lives in inline, which Clone copies with the
-// struct; a longer one lives in heap, which Clone shares copy-on-write
+// branchInline entries lives in inline, which CloneTo copies with the
+// struct; a longer one lives in heap, which CloneTo shares copy-on-write
 // (shared marks it possibly aliased, so the next write copies it).
 type branchIndex struct {
 	n      int

@@ -19,7 +19,7 @@ func TestBufferCloneIndependence(t *testing.T) {
 	b.AppendT(Transient{Kind: TLoad, Dst: 2, Args: []isa.Operand{isa.ImmW(0x41)}})
 	b.AppendT(Transient{Kind: TFence})
 
-	c := b.Clone()
+	c := cloneOf(b)
 
 	// Entry-level mutation through Edit must not alias the sibling.
 	et, ok := c.Edit(1)
@@ -65,7 +65,7 @@ func TestBufferEditOwnsAfterPop(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.AppendT(Transient{Kind: TStore, Src: isa.R(isa.Reg(i)), Args: []isa.Operand{isa.ImmW(mem.Word(i))}})
 	}
-	c := b.Clone()
+	c := cloneOf(b)
 	b.PopMinN(1)
 	et, _ := b.Edit(2)
 	et.ValKnown = true
@@ -188,7 +188,7 @@ func TestBufferFenceBeforeMatchesScan(t *testing.T) {
 				b.PopMinN(k)
 				md.entries, md.base = md.entries[k:], md.base+k
 			case r >= 10 && len(bufs) < 6:
-				bufs = append(bufs, b.Clone())
+				bufs = append(bufs, cloneOf(b))
 				models = append(models, &model{base: md.base, entries: append([]Transient(nil), md.entries...)})
 			}
 			for k, c := range bufs {
@@ -296,7 +296,7 @@ func checkBufferHashSum[V any](t *testing.T, mix func(uint64, V) uint64, value f
 			case r == 8 && b.Len() > 0:
 				b.PopMinN(1 + rng.Intn(b.Len()))
 			case r >= 9 && len(bufs) < 6:
-				bufs = append(bufs, b.Clone())
+				bufs = append(bufs, cloneOf(b))
 			}
 			if rng.Intn(3) != 0 {
 				continue
@@ -343,7 +343,7 @@ func TestRSBCloneIndependence(t *testing.T) {
 	s := NewRSB(RSBAttackerChoice)
 	s.Push(1, 4)
 	s.Push(2, 5)
-	c := s.Clone()
+	c := cloneOf(s)
 
 	s.Pop(3)
 	if top, _ := c.Top(); top != 5 {
@@ -403,12 +403,9 @@ func TestRSBHashSumMatchesScratch(t *testing.T) {
 				s.Rollback(i)
 				next[k] = min(next[k], i)
 			case len(rsbs) < 6:
-				rsbs, next = append(rsbs, s.Clone()), append(next, next[k])
+				rsbs, next = append(rsbs, cloneOf(s)), append(next, next[k])
 			}
 			for k, c := range rsbs {
-				if !c.hashed {
-					continue
-				}
 				checks++
 				if got, want := c.HashSum(), scratch(c); got != want {
 					t.Fatalf("run %d op %d journal %d: HashSum %#x, from scratch %#x (%s)", run, op, k, got, want, c)
@@ -473,4 +470,14 @@ func TestMachineCloneSemanticsPreserved(t *testing.T) {
 	if m.Fingerprint() != before {
 		t.Fatal("stepping a clone changed the original's fingerprint")
 	}
+}
+
+// cloneOf returns an O(1) clone of x made through its CloneTo.
+func cloneOf[T any, P interface {
+	*T
+	CloneTo(*T)
+}](x P) P {
+	c := P(new(T))
+	x.CloneTo(c)
+	return c
 }

@@ -56,6 +56,11 @@ type Machine struct {
 	State[mem.Value, *mem.RegisterFile, *mem.Memory]
 
 	Prog *isa.Program
+
+	// regs and data hold a clone's register file and memory (see
+	// State.CloneInto).
+	regs mem.RegisterFile
+	data mem.Memory
 }
 
 // New builds a machine in the initial configuration of prog: empty
@@ -71,7 +76,7 @@ func New(prog *isa.Program) *Machine {
 // are shared (a program is immutable during execution).
 func (m *Machine) Clone() *Machine {
 	c := &Machine{Prog: m.Prog}
-	m.CloneInto(&c.State, c)
+	m.CloneInto(&c.State, c, &c.regs, &c.data)
 	return c
 }
 

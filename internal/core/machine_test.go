@@ -363,7 +363,7 @@ func TestRSBJournal(t *testing.T) {
 	if got := s.String(); got != "[1↦push 4]" {
 		t.Fatalf("String = %q", got)
 	}
-	c := s.Clone()
+	c := cloneOf(s)
 	c.Pop(9)
 	if top, ok := s.Top(); !ok || top != 4 {
 		t.Fatal("clone aliases journal")

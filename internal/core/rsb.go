@@ -64,7 +64,7 @@ func (e rsbEntry) hash() uint64 {
 // how the paper says σ is "rolled back on misspeculation or memory
 // hazards".
 //
-// The journal is copy-on-write: Clone is O(1) and shares the entry
+// The journal is copy-on-write: CloneTo is O(1) and shares the entry
 // slice; appends re-own it lazily, and rollback is a pure reslice
 // (safe on a shared array), so forks pay only for entries journaled
 // after the fork.
@@ -76,12 +76,10 @@ type RSB struct {
 	shared bool
 	// sum is the order-independent sum of the entries' hashes, the
 	// journal's O(1) share of the machine fingerprint: the journal is
-	// sorted by index, so the sum stands for the sequence. It is
-	// computed at the first HashSum call and kept by Push, Pop and
-	// Rollback from then on (hashed tracks the mode), like the
-	// register file's and memory's.
-	sum    uint64
-	hashed bool
+	// sorted by index, so the sum stands for the sequence. Push, Pop
+	// and Rollback keep it, as Write keeps the register file's and
+	// memory's.
+	sum uint64
 }
 
 // NewRSB returns an empty RSB with the given policy.
@@ -116,9 +114,7 @@ func (s *RSB) Pop(idx int) {
 func (s *RSB) add(e rsbEntry) {
 	s.own()
 	s.entries = append(s.entries, e)
-	if s.hashed {
-		s.sum += e.hash()
-	}
+	s.sum += e.hash()
 }
 
 // Rollback discards entries journaled at buffer indices ≥ i. Entries
@@ -130,25 +126,13 @@ func (s *RSB) Rollback(i int) {
 	n := len(s.entries)
 	for n > 0 && s.entries[n-1].idx >= i {
 		n--
-		if s.hashed {
-			s.sum -= s.entries[n].hash()
-		}
+		s.sum -= s.entries[n].hash()
 	}
 	s.entries = s.entries[:n]
 }
 
-// HashSum returns the sum of the entries' hashes. The first call walks
-// the journal once and switches it (and, via Clone, its descendants)
-// to keeping the sum.
-func (s *RSB) HashSum() uint64 {
-	if !s.hashed {
-		s.hashed, s.sum = true, 0
-		for _, e := range s.entries {
-			s.sum += e.hash()
-		}
-	}
-	return s.sum
-}
+// HashSum returns the sum of the entries' hashes.
+func (s *RSB) HashSum() uint64 { return s.sum }
 
 // Top evaluates top(σ) = st(MAX(st)) where st = JσK: the journal is
 // replayed in index order, pushes appending and pops removing the top.
@@ -187,12 +171,13 @@ func (s *RSB) Top() (isa.Addr, bool) {
 	return 0, false
 }
 
-// Clone returns an independent copy in O(1): the journal's backing
-// array is shared and marked copy-on-write on both sides, so the next
-// append on either side re-owns it first.
-func (s *RSB) Clone() *RSB {
+// CloneTo makes dst an independent copy in O(1), in storage the
+// caller owns: the journal's backing array is shared and marked
+// copy-on-write on both sides, so the next append on either side
+// re-owns it first.
+func (s *RSB) CloneTo(dst *RSB) {
 	s.shared = true
-	return &RSB{policy: s.policy, entries: s.entries, shared: true, sum: s.sum, hashed: s.hashed}
+	*dst = RSB{policy: s.policy, entries: s.entries, shared: true, sum: s.sum}
 }
 
 // String renders the journal, e.g. "[1↦push 4][8↦pop]".

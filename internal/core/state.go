@@ -48,11 +48,12 @@ type Domain[V comparable] interface {
 var ErrSplit = errors.New("core: branch condition spans several worlds")
 
 // Cells is a domain's register file (K = isa.Reg) or data memory
-// (K = mem.Word): the retire stage writes it, Clone forks it, and
-// HashSum is its incrementally kept share of the fingerprint.
+// (K = mem.Word): the retire stage writes it, CloneTo forks it into
+// storage the embedding machine allocates with itself, and HashSum is
+// its incrementally kept share of the fingerprint.
 type Cells[K, V, S any] interface {
 	Write(K, V)
-	Clone() S
+	CloneTo(dst S)
 	HashSum() uint64
 }
 
@@ -75,6 +76,10 @@ type State[V comparable, R Cells[isa.Reg, V, R], M Cells[mem.Word, V, M]] struct
 	code *isa.Table
 	dom  Domain[V]
 
+	// buf and rsb hold a clone's Buf and RSB (see CloneInto).
+	buf Buffer[TransientOf[V], *TransientOf[V]]
+	rsb RSB
+
 	// Per-step scratch, not part of the configuration: resolved
 	// operands, and the observations and single successor a step
 	// returns (valid until the next step on this machine).
@@ -95,10 +100,16 @@ func NewState[V comparable, R Cells[isa.Reg, V, R], M Cells[mem.Word, V, M]](cod
 }
 
 // CloneInto forks the configuration into c, for the machine dom that
-// embeds c. Every part is copy-on-write, so the fork is O(1).
-func (s *State[V, R, M]) CloneInto(c *State[V, R, M], dom Domain[V]) {
-	c.Regs, c.Mem, c.PC = s.Regs.Clone(), s.Mem.Clone(), s.PC
-	c.Buf, c.RSB, c.Retired = s.Buf.Clone(), s.RSB.Clone(), s.Retired
+// embeds c; regs and data are dom's storage for c's register file and
+// memory. Every part is copy-on-write and lives in dom's allocation,
+// so the fork is O(1); c must not be copied, as Buf and RSB point in.
+func (s *State[V, R, M]) CloneInto(c *State[V, R, M], dom Domain[V], regs R, data M) {
+	s.Regs.CloneTo(regs)
+	s.Mem.CloneTo(data)
+	s.Buf.CloneTo(&c.buf)
+	s.RSB.CloneTo(&c.rsb)
+	c.Regs, c.Mem, c.PC = regs, data, s.PC
+	c.Buf, c.RSB, c.Retired = &c.buf, &c.rsb, s.Retired
 	c.code, c.dom = s.code, dom
 }
 

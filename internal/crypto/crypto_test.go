@@ -64,27 +64,30 @@ var table2Phases = [2]pitchfork.Options{
 // not only its cell: for every build and both phases of the §4.2.1
 // procedure (run unconditionally, so a flagged phase 1 still pins
 // phase 2), the explored states and paths, whether the state budget
-// truncated the run, and the first violation's variant, program point
-// and schedule length. Any change to the schedule strategy that
-// reorders or adds exploration shows up here even when the verdicts
-// stay put.
+// truncated the run, how many states the bound blocked, and the first
+// violation's variant, program point and schedule length. Any change
+// to the schedule strategy that reorders or adds exploration shows up
+// here even when the verdicts stay put. Every phase is decided within
+// the default budget; the clean phase-1 cells of the FaCT builds of
+// ssl3 and MEE-CBC never meet the bound, Donna's and secretbox's do.
 func TestTable2ExplorationCounts(t *testing.T) {
 	type phase struct {
 		states, paths int
 		truncated     bool
+		blocked       int
 		kind          string // "" when the phase is clean
 		pc            uint64
 		schedLen      int
 	}
 	want := map[string][2]phase{
-		"curve25519-donna/c":                {{200000, 620, true, "", 0, 0}, {200000, 4568, true, "", 0, 0}},
-		"curve25519-donna/fact":             {{200000, 620, true, "", 0, 0}, {200000, 4568, true, "", 0, 0}},
-		"libsodium secretbox/c":             {{841, 3, false, "spectre-v1", 36, 547}, {200000, 6381, true, "", 0, 0}},
-		"libsodium secretbox/fact":          {{200000, 607, true, "", 0, 0}, {200000, 5960, true, "", 0, 0}},
-		"OpenSSL ssl3 record validate/c":    {{139, 2, false, "spectre-v1", 30, 66}, {130, 3, false, "spectre-v1", 30, 73}},
-		"OpenSSL ssl3 record validate/fact": {{129, 1, false, "", 0, 0}, {298, 11, false, "spectre-v4", 15, 96}},
-		"OpenSSL MEE-CBC/c":                 {{318, 2, false, "spectre-v1", 27, 232}, {255, 3, false, "spectre-v1", 27, 201}},
-		"OpenSSL MEE-CBC/fact":              {{129, 1, false, "", 0, 0}, {298, 11, false, "spectre-v4", 20, 96}},
+		"curve25519-donna/c":                {{19701, 244, false, 2793, "", 0, 0}, {1115, 32, false, 495, "", 0, 0}},
+		"curve25519-donna/fact":             {{19701, 244, false, 2793, "", 0, 0}, {1115, 32, false, 495, "", 0, 0}},
+		"libsodium secretbox/c":             {{731, 3, false, 0, "spectre-v1", 36, 547}, {3540, 337, false, 2016, "", 0, 0}},
+		"libsodium secretbox/fact":          {{21161, 337, false, 2782, "", 0, 0}, {2568, 203, false, 1499, "", 0, 0}},
+		"OpenSSL ssl3 record validate/c":    {{139, 2, false, 0, "spectre-v1", 30, 66}, {128, 3, false, 51, "spectre-v1", 30, 73}},
+		"OpenSSL ssl3 record validate/fact": {{129, 1, false, 0, "", 0, 0}, {257, 11, false, 91, "spectre-v4", 15, 96}},
+		"OpenSSL MEE-CBC/c":                 {{318, 2, false, 0, "spectre-v1", 27, 232}, {253, 3, false, 123, "spectre-v1", 27, 201}},
+		"OpenSSL MEE-CBC/fact":              {{129, 1, false, 0, "", 0, 0}, {257, 11, false, 91, "spectre-v4", 20, 96}},
 	}
 	seen := 0
 	for _, c := range Cases() {
@@ -105,7 +108,7 @@ func TestTable2ExplorationCounts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := phase{states: rep.States, paths: rep.Paths, truncated: rep.Truncated}
+				got := phase{states: rep.States, paths: rep.Paths, truncated: rep.Truncated, blocked: rep.BoundBlocked}
 				if len(rep.Violations) > 0 {
 					v := rep.Violations[0]
 					got.kind, got.pc, got.schedLen = v.Kind.String(), v.PC, len(v.Schedule)
@@ -121,26 +124,19 @@ func TestTable2ExplorationCounts(t *testing.T) {
 	}
 }
 
-// TestTable2AllocsPerState bounds the heap allocations of the
-// explorer's per-state step: Donna C through both phases explores the
-// 400 000 states TestTable2ExplorationCounts pins, and may allocate at
-// most 0.6 objects per state on average. The schedule, register file
-// and reorder buffer are built so that a deterministic step allocates
-// nothing in the common case; this catches a step that starts to.
-// The race runtime allocates differently, so the bound is not checked
-// there.
-func TestTable2AllocsPerState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under the race detector")
-	}
+// donnaAllocsPerState runs Donna C through both phases with the given
+// visited-set switch and returns the explored states and the heap
+// allocations per explored state.
+func donnaAllocsPerState(t *testing.T, noDedup bool) (states int, perState float64) {
+	t.Helper()
 	comp, err := Cases()[0].Build(ct.ModeC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
-	states := 0
 	runtime.ReadMemStats(&before)
 	for _, opts := range table2Phases {
+		opts.NoDedup = noDedup
 		rep, err := pitchfork.Analyze(core.New(comp.Prog), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -148,10 +144,42 @@ func TestTable2AllocsPerState(t *testing.T) {
 		states += rep.States
 	}
 	runtime.ReadMemStats(&after)
+	return states, float64(after.Mallocs-before.Mallocs) / float64(states)
+}
+
+// TestTable2AllocsPerState bounds the heap allocations of the
+// explorer's per-state step: Donna C through both phases, with the
+// visited set off so each phase runs to its 200 000-state budget,
+// explores 400 000 states and may allocate at most 0.6 objects per
+// state on average. The schedule, register file and reorder buffer are
+// built so that a deterministic step allocates nothing in the common
+// case; this catches a step that starts to. The race runtime allocates
+// differently, so the bound is not checked there.
+func TestTable2AllocsPerState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	states, perState := donnaAllocsPerState(t, true)
 	if states != 400000 {
 		t.Fatalf("Donna C explored %d states over both phases, want the pinned 400000", states)
 	}
-	perState := float64(after.Mallocs-before.Mallocs) / float64(states)
+	t.Logf("%.3f allocations per explored state", perState)
+	if perState > 0.6 {
+		t.Fatalf("%.3f allocations per explored state, want at most 0.6", perState)
+	}
+}
+
+// TestTable2AllocsPerStateDefault is the same bound on the default
+// path: the visited set's map and fingerprints may not push Donna C,
+// decided in both phases, past 0.6 allocations per explored state.
+func TestTable2AllocsPerStateDefault(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	states, perState := donnaAllocsPerState(t, false)
+	if states != 20816 {
+		t.Fatalf("Donna C explored %d states over both phases, want the pinned 20816", states)
+	}
 	t.Logf("%.3f allocations per explored state", perState)
 	if perState > 0.6 {
 		t.Fatalf("%.3f allocations per explored state, want at most 0.6", perState)

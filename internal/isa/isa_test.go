@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -243,11 +244,87 @@ func TestProgramCloneIsDeep(t *testing.T) {
 	if p.Instrs[1].Args[0] != ImmW(1) {
 		t.Fatal("clone aliases instruction operands")
 	}
-	if p.Data[9] != mem.Pub(3) {
+	if p.data[9] != mem.Pub(3) {
 		t.Fatal("clone aliases data")
 	}
 	if p.Symbols["x"] != 9 {
 		t.Fatal("clone aliases symbols")
+	}
+}
+
+// TestInitialMemorySharesOneImage: machines built from one program
+// clone one frozen, pre-hashed image. Concurrent builders (run this
+// under -race) share it without writing to it, each clone is private
+// to its machine, and every clone hashes like a memory imaged from
+// scratch.
+func TestInitialMemorySharesOneImage(t *testing.T) {
+	p := NewProgram(1)
+	for a := Addr(0x40); a < 0x80; a++ {
+		p.SetData(a, mem.Value{W: mem.Word(a), L: mem.Label(a % 2)})
+	}
+	scratch := mem.NewMemory()
+	for a, v := range p.Data() {
+		scratch.Write(a, v)
+	}
+	want := scratch.HashSum()
+	first := p.InitialMemory()
+	img := p.image.Load()
+	if img == nil {
+		t.Fatal("InitialMemory kept no image")
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := p.InitialMemory()
+			if m.HashSum() != want {
+				t.Errorf("goroutine %d: clone hashes differently from a fresh image", g)
+			}
+			m.Write(0x40, mem.Pub(uint64(1000+g)))
+			if m.Read(0x40) != mem.Pub(uint64(1000+g)) {
+				t.Errorf("goroutine %d: clone lost its own write", g)
+			}
+		}()
+	}
+	wg.Wait()
+	if p.image.Load() != img {
+		t.Fatal("concurrent machine builds replaced the image")
+	}
+	if first.Read(0x40) != mem.Pub(0x40) || first.HashSum() != want {
+		t.Fatal("a clone's write reached another clone")
+	}
+}
+
+// TestInitialMemoryNeverStale: a data write after a machine was built
+// drops the image, so the next machine sees the new data, the earlier
+// one keeps the old, and a clone or rewrite of the program, which
+// shares the image while the data is equal, is not affected.
+func TestInitialMemoryNeverStale(t *testing.T) {
+	p := NewProgram(1)
+	p.Add(1, Op(0, OpAdd, []Operand{ImmW(1), R(2)}, 2))
+	p.SetData(9, mem.Pub(3))
+	before := p.InitialMemory()
+	c := p.Clone()
+	rw, err := (&Plan{}).Apply(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetData(9, mem.Pub(4))
+	if v := p.InitialMemory().Read(9); v != mem.Pub(4) {
+		t.Fatalf("image served stale data after SetData: µ(9)=%v", v)
+	}
+	p.SetRegion(10, []mem.Value{mem.Sec(5)})
+	if v := p.InitialMemory().Read(10); v != mem.Sec(5) {
+		t.Fatalf("image served stale data after SetRegion: µ(10)=%v", v)
+	}
+	if before.Read(9) != mem.Pub(3) {
+		t.Fatal("a data write reached a machine built before it")
+	}
+	for name, q := range map[string]*Program{"clone": c, "rewrite": rw.Prog} {
+		if m := q.InitialMemory(); m.Read(9) != mem.Pub(3) || m.Contains(10) {
+			t.Fatalf("%s: the original's data write reached its image", name)
+		}
 	}
 }
 

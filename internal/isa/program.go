@@ -2,7 +2,10 @@ package isa
 
 import (
 	"fmt"
+	"iter"
+	"maps"
 	"sort"
+	"sync/atomic"
 
 	"pitchfork/internal/mem"
 )
@@ -16,7 +19,11 @@ type Program struct {
 	Instrs  map[Addr]Instr
 	Entry   Addr
 	Symbols map[string]Addr // label → program point or data address
-	Data    map[Addr]mem.Value
+	// data is the initial data image. Once a program is built, SetData
+	// and SetRegion are its only writers, and both drop image.
+	data map[Addr]mem.Value
+	// image is the data image as a frozen memory (see InitialMemory).
+	image atomic.Pointer[mem.Memory]
 }
 
 // NewProgram returns an empty program with the given entry point.
@@ -25,7 +32,7 @@ func NewProgram(entry Addr) *Program {
 		Instrs:  make(map[Addr]Instr),
 		Entry:   entry,
 		Symbols: make(map[string]Addr),
-		Data:    make(map[Addr]mem.Value),
+		data:    make(map[Addr]mem.Value),
 	}
 }
 
@@ -85,17 +92,22 @@ func (t *Table) At(n Addr) *Instr {
 
 // SetData seeds the initial data image at address a.
 func (p *Program) SetData(a Addr, v mem.Value) *Program {
-	p.Data[a] = v
+	p.data[a] = v
+	p.image.Store(nil)
 	return p
 }
 
 // SetRegion seeds consecutive words starting at base.
 func (p *Program) SetRegion(base Addr, vs []mem.Value) *Program {
 	for i, v := range vs {
-		p.Data[base+Addr(i)] = v
+		p.data[base+Addr(i)] = v
 	}
+	p.image.Store(nil)
 	return p
 }
+
+// Data yields the initial data image's cells, in no particular order.
+func (p *Program) Data() iter.Seq2[Addr, mem.Value] { return maps.All(p.data) }
 
 // Define binds a symbolic name.
 func (p *Program) Define(name string, a Addr) *Program {
@@ -109,12 +121,22 @@ func (p *Program) Lookup(name string) (Addr, bool) {
 	return a, ok
 }
 
-// InitialMemory builds a fresh labeled memory from the data image.
+// InitialMemory returns a fresh labeled memory holding the data image:
+// an O(1) clone of one frozen image per program (mem.Memory.Freeze),
+// rebuilt after a data write.
 func (p *Program) InitialMemory() *mem.Memory {
-	m := mem.NewMemory()
-	for a, v := range p.Data {
-		m.Write(a, v)
+	img := p.image.Load()
+	if img == nil {
+		img = mem.NewMemory()
+		for a, v := range p.data {
+			img.Write(a, v)
+		}
+		img.Freeze()
+		// Racing callers build equal images; either may be kept.
+		p.image.Store(img)
 	}
+	m := new(mem.Memory)
+	img.CloneTo(m)
 	return m
 }
 
@@ -184,9 +206,8 @@ func (p *Program) Clone() *Program {
 	for k, v := range p.Symbols {
 		c.Symbols[k] = v
 	}
-	for a, v := range p.Data {
-		c.Data[a] = v
-	}
+	maps.Copy(c.data, p.data)
+	c.image.Store(p.image.Load()) // equal data, so the image holds for both
 	return c
 }
 

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -263,9 +264,9 @@ func (pl *Plan) Apply(orig *Program) (*Rewrite, error) {
 			rw.Prog.Symbols[name] = a
 		}
 	}
-	for a, v := range orig.Data {
-		rw.Prog.Data[a] = v
-	}
+	// The data image is unchanged, so it carries over with its image.
+	maps.Copy(rw.Prog.data, orig.data)
+	rw.Prog.image.Store(orig.image.Load())
 	if err := rw.Prog.Validate(); err != nil {
 		return nil, fmt.Errorf("isa: plan produces an invalid program: %w", err)
 	}

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"errors"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -129,7 +130,7 @@ func TestFencePlanMatchesInsertAt(t *testing.T) {
 		if !reflect.DeepEqual(rw.Prog.Symbols, want.Symbols) {
 			t.Errorf("sites %v: symbols %v, want %v", sites, rw.Prog.Symbols, want.Symbols)
 		}
-		if !reflect.DeepEqual(rw.Prog.Data, want.Data) {
+		if !maps.Equal(rw.Prog.data, want.data) {
 			t.Errorf("sites %v: data image changed", sites)
 		}
 		// The map agrees with the historic shift arithmetic.
@@ -357,7 +358,7 @@ func TestInsertAtShiftsAndRemaps(t *testing.T) {
 	if a, _ := p.Lookup("buf"); a != 0x40 {
 		t.Fatalf("data symbol must not move, got %#x", a)
 	}
-	if v, ok := p.Data[0x40]; !ok || v != mem.Pub(7) {
+	if v, ok := p.data[0x40]; !ok || v != mem.Pub(7) {
 		t.Fatal("data image must be untouched")
 	}
 	if err := p.Validate(); err != nil {

@@ -96,16 +96,6 @@ func (c *CowMap[K, V]) Flatten() {
 	c.cells, c.parent, c.depth = flat, nil, 0
 }
 
-// FlatEach flattens the chain and visits every effective binding
-// exactly once. Intended for one-time whole-container folds (hash-sum
-// activation); after the call the map has no ancestor layers.
-func (c *CowMap[K, V]) FlatEach(fn func(K, V)) {
-	c.Flatten()
-	for k, v := range c.cells {
-		fn(k, v)
-	}
-}
-
 // EachKey visits every key of every layer, private overlay first. A
 // key written in several layers is visited once per layer; callers
 // must tolerate duplicates (and resolve values through Lookup).

@@ -20,7 +20,7 @@ func TestMemoryCloneIndependenceDeepChains(t *testing.T) {
 	cur := root
 	clones := []*Memory{root}
 	for g := 0; g < 3*MaxChainDepth; g++ {
-		c := cur.Clone()
+		c := cloneOf(cur)
 		// Diverge: the child overwrites one inherited cell and maps a
 		// fresh one; the parent overwrites a different inherited cell.
 		c.Write(Word(g%32), Sec(uint64(1000+g)))
@@ -52,7 +52,7 @@ func TestMemoryCloneIndependenceDeepChains(t *testing.T) {
 func TestMemoryParentWriteInvisibleToChild(t *testing.T) {
 	p := NewMemory()
 	p.Write(1, Pub(10))
-	c := p.Clone()
+	c := cloneOf(p)
 	p.Write(1, Pub(20))
 	p.Write(2, Pub(30))
 	if v := c.Read(1); v != Pub(10) {
@@ -70,12 +70,11 @@ func TestMemoryParentWriteInvisibleToChild(t *testing.T) {
 // from-scratch computation.
 func TestMemoryHashSumStableAcrossChains(t *testing.T) {
 	chained := NewMemory()
-	_ = chained.HashSum() // activate incremental maintenance early
 	for i := 0; i < 8; i++ {
 		chained.Write(Word(i), Pub(uint64(i)))
 	}
 	for g := 0; g < 2*MaxChainDepth; g++ {
-		chained = chained.Clone()
+		chained = cloneOf(chained)
 		chained.Write(Word(g%8), Sec(uint64(g)))
 		chained.Write(Word(50+g), Pub(uint64(g)))
 	}
@@ -103,7 +102,7 @@ func TestRegisterFileCloneIndependenceDeepChains(t *testing.T) {
 	}
 	parent := f
 	for g := 0; g < 2*MaxChainDepth; g++ {
-		c := parent.Clone()
+		c := cloneOf(parent)
 		c.Write(Reg(g%8), Sec(uint64(g)))
 		parent.Write(Reg((g+3)%8), Pub(uint64(100+g)))
 		if c.Read(Reg((g+3)%8)) == Pub(uint64(100+g)) && (g+3)%8 != g%8 {
@@ -125,9 +124,8 @@ func TestRegisterFileCloneIndependenceDeepChains(t *testing.T) {
 // reference: low registers, registers above 255, and the conventional
 // RMSK/RSP/RTMP at the top of the range. After every operation every
 // file must agree with its own reference on Read, Registers, LowEquiv,
-// Equal and (once activated, at a random point) the incremental
-// HashSum against a from-scratch sum, so each side of a clone stays
-// isolated from the other's writes.
+// Equal and the incremental HashSum against a from-scratch sum, so
+// each side of a clone stays isolated from the other's writes.
 func TestRegisterFileMatchesMapModel(t *testing.T) {
 	regs := []Reg{0, 1, 2, 7, 15, 255, 256, 300, 4096, 0x8000, RMSK, RSP, RTMP}
 	read := func(m map[Reg]Value, r Reg) Value {
@@ -171,10 +169,8 @@ func TestRegisterFileMatchesMapModel(t *testing.T) {
 				f.Write(reg, v)
 				models[k][reg] = v
 			case r < 8 && len(files) < 8:
-				files = append(files, f.Clone())
+				files = append(files, cloneOf(f))
 				models = append(models, maps.Clone(models[k]))
-			case r == 8:
-				_ = f.HashSum()
 			}
 			for i, f := range files {
 				m := models[i]
@@ -187,7 +183,7 @@ func TestRegisterFileMatchesMapModel(t *testing.T) {
 				if got := f.Registers(); !slices.Equal(got, want) {
 					t.Fatalf("run %d op %d file %d: Registers() = %v, model %v", run, op, i, got, want)
 				}
-				if f.hashed && f.HashSum() != scratchSum(m) {
+				if f.HashSum() != scratchSum(m) {
 					t.Fatalf("run %d op %d file %d: incremental HashSum differs from a from-scratch sum", run, op, i)
 				}
 				for j, g := range files {
@@ -277,7 +273,7 @@ func TestRegisterFileCompareAllocationFree(t *testing.T) {
 		a.Write(r, Pub(uint64(r)))
 		b.Write(r, Pub(uint64(r)))
 	}
-	a = a.Clone() // compare across a chain, not just flat maps
+	a = cloneOf(a) // compare across a chain, not just flat maps
 	a.Write(3, Pub(3))
 	if avg := testing.AllocsPerRun(100, func() {
 		if !a.Equal(b) || !a.LowEquiv(b) {
@@ -303,7 +299,7 @@ func TestMemoryEquivalencePropertiesOnChains(t *testing.T) {
 			}
 			m.Write(Word(i%12), V(x>>8, l))
 			if i%5 == 0 {
-				m = m.Clone()
+				m = cloneOf(m)
 			}
 		}
 		return m
@@ -315,4 +311,52 @@ func TestMemoryEquivalencePropertiesOnChains(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFrozenMemoryCloneWritesNothing: after Freeze, cloning a memory
+// leaves every field of it as it was, so concurrent clones of a shared
+// image (run this under -race) need no lock; each clone keeps the
+// image's cells and hash sum and writes only to itself.
+func TestFrozenMemoryCloneWritesNothing(t *testing.T) {
+	img := NewMemory()
+	for i := 0; i < 64; i++ {
+		img.Write(Word(i), Value{W: Word(i * 3), L: Label(i % 2)})
+	}
+	img.Freeze()
+	parent, depth, count, sum := img.m.parent, img.m.depth, img.m.count, img.sum
+	check := func() {
+		if img.m.parent != parent || img.m.cells != nil || img.m.depth != depth || img.m.count != count || img.sum != sum {
+			t.Errorf("cloning the frozen image changed it")
+		}
+	}
+	done := make(chan struct{})
+	for g := range 4 {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := range 50 {
+				c := cloneOf(img)
+				if c.HashSum() != sum || c.Read(7) != (Value{W: 21, L: 1}) {
+					t.Errorf("goroutine %d: clone differs from the image", g)
+				}
+				c.Write(Word(i), Pub(uint64(g)))
+			}
+		}()
+	}
+	for range 4 {
+		<-done
+	}
+	check()
+	if depth >= MaxChainDepth {
+		t.Fatalf("a frozen image is %d layers deep; at MaxChainDepth its clones would flatten it", depth)
+	}
+}
+
+// cloneOf returns an O(1) clone of x made through its CloneTo.
+func cloneOf[T any, P interface {
+	*T
+	CloneTo(*T)
+}](x P) P {
+	c := P(new(T))
+	x.CloneTo(c)
+	return c
 }

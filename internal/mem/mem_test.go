@@ -90,7 +90,7 @@ func TestMemoryReadWrite(t *testing.T) {
 func TestMemoryCloneIsDeep(t *testing.T) {
 	m := NewMemory()
 	m.Write(1, Pub(10))
-	c := m.Clone()
+	c := cloneOf(m)
 	c.Write(1, Pub(20))
 	if v := m.Read(1); v != Pub(10) {
 		t.Fatal("clone must not alias the original")
@@ -166,7 +166,7 @@ func TestRegisterFile(t *testing.T) {
 	if f.Read(3) != Sec(8) {
 		t.Fatal("read-after-write")
 	}
-	c := f.Clone()
+	c := cloneOf(f)
 	c.Write(3, Pub(1))
 	if f.Read(3) != Sec(8) {
 		t.Fatal("clone aliases")

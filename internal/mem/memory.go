@@ -37,19 +37,16 @@ func cellHash(key uint64, v Value) uint64 {
 // unmapped addresses return a public zero: the machine is total over
 // data addresses, like a zero-filled address space.
 //
-// The representation is copy-on-write (see CowMap): Clone is O(1),
+// The representation is copy-on-write (see CowMap): CloneTo is O(1),
 // sharing a chain of frozen overlays with the original, and each fork
 // pays only for the cells it writes afterwards. This is what makes
 // exploration-tree forking O(changed-cells) instead of O(memory-size).
 type Memory struct {
 	m CowMap[Word, Value]
 	// sum is the order-independent sum of cellHash over all mapped
-	// cells — the O(1) memory half of the machine fingerprint. It is
-	// computed lazily at the first HashSum call and maintained
-	// incrementally by Write from then on (hashed tracks the mode), so
-	// runs that never fingerprint pay nothing.
-	sum    uint64
-	hashed bool
+	// cells — the O(1) memory half of the machine fingerprint, kept
+	// by Write.
+	sum uint64
 }
 
 // NewMemory returns an empty memory.
@@ -66,28 +63,16 @@ func (m *Memory) Read(a Word) Value {
 // Write sets µ(a) = v.
 func (m *Memory) Write(a Word, v Value) {
 	old, existed := m.m.Set(a, v)
-	if m.hashed {
-		if existed {
-			m.sum -= cellHash(a, old)
-		}
-		m.sum += cellHash(a, v)
+	if existed {
+		m.sum -= cellHash(a, old)
 	}
+	m.sum += cellHash(a, v)
 }
 
 // HashSum returns the order-independent hash sum over all mapped
 // cells. Memories with equal contents have equal sums regardless of
-// write order. The first call walks the cells once and switches the
-// memory (and, via Clone, its descendants) to incremental maintenance.
-func (m *Memory) HashSum() uint64 {
-	if !m.hashed {
-		m.hashed = true
-		m.sum = 0
-		m.m.FlatEach(func(a Word, v Value) {
-			m.sum += cellHash(a, v)
-		})
-	}
-	return m.sum
-}
+// write order.
+func (m *Memory) HashSum() uint64 { return m.sum }
 
 // Contains reports whether a is mapped.
 func (m *Memory) Contains(a Word) bool {
@@ -98,12 +83,19 @@ func (m *Memory) Contains(a Word) bool {
 // Len returns the number of mapped cells.
 func (m *Memory) Len() int { return m.m.Len() }
 
-// Clone returns an independent copy in O(1): the original's overlay is
-// frozen into the shared chain, and both memories continue with empty
-// private overlays. Step rules never mutate a shared layer, so the two
-// copies cannot observe one another's subsequent writes.
-func (m *Memory) Clone() *Memory {
-	return &Memory{m: m.m.Fork(), sum: m.sum, hashed: m.hashed}
+// Freeze moves every cell into a frozen layer, so that m can serve as
+// a shared image: CloneTo then reads m without writing to it (a fork of
+// an empty overlay on a chain shorter than MaxChainDepth changes
+// nothing), and goroutines may clone it at once while nobody writes.
+func (m *Memory) Freeze() { m.m.Fork() }
+
+// CloneTo makes dst an independent copy in O(1), in storage the caller
+// owns: the original's overlay is frozen into the shared chain, and
+// both memories continue with empty private overlays. Step rules never
+// mutate a shared layer, so the two copies cannot observe one
+// another's subsequent writes.
+func (m *Memory) CloneTo(dst *Memory) {
+	*dst = Memory{m: m.m.Fork(), sum: m.sum}
 }
 
 // Addresses returns the mapped addresses in increasing order.
@@ -161,15 +153,13 @@ func (m *Memory) Equal(o *Memory) bool {
 // RegisterFile is the register map ρ : R ⇀ V. Register names are
 // small integers; the assembler maps symbolic names (ra, rb, …, rsp,
 // rtmp) onto them. The representation is the flat copy-on-write
-// CellFile: Clone is O(1) and shares the cells, and the first write
+// CellFile: CloneTo is O(1) and shares the cells, and the first write
 // after a fork copies them.
 type RegisterFile struct {
 	f CellFile[Value]
-	// sum and hashed mirror Memory: the lazily activated, then
-	// incrementally maintained, order-independent hash of all mapped
-	// registers.
-	sum    uint64
-	hashed bool
+	// sum mirrors Memory's: the order-independent hash of all mapped
+	// registers, kept by Write.
+	sum uint64
 }
 
 // Reg names a register.
@@ -208,32 +198,21 @@ func (f *RegisterFile) Read(r Reg) Value {
 // Write sets ρ(r) = v.
 func (f *RegisterFile) Write(r Reg, v Value) {
 	old, existed := f.f.Set(r, v)
-	if f.hashed {
-		if existed {
-			f.sum -= cellHash(uint64(r), old)
-		}
-		f.sum += cellHash(uint64(r), v)
+	if existed {
+		f.sum -= cellHash(uint64(r), old)
 	}
+	f.sum += cellHash(uint64(r), v)
 }
 
 // HashSum returns the order-independent hash sum over all mapped
-// registers; like Memory.HashSum, the first call activates incremental
-// maintenance.
-func (f *RegisterFile) HashSum() uint64 {
-	if !f.hashed {
-		f.hashed = true
-		f.sum = 0
-		for _, c := range f.f.Cells() {
-			f.sum += cellHash(uint64(c.R), c.Val)
-		}
-	}
-	return f.sum
-}
+// registers.
+func (f *RegisterFile) HashSum() uint64 { return f.sum }
 
-// Clone returns an independent copy of the register file in O(1): both
-// sides share the cells and copy them on their next write.
-func (f *RegisterFile) Clone() *RegisterFile {
-	return &RegisterFile{f: f.f.Fork(), sum: f.sum, hashed: f.hashed}
+// CloneTo makes dst an independent copy of the register file in O(1),
+// in storage the caller owns: both sides share the cells and copy them
+// on their next write.
+func (f *RegisterFile) CloneTo(dst *RegisterFile) {
+	*dst = RegisterFile{f: f.f.Fork(), sum: f.sum}
 }
 
 // Registers returns the mapped registers in increasing order.

@@ -23,7 +23,7 @@ func TestResolveArgsAllocFree(t *testing.T) {
 	init := NewSym(p)
 	init.SetReg(isa.Reg(1), symx.NewVar("a", mem.Public))
 	init.SetReg(isa.Reg(2), symx.NewVar("b", mem.Public))
-	s := newSymMachine(init)
+	s := newSymMachine(init, BoundWithHazards)
 
 	args := []isa.Operand{
 		isa.R(isa.Reg(1)), isa.R(isa.Reg(2)),
@@ -58,7 +58,7 @@ func TestResolveRegAllocFree(t *testing.T) {
 	}
 	init := NewSym(p)
 	init.SetReg(isa.Reg(1), symx.NewVar("a", mem.Public))
-	s := newSymMachine(init)
+	s := newSymMachine(init, BoundWithHazards)
 
 	for _, r := range []isa.Reg{isa.Reg(1), isa.Reg(9)} { // set and unset
 		allocs := testing.AllocsPerRun(200, func() {
@@ -90,7 +90,7 @@ func TestApplyArgsCopiesRetainedScratch(t *testing.T) {
 	init := NewSym(p)
 	init.SetReg(isa.Reg(1), symx.NewVar("a", mem.Public))
 	init.SetReg(isa.Reg(2), symx.NewVar("b", mem.Public))
-	s := newSymMachine(init)
+	s := newSymMachine(init, BoundWithHazards)
 
 	args, ok := s.ResolveOperands(s.BufMin(), []isa.Operand{isa.R(isa.Reg(1)), isa.R(isa.Reg(2))})
 	if !ok {

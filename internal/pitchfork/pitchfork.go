@@ -37,9 +37,9 @@ import (
 
 // Options configure an analysis: the exploration engine's options,
 // which both modes take as they are. The paper's evaluation runs Bound
-// 250 without ForwardHazards and 20 with them (§4.2.1); DedupEntries
-// applies to either mode, and symbolic fingerprints include the path
-// condition.
+// 250 without ForwardHazards and 20 with them (§4.2.1). The visited
+// set prunes revisited states in either mode; symbolic fingerprints
+// include the path condition.
 type Options = sched.Options
 
 // The two bounds of the paper's evaluation procedure (§4.2.1).
@@ -82,10 +82,10 @@ func Analyze(m *core.Machine, opts Options) (Report, error) {
 }
 
 // AnalyzeSymbolic runs the symbolic-mode detector on the unified
-// engine: the same worst-case schedule strategy, dedup table, and
+// engine: the same worst-case schedule strategy, visited set, and
 // budgets as concrete mode, over the symbolic domain.
 func AnalyzeSymbolic(m *SymMachine, opts Options) (Report, error) {
-	sm := newSymMachine(m)
+	sm := newSymMachine(m, opts.Bound)
 	rep, err := analyze(sm, "symbolic", opts)
 	if err != nil {
 		return rep, err

@@ -271,3 +271,34 @@ func TestViolationString(t *testing.T) {
 		t.Fatal("empty violation string")
 	}
 }
+
+// TestStoreAliasQueriesBoundedByWindow: resolving a symbolic store
+// address tries the program's constant-address loads as aliases only
+// within one speculation window after the store, so a long run of
+// loads the store cannot alias costs no more solver queries than a
+// short one.
+func TestStoreAliasQueriesBoundedByWindow(t *testing.T) {
+	queries := func(loads int) uint64 {
+		b := isa.NewBuilder(1)
+		b.Op(ra, isa.OpAnd, isa.R(ra), isa.ImmW(3))
+		b.Store(isa.R(rb), isa.ImmW(0x40), isa.R(ra))
+		for i := 0; i < loads; i++ {
+			b.Load(rc, isa.ImmW(0x100+mem.Word(i)))
+		}
+		sm := NewSym(b.MustBuild())
+		sm.SetReg(ra, symx.NewVar("x", mem.Public))
+		rep, err := AnalyzeSymbolic(sm, Options{Bound: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.SecretFree() || rep.Truncated {
+			t.Fatalf("%d loads: want a decided clean run, got %s", loads, rep.Summary())
+		}
+		return rep.Solver.Queries
+	}
+	short, long := queries(40), queries(400)
+	t.Logf("solver queries: %d with 40 loads, %d with 400", short, long)
+	if long != short {
+		t.Fatalf("400 loads cost %d solver queries, 40 cost %d: the alias candidates are not bounded by the window", long, short)
+	}
+}

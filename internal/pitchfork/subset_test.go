@@ -30,7 +30,7 @@ func TestSymbolicSubset(t *testing.T) {
 			t.Fatalf("concrete machine must predict the forward: %v", err)
 		}
 
-		s := newSymMachine(NewSym(p))
+		s := newSymMachine(NewSym(p), BoundWithHazards)
 		for _, d := range []core.Directive{core.Fetch(), core.Fetch()} {
 			if _, err := s.Successors(d); err != nil {
 				t.Fatal(err)
@@ -47,7 +47,7 @@ func TestSymbolicSubset(t *testing.T) {
 		init := NewSym(p)
 		init.SetReg(ra, symx.NewVar("x", mem.Public))
 
-		s := newSymMachine(init)
+		s := newSymMachine(init, BoundWithHazards)
 		if _, ok := s.PeekJmpi(s.Instr()); ok {
 			t.Fatal("a symbolic jump target must not resolve for fetch")
 		}

@@ -54,7 +54,7 @@ func NewSym(prog *isa.Program) *SymMachine {
 		Mem:  symx.NewMemory(),
 		PC:   prog.Entry,
 	}
-	for a, v := range prog.Data {
+	for a, v := range prog.Data() {
 		m.Mem.Write(a, symx.C(v))
 	}
 	return m
@@ -121,13 +121,23 @@ type symMachine struct {
 
 	solver *symx.Solver
 	concr  *symx.Concretizer
+	// code is the program the machine fetches from; window is the
+	// bound, how far past a store its constant-address loads are tried.
+	code   *isa.Table
+	window int
+
+	// data and regs hold the memory and a clone's register file in the
+	// machine's allocation (see core.State.CloneInto).
+	regs symx.RegFile
+	data symx.Memory
 }
 
 // newSymMachine lowers an initial configuration into the domain.
-func newSymMachine(m *SymMachine) *symMachine {
+func newSymMachine(m *SymMachine, window int) *symMachine {
 	solver := symx.NewSolver()
-	s := &symMachine{solver: solver, concr: symx.NewConcretizer(solver)}
-	s.State = core.NewState[symx.Expr](m.Prog.Table(), symx.NewRegFile(), m.Mem.Clone(), m.PC, s)
+	s := &symMachine{solver: solver, concr: symx.NewConcretizer(solver), code: m.Prog.Table(), window: window}
+	m.Mem.CloneTo(&s.data)
+	s.State = core.NewState[symx.Expr](s.code, symx.NewRegFile(), &s.data, m.PC, s)
 	for r, e := range m.Regs {
 		s.Regs.Write(r, e)
 	}
@@ -139,8 +149,8 @@ func newSymMachine(m *SymMachine) *symMachine {
 // prefix is shared (With copies on extension); solver and concretizer
 // are shared by design.
 func (s *symMachine) clone() *symMachine {
-	c := &symMachine{pcond: s.pcond, solver: s.solver, concr: s.concr}
-	s.CloneInto(&c.State, c)
+	c := &symMachine{pcond: s.pcond, solver: s.solver, concr: s.concr, code: s.code, window: s.window}
+	s.CloneInto(&c.State, c, &c.regs, &c.data)
 	return c
 }
 
@@ -250,29 +260,50 @@ func (s *symMachine) Cond(e symx.Expr) (bool, mem.Label, bool) {
 // the path allows it. A store is interesting when it *aliases* a later
 // load (the Spectre v1.1 shape of Figure 6), so for a store the
 // concretizer first tries the addresses of younger loads in the
-// buffer, then secret cells, then any model — mirroring how angr's
-// pluggable concretization strategies are used for targeted hunting.
+// buffer, then the constant addresses of the program's loads less than
+// one window after the store, then secret cells, then any model —
+// mirroring how angr's pluggable concretization strategies are used
+// for targeted hunting.
 func (s *symMachine) concretize(i int, k core.TKind, ae symx.Expr) (mem.Word, bool) {
 	if k == core.TLoad {
 		return s.concr.Concretize(ae, s.pcond, s.Mem)
 	}
-	seen := make(map[mem.Word]bool)
+	var buf [32]mem.Word
+	cands := buf[:0]
 	for j := i + 1; j <= s.Buf.Max(); j++ {
 		ld, _ := s.Buf.Get(j)
 		if ld.Kind != core.TLoad {
 			continue
 		}
-		largs, ok := s.ResolveOperands(j, ld.Args)
-		if !ok {
+		if largs, ok := s.ResolveOperands(j, ld.Args); ok {
+			if lv, ok := symx.Apply(isa.OpAdd, largs...).Concrete(); ok {
+				cands = append(cands, lv.W)
+			}
+		}
+	}
+	// At a full buffer the aliasing load may not be fetched yet when
+	// the store resolves; without the program's loads within a window
+	// of it, the pick, and so the verdict, would depend on the bound.
+	st, _ := s.Buf.Get(i)
+	for pc := st.PP + 1; pc < st.PP+mem.Word(s.window); pc++ {
+		if in := s.code.At(pc); in != nil && in.Kind == isa.KLoad {
+			a, konst := mem.Word(0), true
+			for _, o := range in.Args {
+				konst, a = konst && !o.IsReg, a+o.Imm.W
+			}
+			if konst {
+				cands = append(cands, a)
+			}
+		}
+	}
+	seen := make(map[mem.Word]bool)
+	for _, a := range cands {
+		if seen[a] {
 			continue
 		}
-		lv, ok := symx.Apply(isa.OpAdd, largs...).Concrete()
-		if !ok || seen[lv.W] {
-			continue
-		}
-		seen[lv.W] = true
-		if _, ok := s.solver.SolveWith(s.pcond, ae, lv.W); ok {
-			return lv.W, true
+		seen[a] = true
+		if _, ok := s.solver.SolveWith(s.pcond, ae, a); ok {
+			return a, true
 		}
 	}
 	return s.concr.Concretize(ae, s.pcond, s.Mem)

@@ -20,9 +20,7 @@ import (
 func corpusOptions() Options {
 	return Options{
 		Verify: func(p *isa.Program) (pitchfork.Report, error) {
-			return pitchfork.Analyze(core.New(p), pitchfork.Options{
-				Bound: 20, ForwardHazards: true, DedupEntries: 1 << 20,
-			})
+			return pitchfork.Analyze(core.New(p), pitchfork.Options{Bound: 20, ForwardHazards: true})
 		},
 		Machine: func(p *isa.Program) *core.Machine { return core.New(p) },
 	}

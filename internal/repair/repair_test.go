@@ -25,10 +25,7 @@ func optionsFor(regs map[isa.Reg]mem.Value) Options {
 	}
 	return Options{
 		Verify: func(p *isa.Program) (pitchfork.Report, error) {
-			// Fingerprint dedup keeps the state count of multi-instruction
-			// rewrites (retpolines, masks) inside the default budget;
-			// findings are identical with and without it.
-			return pitchfork.Analyze(mk(p), pitchfork.Options{Bound: 20, ForwardHazards: true, DedupEntries: 1 << 20})
+			return pitchfork.Analyze(mk(p), pitchfork.Options{Bound: 20, ForwardHazards: true})
 		},
 		Machine: mk,
 	}

@@ -133,7 +133,7 @@ func returnTargets(p *isa.Program) []isa.Addr {
 			add(in.RetPt)
 		}
 	}
-	for _, v := range p.Data {
+	for _, v := range p.Data() {
 		if _, ok := p.At(isa.Addr(v.W)); ok {
 			add(isa.Addr(v.W))
 		}

@@ -39,12 +39,22 @@
 // entries that can still act and the pending branches, not the whole
 // buffer (see executePhase).
 //
+// At the bound, one extra arm resolves the oldest pending branch early,
+// so that a young branch's body still fits (see executePhase). That a
+// leak found at bound n is found at every larger one (Thm. B.20) is
+// checked on the corpora and the gallery, not proven: only an
+// exhaustive run with Result.BoundBlocked 0 explores the same tree at
+// every larger bound.
+//
 // An exploration runs on one goroutine, depth-first. A caller uses
 // several cores by running several explorations at once: an Explorer
-// keeps no per-run state, so one Explorer may serve them all.
-// Options.DedupEntries enables fingerprint-based pruning of
-// re-converged states, in either domain; the fingerprint is O(1) per
-// state (core.State.HashState).
+// keeps no per-run state, so one Explorer may serve them all. Each
+// exploration prunes the states whose configuration it has already
+// explored, in either domain, through a visited set of O(1)
+// fingerprints (core.State.HashState) that MaxStates bounds. A clean
+// verdict rests on the bound and on that 64-bit key: a collision would
+// prune a new state, at odds of about n²/2⁶⁵ for n explored states
+// (~10⁻¹¹ at 20 000).
 package sched
 
 import (
@@ -72,14 +82,10 @@ type Options struct {
 	MaxRetired int
 	// StopAtFirst stops the exploration at the first violation.
 	StopAtFirst bool
-	// DedupEntries, when positive, bounds a machine-fingerprint table
-	// that prunes states whose configuration was already visited —
-	// many forwarding-fork arms reconverge. The table records at most
-	// DedupEntries fingerprints; once full it stops recording (and so
-	// stops pruning new configurations). Pruning trades exactness for
-	// speed: path counts shrink, and a 64-bit fingerprint collision
-	// could in principle prune a genuinely new state. 0 disables.
-	DedupEntries int
+	// NoDedup turns off the visited set (see Explore). It exists for
+	// in-module tests that measure the undeduplicated tree or compare
+	// it against the default; no public configuration reaches it.
+	NoDedup bool
 	// OnViolation, if non-nil, is invoked synchronously as each
 	// violation is recorded, before exploration continues. Returning
 	// false stops the exploration early, like StopAtFirst.
@@ -248,8 +254,13 @@ type Result struct {
 	// callback returning false) cut the exploration short.
 	Interrupted bool
 	// DedupHits is the number of states pruned because their machine
-	// fingerprint was already in the dedup table.
+	// fingerprint was already in the visited set.
 	DedupHits int
+	// BoundBlocked counts the states where the speculation bound acted:
+	// a full reorder buffer blocked a fetch, or the window-sliding arm
+	// of executePhase fired. An exhaustive run with none explores the
+	// same tree at every larger bound.
+	BoundBlocked int
 }
 
 // SecretFree reports whether no violation was found.
@@ -267,9 +278,6 @@ type Explorer struct {
 func NewExplorer(opts Options) (*Explorer, error) {
 	if opts.Bound < 1 {
 		return nil, fmt.Errorf("sched: speculation bound must be positive, got %d", opts.Bound)
-	}
-	if opts.DedupEntries < 0 {
-		return nil, fmt.Errorf("sched: dedup entries must be non-negative, got %d", opts.DedupEntries)
 	}
 	if opts.MaxStates == 0 {
 		opts.MaxStates = DefaultMaxStates
@@ -332,9 +340,9 @@ func (s *state) clone() *state {
 func (e *Explorer) Explore(m Machine) Result {
 	var res Result
 	opts := &e.opts
-	var dedup *dedupTable
-	if opts.DedupEntries > 0 {
-		dedup = &dedupTable{max: opts.DedupEntries, fps: make(map[uint64]struct{})}
+	var visited map[uint64]struct{}
+	if !opts.NoDedup {
+		visited = make(map[uint64]struct{})
 	}
 	root := newState()
 	root.m = m.Fork()
@@ -356,10 +364,7 @@ func (e *Explorer) Explore(m Machine) Result {
 		stack = stack[:len(stack)-1]
 		res.States++
 
-		done, deduped, viol := advance(opts, dedup, st, emit)
-		if deduped {
-			res.DedupHits++
-		}
+		done, viol := advance(opts, visited, &res, st, emit)
 		if !done {
 			continue
 		}
@@ -381,27 +386,6 @@ func (e *Explorer) Explore(m Machine) Result {
 	return res
 }
 
-// dedupTable is the bounded set of machine fingerprints one
-// exploration has visited.
-type dedupTable struct {
-	max int
-	fps map[uint64]struct{}
-}
-
-// seen records fp and reports whether it was already present. A full
-// table stops recording — and therefore stops pruning new
-// configurations — rather than evicting, keeping the memory bound hard
-// and the pruning decision stable within a run.
-func (t *dedupTable) seen(fp uint64) bool {
-	n := len(t.fps)
-	if n == t.max {
-		_, ok := t.fps[fp]
-		return ok
-	}
-	t.fps[fp] = struct{}{} // one map operation: the length says if fp was new
-	return len(t.fps) == n
-}
-
 // ended releases the states left on the stack of a run that a budget or
 // stop condition ended: none of them is to be explored.
 func ended(stack []*state) {
@@ -411,14 +395,13 @@ func ended(stack []*state) {
 }
 
 // advance pushes st forward by one strategy decision. It is a pure
-// function of the options, the dedup table, and the state — it touches
-// no explorer-level mutable state. done=true means the path is
-// finished (with viol set if it ended in a violation, deduped set if it
-// was pruned as a revisited configuration); otherwise the successor
-// states (one for deterministic steps, several at fork points) are
-// delivered through emit, in deterministic order, avoiding a per-step
-// slice allocation.
-func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (done, deduped bool, viol *Violation) {
+// function of the options, the visited set (nil when dedup is off) and
+// the state; it adds its dedup and bound counts to res. done=true means
+// the path is finished (with viol set if it ended in a violation);
+// otherwise the successor states (one for deterministic steps, several
+// at fork points) are delivered through emit, in deterministic order,
+// avoiding a per-step slice allocation.
+func advance(opts *Options, visited map[uint64]struct{}, res *Result, st *state, emit func(*state)) (done bool, viol *Violation) {
 	m := st.m
 
 	// Leak check on everything observed so far. The first secret
@@ -436,23 +419,30 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 			Model:    m.Witness(),
 			Schedule: st.sched.materialize(),
 		}
-		return true, false, &v
+		return true, &v
 	}
 	in := m.Instr()
 	fetchable := in != nil
 	if (m.BufLen() == 0 && !fetchable) || m.RetiredCount() >= opts.MaxRetired {
-		return true, false, nil
+		return true, nil
 	}
 	// Dedup check after the leak and termination checks: a pruned
 	// state is always secret-free so far, so its subtree's violations
 	// are exactly those reachable from the first-visited equivalent
-	// configuration.
-	if dedup != nil && dedup.seen(m.Fingerprint()) {
-		return true, true, nil
+	// configuration. One map operation: the length says if the
+	// fingerprint was new.
+	if visited != nil {
+		n := len(visited)
+		visited[m.Fingerprint()] = struct{}{}
+		if len(visited) == n {
+			res.DedupHits++
+			return true, nil
+		}
 	}
 
 	// Fetch phase: eager until the bound.
-	if m.BufLen() < opts.Bound && fetchable {
+	atBound := m.BufLen() >= opts.Bound
+	if !atBound && fetchable {
 		switch in.Kind {
 		case isa.KBr:
 			// Fork both guesses; both arms delay branch execution. The
@@ -462,20 +452,20 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 			b := st.clone()
 			if !apply(st, core.FetchGuess(true), emit) {
 				releaseState(b)
-				return true, false, nil
+				return true, nil
 			}
 			if !apply(b, core.FetchGuess(false), emit) {
 				releaseState(b)
 			}
-			return false, false, nil
+			return false, nil
 		case isa.KJmpi:
 			// The tool follows the architecturally correct target
 			// (it does not model indirect-jump speculation, §4).
 			if target, ok := m.PeekJmpi(in); ok {
 				if apply(st, core.FetchTarget(target), emit) {
-					return false, false, nil
+					return false, nil
 				}
-				return true, false, nil
+				return true, nil
 			}
 			// Target operands pending: fall through to execution.
 		case isa.KRet:
@@ -484,27 +474,31 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 				// predict through the in-memory return address.
 				if target, ok := m.PeekRet(); ok {
 					if apply(st, core.FetchTarget(target), emit) {
-						return false, false, nil
+						return false, nil
 					}
-					return true, false, nil
+					return true, nil
 				}
 				break // execute pending work first
 			}
 			if apply(st, core.Fetch(), emit) {
-				return false, false, nil
+				return false, nil
 			}
-			return true, false, nil
+			return true, nil
 		default:
 			if apply(st, core.Fetch(), emit) {
-				return false, false, nil
+				return false, nil
 			}
-			return true, false, nil
+			return true, nil
 		}
 	}
 
 	// Execute phase: oldest actionable instruction first.
-	if executePhase(opts, st, emit) {
-		return false, false, nil
+	acted, slid := executePhase(opts, st, emit)
+	if slid || atBound && fetchable {
+		res.BoundBlocked++
+	}
+	if acted {
+		return false, nil
 	}
 
 	// Nothing else is actionable: retire if possible, otherwise force
@@ -515,11 +509,11 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 		// Empty buffer and nothing fetchable at bound>0: halt was
 		// handled above, so this is a wedged path (e.g. jmpi whose
 		// operands can never resolve).
-		return true, false, nil
+		return true, nil
 	}
 	if t.Resolved {
 		if apply(st, core.Retire(), emit) {
-			return false, false, nil
+			return false, nil
 		}
 		// A call/ret marker retires only with its whole expansion
 		// resolved: force the first unresolved member.
@@ -529,16 +523,16 @@ func advance(opts *Options, dedup *dedupTable, st *state, emit func(*state)) (do
 				continue
 			}
 			if forceOne(st, j, u, emit) {
-				return false, false, nil
+				return false, nil
 			}
 			break
 		}
-		return true, false, nil
+		return true, nil
 	}
 	if forceOne(st, i, t, emit) {
-		return false, false, nil
+		return false, nil
 	}
-	return true, false, nil
+	return true, nil
 }
 
 // forceOne issues the directive that makes progress on an unresolved
@@ -576,7 +570,7 @@ func forceOne(st *state, i int, t TransientView, emit func(*state)) bool {
 // the entries, so it costs the pending branches, not the buffer. The
 // first directive that applies is the one a scan from the head would
 // find.
-func executePhase(opts *Options, st *state, emit func(*state)) bool {
+func executePhase(opts *Options, st *state, emit func(*state)) (acted, slid bool) {
 	m := st.m
 	start := max(st.settled, m.BufMin())
 	if cursorCheck != nil {
@@ -597,7 +591,7 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 			top = i // nothing beyond a pending fence may execute
 		case core.TOp:
 			if apply(st, core.Execute(i), emit) {
-				return true
+				return true, false
 			}
 		case core.TJmpi:
 			// Indirect jumps execute as soon as their target operands
@@ -607,23 +601,23 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 			// — the transient return must happen *before* the pending
 			// store address resolves and flags the hazard.
 			if apply(st, core.Execute(i), emit) {
-				return true
+				return true, false
 			}
 		case core.TStore:
 			if !t.ValKnown {
 				if apply(st, core.ExecuteValue(i), emit) {
-					return true
+					return true, false
 				}
 				continue
 			}
 			if !t.AddrKnown && !opts.ForwardHazards {
 				if apply(st, core.ExecuteAddr(i), emit) {
-					return true
+					return true, false
 				}
 			}
 		case core.TLoad:
 			if loadFork(opts, st, i, emit) {
-				return true
+				return true, false
 			}
 		}
 	}
@@ -634,13 +628,26 @@ func executePhase(opts *Options, st *state, emit func(*state)) bool {
 	// branches nested inside that window resolve eagerly so their own
 	// observations and rollbacks land within it. A stalled directive
 	// leaves the machine, and so the index, unchanged.
+	//
+	// A full buffer can cut a young branch's body off: resolving it
+	// first would close its window before the body is fetched. So at
+	// the bound, one extra arm slides the window instead: it resolves
+	// the oldest branch now, so the entries up to the next pending
+	// branch can retire and free slots for the young one's body. The
+	// arm only adds a legal schedule, so it cannot report a false leak.
 	branches := m.Branches()
-	for k := len(branches) - 1; k > 0; k-- {
-		if i := branches[k]; i <= top && apply(st, core.Execute(i), emit) {
-			return true
+	if len(branches) > 1 && m.BufLen() >= opts.Bound && branches[0] <= top {
+		b := st.clone()
+		if slid = apply(b, core.Execute(branches[0]), emit); !slid {
+			releaseState(b)
 		}
 	}
-	return false
+	for k := len(branches) - 1; k > 0; k-- {
+		if i := branches[k]; i <= top && apply(st, core.Execute(i), emit) {
+			return true, slid
+		}
+	}
+	return false, slid
 }
 
 // cursorCheck, when non-nil, is shown every state executePhase scans:

@@ -319,7 +319,8 @@ func fencedNestedGadget() *core.Machine {
 // TestExplorerFenceOrdering checks the strategy around a fence: no
 // directive is ever issued for an entry above a pending fence, and the
 // branches below it still resolve young-to-old. The leaking schedules
-// are pinned in exploration order; on the last, where both checks are
+// are pinned in exploration order, with the visited set off so that
+// every one is enumerated; on the last, where both checks are
 // guessed right, the nested check at 2 executes before the outer check
 // at 1, which is forced only once it heads the buffer, and the check
 // at 4 stays unresolved until the fence has retired.
@@ -345,7 +346,7 @@ func TestExplorerFenceOrdering(t *testing.T) {
 					}
 				}
 			}
-			e, err := NewExplorer(Options{Bound: bound, ForwardHazards: fwd})
+			e, err := NewExplorer(Options{Bound: bound, ForwardHazards: fwd, NoDedup: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -754,8 +755,8 @@ func TestParallelOnViolationStops(t *testing.T) {
 // pruned, shrinking the explored state count without losing any
 // violation signature.
 func TestDedupPrunesReconvergedStates(t *testing.T) {
-	full := mustExplorer(t, Options{Bound: 20, ForwardHazards: true}).Explore(v11Gadget())
-	dedup := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, DedupEntries: 1 << 16}).Explore(v11Gadget())
+	full := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, NoDedup: true}).Explore(v11Gadget())
+	dedup := mustExplorer(t, Options{Bound: 20, ForwardHazards: true}).Explore(v11Gadget())
 	if dedup.DedupHits == 0 {
 		t.Fatal("forwarding forks must reconverge and hit the dedup table")
 	}
@@ -784,7 +785,7 @@ func TestDedupPrunesReconvergedStates(t *testing.T) {
 // keeps its own dedup table: runs sharing one Explorer at once prune
 // exactly what a lone run prunes.
 func TestDedupParallelAgreesOnSignatures(t *testing.T) {
-	e := mustExplorer(t, Options{Bound: 20, ForwardHazards: true, DedupEntries: 1 << 16})
+	e := mustExplorer(t, Options{Bound: 20, ForwardHazards: true})
 	lone := e.Explore(v11Gadget())
 	want := sortedSignatures(lone, true)
 	for _, res := range exploreConcurrently(e, v11Gadget, 4) {
@@ -796,12 +797,6 @@ func TestDedupParallelAgreesOnSignatures(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("signatures differ:\n concurrent %v\n lone       %v", got, want)
 		}
-	}
-}
-
-func TestNewExplorerRejectsNegativeDedupEntries(t *testing.T) {
-	if _, err := NewExplorer(Options{Bound: 20, DedupEntries: -1}); err == nil {
-		t.Fatal("negative dedup entries must be rejected")
 	}
 }
 

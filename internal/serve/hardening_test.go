@@ -360,7 +360,6 @@ func TestOversizedBudgetsRejected(t *testing.T) {
 	}{
 		{"bound", maxRequestBound},
 		{"maxStates", maxRequestStates},
-		{"dedupEntries", maxRequestDedupEntries},
 		{"maxRetired", maxRequestRetired},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
@@ -397,8 +396,8 @@ func TestBudgetsAtCapsAccepted(t *testing.T) {
 	defer ts.Close()
 	body, err := json.Marshal(AnalyzeRequest{
 		Source: tinySource(0),
-		Config: json.RawMessage(fmt.Sprintf(`{"bound":%d,"maxStates":%d,"dedupEntries":%d,"maxRetired":%d}`,
-			maxRequestBound, maxRequestStates, maxRequestDedupEntries, maxRequestRetired)),
+		Config: json.RawMessage(fmt.Sprintf(`{"bound":%d,"maxStates":%d,"maxRetired":%d}`,
+			maxRequestBound, maxRequestStates, maxRequestRetired)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -419,10 +418,48 @@ func TestBudgetsAtCapsAccepted(t *testing.T) {
 // second request is a cache hit.
 func TestWorkersOverlayIgnored(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	checkOverlayIgnored(t, s, `{"workers":4}`)
+}
+
+// TestDedupEntriesOverlayIgnored: the visited set is always on and
+// Config has no dedupEntries field, so the key is dropped like
+// "workers". An entry that a disk tier holds under the default
+// config's v3 cache key (written while the table size was part of the
+// key) is never served: the first request runs an analysis.
+func TestDedupEntriesOverlayIgnored(t *testing.T) {
+	const v3DefaultKey = "a7d7f4a991342238b8637f21c40d7db8481c9ec043b0bf25feb802ea888e802d"
+	prog, err := spectre.CompileCTL(tinySource(0), spectre.ModeC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := prog.Fingerprint()
+	if spectre.DefaultConfig().CacheKey() == v3DefaultKey {
+		t.Fatal("the default cache key is still the v3 one")
+	}
+	stale, err := json.Marshal(AnalyzeResponse{Fingerprint: fp, CacheKey: v3DefaultKey, Report: stubReport()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, analyzeKey(fp, v3DefaultKey)+".json"), frame(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, CacheDir: dir})
+	checkOverlayIgnored(t, s, `{"dedupEntries":5}`)
+	if got := s.Stats().DiskHits; got != 0 {
+		t.Fatalf("%d disk hits, want the v3 entry ignored", got)
+	}
+}
+
+// checkOverlayIgnored posts tinySource(0) with an empty config overlay
+// and then with overlay: both answer 200 under one cache key, the
+// first runs the only analysis and the second is a cache hit.
+func checkOverlayIgnored(t *testing.T, s *Server, overlay string) {
+	t.Helper()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	var keys []string
-	for _, overlay := range []string{`{}`, `{"workers":4}`} {
+	for _, overlay := range []string{`{}`, overlay} {
 		body, err := json.Marshal(AnalyzeRequest{Source: tinySource(0), Config: json.RawMessage(overlay)})
 		if err != nil {
 			t.Fatal(err)
@@ -434,7 +471,7 @@ func TestWorkersOverlayIgnored(t *testing.T) {
 		keys = append(keys, decodeAnalyze(t, raw).CacheKey)
 	}
 	if keys[0] != keys[1] {
-		t.Fatalf("a workers overlay moved the cache key: %s vs %s", keys[1], keys[0])
+		t.Fatalf("overlay %s moved the cache key: %s vs %s", overlay, keys[1], keys[0])
 	}
 	if got := s.Stats().Analyses; got != 1 {
 		t.Fatalf("%d analyses ran, want 1 (the second request is a cache hit)", got)

@@ -313,10 +313,9 @@ func analyzeKeyFingerprint(key string) (string, bool) {
 // well above DefaultConfig and the paper's settings (bound 250 without
 // forwarding hazards, 20 with them).
 const (
-	maxRequestBound        = 1_000
-	maxRequestStates       = 2_000_000
-	maxRequestDedupEntries = 2_000_000
-	maxRequestRetired      = 200_000
+	maxRequestBound   = 1_000
+	maxRequestStates  = 2_000_000
+	maxRequestRetired = 200_000
 )
 
 type badRequestError struct{ msg string }
@@ -439,7 +438,6 @@ func (s *Server) decodeRequest(body []byte) (*spectre.Program, *spectre.Analyzer
 	}{
 		{"bound", cfg.Bound, maxRequestBound},
 		{"maxStates", cfg.MaxStates, maxRequestStates},
-		{"dedupEntries", cfg.DedupEntries, maxRequestDedupEntries},
 		{"maxRetired", cfg.MaxRetired, maxRequestRetired},
 	} {
 		if c.got > c.max {

@@ -122,6 +122,19 @@ func (v Var) String() string {
 type Op struct {
 	Code isa.Opcode
 	Args []Expr
+	// fp is the Fingerprint of an Op built by Apply (0: not kept): on
+	// a DAG of shared subterms, recomputing it walks every path.
+	fp uint64
+}
+
+// opFingerprint is the Fingerprint of an Op node.
+func opFingerprint(code isa.Opcode, args []Expr) uint64 {
+	h := mem.Mix64(mem.HashSeed ^ 3)
+	h = mem.Mix64(h ^ uint64(code))
+	for _, a := range args {
+		h = mem.Mix64(h ^ Fingerprint(a))
+	}
+	return h
 }
 
 // Label implements Expr.
@@ -235,7 +248,7 @@ func Apply(code isa.Opcode, args ...Expr) Expr {
 		if len(rest) == 1 {
 			return rest[0]
 		}
-		return Op{Code: isa.OpAdd, Args: rest}
+		return Op{Code: isa.OpAdd, Args: rest, fp: opFingerprint(isa.OpAdd, rest)}
 	case isa.OpXor, isa.OpSub:
 		if eq, ok := structurallyEqual(args[0], args[1]); ok && eq {
 			// x ^ x = 0 and x - x = 0, but the label must still join
@@ -258,6 +271,7 @@ func Apply(code isa.Opcode, args ...Expr) Expr {
 	case isa.OpMov:
 		return args[0]
 	}
+	o.fp = opFingerprint(code, args)
 	return o
 }
 

@@ -18,7 +18,7 @@ func eqOp() isa.Opcode { return isa.OpEq }
 // addresses for memory operations instead of keeping them symbolic").
 //
 // Like the concrete mem.Memory, the representation is copy-on-write:
-// Clone is O(1) and each fork pays only for the cells it writes, which
+// CloneTo is O(1) and each fork pays only for the cells it writes, which
 // is what keeps symbolic exploration forks (path-condition splits,
 // store concretizations) cheap.
 type Memory struct {
@@ -30,10 +30,8 @@ type Memory struct {
 	secret []mem.Word
 	// sum is the order-independent sum of chainCellHash over all
 	// mapped cells — the memory half of the symbolic configuration
-	// fingerprint, activated lazily by the first HashSum call and
-	// maintained incrementally by Write from then on.
-	sum    uint64
-	hashed bool
+	// fingerprint, kept by Write.
+	sum uint64
 }
 
 // NewMemory returns an empty symbolic memory.
@@ -50,12 +48,10 @@ func (m *Memory) Read(a mem.Word) Expr {
 // Write sets the cell at a.
 func (m *Memory) Write(a mem.Word, e Expr) {
 	old, existed := m.m.Set(a, e)
-	if m.hashed {
-		if existed {
-			m.sum -= chainCellHash(a, old)
-		}
-		m.sum += chainCellHash(a, e)
+	if existed {
+		m.sum -= chainCellHash(a, old)
 	}
+	m.sum += chainCellHash(a, e)
 	k, wasSecret := slices.BinarySearch(m.secret, a)
 	switch isSecret := e.Label().IsSecret(); {
 	case isSecret && !wasSecret:
@@ -71,29 +67,19 @@ func (m *Memory) Contains(a mem.Word) bool {
 	return ok
 }
 
-// Clone returns an independent copy in O(1): the private overlay is
-// frozen into the shared chain (expressions are immutable and shared
-// throughout).
-func (m *Memory) Clone() *Memory {
-	return &Memory{m: m.m.Fork(), secret: m.secret, sum: m.sum, hashed: m.hashed}
+// CloneTo makes dst an independent copy in O(1), in storage the caller
+// owns: the private overlay is frozen into the shared chain
+// (expressions are immutable and shared throughout).
+func (m *Memory) CloneTo(dst *Memory) {
+	*dst = Memory{m: m.m.Fork(), secret: m.secret, sum: m.sum}
 }
 
 // HashSum folds the memory into an order-independent 64-bit sum over
 // structural expression fingerprints — the symbolic configuration
-// fingerprint behind the exploration engine's dedup table. The first
-// call walks the cells once; afterwards Write maintains the sum
-// incrementally, so fingerprinting a state no longer re-hashes every
-// cell's expression tree.
-func (m *Memory) HashSum() uint64 {
-	if !m.hashed {
-		m.hashed = true
-		m.sum = 0
-		m.m.FlatEach(func(a mem.Word, e Expr) {
-			m.sum += chainCellHash(a, e)
-		})
-	}
-	return m.sum
-}
+// fingerprint behind the exploration engine's visited set. Write keeps
+// the sum, so fingerprinting a state never re-hashes a cell's
+// expression tree.
+func (m *Memory) HashSum() uint64 { return m.sum }
 
 // Addresses returns the mapped addresses in increasing order.
 func (m *Memory) Addresses() []mem.Word {

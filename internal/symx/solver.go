@@ -208,12 +208,10 @@ func Fingerprint(e Expr) uint64 {
 		}
 		return mem.Mix64(h ^ uint64(x.L))
 	case Op:
-		h := mem.Mix64(mem.HashSeed ^ 3)
-		h = mem.Mix64(h ^ uint64(x.Code))
-		for _, a := range x.Args {
-			h = mem.Mix64(h ^ Fingerprint(a))
+		if x.fp != 0 {
+			return x.fp
 		}
-		return h
+		return opFingerprint(x.Code, x.Args)
 	}
 	return mem.Mix64(mem.HashSeed ^ 4)
 }

@@ -296,7 +296,7 @@ func TestSymbolicMemory(t *testing.T) {
 	if len(sec) != 1 || sec[0] != 0x40 {
 		t.Fatalf("secret addresses = %v", sec)
 	}
-	c := m.Clone()
+	c := cloneOf(m)
 	c.Write(0x40, CW(0))
 	if m.Read(0x40).Label() != mem.Secret {
 		t.Fatal("clone aliases")
@@ -354,5 +354,33 @@ func TestConcretizeInfeasiblePath(t *testing.T) {
 		With(Constraint{E: Apply(isa.OpEq, x, CW(2)), Truthy: true})
 	if _, ok := c.Concretize(x, pc, NewMemory()); ok {
 		t.Fatal("infeasible path must fail concretization")
+	}
+}
+
+// TestOpFingerprintKept: an Op built by Apply keeps its fingerprint,
+// equal to the one an uncached literal of the same tree recomputes, so
+// fingerprinting a DAG that shares subterms costs one step per node
+// rather than one per path (a 64-deep square chain has 2⁶⁴ paths).
+func TestOpFingerprintKept(t *testing.T) {
+	x, k := NewVar("x", mem.Public), NewVar("k", mem.Secret)
+	for _, e := range []Expr{
+		Apply(isa.OpMul, x, k),
+		Apply(isa.OpAdd, x, C(mem.Pub(3)), k),
+		Apply(isa.OpXor, Apply(isa.OpMul, x, x), k),
+	} {
+		o := e.(Op)
+		if o.fp == 0 {
+			t.Fatalf("%v: Apply kept no fingerprint", e)
+		}
+		if lit := (Op{Code: o.Code, Args: o.Args}); Fingerprint(lit) != Fingerprint(o) {
+			t.Fatalf("%v: kept fingerprint %#x, recomputed %#x", e, Fingerprint(o), Fingerprint(lit))
+		}
+	}
+	sq, sk := Expr(x), Expr(k)
+	for range 64 {
+		sq, sk = Apply(isa.OpMul, sq, sq), Apply(isa.OpMul, sk, sk)
+	}
+	if Fingerprint(sq) == Fingerprint(sk) {
+		t.Fatal("two 64-deep square chains over different leaves fingerprint alike")
 	}
 }

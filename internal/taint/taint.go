@@ -227,8 +227,8 @@ func Analyze(cfg Config) (*Report, error) {
 
 	// Initial memory labels: the data image joined with the caller's
 	// extra bindings.
-	ms := &memState{known: make(map[isa.Addr]mem.Label, len(p.Data)+len(cfg.Mem))}
-	for a, v := range p.Data {
+	ms := &memState{known: make(map[isa.Addr]mem.Label, len(cfg.Mem))}
+	for a, v := range p.Data() {
 		ms.writeKnown(a, v.L)
 	}
 	for a, l := range cfg.Mem {

@@ -172,10 +172,10 @@ func (a *Analyzer) run(ctx context.Context, p *Program, bound int, fwd bool, yie
 
 // detect runs the configured detector, concrete or symbolic, on p. o
 // carries the run's own settings (bound, hazards, stop-at-first,
-// streaming hook); detect adds the analyzer-wide budgets and dedup
-// table and lets ctx cancellation interrupt the exploration.
+// streaming hook); detect adds the analyzer-wide budgets and lets ctx
+// cancellation interrupt the exploration.
 func (a *Analyzer) detect(ctx context.Context, p *Program, o pitchfork.Options) (pitchfork.Report, error) {
-	o.MaxStates, o.MaxRetired, o.DedupEntries = a.cfg.MaxStates, a.cfg.MaxRetired, a.cfg.DedupEntries
+	o.MaxStates, o.MaxRetired = a.cfg.MaxStates, a.cfg.MaxRetired
 	o.Interrupt = func() bool { return ctx.Err() != nil }
 	if a.cfg.Symbolic {
 		return pitchfork.AnalyzeSymbolic(p.symMachine(), o)

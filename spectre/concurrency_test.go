@@ -50,25 +50,19 @@ func TestAnalyzerSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// TestDedupReportStats checks WithDedup surfaces its pruning in the
-// report and preserves the findings.
+// TestDedupReportStats checks the report surfaces the visited set's
+// pruning: reconverged forwarding forks are pruned by default, and the
+// v4 leak is still found. The comparison with the unpruned exploration
+// (fewer states, same verdict, same findings) runs through the
+// in-module off switch in the root package's
+// TestDedupKeepsDecidedVerdicts.
 func TestDedupReportStats(t *testing.T) {
-	full := mustRun(t, mustNew(t, spectre.WithBound(20)), v4Program())
-	pruned := mustRun(t, mustNew(t, spectre.WithBound(20), spectre.WithDedup(1<<16)), v4Program())
-	if full.DedupHits != 0 {
-		t.Fatalf("dedup off must report zero hits, got %d", full.DedupHits)
+	rep := mustRun(t, mustNew(t, spectre.WithBound(20)), v4Program())
+	if rep.DedupHits == 0 {
+		t.Fatal("the default run must prune reconverged forwarding forks")
 	}
-	if pruned.DedupHits == 0 {
-		t.Fatal("dedup on must prune reconverged forwarding forks")
-	}
-	if pruned.States >= full.States {
-		t.Fatalf("dedup must shrink the exploration: %d vs %d states", pruned.States, full.States)
-	}
-	if full.SecretFree != pruned.SecretFree {
-		t.Fatal("dedup must not change the verdict")
-	}
-	if _, err := spectre.New(spectre.WithDedup(-1)); err == nil {
-		t.Fatal("negative dedup bound must be rejected")
+	if rep.SecretFree {
+		t.Fatal("pruning lost the v4 leak")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // included), and New() and New(WithBound(DefaultBound)) produce
 // identical Configs, hence identical cache keys.
 //
-// The functional options (WithBound, WithDedup, …) are a thin layer
+// The functional options (WithBound, WithSymbolic, …) are a thin layer
 // over this struct; NewFromConfig constructs an Analyzer from a Config
 // directly. The zero Config is not runnable (Bound must be positive) —
 // start from DefaultConfig and overlay, which is also how the serving
@@ -38,9 +38,6 @@ type Config struct {
 	StopAtFirst bool `json:"stopAtFirst"`
 	// Symbolic switches to symbolic mode (see WithSymbolic).
 	Symbolic bool `json:"symbolic"`
-	// DedupEntries bounds the machine-fingerprint dedup table; 0
-	// disables deduplication.
-	DedupEntries int `json:"dedupEntries"`
 	// StaticPass runs the speculative-taint pre-analysis before
 	// exploration (see WithStaticPass).
 	StaticPass bool `json:"staticPass"`
@@ -84,9 +81,6 @@ func (c Config) validate() error {
 	if c.MaxRetired < 0 {
 		return fmt.Errorf("spectre: max retired must be non-negative, got %d", c.MaxRetired)
 	}
-	if c.DedupEntries < 0 {
-		return fmt.Errorf("spectre: dedup entries must be non-negative, got %d", c.DedupEntries)
-	}
 	switch c.RepairStrategy {
 	case StrategyAuto, StrategyFence, StrategyMask, StrategyRet:
 	default:
@@ -110,13 +104,15 @@ func (c Config) validate() error {
 // silently. v2 dropped the solver seed: the model search became
 // deterministic, so symbolic witnesses changed and v1 entries must not
 // be served. v3 dropped Workers: reports lost their workers field, so
-// v2 entries must not be served.
+// v2 entries must not be served. v4 dropped DedupEntries: the visited
+// set is always on and the strategy gained the window-sliding arm, so
+// states, paths and verdicts changed and v3 entries must not be served.
 func (c Config) CacheKey() string {
 	c.normalize()
 	canonical := fmt.Sprintf(
-		"spectre-config-v3|bound=%d|fwd=%t|maxStates=%d|maxRetired=%d|stopAtFirst=%t|symbolic=%t|dedup=%d|static=%t|strategy=%s",
+		"spectre-config-v4|bound=%d|fwd=%t|maxStates=%d|maxRetired=%d|stopAtFirst=%t|symbolic=%t|static=%t|strategy=%s",
 		c.Bound, c.ForwardHazards, c.MaxStates, c.MaxRetired, c.StopAtFirst,
-		c.Symbolic, c.DedupEntries, c.StaticPass, c.RepairStrategy)
+		c.Symbolic, c.StaticPass, c.RepairStrategy)
 	sum := sha256.Sum256([]byte(canonical))
 	return hex.EncodeToString(sum[:])
 }

@@ -21,7 +21,6 @@ func TestConfigDefaultsExplicit(t *testing.T) {
 		spectre.WithMaxRetired(0),
 		spectre.WithStopAtFirst(false),
 		spectre.WithSymbolic(false),
-		spectre.WithDedup(0),
 		spectre.WithStaticPass(false),
 		spectre.WithRepairStrategy(spectre.StrategyAuto),
 	)
@@ -51,7 +50,6 @@ func TestConfigSnapshotResolved(t *testing.T) {
 		spectre.WithMaxRetired(500),
 		spectre.WithStopAtFirst(true),
 		spectre.WithSymbolic(true),
-		spectre.WithDedup(64),
 		spectre.WithStaticPass(true),
 		spectre.WithRepairStrategy(spectre.StrategyFence),
 	)
@@ -62,7 +60,6 @@ func TestConfigSnapshotResolved(t *testing.T) {
 		MaxRetired:     500,
 		StopAtFirst:    true,
 		Symbolic:       true,
-		DedupEntries:   64,
 		StaticPass:     true,
 		RepairStrategy: spectre.StrategyFence,
 	}
@@ -138,7 +135,6 @@ func TestNewFromConfigRejects(t *testing.T) {
 		"zero bound":       func(c *spectre.Config) { c.Bound = 0 },
 		"negative states":  func(c *spectre.Config) { c.MaxStates = -1 },
 		"negative retired": func(c *spectre.Config) { c.MaxRetired = -1 },
-		"negative dedup":   func(c *spectre.Config) { c.DedupEntries = -1 },
 		"bad strategy":     func(c *spectre.Config) { c.RepairStrategy = "nop" },
 	} {
 		c := spectre.DefaultConfig()
@@ -161,7 +157,6 @@ func TestCacheKeySeparates(t *testing.T) {
 		"maxRetired": func(c *spectre.Config) { c.MaxRetired = 10 },
 		"stopFirst":  func(c *spectre.Config) { c.StopAtFirst = true },
 		"symbolic":   func(c *spectre.Config) { c.Symbolic = true },
-		"dedup":      func(c *spectre.Config) { c.DedupEntries = 16 },
 		"static":     func(c *spectre.Config) { c.StaticPass = true },
 		"strategy":   func(c *spectre.Config) { c.RepairStrategy = spectre.StrategyMask },
 	} {

@@ -92,18 +92,3 @@ func WithStaticPass(on bool) Option {
 func WithRepairStrategy(s string) Option {
 	return func(c *Config) { c.RepairStrategy = s }
 }
-
-// WithDedup bounds a machine-fingerprint table at maxEntries states;
-// exploration states whose full configuration (PC, registers, memory,
-// reorder buffer, RSB — and, in symbolic mode, the path condition)
-// was already visited are pruned. Many forwarding-fork arms
-// reconverge, so dedup cuts explored states — at the price of
-// exactness: Paths shrinks, schedules
-// for pruned duplicates are not enumerated, and a 64-bit fingerprint
-// collision could in principle prune a genuinely new state. The
-// distinct-finding set is preserved (every pruned state's future is
-// explored from its first-visited twin). 0 (the default) disables
-// deduplication. Works in both concrete and symbolic mode.
-func WithDedup(maxEntries int) Option {
-	return func(c *Config) { c.DedupEntries = maxEntries }
-}

@@ -10,11 +10,11 @@ import (
 	"pitchfork/spectre"
 )
 
-// repairAnalyzer is the corpus configuration: hazard-aware bound with
-// fingerprint dedup so the loop cases stay tractable.
+// repairAnalyzer is the corpus configuration: the default hazard-aware
+// bound.
 func repairAnalyzer(t *testing.T, opts ...spectre.Option) *spectre.Analyzer {
 	t.Helper()
-	an, err := spectre.New(append([]spectre.Option{spectre.WithDedup(1 << 20)}, opts...)...)
+	an, err := spectre.New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

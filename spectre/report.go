@@ -215,8 +215,8 @@ type Report struct {
 	// Interrupted reports whether the run was cut short — by context
 	// cancellation or by a Stream callback returning false.
 	Interrupted bool `json:"interrupted"`
-	// DedupHits counts exploration states pruned by fingerprint
-	// deduplication (see WithDedup); 0 when dedup is off.
+	// DedupHits counts exploration states pruned because their machine
+	// fingerprint was already in the run's visited set.
 	DedupHits int `json:"dedupHits"`
 	// Static is the static pre-analysis verdict when WithStaticPass was
 	// enabled; nil otherwise (absent on the wire).

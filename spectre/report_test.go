@@ -59,10 +59,7 @@ func TestReportGoldenJSON(t *testing.T) {
 // Regenerate deliberately with: go test ./spectre -run Golden -update
 func TestSymbolicReportGoldenJSON(t *testing.T) {
 	p := figure1Symbolic(t)
-	rep, err := mustNew(t,
-		spectre.WithSymbolic(true),
-		spectre.WithDedup(1<<16),
-	).Run(context.Background(), p)
+	rep, err := mustNew(t, spectre.WithSymbolic(true)).Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

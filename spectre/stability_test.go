@@ -87,14 +87,14 @@ func TestFingerprintStability(t *testing.T) {
 }
 
 func TestConfigCacheKeyStability(t *testing.T) {
-	if got, want := spectre.DefaultConfig().CacheKey(), "a7d7f4a991342238b8637f21c40d7db8481c9ec043b0bf25feb802ea888e802d"; got != want {
+	if got, want := spectre.DefaultConfig().CacheKey(), "3a39ca07e3fd4a1c52291883c5ef94c6d2e0b25970a50aa7c131dc6a15633d4b"; got != want {
 		t.Errorf("default config key rotated:\n got %s\nwant %s", got, want)
 	}
 	c := spectre.DefaultConfig()
 	c.Symbolic = true
 	c.Bound = 250
 	c.ForwardHazards = false
-	if got, want := c.CacheKey(), "7e0fc920ca669ad3be691ea20cab828f0a52fc24291f8c6cd963bf42718d5fd0"; got != want {
+	if got, want := c.CacheKey(), "5b5991c974b288e6ca7e1d69954346d869d394072b9228ff5ba49ede520c0762"; got != want {
 		t.Errorf("symbolic config key rotated:\n got %s\nwant %s", got, want)
 	}
 }

@@ -43,17 +43,15 @@ func distinctKeys(rep *spectre.Report) []string {
 	return out
 }
 
-// TestSymbolicParallelDedup: WithSymbolic composed with WithDedup
-// prunes re-converged symbolic states, and the distinct findings match
-// the plain symbolic run's — also for runs made at once on one shared
-// Analyzer, each of which keeps its own dedup table.
+// TestSymbolicParallelDedup: a symbolic run prunes re-converged
+// symbolic states, and runs made at once on one shared Analyzer, each
+// of which keeps its own visited set, prune and find exactly what a
+// lone run does. That the pruned run finds the distinct findings of
+// the unpruned one is checked, Figure 1 included, by the root
+// package's TestDedupKeepsDecidedVerdicts.
 func TestSymbolicParallelDedup(t *testing.T) {
 	p := figure1Symbolic(t)
-	serial := mustRun(t, mustNew(t, spectre.WithSymbolic(true)), p)
-	if serial.DedupHits != 0 {
-		t.Fatalf("dedup off but DedupHits = %d", serial.DedupHits)
-	}
-	an := mustNew(t, spectre.WithSymbolic(true), spectre.WithDedup(1<<16))
+	an := mustNew(t, spectre.WithSymbolic(true))
 	lone := mustRun(t, an, p)
 	var reps [4]*spectre.Report
 	var wg sync.WaitGroup
@@ -75,9 +73,9 @@ func TestSymbolicParallelDedup(t *testing.T) {
 		if rep.SecretFree {
 			t.Fatal("symbolic dedup run lost the findings")
 		}
-		sk, pk := distinctKeys(serial), distinctKeys(rep)
-		if fmt.Sprint(sk) != fmt.Sprint(pk) {
-			t.Fatalf("distinct findings differ:\n plain %v\n dedup %v", sk, pk)
+		lk, ck := distinctKeys(lone), distinctKeys(rep)
+		if fmt.Sprint(lk) != fmt.Sprint(ck) {
+			t.Fatalf("distinct findings differ:\n lone       %v\n concurrent %v", lk, ck)
 		}
 	}
 }

@@ -169,7 +169,7 @@ func (p *Program) wire() (*programWire, error) {
 	if w.Instrs == nil {
 		w.Instrs = []wireInstr{}
 	}
-	for a, v := range p.prog.Data {
+	for a, v := range p.prog.Data() {
 		w.Data = append(w.Data, wireDatum{A: a, W: v.W, L: wireLabel(v.L)})
 	}
 	sort.Slice(w.Data, func(i, j int) bool { return w.Data[i].A < w.Data[j].A })
