@@ -17,8 +17,8 @@
 // static pass proves safe is certified in O(|program|) without running
 // the explorer, and a program it cannot prove safe is explored in
 // hybrid mode: the full exploration, with the static verdict attached
-// to the report. With -repair, the pass additionally ranks candidate
-// fence sites by static suspiciousness.
+// to the report. -static does not change a -repair run: every
+// candidate patch is re-verified by the explorer.
 //
 // -repair switches from detection to mitigation: the tool synthesizes
 // a minimal patch set (propose at the guarding speculation source,

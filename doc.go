@@ -18,7 +18,7 @@
 //	┌────────────────────────┐      ┌────────────────────────────┐
 //	│ internal/taint         │      │  internal/sched (engine)   │
 //	│ static taint pass:     │      │  DT(n) strategy · DFS      │
-//	│ certify · ForkFree     │      │  dedup · budgets · stream  │
+//	│ certify · verdicts     │      │  dedup · budgets · stream  │
 //	└───────────┬────────────┘      └─────────┬───────┬──────────┘
 //	            │                    Machine  │       │  Machine
 //	            │             ┌───────────────┘       └───────────────┐
@@ -32,7 +32,7 @@
 //	            │                   ┌─────────┴──────────┐       ┌──────────────────────────┐
 //	            └──────────────────▶│  spectre (façade)  │◀──────│ internal/repair          │
 //	              certificates ·    │  Analyzer · Repair │       │ mitigation portfolio:    │
-//	              repair ranking    └─────────┬──────────┘       │ fence · mask · ret over  │
+//	              hybrid reports    └─────────┬──────────┘       │ fence · mask · ret over  │
 //	                                          │                  │ internal/isa patch plans │
 //	                                          ▼                  └──────────────────────────┘
 //	                                ┌─────────────────────────────────┐
@@ -66,9 +66,10 @@
 // The static speculative-taint pre-analysis (internal/taint) sits in
 // front of both: a flow-sensitive fixpoint over the speculative CFG
 // that certifies a program free of secret-labeled observations in
-// O(|program|) (spectre.WithStaticPass — no explorer is built) and
-// hands repair a suspiciousness ranking over candidate fence sites
-// (taint.Report.ForkFree).
+// O(|program|) (spectre.WithStaticPass — no explorer is built), and
+// otherwise attaches its per-point verdicts to the hybrid report.
+// Repair does not read it: every candidate patch is re-verified by the
+// explorer.
 //
 // The supported API surface is the spectre package (pitchfork/spectre):
 // a ProgramBuilder, an Analyzer with functional options and streaming,

@@ -94,9 +94,9 @@ func secretExpr(e symx.Expr) bool { return e != nil && e.Label().IsSecret() }
 
 // symMachine is the symbolic domain: one speculative machine
 // configuration over expressions, implementing core.Explorable. The
-// solver and concretizer are shared across clones: their answers are
-// a pure function of the query, and one exploration drives every
-// clone from one goroutine.
+// solver is shared across clones: its answers are a pure function of
+// the query, and one exploration drives every clone from one
+// goroutine.
 //
 // The configuration is copy-on-write end to end: registers are a flat
 // cell file (symx.RegFile) copied on the first write after a fork,
@@ -120,7 +120,6 @@ type symMachine struct {
 	split    symx.Expr
 
 	solver *symx.Solver
-	concr  *symx.Concretizer
 	// code is the program the machine fetches from; window is the
 	// bound, how far past a store its constant-address loads are tried.
 	code   *isa.Table
@@ -134,8 +133,7 @@ type symMachine struct {
 
 // newSymMachine lowers an initial configuration into the domain.
 func newSymMachine(m *SymMachine, window int) *symMachine {
-	solver := symx.NewSolver()
-	s := &symMachine{solver: solver, concr: symx.NewConcretizer(solver), code: m.Prog.Table(), window: window}
+	s := &symMachine{solver: symx.NewSolver(), code: m.Prog.Table(), window: window}
 	m.Mem.CloneTo(&s.data)
 	s.State = core.NewState[symx.Expr](s.code, symx.NewRegFile(), &s.data, m.PC, s)
 	for r, e := range m.Regs {
@@ -146,10 +144,10 @@ func newSymMachine(m *SymMachine, window int) *symMachine {
 
 // clone forks the machine in O(1). Expressions are immutable and
 // shared; the configuration forks copy-on-write; the path-condition
-// prefix is shared (With copies on extension); solver and concretizer
-// are shared by design.
+// prefix is shared (With copies on extension); the solver is shared by
+// design.
 func (s *symMachine) clone() *symMachine {
-	c := &symMachine{pcond: s.pcond, solver: s.solver, concr: s.concr, code: s.code, window: s.window}
+	c := &symMachine{pcond: s.pcond, solver: s.solver, code: s.code, window: s.window}
 	s.CloneInto(&c.State, c, &c.regs, &c.data)
 	return c
 }
@@ -266,7 +264,7 @@ func (s *symMachine) Cond(e symx.Expr) (bool, mem.Label, bool) {
 // for targeted hunting.
 func (s *symMachine) concretize(i int, k core.TKind, ae symx.Expr) (mem.Word, bool) {
 	if k == core.TLoad {
-		return s.concr.Concretize(ae, s.pcond, s.Mem)
+		return s.solver.Concretize(ae, s.pcond, s.Mem)
 	}
 	var buf [32]mem.Word
 	cands := buf[:0]
@@ -306,7 +304,7 @@ func (s *symMachine) concretize(i int, k core.TKind, ae symx.Expr) (mem.Word, bo
 			return a, true
 		}
 	}
-	return s.concr.Concretize(ae, s.pcond, s.Mem)
+	return s.solver.Concretize(ae, s.pcond, s.Mem)
 }
 
 // ---------------------------------------------------------------------

@@ -60,38 +60,19 @@ type Options struct {
 	// the behaviour-preservation certificate and the sequential cost
 	// model replay it.
 	Machine func(*isa.Program) *core.Machine
-	// MaxIters bounds the counterexample-guided iterations (0 =
-	// DefaultMaxIters).
-	MaxIters int
 	// MaxSeqInstrs bounds the sequential replays of the precheck, the
 	// behaviour certificate and the cost model (0 =
 	// sched.DefaultMaxRetired).
 	MaxSeqInstrs int
-	// Hints, if non-nil, supplies static suspiciousness verdicts (an
-	// internal/taint Report satisfies the interface) that rank
-	// candidate patch sites: each round tries only the most suspicious
-	// untried site per violation instead of every source placement at
-	// once, so minimization starts from a smaller, better-aimed set.
-	Hints Hints
 	// Strategy selects the mitigation: StrategyFence (also the empty
 	// string), StrategyMask, StrategyRet, or StrategyAuto for the
 	// cheapest-certified portfolio.
 	Strategy string
 }
 
-// Hints is the static pre-analysis contract the site ranking consumes
-// (implemented by internal/taint's Report without either package
-// importing the other).
-type Hints interface {
-	// ForkFree reports that no secret-labeled observation is possible
-	// at pp or at any point forward-reachable from it — a fence at such
-	// a point cannot cut off any leak.
-	ForkFree(pp isa.Addr) bool
-}
-
-// DefaultMaxIters is the iteration budget when Options leaves it zero.
-// Each iteration adds at least one patch site, so the budget also
-// bounds the site count before minimization.
+// DefaultMaxIters bounds the counterexample-guided iterations. Each
+// iteration adds at least one patch site, so the budget also bounds
+// the site count before minimization.
 const DefaultMaxIters = 32
 
 // Outcome classifies a repair run.
@@ -234,9 +215,6 @@ func Repair(prog *isa.Program, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.MaxIters <= 0 {
-		opts.MaxIters = DefaultMaxIters
-	}
 	if opts.MaxSeqInstrs <= 0 {
 		opts.MaxSeqInstrs = sched.DefaultMaxRetired
 	}
@@ -291,26 +269,16 @@ func runStrategy(prog *isa.Program, mit Mitigation, before pitchfork.Report, bas
 	inv := identityMap(prog) // repaired-space point → original-space point
 	var rw *isa.Rewrite
 	clean := false
-	for iter := 1; iter <= opts.MaxIters && !clean; iter++ {
+	for iter := 1; iter <= DefaultMaxIters && !clean; iter++ {
 		progress := false
 		pending := make(map[isa.Addr]bool) // sites first proposed this round
 		for _, v := range cur.Violations {
-			cands := mit.CandidateSites(prog, v, inv)
-			if opts.Hints != nil {
-				rankSites(cands, opts.Hints)
-			}
 			saturated := true // every source placement tried in an earlier round
-			for _, s := range cands {
+			for _, s := range mit.CandidateSites(prog, v, inv) {
 				if !siteSet[s] {
 					siteSet[s] = true
 					pending[s] = true
 					progress, saturated = true, false
-					if opts.Hints != nil {
-						// Ranked mode: commit only the most suspicious
-						// untried site this round; the rest stay in
-						// reserve for later rounds if the leak persists.
-						break
-					}
 				} else if pending[s] {
 					saturated = false // proposed this round, not yet verified
 				}
@@ -483,21 +451,6 @@ func certifiedClean(rep pitchfork.Report) (bool, error) {
 		return false, fmt.Errorf("state budget exhausted before full coverage; raise MaxStates")
 	}
 	return true, nil
-}
-
-// rankSites orders candidate patch sites most-suspicious first: sites
-// from which a suspicious point is still forward-reachable (!ForkFree)
-// can actually cut a leak off, so they are tried before provably
-// fork-free ones; ties break on ascending address so ranked runs stay
-// deterministic.
-func rankSites(sites []isa.Addr, h Hints) {
-	sort.SliceStable(sites, func(i, j int) bool {
-		si, sj := !h.ForkFree(sites[i]), !h.ForkFree(sites[j])
-		if si != sj {
-			return si
-		}
-		return sites[i] < sites[j]
-	})
 }
 
 func identityMap(p *isa.Program) map[isa.Addr]isa.Addr {

@@ -2,7 +2,6 @@ package repair
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"pitchfork/internal/isa"
@@ -118,21 +117,5 @@ func TestRepairRefusesComputedJumpRewrite(t *testing.T) {
 	}
 	if res.Outcome.Secured() {
 		t.Error("unsafe-rewrite must not read as secured")
-	}
-}
-
-type fakeHints map[isa.Addr]bool
-
-func (f fakeHints) ForkFree(pp isa.Addr) bool { return f[pp] }
-
-func TestRankSites(t *testing.T) {
-	// Fork-free (statically boring) sites sink to the back; each class
-	// stays in ascending address order.
-	sites := []isa.Addr{9, 4, 7, 2, 5}
-	h := fakeHints{4: true, 5: true} // 4 and 5 are provably pointless
-	rankSites(sites, h)
-	want := []isa.Addr{2, 7, 9, 4, 5}
-	if !reflect.DeepEqual(sites, want) {
-		t.Fatalf("ranked order = %v, want %v", sites, want)
 	}
 }

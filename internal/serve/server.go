@@ -285,10 +285,12 @@ func (s *Server) Drain() {
 // file name. The prefix names the stored envelope: an AnalyzeResponse
 // or a RepairResponse. Repair envelopes stored under the earlier
 // "repair-" prefix may describe a discarded rewrite in a give-up's
-// cost row, so a disk tier never reads them.
+// cost row, and those under "repair2-" may carry the cost and
+// iteration count of a statically ranked repair, so a disk tier never
+// reads either.
 const (
 	analyzePrefix = "analyze-"
-	repairPrefix  = "repair2-"
+	repairPrefix  = "repair3-"
 )
 
 func analyzeKey(fp, ck string) string { return analyzePrefix + fp + "-" + ck }

@@ -418,8 +418,9 @@ func TestRequestBodyFraming(t *testing.T) {
 
 // TestRepairEntryUnderOldPrefixNotServed: repair envelopes written
 // under the "repair-" prefix predate cost rows that describe the
-// program a give-up hands back, so a disk tier holding one must rerun
-// the repair instead of serving it.
+// program a give-up hands back, and those under "repair2-" may carry a
+// statically ranked repair's cost, so a disk tier holding one must
+// rerun the repair instead of serving it.
 func TestRepairEntryUnderOldPrefixNotServed(t *testing.T) {
 	prog, err := spectre.CompileCTL(tinySource(1), spectre.ModeC)
 	if err != nil {
@@ -431,27 +432,29 @@ func TestRepairEntryUnderOldPrefixNotServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "repair-"+fp+"-"+ck+".json"), frame(stale), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, CacheDir: dir})
-	calls := 0
-	s.runRepair = func(context.Context, *spectre.Analyzer, *spectre.Program) (*spectre.RepairResult, error) {
-		calls++
-		return &spectre.RepairResult{Outcome: spectre.RepairClean, Before: stubReport(), After: stubReport()}, nil
-	}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/repair", bytes.NewReader(analyzeBody(t, tinySource(1)))))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
-	}
-	var env RepairResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.CacheHit || calls != 1 || s.Stats().DiskHits != 0 {
-		t.Errorf("cacheHit=%v repairs=%d diskHits=%d, want the old entry ignored and the repair rerun",
-			env.CacheHit, calls, s.Stats().DiskHits)
+	for _, prefix := range []string{"repair-", "repair2-"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, prefix+fp+"-"+ck+".json"), frame(stale), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, CacheDir: dir})
+		calls := 0
+		s.runRepair = func(context.Context, *spectre.Analyzer, *spectre.Program) (*spectre.RepairResult, error) {
+			calls++
+			return &spectre.RepairResult{Outcome: spectre.RepairClean, Before: stubReport(), After: stubReport()}, nil
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/repair", bytes.NewReader(analyzeBody(t, tinySource(1)))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", prefix, rec.Code, rec.Body.Bytes())
+		}
+		var env RepairResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.CacheHit || calls != 1 || s.Stats().DiskHits != 0 {
+			t.Errorf("%s: cacheHit=%v repairs=%d diskHits=%d, want the old entry ignored and the repair rerun",
+				prefix, env.CacheHit, calls, s.Stats().DiskHits)
+		}
 	}
 }

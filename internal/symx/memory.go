@@ -95,42 +95,34 @@ func (m *Memory) Addresses() []mem.Word {
 // possibly shared with clones: callers must not modify it.
 func (m *Memory) SecretAddresses() []mem.Word { return m.secret }
 
-// Concretizer pins symbolic addresses to concrete words, in the style
-// of angr's concretization strategies. The policy is leak-hunting: if
-// the address expression can reach a secret-bearing cell under the
+// maxConcretizeTargets bounds how many secret cells Concretize tries
+// per query.
+const maxConcretizeTargets = 64
+
+// Concretize pins a symbolic address e to a concrete word under pc, in
+// the style of angr's concretization strategies. The policy is
+// leak-hunting: if e can reach a secret-bearing cell of m under the
 // path condition, pick that cell; otherwise take any model. This is
 // what makes unconstrained attacker inputs (the Kocher cases' x) find
-// their out-of-bounds values.
-type Concretizer struct {
-	Solver *Solver
-	// MaxTargets bounds how many secret cells are tried per query.
-	MaxTargets int
-}
-
-// NewConcretizer returns a concretizer over the given solver.
-func NewConcretizer(s *Solver) *Concretizer {
-	return &Concretizer{Solver: s, MaxTargets: 64}
-}
-
-// Concretize picks a concrete address for e under pc. The boolean
-// reports success; failure means even plain satisfiability of pc with
-// any address value was not established within budget.
-func (c *Concretizer) Concretize(e Expr, pc PathCondition, m *Memory) (mem.Word, bool) {
+// their out-of-bounds values. The boolean reports success; failure
+// means even plain satisfiability of pc with any address value was not
+// established within budget.
+func (s *Solver) Concretize(e Expr, pc PathCondition, m *Memory) (mem.Word, bool) {
 	if v, ok := e.Concrete(); ok {
 		return v.W, true
 	}
 	// Leak-hunting pass: try to land on a secret cell.
 	targets := m.SecretAddresses()
-	if len(targets) > c.MaxTargets {
-		targets = targets[:c.MaxTargets]
+	if len(targets) > maxConcretizeTargets {
+		targets = targets[:maxConcretizeTargets]
 	}
 	for _, a := range targets {
-		if _, ok := c.Solver.SolveWith(pc, e, a); ok {
+		if _, ok := s.SolveWith(pc, e, a); ok {
 			return a, true
 		}
 	}
 	// Otherwise: any model.
-	if env, ok := c.Solver.Solve(pc); ok {
+	if env, ok := s.Solve(pc); ok {
 		return e.Eval(env).W, true
 	}
 	return 0, false

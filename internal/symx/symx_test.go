@@ -308,7 +308,6 @@ func TestSymbolicMemory(t *testing.T) {
 
 func TestConcretizerPrefersSecretCells(t *testing.T) {
 	s := NewSolver()
-	c := NewConcretizer(s)
 	m := NewMemory()
 	// Public array at 0x40..0x43, secrets at 0x48..0x4B.
 	for i := mem.Word(0); i < 4; i++ {
@@ -317,7 +316,7 @@ func TestConcretizerPrefersSecretCells(t *testing.T) {
 	}
 	x := NewVar("x", mem.Public)
 	addr := Apply(isa.OpAdd, CW(0x40), x)
-	a, ok := c.Concretize(addr, PathCondition{}, m)
+	a, ok := s.Concretize(addr, PathCondition{}, m)
 	if !ok {
 		t.Fatal("concretization failed")
 	}
@@ -327,7 +326,7 @@ func TestConcretizerPrefersSecretCells(t *testing.T) {
 	// Under a bounds constraint x < 4 the secret cells are
 	// unreachable; concretization must still succeed, in bounds.
 	pc := PathCondition{}.With(Constraint{E: Apply(isa.OpLt, x, CW(4)), Truthy: true})
-	a, ok = c.Concretize(addr, pc, m)
+	a, ok = s.Concretize(addr, pc, m)
 	if !ok {
 		t.Fatal("bounded concretization failed")
 	}
@@ -338,8 +337,7 @@ func TestConcretizerPrefersSecretCells(t *testing.T) {
 
 func TestConcretizeConcreteAddrShortCircuit(t *testing.T) {
 	s := NewSolver()
-	c := NewConcretizer(s)
-	a, ok := c.Concretize(CW(0x123), PathCondition{}, NewMemory())
+	a, ok := s.Concretize(CW(0x123), PathCondition{}, NewMemory())
 	if !ok || a != 0x123 {
 		t.Fatalf("concrete address = %#x, %t", a, ok)
 	}
@@ -347,12 +345,11 @@ func TestConcretizeConcreteAddrShortCircuit(t *testing.T) {
 
 func TestConcretizeInfeasiblePath(t *testing.T) {
 	s := NewSolver()
-	c := NewConcretizer(s)
 	x := NewVar("x", mem.Public)
 	pc := PathCondition{}.
 		With(Constraint{E: Apply(isa.OpEq, x, CW(1)), Truthy: true}).
 		With(Constraint{E: Apply(isa.OpEq, x, CW(2)), Truthy: true})
-	if _, ok := c.Concretize(x, pc, NewMemory()); ok {
+	if _, ok := s.Concretize(x, pc, NewMemory()); ok {
 		t.Fatal("infeasible path must fail concretization")
 	}
 }

@@ -26,11 +26,11 @@
 // Addresses are tracked by label only, not by value: a load or store
 // whose address operands are not a single immediate reads from (or
 // writes to) the unknown-address summary, which soundly aliases all of
-// memory. The result is deliberately conservative — the verdicts feed
-// two consumers that each only need one-sided guarantees: the
-// standalone certificate (spectre.WithStaticPass) certifies Safe
-// programs without building an explorer, and internal/repair ranks
-// candidate fence sites by suspiciousness.
+// memory. The result is deliberately conservative — its one consumer,
+// the certificate behind spectre.WithStaticPass, only needs a
+// one-sided guarantee: it certifies Safe programs without building an
+// explorer, and otherwise attaches the per-point verdicts to the
+// hybrid report.
 package taint
 
 import (
@@ -53,7 +53,7 @@ type Config struct {
 }
 
 // Report is the analysis result: per-point speculative reachability
-// and verdicts, plus the forward-reachability closure behind ForkFree.
+// and verdicts.
 // Reports are immutable after Analyze and safe for concurrent readers.
 type Report struct {
 	// Points is the number of instruction points analyzed; Reachable
@@ -62,39 +62,22 @@ type Report struct {
 	Reachable int
 	// ComputedFlow reports whether the program contains control flow
 	// whose successors are not statically known (computed jmpi targets
-	// or returns), forcing whole-program reachability and
-	// forward-reach conservatism.
+	// or returns), forcing whole-program reachability.
 	ComputedFlow bool
 
 	reachable  map[isa.Addr]bool
 	suspicious map[isa.Addr]bool
-	// suspectReach holds the points from which some suspicious point is
-	// forward-reachable (including the point itself). Under
-	// ComputedFlow it is nil and anySuspicious decides.
-	suspectReach  map[isa.Addr]bool
-	anySuspicious bool
 }
 
 // Safe reports whether every reachable point is provably safe — the
 // whole program carries the static certificate.
-func (r *Report) Safe() bool { return !r.anySuspicious }
+func (r *Report) Safe() bool { return len(r.suspicious) == 0 }
 
 // SafePoint reports whether the point is provably safe: either not
 // speculatively reachable at all, or reachable with a statically
 // public sink label — no transient execution can produce a
 // secret-labeled observation there.
 func (r *Report) SafePoint(pp isa.Addr) bool { return !r.suspicious[pp] }
-
-// ForkFree reports whether no suspicious point is forward-reachable
-// from pp (pp itself included): the entire execution future unlocked
-// at pp is provably safe. Repair site ranking consumes it: a fence at
-// a fork-free point cannot cut off any leak.
-func (r *Report) ForkFree(pp isa.Addr) bool {
-	if r.ComputedFlow {
-		return !r.anySuspicious
-	}
-	return !r.suspectReach[pp]
-}
 
 // SuspiciousPoints returns the suspicious program points in increasing
 // order.
@@ -183,8 +166,7 @@ func Analyze(cfg Config) (*Report, error) {
 	}
 
 	// Static control flow. An instruction with statically unknown
-	// successors poisons the whole CFG: every point becomes reachable
-	// and forward-reaches every other.
+	// successors poisons the whole CFG: every point becomes reachable.
 	succs := make(map[isa.Addr][]isa.Addr, len(points))
 	for _, pp := range points {
 		in := p.Instrs[pp]
@@ -274,37 +256,9 @@ func Analyze(cfg Config) (*Report, error) {
 		}
 		if sinkLabel(p.Instrs[pp], in[pp], ms).IsSecret() {
 			rep.suspicious[pp] = true
-			rep.anySuspicious = true
 		}
 	}
 
-	// Forward-reach closure of the suspicious set: backward BFS over
-	// the CFG edges. Under ComputedFlow every point reaches every
-	// other, so ForkFree degenerates to "no suspicious point at all".
-	if !rep.ComputedFlow {
-		preds := make(map[isa.Addr][]isa.Addr, len(points))
-		for _, pp := range points {
-			for _, s := range succs[pp] {
-				preds[s] = append(preds[s], pp)
-			}
-		}
-		rep.suspectReach = make(map[isa.Addr]bool, len(rep.suspicious))
-		work := make([]isa.Addr, 0, len(rep.suspicious))
-		for pp := range rep.suspicious {
-			rep.suspectReach[pp] = true
-			work = append(work, pp)
-		}
-		for len(work) > 0 {
-			pp := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, q := range preds[pp] {
-				if !rep.suspectReach[q] {
-					rep.suspectReach[q] = true
-					work = append(work, q)
-				}
-			}
-		}
-	}
 	return rep, nil
 }
 

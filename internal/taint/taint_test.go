@@ -49,13 +49,8 @@ func TestVerdictSecretAddressVsSecretData(t *testing.T) {
 	if rep.SafePoint(2) {
 		t.Errorf("point 2 (secret-derived address) should be suspicious")
 	}
-	if rep.ForkFree(1) {
-		t.Errorf("point 1 forward-reaches the suspicious point 2")
-	}
-	if !rep.ForkFree(2+1) || rep.Points != 2 {
-		// No instruction beyond 2; nothing suspicious is reachable from
-		// a halt point.
-		t.Errorf("halt point should be fork-free (points=%d)", rep.Points)
+	if rep.Points != 2 {
+		t.Errorf("points = %d, want 2", rep.Points)
 	}
 }
 
@@ -125,11 +120,6 @@ func TestVerdictAllPublicIsSafe(t *testing.T) {
 	if !rep.Safe() {
 		t.Fatalf("all-public program flagged: suspicious %v", rep.SuspiciousPoints())
 	}
-	for _, pp := range []isa.Addr{1, 2, 3} {
-		if !rep.ForkFree(pp) {
-			t.Errorf("point %d not fork-free in a safe program", pp)
-		}
-	}
 }
 
 // A return makes the static successor set unknowable: the analysis
@@ -152,9 +142,6 @@ func TestComputedFlowConservatism(t *testing.T) {
 	}
 	if rep.SafePoint(3) {
 		t.Errorf("secret-indexed load must stay suspicious under computed flow")
-	}
-	if rep.ForkFree(1) {
-		t.Errorf("no point is fork-free while any point is suspicious under computed flow")
 	}
 }
 
@@ -235,12 +222,6 @@ func TestMonotonicity(t *testing.T) {
 		for _, pp := range p.Points() {
 			if !wr.SafePoint(pp) && sr.SafePoint(pp) {
 				t.Fatalf("trial %d: point %d suspicious under weak seed but safe under strong\n%v", trial, pp, p.Instrs)
-			}
-			if !sr.ForkFree(pp) && wr.ForkFree(pp) {
-				continue // fine: strong may lose fork-freedom
-			}
-			if sr.ForkFree(pp) && !wr.ForkFree(pp) {
-				t.Fatalf("trial %d: point %d fork-free under strong seed but not weak\n%v", trial, pp, p.Instrs)
 			}
 		}
 		if sr.Safe() && !wr.Safe() {

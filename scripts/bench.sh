@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # bench.sh — run the Table 2, schedule-generation, symbolic
-# state-budget, machine-step, service cache-hit and repair benchmarks
-# ten times each and emit a BENCH_<sha>.json artifact in the format the
+# state-budget, machine-step, service cache-hit, repair and static-pass
+# benchmarks ten times each and emit a BENCH_<sha>.json artifact in the format the
 # CI bench job uploads (go test -json event stream). Ten samples per
 # benchmark are what benchstat needs for a median and a confidence
 # interval; compare two checkouts with:
@@ -14,7 +14,7 @@
 #   output-dir  where BENCH_<sha>.json lands (default .)
 #   count       go test -count value (default 10)
 #   pattern     go test -bench regexp (default
-#               'Table2|ScheduleGeneration|SymbolicBudget|MachineStep|ServeCacheHit|Repair';
+#               'Table2|ScheduleGeneration|SymbolicBudget|MachineStep|ServeCacheHit|Repair|StaticPass';
 #               '.' runs every benchmark in bench_test.go and
 #               spectre/crypto_test.go)
 #
@@ -26,7 +26,7 @@ set -eu
 
 outdir="${1:-.}"
 count="${2:-10}"
-pattern="${3:-Table2|ScheduleGeneration|SymbolicBudget|MachineStep|ServeCacheHit|Repair}"
+pattern="${3:-Table2|ScheduleGeneration|SymbolicBudget|MachineStep|ServeCacheHit|Repair|StaticPass}"
 sha="$(git rev-parse HEAD 2>/dev/null || echo nogit)"
 out="${outdir}/BENCH_${sha}.json"
 

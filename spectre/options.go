@@ -75,7 +75,8 @@ func WithSymbolic(on bool) Option {
 // verdict; O(|program|) instead of O(schedules). A program it cannot
 // prove safe is explored as usual in hybrid mode, and the report
 // carries the static verdict alongside the findings, which are
-// identical with and without the pass. Off by default.
+// identical with and without the pass. Repair ignores the pass: its
+// result is identical with and without it. Off by default.
 func WithStaticPass(on bool) Option {
 	return func(c *Config) { c.StaticPass = on }
 }

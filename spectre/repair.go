@@ -236,7 +236,9 @@ func (r *RepairResult) StrategyTable() string {
 // substitutes each symbolic binding's concrete seed.
 //
 // The analyzer's WithStopAtFirst setting is ignored during repair —
-// every round wants all counterexamples. A program that violates
+// every round wants all counterexamples — and so is WithStaticPass:
+// every candidate is re-verified by the explorer, so the static pass
+// cannot change a repair. A program that violates
 // constant-time sequentially is reported RepairSequentialLeak and
 // left unmodified. Cancelling the context aborts the synthesis with
 // an error.
@@ -268,13 +270,6 @@ func (a *Analyzer) Repair(ctx context.Context, p *Program) (*RepairResult, error
 		Machine: func(ip *isa.Program) *core.Machine {
 			return p.withProg(ip).machine()
 		},
-	}
-	if a.cfg.StaticPass {
-		// Rank candidate fence sites by static suspiciousness so each
-		// round commits only the most promising placement.
-		if srep, err := staticAnalyze(p); err == nil {
-			ropts.Hints = srep
-		}
 	}
 	res, err := repair.Repair(p.prog, ropts)
 	if res == nil {

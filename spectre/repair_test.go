@@ -1,7 +1,9 @@
 package spectre_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -349,5 +351,45 @@ func TestGiveUpCostRowDescribesInput(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("auto portfolio has no ret row: %+v", res.PerStrategy)
+	}
+}
+
+// TestStaticPassDoesNotChangeRepair: every repair candidate is
+// re-verified by the explorer, so WithStaticPass must leave a repair's
+// wire result byte-identical — over the corpus and the gallery, under
+// every strategy.
+func TestStaticPassDoesNotChangeRepair(t *testing.T) {
+	progs := map[string]*spectre.Program{}
+	for _, suite := range [][]testcases.Case{testcases.Kocher(), testcases.SpecOnlyV1(), testcases.V11()} {
+		for _, c := range suite {
+			progs[c.Name] = compileCase(t, c)
+		}
+	}
+	for _, f := range spectre.Gallery() {
+		progs[f.ID] = f.Program()
+	}
+	for _, strategy := range []string{spectre.StrategyAuto, spectre.StrategyFence, spectre.StrategyMask, spectre.StrategyRet} {
+		plain := repairAnalyzer(t, spectre.WithRepairStrategy(strategy))
+		static := repairAnalyzer(t, spectre.WithRepairStrategy(strategy), spectre.WithStaticPass(true))
+		t.Run(strategy, func(t *testing.T) {
+			for name, p := range progs {
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					var got [2][]byte
+					for i, an := range []*spectre.Analyzer{plain, static} {
+						res, err := an.Repair(context.Background(), p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got[i], err = json.Marshal(res); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if !bytes.Equal(got[0], got[1]) {
+						t.Errorf("static pass changed the repair\n-- without --\n%s\n-- with --\n%s", got[0], got[1])
+					}
+				})
+			}
+		})
 	}
 }
