@@ -14,8 +14,11 @@
 //	GET  /statsz                service counters
 //
 // Verdicts are cached under (program fingerprint, config cache key) in
-// a bounded in-memory LRU plus an optional on-disk tier (-cache-dir)
-// that survives restarts. Disk entries are sha256-checksummed and
+// a bounded in-memory tier plus an optional on-disk tier (-cache-dir)
+// that survives restarts. The memory tier evicts by GreedyDual: each
+// verdict is weighed by the wall time it took to produce, so cheap,
+// stale verdicts leave before expensive ones, and with equal costs it
+// is LRU. Disk entries are sha256-checksummed and
 // verified on read; corrupt or truncated files are quarantined, never
 // served. -cache-disk-bytes bounds the disk tier with LRU eviction.
 // Concurrent identical submissions coalesce into one analysis. When

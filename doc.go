@@ -37,7 +37,7 @@
 //	                                          ▼                  └──────────────────────────┘
 //	                                ┌─────────────────────────────────┐
 //	                                │ internal/serve (service layer)  │
-//	                                │ verdict cache (LRU + disk) ·    │
+//	                                │ verdict cache (GreedyDual+disk) │
 //	                                │ coalescing · bounded pool       │
 //	                                │ cmd/spectred · cmd/specload     │
 //	                                └─────────────────────────────────┘
@@ -77,7 +77,8 @@
 // portfolio repair (Repair). The service layer
 // (internal/serve behind cmd/spectred) exposes the same façade over
 // HTTP for CI-shaped repeat traffic: verdicts cached under
-// (Program.Fingerprint, Config.CacheKey) in a memory LRU plus a
+// (Program.Fingerprint, Config.CacheKey) in a memory tier that evicts
+// by recompute cost and recency (GreedyDual) plus a
 // restart-surviving disk tier, in-flight coalescing of identical
 // submissions, and queue backpressure; cmd/specload replays the
 // detection corpora against it. See README.md for the tour and

@@ -14,9 +14,13 @@
 // verdict is checked once, when it enters the memory tier, for the spot
 // its cacheHit (or coalesced) flag is spliced in where encoding/json
 // would put it. No hit re-encodes or rescans a report. The two cache
-// tiers split the latency/durability trade: an in-memory LRU
-// answers the steady state, an on-disk tier survives restarts (a
-// redeployed daemon starts warm). Coalescing covers the remaining
+// tiers split the latency/durability trade: an in-memory tier answers
+// the steady state, an on-disk tier survives restarts (a redeployed
+// daemon starts warm). Verdicts cost very different amounts to
+// recompute — a gadget takes microseconds, a crypto build at a deep
+// bound seconds — so the memory tier evicts by cost as well as recency
+// (GreedyDual, Cao & Irani 1997): it keeps the verdicts whose misses
+// would cost the most engine time. Coalescing covers the remaining
 // repetitive case the cache cannot: N identical submissions in flight
 // at once share one analysis.
 //
@@ -34,6 +38,7 @@ package serve
 
 import (
 	"bytes"
+	"container/heap"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -45,6 +50,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Tier identifies where a cache read was answered.
@@ -53,7 +59,7 @@ type Tier int
 const (
 	// TierNone is a miss.
 	TierNone Tier = iota
-	// TierMem is an in-memory LRU hit.
+	// TierMem is a memory-tier hit.
 	TierMem
 	// TierDisk is a persistent-tier hit (promoted to memory on read).
 	TierDisk
@@ -81,11 +87,17 @@ const diskFailureLimit = 8
 // Cache is the two-tier verdict cache. Keys are filename-safe strings
 // (the server derives them from hex digests); values are response
 // envelopes, each held with its provenance anchor (see verdict). The
-// memory tier is a bounded LRU; the disk tier —
-// enabled by a non-empty directory — persists entries with a sha256
-// checksum frame, verified on every read, under an optional byte
-// budget enforced by LRU eviction. All methods are safe for concurrent
-// use.
+// memory tier is bounded by an entry count and evicts by GreedyDual:
+// each entry carries the wall time it took to produce (its cost) and a
+// priority H = L + cost, set when it is stored and on every hit; the
+// victim is the entry with the smallest H, the least recently used
+// among equals, and L then rises to the victim's H. With equal costs
+// this is exactly LRU; an expensive entry outlives cheaper ones, but
+// not forever, since every eviction raises L towards its H. The disk
+// tier — enabled by a non-empty directory — persists entries with a
+// sha256 checksum frame, verified on every read, under an optional
+// byte budget enforced by LRU eviction. All methods are safe for
+// concurrent use.
 //
 // The disk tier is best-effort by construction: a failed write, an
 // unreadable file, or a corrupt entry degrades to a miss (the analysis
@@ -95,10 +107,14 @@ const diskFailureLimit = 8
 // ones disable the tier for the life of the process.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
-	cap     int
-	dir     string
+	entries map[string]*cacheEntry
+	victims memHeap // root = next victim
+	// inflation is GreedyDual's L: the priority of the last victim.
+	inflation time.Duration
+	// clock numbers uses, so ties in priority go to the least recent.
+	clock uint64
+	cap   int
+	dir   string
 
 	// flt is the installed fault plan (nil in production). The cache
 	// carries it so disk read/write and lookup hooks fire inside the
@@ -121,14 +137,53 @@ type Cache struct {
 	disabled   atomic.Bool
 	consecFail atomic.Int64
 
-	diskErrs    atomic.Int64
-	quarantined atomic.Int64
-	gcEvictions atomic.Int64
+	memEvictions atomic.Int64
+	diskErrs     atomic.Int64
+	quarantined  atomic.Int64
+	gcEvictions  atomic.Int64
 }
 
+// cacheEntry is one memory-tier verdict with its GreedyDual state: the
+// cost of producing it, its priority h = L + cost as of its last use,
+// the clock reading of that use, and its index in the victim heap.
 type cacheEntry struct {
-	key string
-	v   verdict
+	key  string
+	v    verdict
+	cost time.Duration
+	h    time.Duration
+	used uint64
+	at   int
+}
+
+// memHeap orders the memory tier by (h, used), smallest first.
+type memHeap []*cacheEntry
+
+func (q memHeap) Len() int { return len(q) }
+
+func (q memHeap) Less(i, j int) bool {
+	if q[i].h != q[j].h {
+		return q[i].h < q[j].h
+	}
+	return q[i].used < q[j].used
+}
+
+func (q memHeap) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].at, q[j].at = i, j
+}
+
+func (q *memHeap) Push(x any) {
+	e := x.(*cacheEntry)
+	e.at = len(*q)
+	*q = append(*q, e)
+}
+
+func (q *memHeap) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*q = old[:len(old)-1]
+	return e
 }
 
 // verdict is a stored response envelope together with its provenance
@@ -149,6 +204,8 @@ type diskEntry struct {
 
 // CacheStats snapshots the cache's health counters for /statsz.
 type CacheStats struct {
+	// MemEvictions counts entries the memory tier evicted to make room.
+	MemEvictions int64
 	// DiskErrors counts persistent-tier I/O failures absorbed so far
 	// (degraded to misses).
 	DiskErrors int64
@@ -164,11 +221,11 @@ type CacheStats struct {
 }
 
 // NewCache builds a cache holding at most memEntries values in memory
-// (minimum 1). A non-empty dir enables the persistent tier; the
-// directory is created if needed, existing entries are scanned (sized,
-// ordered by modification time) so the byte budget holds from startup,
-// and diskBudget > 0 bounds the tier's total framed bytes with LRU
-// eviction (0 means unbounded).
+// (minimum 1), evicted by cost and recency (see Cache). A non-empty dir
+// enables the persistent tier; the directory is created if needed,
+// existing entries are scanned (sized, ordered by modification time)
+// so the byte budget holds from startup, and diskBudget > 0 bounds the
+// tier's total framed bytes with LRU eviction (0 means unbounded).
 func NewCache(memEntries int, dir string, diskBudget int64) (*Cache, error) {
 	if memEntries < 1 {
 		memEntries = 1
@@ -179,8 +236,7 @@ func NewCache(memEntries int, dir string, diskBudget int64) (*Cache, error) {
 		}
 	}
 	c := &Cache{
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
+		entries: make(map[string]*cacheEntry),
 		cap:     memEntries,
 		dir:     dir,
 		dindex:  make(map[string]*list.Element),
@@ -232,16 +288,17 @@ func (c *Cache) scanDisk() {
 
 // Get returns the cached verdict for key and the tier that answered. A
 // disk-tier hit is checksum-verified, given its provenance anchor and
-// promoted into the memory tier; an entry that fails the checksum is
-// quarantined and answered as a miss.
+// promoted into the memory tier, at the cost of that read, check and
+// anchor search; an entry that fails the checksum is quarantined and
+// answered as a miss.
 func (c *Cache) Get(key string) (verdict, Tier) {
 	if c.flt.fire(siteCacheLookup) {
 		return verdict{}, TierNone
 	}
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		v := el.Value.(*cacheEntry).v
+	if e, ok := c.entries[key]; ok {
+		c.touchLocked(e)
+		v := e.v
 		c.mu.Unlock()
 		return v, TierMem
 	}
@@ -249,6 +306,7 @@ func (c *Cache) Get(key string) (verdict, Tier) {
 	if c.dir == "" || c.disabled.Load() {
 		return verdict{}, TierNone
 	}
+	start := time.Now()
 	path := c.diskPath(key)
 	var data []byte
 	var err error
@@ -274,8 +332,9 @@ func (c *Cache) Get(key string) (verdict, Tier) {
 	}
 	c.diskOK()
 	v := verdict{raw: val, anchor: provenanceAnchor(key, val)}
+	cost := time.Since(start)
 	c.mu.Lock()
-	c.insertLocked(key, v)
+	c.insertLocked(key, v, cost)
 	c.mu.Unlock()
 	c.touchDisk(key, int64(len(data)))
 	return v, TierDisk
@@ -283,11 +342,12 @@ func (c *Cache) Get(key string) (verdict, Tier) {
 
 // Put stores the value in both tiers, runs the byte-budget GC, and
 // returns the value as the memory tier holds it, with its provenance
-// anchor.
-func (c *Cache) Put(key string, val []byte) verdict {
+// anchor. cost is what producing val took: what missing it would cost
+// again, which weighs the entry against eviction.
+func (c *Cache) Put(key string, val []byte, cost time.Duration) verdict {
 	v := verdict{raw: val, anchor: provenanceAnchor(key, val)}
 	c.mu.Lock()
-	c.insertLocked(key, v)
+	c.insertLocked(key, v, cost)
 	c.mu.Unlock()
 	if c.dir == "" || c.disabled.Load() {
 		return v
@@ -319,18 +379,34 @@ func (c *Cache) Put(key string, val []byte) verdict {
 	return v
 }
 
-func (c *Cache) insertLocked(key string, v verdict) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).v = v
-		c.lru.MoveToFront(el)
+// insertLocked stores v under key at the given cost. A full tier
+// evicts before the new entry goes in, so the newest entry is never
+// its own victim.
+func (c *Cache) insertLocked(key string, v verdict, cost time.Duration) {
+	if e, ok := c.entries[key]; ok {
+		e.v, e.cost = v, cost
+		c.touchLocked(e)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, v: v})
-	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+	if len(c.victims) >= c.cap {
+		victim := heap.Pop(&c.victims).(*cacheEntry)
+		delete(c.entries, victim.key)
+		c.inflation = victim.h
+		c.memEvictions.Add(1)
 	}
+	e := &cacheEntry{key: key, v: v, cost: cost}
+	c.entries[key] = e
+	c.clock++
+	e.h, e.used = c.inflation+cost, c.clock
+	heap.Push(&c.victims, e)
+}
+
+// touchLocked records a use of e: its priority resets to L + cost and
+// it becomes the most recently used.
+func (c *Cache) touchLocked(e *cacheEntry) {
+	c.clock++
+	e.h, e.used = c.inflation+e.cost, c.clock
+	heap.Fix(&c.victims, e.at)
 }
 
 // touchDisk records (or refreshes) a disk-tier index entry at the LRU
@@ -438,7 +514,7 @@ func (c *Cache) Keys() []string {
 func (c *Cache) MemLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return len(c.victims)
 }
 
 // Stats snapshots the cache's health counters.
@@ -447,6 +523,7 @@ func (c *Cache) Stats() CacheStats {
 	dbytes := c.dbytes
 	c.dmu.Unlock()
 	return CacheStats{
+		MemEvictions: c.memEvictions.Load(),
 		DiskErrors:   c.diskErrs.Load(),
 		Quarantined:  c.quarantined.Load(),
 		GCEvictions:  c.gcEvictions.Load(),

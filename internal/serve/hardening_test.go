@@ -63,8 +63,8 @@ func TestDiskCorruptionQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put("good", []byte("GOOD"))
-	c.Put("filler", []byte("F")) // evicts "good" from the 1-entry memory tier
+	c.Put("good", []byte("GOOD"), 0)
+	c.Put("filler", []byte("F"), 0) // evicts "good" from the 1-entry memory tier
 	if v, tier := c.Get("good"); tier != TierDisk || string(v.raw) != "GOOD" {
 		t.Fatalf("sanity: framed disk read = (%q, %d), want (GOOD, disk)", v.raw, tier)
 	}
@@ -110,8 +110,8 @@ func TestDiskCorruptionQuarantine(t *testing.T) {
 	}
 
 	// A quarantined key heals on the next Put: fresh bytes, served again.
-	c.Put("bitflip", []byte("HEALED"))
-	c.Put("filler2", []byte("F")) // push it out of the memory tier
+	c.Put("bitflip", []byte("HEALED"), 0)
+	c.Put("filler2", []byte("F"), 0) // push it out of the memory tier
 	if v, tier := c.Get("bitflip"); tier != TierDisk || string(v.raw) != "HEALED" {
 		t.Errorf("re-put after quarantine = (%q, %d), want (HEALED, disk)", v.raw, tier)
 	}
@@ -129,7 +129,7 @@ func TestDiskGCBudget(t *testing.T) {
 	}
 	val := bytes.Repeat([]byte("v"), 400)
 	for i := 0; i < 30; i++ {
-		c.Put(fmt.Sprintf("k%02d", i), val)
+		c.Put(fmt.Sprintf("k%02d", i), val, 0)
 	}
 	stats := c.Stats()
 	if stats.DiskBytes > budget {
@@ -166,7 +166,7 @@ func TestDiskGCStartupScan(t *testing.T) {
 	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("k%d", i)
-		unbounded.Put(key, val)
+		unbounded.Put(key, val, 0)
 		// Deterministic recency: k0 oldest … k9 newest, beyond mtime
 		// granularity.
 		mt := base.Add(time.Duration(i) * time.Minute)
@@ -208,7 +208,7 @@ func TestDiskGCConcurrentAccess(t *testing.T) {
 	const hot = "hotkey"
 	hotVal := bytes.Repeat([]byte("H"), 600)
 	churnVal := bytes.Repeat([]byte("c"), 600)
-	c.Put(hot, hotVal)
+	c.Put(hot, hotVal, 0)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -222,7 +222,7 @@ func TestDiskGCConcurrentAccess(t *testing.T) {
 				return
 			default:
 			}
-			c.Put(fmt.Sprintf("churn-%02d", i%40), churnVal)
+			c.Put(fmt.Sprintf("churn-%02d", i%40), churnVal, 0)
 		}
 	}()
 	// Hot re-putter: re-publishes the hot key so readers keep finding
@@ -236,7 +236,7 @@ func TestDiskGCConcurrentAccess(t *testing.T) {
 				return
 			default:
 			}
-			c.Put(hot, hotVal)
+			c.Put(hot, hotVal, 0)
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()

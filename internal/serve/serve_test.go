@@ -302,9 +302,9 @@ func TestCacheTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put("a", []byte("A"))
-	c.Put("b", []byte("B"))
-	c.Put("c", []byte("C")) // evicts a from memory
+	c.Put("a", []byte("A"), 0)
+	c.Put("b", []byte("B"), 0)
+	c.Put("c", []byte("C"), 0) // evicts a from memory
 	if c.MemLen() != 2 {
 		t.Fatalf("mem tier holds %d entries, want 2", c.MemLen())
 	}
@@ -327,8 +327,8 @@ func TestCacheTiers(t *testing.T) {
 
 	// A memory-only cache loses evicted entries entirely.
 	m, _ := NewCache(1, "", 0)
-	m.Put("x", []byte("X"))
-	m.Put("y", []byte("Y"))
+	m.Put("x", []byte("X"), 0)
+	m.Put("y", []byte("Y"), 0)
 	if _, tier := m.Get("x"); tier != TierNone {
 		t.Error("memory-only cache resurrected an evicted entry")
 	}
@@ -341,9 +341,13 @@ func TestCacheTiers(t *testing.T) {
 func TestEvictionAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, Config{Workers: 2, QueueDepth: 8, MemEntries: 2, CacheDir: dir})
+	// Every analysis after the first takes 20 ms, so program 0's verdict
+	// is the cheapest entry and the one the full memory tier evicts.
 	var calls atomic.Int64
 	s.runAnalysis = func(context.Context, *spectre.Analyzer, *spectre.Program) (*spectre.Report, error) {
-		calls.Add(1)
+		if calls.Add(1) > 1 {
+			time.Sleep(20 * time.Millisecond)
+		}
 		return stubReport(), nil
 	}
 	ts := httptest.NewServer(s.Handler())

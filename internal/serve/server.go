@@ -125,7 +125,10 @@ type HealthResponse struct {
 	DiskTier string `json:"diskTier,omitempty"`
 }
 
-// StatsResponse is the body of GET /statsz.
+// StatsResponse is the body of GET /statsz. EngineSeconds is the wall
+// time of every computed verdict, engine and envelope encoding, summed:
+// the costs the memory tier weighs its entries by. MemEvictions counts
+// the verdicts that tier evicted to make room.
 type StatsResponse struct {
 	UptimeSeconds   float64 `json:"uptimeSeconds"`
 	Requests        int64   `json:"requests"`
@@ -135,6 +138,7 @@ type StatsResponse struct {
 	DiskHits        int64   `json:"diskHits"`
 	Coalesced       int64   `json:"coalesced"`
 	Analyses        int64   `json:"analyses"`
+	EngineSeconds   float64 `json:"engineSeconds"`
 	Rejected        int64   `json:"rejected"`
 	Errors          int64   `json:"errors"`
 	CacheHitRate    float64 `json:"cacheHitRate"`
@@ -143,6 +147,7 @@ type StatsResponse struct {
 	QueueCapacity   int     `json:"queueCapacity"`
 	Workers         int     `json:"workers"`
 	MemEntries      int     `json:"memEntries"`
+	MemEvictions    int64   `json:"memEvictions"`
 	DiskErrors      int64   `json:"diskErrors"`
 	// Fault-tolerance counters: recovered analysis panics, corrupt
 	// disk entries quarantined, byte-budget GC evictions, the current
@@ -194,6 +199,7 @@ type Server struct {
 	diskHits    atomic.Int64
 	coalesced   atomic.Int64
 	analyses    atomic.Int64
+	engineNanos atomic.Int64
 	rejected    atomic.Int64
 	errCount    atomic.Int64
 	inFlight    atomic.Int64
@@ -285,13 +291,23 @@ func (s *Server) Drain() {
 // file name. The prefix names the stored envelope: an AnalyzeResponse
 // or a RepairResponse. Repair envelopes stored under the earlier
 // "repair-" prefix may describe a discarded rewrite in a give-up's
-// cost row, and those under "repair2-" may carry the cost and
-// iteration count of a statically ranked repair, so a disk tier never
-// reads either.
+// cost row, those under "repair2-" may carry the cost and iteration
+// count of a statically ranked repair, and those under "repair3-"
+// name the full config key rather than the repair config key (see
+// repairConfigKey), so a disk tier reads none of them.
 const (
 	analyzePrefix = "analyze-"
-	repairPrefix  = "repair3-"
+	repairPrefix  = "repair4-"
 )
+
+// repairConfigKey is the config key a repair is cached under: the
+// CacheKey of c with the fields spectre's Repair ignores cleared
+// (StopAtFirst and StaticPass), so requests that differ only in those
+// share one repair and one entry.
+func repairConfigKey(c spectre.Config) string {
+	c.StopAtFirst, c.StaticPass = false, false
+	return c.CacheKey()
+}
 
 func analyzeKey(fp, ck string) string { return analyzePrefix + fp + "-" + ck }
 func repairKey(fp, ck string) string  { return repairPrefix + fp + "-" + ck }
@@ -329,19 +345,20 @@ func badRequest(format string, args ...any) error {
 }
 
 // memoEntry is what a request body resolves to: the program
-// fingerprint and the config cache key.
-type memoEntry struct{ fp, ck string }
+// fingerprint, the config cache key of an analysis and that of a
+// repair (see repairConfigKey).
+type memoEntry struct{ fp, ck, repairCK string }
 
 // verdictRequest is one analyze or repair request: its body, the
-// body's digest, and the fingerprint and config key it resolves to.
+// body's digest, and the fingerprint and config keys it resolves to.
 // prog and an are nil while the request is answered from the memo;
 // decode fills them in.
 type verdictRequest struct {
-	body   []byte
-	sum    [sha256.Size]byte
-	fp, ck string
-	prog   *spectre.Program
-	an     *spectre.Analyzer
+	memoEntry
+	body []byte
+	sum  [sha256.Size]byte
+	prog *spectre.Program
+	an   *spectre.Analyzer
 }
 
 // readRequest reads the body, capped at cfg.MaxBodyBytes, and resolves
@@ -357,7 +374,7 @@ func (s *Server) readRequest(r *http.Request) (*verdictRequest, error) {
 	m, ok := s.memo[req.sum]
 	s.memoMu.Unlock()
 	if ok {
-		req.fp, req.ck = m.fp, m.ck
+		req.memoEntry = m
 		return req, nil
 	}
 	return req, s.decode(req)
@@ -371,12 +388,13 @@ func (s *Server) decode(req *verdictRequest) error {
 		return err
 	}
 	req.prog, req.an = prog, an
-	req.fp, req.ck = prog.Fingerprint(), an.Config().CacheKey()
+	cfg := an.Config()
+	req.memoEntry = memoEntry{fp: prog.Fingerprint(), ck: cfg.CacheKey(), repairCK: repairConfigKey(cfg)}
 	s.memoMu.Lock()
 	if len(s.memo) >= s.cfg.MemEntries {
 		clear(s.memo)
 	}
-	s.memo[req.sum] = memoEntry{fp: req.fp, ck: req.ck}
+	s.memo[req.sum] = req.memoEntry
 	s.memoMu.Unlock()
 	return nil
 }
@@ -460,7 +478,8 @@ func (s *Server) decodeRequest(body []byte) (*spectre.Program, *spectre.Analyzer
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.analyzeReqs.Add(1)
-	s.serveVerdict(w, r, analyzeKey, func(ctx context.Context, req *verdictRequest) ([]byte, error) {
+	keyOf := func(m memoEntry) string { return analyzeKey(m.fp, m.ck) }
+	s.serveVerdict(w, r, keyOf, func(ctx context.Context, req *verdictRequest) ([]byte, error) {
 		rep, err := s.runAnalysis(ctx, req.an, req.prog)
 		if err != nil {
 			return nil, err
@@ -473,7 +492,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.repairReqs.Add(1)
-	s.serveVerdict(w, r, repairKey, func(ctx context.Context, req *verdictRequest) ([]byte, error) {
+	keyOf := func(m memoEntry) string { return repairKey(m.fp, m.repairCK) }
+	s.serveVerdict(w, r, keyOf, func(ctx context.Context, req *verdictRequest) ([]byte, error) {
 		res, err := s.runRepair(ctx, req.an, req.prog)
 		if err != nil {
 			return nil, err
@@ -484,7 +504,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		if res.After != nil {
 			res.After.SchemaVersion = spectre.ReportSchemaVersion
 		}
-		env := RepairResponse{Fingerprint: req.fp, CacheKey: req.ck, Result: res}
+		env := RepairResponse{Fingerprint: req.fp, CacheKey: req.repairCK, Result: res}
 		if res.Outcome == spectre.RepairRepaired {
 			env.RepairedProgram = res.Program
 		}
@@ -493,19 +513,20 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveVerdict answers an analyze or repair request: from the cache
-// when it holds the verdict under keyOf(fp, ck), from another
-// request's in-flight analysis when one is running, and otherwise by
-// running run on the pool and storing its envelope. A body the memo
-// knows reaches the cache lookup without being decoded; it is decoded
-// only if the verdict has to be computed again.
-func (s *Server) serveVerdict(w http.ResponseWriter, r *http.Request, keyOf func(fp, ck string) string,
+// when it holds the verdict under the key keyOf derives from what the
+// body resolves to, from another request's in-flight analysis when one
+// is running, and otherwise by running run on the pool and storing its
+// envelope at the cost run took. A body the memo knows reaches the
+// cache lookup without being decoded; it is decoded only if the
+// verdict has to be computed again.
+func (s *Server) serveVerdict(w http.ResponseWriter, r *http.Request, keyOf func(memoEntry) string,
 	run func(context.Context, *verdictRequest) ([]byte, error)) {
 	req, err := s.readRequest(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, spectre.ErrCodeBadRequest, err)
 		return
 	}
-	key := keyOf(req.fp, req.ck)
+	key := keyOf(req.memoEntry)
 	if v, tier := s.cache.Get(key); tier != TierNone {
 		s.recordHit(tier)
 		s.indexFingerprint(req.fp, key)
@@ -522,11 +543,14 @@ func (s *Server) serveVerdict(w http.ResponseWriter, r *http.Request, keyOf func
 
 	v, shared, err := s.flights.Do(r.Context(), key, func(ctx context.Context) (verdict, error) {
 		return s.runJob(ctx, func(runCtx context.Context) (verdict, error) {
+			start := time.Now()
 			out, err := run(runCtx, req)
 			if err != nil {
 				return verdict{}, err
 			}
-			v := s.cache.Put(key, out)
+			cost := time.Since(start)
+			s.engineNanos.Add(int64(cost))
+			v := s.cache.Put(key, out, cost)
 			s.indexFingerprint(req.fp, key)
 			return v, nil
 		})
@@ -592,6 +616,7 @@ func (s *Server) Stats() StatsResponse {
 		DiskHits:        s.diskHits.Load(),
 		Coalesced:       s.coalesced.Load(),
 		Analyses:        s.analyses.Load(),
+		EngineSeconds:   time.Duration(s.engineNanos.Load()).Seconds(),
 		Rejected:        s.rejected.Load(),
 		Errors:          s.errCount.Load(),
 		CacheHitRate:    rate,
@@ -600,6 +625,7 @@ func (s *Server) Stats() StatsResponse {
 		QueueCapacity:   s.cfg.QueueDepth,
 		Workers:         s.cfg.Workers,
 		MemEntries:      s.cache.MemLen(),
+		MemEvictions:    cs.MemEvictions,
 		DiskErrors:      cs.DiskErrors,
 		Panics:          s.panics.Load(),
 		Quarantined:     cs.Quarantined,

@@ -9,7 +9,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pitchfork/internal/testcases"
 	"pitchfork/spectre"
@@ -237,7 +239,7 @@ func TestCorruptEntryIsInternalError(t *testing.T) {
 		"repair truncated":  {"/v1/repair", repairKey(fp, ck), repairEnv[:len(repairEnv)-1]},
 		"repair no result":  {"/v1/repair", repairKey(fp, ck), []byte(`{"fingerprint":"` + fp + `"}`)},
 	} {
-		s.cache.Put(tc.key, tc.entry)
+		s.cache.Put(tc.key, tc.entry, 0)
 		status, raw := post(t, ts.URL, tc.path, body)
 		wantInternalError(name, status, raw)
 	}
@@ -342,8 +344,10 @@ func TestMemoEvictedVerdictReanalyzes(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("fresh status %d: %s", status, fresh)
 	}
-	s.cache.Put("filler-1", []byte("F"))
-	s.cache.Put("filler-2", []byte("F")) // the verdict leaves the 2-entry memory tier
+	// The fillers cost more than any analysis of a tiny program, so the
+	// verdict is the cheapest entry and the one the full tier evicts.
+	s.cache.Put("filler-1", []byte("F"), time.Hour)
+	s.cache.Put("filler-2", []byte("F"), time.Hour) // the verdict leaves the 2-entry memory tier
 	if s.memoLen() != 1 {
 		t.Fatalf("memo holds %d bodies, want the one request", s.memoLen())
 	}
@@ -418,9 +422,10 @@ func TestRequestBodyFraming(t *testing.T) {
 
 // TestRepairEntryUnderOldPrefixNotServed: repair envelopes written
 // under the "repair-" prefix predate cost rows that describe the
-// program a give-up hands back, and those under "repair2-" may carry a
-// statically ranked repair's cost, so a disk tier holding one must
-// rerun the repair instead of serving it.
+// program a give-up hands back, those under "repair2-" may carry a
+// statically ranked repair's cost, and those under "repair3-" name the
+// full config key, so a disk tier holding one must rerun the repair
+// instead of serving it.
 func TestRepairEntryUnderOldPrefixNotServed(t *testing.T) {
 	prog, err := spectre.CompileCTL(tinySource(1), spectre.ModeC)
 	if err != nil {
@@ -432,7 +437,7 @@ func TestRepairEntryUnderOldPrefixNotServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, prefix := range []string{"repair-", "repair2-"} {
+	for _, prefix := range []string{"repair-", "repair2-", "repair3-"} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, prefix+fp+"-"+ck+".json"), frame(stale), 0o644); err != nil {
 			t.Fatal(err)
@@ -456,5 +461,48 @@ func TestRepairEntryUnderOldPrefixNotServed(t *testing.T) {
 			t.Errorf("%s: cacheHit=%v repairs=%d diskHits=%d, want the old entry ignored and the repair rerun",
 				prefix, env.CacheHit, calls, s.Stats().DiskHits)
 		}
+	}
+}
+
+// TestRepairKeyIgnoresUnusedFields: a repair ignores StopAtFirst and
+// StaticPass, so requests that differ only in them share one repair
+// and one cache entry, whose envelope names the repair config key.
+func TestRepairKeyIgnoresUnusedFields(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	var repairs atomic.Int64
+	s.runRepair = func(ctx context.Context, an *spectre.Analyzer, p *spectre.Program) (*spectre.RepairResult, error) {
+		repairs.Add(1)
+		return an.Repair(ctx, p)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	source := testcases.Kocher()[0].Source()
+	body := func(config string) []byte {
+		raw, err := json.Marshal(AnalyzeRequest{Source: source, Config: json.RawMessage(config)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	status, fresh := post(t, ts.URL, "/v1/repair", body(`{"staticPass":true}`))
+	if status != http.StatusOK {
+		t.Fatalf("fresh status %d: %s", status, fresh)
+	}
+	status, hit := post(t, ts.URL, "/v1/repair", body(`{"stopAtFirst":true}`))
+	if status != http.StatusOK {
+		t.Fatalf("repeat status %d: %s", status, hit)
+	}
+	if want := reencodeStamp(t, fresh, true, provCacheHit); !bytes.Equal(hit, want) {
+		t.Errorf("stopAtFirst repair differs from the staticPass one\n got %s\nwant %s", hit, want)
+	}
+	if n := repairs.Load(); n != 1 {
+		t.Errorf("ran %d repairs, want 1", n)
+	}
+	var env RepairResponse
+	if err := json.Unmarshal(fresh, &env); err != nil {
+		t.Fatal(err)
+	}
+	if want := spectre.DefaultConfig().CacheKey(); env.CacheKey != want {
+		t.Errorf("envelope cacheKey %s, want the default config's %s", env.CacheKey, want)
 	}
 }

@@ -35,6 +35,7 @@ package taint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pitchfork/internal/isa"
@@ -90,27 +91,81 @@ func (r *Report) SuspiciousPoints() []isa.Addr {
 	return out
 }
 
-// regState maps registers to labels; absent registers are Public.
-// States are small (programs use a handful of registers), so joins
-// copy eagerly.
-type regState map[isa.Reg]mem.Label
+// regIndex numbers the registers one program names, densely from 0,
+// so that a register state is a bitset over them. It is built once per
+// analysis; a register the program never names is never written or
+// read, so it needs no bit.
+type regIndex map[isa.Reg]int
 
-func (s regState) get(r isa.Reg) mem.Label { return s[r] }
+// indexRegs indexes every register the program's instructions name,
+// plus the RSP and RTMP the call and return expansions use, in point
+// order.
+func indexRegs(p *isa.Program, points []isa.Addr) regIndex {
+	idx := regIndex{}
+	add := func(r isa.Reg) {
+		if _, ok := idx[r]; !ok {
+			idx[r] = len(idx)
+		}
+	}
+	add(mem.RSP)
+	add(mem.RTMP)
+	for _, pp := range points {
+		in := p.Instrs[pp]
+		if in.Kind == isa.KOp || in.Kind == isa.KLoad {
+			add(in.Dst)
+		}
+		for _, o := range in.Args {
+			if o.IsReg {
+				add(o.Reg)
+			}
+		}
+		if in.Src.IsReg {
+			add(in.Src.Reg)
+		}
+	}
+	return idx
+}
+
+// regState is the set of registers that may hold a secret, as a bitset
+// over the program's regIndex. The label lattice has two points, so a
+// register's label is its bit and a join is an OR.
+type regState struct {
+	idx  regIndex
+	bits []uint64
+}
+
+func newRegState(idx regIndex) regState {
+	return regState{idx: idx, bits: make([]uint64, (len(idx)+63)/64)}
+}
+
+func (s regState) get(r isa.Reg) mem.Label {
+	i, ok := s.idx[r]
+	if !ok {
+		return mem.Public
+	}
+	return mem.Label(s.bits[i/64] >> (i % 64) & 1)
+}
+
+// set gives r the label l; r must be indexed.
+func (s regState) set(r isa.Reg, l mem.Label) {
+	i := s.idx[r]
+	if l.IsSecret() {
+		s.bits[i/64] |= 1 << (i % 64)
+	} else {
+		s.bits[i/64] &^= 1 << (i % 64)
+	}
+}
 
 func (s regState) clone() regState {
-	c := make(regState, len(s))
-	for r, l := range s {
-		c[r] = l
-	}
-	return c
+	return regState{idx: s.idx, bits: slices.Clone(s.bits)}
 }
 
 // joinInto joins o into s and reports whether s changed.
 func (s regState) joinInto(o regState) bool {
 	changed := false
-	for r, l := range o {
-		if j := s[r].Join(l); j != s[r] {
-			s[r] = j
+	for w, b := range o.bits {
+		if b&^s.bits[w] != 0 {
+			s.bits[w] |= b
 			changed = true
 		}
 	}
@@ -217,10 +272,11 @@ func Analyze(cfg Config) (*Report, error) {
 		ms.writeKnown(a, l)
 	}
 
-	entrySeed := make(regState, len(cfg.Regs))
+	idx := indexRegs(p, points)
+	entrySeed := newRegState(idx)
 	for r, l := range cfg.Regs {
-		if l != mem.Public {
-			entrySeed[r] = l
+		if _, named := idx[r]; named {
+			entrySeed.set(r, l)
 		}
 	}
 
@@ -359,24 +415,24 @@ func transfer(in isa.Instr, rs regState, ms *memState) regState {
 	case isa.KOp:
 		// Eval joins every operand label into the result, including a
 		// select's condition.
-		out[in.Dst] = argsLabel(in.Args, rs, ms)
+		out.set(in.Dst, argsLabel(in.Args, rs, ms))
 	case isa.KLoad:
 		if a, ok := staticAddr(in.Args); ok {
-			out[in.Dst] = ms.read(a)
+			out.set(in.Dst, ms.read(a))
 		} else {
 			// Unknown address: the load may read any cell, stale or
 			// forwarded — the join of all of memory.
-			out[in.Dst] = ms.all
+			out.set(in.Dst, ms.all)
 		}
 	case isa.KCall:
 		// The expansion pushes the (public) return address through
 		// RTMP and moves RSP by a public constant: RSP's label is
 		// preserved, RTMP becomes public.
-		out[mem.RTMP] = mem.Public
+		out.set(mem.RTMP, mem.Public)
 	case isa.KRet:
 		// The expansion pops through RTMP: transiently the popped
 		// value may be anything a store planted in the return slot.
-		out[mem.RTMP] = ms.all
+		out.set(mem.RTMP, ms.all)
 	}
 	return out
 }
