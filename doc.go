@@ -38,7 +38,7 @@
 //	                                ┌─────────────────────────────────┐
 //	                                │ internal/serve (service layer)  │
 //	                                │ verdict cache (GreedyDual+disk) │
-//	                                │ coalescing · bounded pool       │
+//	                                │ coalescing · worker slots       │
 //	                                │ cmd/spectred · cmd/specload     │
 //	                                └─────────────────────────────────┘
 //

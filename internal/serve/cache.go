@@ -1,8 +1,11 @@
 // Package serve is the analysis-as-a-service layer behind cmd/spectred:
 // a verdict cache keyed by (program fingerprint, canonical options
-// key), request coalescing for in-flight duplicates, a bounded worker
-// pool with queue backpressure, and the versioned HTTP API that serves
-// the spectre façade to CI-shaped traffic.
+// key), request coalescing for in-flight duplicates, a fixed number of
+// worker slots with a bounded queue and backpressure, and the
+// versioned HTTP API that serves the spectre façade to CI-shaped
+// traffic. Each coalesced miss runs on its flight's own goroutine,
+// which takes a worker slot for the analysis, so an idle server holds
+// no goroutines.
 //
 // The cache observation is Serberus's: Spectre checking as a pipeline
 // stage sees highly repetitive traffic — the same program at the same
@@ -30,10 +33,11 @@
 // quarantined and treated as a miss; a disk I/O failure degrades to
 // miss-and-analyze; repeated disk failures disable the persistent tier
 // entirely (the daemon reports "degraded" but keeps serving from
-// memory + analysis); a panicking analysis is recovered at the worker
-// boundary and surfaced as a structured 500 without taking the daemon
-// or any other request down. The disk tier is bounded by a byte budget
-// with LRU eviction, so it can run unattended indefinitely.
+// memory + analysis); a panicking analysis is recovered at the
+// analysis boundary and surfaced as a structured 500 without taking
+// the daemon or any other request down. The disk tier is bounded by a
+// byte budget with LRU eviction, so it can run unattended
+// indefinitely.
 package serve
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -366,10 +367,10 @@ func TestChaosReplayConvergence(t *testing.T) {
 // TestDrainGoroutineLeak is the satellite audit of the SIGTERM drain
 // path: after serving a concurrent burst — including clients that hang
 // up mid-flight and requests refused at admission — Shutdown-then-Drain
-// must return the process to its pre-server goroutine count. Pool
-// workers, flight runners, and in-flight disk writes all have owners
-// that the drain waits for; this pins that no one regresses into a
-// fire-and-forget goroutine.
+// must return the process to its pre-server goroutine count. Flight
+// runners and in-flight disk writes all have owners that the drain
+// waits for; this pins that no one regresses into a fire-and-forget
+// goroutine.
 func TestDrainGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -436,7 +437,8 @@ func TestDrainGoroutineLeak(t *testing.T) {
 	}
 
 	// Drained means drained: new work is refused, not queued.
-	if s.pool.trySubmit(func() {}) {
-		t.Error("drained pool accepted new work")
+	run := func(context.Context) (verdict, error) { return verdict{}, nil }
+	if _, err := s.runJob(context.Background(), run); !errors.Is(err, errQueueFull) {
+		t.Errorf("drained server admitted new work: err %v, want errQueueFull", err)
 	}
 }

@@ -37,8 +37,9 @@ const (
 	// siteCacheLookup makes a whole cache lookup miss (both tiers
 	// unavailable), forcing a fresh analysis.
 	siteCacheLookup faultSite = "cachelookup"
-	// sitePoolAdmit refuses pool admission as if the queue were full,
-	// exercising the 429/Retry-After backpressure path.
+	// sitePoolAdmit refuses an analysis admission as if the queue were
+	// full, exercising the 429/Retry-After backpressure path. The spec
+	// key stays "pooladmit", the name existing fault plans use.
 	sitePoolAdmit faultSite = "pooladmit"
 	// siteEngine panics inside an admitted analysis, exercising the
 	// panic-isolation boundary.

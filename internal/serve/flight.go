@@ -21,8 +21,9 @@ type flightGroup struct {
 	m  map[string]*flight
 	// wg tracks every flight-runner goroutine, so a draining server can
 	// wait for them instead of leaking work past shutdown. Runners never
-	// block indefinitely: their pool job either runs to completion
-	// during pool drain or is refused admission, so wait() terminates.
+	// block indefinitely: a runner is refused admission, leaves the
+	// queue when its flight is cancelled, or takes a worker slot and
+	// runs its analysis to completion, so wait() terminates.
 	wg sync.WaitGroup
 }
 
@@ -89,6 +90,5 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 }
 
 // wait blocks until every flight-runner goroutine has finished — the
-// flight half of a graceful drain. Call after the pool has drained so
-// no runner is still parked waiting for a worker.
+// waiting half of a graceful drain, once admission is closed.
 func (g *flightGroup) wait() { g.wg.Wait() }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -230,7 +231,7 @@ func TestBackpressure(t *testing.T) {
 	go post(1)
 	<-started // the worker is now occupied
 	go post(2)
-	waitFor(t, "second job to queue", func() bool { return s.pool.queueDepth() == 1 })
+	waitFor(t, "second job to queue", func() bool { return s.Stats().QueueDepth == 1 })
 
 	resp, raw := postAnalyze(t, ts.URL, analyzeBody(t, tinySource(3)))
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -292,6 +293,95 @@ func TestCancelPropagation(t *testing.T) {
 		t.Fatal("client disconnect did not cancel the analysis context")
 	}
 	<-done
+}
+
+// TestQueuedJobLeavesOnCancel: a queued analysis whose only client
+// hangs up must leave the queue at once, not hold its admission until
+// a worker slot frees up — otherwise abandoned work turns into
+// spurious 429s for the clients still there.
+func TestQueuedJobLeavesOnCancel(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+
+	started := make(chan struct{}, 4)
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	s.runAnalysis = func(ctx context.Context, _ *spectre.Analyzer, _ *spectre.Program) (*spectre.Report, error) {
+		started <- struct{}{}
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return stubReport(), nil
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// A failing check must not leave the first job holding its slot,
+	// which would block ts.Close until the analysis times out.
+	defer releaseOnce()
+
+	first := make(chan int, 1)
+	go func() {
+		resp, _ := postAnalyze(t, ts.URL, analyzeBody(t, tinySource(1)))
+		first <- resp.StatusCode
+	}()
+	<-started // the one worker slot is now taken
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		ts.URL+"/v1/analyze", bytes.NewReader(analyzeBody(t, tinySource(2))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan struct{})
+	go func() {
+		defer close(queued)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitFor(t, "second job to queue", func() bool { return s.Stats().QueueDepth == 1 })
+	cancel()
+	<-queued
+	waitFor(t, "cancelled job to leave the queue", func() bool { return s.Stats().QueueDepth == 0 })
+	if st := s.Stats(); st.InFlight != 1 {
+		t.Fatalf("inFlight %d while the first job runs, want 1", st.InFlight)
+	}
+
+	third := make(chan int, 1)
+	go func() {
+		resp, _ := postAnalyze(t, ts.URL, analyzeBody(t, tinySource(3)))
+		third <- resp.StatusCode
+	}()
+	waitFor(t, "third job to queue", func() bool {
+		return s.Stats().QueueDepth == 1 || s.Stats().Rejected > 0
+	})
+	releaseOnce()
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("first request finished with %d, want 200", code)
+	}
+	if code := <-third; code != http.StatusOK {
+		t.Errorf("third request finished with %d, want 200", code)
+	}
+	if got := s.Stats().Rejected; got != 0 {
+		t.Errorf("stats count %d rejected, want 0", got)
+	}
+	if st := s.Stats(); st.InFlight != 0 || st.QueueDepth != 0 {
+		t.Errorf("after the burst inFlight %d queueDepth %d, want 0 and 0", st.InFlight, st.QueueDepth)
+	}
+}
+
+// TestIdleServerHoldsNoGoroutines: New starts no goroutine; an
+// analysis runs on the goroutine of the flight that needs it.
+func TestIdleServerHoldsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := New(Config{Workers: 4, QueueDepth: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("New started %d goroutines, want none", after-before)
+	}
 }
 
 // TestCacheTiers drives the Cache directly: LRU eviction order,

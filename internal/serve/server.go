@@ -22,18 +22,20 @@ import (
 
 // Config sizes the service. Zero values pick the documented defaults.
 type Config struct {
-	// Workers is the number of analyses that may execute at once
-	// (default runtime.NumCPU()).
+	// Workers is the number of worker slots: how many analyses may
+	// execute at once (default runtime.NumCPU()).
 	Workers int
-	// QueueDepth bounds how many admitted requests may wait for a
-	// worker; a full queue turns into HTTP 429 (default 64).
+	// QueueDepth bounds how many admitted analyses may wait for a
+	// worker slot; past Workers+QueueDepth admitted analyses, a miss
+	// turns into HTTP 429 (default 64).
 	QueueDepth int
 	// MemEntries caps the in-memory cache tier (default 1024).
 	MemEntries int
 	// CacheDir enables the persistent cache tier; empty disables it.
 	CacheDir string
 	// Timeout is the per-request analysis budget, measured from the
-	// moment a worker picks the job up (default 60s; <0 disables).
+	// moment the analysis takes a worker slot (default 60s; <0
+	// disables).
 	Timeout time.Duration
 	// MaxBodyBytes caps request bodies (default 8 MiB).
 	MaxBodyBytes int64
@@ -162,20 +164,28 @@ type StatsResponse struct {
 	InjectedFaults int64 `json:"injectedFaults,omitempty"`
 }
 
-// errQueueFull is the admission failure trySubmit surfaces; the HTTP
+// errQueueFull is the admission failure runJob surfaces; the HTTP
 // layer renders it as 429 + Retry-After.
 var errQueueFull = errors.New("serve: analysis queue full")
 
 // Server is the analysis service: five HTTP endpoints over the
-// two-tier verdict cache, the coalescing flight group, and the bounded
-// worker pool.
+// two-tier verdict cache and the coalescing flight group, whose
+// runners take one of a fixed number of worker slots to analyze.
 type Server struct {
 	cfg     Config
 	cache   *Cache
 	flights flightGroup
-	pool    *pool
 	mux     *http.ServeMux
 	started time.Time
+
+	// slots holds one token per executing analysis; its capacity is
+	// cfg.Workers. admitted counts the analyses that hold a slot or
+	// wait for one, at most Workers+QueueDepth, and closed refuses
+	// every admission once Drain has begun; admitMu guards both.
+	slots    chan struct{}
+	admitMu  sync.Mutex
+	admitted int
+	closed   bool
 
 	// byFP maps a program fingerprint to the most recently stored
 	// analyze cache key for it — the index behind GET /v1/report.
@@ -202,7 +212,6 @@ type Server struct {
 	engineNanos atomic.Int64
 	rejected    atomic.Int64
 	errCount    atomic.Int64
-	inFlight    atomic.Int64
 	panics      atomic.Int64
 
 	// flt is the installed fault-injection plan; nil in production.
@@ -233,7 +242,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		cache:   cache,
-		pool:    newPool(cfg.Workers, cfg.QueueDepth),
+		slots:   make(chan struct{}, cfg.Workers),
 		started: time.Now(),
 		byFP:    make(map[string]string),
 		memo:    make(map[[sha256.Size]byte]memoEntry),
@@ -245,7 +254,6 @@ func New(cfg Config) (*Server, error) {
 		},
 	}
 	s.setFaults(flt)
-	s.pool.onPanic = func(any) { s.panics.Add(1) }
 	for _, key := range cache.Keys() {
 		if fp, ok := analyzeKeyFingerprint(key); ok {
 			s.byFP[fp] = key
@@ -272,16 +280,18 @@ func (s *Server) setFaults(f *faults) {
 	s.cache.flt = f
 }
 
-// Drain stops admitting work and waits for every queued and running
-// analysis to finish, then for every flight-runner goroutine to exit.
-// Call it after http.Server.Shutdown has stopped new connections;
-// subsequent submissions are rejected with 429. After Drain returns,
-// the server holds no goroutines: pool workers have exited, flight
-// runners have completed (their jobs either ran during the drain or
-// were refused admission and returned immediately), and disk writes —
-// which happen synchronously inside jobs — have all landed.
+// Drain stops admitting work and waits for every flight runner to
+// exit, which is every queued and running analysis finishing. Call it
+// after http.Server.Shutdown has stopped new connections; subsequent
+// submissions are rejected with 429. After Drain returns, the server
+// holds no goroutines: flight runners have completed (their analyses
+// either ran during the drain or were refused admission and returned
+// immediately), and disk writes — which happen synchronously inside
+// analyses — have all landed.
 func (s *Server) Drain() {
-	s.pool.drain()
+	s.admitMu.Lock()
+	s.closed = true
+	s.admitMu.Unlock()
 	s.flights.wait()
 }
 
@@ -515,10 +525,10 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 // serveVerdict answers an analyze or repair request: from the cache
 // when it holds the verdict under the key keyOf derives from what the
 // body resolves to, from another request's in-flight analysis when one
-// is running, and otherwise by running run on the pool and storing its
-// envelope at the cost run took. A body the memo knows reaches the
-// cache lookup without being decoded; it is decoded only if the
-// verdict has to be computed again.
+// is running, and otherwise by running run in a worker slot and
+// storing its envelope at the cost run took. A body the memo knows
+// reaches the cache lookup without being decoded; it is decoded only
+// if the verdict has to be computed again.
 func (s *Server) serveVerdict(w http.ResponseWriter, r *http.Request, keyOf func(memoEntry) string,
 	run func(context.Context, *verdictRequest) ([]byte, error)) {
 	req, err := s.readRequest(r)
@@ -607,6 +617,11 @@ func (s *Server) Stats() StatsResponse {
 		rate = float64(hits) / float64(verdictReqs)
 	}
 	cs := s.cache.Stats()
+	// Under admitMu no analysis is admitted, and only admitted ones
+	// hold slots, so running never exceeds admitted.
+	s.admitMu.Lock()
+	running, admitted := len(s.slots), s.admitted
+	s.admitMu.Unlock()
 	return StatsResponse{
 		UptimeSeconds:   time.Since(s.started).Seconds(),
 		Requests:        s.requests.Load(),
@@ -620,8 +635,8 @@ func (s *Server) Stats() StatsResponse {
 		Rejected:        s.rejected.Load(),
 		Errors:          s.errCount.Load(),
 		CacheHitRate:    rate,
-		InFlight:        s.inFlight.Load(),
-		QueueDepth:      s.pool.queueDepth(),
+		InFlight:        int64(running),
+		QueueDepth:      admitted - running,
 		QueueCapacity:   s.cfg.QueueDepth,
 		Workers:         s.cfg.Workers,
 		MemEntries:      s.cache.MemLen(),
@@ -640,11 +655,6 @@ func (s *Server) Stats() StatsResponse {
 // Job execution
 // ---------------------------------------------------------------------
 
-type jobResult struct {
-	v   verdict
-	err error
-}
-
 // panicError wraps a recovered analysis panic so it can flow through
 // the flight group to every waiter as an ordinary error and be mapped
 // to a structured 500 with a stable code.
@@ -654,38 +664,58 @@ func (e *panicError) Error() string {
 	return fmt.Sprintf("analysis panicked: %v", e.val)
 }
 
-// runJob admits work onto the bounded pool and waits for it. ctx is
-// the flight context: it stays live while any request is waiting on
-// this job and is cancelled when the last one leaves, which is how a
-// dropped client connection propagates into the analysis. The
-// per-request budget starts when a worker picks the job up, so queue
-// wait doesn't eat analysis time.
+// runJob admits one analysis and runs it in a worker slot. Admission
+// never blocks: a draining server, or one with Workers+QueueDepth
+// analyses already admitted, refuses with errQueueFull. An admitted
+// analysis then waits for a slot. ctx is the flight context: it stays
+// live while any request is waiting on this analysis and is cancelled
+// when the last one leaves, which is how a dropped client connection
+// propagates into the analysis — or takes it out of the queue before
+// it starts. The per-request budget starts when the analysis takes its
+// slot, so queue wait doesn't eat analysis time.
 func (s *Server) runJob(ctx context.Context, run func(context.Context) (verdict, error)) (verdict, error) {
-	if s.flt.fire(sitePoolAdmit) {
+	if s.flt.fire(sitePoolAdmit) || !s.admit() {
 		s.rejected.Add(1)
 		return verdict{}, errQueueFull
 	}
-	res := make(chan jobResult, 1)
-	admitted := s.pool.trySubmit(func() {
-		res <- s.executeJob(ctx, run)
-	})
-	if !admitted {
-		s.rejected.Add(1)
-		return verdict{}, errQueueFull
+	defer s.leave()
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return verdict{}, ctx.Err()
 	}
-	jr := <-res
-	return jr.v, jr.err
+	defer func() { <-s.slots }()
+	return s.executeJob(ctx, run)
 }
 
-// executeJob runs one admitted job under the per-request budget inside
+// admit counts one more admitted analysis, unless the server is
+// draining or Workers+QueueDepth analyses are already admitted.
+func (s *Server) admit() bool {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if s.closed || s.admitted >= s.cfg.Workers+s.cfg.QueueDepth {
+		return false
+	}
+	s.admitted++
+	return true
+}
+
+// leave releases an admission taken by admit.
+func (s *Server) leave() {
+	s.admitMu.Lock()
+	s.admitted--
+	s.admitMu.Unlock()
+}
+
+// executeJob runs one analysis under the per-request budget inside
 // the panic-isolation boundary: a panicking analysis is recovered
 // here, counted, and converted into a panicError. Because executeJob
-// always returns (never re-panics), the result send in runJob's
-// closure always happens — waiters cannot hang on a crashed job — and
-// because the error propagates through the flight group like any
-// other, every coalesced waiter sees the failure and the flight
-// unmaps, so a poisoned flight cannot wedge future identical requests.
-func (s *Server) executeJob(ctx context.Context, run func(context.Context) (verdict, error)) (jr jobResult) {
+// always returns (never re-panics), runJob always frees its slot and
+// admission — waiters cannot hang on a crashed analysis — and because
+// the error propagates through the flight group like any other, every
+// coalesced waiter sees the failure and the flight unmaps, so a
+// poisoned flight cannot wedge future identical requests.
+func (s *Server) executeJob(ctx context.Context, run func(context.Context) (verdict, error)) (v verdict, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -696,13 +726,11 @@ func (s *Server) executeJob(ctx context.Context, run func(context.Context) (verd
 		if r != any(errInjectedPanic) {
 			log.Printf("serve: recovered analysis panic: %v\n%s", r, debug.Stack())
 		}
-		jr = jobResult{err: &panicError{val: r}}
+		v, err = verdict{}, &panicError{val: r}
 	}()
-	if err := ctx.Err(); err != nil {
-		return jobResult{err: err}
+	if ctx.Err() != nil {
+		return verdict{}, ctx.Err()
 	}
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
 	runCtx, cancel := ctx, context.CancelFunc(func() {})
 	if s.cfg.Timeout > 0 {
 		runCtx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
@@ -711,7 +739,7 @@ func (s *Server) executeJob(ctx context.Context, run func(context.Context) (verd
 	if s.flt.fire(siteEngine) {
 		panic(errInjectedPanic)
 	}
-	v, err := run(runCtx)
+	v, err = run(runCtx)
 	switch {
 	case err == nil:
 		s.analyses.Add(1)
@@ -720,7 +748,7 @@ func (s *Server) executeJob(ctx context.Context, run func(context.Context) (verd
 	default:
 		s.errCount.Add(1)
 	}
-	return jobResult{v: v, err: err}
+	return v, err
 }
 
 // ---------------------------------------------------------------------

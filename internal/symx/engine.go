@@ -1023,15 +1023,6 @@ func (c *modelCache) put(fp uint64, e *solveEntry) {
 // Counters.
 // ---------------------------------------------------------------------
 
-// solverCounters are the engine's per-analysis diagnostics.
-type solverCounters struct {
-	queries        uint64
-	cacheHits      uint64
-	definiteUnsats uint64
-	propPruned     uint64
-	probeIters     uint64
-}
-
 // SolverStats is a snapshot of the constraint engine's counters for
 // one analysis: queries answered, answers served from the
 // fingerprint-keyed cache, queries settled UNSAT by domain
@@ -1046,13 +1037,4 @@ type SolverStats struct {
 }
 
 // Stats snapshots the solver's counters.
-func (s *Solver) Stats() SolverStats {
-	c := &s.counters
-	return SolverStats{
-		Queries:        c.queries,
-		CacheHits:      c.cacheHits,
-		DefiniteUnsats: c.definiteUnsats,
-		PropPruned:     c.propPruned,
-		ProbeIters:     c.probeIters,
-	}
-}
+func (s *Solver) Stats() SolverStats { return s.counters }

@@ -183,7 +183,7 @@ func (p PathCondition) conjuncts() []Constraint {
 // them.
 type Solver struct {
 	cache    *modelCache
-	counters solverCounters
+	counters SolverStats
 }
 
 // NewSolver returns a solver with an empty cache.
@@ -242,13 +242,13 @@ func (s *Solver) Feasible(p PathCondition) bool {
 // recursively, parent first, so a result never depends on what happens
 // to be cached.
 func (s *Solver) query(p PathCondition) *solveEntry {
-	s.counters.queries++
+	s.counters.Queries++
 	if p.n == nil {
 		return emptyEntry
 	}
 	if e, ok := s.cache.get(p.n.fp); ok {
 		if !e.ok || p.Holds(e.env) {
-			s.counters.cacheHits++
+			s.counters.CacheHits++
 			return e
 		}
 	}
@@ -266,7 +266,7 @@ func (s *Solver) solveFresh(p PathCondition) *solveEntry {
 		pe = s.query(par)
 		if pe.unsat {
 			// A superset of an unsatisfiable conjunction is unsatisfiable.
-			s.counters.definiteUnsats++
+			s.counters.DefiniteUnsats++
 			return &solveEntry{unsat: true}
 		}
 	}
@@ -294,19 +294,19 @@ func (s *Solver) solveFresh(p PathCondition) *solveEntry {
 		fromParent = true
 	}
 	if !propagate(cons, vidx, doms, fromParent) {
-		s.counters.definiteUnsats++
+		s.counters.DefiniteUnsats++
 		return &solveEntry{doms: doms, unsat: true}
 	}
 	for i := range doms {
 		if !doms[i].isFull() {
-			s.counters.propPruned++
+			s.counters.PropPruned++
 			break
 		}
 	}
 
 	ec := newEvalCtx(vars, cons, vidx)
 	ok, evals := ec.search(doms)
-	s.counters.probeIters += evals
+	s.counters.ProbeIters += evals
 	if ok {
 		return &solveEntry{doms: doms, env: ec.env, ok: true}
 	}

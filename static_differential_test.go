@@ -22,10 +22,10 @@ import (
 	"pitchfork/internal/testcases"
 )
 
-// taintOfMachine seeds the taint analysis exactly like the concrete
+// taintConfigOf seeds the taint analysis exactly like the concrete
 // explorer sees the machine: the program plus the labels of every
 // initial register and memory cell.
-func taintOfMachine(m *core.Machine) (*taint.Report, error) {
+func taintConfigOf(m *core.Machine) taint.Config {
 	cfg := taint.Config{
 		Prog: m.Prog,
 		Regs: map[isa.Reg]mem.Label{},
@@ -37,12 +37,12 @@ func taintOfMachine(m *core.Machine) (*taint.Report, error) {
 	for _, a := range m.Mem.Addresses() {
 		cfg.Mem[a] = m.Mem.Read(a).L
 	}
-	return taint.Analyze(cfg)
+	return cfg
 }
 
 func staticOfMachine(t *testing.T, m *core.Machine) *taint.Report {
 	t.Helper()
-	rep, err := taintOfMachine(m)
+	rep, err := taint.Analyze(taintConfigOf(m))
 	if err != nil {
 		t.Fatal(err)
 	}
